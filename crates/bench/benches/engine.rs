@@ -8,7 +8,7 @@ use nexit_core::{negotiate, GainTable, NexitConfig, Party, PreferenceMapper, Ses
 use nexit_routing::{Assignment, FlowId};
 use nexit_sim::experiments::bandwidth::PairFailureSweep;
 use nexit_sim::ExpConfig;
-use nexit_topology::{GeneratorConfig, IcxId, TopologyGenerator};
+use nexit_topology::{GeneratorConfig, IcxId, TopologyGenerator, Universe};
 use nexit_workload::{assign_capacities, BackupRule, CapacityModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -155,32 +155,29 @@ fn bench_engine(c: &mut Criterion) {
     group.finish();
 }
 
-/// One pair, all failure scenarios, each re-solved across a ladder of
-/// background-load scales (the §5.2 what-if-traffic-grows sweep): the
-/// fractional-optimum LPs solved warm (per-scenario skeleton built once,
-/// rhs patched per scale, basis carried over) versus cold (the identical
-/// formulation with the basis invalidated before every solve). The
-/// warm/cold ratio is the tentpole number the CI bench gate tracks.
-fn bench_scenario_sweep(c: &mut Criterion) {
-    let universe = TopologyGenerator::new(GeneratorConfig {
+/// The 16-ISP universe the pair-level rows share.
+fn sweep_universe() -> Universe {
+    TopologyGenerator::new(GeneratorConfig {
         num_isps: 16,
         num_mesh_isps: 1,
         seed: 11,
         ..GeneratorConfig::default()
     })
-    .generate();
+    .generate()
+}
+
+/// The eligible pair with the most failure scenarios (ties broken by
+/// pair order), so a sweep covers several programs.
+fn largest_sweep(universe: &Universe) -> PairFailureSweep<'_> {
     let cfg = ExpConfig {
         max_failures_per_pair: 5,
         threads: 1,
         ..ExpConfig::default()
     };
-    let capacity_model = CapacityModel::default();
-    // Deterministically pick the eligible pair with the most scenarios
-    // (ties broken by pair order) so the sweep covers several programs.
     let sweep = universe
         .eligible_pairs(3, false)
         .into_iter()
-        .map(|idx| PairFailureSweep::build(&universe, idx, &cfg, &capacity_model))
+        .map(|idx| PairFailureSweep::build(universe, idx, &cfg, &CapacityModel::default()))
         .max_by_key(|s| s.scenarios.len())
         .expect("universe yields an eligible pair");
     assert!(
@@ -188,6 +185,76 @@ fn bench_scenario_sweep(c: &mut Criterion) {
         "sweep too small to exercise warm starts: {}",
         sweep.scenarios.len()
     );
+    sweep
+}
+
+/// The layers under one `pair_pipeline` op, each on its own: the
+/// percentile scale of a paper-scale gain table, one bandwidth gain
+/// fill of a failure scenario (both sides; the unit the 5 %
+/// reassignment loop repeats), and one failure variant's tables
+/// derived from the intact pair's.
+fn bench_pair_layers(c: &mut Criterion) {
+    use nexit_core::prefs::quantize_into;
+    use nexit_core::{BandwidthMapper, PrefTable, Side};
+
+    let mut group = c.benchmark_group("prefs");
+    group.bench_function("quantize/8000", |bencher| {
+        let gains = RandomMapper::new(2_000, 4, 1).gains;
+        let mut out = PrefTable::zero(0, 0);
+        let mut scratch = Vec::new();
+        bencher.iter(|| {
+            quantize_into(&gains, 10, &mut out, &mut scratch);
+            out.max_class()
+        });
+    });
+    group.finish();
+
+    let universe = sweep_universe();
+    let sweep = largest_sweep(&universe);
+    let scenario = sweep
+        .scenarios
+        .iter()
+        .max_by_key(|s| s.impacted.len())
+        .expect("sweep has scenarios");
+
+    let mut group = c.benchmark_group("mapping");
+    group.bench_function("bw_fill", |bencher| {
+        let data = &scenario.data;
+        let inp = scenario.session_input();
+        let mut up = BandwidthMapper::new(Side::A, &data.flows, &data.paths, &scenario.caps_up);
+        let mut down = BandwidthMapper::new(Side::B, &data.flows, &data.paths, &scenario.caps_down);
+        let mut out = GainTable::new(inp.len(), inp.num_alternatives);
+        bencher.iter(|| {
+            up.gains(&inp, &data.default, &mut out);
+            down.gains(&inp, &data.default, &mut out);
+            out.get(0, 0)
+        });
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("pairdata");
+    group.bench_function("build_reduced", |bencher| {
+        let (reduced, _) = sweep.full.pair.without_interconnection(scenario.failed);
+        bencher.iter(|| {
+            sweep
+                .full
+                .build_reduced(reduced.clone(), ExpConfig::default().workload)
+                .default
+                .len()
+        });
+    });
+    group.finish();
+}
+
+/// One pair, all failure scenarios, each re-solved across a ladder of
+/// background-load scales (the §5.2 what-if-traffic-grows sweep): the
+/// fractional-optimum LPs solved warm (per-scenario skeleton built once,
+/// rhs patched per scale, basis carried over) versus cold (the identical
+/// formulation with the basis invalidated before every solve). The
+/// warm/cold ratio is the tentpole number the CI bench gate tracks.
+fn bench_scenario_sweep(c: &mut Criterion) {
+    let universe = sweep_universe();
+    let sweep = largest_sweep(&universe);
     const GROWTH: [f64; 5] = [1.0, 1.05, 1.1, 1.2, 1.4];
 
     let mut group = c.benchmark_group("scenario_sweep");
@@ -235,25 +302,8 @@ fn bench_scenario_sweep(c: &mut Criterion) {
 /// tentpole number in the CI bench gate — coefficient patches must
 /// re-enter at >= 2x over cold.
 fn bench_model_grid(c: &mut Criterion) {
-    let universe = TopologyGenerator::new(GeneratorConfig {
-        num_isps: 16,
-        num_mesh_isps: 1,
-        seed: 11,
-        ..GeneratorConfig::default()
-    })
-    .generate();
-    let cfg = ExpConfig {
-        max_failures_per_pair: 5,
-        threads: 1,
-        ..ExpConfig::default()
-    };
-    let sweep = universe
-        .eligible_pairs(3, false)
-        .into_iter()
-        .map(|idx| PairFailureSweep::build(&universe, idx, &cfg, &CapacityModel::default()))
-        .max_by_key(|s| s.scenarios.len())
-        .expect("universe yields an eligible pair");
-    assert!(sweep.scenarios.len() >= 3, "sweep too small");
+    let universe = sweep_universe();
+    let sweep = largest_sweep(&universe);
     // The ablation's capacity grid: per-model capacities assigned from
     // the shared pre-failure loads (coefficient-only patches of the one
     // skeleton per scenario).
@@ -591,6 +641,7 @@ fn bench_churn(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_engine,
+    bench_pair_layers,
     bench_scenario_sweep,
     bench_model_grid,
     bench_simplex,

@@ -26,7 +26,7 @@
 
 use crate::arena::{GainTable, TableArena};
 use crate::engine::SessionInput;
-use crate::mapping::{quantized_bandwidth_row, side_links, PreferenceMapper};
+use crate::mapping::{quantized_bandwidth_row, side_links, LinkMarks, PreferenceMapper};
 use crate::outcome::Side;
 use nexit_routing::{Assignment, PairFlows};
 use nexit_topology::LinkId;
@@ -348,6 +348,8 @@ pub struct CachedBandwidthMapper<'a> {
     /// Per-link utilization classes of the current load epoch.
     classes: &'a [u32],
     cache: &'a mut GainCache,
+    /// Current-path marks for the row kernel.
+    marks: LinkMarks,
 }
 
 impl<'a> CachedBandwidthMapper<'a> {
@@ -371,6 +373,7 @@ impl<'a> CachedBandwidthMapper<'a> {
             capacities,
             classes,
             cache,
+            marks: LinkMarks::new(capacities.len()),
         }
     }
 }
@@ -384,6 +387,7 @@ impl PreferenceMapper for CachedBandwidthMapper<'_> {
             self.classes,
             self.flows,
         );
+        let marks = &mut self.marks;
         let k = input.num_alternatives;
         for (i, (&fid, &default)) in input.flow_ids.iter().zip(&input.defaults).enumerate() {
             debug_assert_eq!(
@@ -396,7 +400,7 @@ impl PreferenceMapper for CachedBandwidthMapper<'_> {
                 .cache
                 .row_or_fill_tracked(fid.index(), default.index(), |row, fp| {
                     quantized_bandwidth_row(
-                        side, paths, capacities, classes, fid, default, default, volume, row,
+                        side, paths, capacities, classes, fid, default, default, volume, marks, row,
                     );
                     for alt in 0..k {
                         for &l in side_links(side, paths, fid, nexit_topology::IcxId::new(alt)) {

@@ -22,14 +22,29 @@
 //! additive-composition requirement. Writing into the caller's table —
 //! instead of returning a fresh nest of per-flow vectors — lets the
 //! machine reuse one backing buffer across every reassignment of a
-//! session, and lets per-flow fills fan across threads over disjoint row
-//! ranges: the bandwidth and Fortz mappers snapshot their shared load
-//! vector once and then split the row loop over [`crate::par_flows`]
-//! workers (`with_threads`), byte-identical for any thread count.
+//! session.
+//!
+//! The bandwidth and Fortz mappers are re-run after every reassignment
+//! (about fifteen times a session at the paper's 5 % interval), so they
+//! keep their per-fill state across fills and do each piece of work
+//! once. Per fill: the own-side loads under `current` are aggregated
+//! into a buffer the mapper owns, and `loads / capacity` is computed
+//! once per link. Per row: the flow's current path is marked in a
+//! per-worker `LinkMarks` array, so "does the flow already ride this
+//! link" is one lookup instead of a scan of the path; each alternative's
+//! cost is evaluated once, straight into the row, and the default's cost
+//! is read back from there; and `(load + volume) / capacity` is computed
+//! only for links the flow would move onto. All three bandwidth flavours
+//! (exact loads, quantized classes, and the cached mapper in
+//! [`crate::delta`]) run the one `path_max_row` kernel. Rows are
+//! independent given the per-fill state, so `with_threads` fans them
+//! across [`crate::par_flows`] workers — one mark array each, disjoint
+//! row ranges — byte-identical for any thread count.
 
 use crate::arena::GainTable;
 use crate::engine::SessionInput;
 use crate::outcome::Side;
+use crate::parallel::{par_flows, resolve_threads};
 use nexit_metrics::fortz_link_cost;
 use nexit_routing::{Assignment, FlowId, PairFlows};
 use nexit_topology::{IcxId, LinkId};
@@ -59,8 +74,8 @@ pub fn utilization_classes(loads: &[f64], capacities: &[f64], out: &mut Vec<u32>
 /// Per-link load accumulator for one side of a pair, maintained
 /// incrementally: [`SideLoads::add_path`] moves a volume onto the links
 /// of one path (off, with a negative volume) in O(links touched),
-/// versus the O(flows × path length) full re-aggregation of
-/// [`BandwidthMapper`]'s internal `loads()`. A churn driver keeps one
+/// versus the O(flows × path length) full re-aggregation a
+/// [`BandwidthMapper`] runs per fill. A churn driver keeps one
 /// accumulator per (side, traffic layer) and feeds the snapshot into
 /// [`BandwidthMapper::with_loads`] / [`utilization_classes`].
 #[derive(Debug, Clone, PartialEq)]
@@ -108,6 +123,96 @@ pub(crate) fn side_links(side: Side, paths: &PathTable, flow: FlowId, alt: IcxId
     }
 }
 
+/// Which of a worker's links lie on the flow's current path
+/// ([`LinkMarks::CUR`]) or on the candidate path ([`LinkMarks::ALT`]):
+/// the row kernels' O(1) replacement for scanning a path per link. A
+/// kernel clears every mark it set before returning, so one array
+/// serves all the rows (and fills) of a worker.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LinkMarks {
+    bits: Vec<u8>,
+}
+
+impl LinkMarks {
+    const CUR: u8 = 1;
+    const ALT: u8 = 2;
+
+    /// All-clear marks over `num_links` links.
+    pub(crate) fn new(num_links: usize) -> Self {
+        Self {
+            bits: vec![0; num_links],
+        }
+    }
+
+    /// Size `pool` to one all-clear array per worker of a
+    /// `threads`-wide fill (0 = every available core).
+    fn pool(pool: &mut Vec<LinkMarks>, threads: usize, num_links: usize) {
+        pool.resize_with(resolve_threads(threads), LinkMarks::default);
+        for marks in pool {
+            marks.bits.resize(num_links, 0);
+        }
+    }
+
+    #[inline]
+    fn set(&mut self, links: &[LinkId], bit: u8) {
+        for &l in links {
+            self.bits[l.index()] |= bit;
+        }
+    }
+
+    #[inline]
+    fn clear(&mut self, links: &[LinkId], bit: u8) {
+        for &l in links {
+            self.bits[l.index()] &= !bit;
+        }
+    }
+
+    #[inline]
+    fn has(&self, link: usize, bit: u8) -> bool {
+        self.bits[link] & bit != 0
+    }
+}
+
+/// One flow's gain row under a path-max objective: an alternative costs
+/// the maximum over its links of `stay(link)` where the flow already
+/// rides the link (its current path) and `arrive(link)` where moving
+/// would add the flow; the gain is the default's cost minus the
+/// alternative's. Costs are written into `row` once and turned into
+/// gains in place.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+fn path_max_row(
+    side: Side,
+    paths: &PathTable,
+    fid: FlowId,
+    cur: IcxId,
+    default: IcxId,
+    marks: &mut LinkMarks,
+    row: &mut [f64],
+    stay: impl Fn(usize) -> f64,
+    arrive: impl Fn(usize) -> f64,
+) {
+    let cur_links = side_links(side, paths, fid, cur);
+    marks.set(cur_links, LinkMarks::CUR);
+    for (alt, cell) in row.iter_mut().enumerate() {
+        *cell = side_links(side, paths, fid, IcxId::new(alt))
+            .iter()
+            .map(|&l| {
+                if marks.has(l.index(), LinkMarks::CUR) {
+                    stay(l.index())
+                } else {
+                    arrive(l.index())
+                }
+            })
+            .fold(0.0_f64, f64::max);
+    }
+    marks.clear(cur_links, LinkMarks::CUR);
+    let base = row[default.index()];
+    for cell in row {
+        *cell = base - *cell;
+    }
+}
+
 /// One flow's gain row under the quantized bandwidth objective: path-max
 /// utilization read through [`utilization_classes`] buckets, plus the
 /// (unquantized) `volume / capacity` the flow itself would add on links
@@ -124,24 +229,38 @@ pub(crate) fn quantized_bandwidth_row(
     cur: IcxId,
     default: IcxId,
     volume: f64,
+    marks: &mut LinkMarks,
     row: &mut [f64],
 ) {
-    let cur_links = side_links(side, paths, fid, cur);
-    let cost = |alt: IcxId| -> f64 {
-        side_links(side, paths, fid, alt)
-            .iter()
-            .map(|&l| {
-                let mut util = classes[l.index()] as f64 * UTIL_CLASS_WIDTH;
-                if alt != cur && !cur_links.contains(&l) {
-                    util += volume / capacities[l.index()];
-                }
-                util
-            })
-            .fold(0.0_f64, f64::max)
-    };
-    let base = cost(default);
-    for (alt, cell) in row.iter_mut().enumerate() {
-        *cell = base - cost(IcxId::new(alt));
+    let class_util = |l: usize| classes[l] as f64 * UTIL_CLASS_WIDTH;
+    path_max_row(
+        side,
+        paths,
+        fid,
+        cur,
+        default,
+        marks,
+        row,
+        class_util,
+        |l| class_util(l) + volume / capacities[l],
+    );
+}
+
+/// Re-aggregate `loads` as the own-side per-link loads under `current`,
+/// in flow order.
+fn aggregate_loads(
+    side: Side,
+    flows: &PairFlows,
+    paths: &PathTable,
+    current: &Assignment,
+    loads: &mut SideLoads,
+) {
+    loads.reset();
+    for (fid, flow, _) in flows.iter() {
+        loads.add_path(
+            side_links(side, paths, fid, current.choice(fid)),
+            flow.volume,
+        );
     }
 }
 
@@ -202,7 +321,7 @@ impl PreferenceMapper for DistanceMapper<'_> {
 
 /// Bandwidth objective: maximum load-to-capacity ratio along the flow's
 /// own-side path, evaluated on the expected network state.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct BandwidthMapper<'a> {
     side: Side,
     flows: &'a PairFlows,
@@ -217,6 +336,12 @@ pub struct BandwidthMapper<'a> {
     classes: Option<&'a [u32]>,
     /// Worker threads for the per-flow cost loop (1 = serial).
     threads: usize,
+    /// Own-side loads under `current`, re-aggregated per fill.
+    loads: SideLoads,
+    /// `loads / capacities`, computed once per fill.
+    util: Vec<f64>,
+    /// One current-path mark array per worker.
+    marks: Vec<LinkMarks>,
 }
 
 impl<'a> BandwidthMapper<'a> {
@@ -236,6 +361,9 @@ impl<'a> BandwidthMapper<'a> {
             loads_override: None,
             classes: None,
             threads: 1,
+            loads: SideLoads::zero(capacities.len()),
+            util: Vec::new(),
+            marks: Vec::new(),
         }
     }
 
@@ -259,7 +387,7 @@ impl<'a> BandwidthMapper<'a> {
     }
 
     /// Fan the per-flow cost loop across `threads` workers
-    /// (0 = every available core). The shared load vector is snapshotted
+    /// (0 = every available core). The per-fill load state is computed
     /// before the fan-out and each worker writes a disjoint row range,
     /// so the table is byte-identical to the serial fill for any thread
     /// count — and therefore so is every negotiation decision.
@@ -267,90 +395,65 @@ impl<'a> BandwidthMapper<'a> {
         self.threads = threads;
         self
     }
-
-    fn side_links(&self, flow: nexit_routing::FlowId, alt: IcxId) -> &'a [nexit_topology::LinkId] {
-        match self.side {
-            Side::A => self.paths.up_links(flow, alt),
-            Side::B => self.paths.down_links(flow, alt),
-        }
-    }
-
-    /// Current own-side loads under `current`.
-    fn loads(&self, current: &Assignment) -> Vec<f64> {
-        let mut loads = vec![0.0; self.capacities.len()];
-        for (fid, flow, _) in self.flows.iter() {
-            for &l in self.side_links(fid, current.choice(fid)) {
-                loads[l.index()] += flow.volume;
-            }
-        }
-        loads
-    }
 }
 
 impl PreferenceMapper for BandwidthMapper<'_> {
     fn gains(&mut self, input: &SessionInput, current: &Assignment, out: &mut GainTable) {
+        let (side, flows, paths, capacities) = (self.side, self.flows, self.paths, self.capacities);
+        LinkMarks::pool(&mut self.marks, self.threads, capacities.len());
         if let Some(classes) = self.classes {
-            let this = *self;
-            crate::parallel::par_flows(self.threads, out, |i, row| {
+            par_flows(out, &mut self.marks, |marks, i, row| {
                 let fid = input.flow_ids[i];
                 quantized_bandwidth_row(
-                    this.side,
-                    this.paths,
-                    this.capacities,
+                    side,
+                    paths,
+                    capacities,
                     classes,
                     fid,
                     current.choice(fid),
                     input.defaults[i],
-                    this.flows.flows[fid.index()].volume,
+                    flows.flows[fid.index()].volume,
+                    marks,
                     row,
                 );
             });
             return;
         }
-        // Snapshot the shared load vector once; the per-flow rows then
-        // read only immutable state and fill disjoint table rows.
-        let owned;
         let loads: &[f64] = match self.loads_override {
             Some(snapshot) => snapshot,
             None => {
-                owned = self.loads(current);
-                &owned
+                aggregate_loads(side, flows, paths, current, &mut self.loads);
+                self.loads.loads()
             }
         };
-        let this = *self;
-        crate::parallel::par_flows(self.threads, out, |i, row| {
+        self.util.clear();
+        self.util
+            .extend(loads.iter().zip(capacities).map(|(&load, &cap)| load / cap));
+        let util = &self.util;
+        // Path-max load ratio after moving the flow from its current
+        // path to the alternative's: links the flow already rides keep
+        // their load, links it would arrive on carry its volume too.
+        par_flows(out, &mut self.marks, |marks, i, row| {
             let fid = input.flow_ids[i];
-            let default = input.defaults[i];
-            let volume = this.flows.flows[fid.index()].volume;
-            let cur = current.choice(fid);
-            // Path-max excess ratio after moving the flow from `cur`
-            // to `alt`. Links are adjusted for the flow's departure
-            // from its current path and arrival on the candidate path.
-            let cost = |alt: IcxId| -> f64 {
-                let cur_links = this.side_links(fid, cur);
-                this.side_links(fid, alt)
-                    .iter()
-                    .map(|&l| {
-                        let mut load = loads[l.index()];
-                        if alt != cur && !cur_links.contains(&l) {
-                            load += volume;
-                        }
-                        // When alt == cur the flow already contributes.
-                        load / this.capacities[l.index()]
-                    })
-                    .fold(0.0_f64, f64::max)
-            };
-            let base = cost(default);
-            for (alt, cell) in row.iter_mut().enumerate() {
-                *cell = base - cost(IcxId::new(alt));
-            }
+            let volume = flows.flows[fid.index()].volume;
+            path_max_row(
+                side,
+                paths,
+                fid,
+                current.choice(fid),
+                input.defaults[i],
+                marks,
+                row,
+                |l| util[l],
+                |l| (loads[l] + volume) / capacities[l],
+            );
         });
     }
 }
 
 /// Fortz–Thorup objective: total piecewise-linear cost of the ISP's own
 /// links (the paper's LP-formulation alternate metric).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct FortzMapper<'a> {
     side: Side,
     flows: &'a PairFlows,
@@ -358,6 +461,10 @@ pub struct FortzMapper<'a> {
     capacities: &'a [f64],
     /// Worker threads for the per-flow cost loop (1 = serial).
     threads: usize,
+    /// Own-side loads under `current`, re-aggregated per fill.
+    loads: SideLoads,
+    /// One current/candidate-path mark array per worker.
+    marks: Vec<LinkMarks>,
 }
 
 impl<'a> FortzMapper<'a> {
@@ -374,6 +481,8 @@ impl<'a> FortzMapper<'a> {
             paths,
             capacities,
             threads: 1,
+            loads: SideLoads::zero(capacities.len()),
+            marks: Vec::new(),
         }
     }
 
@@ -384,61 +493,51 @@ impl<'a> FortzMapper<'a> {
         self.threads = threads;
         self
     }
-
-    fn side_links(&self, flow: nexit_routing::FlowId, alt: IcxId) -> &'a [nexit_topology::LinkId] {
-        match self.side {
-            Side::A => self.paths.up_links(flow, alt),
-            Side::B => self.paths.down_links(flow, alt),
-        }
-    }
 }
 
 impl PreferenceMapper for FortzMapper<'_> {
     fn gains(&mut self, input: &SessionInput, current: &Assignment, out: &mut GainTable) {
-        // Snapshot the base loads under `current` once, then fan the
-        // per-flow rows out over disjoint slices of the flat table.
-        let mut loads = vec![0.0; self.capacities.len()];
-        for (fid, flow, _) in self.flows.iter() {
-            for &l in self.side_links(fid, current.choice(fid)) {
-                loads[l.index()] += flow.volume;
-            }
-        }
-        let this = *self;
-        let loads = &loads;
-        crate::parallel::par_flows(self.threads, out, |i, row| {
+        let (side, flows, paths, capacities) = (self.side, self.flows, self.paths, self.capacities);
+        LinkMarks::pool(&mut self.marks, self.threads, capacities.len());
+        aggregate_loads(side, flows, paths, current, &mut self.loads);
+        let loads = self.loads.loads();
+        par_flows(out, &mut self.marks, |marks, i, row| {
             let fid = input.flow_ids[i];
-            let default = input.defaults[i];
-            let volume = this.flows.flows[fid.index()].volume;
+            let volume = flows.flows[fid.index()].volume;
             let cur = current.choice(fid);
-            // Total-cost delta of moving the flow from `cur` to `alt`,
-            // computed over affected links only.
-            let cost_delta = |alt: IcxId| -> f64 {
-                if alt == cur {
-                    return 0.0;
+            let cur_links = side_links(side, paths, fid, cur);
+            marks.set(cur_links, LinkMarks::CUR);
+            // Total-cost delta of moving the flow from `cur` to each
+            // alternative, computed over affected links only: the links
+            // it arrives on, then the links it leaves.
+            for (alt, cell) in row.iter_mut().enumerate() {
+                if alt == cur.index() {
+                    *cell = 0.0;
+                    continue;
                 }
+                let alt_links = side_links(side, paths, fid, IcxId::new(alt));
+                marks.set(alt_links, LinkMarks::ALT);
                 let mut delta = 0.0;
-                let cur_links = this.side_links(fid, cur);
-                let alt_links = this.side_links(fid, alt);
                 for &l in alt_links {
-                    if !cur_links.contains(&l) {
-                        let cap = this.capacities[l.index()];
-                        let load = loads[l.index()];
+                    if !marks.has(l.index(), LinkMarks::CUR) {
+                        let (load, cap) = (loads[l.index()], capacities[l.index()]);
                         delta += fortz_link_cost(load + volume, cap) - fortz_link_cost(load, cap);
                     }
                 }
                 for &l in cur_links {
-                    if !alt_links.contains(&l) {
-                        let cap = this.capacities[l.index()];
-                        let load = loads[l.index()];
+                    if !marks.has(l.index(), LinkMarks::ALT) {
+                        let (load, cap) = (loads[l.index()], capacities[l.index()]);
                         delta += fortz_link_cost((load - volume).max(0.0), cap)
                             - fortz_link_cost(load, cap);
                     }
                 }
-                delta
-            };
-            let base = cost_delta(default);
-            for (alt, cell) in row.iter_mut().enumerate() {
-                *cell = base - cost_delta(IcxId::new(alt));
+                marks.clear(alt_links, LinkMarks::ALT);
+                *cell = delta;
+            }
+            marks.clear(cur_links, LinkMarks::CUR);
+            let base = row[input.defaults[i].index()];
+            for cell in row {
+                *cell = base - *cell;
             }
         });
     }
@@ -642,6 +741,346 @@ mod tests {
                     "default gain must be zero"
                 );
             }
+        }
+    }
+
+    /// The row kernels against the closures they replaced, bit for bit.
+    mod kernel_equivalence {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        /// The per-fill load aggregation the mappers used to allocate.
+        fn reference_loads(
+            side: Side,
+            flows: &PairFlows,
+            paths: &PathTable,
+            num_links: usize,
+            current: &Assignment,
+        ) -> Vec<f64> {
+            let mut loads = vec![0.0; num_links];
+            for (fid, flow, _) in flows.iter() {
+                for &l in side_links(side, paths, fid, current.choice(fid)) {
+                    loads[l.index()] += flow.volume;
+                }
+            }
+            loads
+        }
+
+        /// `BandwidthMapper::gains` as it was: a cost closure per
+        /// alternative scanning the current path per link, the default
+        /// evaluated a second time, a division per link per cell.
+        fn reference_bandwidth_fill(c: &Case, side: Side, loads: &[f64], out: &mut GainTable) {
+            let (flows, paths, capacities) = (&c.flows, &c.paths, c.caps(side));
+            for i in 0..c.input.len() {
+                let fid = c.input.flow_ids[i];
+                let default = c.input.defaults[i];
+                let volume = flows.flows[fid.index()].volume;
+                let cur = c.current.choice(fid);
+                let cost = |alt: IcxId| -> f64 {
+                    let cur_links = side_links(side, paths, fid, cur);
+                    side_links(side, paths, fid, alt)
+                        .iter()
+                        .map(|&l| {
+                            let mut load = loads[l.index()];
+                            if alt != cur && !cur_links.contains(&l) {
+                                load += volume;
+                            }
+                            load / capacities[l.index()]
+                        })
+                        .fold(0.0_f64, f64::max)
+                };
+                let base = cost(default);
+                for (alt, cell) in out.row_mut(i).iter_mut().enumerate() {
+                    *cell = base - cost(IcxId::new(alt));
+                }
+            }
+        }
+
+        /// `quantized_bandwidth_row` as it was.
+        #[allow(clippy::too_many_arguments)]
+        fn reference_quantized_row(
+            side: Side,
+            paths: &PathTable,
+            capacities: &[f64],
+            classes: &[u32],
+            fid: FlowId,
+            cur: IcxId,
+            default: IcxId,
+            volume: f64,
+            row: &mut [f64],
+        ) {
+            let cur_links = side_links(side, paths, fid, cur);
+            let cost = |alt: IcxId| -> f64 {
+                side_links(side, paths, fid, alt)
+                    .iter()
+                    .map(|&l| {
+                        let mut util = classes[l.index()] as f64 * UTIL_CLASS_WIDTH;
+                        if alt != cur && !cur_links.contains(&l) {
+                            util += volume / capacities[l.index()];
+                        }
+                        util
+                    })
+                    .fold(0.0_f64, f64::max)
+            };
+            let base = cost(default);
+            for (alt, cell) in row.iter_mut().enumerate() {
+                *cell = base - cost(IcxId::new(alt));
+            }
+        }
+
+        /// `FortzMapper::gains` as it was.
+        fn reference_fortz_fill(c: &Case, side: Side, out: &mut GainTable) {
+            let (flows, paths, capacities) = (&c.flows, &c.paths, c.caps(side));
+            let loads = reference_loads(side, flows, paths, capacities.len(), &c.current);
+            for i in 0..c.input.len() {
+                let fid = c.input.flow_ids[i];
+                let default = c.input.defaults[i];
+                let volume = flows.flows[fid.index()].volume;
+                let cur = c.current.choice(fid);
+                let cost_delta = |alt: IcxId| -> f64 {
+                    if alt == cur {
+                        return 0.0;
+                    }
+                    let mut delta = 0.0;
+                    let cur_links = side_links(side, paths, fid, cur);
+                    let alt_links = side_links(side, paths, fid, alt);
+                    for &l in alt_links {
+                        if !cur_links.contains(&l) {
+                            let cap = capacities[l.index()];
+                            let load = loads[l.index()];
+                            delta +=
+                                fortz_link_cost(load + volume, cap) - fortz_link_cost(load, cap);
+                        }
+                    }
+                    for &l in cur_links {
+                        if !alt_links.contains(&l) {
+                            let cap = capacities[l.index()];
+                            let load = loads[l.index()];
+                            delta += fortz_link_cost((load - volume).max(0.0), cap)
+                                - fortz_link_cost(load, cap);
+                        }
+                    }
+                    delta
+                };
+                let base = cost_delta(default);
+                for (alt, cell) in out.row_mut(i).iter_mut().enumerate() {
+                    *cell = base - cost_delta(IcxId::new(alt));
+                }
+            }
+        }
+
+        /// A ring of `n` PoPs with random weights and two random chords:
+        /// paths overlap, split and (from an interconnection's own PoP)
+        /// are empty.
+        fn ring(id: u32, n: usize, rng: &mut StdRng) -> IspTopology {
+            let pops = (0..n).map(|i| pop(&format!("c{i}"), i as f64)).collect();
+            let mut ends: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+            for _ in 0..2 {
+                let a = rng.gen_range(0..n);
+                let b = (a + rng.gen_range(2..n - 1)) % n;
+                ends.push((a, b));
+            }
+            let links = ends
+                .into_iter()
+                .map(|(a, b)| Link {
+                    a: PopId::new(a),
+                    b: PopId::new(b),
+                    weight: rng.gen_range(1..6) as f64,
+                    length_km: 100.0,
+                })
+                .collect();
+            IspTopology::new(IspId(id), format!("R{id}"), pops, links, false).unwrap()
+        }
+
+        struct Case {
+            flows: PairFlows,
+            paths: PathTable,
+            caps: [Vec<f64>; 2],
+            /// A partial session: a random subset of the flows, each
+            /// with a random default.
+            input: SessionInput,
+            current: Assignment,
+        }
+
+        impl Case {
+            fn caps(&self, side: Side) -> &[f64] {
+                match side {
+                    Side::A => &self.caps[0],
+                    Side::B => &self.caps[1],
+                }
+            }
+        }
+
+        /// `settle` is the share of session flows whose current choice
+        /// and default coincide (the `alt == cur == default` cell).
+        fn case(seed: u64, settle: f64) -> Case {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let a = ring(0, rng.gen_range(4usize..9), &mut rng);
+            let b = ring(1, rng.gen_range(4usize..9), &mut rng);
+            let k = rng.gen_range(2usize..6);
+            let icxs = (0..k)
+                .map(|_| Interconnection {
+                    pop_a: PopId::new(rng.gen_range(0..a.num_pops())),
+                    pop_b: PopId::new(rng.gen_range(0..b.num_pops())),
+                    length_km: 0.0,
+                })
+                .collect();
+            let pair = IspPair::new(&a, &b, icxs).unwrap();
+            let view = PairView::new(&a, &b, &pair);
+            let (sp_a, sp_b) = (ShortestPaths::compute(&a), ShortestPaths::compute(&b));
+            let flows = PairFlows::build(&view, &sp_a, &sp_b, |_, _| rng.gen_range(0.1..4.0));
+            let paths = PathTable::build(&view, &sp_a, &sp_b, &flows);
+            let caps = [&a, &b].map(|isp| {
+                (0..isp.num_links())
+                    .map(|_| rng.gen_range(0.5..20.0))
+                    .collect()
+            });
+            let mut current = Assignment::from_choices(
+                (0..flows.len())
+                    .map(|_| IcxId::new(rng.gen_range(0..k)))
+                    .collect(),
+            );
+            let flow_ids: Vec<FlowId> = (0..flows.len())
+                .filter(|_| rng.gen_bool(0.6))
+                .map(FlowId::new)
+                .collect();
+            let defaults: Vec<IcxId> = flow_ids
+                .iter()
+                .map(|_| IcxId::new(rng.gen_range(0..k)))
+                .collect();
+            for (&fid, &default) in flow_ids.iter().zip(&defaults) {
+                if rng.gen_bool(settle) {
+                    current.set(fid, default);
+                }
+            }
+            let input = SessionInput {
+                volumes: flow_ids
+                    .iter()
+                    .map(|f| flows.flows[f.index()].volume)
+                    .collect(),
+                flow_ids,
+                defaults,
+                num_alternatives: k,
+            };
+            Case {
+                flows,
+                paths,
+                caps,
+                input,
+                current,
+            }
+        }
+
+        fn bits(table: &GainTable) -> Vec<u64> {
+            table.values().iter().map(|g| g.to_bits()).collect()
+        }
+
+        proptest! {
+            #[test]
+            fn bandwidth_kernel_matches_the_closure(seed in any::<u64>(), settle in 0.0f64..1.0) {
+                let c = case(seed, settle);
+                for side in [Side::A, Side::B] {
+                    let caps = c.caps(side);
+                    let loads = reference_loads(side, &c.flows, &c.paths, caps.len(), &c.current);
+                    let mut expect = GainTable::new(c.input.len(), c.input.num_alternatives);
+                    reference_bandwidth_fill(&c, side, &loads, &mut expect);
+                    for threads in [1, 2, 4] {
+                        let mut mapper = BandwidthMapper::new(side, &c.flows, &c.paths, caps)
+                            .with_threads(threads);
+                        let got = collect_gains(&mut mapper, &c.input, &c.current);
+                        prop_assert_eq!(bits(&got), bits(&expect), "{} threads", threads);
+                        // A second fill reuses the mapper's buffers.
+                        let again = collect_gains(&mut mapper, &c.input, &c.current);
+                        prop_assert_eq!(bits(&again), bits(&expect), "refill, {} threads", threads);
+                    }
+                    // An external snapshot skews the loads away from
+                    // `current`; the kernel must read it, not aggregate.
+                    let skewed: Vec<f64> = loads.iter().map(|l| l * 1.5 + 0.25).collect();
+                    reference_bandwidth_fill(&c, side, &skewed, &mut expect);
+                    let mut mapper =
+                        BandwidthMapper::new(side, &c.flows, &c.paths, caps).with_loads(&skewed);
+                    let got = collect_gains(&mut mapper, &c.input, &c.current);
+                    prop_assert_eq!(bits(&got), bits(&expect), "external snapshot");
+                }
+            }
+
+            #[test]
+            fn quantized_kernel_matches_the_closure(seed in any::<u64>(), settle in 0.0f64..1.0) {
+                let c = case(seed, settle);
+                for side in [Side::A, Side::B] {
+                    let caps = c.caps(side);
+                    let loads = reference_loads(side, &c.flows, &c.paths, caps.len(), &c.current);
+                    let mut classes = Vec::new();
+                    utilization_classes(&loads, caps, &mut classes);
+                    let mut expect = GainTable::new(c.input.len(), c.input.num_alternatives);
+                    for i in 0..c.input.len() {
+                        let fid = c.input.flow_ids[i];
+                        reference_quantized_row(
+                            side,
+                            &c.paths,
+                            caps,
+                            &classes,
+                            fid,
+                            c.current.choice(fid),
+                            c.input.defaults[i],
+                            c.flows.flows[fid.index()].volume,
+                            expect.row_mut(i),
+                        );
+                    }
+                    for threads in [1, 2, 4] {
+                        let mut mapper = BandwidthMapper::new(side, &c.flows, &c.paths, caps)
+                            .with_classes(&classes)
+                            .with_threads(threads);
+                        let got = collect_gains(&mut mapper, &c.input, &c.current);
+                        prop_assert_eq!(bits(&got), bits(&expect), "{} threads", threads);
+                    }
+                }
+            }
+
+            #[test]
+            fn fortz_kernel_matches_the_closure(seed in any::<u64>(), settle in 0.0f64..1.0) {
+                let c = case(seed, settle);
+                for side in [Side::A, Side::B] {
+                    let mut expect = GainTable::new(c.input.len(), c.input.num_alternatives);
+                    reference_fortz_fill(&c, side, &mut expect);
+                    for threads in [1, 2, 4] {
+                        let mut mapper = FortzMapper::new(side, &c.flows, &c.paths, c.caps(side))
+                            .with_threads(threads);
+                        let got = collect_gains(&mut mapper, &c.input, &c.current);
+                        prop_assert_eq!(bits(&got), bits(&expect), "{} threads", threads);
+                        let again = collect_gains(&mut mapper, &c.input, &c.current);
+                        prop_assert_eq!(bits(&again), bits(&expect), "refill, {} threads", threads);
+                    }
+                }
+            }
+        }
+
+        /// The cases above must actually contain what they claim to
+        /// cover: empty paths and settled (`cur == default`) rows.
+        #[test]
+        fn cases_cover_empty_paths_and_settled_rows() {
+            let (mut empty, mut settled, mut moved) = (0, 0, 0);
+            for seed in 0..20 {
+                let c = case(seed, 0.5);
+                for (i, &fid) in c.input.flow_ids.iter().enumerate() {
+                    if c.current.choice(fid) == c.input.defaults[i] {
+                        settled += 1;
+                    } else {
+                        moved += 1;
+                    }
+                    for alt in 0..c.input.num_alternatives {
+                        if c.paths.up_links(fid, IcxId::new(alt)).is_empty() {
+                            empty += 1;
+                        }
+                    }
+                }
+            }
+            assert!(
+                empty > 0 && settled > 0 && moved > 0,
+                "{empty} {settled} {moved}"
+            );
         }
     }
 }

@@ -1,13 +1,16 @@
 //! Flow-level parallel fills for the flat gain tables.
 //!
 //! The preference mappers spend their time in per-flow cost loops that
-//! are independent of each other once the shared state (the load
-//! vector) is snapshotted. Because a [`GainTable`] is one flat buffer
+//! are independent of each other once the shared state (the per-link
+//! loads) is computed. Because a [`GainTable`] is one flat buffer
 //! whose rows are contiguous `num_alternatives()`-sized chunks, it
 //! splits into disjoint sub-slices of whole rows — each worker writes
 //! its own range and nothing else, so the result is **byte-identical**
 //! to the serial fill for any thread count (each cell is computed once,
-//! by the same arithmetic, from shared read-only state).
+//! by the same arithmetic, from shared read-only state). What a row
+//! kernel needs to mutate (the mappers' link-mark arrays) is handed to
+//! it per worker, so the serial loop and the fan-out run the same
+//! kernel.
 //!
 //! This lives in the core crate so the mappers themselves
 //! ([`crate::BandwidthMapper::with_threads`],
@@ -27,44 +30,46 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// Fill the rows of one flat [`GainTable`] in parallel: `fill(flow, row)`
-/// computes flow `flow`'s gain row in place. `threads <= 1` runs the
-/// plain serial loop; any other count produces bitwise-identical output.
-pub fn par_flows<F>(threads: usize, table: &mut GainTable, fill: F)
+/// Fill the rows of one flat [`GainTable`] with one worker per element
+/// of `workers`: `fill(scratch, flow, row)` computes flow `flow`'s gain
+/// row in place, and `scratch` is the worker's own element — the
+/// mutable state (mark arrays, cost buffers) a row kernel needs without
+/// sharing it. Size the slice with [`resolve_threads`]; pass `&mut [()]`
+/// for a stateless fill. One worker runs the plain serial loop; any
+/// other count produces bitwise-identical output provided `fill` leaves
+/// nothing in `scratch` that a later row's values depend on.
+pub fn par_flows<S, F>(table: &mut GainTable, workers: &mut [S], fill: F)
 where
-    F: Fn(usize, &mut [f64]) + Sync,
+    S: Send,
+    F: Fn(&mut S, usize, &mut [f64]) + Sync,
 {
     let num_flows = table.num_flows();
     let k = table.num_alternatives();
     if num_flows == 0 || k == 0 {
         return;
     }
-    let threads = resolve_threads(threads).min(num_flows);
-    if threads <= 1 {
+    assert!(!workers.is_empty(), "par_flows needs at least one worker");
+    let threads = workers.len().min(num_flows);
+    if threads == 1 {
+        let scratch = &mut workers[0];
         for flow in 0..num_flows {
-            fill(flow, table.row_mut(flow));
+            fill(scratch, flow, table.row_mut(flow));
         }
         return;
     }
     let rows_per = num_flows.div_ceil(threads);
-    crossbeam::thread::scope(|s| {
+    // The scope joins every worker and re-raises a worker's panic.
+    std::thread::scope(|s| {
         let fill = &fill;
-        let mut rest = table.values_mut();
-        let mut start = 0;
-        while start < num_flows {
-            let take = rows_per.min(num_flows - start);
-            let (chunk, tail) = rest.split_at_mut(take * k);
-            rest = tail;
-            let base = start;
-            s.spawn(move |_| {
+        let chunks = table.values_mut().chunks_mut(rows_per * k);
+        for (worker, (chunk, scratch)) in chunks.zip(workers).enumerate() {
+            s.spawn(move || {
                 for (i, row) in chunk.chunks_mut(k).enumerate() {
-                    fill(base + i, row);
+                    fill(scratch, worker * rows_per + i, row);
                 }
             });
-            start += take;
         }
-    })
-    .expect("par_flows worker panicked");
+    });
 }
 
 #[cfg(test)]
@@ -74,7 +79,7 @@ mod tests {
     /// A deliberately order-sensitive fill: each cell mixes the flow and
     /// alternative index through float math that would drift if a cell
     /// were computed twice or from the wrong indices.
-    fn reference_fill(flow: usize, row: &mut [f64]) {
+    fn reference_fill(_: &mut (), flow: usize, row: &mut [f64]) {
         for (alt, cell) in row.iter_mut().enumerate() {
             *cell = (flow as f64 + 1.0).sqrt() * (alt as f64 - 1.5) / 3.0;
         }
@@ -83,10 +88,10 @@ mod tests {
     #[test]
     fn par_flows_is_byte_identical_across_thread_counts() {
         let mut serial = GainTable::new(37, 5);
-        par_flows(1, &mut serial, reference_fill);
+        par_flows(&mut serial, &mut [()], reference_fill);
         for threads in [2, 4] {
             let mut parallel = GainTable::new(37, 5);
-            par_flows(threads, &mut parallel, reference_fill);
+            par_flows(&mut parallel, &mut vec![(); threads], reference_fill);
             assert!(
                 serial
                     .values()
@@ -101,11 +106,13 @@ mod tests {
     #[test]
     fn par_flows_handles_empty_and_tiny_tables() {
         let mut empty = GainTable::new(0, 4);
-        par_flows(4, &mut empty, |_, _| panic!("no rows to fill"));
+        par_flows(&mut empty, &mut [(); 4], |_, _, _| {
+            panic!("no rows to fill")
+        });
         let mut one = GainTable::new(1, 2);
-        par_flows(8, &mut one, reference_fill);
+        par_flows(&mut one, &mut [(); 8], reference_fill);
         let mut expect = GainTable::new(1, 2);
-        reference_fill(0, expect.row_mut(0));
+        reference_fill(&mut (), 0, expect.row_mut(0));
         assert_eq!(one, expect);
     }
 

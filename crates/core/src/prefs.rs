@@ -153,7 +153,7 @@ pub fn quantize(gains: &GainTable, p: i32) -> PrefTable {
 
 /// Quantize raw metric *gains* into preference classes with one global
 /// linear scale, writing into `out` (reshaped in place) and using
-/// `magnitudes` as sort scratch — the hot-path form that allocates
+/// `magnitudes` as selection scratch — the hot-path form that allocates
 /// nothing once the buffers are warm.
 ///
 /// `gains[flow][alt]` is the ISP-internal improvement of the alternative
@@ -177,11 +177,12 @@ pub fn quantize_into(gains: &GainTable, p: i32, out: &mut PrefTable, magnitudes:
     if magnitudes.is_empty() {
         return; // all-zero gains map to the all-zero table
     }
-    magnitudes.sort_by(|a, b| a.partial_cmp(b).expect("finite gains"));
+    // Only the element at sorted position `idx` is read, so select it
+    // in O(n) instead of sorting (NaNs never pass the `g > 0.0` filter).
     let idx = ((magnitudes.len() as f64 * 0.95).ceil() as usize)
         .saturating_sub(1)
         .min(magnitudes.len() - 1);
-    let scale_base = magnitudes[idx];
+    let scale_base = *magnitudes.select_nth_unstable_by(idx, f64::total_cmp).1;
     let scale = p as f64 / scale_base;
     // Floor, not round: gains round *down* and losses round *away from
     // zero*, so a class never overstates a gain or understates a loss.
@@ -293,11 +294,105 @@ mod tests {
         assert!(!t.within_range(1));
     }
 
+    /// `quantize` with the percentile read off a full sort, as it was
+    /// before the O(n) selection.
+    fn sorted_reference(gains: &GainTable, p: i32) -> Vec<i32> {
+        let mut magnitudes: Vec<f64> = gains
+            .values()
+            .iter()
+            .map(|g| g.abs())
+            .filter(|&g| g > 0.0)
+            .collect();
+        if magnitudes.is_empty() {
+            return vec![0; gains.values().len()];
+        }
+        magnitudes.sort_by(|a, b| a.partial_cmp(b).expect("NaN is filtered out"));
+        let idx = ((magnitudes.len() as f64 * 0.95).ceil() as usize)
+            .saturating_sub(1)
+            .min(magnitudes.len() - 1);
+        let scale = p as f64 / magnitudes[idx];
+        gains
+            .values()
+            .iter()
+            .map(|g| ((g * scale).floor() as i32).clamp(-p, p))
+            .collect()
+    }
+
+    fn classes(t: &PrefTable) -> Vec<i32> {
+        (0..t.num_flows()).flat_map(|f| t.row(f).to_vec()).collect()
+    }
+
+    #[test]
+    fn quantize_matches_sorted_reference_on_edge_tables() {
+        let inf = f64::INFINITY;
+        let tables = [
+            // Ties straddling the 95th-percentile index (20 magnitudes,
+            // index 18): the selected element equals its neighbours.
+            gains(&[[7.0; 10], [-7.0; 10]]),
+            gains(&[[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 9.0]; 2]),
+            // A single non-zero cell.
+            gains(&[[0.0, 0.0], [0.0, -3.5]]),
+            // All-equal magnitudes, mixed signs.
+            gains(&[[2.5, -2.5, 2.5], [-2.5, 2.5, -2.5]]),
+            // Infinite gains: as the scale base (everything finite
+            // collapses to class 0 or -1) and as a clamped outlier.
+            gains(&[[inf, -inf], [1.0, -1.0]]),
+            gains(&[vec![1.0; 39], {
+                let mut row = vec![-1.0; 39];
+                row[0] = inf;
+                row[1] = -inf;
+                row
+            }]),
+        ];
+        for (i, table) in tables.iter().enumerate() {
+            for p in [1, 10, 1000] {
+                assert_eq!(
+                    classes(&quantize(table, p)),
+                    sorted_reference(table, p),
+                    "table {i}, p = {p}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn quantize_tolerates_nan_cells() {
+        // NaN never passes the `> 0.0` magnitude filter, so it cannot
+        // reach the selection; its own class is 0 (`NaN as i32`).
+        let nan = f64::NAN;
+        let t = quantize(&gains(&[[0.0, nan, 4.0], [-2.0, nan, 1.0]]), 10);
+        assert_eq!(t.row(0), &[0, 0, 10]);
+        assert_eq!(t.row(1), &[-5, 0, 2]);
+        let all_nan = quantize(&gains(&[[nan, nan]]), 10);
+        assert_eq!(all_nan.row(0), &[0, 0]);
+    }
+
     mod proptests {
         use super::*;
         use proptest::prelude::*;
 
         proptest! {
+            #[test]
+            fn quantize_matches_sorted_reference(
+                // A small value pool makes ties at the percentile index
+                // the common case, not the rare one.
+                (rows, pool, p) in (1usize..6, 1usize..40).prop_flat_map(|(k, n)| (
+                    proptest::collection::vec(proptest::collection::vec(0usize..8, k), n..n + 1),
+                    proptest::collection::vec(-1e3f64..1e3, 8..9),
+                    1i32..50,
+                )),
+            ) {
+                let mut pool = pool;
+                pool[0] = 0.0;
+                pool[1] = -pool[2];
+                let table: Vec<Vec<f64>> = rows
+                    .iter()
+                    .map(|row| row.iter().map(|&i| pool[i]).collect())
+                    .collect();
+                let table = gains(&table);
+                prop_assert_eq!(classes(&quantize(&table, p)), sorted_reference(&table, p));
+            }
+
             #[test]
             fn quantize_always_within_range(
                 (rows, p) in (1usize..6).prop_flat_map(|k| (

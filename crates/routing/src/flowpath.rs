@@ -114,6 +114,25 @@ impl PairFlows {
         Self { flows, metrics }
     }
 
+    /// The same flows restricted to the alternatives `keep` (ids in this
+    /// set), renumbered in `keep` order: what [`PairFlows::build`]
+    /// returns for the pair with only those interconnections.
+    pub fn select_alternatives(&self, keep: &[IcxId]) -> Self {
+        let pick = |km: &[f64]| keep.iter().map(|icx| km[icx.index()]).collect();
+        Self {
+            flows: self.flows.clone(),
+            metrics: self
+                .metrics
+                .iter()
+                .map(|m| FlowMetrics {
+                    up_km: pick(&m.up_km),
+                    down_km: pick(&m.down_km),
+                    icx_km: pick(&m.icx_km),
+                })
+                .collect(),
+        }
+    }
+
     /// Number of flows.
     #[inline]
     pub fn len(&self) -> usize {

@@ -14,7 +14,7 @@
 //! member flow.
 
 use crate::pairdata::PairData;
-use crate::parallel::par_flows;
+use crate::parallel::{par_flows, resolve_threads};
 use nexit_core::{GainTable, PreferenceMapper, SessionInput, Side};
 use nexit_routing::{Assignment, FlowId, PairFlows};
 use nexit_topology::IcxId;
@@ -141,7 +141,9 @@ impl PreferenceMapper for DestinationDistanceMapper<'_> {
         let members = &self.members;
         let flow_ids = &input.flow_ids;
         let defaults = &input.defaults;
-        par_flows(self.threads, out, |i, row| {
+        // Stateless rows: the workers carry no scratch.
+        let mut workers = vec![(); resolve_threads(self.threads)];
+        par_flows(out, &mut workers, |(), i, row| {
             let dst_unit = flow_ids[i];
             let default = defaults[i];
             let member_flows = &members[dst_unit.index()];

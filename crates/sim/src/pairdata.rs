@@ -144,18 +144,61 @@ impl<'u> PairData<'u> {
     }
 
     /// Build the dataset for a reduced (post-failure) variant of this
-    /// data's pair, reusing the shortest-path matrices.
+    /// data's pair by projection: `reduced` must hold an order-preserving
+    /// subset of this pair's interconnections (what
+    /// [`IspPair::without_interconnection`] returns) and `workload` must
+    /// be the model this dataset was built with. A failure removes an
+    /// interconnection, not internal links, so the reduced flows and
+    /// paths are this dataset's minus the failed columns — copied, not
+    /// re-walked — and only the early-exit default is recomputed.
+    /// Equal to [`PairData::build_with_paths`] on `reduced`.
+    ///
+    /// # Panics
+    /// If `reduced` is not such a subset.
     pub fn build_reduced(&self, reduced: IspPair, workload: WorkloadModel) -> PairData<'u> {
-        debug_assert_eq!(reduced.isp_a, self.pair.isp_a);
-        debug_assert_eq!(reduced.isp_b, self.pair.isp_b);
-        PairData::build_with_paths(
-            self.a,
-            self.b,
-            reduced,
-            workload,
-            self.sp_up.clone(),
-            self.sp_down.clone(),
-        )
+        assert_eq!(
+            reduced.isp_a, self.pair.isp_a,
+            "reduced pair is between other ISPs"
+        );
+        assert_eq!(
+            reduced.isp_b, self.pair.isp_b,
+            "reduced pair is between other ISPs"
+        );
+        let mut keep = Vec::with_capacity(reduced.num_interconnections());
+        let mut rest = self.pair.interconnections();
+        for (_, icx) in reduced.interconnections() {
+            let (id, _) = rest.find(|(_, x)| *x == icx).expect(
+                "reduced pair must hold an order-preserving subset of the interconnections",
+            );
+            keep.push(id);
+        }
+        debug_assert!(
+            {
+                let vol = volume_fn(workload, self.a, self.b);
+                self.flows
+                    .flows
+                    .iter()
+                    .all(|f| f.volume == vol(f.src, f.dst))
+            },
+            "reduced variant requested under another workload model"
+        );
+        let flows = self.flows.select_alternatives(&keep);
+        let paths = self.paths.select_alternatives(&keep);
+        let default = Assignment::early_exit(
+            &PairView::new(self.a, self.b, &reduced),
+            &self.sp_up,
+            &flows,
+        );
+        PairData {
+            a: self.a,
+            b: self.b,
+            pair: reduced,
+            sp_up: self.sp_up.clone(),
+            sp_down: self.sp_down.clone(),
+            flows,
+            paths,
+            default,
+        }
     }
 
     /// The directed view over this data's pair.
@@ -270,6 +313,87 @@ mod tests {
         let reduced = fwd.build_reduced(fwd.pair.clone(), WorkloadModel::Identical);
         assert!(Arc::ptr_eq(&fwd.sp_up, &reduced.sp_up));
         assert!(Arc::ptr_eq(&fwd.sp_down, &reduced.sp_down));
+    }
+
+    fn small_universe() -> nexit_topology::Universe {
+        TopologyGenerator::new(GeneratorConfig {
+            num_isps: 10,
+            num_mesh_isps: 1,
+            seed: 3,
+            ..GeneratorConfig::default()
+        })
+        .generate()
+    }
+
+    /// Projection must be indistinguishable from a rebuild: every
+    /// failure of every pair with a choice left afterwards, under each
+    /// workload model.
+    #[test]
+    fn reduced_projection_equals_rebuild() {
+        let u = small_universe();
+        let eligible = u.eligible_pairs(3, false);
+        assert!(!eligible.is_empty());
+        let mut variants = 0;
+        for workload in [
+            WorkloadModel::Gravity,
+            WorkloadModel::Identical,
+            WorkloadModel::Uniform { seed: 7 },
+        ] {
+            for &idx in &eligible {
+                let pair = &u.pairs[idx];
+                let (a, b) = (&u.isps[pair.isp_a.index()], &u.isps[pair.isp_b.index()]);
+                let full = PairData::build(a, b, pair.clone(), workload);
+                for (failed, _) in pair.interconnections() {
+                    let (reduced, _) = pair.without_interconnection(failed);
+                    let projected = full.build_reduced(reduced.clone(), workload);
+                    let rebuilt = PairData::build_with_paths(
+                        a,
+                        b,
+                        reduced,
+                        workload,
+                        full.sp_up.clone(),
+                        full.sp_down.clone(),
+                    );
+                    assert_eq!(projected.pair, rebuilt.pair);
+                    assert_eq!(projected.flows.flows, rebuilt.flows.flows);
+                    assert_eq!(projected.flows.metrics, rebuilt.flows.metrics);
+                    assert_eq!(projected.default, rebuilt.default);
+                    assert_eq!(projected.paths.len(), rebuilt.paths.len());
+                    for (fid, _, _) in rebuilt.flows.iter() {
+                        for (icx, _) in rebuilt.pair.interconnections() {
+                            assert_eq!(
+                                projected.paths.up_links(fid, icx),
+                                rebuilt.paths.up_links(fid, icx)
+                            );
+                            assert_eq!(
+                                projected.paths.down_links(fid, icx),
+                                rebuilt.paths.down_links(fid, icx)
+                            );
+                        }
+                    }
+                    variants += 1;
+                }
+            }
+        }
+        assert!(variants >= 9, "only {variants} variants compared");
+    }
+
+    #[test]
+    #[should_panic(expected = "order-preserving subset")]
+    fn reduced_build_refuses_a_non_subset_pair() {
+        let u = small_universe();
+        let pair = &u.pairs[u.eligible_pairs(3, false)[0]];
+        let full = PairData::build(
+            &u.isps[pair.isp_a.index()],
+            &u.isps[pair.isp_b.index()],
+            pair.clone(),
+            WorkloadModel::Identical,
+        );
+        // The same interconnections in another order are not a
+        // projection of the intact tables' columns.
+        let mut reordered = pair.clone();
+        reordered.interconnections.reverse();
+        full.build_reduced(reordered, WorkloadModel::Identical);
     }
 
     #[test]

@@ -9,32 +9,99 @@
 //! link sequences inside both ISPs, so load accumulation and incremental
 //! what-if queries are cheap inner loops.
 
-use nexit_routing::{flow_links_into, PairFlows, ShortestPaths};
-use nexit_routing::{Assignment, FlowId};
-use nexit_topology::{IcxId, LinkId, PairView};
+use nexit_routing::{Assignment, FlowId, PairFlows, ShortestPaths};
+use nexit_topology::{IcxId, LinkId, PairView, PopId};
 
-/// Precomputed link paths for every (flow, alternative) combination,
-/// stored CSR-style: one flat link buffer per side plus `flows × k + 1`
-/// offsets, so building the table is two allocations per side instead
-/// of a `Vec` per (flow, alternative) and lookups stay cache-dense.
+/// Rows of `k` link sequences (one per alternative) stored CSR-style:
+/// one flat link buffer plus `rows × k + 1` offsets, so a table is two
+/// allocations instead of a `Vec` per (row, alternative) and lookups
+/// stay cache-dense.
+#[derive(Debug, Clone)]
+struct PathRows {
+    /// Alternatives per row.
+    k: usize,
+    /// Concatenated link sequences, segment `row * k + icx`.
+    links: Vec<LinkId>,
+    /// `bounds[i]..bounds[i + 1]` bounds segment `i` of `links`.
+    bounds: Vec<u32>,
+}
+
+impl PathRows {
+    fn with_capacity(k: usize, rows: usize, links: usize) -> Self {
+        let mut bounds = Vec::with_capacity(rows * k + 1);
+        bounds.push(0);
+        Self {
+            k,
+            links: Vec::with_capacity(links),
+            bounds,
+        }
+    }
+
+    /// One row per PoP of an ISP: `path_into(pop, icx, out)` appends
+    /// the links of the PoP's path for alternative `icx`.
+    fn walk(pops: usize, k: usize, path_into: impl Fn(PopId, IcxId, &mut Vec<LinkId>)) -> Self {
+        let mut rows = Self::with_capacity(k, pops, 0);
+        for pop in 0..pops {
+            for icx in 0..k {
+                path_into(PopId::new(pop), IcxId::new(icx), &mut rows.links);
+                rows.end_segment();
+            }
+        }
+        rows
+    }
+
+    /// Close the segment made of the links appended since the last one.
+    fn end_segment(&mut self) {
+        self.bounds
+            .push(u32::try_from(self.links.len()).expect("path table under 4G links"));
+    }
+
+    #[inline]
+    fn get(&self, row: usize, icx: IcxId) -> &[LinkId] {
+        let i = row * self.k + icx.index();
+        &self.links[self.bounds[i] as usize..self.bounds[i + 1] as usize]
+    }
+
+    /// A new table with one row per element of `rows`, holding that
+    /// row's sequences for the alternatives `keep`, in `keep` order.
+    fn gather(&self, rows: impl ExactSizeIterator<Item = usize> + Clone, keep: &[IcxId]) -> Self {
+        let row_links = |row: usize| {
+            keep.iter()
+                .map(|&icx| self.get(row, icx).len())
+                .sum::<usize>()
+        };
+        let links = rows.clone().map(row_links).sum();
+        let mut out = Self::with_capacity(keep.len(), rows.len(), links);
+        for row in rows {
+            for &icx in keep {
+                out.links.extend_from_slice(self.get(row, icx));
+                out.end_segment();
+            }
+        }
+        out
+    }
+}
+
+/// Precomputed link paths for every (flow, alternative) combination on
+/// both sides of a pair.
 #[derive(Debug, Clone)]
 pub struct PathTable {
-    /// Alternatives per flow.
-    k: usize,
     /// Flows covered.
     num_flows: usize,
-    /// Concatenated upstream link sequences, segment `flow * k + icx`.
-    up: Vec<LinkId>,
-    /// `up_bounds[i]..up_bounds[i + 1]` bounds segment `i` of `up`.
-    up_bounds: Vec<u32>,
-    /// Concatenated downstream link sequences.
-    down: Vec<LinkId>,
-    /// Segment bounds of `down`.
-    down_bounds: Vec<u32>,
+    /// Upstream link sequences, one row per flow.
+    up: PathRows,
+    /// Downstream link sequences, one row per flow.
+    down: PathRows,
 }
 
 impl PathTable {
     /// Precompute all paths for a flow set.
+    ///
+    /// A flow's upstream paths depend only on its source PoP and its
+    /// downstream paths only on its destination PoP, so of the
+    /// `flows × k` paths per side only `pops × k` are distinct: each is
+    /// walked out of the predecessor matrix once and copied to the
+    /// flows that share it.
     pub fn build(
         view: &PairView<'_>,
         sp_up: &ShortestPaths,
@@ -42,49 +109,42 @@ impl PathTable {
         flows: &PairFlows,
     ) -> Self {
         let k = view.num_interconnections();
-        let mut up = Vec::new();
-        let mut down = Vec::new();
-        let mut up_bounds = Vec::with_capacity(flows.len() * k + 1);
-        let mut down_bounds = Vec::with_capacity(flows.len() * k + 1);
-        up_bounds.push(0);
-        down_bounds.push(0);
-        for (_, flow, _) in flows.iter() {
-            for i in 0..k {
-                flow_links_into(
-                    view,
-                    sp_up,
-                    sp_down,
-                    flow,
-                    IcxId::new(i),
-                    &mut up,
-                    &mut down,
-                );
-                up_bounds.push(u32::try_from(up.len()).expect("path table under 4G links"));
-                down_bounds.push(u32::try_from(down.len()).expect("path table under 4G links"));
-            }
-        }
+        let from_src = PathRows::walk(view.a.num_pops(), k, |src, icx, out| {
+            sp_up.path_links_into(view.a, src, view.pair.interconnection(icx).pop_a, out)
+        });
+        let to_dst = PathRows::walk(view.b.num_pops(), k, |dst, icx, out| {
+            sp_down.path_links_into(view.b, view.pair.interconnection(icx).pop_b, dst, out)
+        });
+        let all: Vec<IcxId> = (0..k).map(IcxId::new).collect();
         Self {
-            k,
             num_flows: flows.len(),
-            up,
-            up_bounds,
-            down,
-            down_bounds,
+            up: from_src.gather(flows.flows.iter().map(|f| f.src.index()), &all),
+            down: to_dst.gather(flows.flows.iter().map(|f| f.dst.index()), &all),
+        }
+    }
+
+    /// The table over the same flows restricted to the alternatives
+    /// `keep` (ids in this table), renumbered in `keep` order: what
+    /// [`PathTable::build`] returns for the pair with only those
+    /// interconnections, derived by copying instead of re-walking.
+    pub fn select_alternatives(&self, keep: &[IcxId]) -> Self {
+        Self {
+            num_flows: self.num_flows,
+            up: self.up.gather(0..self.num_flows, keep),
+            down: self.down.gather(0..self.num_flows, keep),
         }
     }
 
     /// Upstream links for one (flow, alternative).
     #[inline]
     pub fn up_links(&self, flow: FlowId, icx: IcxId) -> &[LinkId] {
-        let i = flow.index() * self.k + icx.index();
-        &self.up[self.up_bounds[i] as usize..self.up_bounds[i + 1] as usize]
+        self.up.get(flow.index(), icx)
     }
 
     /// Downstream links for one (flow, alternative).
     #[inline]
     pub fn down_links(&self, flow: FlowId, icx: IcxId) -> &[LinkId] {
-        let i = flow.index() * self.k + icx.index();
-        &self.down[self.down_bounds[i] as usize..self.down_bounds[i + 1] as usize]
+        self.down.get(flow.index(), icx)
     }
 
     /// Number of flows covered.
@@ -161,9 +221,7 @@ pub fn link_loads(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nexit_topology::{
-        GeoPoint, Interconnection, IspId, IspPair, IspTopology, Link, Pop, PopId,
-    };
+    use nexit_topology::{GeoPoint, Interconnection, IspId, IspPair, IspTopology, Link, Pop};
 
     fn pop(city: &str, lon: f64) -> Pop {
         Pop {
@@ -229,6 +287,37 @@ mod tests {
         // from each of 3 sources = 6.
         assert_eq!(loads.down[0], 6.0);
         assert_eq!(loads.down[1], 3.0);
+    }
+
+    #[test]
+    fn selected_alternatives_equal_a_build_on_those_interconnections() {
+        let (a, b, pair) = setup();
+        let mut wide = pair.clone();
+        wide.interconnections.push(Interconnection {
+            pop_a: PopId(1),
+            pop_b: PopId(2),
+            length_km: 0.0,
+        });
+        let sp_a = ShortestPaths::compute(&a);
+        let sp_b = ShortestPaths::compute(&b);
+        let view = PairView::new(&a, &b, &wide);
+        let flows = PairFlows::build(&view, &sp_a, &sp_b, |_, _| 1.0);
+        let table = PathTable::build(&view, &sp_a, &sp_b, &flows);
+        // Any selection, in any order, renumbered in that order.
+        let keep = [IcxId(2), IcxId(0)];
+        let mut narrow = pair.clone();
+        narrow.interconnections = keep.iter().map(|&icx| *wide.interconnection(icx)).collect();
+        let view = PairView::new(&a, &b, &narrow);
+        let rebuilt = PathTable::build(&view, &sp_a, &sp_b, &flows.select_alternatives(&keep));
+        let selected = table.select_alternatives(&keep);
+        assert_eq!(selected.len(), rebuilt.len());
+        for (id, _, _) in flows.iter() {
+            for new in 0..keep.len() {
+                let new = IcxId::new(new);
+                assert_eq!(selected.up_links(id, new), rebuilt.up_links(id, new));
+                assert_eq!(selected.down_links(id, new), rebuilt.down_links(id, new));
+            }
+        }
     }
 
     #[test]
