@@ -3,11 +3,11 @@
 //!
 //! `nexit-proto`'s [`Agent`] is sans-IO by design, but until this crate
 //! nothing drove more than one wire session at a time
-//! ([`nexit_proto::driver`] is a single-pair pump). The [`Broker`] is the
-//! datacenter-scale shell around the same machinery: it owns per-session
-//! state keyed by **pair id** (the index of the session's
-//! [`SessionSpec`] in the submitted batch), shards the sessions
-//! round-robin across workers, and runs each worker as a
+//! ([`nexit_proto::run_session`] runs one pair to completion). The
+//! [`Broker`] is the datacenter-scale shell around the same machinery:
+//! it owns per-session state keyed by **pair id** (the index of the
+//! session's [`SessionSpec`] in the submitted batch), shards the
+//! sessions round-robin across workers, and runs each worker as a
 //! readiness-polled event loop:
 //!
 //! * **Admission control** — each worker keeps at most
@@ -15,34 +15,34 @@
 //!   worker's pending queue. Retired sessions return their table and
 //!   index buffers to a per-worker [`TableArena`], so a worker serving
 //!   thousands of sessions allocates each backing buffer only once.
-//! * **Poll ticks with batched encode/decode** — one tick drains every
-//!   outgoing frame an agent can produce into its link (batched encode)
-//!   and delivers queued frames to the peer as one concatenated byte run
-//!   fed to the codec in a single call (batched decode).
+//! * **One poll tick** — a tick is one [`SessionPump::step`] (the same
+//!   frame-moving loop the single-pair drivers in
+//!   [`nexit_proto::driver`] run: every outgoing frame onto its link,
+//!   queued wire units off it, what they release fed to the peer as one
+//!   byte run) followed by the broker's own bookkeeping: completion,
+//!   deadline, retransmit timers, stall. The tick does not know which
+//!   transport a session uses.
 //! * **Bounded queues with backpressure** — a link holds at most
 //!   [`BrokerConfig::queue_capacity`] frames in flight and a peer
 //!   consumes at most [`BrokerConfig::deliver_budget`] frames per tick.
-//!   When a queue is full the sender is parked in
-//!   [`PollState::Transmitting`] — its remaining frames stay in the
-//!   agent's outbox — and the worker moves on to the next session: a
-//!   stalled peer never blocks its worker.
+//!   When a queue is full the sender is parked — its remaining frames
+//!   wait on its side of the link — and the worker moves on to the next
+//!   session: a stalled peer never blocks its worker.
 //! * **Fault isolation** — a corrupted or dropped frame (injected via
 //!   each spec's [`FaultConfig`]) fails only its own session, which
 //!   surfaces as a [`SessionFailure`] in that pair's result slot;
 //!   sibling sessions on the same worker complete with unchanged
-//!   outcomes. A session that stops making progress for
-//!   [`BrokerConfig::stall_ticks`] consecutive ticks is failed with
-//!   [`ProtoError::Stalled`], carrying both links' in-flight counts.
+//!   outcomes. A session that moves nothing for 16 consecutive ticks is
+//!   failed with [`ProtoError::Stalled`], carrying both links'
+//!   in-flight counts.
 //! * **Fault recovery** — with [`BrokerConfig::reliability`] set, each
-//!   session runs through a pair of [`ReliableEndpoint`]s
-//!   ([`nexit_proto::reliable`]): dropped and corrupted frames are
-//!   retransmitted on deterministic tick timeouts, duplicates and
-//!   reordered frames are absorbed by the dedup window, and only a
-//!   persistently dead link (retry budget exhausted) or a blown
-//!   [`BrokerConfig::session_deadline`] terminates the session. A
-//!   session with retransmissions outstanding polls as
-//!   [`PollState::Retrying`] and is exempt from the stall detector
-//!   (its progress is scheduled by the retransmit timers).
+//!   session's pump runs the [`nexit_proto::reliable`] ARQ layer:
+//!   dropped and corrupted frames are retransmitted on deterministic
+//!   tick timeouts, duplicates and reordered frames are absorbed by the
+//!   dedup window, and only a persistently dead link (retry budget
+//!   exhausted) or a blown [`BrokerConfig::session_deadline`] terminates
+//!   the session. A session with unacked frames is exempt from the stall
+//!   detector (its progress is scheduled by the retransmit timers).
 //! * **Graceful degradation** — with
 //!   [`BrokerConfig::degrade_to_default`] set, a terminally-failed
 //!   session falls back to the paper's status quo: its result is
@@ -63,7 +63,7 @@ use nexit_core::parallel::resolve_threads;
 use nexit_core::{DisclosurePolicy, NexitConfig, PreferenceMapper, SessionInput, Side, TableArena};
 use nexit_proto::agent::{Agent, AgentOutcome, ProtoError};
 use nexit_proto::channel::{FaultConfig, FaultyLink};
-use nexit_proto::reliable::ReliableEndpoint;
+use nexit_proto::driver::{SessionPump, StepLimits};
 use nexit_routing::Assignment;
 use std::collections::VecDeque;
 
@@ -149,12 +149,6 @@ pub struct BrokerConfig {
     /// Frames delivered to a peer per direction per tick (models peer
     /// consumption rate; the batched decode feeds them as one byte run).
     pub deliver_budget: usize,
-    /// Consecutive no-progress ticks before a session is failed with
-    /// [`ProtoError::Stalled`]. Sessions with ARQ retransmissions
-    /// outstanding are exempt — their progress is scheduled by the
-    /// retransmit timers, and termination is bounded by the retry
-    /// budget and `session_deadline` instead.
-    pub stall_ticks: usize,
     /// Run every session through the [`nexit_proto::reliable`] ARQ
     /// layer with these knobs. `None` (the default) keeps the raw
     /// fail-fast wire path: any injected fault kills its session.
@@ -176,7 +170,6 @@ impl Default for BrokerConfig {
             max_active: 512,
             queue_capacity: 64,
             deliver_budget: 64,
-            stall_ticks: 16,
             reliability: None,
             session_deadline: 0,
             degrade_to_default: false,
@@ -212,26 +205,13 @@ impl BrokerConfig {
     }
 }
 
-/// Readiness of one session inside its worker's poll loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PollState {
-    /// Admitted but not yet polled.
-    Idle,
-    /// Frames queued in flight (or parked on a full queue).
-    Transmitting,
-    /// ARQ retransmissions have occurred and unacked frames are still
-    /// outstanding: the session is recovering from link faults, with
-    /// its next progress scheduled by a retransmit timer.
-    Retrying,
-    /// Quiescent: both queues empty, waiting for the peer's next frame
-    /// (which the next tick's poll will produce — or never arrives, in
-    /// which case the stall detector fires).
-    AwaitingPeer,
-    /// Both sides finished successfully.
-    Done,
-    /// The session failed (protocol error or stall).
-    Failed,
-}
+/// Consecutive ticks a session may move nothing before it is failed with
+/// [`ProtoError::Stalled`]. The lock-step protocol stalls for good on the
+/// first idle tick; the grace is cheap insurance against multi-tick
+/// shapes. Sessions with unacked ARQ frames are exempt — the retransmit
+/// timers schedule their progress, and the retry budget and
+/// `session_deadline` bound it.
+const STALL_TICKS: usize = 16;
 
 /// Both sides' outcomes for one completed pair.
 #[derive(Debug, Clone, PartialEq)]
@@ -410,41 +390,34 @@ impl Broker {
             };
         }
         let workers = resolve_threads(self.config.workers).min(n).max(1);
-        let mut slots: Vec<Option<PairResult>> = (0..n).map(|_| None).collect();
-
-        if workers <= 1 {
-            let (results, shard_stats) =
-                run_shard(&self.config, specs.into_iter().enumerate().collect());
-            stats.absorb(&shard_stats);
-            for (id, result) in results {
-                slots[id] = Some(result);
-            }
+        // Round-robin sharding: session i belongs to worker i % W. Any
+        // partition yields identical results (sessions are independent);
+        // this one balances mixed-size batches.
+        let mut shards: Vec<Vec<(usize, SessionSpec<'a>)>> =
+            (0..workers).map(|_| Vec::new()).collect();
+        for (i, spec) in specs.into_iter().enumerate() {
+            shards[i % workers].push((i, spec));
+        }
+        let config = &self.config;
+        let worker_outputs: Vec<ShardOutput> = if workers == 1 {
+            shards.into_iter().map(|s| run_shard(config, s)).collect()
         } else {
-            // Round-robin sharding: session i belongs to worker i % W.
-            // Any partition yields identical results (sessions are
-            // independent); this one balances mixed-size batches.
-            let mut shards: Vec<Vec<(usize, SessionSpec<'a>)>> =
-                (0..workers).map(|_| Vec::new()).collect();
-            for (i, spec) in specs.into_iter().enumerate() {
-                shards[i % workers].push((i, spec));
-            }
-            let config = &self.config;
-            let worker_outputs = crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = shards
                     .into_iter()
-                    .map(|shard| scope.spawn(move |_| run_shard(config, shard)))
+                    .map(|shard| scope.spawn(move || run_shard(config, shard)))
                     .collect();
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("broker worker panicked"))
-                    .collect::<Vec<_>>()
+                    .collect()
             })
-            .expect("broker worker pool panicked");
-            for (results, shard_stats) in worker_outputs {
-                stats.absorb(&shard_stats);
-                for (id, result) in results {
-                    slots[id] = Some(result);
-                }
+        };
+        let mut slots: Vec<Option<PairResult>> = (0..n).map(|_| None).collect();
+        for (results, shard_stats) in worker_outputs {
+            stats.absorb(&shard_stats);
+            for (id, result) in results {
+                slots[id] = Some(result);
             }
         }
 
@@ -458,24 +431,20 @@ impl Broker {
     }
 }
 
-/// One live session inside a worker: two agents, two bounded links,
-/// optional ARQ endpoints, and the session's poll state.
+/// One live session inside a worker: two agents, two bounded links, the
+/// pump that moves frames between them, and the tick bookkeeping.
 struct ActiveSession<'a> {
     id: usize,
     agent_a: Agent<'a>,
     agent_b: Agent<'a>,
     link_ab: FaultyLink,
     link_ba: FaultyLink,
-    /// ARQ endpoints (A-side, B-side) when [`BrokerConfig::reliability`]
-    /// is set; `None` runs the raw fail-fast wire path.
-    arq: Option<(ReliableEndpoint, ReliableEndpoint)>,
+    pump: SessionPump,
     /// The spec's default assignment, kept for graceful degradation.
     default_assignment: Assignment,
-    state: PollState,
     idle_ticks: usize,
     /// Poll ticks this session has consumed (the deadline currency).
     ticks_used: u64,
-    result: Option<PairResult>,
 }
 
 /// A worker's output: `(pair id, result)` in retirement order, plus the
@@ -485,10 +454,10 @@ type ShardOutput = (Vec<(usize, PairResult)>, BrokerStats);
 /// Wrap a terminal failure per the degradation policy: the default
 /// assignment (the paper's status-quo routing) when degradation is on,
 /// the bare failure otherwise.
-fn resolve_failure(degrade: bool, fallback: &Assignment, failure: SessionFailure) -> PairResult {
+fn resolve_failure(degrade: bool, fallback: Assignment, failure: SessionFailure) -> PairResult {
     if degrade {
         PairResult::Degraded {
-            assignment: fallback.clone(),
+            assignment: fallback,
             failure,
         }
     } else {
@@ -519,7 +488,7 @@ fn run_shard<'a>(config: &BrokerConfig, specs: Vec<(usize, SessionSpec<'a>)>) ->
             match admit(&mut arena, config, id, spec) {
                 Ok(session) => active.push(session),
                 Err((fallback, failure)) => {
-                    let result = resolve_failure(config.degrade_to_default, &fallback, failure);
+                    let result = resolve_failure(config.degrade_to_default, fallback, failure);
                     match &result {
                         PairResult::Degraded { .. } => stats.degraded += 1,
                         _ => stats.failed += 1,
@@ -533,40 +502,43 @@ fn run_shard<'a>(config: &BrokerConfig, specs: Vec<(usize, SessionSpec<'a>)>) ->
         // Poll every active session once; retire terminal ones in place.
         let mut i = 0;
         while i < active.len() {
-            tick(config, &mut active[i], &mut scratch, &mut stats);
-            if matches!(active[i].state, PollState::Done | PollState::Failed) {
-                let mut session = active.swap_remove(i);
-                if let Some((arq_a, arq_b)) = &session.arq {
-                    stats.retransmits += arq_a.stats().retransmits + arq_b.stats().retransmits;
-                }
-                let link_faults = session.link_ab.dropped
-                    + session.link_ab.corrupted
-                    + session.link_ab.duplicated
-                    + session.link_ab.reordered
-                    + session.link_ba.dropped
-                    + session.link_ba.corrupted
-                    + session.link_ba.duplicated
-                    + session.link_ba.reordered;
-                let result = session
-                    .result
-                    .take()
-                    .expect("terminal session must carry a result");
-                match &result {
-                    PairResult::Negotiated(_) => {
-                        stats.completed += 1;
-                        if link_faults > 0 {
-                            stats.recovered += 1;
-                        }
-                    }
-                    PairResult::Degraded { .. } => stats.degraded += 1,
-                    PairResult::Failed(_) => stats.failed += 1,
-                }
-                results.push((session.id, result));
-                session.agent_a.recycle(&mut arena);
-                session.agent_b.recycle(&mut arena);
-            } else {
+            let Some(end) = tick(config, &mut active[i], &mut scratch, &mut stats) else {
                 i += 1;
+                continue;
+            };
+            let session = active.swap_remove(i);
+            stats.frames += session.pump.frames();
+            stats.bytes += session.pump.bytes();
+            stats.retransmits += session.pump.retransmits();
+            let link_faults = session.link_ab.dropped
+                + session.link_ab.corrupted
+                + session.link_ab.duplicated
+                + session.link_ab.reordered
+                + session.link_ba.dropped
+                + session.link_ba.corrupted
+                + session.link_ba.duplicated
+                + session.link_ba.reordered;
+            let result = match end {
+                Ok(outcome) => PairResult::Negotiated(outcome),
+                Err(failure) => resolve_failure(
+                    config.degrade_to_default,
+                    session.default_assignment,
+                    failure,
+                ),
+            };
+            match &result {
+                PairResult::Negotiated(_) => {
+                    stats.completed += 1;
+                    if link_faults > 0 {
+                        stats.recovered += 1;
+                    }
+                }
+                PairResult::Degraded { .. } => stats.degraded += 1,
+                PairResult::Failed(_) => stats.failed += 1,
             }
+            results.push((session.id, result));
+            session.agent_a.recycle(&mut arena);
+            session.agent_b.recycle(&mut arena);
         }
     }
     (results, stats)
@@ -625,411 +597,95 @@ fn admit<'a>(
             ));
         }
     };
-    let arq = config.reliability.map(|arq_config| {
-        // Under the dedup window a replayed frame is absorbed, not a
-        // protocol violation; the raw path keeps strict semantics.
-        agent_a.set_replay_tolerance(true);
-        agent_b.set_replay_tolerance(true);
-        (
-            ReliableEndpoint::new(arq_config),
-            ReliableEndpoint::new(arq_config),
-        )
-    });
+    // Under the dedup window a replayed frame is absorbed, not a
+    // protocol violation; the raw link keeps strict semantics.
+    agent_a.set_replay_tolerance(config.reliability.is_some());
+    agent_b.set_replay_tolerance(config.reliability.is_some());
     Ok(ActiveSession {
         id,
         agent_a,
         agent_b,
         link_ab: FaultyLink::new(spec.faults_ab, spec.link_seed),
         link_ba: FaultyLink::new(spec.faults_ba, spec.link_seed ^ 0x9e37_79b9_7f4a_7c15),
-        arq,
+        pump: SessionPump::new(config.reliability),
         default_assignment: fallback,
-        state: PollState::Idle,
         idle_ticks: 0,
         ticks_used: 0,
-        result: None,
     })
 }
 
-/// One poll tick for one session: batched encode into the bounded links,
-/// batched decode out of them, then completion / deadline / stall
-/// bookkeeping. Dispatches on whether the session runs the ARQ layer.
+/// One poll tick for one session: one pump step within the configured
+/// queue bounds, then completion, deadline, retransmit timers and the
+/// stall detector, in that order. Returns how the session ended, if this
+/// tick ended it.
 fn tick(
     config: &BrokerConfig,
     session: &mut ActiveSession<'_>,
     scratch: &mut Vec<u8>,
     stats: &mut BrokerStats,
-) {
-    if matches!(session.state, PollState::Done | PollState::Failed) {
-        return;
-    }
+) -> Option<Result<PairOutcome, SessionFailure>> {
+    let failed = |error, side| Some(Err(SessionFailure { error, side }));
     session.ticks_used += 1;
-    if session.arq.is_some() {
-        tick_reliable(config, session, scratch, stats);
-    } else {
-        tick_raw(config, session, scratch, stats);
-    }
-}
+    let limits = StepLimits {
+        queue_capacity: config.queue_capacity,
+        deliver_budget: config.deliver_budget,
+    };
+    let step = session.pump.step(
+        &mut session.agent_a,
+        &mut session.agent_b,
+        &mut session.link_ab,
+        &mut session.link_ba,
+        limits,
+        scratch,
+    );
+    let report = match step {
+        Ok(report) => report,
+        Err((error, side)) => return failed(error, Some(side)),
+    };
 
-/// Mark a session terminally failed, applying the degradation policy.
-fn fail_session(config: &BrokerConfig, session: &mut ActiveSession<'_>, failure: SessionFailure) {
-    session.state = PollState::Failed;
-    session.result = Some(resolve_failure(
-        config.degrade_to_default,
-        &session.default_assignment,
-        failure,
-    ));
-}
-
-/// The raw fail-fast wire path (no ARQ): any decode error or stall kills
-/// the session.
-fn tick_raw(
-    config: &BrokerConfig,
-    session: &mut ActiveSession<'_>,
-    scratch: &mut Vec<u8>,
-    stats: &mut BrokerStats,
-) {
-    let mut moved = false;
-    let mut parked = false;
-
-    // Batched encode: drain each agent's outgoing frames while its link
-    // has queue room. A full queue parks the sender — remaining frames
-    // stay in the agent's outbox until deliveries free capacity.
-    loop {
-        if session.link_ab.in_flight() >= config.queue_capacity {
-            parked = true;
-            break;
-        }
-        let Some(frame) = session.agent_a.poll_transmit() else {
-            break;
-        };
-        stats.frames += 1;
-        stats.bytes += frame.len() as u64;
-        session.link_ab.send(frame);
-        moved = true;
-    }
-    loop {
-        if session.link_ba.in_flight() >= config.queue_capacity {
-            parked = true;
-            break;
-        }
-        let Some(frame) = session.agent_b.poll_transmit() else {
-            break;
-        };
-        stats.frames += 1;
-        stats.bytes += frame.len() as u64;
-        session.link_ba.send(frame);
-        moved = true;
-    }
-
-    // Batched decode: up to `deliver_budget` frames per direction,
-    // concatenated into one byte run and fed to the codec in one call.
-    for direction in [Side::A, Side::B] {
-        let (link, receiver, sender_side) = match direction {
-            Side::A => (&mut session.link_ab, &mut session.agent_b, Side::B),
-            Side::B => (&mut session.link_ba, &mut session.agent_a, Side::A),
-        };
-        scratch.clear();
-        let mut delivered = 0usize;
-        while delivered < config.deliver_budget {
-            let Some(frame) = link.recv() else {
-                break;
-            };
-            scratch.extend_from_slice(&frame);
-            delivered += 1;
-        }
-        if delivered > 0 {
-            moved = true;
-            if let Err(error) = receiver.handle_bytes(scratch) {
-                fail_session(
-                    config,
-                    session,
-                    SessionFailure {
-                        error,
-                        side: Some(sender_side),
-                    },
-                );
-                return;
-            }
-        }
-    }
-
-    // Completion: both agents terminal and both queues drained.
-    if session.agent_a.is_done()
-        && session.agent_b.is_done()
-        && session.link_ab.in_flight() == 0
-        && session.link_ba.in_flight() == 0
-    {
-        match (session.agent_a.outcome(), session.agent_b.outcome()) {
-            (Some(a), Some(b)) => {
-                session.state = PollState::Done;
-                session.result = Some(PairResult::Negotiated(PairOutcome { a, b }));
-            }
+    if report.done {
+        return match (session.agent_a.outcome(), session.agent_b.outcome()) {
+            (Some(a), Some(b)) => Some(Ok(PairOutcome { a, b })),
             // An agent terminal without an outcome failed its handshake.
-            _ => {
-                fail_session(
-                    config,
-                    session,
-                    SessionFailure {
-                        error: ProtoError::Closed,
-                        side: None,
-                    },
-                );
-            }
-        }
-        return;
-    }
-
-    if config.session_deadline > 0 && session.ticks_used >= config.session_deadline {
-        fail_session(
-            config,
-            session,
-            SessionFailure {
-                error: ProtoError::DeadlineExceeded {
-                    ticks: config.session_deadline,
-                },
-                side: None,
-            },
-        );
-        return;
-    }
-
-    if parked {
-        stats.parked += 1;
-    }
-    session.state = if parked || session.link_ab.in_flight() + session.link_ba.in_flight() > 0 {
-        PollState::Transmitting
-    } else {
-        PollState::AwaitingPeer
-    };
-    if moved {
-        session.idle_ticks = 0;
-    } else {
-        // Nothing to send, nothing to deliver, nobody finished: a lost
-        // frame stalled the lock-step exchange. Give it `stall_ticks`
-        // grace (cheap insurance against future multi-tick shapes), then
-        // fail this session alone — with both queues' state, so a
-        // dropped-frame stall is diagnosable.
-        session.idle_ticks += 1;
-        if session.idle_ticks >= config.stall_ticks.max(1) {
-            let failure = SessionFailure {
-                error: ProtoError::Stalled {
-                    in_flight_ab: session.link_ab.in_flight(),
-                    in_flight_ba: session.link_ba.in_flight(),
-                },
-                side: None,
-            };
-            fail_session(config, session, failure);
-        }
-    }
-}
-
-/// The reliable wire path: agents talk through [`ReliableEndpoint`]s, so
-/// transient link faults heal by retransmission/dedup and only retry
-/// exhaustion, a blown deadline, or a genuine protocol error terminates
-/// the session.
-fn tick_reliable(
-    config: &BrokerConfig,
-    session: &mut ActiveSession<'_>,
-    scratch: &mut Vec<u8>,
-    stats: &mut BrokerStats,
-) {
-    let mut moved = false;
-    let mut parked = false;
-    {
-        let ActiveSession {
-            agent_a,
-            agent_b,
-            link_ab,
-            link_ba,
-            arq,
-            ..
-        } = session;
-        let (arq_a, arq_b) = arq.as_mut().expect("reliable tick requires endpoints");
-
-        // Sequence fresh application frames into the endpoints.
-        while let Some(frame) = agent_a.poll_transmit() {
-            arq_a.send(frame);
-            moved = true;
-        }
-        while let Some(frame) = agent_b.poll_transmit() {
-            arq_b.send(frame);
-            moved = true;
-        }
-
-        // Batched encode: endpoint outbox → bounded link, same
-        // backpressure rules as the raw path (wire units counted).
-        loop {
-            if link_ab.in_flight() >= config.queue_capacity {
-                parked = true;
-                break;
-            }
-            let Some(unit) = arq_a.poll_transmit() else {
-                break;
-            };
-            stats.frames += 1;
-            stats.bytes += unit.len() as u64;
-            link_ab.send(unit);
-            moved = true;
-        }
-        loop {
-            if link_ba.in_flight() >= config.queue_capacity {
-                parked = true;
-                break;
-            }
-            let Some(unit) = arq_b.poll_transmit() else {
-                break;
-            };
-            stats.frames += 1;
-            stats.bytes += unit.len() as u64;
-            link_ba.send(unit);
-            moved = true;
-        }
-
-        // Receive: each wire unit is fed to the endpoint *individually*
-        // — a corrupted unit must poison only itself, and the ARQ layer
-        // has no trustworthy resync point inside a mangled byte run.
-        for (link, endpoint) in [(link_ab, &mut *arq_b), (link_ba, &mut *arq_a)] {
-            let mut delivered = 0usize;
-            while delivered < config.deliver_budget {
-                let Some(unit) = link.recv() else {
-                    break;
-                };
-                endpoint.on_datagram(&unit);
-                delivered += 1;
-            }
-            if delivered > 0 {
-                moved = true;
-            }
-        }
-    }
-
-    // Deliver recovered in-order frames: these are clean (CRC-checked at
-    // the ARQ layer), so they can be concatenated for one batched agent
-    // decode like the raw path.
-    for side in [Side::B, Side::A] {
-        scratch.clear();
-        {
-            let (arq_a, arq_b) = session.arq.as_mut().expect("endpoints present");
-            let endpoint = match side {
-                Side::B => arq_b,
-                Side::A => arq_a,
-            };
-            while let Some(inner) = endpoint.poll_deliver() {
-                scratch.extend_from_slice(&inner);
-            }
-        }
-        if !scratch.is_empty() {
-            moved = true;
-            let receiver = match side {
-                Side::B => &mut session.agent_b,
-                Side::A => &mut session.agent_a,
-            };
-            if let Err(error) = receiver.handle_bytes(scratch) {
-                fail_session(
-                    config,
-                    session,
-                    SessionFailure {
-                        error,
-                        side: Some(side.other()),
-                    },
-                );
-                return;
-            }
-        }
-    }
-
-    // Completion: both agents terminal. Unlike the raw path the links
-    // need not be drained — trailing acks and already-answered
-    // retransmissions are noise once both outcomes exist.
-    if session.agent_a.is_done() && session.agent_b.is_done() {
-        match (session.agent_a.outcome(), session.agent_b.outcome()) {
-            (Some(a), Some(b)) => {
-                session.state = PollState::Done;
-                session.result = Some(PairResult::Negotiated(PairOutcome { a, b }));
-            }
-            _ => {
-                fail_session(
-                    config,
-                    session,
-                    SessionFailure {
-                        error: ProtoError::Closed,
-                        side: None,
-                    },
-                );
-            }
-        }
-        return;
-    }
-
-    if config.session_deadline > 0 && session.ticks_used >= config.session_deadline {
-        fail_session(
-            config,
-            session,
-            SessionFailure {
-                error: ProtoError::DeadlineExceeded {
-                    ticks: config.session_deadline,
-                },
-                side: None,
-            },
-        );
-        return;
-    }
-
-    // Advance the retransmit timers; budget exhaustion is terminal,
-    // blamed on the side whose transmissions went unacked.
-    for side in [Side::A, Side::B] {
-        let err = {
-            let (arq_a, arq_b) = session.arq.as_mut().expect("endpoints present");
-            let endpoint = match side {
-                Side::A => arq_a,
-                Side::B => arq_b,
-            };
-            endpoint.on_tick().err()
+            _ => failed(ProtoError::Closed, None),
         };
-        if let Some(e) = err {
-            fail_session(
-                config,
-                session,
-                SessionFailure {
-                    error: e.into(),
-                    side: Some(side),
-                },
-            );
-            return;
-        }
     }
 
-    if parked {
+    if config.session_deadline > 0 && session.ticks_used >= config.session_deadline {
+        let error = ProtoError::DeadlineExceeded {
+            ticks: config.session_deadline,
+        };
+        return failed(error, None);
+    }
+
+    // Budget exhaustion is terminal, blamed on the side whose
+    // transmissions went unacked.
+    if let Err((error, side)) = session.pump.on_tick() {
+        return failed(error, Some(side));
+    }
+
+    if report.parked {
         stats.parked += 1;
     }
-    let (arq_a, arq_b) = session.arq.as_ref().expect("endpoints present");
-    let recovering = arq_a.has_pending() || arq_b.has_pending();
-    let retried = arq_a.stats().retransmits + arq_b.stats().retransmits > 0;
-    session.state = if retried && recovering {
-        PollState::Retrying
-    } else if parked || session.link_ab.in_flight() + session.link_ba.in_flight() > 0 {
-        PollState::Transmitting
-    } else {
-        PollState::AwaitingPeer
-    };
     // The stall detector only watches sessions with no scheduled
-    // progress: outstanding ARQ state means a retransmit timer will
-    // fire, so termination is bounded by the retry budget instead.
-    if moved || recovering {
+    // progress: unacked frames mean a retransmit timer will fire, so
+    // termination is bounded by the retry budget instead.
+    if report.moved || session.pump.has_unacked() {
         session.idle_ticks = 0;
-    } else {
-        session.idle_ticks += 1;
-        if session.idle_ticks >= config.stall_ticks.max(1) {
-            let failure = SessionFailure {
-                error: ProtoError::Stalled {
-                    in_flight_ab: session.link_ab.in_flight(),
-                    in_flight_ba: session.link_ba.in_flight(),
-                },
-                side: None,
-            };
-            fail_session(config, session, failure);
-        }
+        return None;
     }
+    // Nothing to send, nothing to deliver, nobody finished: a lost frame
+    // stalled the lock-step exchange. Fail this session alone — with
+    // both queues' state, so a dropped-frame stall is diagnosable.
+    session.idle_ticks += 1;
+    if session.idle_ticks < STALL_TICKS {
+        return None;
+    }
+    let error = ProtoError::Stalled {
+        in_flight_ab: session.link_ab.in_flight(),
+        in_flight_ba: session.link_ba.in_flight(),
+    };
+    failed(error, None)
 }
 
 #[cfg(test)]
@@ -1346,7 +1002,7 @@ mod tests {
     fn retry_budget_exhaustion_fails_or_degrades_dead_links() {
         // Total frame loss with ARQ on: the retry budget, not the stall
         // detector, terminates the session (retransmit backoff can
-        // exceed stall_ticks, so the stall path must stay out of it).
+        // exceed STALL_TICKS, so the stall path must stay out of it).
         let dead = FaultConfig {
             drop_chance: 1.0,
             ..FaultConfig::RELIABLE

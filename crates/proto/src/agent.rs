@@ -1,11 +1,11 @@
 //! Poll-based negotiation agent (one side of a session).
 //!
 //! The agent is *sans-io*: it never touches a socket. Feed it bytes from
-//! the transport with [`Agent::handle_frame`]; drain outgoing frames with
+//! the transport with [`Agent::handle_bytes`]; drain outgoing frames with
 //! [`Agent::poll_transmit`]; check [`Agent::is_done`] /
 //! [`Agent::outcome`]. Any transport with reliable ordered delivery works
-//! — the in-memory [`crate::channel`], a TCP socket, or the threaded
-//! driver in [`crate::driver`].
+//! — the in-memory [`crate::channel`] or a TCP socket; the loop that
+//! moves the frames is [`crate::driver::SessionPump`].
 //!
 //! ## Session flow
 //!
@@ -411,11 +411,6 @@ impl<'a> Agent<'a> {
                 }
             }
         }
-    }
-
-    /// Alias for [`Agent::handle_bytes`] (smoltcp-style naming).
-    pub fn handle_frame(&mut self, data: &[u8]) -> Result<(), ProtoError> {
-        self.handle_bytes(data)
     }
 
     /// Whether a byte-identical repeat of the last frame is legitimate

@@ -13,13 +13,17 @@
 //!   preference lists, proposals, accept/reject responses, stop and bye,
 //! * [`agent`] — a poll-based (sans-io) state machine driving one side of
 //!   a negotiation; transport-agnostic in the style of event-driven
-//!   network stacks: feed it received frames with
-//!   [`agent::Agent::handle_frame`], drain outgoing frames with
+//!   network stacks: feed it received bytes with
+//!   [`agent::Agent::handle_bytes`], drain outgoing frames with
 //!   [`agent::Agent::poll_transmit`],
 //! * [`channel`] — an in-memory duplex link with fault injection (drop /
 //!   corrupt / duplicate / reorder) for exercising the agent's error
 //!   handling and the ARQ layer's recovery,
-//! * [`driver`] — synchronous and threaded (crossbeam) session drivers,
+//! * [`driver`] — the session pump: [`driver::SessionPump::step`] is the
+//!   one loop that moves frames between two agents, over the raw link or
+//!   through the ARQ layer; [`run_session`] and [`run_reliable_session`]
+//!   are the two single-pair wrappers around it and `nexit-broker` is the
+//!   many-pair one,
 //! * [`reliable`] — a sans-IO ARQ layer (sequence numbers, cumulative
 //!   acks, deterministic tick-based retransmission, dedup/reorder
 //!   window) supplying the reliable-transport assumption over a lossy
@@ -48,7 +52,7 @@ pub mod reliable;
 
 pub use agent::{Agent, AgentOutcome, ProtoError};
 pub use channel::{FaultConfig, FaultyLink};
-pub use driver::{run_session, run_session_threaded};
+pub use driver::{run_session, SessionPump, StepLimits, StepReport};
 pub use frame::{FrameCodec, FrameError, MAX_FRAME_PAYLOAD};
 pub use messages::Message;
 pub use reliable::{

@@ -45,6 +45,7 @@
 
 use crate::agent::{Agent, AgentOutcome, ProtoError};
 use crate::channel::FaultyLink;
+use crate::driver::{outcomes, SessionPump, StepLimits};
 use crate::frame::{encode_frame, FrameCodec};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -136,16 +137,10 @@ pub struct ReliableStats {
     pub acks_sent: u64,
 }
 
-impl ReliableStats {
-    /// Whether the link ever misbehaved (anything absorbed or re-sent).
-    pub fn any_faults(&self) -> bool {
-        self.retransmits > 0
-            || self.duplicates > 0
-            || self.reordered > 0
-            || self.corrupt_dropped > 0
-            || self.out_of_window > 0
-    }
-}
+/// Sequence numbers wrap at `u32::MAX`, so the `wrapping_sub` distance,
+/// not the magnitude, orders them: `a.wrapping_sub(b)` is how far `a` is
+/// ahead of `b`, and half the sequence space or more reads as *behind*.
+const SEQ_BEHIND: u32 = 1 << 31;
 
 /// An unacked outgoing frame awaiting its cumulative ack.
 #[derive(Debug)]
@@ -193,6 +188,17 @@ impl ReliableEndpoint {
             delivery: VecDeque::new(),
             ack_pending: false,
             stats: ReliableStats::default(),
+        }
+    }
+
+    /// An endpoint whose stream starts at `seq` in both directions, to
+    /// reach the wraparound without sending four billion frames.
+    #[cfg(test)]
+    fn starting_at(config: ReliableConfig, seq: u32) -> Self {
+        Self {
+            next_seq: seq,
+            recv_next: seq,
+            ..Self::new(config)
         }
     }
 
@@ -273,11 +279,12 @@ impl ReliableEndpoint {
         // the cursor, duplicates mean the peer missed our last ack, and
         // out-of-order frames re-state the gap.
         self.ack_pending = true;
-        if seq < self.recv_next {
+        let ahead = seq.wrapping_sub(self.recv_next);
+        if ahead >= SEQ_BEHIND {
             self.stats.duplicates += 1;
             return;
         }
-        if seq == self.recv_next {
+        if ahead == 0 {
             self.delivery.push_back(inner.to_vec());
             self.recv_next = self.recv_next.wrapping_add(1);
             // Release any directly following buffered frames.
@@ -287,7 +294,7 @@ impl ReliableEndpoint {
             }
             return;
         }
-        if seq - self.recv_next < self.config.window {
+        if ahead < self.config.window {
             if self.reorder.insert(seq, inner.to_vec()).is_none() {
                 self.stats.reordered += 1;
             } else {
@@ -299,7 +306,12 @@ impl ReliableEndpoint {
     }
 
     fn on_ack(&mut self, cumulative: u32) {
-        while self.pending.front().is_some_and(|p| p.seq < cumulative) {
+        // Everything strictly before the peer's cursor is acknowledged.
+        while self
+            .pending
+            .front()
+            .is_some_and(|p| p.seq.wrapping_sub(cumulative) >= SEQ_BEHIND)
+        {
             self.pending.pop_front();
         }
     }
@@ -339,11 +351,6 @@ impl ReliableEndpoint {
         !self.pending.is_empty() || !self.outbox.is_empty() || self.ack_pending
     }
 
-    /// Whether recovered frames await [`ReliableEndpoint::poll_deliver`].
-    pub fn has_deliveries(&self) -> bool {
-        !self.delivery.is_empty()
-    }
-
     /// Fault/retransmission counters.
     pub fn stats(&self) -> &ReliableStats {
         &self.stats
@@ -364,43 +371,23 @@ pub fn run_reliable_session(
     config: ReliableConfig,
     max_ticks: u64,
 ) -> Result<(AgentOutcome, AgentOutcome), ProtoError> {
-    let mut arq_a = ReliableEndpoint::new(config);
-    let mut arq_b = ReliableEndpoint::new(config);
+    let mut pump = SessionPump::new(Some(config));
+    let mut scratch = Vec::new();
     for _ in 0..max_ticks {
-        // Sequence fresh application frames.
-        while let Some(frame) = agent_a.poll_transmit() {
-            arq_a.send(frame);
+        let report = pump
+            .step(
+                agent_a,
+                agent_b,
+                link_ab,
+                link_ba,
+                StepLimits::UNBOUNDED,
+                &mut scratch,
+            )
+            .map_err(|(error, _)| error)?;
+        if report.done {
+            return outcomes(agent_a, agent_b);
         }
-        while let Some(frame) = agent_b.poll_transmit() {
-            arq_b.send(frame);
-        }
-        // Move wire units through the (faulty) links.
-        while let Some(unit) = arq_a.poll_transmit() {
-            link_ab.send(unit);
-        }
-        while let Some(unit) = arq_b.poll_transmit() {
-            link_ba.send(unit);
-        }
-        while let Some(unit) = link_ab.recv() {
-            arq_b.on_datagram(&unit);
-        }
-        while let Some(unit) = link_ba.recv() {
-            arq_a.on_datagram(&unit);
-        }
-        // Hand recovered in-order frames to the agents.
-        while let Some(inner) = arq_b.poll_deliver() {
-            agent_b.handle_bytes(&inner)?;
-        }
-        while let Some(inner) = arq_a.poll_deliver() {
-            agent_a.handle_bytes(&inner)?;
-        }
-        if agent_a.is_done() && agent_b.is_done() {
-            let a = agent_a.outcome().ok_or(ProtoError::Closed)?;
-            let b = agent_b.outcome().ok_or(ProtoError::Closed)?;
-            return Ok((a, b));
-        }
-        arq_a.on_tick()?;
-        arq_b.on_tick()?;
+        pump.on_tick().map_err(|(error, _)| error)?;
     }
     Err(ProtoError::DeadlineExceeded { ticks: max_ticks })
 }
@@ -532,6 +519,56 @@ mod tests {
             ReliableError::RetryExhausted { seq: 0, retries } => assert_eq!(retries, 2),
             other => panic!("unexpected: {other:?}"),
         }
+    }
+
+    #[test]
+    fn stream_crosses_the_sequence_wraparound() {
+        // Both directions start three frames below `u32::MAX`; eight
+        // frames cross the boundary with one lost and one overtaken.
+        let cfg = ReliableConfig {
+            retransmit_ticks: 2,
+            ..ReliableConfig::default()
+        };
+        let start = u32::MAX - 2;
+        let mut tx = ReliableEndpoint::starting_at(cfg, start);
+        let mut rx = ReliableEndpoint::starting_at(cfg, start);
+        for i in 0..8u8 {
+            tx.send(vec![i]);
+        }
+        let mut units: Vec<_> = std::iter::from_fn(|| tx.poll_transmit()).collect();
+        units.remove(1); // seq u32::MAX - 1 is lost on the wire
+        units.swap(1, 2); // seq 0 overtakes seq u32::MAX
+        for unit in &units {
+            rx.on_datagram(unit);
+        }
+        // Only the frame before the gap is released; the six behind it
+        // wait in the window, on both sides of the boundary.
+        assert_eq!(rx.poll_deliver().unwrap(), vec![0]);
+        assert!(rx.poll_deliver().is_none());
+        assert_eq!(rx.stats().reordered, 6);
+        assert_eq!(rx.stats().duplicates, 0);
+        assert_eq!(rx.stats().out_of_window, 0);
+        // The ack names the lost frame; the timer re-sends what is
+        // unacked, and the stream completes in order.
+        tx.on_datagram(&rx.poll_transmit().expect("ack pending"));
+        for _ in 0..3 {
+            tx.on_tick().unwrap();
+        }
+        assert_eq!(tx.stats().retransmits, 7, "all but the acked first frame");
+        while let Some(unit) = tx.poll_transmit() {
+            rx.on_datagram(&unit);
+        }
+        let rest: Vec<_> = std::iter::from_fn(|| rx.poll_deliver()).collect();
+        assert_eq!(rest, (1..8u8).map(|i| vec![i]).collect::<Vec<_>>());
+        assert_eq!(
+            rx.stats().duplicates,
+            6,
+            "re-sent copies of buffered frames"
+        );
+        // The cumulative ack is now a small number acknowledging large
+        // ones: it must still clear the retransmit queue.
+        tx.on_datagram(&rx.poll_transmit().expect("ack pending"));
+        assert!(!tx.has_pending(), "wrapped ack must cover pre-wrap frames");
     }
 
     #[test]

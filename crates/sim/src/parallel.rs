@@ -3,9 +3,9 @@
 //! Every experiment driver is a loop of independent, read-only per-pair
 //! (or per-scenario) computations over a shared [`nexit_topology::Universe`]
 //! — exactly the shape a worker pool handles well. [`par_map`] runs the
-//! items on crossbeam scoped threads pulling indices from a shared
-//! atomic counter and collects results **by item index**, so the output
-//! is byte-identical to the serial loop regardless of thread count or
+//! items on scoped threads pulling indices from a shared atomic counter
+//! and collects results **by item index**, so the output is
+//! byte-identical to the serial loop regardless of thread count or
 //! scheduling: parallelism changes wall-clock time, never results.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -46,26 +46,25 @@ where
         return (0..num_items).map(|i| f(&mut state, i)).collect();
     }
     let next = AtomicUsize::new(0);
-    let (tx, rx) = crossbeam::channel::unbounded();
-    crossbeam::thread::scope(|s| {
-        let mut workers = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let next = &next;
-            let init = &init;
-            let f = &f;
-            workers.push(s.spawn(move |_| {
-                let mut state = init();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= num_items {
-                        break;
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                let tx = tx.clone();
+                let (next, init, f) = (&next, &init, &f);
+                s.spawn(move || {
+                    let mut state = init();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= num_items {
+                            break;
+                        }
+                        tx.send((i, f(&mut state, i)))
+                            .expect("result collector dropped");
                     }
-                    tx.send((i, f(&mut state, i)))
-                        .expect("result collector dropped");
-                }
-            }));
-        }
+                })
+            })
+            .collect();
         drop(tx);
         let mut out: Vec<Option<R>> = (0..num_items).map(|_| None).collect();
         while let Ok((i, r)) = rx.recv() {
@@ -83,7 +82,6 @@ where
             .map(|slot| slot.expect("worker skipped an item"))
             .collect()
     })
-    .expect("sweep worker panicked")
 }
 
 #[cfg(test)]

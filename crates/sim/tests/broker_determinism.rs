@@ -10,13 +10,16 @@
 //! any worker count, and a terminally dead link degrades to the default
 //! assignment rather than losing the pair.
 
-use nexit_broker::{Broker, BrokerConfig, PairOutcome, ReliableConfig, SessionSpec};
+use nexit_broker::{
+    Broker, BrokerConfig, BrokerStats, PairOutcome, PairResult, ReliableConfig, SessionSpec,
+};
 use nexit_core::{
     negotiate, DistanceMapper, NegotiationOutcome, NexitConfig, Party, SessionInput, Side,
 };
-use nexit_proto::channel::FaultConfig;
-use nexit_proto::ProtoError;
+use nexit_proto::channel::{FaultConfig, FaultyLink};
+use nexit_proto::{run_reliable_session, run_session, Agent, AgentOutcome, ProtoError};
 use nexit_routing::{Assignment, FlowId, PairFlows};
+use nexit_sim::experiments::broker::{synthetic_specs, ALTS, FLOWS};
 use nexit_sim::PairData;
 use nexit_topology::{GeneratorConfig, TopologyGenerator, Universe};
 use nexit_workload::WorkloadModel;
@@ -323,5 +326,171 @@ fn dead_link_degrades_to_default_assignment_with_siblings_intact() {
             result.outcome().expect("sibling negotiated"),
             &format!("sibling pair {i}"),
         );
+    }
+}
+
+/// The batch whose wire trace is pinned: 40 synthetic 16×4 sessions,
+/// seed 11. `faults` go on every link (seeded per session); under
+/// faults, session 7's links drop everything so the retry-exhaustion
+/// and degradation paths are in the trace too.
+fn pinned_specs(faults: Option<FaultConfig>) -> Vec<SessionSpec<'static>> {
+    let dead = FaultConfig {
+        drop_chance: 1.0,
+        ..FaultConfig::RELIABLE
+    };
+    synthetic_specs(40, FLOWS, ALTS, 11)
+        .into_iter()
+        .enumerate()
+        .map(|(i, spec)| match faults {
+            Some(_) if i == 7 => spec.with_faults(dead, 500),
+            Some(faults) => spec.with_faults(faults, 500 + i as u64),
+            None => spec,
+        })
+        .collect()
+}
+
+/// Drive one spec through the single-pair drivers, wiring agents and
+/// links the way the broker admits them.
+fn direct_outcome(
+    spec: SessionSpec<'static>,
+    reliability: Option<ReliableConfig>,
+) -> Result<(AgentOutcome, AgentOutcome), ProtoError> {
+    let agent = |side, mapper, disclosure| {
+        Agent::new(
+            side,
+            "direct",
+            spec.input.clone(),
+            spec.default_assignment.clone(),
+            mapper,
+            disclosure,
+            spec.config,
+        )
+        .expect("synthetic sessions are valid")
+    };
+    let mut a = agent(Side::A, spec.mapper_a, spec.disclosure_a);
+    let mut b = agent(Side::B, spec.mapper_b, spec.disclosure_b);
+    let mut ab = FaultyLink::new(spec.faults_ab, spec.link_seed);
+    let mut ba = FaultyLink::new(spec.faults_ba, spec.link_seed ^ 0x9e37_79b9_7f4a_7c15);
+    match reliability {
+        None => run_session(&mut a, &mut b, &mut ab, &mut ba),
+        Some(arq) => {
+            a.set_replay_tolerance(true);
+            b.set_replay_tolerance(true);
+            run_reliable_session(&mut a, &mut b, &mut ab, &mut ba, arq, 100_000)
+        }
+    }
+}
+
+#[allow(clippy::too_many_arguments)] // one positional row per pinned batch
+fn pinned(
+    completed: usize,
+    recovered: usize,
+    degraded: usize,
+    retransmits: u64,
+    frames: u64,
+    bytes: u64,
+    ticks: u64,
+    parked: u64,
+    peak_active: usize,
+) -> BrokerStats {
+    BrokerStats {
+        sessions: 40,
+        completed,
+        failed: 0,
+        recovered,
+        degraded,
+        retransmits,
+        frames,
+        bytes,
+        ticks,
+        parked,
+        peak_active,
+    }
+}
+
+#[test]
+fn wire_trace_is_pinned_and_single_pair_drivers_agree() {
+    // Every counter below was captured at the commit before the four
+    // session drivers became one pump; they are what "same behaviour"
+    // means for any later change to the frame-moving loop. `ticks` sums
+    // over workers and `peak_active` is a per-worker maximum, so both
+    // depend on the worker count; everything else must not.
+    let lossy = FaultConfig {
+        drop_chance: 0.1,
+        corrupt_chance: 0.1,
+        duplicate_chance: 0.1,
+        reorder_chance: 0.1,
+    };
+    let arq = ReliableConfig::default();
+    let tiny_queues = BrokerConfig {
+        workers: 1,
+        max_active: 6,
+        queue_capacity: 1,
+        deliver_budget: 1,
+        ..BrokerConfig::default()
+    };
+    let cases = [
+        (
+            "clean",
+            None,
+            BrokerConfig::default(),
+            [
+                (1usize, pinned(40, 0, 0, 0, 1560, 50180, 22, 0, 40)),
+                (2, pinned(40, 0, 0, 0, 1560, 50180, 44, 0, 20)),
+                (4, pinned(40, 0, 0, 0, 1560, 50180, 88, 0, 10)),
+            ]
+            .to_vec(),
+        ),
+        (
+            "lossy",
+            Some(lossy),
+            BrokerConfig::default()
+                .with_reliability(arq)
+                .with_degradation(),
+            [
+                (1, pinned(39, 39, 1, 624, 3254, 116910, 380, 0, 40)),
+                (2, pinned(39, 39, 1, 624, 3254, 116910, 486, 0, 20)),
+                (4, pinned(39, 39, 1, 624, 3254, 116910, 690, 0, 10)),
+            ]
+            .to_vec(),
+        ),
+        (
+            "tiny queues",
+            None,
+            tiny_queues,
+            [(1, pinned(40, 0, 0, 0, 1560, 50180, 266, 1480, 6))].to_vec(),
+        ),
+        (
+            "tiny queues, lossy",
+            Some(lossy),
+            tiny_queues.with_reliability(arq).with_degradation(),
+            [(1, pinned(39, 39, 1, 994, 4637, 146845, 776, 3290, 6))].to_vec(),
+        ),
+    ];
+    for (label, faults, config, expected) in cases {
+        let mut first: Option<Vec<PairResult>> = None;
+        for (workers, stats) in expected {
+            let config = BrokerConfig { workers, ..config };
+            let run = Broker::new(config).run_pairs(pinned_specs(faults));
+            assert_eq!(run.stats, stats, "{label}, workers={workers}");
+            let first = first.get_or_insert_with(|| run.results.clone());
+            assert_eq!(*first, run.results, "{label}, workers={workers}");
+        }
+        // Session i through `run_session` / `run_reliable_session` ends
+        // where the broker's slot i did.
+        let results = first.expect("every case runs at least once");
+        for (i, (spec, result)) in pinned_specs(faults).into_iter().zip(&results).enumerate() {
+            match (direct_outcome(spec, config.reliability), result) {
+                (Ok((a, b)), PairResult::Negotiated(out)) => {
+                    assert_eq!((&a, &b), (&out.a, &out.b), "{label}, session {i}");
+                }
+                (Err(error), PairResult::Degraded { failure, .. }) => {
+                    assert_eq!(error, failure.error, "{label}, session {i}");
+                }
+                (direct, brokered) => {
+                    panic!("{label}, session {i}: direct {direct:?} vs brokered {brokered:?}")
+                }
+            }
+        }
     }
 }

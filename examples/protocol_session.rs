@@ -1,15 +1,15 @@
 //! Drive a full negotiation over the *wire protocol*: two sans-io agents
 //! exchange framed binary messages (Hello, FlowAnnounce, PrefList,
-//! Propose/Response, Bye) over an in-memory link — then the same session
-//! again with each agent on its own thread, as two negotiation-agent
-//! daemons would run (paper §6, Figure 12).
+//! Propose/Response, Bye) over an in-memory link, as two negotiation-agent
+//! daemons would (paper §6, Figure 12) — then once more over a link that
+//! corrupts frames.
 //!
 //! ```sh
 //! cargo run --release --example protocol_session
 //! ```
 
 use nexit::core::{DisclosurePolicy, DistanceMapper, NexitConfig, SessionInput, Side};
-use nexit::proto::{run_session, run_session_threaded, Agent, FaultConfig, FaultyLink};
+use nexit::proto::{run_session, Agent, FaultConfig, FaultyLink};
 use nexit::routing::{Assignment, FlowId, PairFlows, ShortestPaths};
 use nexit::sim::scenarios::ladder;
 use nexit::topology::PairView;
@@ -65,39 +65,6 @@ fn main() {
         out_a.my_gain,
         out_b.my_gain,
         out_a.assignment == out_b.assignment
-    );
-
-    // The same session, threaded — 'static mappers required, so fresh
-    // flow data is leaked for the demo's lifetime.
-    let (input, default, flows2) = build_session();
-    let flows_static: &'static PairFlows = Box::leak(Box::new(flows2));
-    let agent_a = Agent::new(
-        Side::A,
-        "ISP-A daemon",
-        input.clone(),
-        default.clone(),
-        DistanceMapper::new(Side::A, flows_static),
-        DisclosurePolicy::Truthful,
-        config,
-    )
-    .expect("agent A");
-    let agent_b = Agent::new(
-        Side::B,
-        "ISP-B daemon",
-        input,
-        default,
-        DistanceMapper::new(Side::B, flows_static),
-        DisclosurePolicy::Truthful,
-        config,
-    )
-    .expect("agent B");
-    let (ta, tb) = run_session_threaded(agent_a, agent_b).expect("threaded session");
-    println!(
-        "threaded session:  {} rounds, gains A={} B={}, same outcome: {}",
-        ta.rounds,
-        ta.my_gain,
-        tb.my_gain,
-        ta.assignment == out_a.assignment && tb.assignment == out_b.assignment
     );
 
     // Corruption on the wire is detected, not silently accepted.
