@@ -431,7 +431,14 @@ fn min_max_program(
 ///   workspace's dual-simplex path (the failure-sweep access pattern).
 /// * `warm_coeff` — 8 runs of capacity-column perturbations re-entered
 ///   through the column-refresh path (the model-grid access pattern).
+/// * `pivot_row` / `price_refresh` — the pricing layer under `cold`, on
+///   the same program at its optimal basis: what every devex pivot pays
+///   for its pivot row (BTRAN of a unit vector + the row-major kernel,
+///   cycling through the basis rows), and what every refactorization
+///   and every optimality certificate pays for a from-scratch pricing
+///   pass (multipliers BTRAN + all reduced costs).
 fn bench_simplex(c: &mut Criterion) {
+    use nexit_lp::revised::PricingProbe;
     use nexit_lp::SimplexWorkspace;
 
     let mut group = c.benchmark_group("simplex");
@@ -443,6 +450,22 @@ fn bench_simplex(c: &mut Criterion) {
             nexit_lp::LpOutcome::Optimal { objective, .. } => objective,
             other => panic!("bench program must be solvable, got {other:?}"),
         });
+    });
+
+    group.bench_function("pivot_row", |bencher| {
+        let (p, _) = min_max_program(120, 3, 80, 7);
+        let mut probe = PricingProbe::at_optimum(&p).expect("bench program must be solvable");
+        let mut r = 0;
+        bencher.iter(|| {
+            r = (r + 1) % probe.rows();
+            probe.pivot_row(r)
+        });
+    });
+
+    group.bench_function("price_refresh", |bencher| {
+        let (p, _) = min_max_program(120, 3, 80, 7);
+        let mut probe = PricingProbe::at_optimum(&p).expect("bench program must be solvable");
+        bencher.iter(|| probe.price_refresh());
     });
 
     group.bench_function("warm_rhs", |bencher| {

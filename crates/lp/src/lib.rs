@@ -11,12 +11,14 @@
 //! Scope: minimize `c·x` subject to mixed `<=` / `>=` / `==` constraints
 //! and `x >= 0`. Two engines share one standard form:
 //!
-//! * [`revised`] — the production path: column-sparse constraint matrix,
+//! * [`revised`] — the production path: the constraint matrix in flat
+//!   compressed storage (`sparse`: one column-major copy for FTRAN and
+//!   the factorization, one row-major copy for the pivot-row kernel),
 //!   sparse Markowitz-ordered LU of the basis (`lu`, column-compressed
 //!   factors with fill-aware pivoting) with sparse product-form (eta)
-//!   updates and periodic refactorization, devex pricing with a
-//!   Bland's-rule anti-cycling fallback. [`solve`] / [`solve_with`] run
-//!   it cold.
+//!   updates and periodic refactorization, devex pricing over reduced
+//!   costs maintained from the pivot row, with a Bland's-rule
+//!   anti-cycling fallback. [`solve`] / [`solve_with`] run it cold.
 //! * [`simplex`] — the dense full-tableau method, kept as the
 //!   independently implemented **oracle** ([`solve_dense`]) that the
 //!   revised path is property-tested against.
@@ -50,17 +52,33 @@
 //! rule** for guaranteed termination on degenerate programs
 //! (`WarmStats::pricing_fallbacks` counts the hand-overs); the first
 //! strictly improving pivot hands control back to devex, so one
-//! degenerate plateau does not slow the rest of the solve. The basis is
-//! **refactorized** every `(m/6).clamp(12, 48)` eta updates, on
-//! numerically unusable pivots, and whenever a coefficient patch
-//! touches more basic columns than the eta budget absorbs;
-//! `WarmStats::refactorizations`, `max_eta_chain` and `lu_fill_nnz`
-//! expose that machinery per solve.
+//! degenerate plateau does not slow the rest of the solve.
+//!
+//! Each devex pivot computes its **pivot row** `alpha_j = rho · a_j`
+//! (`rho = B⁻ᵀ e_r`) once, with a row-major kernel that visits only the
+//! rows where `rho` is non-zero and reproduces the column-wise dot
+//! products bit for bit; the row updates both the devex weights and the
+//! **reduced costs** (`d_j -= (d_q / alpha_q) alpha_j`), so choosing
+//! the entering column is a read of two arrays. The drift contract:
+//! reduced costs are recomputed from fresh multipliers on entry to
+//! every phase, after every refactorization and on every iteration
+//! under Bland's rule, and **no phase reports an optimum except
+//! straight after such a fresh pass found nothing to enter** — a
+//! maintained reduced cost can propose a pivot, never certify an
+//! answer.
+//!
+//! The basis is **refactorized** every `(m/6).clamp(12, 48)` eta
+//! updates (which is also the longest stretch reduced costs and `x_B`
+//! are carried by updates alone), on numerically unusable pivots, and
+//! whenever a coefficient patch touches more basic columns than the eta
+//! budget absorbs; `WarmStats::refactorizations`, `max_eta_chain` and
+//! `lu_fill_nnz` expose that machinery per solve.
 
 mod lu;
 pub mod problem;
 pub mod revised;
 pub mod simplex;
+mod sparse;
 pub mod workspace;
 
 pub use problem::{Constraint, ConstraintOp, LpProblem};

@@ -30,6 +30,8 @@
 //! hide the permutations: both take and return vectors indexed the way
 //! the engine indexes them (basis rows / basis positions).
 
+use crate::sparse::Compressed;
+
 /// Threshold-partial-pivoting relaxation: any candidate row whose
 /// magnitude is within this factor of the column's largest candidate is
 /// numerically acceptable, and the sparsest acceptable row becomes the
@@ -88,25 +90,25 @@ impl SparseLu {
         self.l_vals.len() + self.u_vals.len() + self.m
     }
 
-    /// Factor the basis whose column at position `j` is
-    /// `cols[basis[j]]` (entries `(row, value)`, rows ascending).
+    /// Factor the basis whose column at position `j` is lane
+    /// `basis[j]` of `cols` (entries `(row, value)`, rows ascending).
     /// `None` when some elimination column has no candidate pivot above
     /// [`PIVOT_MIN`] (singular basis).
-    pub(crate) fn factor(cols: &[Vec<(u32, f64)>], basis: &[usize]) -> Option<Self> {
+    pub(crate) fn factor(cols: &Compressed, basis: &[usize]) -> Option<Self> {
         let m = basis.len();
         // Static Markowitz row counts over the basis matrix: how many
         // basic columns touch each row. The sparsest acceptable pivot
         // row bounds the fill a pivot can cause.
         let mut row_count = vec![0u32; m];
         for &var in basis {
-            for &(r, _) in &cols[var] {
-                row_count[r as usize] += 1;
+            for (r, _) in cols.lane(var) {
+                row_count[r] += 1;
             }
         }
         // Eliminate sparsest columns first (stable sort: deterministic).
         // Unit slack/artificial columns go first and factor fill-free.
         let mut order: Vec<u32> = (0..m as u32).collect();
-        order.sort_by_key(|&j| (cols[basis[j as usize]].len(), j));
+        order.sort_by_key(|&j| (cols.lane_len(basis[j as usize]), j));
 
         let mut pinv = vec![u32::MAX; m];
         let mut row_perm = vec![0u32; m];
@@ -134,11 +136,10 @@ impl SparseLu {
             let stamp = k as u32;
             touched.clear();
             debug_assert!(steps.is_empty());
-            for &(r, v) in &cols[basis[pos as usize]] {
-                let ri = r as usize;
+            for (ri, v) in cols.lane(basis[pos as usize]) {
                 x[ri] = v;
                 mark[ri] = stamp;
-                touched.push(r);
+                touched.push(ri as u32);
                 if pinv[ri] != u32::MAX {
                     steps.push(std::cmp::Reverse(pinv[ri]));
                 }
@@ -316,14 +317,15 @@ mod tests {
     /// against hand-multiplied products.
     fn check_roundtrip(dense: &[f64], m: usize) {
         // Column-sparse form, one "variable" per basis position.
-        let cols: Vec<Vec<(u32, f64)>> = (0..m)
+        let cols: Vec<Vec<(usize, f64)>> = (0..m)
             .map(|j| {
                 (0..m)
                     .filter(|&i| dense[i * m + j] != 0.0)
-                    .map(|i| (i as u32, dense[i * m + j]))
+                    .map(|i| (i, dense[i * m + j]))
                     .collect()
             })
             .collect();
+        let cols = Compressed::from_lanes(&cols);
         let basis: Vec<usize> = (0..m).collect();
         let lu = SparseLu::factor(&cols, &basis).expect("nonsingular");
         let mut tmp = vec![0.0; m];
@@ -368,7 +370,8 @@ mod tests {
         for (j, &i) in perm.iter().enumerate() {
             dense[i * m + j] = 1.0;
         }
-        let cols: Vec<Vec<(u32, f64)>> = (0..m).map(|j| vec![(perm[j] as u32, 1.0)]).collect();
+        let cols: Vec<Vec<(usize, f64)>> = (0..m).map(|j| vec![(perm[j], 1.0)]).collect();
+        let cols = Compressed::from_lanes(&cols);
         let basis: Vec<usize> = (0..m).collect();
         let lu = SparseLu::factor(&cols, &basis).unwrap();
         assert_eq!(lu.fill_nnz(), m, "unit basis must factor fill-free");
@@ -398,17 +401,14 @@ mod tests {
 
     #[test]
     fn singular_detected() {
-        let cols = vec![
-            vec![(0u32, 1.0), (1u32, 1.0)],
-            vec![(0u32, 2.0), (1u32, 2.0)],
-        ];
+        let cols = Compressed::from_lanes(&[vec![(0, 1.0), (1, 1.0)], vec![(0, 2.0), (1, 2.0)]]);
         let basis = vec![0usize, 1];
         assert!(SparseLu::factor(&cols, &basis).is_none());
     }
 
     #[test]
     fn empty_basis() {
-        let lu = SparseLu::factor(&[], &[]).unwrap();
+        let lu = SparseLu::factor(&Compressed::from_lanes(&[]), &[]).unwrap();
         assert_eq!(lu.fill_nnz(), 0);
         let mut v: Vec<f64> = Vec::new();
         let mut tmp: Vec<f64> = Vec::new();

@@ -4,8 +4,9 @@
 //! [`crate::SimplexWorkspace`]. Where the dense tableau
 //! ([`crate::simplex`], kept as the property-tested oracle) rewrites the
 //! whole `m x n` matrix on every pivot, the revised method keeps the
-//! constraint matrix **immutable and column-sparse** and works through a
-//! factorization of the current basis `B`:
+//! constraint matrix **immutable and sparse** (one flat column-compressed
+//! store plus a row-compressed copy of it, `crate::sparse`) and works
+//! through a factorization of the current basis `B`:
 //!
 //! * a **sparse LU factorization** ([`crate::lu::SparseLu`]: threshold-
 //!   Markowitz fill-aware pivoting over column-compressed factors) of
@@ -18,8 +19,23 @@
 //! * after a dimension-scaled number of etas (or numerical trouble) the basis is
 //!   **refactorized** from scratch, which also re-derives the basic
 //!   solution from the raw right-hand side and so bounds drift,
-//! * pricing recomputes reduced costs from `y = B^{-T} c_B` every
-//!   iteration — nothing stale survives a pivot.
+//! * pricing reads **maintained reduced costs**: `d` is computed from
+//!   scratch (`y = B^{-T} c_B`, `d_j = c_j - y · a_j`) on entry to every
+//!   phase, after every refactorization and on every iteration under
+//!   Bland's rule, and in between is updated from the pivot row
+//!   (`d_j -= (d_q / alpha_q) alpha_j`) that the devex update computes
+//!   anyway. A maintained `d` may *propose* a pivot but never certifies
+//!   optimality: a phase returns `Optimal` only straight after a fresh
+//!   pass that found no candidate, so `d` drifts for at most one
+//!   refactorization interval and never into an answer.
+//!
+//! The pivot row `alpha_j = rho · a_j` (`rho = B^{-T} e_r`) comes from
+//! one **row-major kernel** (`RevisedSimplex::pivot_row`): it scatters
+//! `rho_i · A[i, ·]` for the rows with `rho_i != 0` only, in ascending
+//! row order, which is the order a column-wise dot product over the
+//! rows-ascending column store accumulates in — so every `alpha_j` has
+//! the column-wise result's exact bits while the rows `rho` misses
+//! (three quarters of them on the failure-sweep programs) cost nothing.
 //!
 //! The payoff is warm restarts: the basis is a *set of column indices*
 //! plus a factorization, so a patched problem can re-enter without any
@@ -58,13 +74,21 @@
 use crate::lu::{SparseLu, PIVOT_MIN};
 use crate::problem::{ConstraintOp, LpProblem};
 use crate::simplex::{LpOutcome, PhaseResult, SimplexOptions};
+use crate::sparse::Compressed;
 
 /// Eta vectors tolerated before the basis is refactorized. The sparse
 /// Markowitz factorization is cheap (near-linear in basis nnz on these
-/// programs), so the balance tilts toward frequent refactorization:
-/// short eta chains keep every FTRAN/BTRAN hyper-sparse, which is where
-/// cold-solve time goes. Swept empirically on the bench min-max
-/// programs (limits 8..100): 12–48 is flat-optimal, long chains lose.
+/// programs) and each one also buys a fresh pricing pass, while long
+/// eta chains make every FTRAN/BTRAN denser. Swept with fixed limits
+/// 8..100 once pricing was maintained from the pivot row: the bench
+/// min-max program (`simplex/cold`, m = 200, this formula gives 33)
+/// solves in 10.5 / 8.9 / 7.9 / 7.1 / 6.7 / 6.6 / 6.7 / 7.2 ms at
+/// 8 / 12 / 16 / 24 / 33 / 48 / 64 / 100, flat from 33 to 64; the
+/// benchmark of record's `failure_sweep` runs 990 / 1 445 / 1 740 /
+/// 1 617 / 1 676 / 1 572 ops/s at 8 / 12 / 24 / 48 / 64 / 100 and
+/// 1 590–1 780 for every `(m / 3..10).clamp(12..24, 32..64)` tried,
+/// this one at 1 600 — above 12 the order follows which tie-breaks a
+/// refresh point happens to flip, not the limit, so the formula stays.
 fn refactor_limit(m: usize) -> usize {
     (m / 6).clamp(12, 48)
 }
@@ -73,6 +97,20 @@ fn refactor_limit(m: usize) -> usize {
 /// until the ratio `d_j^2 / w_j` loses all contrast. Past this bound
 /// the reference framework is reset to the unit weights.
 const DEVEX_WEIGHT_CEILING: f64 = 1e12;
+
+/// What [`RevisedSimplex::optimize`] knows about its reduced costs.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Pricing {
+    /// Recomputed from the multipliers at the current basis: may
+    /// certify optimality.
+    Fresh,
+    /// Carried across every pivot since the last fresh pass by the
+    /// pivot-row update: may propose a pivot, nothing more.
+    Maintained,
+    /// Behind the basis (phase entry, a Bland pivot, a
+    /// refactorization): recompute before use.
+    Stale,
+}
 
 /// Factorization and pricing telemetry accumulated by one engine across
 /// its lifetime (cold build, warm re-entries, everything). Drained by
@@ -123,9 +161,14 @@ struct Eta {
 /// module docs for the algorithm; [`crate::SimplexWorkspace`] keeps one
 /// of these alive between solves as the retained basis.
 pub(crate) struct RevisedSimplex {
-    /// Column-sparse equality-form matrix: `cols[j]` lists the non-zero
-    /// `(row, value)` entries of column `j`, rows ascending.
-    cols: Vec<Vec<(u32, f64)>>,
+    /// Equality-form matrix, column-compressed: lane `j` lists the
+    /// non-zero `(row, value)` entries of column `j`, rows ascending.
+    cols: Compressed,
+    /// The same matrix row-compressed (lane `i` lists row `i`'s
+    /// `(column, value)` entries: the problem's coefficients in their
+    /// given order, then the row's slack/surplus and artificial). The
+    /// pivot-row kernel's input; `reload_values` patches both copies.
+    rows: Compressed,
     /// Sign-normalized right-hand side.
     b: Vec<f64>,
     m: usize,
@@ -139,7 +182,7 @@ pub(crate) struct RevisedSimplex {
     /// flipped to make the original rhs non-negative); value patches are
     /// re-signed with these so the retained layout stays valid.
     signs: Vec<f64>,
-    /// Basic variable of each row; `B`'s column `i` is `cols[basis[i]]`.
+    /// Basic variable of each row; `B`'s column `i` is column `basis[i]`.
     pub(crate) basis: Vec<usize>,
     /// Column -> basis row, `usize::MAX` when nonbasic.
     position: Vec<usize>,
@@ -153,6 +196,16 @@ pub(crate) struct RevisedSimplex {
     /// Devex reference-framework weights, one per column. Reset to the
     /// unit framework at each phase boundary, updated per pivot.
     devex: Vec<f64>,
+    /// Reduced costs of the current phase under [`Self::optimize`]'s
+    /// contract (fresh or maintained from the pivot row), zero on basic
+    /// columns; only the columns the phase may enter are kept up.
+    d: Vec<f64>,
+    /// Pivot-row kernel output: `alpha[j] = rho · a_j` for the columns
+    /// listed in `touched`, zero everywhere else.
+    alpha: Vec<f64>,
+    touched: Vec<u32>,
+    /// `mark[j]` while the kernel has column `j` in `touched`.
+    mark: Vec<bool>,
     pub(crate) options: SimplexOptions,
     pub(crate) iterations_used: usize,
     /// Recycled length-`m` buffers (pricing multipliers, pivot
@@ -199,7 +252,14 @@ impl RevisedSimplex {
         let num_artificial = plans.iter().filter(|p| p.op != ConstraintOp::Le).count();
         let n = nv + num_slack + num_artificial;
 
-        let mut cols: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
+        let nnz = problem
+            .constraints()
+            .iter()
+            .map(|c| c.coeffs.len())
+            .sum::<usize>()
+            + num_slack
+            + num_artificial;
+        let mut rows = Compressed::with_capacity(m, nnz);
         let mut b = vec![0.0; m];
         let mut basis = vec![usize::MAX; m];
         let mut signs = Vec::with_capacity(m);
@@ -209,28 +269,29 @@ impl RevisedSimplex {
             let sign = if plan.flip { -1.0 } else { 1.0 };
             signs.push(sign);
             for &(var, coeff) in &c.coeffs {
-                cols[var].push((i as u32, sign * coeff));
+                rows.push(var, sign * coeff);
             }
             b[i] = sign * c.rhs;
             match plan.op {
                 ConstraintOp::Le => {
-                    cols[slack_col].push((i as u32, 1.0));
+                    rows.push(slack_col, 1.0);
                     basis[i] = slack_col;
                     slack_col += 1;
                 }
                 ConstraintOp::Ge => {
-                    cols[slack_col].push((i as u32, -1.0)); // surplus
+                    rows.push(slack_col, -1.0); // surplus
                     slack_col += 1;
-                    cols[art_col].push((i as u32, 1.0));
+                    rows.push(art_col, 1.0);
                     basis[i] = art_col;
                     art_col += 1;
                 }
                 ConstraintOp::Eq => {
-                    cols[art_col].push((i as u32, 1.0));
+                    rows.push(art_col, 1.0);
                     basis[i] = art_col;
                     art_col += 1;
                 }
             }
+            rows.close_lane();
         }
         debug_assert_eq!(slack_col, nv + num_slack);
         debug_assert_eq!(art_col, n);
@@ -240,7 +301,8 @@ impl RevisedSimplex {
             position[var] = row;
         }
         let mut engine = Self {
-            cols,
+            cols: rows.transpose(n),
+            rows,
             b,
             m,
             n,
@@ -254,6 +316,10 @@ impl RevisedSimplex {
             etas: Vec::new(),
             phase_cost: vec![0.0; n],
             devex: vec![1.0; n],
+            d: vec![0.0; n],
+            alpha: vec![0.0; n],
+            touched: Vec::new(),
+            mark: vec![false; n],
             options,
             iterations_used: 0,
             scratch: Vec::new(),
@@ -277,9 +343,8 @@ impl RevisedSimplex {
         self.counters.refactorizations += 1;
         self.counters.lu_fill_nnz = self.counters.lu_fill_nnz.max(lu.fill_nnz());
         self.lu = lu;
-        let retired: Vec<Eta> = self.etas.drain(..).collect();
-        self.eta_pool.extend(retired.into_iter().map(|e| e.nz));
-        self.xb = self.ftran_b();
+        self.eta_pool.extend(self.etas.drain(..).map(|eta| eta.nz));
+        self.recompute_xb();
         true
     }
 
@@ -297,11 +362,13 @@ impl RevisedSimplex {
         v
     }
 
-    /// `B^{-1} b` for the current rhs.
-    fn ftran_b(&mut self) -> Vec<f64> {
-        let mut w = self.b.clone();
-        self.apply_ftran(&mut w);
-        w
+    /// `x_B = B^{-1} b` for the current rhs, into the retained buffer.
+    fn recompute_xb(&mut self) {
+        let mut xb = std::mem::take(&mut self.xb);
+        xb.clear();
+        xb.extend_from_slice(&self.b);
+        self.apply_ftran(&mut xb);
+        self.xb = xb;
     }
 
     /// FTRAN: overwrite `v` with `B^{-1} v` (sparse LU base, then etas
@@ -336,8 +403,8 @@ impl RevisedSimplex {
     /// `B^{-1} a_j` for one column (buffer drawn from the pool).
     fn ftran_col(&mut self, j: usize) -> Vec<f64> {
         let mut w = self.take_buffer();
-        for &(r, v) in &self.cols[j] {
-            w[r as usize] = v;
+        for (r, v) in self.cols.lane(j) {
+            w[r] = v;
         }
         self.apply_ftran(&mut w);
         w
@@ -354,6 +421,17 @@ impl RevisedSimplex {
         y
     }
 
+    /// One pivot-row entry `rho · a_j`, column-wise: what the few-pivot
+    /// paths (dual repair, artificial drive-out) use, and the reference
+    /// the row-major kernel is tested against.
+    fn row_entry(&self, rho: &[f64], j: usize) -> f64 {
+        let mut alpha = 0.0;
+        for (row, v) in self.cols.lane(j) {
+            alpha += rho[row] * v;
+        }
+        alpha
+    }
+
     /// Return a pooled buffer.
     fn retire_buffer(&mut self, v: Vec<f64>) {
         self.scratch.push(v);
@@ -362,8 +440,8 @@ impl RevisedSimplex {
     /// Reduced cost `d_j = c_j - y · a_j` of one column.
     fn reduced_cost(&self, j: usize, y: &[f64]) -> f64 {
         let mut d = self.phase_cost[j];
-        for &(r, v) in &self.cols[j] {
-            d -= y[r as usize] * v;
+        for (r, v) in self.cols.lane(j) {
+            d -= y[r] * v;
         }
         d
     }
@@ -431,6 +509,14 @@ impl RevisedSimplex {
     /// largest pivot magnitude, or the lowest basic index while Bland
     /// is engaged. `ban_artificials` excludes artificial columns from
     /// entering (phase 2 and every warm path).
+    ///
+    /// The reduced costs `self.d` are **fresh** (recomputed from the
+    /// multipliers) on entry, after every refactorization and on every
+    /// iteration under Bland's rule; between those they are
+    /// **maintained** from the pivot row. `Optimal` is returned only
+    /// when a fresh pass prices every column out: when a maintained `d`
+    /// finds no candidate, the pass is repeated fresh and the loop
+    /// carries on from whatever it finds.
     pub(crate) fn optimize(&mut self, ban_artificials: bool) -> PhaseResult {
         let tol = self.options.tolerance;
         let limit = if ban_artificials {
@@ -439,6 +525,7 @@ impl RevisedSimplex {
             self.n
         };
         self.reset_devex();
+        let mut pricing = Pricing::Stale;
         let mut stall = 0usize;
         let mut bland = false;
         let mut last_obj = f64::INFINITY;
@@ -446,32 +533,18 @@ impl RevisedSimplex {
             if self.iterations_used >= self.options.max_iterations {
                 return PhaseResult::IterationLimit;
             }
-            // Entering column: lowest eligible index under Bland,
-            // otherwise the devex winner (ties to the lowest index,
-            // keeping the pick deterministic).
-            let y = self.multipliers();
-            let mut entering: Option<usize> = None;
-            let mut best_score = 0.0f64;
-            for j in 0..limit {
-                if self.position[j] != usize::MAX {
-                    continue;
-                }
-                let dj = self.reduced_cost(j, &y);
-                if dj < -tol {
-                    if bland {
-                        entering = Some(j);
-                        break;
-                    }
-                    let score = dj * dj / self.devex[j];
-                    if score > best_score {
-                        best_score = score;
-                        entering = Some(j);
-                    }
-                }
+            if bland || pricing == Pricing::Stale {
+                self.price_refresh(limit);
+                pricing = Pricing::Fresh;
             }
-            self.retire_buffer(y);
-            let Some(q) = entering else {
-                return PhaseResult::Optimal;
+            let Some(q) = self.entering(limit, bland) else {
+                if pricing == Pricing::Fresh {
+                    #[cfg(test)]
+                    self.assert_priced_out(limit);
+                    return PhaseResult::Optimal;
+                }
+                pricing = Pricing::Stale;
+                continue;
             };
             // Ratio test. Near-tied ratios break on the largest pivot
             // magnitude (numerically safest and the escape hatch out of
@@ -501,13 +574,26 @@ impl RevisedSimplex {
             let Some(r) = pivot_row else {
                 return PhaseResult::Unbounded;
             };
-            if !bland {
-                self.update_devex(r, q, &w, limit);
-            }
+            // Bland pivots compute no pivot row, so `d` goes stale (and
+            // is re-priced next iteration whether Bland stays or not).
+            pricing = if bland {
+                Pricing::Stale
+            } else {
+                self.update_pricing(r, q, &w, limit);
+                Pricing::Maintained
+            };
             if !self.pivot(r, q, w) {
                 return PhaseResult::IterationLimit;
             }
             self.iterations_used += 1;
+            if self.etas.is_empty() {
+                // `pivot` refactorized: re-derive `d` like `x_B`.
+                pricing = Pricing::Stale;
+            }
+            #[cfg(test)]
+            if pricing == Pricing::Maintained {
+                self.assert_maintained_matches_fresh(limit);
+            }
 
             let current = self.current_objective();
             if current < last_obj - tol {
@@ -524,6 +610,85 @@ impl RevisedSimplex {
         }
     }
 
+    /// Fresh pricing pass: `d_j = c_j - y · a_j` from newly BTRAN'd
+    /// multipliers for every nonbasic column below `limit`, zero on the
+    /// basic ones.
+    fn price_refresh(&mut self, limit: usize) {
+        let y = self.multipliers();
+        for j in 0..limit {
+            self.d[j] = if self.position[j] == usize::MAX {
+                self.reduced_cost(j, &y)
+            } else {
+                0.0
+            };
+        }
+        self.retire_buffer(y);
+    }
+
+    /// Entering column from the current `d`: lowest eligible index
+    /// under Bland, otherwise the devex winner (ties to the lowest
+    /// index, keeping the pick deterministic). Basic columns hold
+    /// `d == 0` and so never qualify.
+    fn entering(&self, limit: usize, bland: bool) -> Option<usize> {
+        let tol = self.options.tolerance;
+        let d = &self.d[..limit];
+        if bland {
+            return d.iter().position(|&dj| dj < -tol);
+        }
+        let mut entering = None;
+        let mut best_score = 0.0f64;
+        for (j, (&dj, &wj)) in d.iter().zip(&self.devex).enumerate() {
+            if dj < -tol {
+                let score = dj * dj / wj;
+                if score > best_score {
+                    best_score = score;
+                    entering = Some(j);
+                }
+            }
+        }
+        entering
+    }
+
+    /// Test hook: the maintained `d` must track a fresh pass, and must
+    /// not outlive a refactorization.
+    #[cfg(test)]
+    fn assert_maintained_matches_fresh(&mut self, limit: usize) {
+        assert!(!self.etas.is_empty(), "d maintained across a refactor");
+        let y = self.multipliers();
+        for j in 0..limit {
+            if self.position[j] != usize::MAX {
+                assert_eq!(self.d[j], 0.0, "basic column {j} must price at zero");
+                continue;
+            }
+            let fresh = self.reduced_cost(j, &y);
+            assert!(
+                (self.d[j] - fresh).abs() <= 1e-7 * fresh.abs().max(1.0),
+                "maintained d[{j}] = {} drifted from fresh {fresh}",
+                self.d[j]
+            );
+        }
+        self.retire_buffer(y);
+    }
+
+    /// Test hook: `Optimal` must rest on a from-scratch certificate —
+    /// recomputed here independently of the loop's bookkeeping, and
+    /// equal to the `d` the loop is about to certify with.
+    #[cfg(test)]
+    fn assert_priced_out(&mut self, limit: usize) {
+        let tol = self.options.tolerance;
+        let y = self.multipliers();
+        for j in (0..limit).filter(|&j| self.position[j] == usize::MAX) {
+            let fresh = self.reduced_cost(j, &y);
+            assert_eq!(
+                self.d[j].to_bits(),
+                fresh.to_bits(),
+                "Optimal returned on a d[{j}] that is not a fresh pass"
+            );
+            assert!(fresh >= -tol, "Optimal returned with d[{j}] = {fresh}");
+        }
+        self.retire_buffer(y);
+    }
+
     /// Reset the devex reference framework to unit weights (every column
     /// is its own reference). Done at each phase boundary: the weights
     /// approximate steepest-edge norms relative to the basis the
@@ -532,45 +697,108 @@ impl RevisedSimplex {
         self.devex.iter_mut().for_each(|w| *w = 1.0);
     }
 
-    /// Devex weight update for the pivot `(r, q)` with pivot column
-    /// `w = B^{-1} a_q` (pre-pivot basis). Using the pivot row
-    /// `rho = B^{-T} e_r`, every nonbasic column's weight becomes
-    /// `max(w_j, (alpha_j / alpha_q)^2 w_q)` where `alpha_j = rho · a_j`
-    /// (Forrest–Goldfarb reference-framework recurrence), and the
-    /// leaving variable re-enters the nonbasic pool with
-    /// `max(w_q / alpha_q^2, 1)`. Weights only ever grow within a
-    /// framework; past [`DEVEX_WEIGHT_CEILING`] the framework is
-    /// re-anchored to unit weights.
-    fn update_devex(&mut self, r: usize, q: usize, w: &[f64], limit: usize) {
+    /// The pivot-row kernel: `alpha_j = rho · a_j` for every nonbasic
+    /// column `j < limit` other than `q`, left in `self.alpha` with the
+    /// columns that received a term listed in `self.touched` (every
+    /// other `alpha_j` is exactly zero). The caller consumes the row and
+    /// then calls [`Self::clear_pivot_row`].
+    ///
+    /// Rows are scattered in ascending order and only where
+    /// `rho_i != 0`. A column-wise dot product over the rows-ascending
+    /// column store adds the same products in the same order, plus
+    /// exact zeros for the rows skipped here, so each `alpha_j` equals
+    /// it bit for bit.
+    fn pivot_row(&mut self, rho: &[f64], limit: usize, q: usize) {
+        debug_assert!(self.touched.is_empty());
+        for (i, &rho_i) in rho.iter().enumerate() {
+            if rho_i == 0.0 {
+                continue;
+            }
+            for (j, v) in self.rows.lane(i) {
+                if !self.mark[j] {
+                    self.mark[j] = true;
+                    self.touched.push(j as u32);
+                }
+                self.alpha[j] += rho_i * v;
+            }
+        }
+        // Drop what the pricing loop never reads (basic columns, the
+        // entering column, artificials a phase bans): at most one entry
+        // per row, cheaper to discard once here than to test per term.
+        let (alpha, mark, position) = (&mut self.alpha, &mut self.mark, &self.position);
+        self.touched.retain(|&j| {
+            let j = j as usize;
+            let keep = j < limit && j != q && position[j] == usize::MAX;
+            if !keep {
+                alpha[j] = 0.0;
+                mark[j] = false;
+            }
+            keep
+        });
+    }
+
+    /// Zero the kernel's output again (only the touched entries).
+    fn clear_pivot_row(&mut self) {
+        for &j in &self.touched {
+            self.alpha[j as usize] = 0.0;
+            self.mark[j as usize] = false;
+        }
+        self.touched.clear();
+    }
+
+    /// Carry the devex weights and the reduced costs across the pivot
+    /// `(r, q)` with pivot column `w = B^{-1} a_q` (pre-pivot basis),
+    /// both from the pivot row `alpha_j = rho · a_j`,
+    /// `rho = B^{-T} e_r`:
+    ///
+    /// * every nonbasic column's weight becomes
+    ///   `max(w_j, (alpha_j / alpha_q)^2 w_q)` (Forrest–Goldfarb
+    ///   reference-framework recurrence), and the leaving variable
+    ///   re-enters the nonbasic pool with `max(w_q / alpha_q^2, 1)`.
+    ///   Weights only ever grow within a framework; when any weight
+    ///   this update wrote exceeds [`DEVEX_WEIGHT_CEILING`] the
+    ///   framework is re-anchored to unit weights, so no nonbasic
+    ///   weight above the ceiling survives an update (the columns the
+    ///   row misses keep a weight an earlier update already checked);
+    /// * `d_j -= (d_q / alpha_q) alpha_j`, the leaving variable prices
+    ///   at `-d_q / alpha_q` and the entering one at zero.
+    ///
+    /// Columns the pivot row does not touch have `alpha_j == 0` and
+    /// change in neither.
+    fn update_pricing(&mut self, r: usize, q: usize, w: &[f64], limit: usize) {
         let alpha_q = w[r];
         if alpha_q.abs() <= PIVOT_MIN {
+            // `pivot` rejects this pivot and the phase ends.
             return;
         }
         let wq = self.devex[q].max(1.0);
         let scale = wq / (alpha_q * alpha_q);
+        let step = self.d[q] / alpha_q;
         let mut rho = self.take_buffer();
         rho[r] = 1.0;
         self.apply_btran(&mut rho);
-        let mut peak = 0.0f64;
-        for j in 0..limit {
-            if self.position[j] != usize::MAX || j == q {
-                continue;
-            }
-            let mut alpha = 0.0;
-            for &(row, v) in &self.cols[j] {
-                alpha += rho[row as usize] * v;
-            }
+        self.pivot_row(&rho, limit, q);
+        self.retire_buffer(rho);
+        let leaving_weight = scale.max(1.0);
+        let mut peak = leaving_weight;
+        for &j in &self.touched {
+            let j = j as usize;
+            let alpha = self.alpha[j];
             if alpha != 0.0 {
                 let candidate = alpha * alpha * scale;
                 if candidate > self.devex[j] {
                     self.devex[j] = candidate;
                 }
+                self.d[j] -= step * alpha;
             }
             peak = peak.max(self.devex[j]);
         }
-        self.retire_buffer(rho);
+        self.clear_pivot_row();
         // The leaving variable joins the nonbasic pool.
-        self.devex[self.basis[r]] = scale.max(1.0);
+        let leaving = self.basis[r];
+        self.devex[leaving] = leaving_weight;
+        self.d[leaving] = -step;
+        self.d[q] = 0.0;
         if peak > DEVEX_WEIGHT_CEILING {
             self.reset_devex();
         }
@@ -617,10 +845,7 @@ impl RevisedSimplex {
                 if self.position[j] != usize::MAX {
                     continue;
                 }
-                let mut alpha = 0.0;
-                for &(row, v) in &self.cols[j] {
-                    alpha += rho[row as usize] * v;
-                }
+                let alpha = self.row_entry(&rho, j);
                 if alpha < -tol {
                     let ratio = self.reduced_cost(j, &y) / -alpha;
                     if entering.is_none_or(|(_, best)| ratio < best - tol) {
@@ -708,13 +933,7 @@ impl RevisedSimplex {
             self.apply_btran(&mut rho);
             let candidate = (0..self.artificial_start)
                 .filter(|&j| self.position[j] == usize::MAX)
-                .find(|&j| {
-                    let mut alpha = 0.0;
-                    for &(row, v) in &self.cols[j] {
-                        alpha += rho[row as usize] * v;
-                    }
-                    alpha.abs() > tol
-                });
+                .find(|&j| self.row_entry(&rho, j).abs() > tol);
             self.retire_buffer(rho);
             if let Some(q) = candidate {
                 let w = self.ftran_col(q);
@@ -745,7 +964,7 @@ impl RevisedSimplex {
         for (i, c) in problem.constraints().iter().enumerate() {
             self.b[i] = self.signs[i] * c.rhs;
         }
-        self.xb = self.ftran_b();
+        self.recompute_xb();
     }
 
     /// Reload the structural column values and rhs from a
@@ -761,18 +980,22 @@ impl RevisedSimplex {
         debug_assert_eq!(problem.num_constraints(), self.m);
         debug_assert_eq!(problem.num_variables(), self.nv);
         // Stream the new values over the retained sparsity pattern,
-        // tracking which basic columns actually changed.
-        let mut cursor = vec![0usize; self.nv];
+        // tracking which basic columns actually changed. Row `i` of the
+        // problem is lane `i` of `rows` entry for entry; the matching
+        // slot of the column store is found by claiming each structural
+        // column's entries in row order (`Compressed::claim`).
         let mut changed_basic: Vec<usize> = Vec::new();
         for (i, c) in problem.constraints().iter().enumerate() {
             let sign = self.signs[i];
-            for &(var, coeff) in &c.coeffs {
-                let entry = &mut self.cols[var][cursor[var]];
-                debug_assert_eq!(entry.0 as usize, i, "pattern mismatch");
-                cursor[var] += 1;
+            let lane = self.rows.lane_start(i);
+            for (k, &(var, coeff)) in c.coeffs.iter().enumerate() {
+                let in_col = self.cols.claim(var);
+                debug_assert_eq!(self.rows.entry(lane + k).0, var, "pattern mismatch");
+                debug_assert_eq!(self.cols.entry(in_col).0, i, "pattern mismatch");
                 let value = sign * coeff;
-                if entry.1.to_bits() != value.to_bits() {
-                    entry.1 = value;
+                if self.rows.entry(lane + k).1.to_bits() != value.to_bits() {
+                    self.rows.set_value(lane + k, value);
+                    self.cols.set_value(in_col, value);
                     if self.position[var] != usize::MAX {
                         changed_basic.push(var);
                     }
@@ -780,6 +1003,7 @@ impl RevisedSimplex {
             }
             self.b[i] = sign * c.rhs;
         }
+        self.cols.rewind(self.nv);
         changed_basic.sort_unstable();
         changed_basic.dedup();
         // Few changed basic columns: absorb each as an eta update
@@ -797,7 +1021,7 @@ impl RevisedSimplex {
                 }
                 self.push_eta(pos, w);
             }
-            self.xb = self.ftran_b();
+            self.recompute_xb();
             true
         } else {
             self.refactor()
@@ -836,23 +1060,22 @@ impl RevisedSimplex {
                 && matches!(self.optimize(true), PhaseResult::Optimal);
         }
 
-        // Homotopy bridge.
-        let true_b = self.b.clone();
-        let target: Vec<f64> = self.xb.iter().map(|&x| x.max(0.0)).collect();
-        let mut bridge = vec![0.0; self.m];
-        for (i, &var) in self.basis.iter().enumerate() {
-            let x = target[i];
-            if x != 0.0 {
-                for &(r, v) in &self.cols[var] {
-                    bridge[r as usize] += v * x;
+        // Homotopy bridge: clamp `x_B` in place, swap `b' = B x_B` in
+        // for the true rhs, optimize, swap back.
+        let mut bridge = self.take_buffer();
+        for (x, &var) in self.xb.iter_mut().zip(&self.basis) {
+            *x = x.max(0.0);
+            if *x != 0.0 {
+                for (r, v) in self.cols.lane(var) {
+                    bridge[r] += v * *x;
                 }
             }
         }
-        self.b = bridge;
-        self.xb = target;
+        std::mem::swap(&mut self.b, &mut bridge);
         let bridged = matches!(self.optimize(true), PhaseResult::Optimal);
-        self.b = true_b;
-        self.xb = self.ftran_b();
+        std::mem::swap(&mut self.b, &mut bridge);
+        self.retire_buffer(bridge);
+        self.recompute_xb();
         if !bridged {
             return false;
         }
@@ -860,15 +1083,11 @@ impl RevisedSimplex {
     }
 
     /// Whether every non-artificial nonbasic column prices out
-    /// non-negative under the current phase cost.
+    /// non-negative under the current phase cost (one fresh pass).
     fn dual_feasible(&mut self) -> bool {
         let tol = self.options.tolerance;
-        let y = self.multipliers();
-        let ok = (0..self.artificial_start)
-            .filter(|&j| self.position[j] == usize::MAX)
-            .all(|j| self.reduced_cost(j, &y) >= -tol);
-        self.retire_buffer(y);
-        ok
+        self.price_refresh(self.artificial_start);
+        self.d[..self.artificial_start].iter().all(|&dj| dj >= -tol)
     }
 
     /// Whether an artificial variable is basic at a meaningfully
@@ -880,6 +1099,52 @@ impl RevisedSimplex {
             .iter()
             .zip(&self.xb)
             .any(|(&var, &x)| var >= self.artificial_start && x > feas_tol)
+    }
+}
+
+/// Bench access to the two pricing kernels of a solved engine, for the
+/// `simplex/pivot_row` and `simplex/price_refresh` layer rows of
+/// `crates/bench/benches/engine.rs` (bench targets sit outside the
+/// crate). Not part of the solver API.
+#[doc(hidden)]
+pub struct PricingProbe(RevisedSimplex);
+
+impl PricingProbe {
+    /// Cold-solve `problem` and keep the engine at its optimal basis
+    /// (eta file as the solve left it). `None` unless optimal.
+    pub fn at_optimum(problem: &LpProblem) -> Option<Self> {
+        let mut engine = RevisedSimplex::build(problem, SimplexOptions::default())?;
+        matches!(engine.run(problem), LpOutcome::Optimal { .. }).then_some(Self(engine))
+    }
+
+    /// Basis rows.
+    pub fn rows(&self) -> usize {
+        self.0.m
+    }
+
+    /// What one pivot pays for its pivot row: BTRAN of `e_r`, then the
+    /// row-major kernel over the phase-2 columns. Returns the number of
+    /// columns the row touched.
+    pub fn pivot_row(&mut self, r: usize) -> usize {
+        let engine = &mut self.0;
+        let mut rho = engine.take_buffer();
+        rho[r] = 1.0;
+        engine.apply_btran(&mut rho);
+        engine.pivot_row(&rho, engine.artificial_start, usize::MAX);
+        engine.retire_buffer(rho);
+        let touched = engine.touched.len();
+        engine.clear_pivot_row();
+        touched
+    }
+
+    /// One fresh pricing pass (multipliers BTRAN + every phase-2
+    /// reduced cost). Returns the most negative reduced cost.
+    pub fn price_refresh(&mut self) -> f64 {
+        let engine = &mut self.0;
+        engine.price_refresh(engine.artificial_start);
+        engine.d[..engine.artificial_start]
+            .iter()
+            .fold(0.0, |lo, &d| lo.min(d))
     }
 }
 
@@ -1087,6 +1352,174 @@ mod tests {
     mod proptests {
         use super::*;
         use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        /// With probability `density`, a coefficient for variable `i`.
+        fn sparse_entry(rng: &mut StdRng, density: f64, i: usize) -> Option<(usize, f64)> {
+            if rng.gen_bool(density) {
+                Some((i, rng.gen_range(-4.0..4.0)))
+            } else {
+                None
+            }
+        }
+
+        /// A sparse program of 40..56 rows over 80..110 columns, feasible
+        /// at a known point `x0` and bounded by a box row. `mixed` draws
+        /// `<=`, `>=` and `==` rows; otherwise every row is `<=`.
+        fn large_program(seed: u64, mixed: bool) -> LpProblem {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (m, nv) = (rng.gen_range(40usize..56), rng.gen_range(80usize..110));
+            let mut p = LpProblem::new();
+            for _ in 0..nv {
+                p.add_variable(rng.gen_range(-1.0..3.0));
+            }
+            let x0: Vec<f64> = (0..nv).map(|_| rng.gen_range(0.2..2.0)).collect();
+            for _ in 0..m {
+                let row: Vec<(usize, f64)> = (0..nv)
+                    .filter_map(|i| sparse_entry(&mut rng, 0.12, i))
+                    .collect();
+                let at_x0: f64 = row.iter().map(|&(i, a)| a * x0[i]).sum();
+                let slack = rng.gen_range(0.0..2.0);
+                let (op, rhs) = match if mixed { rng.gen_range(0..3) } else { 0 } {
+                    0 => (ConstraintOp::Le, at_x0 + slack),
+                    1 => (ConstraintOp::Ge, at_x0 - slack),
+                    _ => (ConstraintOp::Eq, at_x0),
+                };
+                p.add_constraint(row, op, rhs);
+            }
+            p.add_constraint(
+                (0..nv).map(|i| (i, 1.0)).collect(),
+                ConstraintOp::Le,
+                x0.iter().sum::<f64>() + 1.0,
+            );
+            p
+        }
+
+        /// Cold-solve `p` on the revised engine and on the dense oracle:
+        /// both must be optimal with objectives equal to 1e-9 and the
+        /// revised point feasible. Returns the engine's telemetry.
+        fn assert_matches_dense(p: &LpProblem) -> Result<EngineCounters, String> {
+            let mut engine = RevisedSimplex::build(p, SimplexOptions::default())
+                .ok_or("singular initial basis")?;
+            let revised = engine.run(p);
+            match (revised, crate::simplex::solve_dense(p)) {
+                (
+                    LpOutcome::Optimal {
+                        objective: r,
+                        solution,
+                    },
+                    LpOutcome::Optimal { objective: d, .. },
+                ) => {
+                    if (r - d).abs() >= 1e-9 * d.abs().max(1.0) {
+                        return Err(format!("revised {r} != dense {d}"));
+                    }
+                    if !p.is_feasible(&solution, 1e-6) {
+                        return Err(format!("revised point infeasible at {r}"));
+                    }
+                    Ok(engine.take_counters())
+                }
+                other => Err(format!("outcome mismatch: {other:?}")),
+            }
+        }
+
+        fn prop_unwrap<T>(r: Result<T, String>) -> Result<T, TestCaseError> {
+            r.map_err(TestCaseError::fail)
+        }
+
+        // The pivot-row kernel against the column-wise dot product
+        // (`row_entry`), `to_bits`-equal: random sparse
+        // matrices with unsorted rows, sparse and dense `rho`, random
+        // basic sets, both `limit`s, and again after a coefficient
+        // patch through `reload_values` (the two copies of the matrix
+        // must move together).
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+            #[test]
+            fn pivot_row_kernel_is_bitwise_the_column_dot_product(seed in any::<u64>()) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let (m, nv) = (rng.gen_range(2usize..30), rng.gen_range(2usize..50));
+                let density = rng.gen_range(0.05..0.6);
+                let mut p = LpProblem::new();
+                for _ in 0..nv {
+                    p.add_variable(rng.gen_range(-1.0..1.0));
+                }
+                for _ in 0..m {
+                    // Descending variable order: rows need not be sorted.
+                    let row: Vec<(usize, f64)> = (0..nv)
+                        .rev()
+                        .filter_map(|i| sparse_entry(&mut rng, density, i))
+                        .collect();
+                    let op = [ConstraintOp::Le, ConstraintOp::Ge, ConstraintOp::Eq]
+                        [rng.gen_range(0usize..3)];
+                    p.add_constraint(row, op, rng.gen_range(-2.0..2.0));
+                }
+                let mut e = RevisedSimplex::build(&p, SimplexOptions::default())
+                    .expect("unit basis");
+                let real_position = e.position.clone();
+                for round in 0..2 {
+                    if round == 1 {
+                        // Patch a spread of coefficients (including to
+                        // zero) and reload over the retained pattern.
+                        for row in 0..m {
+                            let vars: Vec<usize> =
+                                p.constraints()[row].coeffs.iter().map(|c| c.0).collect();
+                            for var in vars {
+                                if rng.gen_bool(0.3) {
+                                    let v = if rng.gen_bool(0.2) {
+                                        0.0
+                                    } else {
+                                        rng.gen_range(-4.0..4.0)
+                                    };
+                                    p.set_coefficient(row, var, v);
+                                }
+                            }
+                        }
+                        e.position.clone_from(&real_position);
+                        // A singular reloaded basis is fine here: the
+                        // values are streamed in before it is noticed.
+                        let _ = e.reload_values(&p);
+                    }
+                    for limit in [e.n, e.artificial_start] {
+                        // The kernel reads `position` only as a
+                        // basic/nonbasic flag: any subset will do.
+                        for pos in e.position.iter_mut() {
+                            *pos = if rng.gen_bool(0.3) { 0 } else { usize::MAX };
+                        }
+                        let dense_rho = rng.gen_bool(0.5);
+                        let rho: Vec<f64> = (0..m)
+                            .map(|_| {
+                                if dense_rho || rng.gen_bool(0.25) {
+                                    rng.gen_range(-3.0..3.0)
+                                } else {
+                                    0.0
+                                }
+                            })
+                            .collect();
+                        let q = rng.gen_range(0..e.n);
+                        e.pivot_row(&rho, limit, q);
+                        let mut listed = vec![false; e.n];
+                        for &j in &e.touched {
+                            prop_assert!(!listed[j as usize], "column {j} listed twice");
+                            listed[j as usize] = true;
+                        }
+                        for (j, &listed) in listed.iter().enumerate() {
+                            let read = j < limit && j != q && e.position[j] == usize::MAX;
+                            let want = if read { e.row_entry(&rho, j) } else { 0.0 };
+                            prop_assert_eq!(e.alpha[j].to_bits(), want.to_bits(),
+                                "alpha[{}] = {:e}, column-wise {:e}", j, e.alpha[j], want);
+                            prop_assert!(read || !listed, "column {j} must be dropped");
+                            prop_assert!(want == 0.0 || listed, "column {j} missing");
+                            prop_assert_eq!(e.mark[j], listed);
+                        }
+                        e.clear_pivot_row();
+                        prop_assert!(e.touched.is_empty());
+                        prop_assert!(e.alpha.iter().all(|a| a.to_bits() == 0));
+                        prop_assert!(e.mark.iter().all(|&m| !m));
+                    }
+                }
+            }
+        }
 
         // Revised vs dense on random feasible-by-construction LPs: the
         // dense tableau is the oracle; objectives must agree to 1e-9.
@@ -1122,6 +1555,20 @@ mod tests {
                     }
                     other => prop_assert!(false, "outcome mismatch: {other:?}"),
                 }
+            }
+
+            // The same family at a size where the maintained reduced
+            // costs actually drift between refreshes: >= 40 rows x 80
+            // columns, sparse, with negative costs under a box row, so a
+            // solve makes dozens of pivots and crosses the eta limit
+            // (12 at this size) several times. The per-pivot
+            // maintained-vs-fresh hook runs throughout.
+            #[test]
+            fn revised_matches_dense_oracle_large(seed in any::<u64>()) {
+                let p = large_program(seed, false);
+                let counters = prop_unwrap(assert_matches_dense(&p))?;
+                prop_assert!(counters.refactorizations >= 3,
+                    "too easy to exercise drift: {counters:?}");
             }
 
             // Mixed-operator programs around a known interior point: the
@@ -1165,6 +1612,17 @@ mod tests {
                     | (LpOutcome::Unbounded, LpOutcome::Unbounded) => {}
                     other => prop_assert!(false, "outcome mismatch: {other:?}"),
                 }
+            }
+
+            // Mixed operators at the larger size: phase 1 alone pivots
+            // an artificial out of most rows, so both phases run on
+            // maintained reduced costs across several refactorizations.
+            #[test]
+            fn revised_matches_dense_on_mixed_ops_large(seed in any::<u64>()) {
+                let p = large_program(seed, true);
+                let counters = prop_unwrap(assert_matches_dense(&p))?;
+                prop_assert!(counters.refactorizations >= 3,
+                    "too easy to exercise drift: {counters:?}");
             }
 
             // Degenerate-vertex programs: every constraint is active at

@@ -32,15 +32,17 @@
 //! Any trouble — a stale/singular basis, a blocked pivot, a budget
 //! overrun, a solution that fails verification — falls back to the
 //! ordinary cold start, so a warm solve can never return anything a cold
-//! solve would not. Matching is by content (FNV-1a hashes of the
-//! sparsity pattern and of the value vector), not by pointer, so callers
-//! may rebuild problems freely.
+//! solve would not. Matching is by content (64-bit signatures of the
+//! sparsity pattern and of the value vector, mixed a word at a time),
+//! not by pointer, so callers may rebuild problems freely.
 //!
-//! Accumulated float drift is bounded three ways: reduced costs are
-//! recomputed from scratch on every pricing pass, the factorization is
-//! rebuilt periodically (re-deriving `x_B` from the raw rhs), and
-//! solutions are verified against the problem itself before being
-//! returned, forcing a cold refresh when drift ever won.
+//! Accumulated float drift is bounded three ways: the factorization is
+//! rebuilt periodically, re-deriving both `x_B` (from the raw rhs) and
+//! the reduced costs (from fresh multipliers) that pivots update in
+//! between; no phase reports an optimum except straight after such a
+//! from-scratch pricing pass; and solutions are verified against the
+//! problem itself before being returned, forcing a cold refresh when
+//! drift ever won.
 
 use crate::problem::{ConstraintOp, LpProblem};
 use crate::revised::{EngineCounters, RevisedSimplex};
@@ -278,7 +280,7 @@ fn finish_warm(engine: &mut RevisedSimplex, problem: &LpProblem) -> Option<LpOut
 /// a saved basis from one is meaningful for the other (values are
 /// refreshed separately).
 fn pattern_signature(problem: &LpProblem) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Signature::new();
     h.write_usize(problem.num_variables());
     h.write_usize(problem.num_constraints());
     for constraint in problem.constraints() {
@@ -299,7 +301,7 @@ fn pattern_signature(problem: &LpProblem) -> u64 {
 /// every coefficient value. Together with an equal pattern this certifies
 /// an rhs-only patch (the dual-simplex fast path).
 fn value_signature(problem: &LpProblem) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Signature::new();
     for &c in problem.objective() {
         h.write_u64(c.to_bits());
     }
@@ -311,18 +313,22 @@ fn value_signature(problem: &LpProblem) -> u64 {
     h.finish()
 }
 
-/// Minimal FNV-1a, enough for structure fingerprints.
-struct Fnv(u64);
+/// A 64-bit structure fingerprint mixed one word per step: xor, an odd
+/// multiply (FNV's prime) and a rotation that carries the well-mixed
+/// high bits back under the next word. Each step is a bijection of the
+/// state for a fixed word and of the word for a fixed state, so two
+/// inputs that differ in exactly one word never collide. The signatures
+/// are compared within one process and never stored.
+struct Signature(u64);
 
-impl Fnv {
+impl Signature {
     fn new() -> Self {
         Self(0xcbf2_9ce4_8422_2325)
     }
     fn write_u64(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0 = (self.0 ^ v)
+            .wrapping_mul(0x0000_0100_0000_01b3)
+            .rotate_left(29);
     }
     fn write_usize(&mut self, v: usize) {
         self.write_u64(v as u64);
@@ -357,6 +363,52 @@ mod tests {
         p.add_constraint(vec![(x1, 5.0), (t, -10.0)], ConstraintOp::Le, -residuals[0]);
         p.add_constraint(vec![(x2, 5.0), (t, -2.0)], ConstraintOp::Le, -residuals[1]);
         p
+    }
+
+    /// Each kind of edit must move exactly the signature that routes it:
+    /// rhs edits neither (the dual-repair path), value edits only the
+    /// value signature (the column-refresh path), pattern edits the
+    /// pattern signature (cold).
+    #[test]
+    fn signatures_separate_rhs_value_and_pattern_edits() {
+        let base = min_max_problem(&[1.0, 0.5]);
+        let sig = |p: &LpProblem| (pattern_signature(p), value_signature(p));
+        let (pattern, values) = sig(&base);
+
+        let mut rhs_only = min_max_problem(&[1.0, 0.5]);
+        rhs_only.set_rhs(1, -7.25);
+        assert_eq!(sig(&rhs_only), (pattern, values));
+
+        // One coefficient, by one ulp.
+        let mut one_coeff = min_max_problem(&[1.0, 0.5]);
+        one_coeff.set_coefficient(2, 0, f64::from_bits((-2.0f64).to_bits() + 1));
+        assert_eq!(pattern_signature(&one_coeff), pattern);
+        assert_ne!(value_signature(&one_coeff), values);
+
+        // Objective only: rebuild with a different cost on `t`.
+        let mut objective_only = LpProblem::new();
+        let t = objective_only.add_variable(2.0);
+        let x1 = objective_only.add_variable(0.0);
+        let x2 = objective_only.add_variable(0.0);
+        objective_only.add_constraint(vec![(x1, 1.0), (x2, 1.0)], ConstraintOp::Eq, 1.0);
+        objective_only.add_constraint(vec![(x1, 5.0), (t, -10.0)], ConstraintOp::Le, -1.0);
+        objective_only.add_constraint(vec![(x2, 5.0), (t, -2.0)], ConstraintOp::Le, -0.5);
+        assert_eq!(pattern_signature(&objective_only), pattern);
+        assert_ne!(value_signature(&objective_only), values);
+
+        // Pattern only: the same values in the same order, but the last
+        // row reads `x1` where it read `x2`, or is `>=` where it was `<=`.
+        for (var, op) in [(1, ConstraintOp::Le), (2, ConstraintOp::Ge)] {
+            let mut p = LpProblem::new();
+            let t = p.add_variable(1.0);
+            let x1 = p.add_variable(0.0);
+            let x2 = p.add_variable(0.0);
+            p.add_constraint(vec![(x1, 1.0), (x2, 1.0)], ConstraintOp::Eq, 1.0);
+            p.add_constraint(vec![(x1, 5.0), (t, -10.0)], ConstraintOp::Le, -1.0);
+            p.add_constraint(vec![(var, 5.0), (t, -2.0)], op, -0.5);
+            assert_ne!(pattern_signature(&p), pattern);
+            assert_eq!(value_signature(&p), values);
+        }
     }
 
     #[test]
