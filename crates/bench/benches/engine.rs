@@ -587,7 +587,6 @@ fn bench_churn(c: &mut Criterion) {
     use nexit_sim::churn::{self, ChurnConfig, ChurnDriver, ChurnPair, LogicalState, Objective};
 
     let universe = churn::universe();
-    let cfg = ChurnConfig::default();
     // Deterministically pick the smallest eligible pair with enough
     // flows that single-flow events stay under the impact threshold:
     // the delta path (not the cold fallback) is what the row prices,
@@ -608,56 +607,34 @@ fn bench_churn(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("churn");
     group.sample_size(10);
-    group.bench_function("replay", |bencher| {
-        bencher.iter(|| {
-            let mut driver = ChurnDriver::new(&pair, initial.clone(), cfg);
-            let mut acc = 0u64;
-            for event in &trace {
-                driver.apply(event);
-                acc += driver.last_work();
-            }
-            acc
+    for (row, objective, incremental) in [
+        ("replay", Objective::Distance, true),
+        ("cold_replay", Objective::Distance, false),
+        ("bw_replay", Objective::Bandwidth, true),
+        ("bw_cold_replay", Objective::Bandwidth, false),
+    ] {
+        let cfg = ChurnConfig { objective };
+        group.bench_function(row, |bencher| {
+            bencher.iter(|| {
+                let mut acc = 0u64;
+                if incremental {
+                    let mut driver = ChurnDriver::new(&pair, initial.clone(), cfg);
+                    for event in &trace {
+                        driver.apply(event);
+                        acc += driver.last_work();
+                    }
+                } else {
+                    let mut state = LogicalState::new(initial.clone());
+                    for event in &trace {
+                        state.apply(&pair, event.kind);
+                        let (_, work) = churn::cold_rebuild(&pair, &state, &cfg);
+                        acc += work;
+                    }
+                }
+                acc
+            });
         });
-    });
-    group.bench_function("cold_replay", |bencher| {
-        bencher.iter(|| {
-            let mut state = LogicalState::new(initial.clone());
-            let mut acc = 0u64;
-            for event in &trace {
-                state.apply(&pair, event.kind);
-                let (_, work) = churn::cold_rebuild(&pair, &state, &cfg);
-                acc += work;
-            }
-            acc
-        });
-    });
-    let bw_cfg = ChurnConfig {
-        objective: Objective::Bandwidth,
-        ..ChurnConfig::default()
-    };
-    group.bench_function("bw_replay", |bencher| {
-        bencher.iter(|| {
-            let mut driver = ChurnDriver::new(&pair, initial.clone(), bw_cfg);
-            let mut acc = 0u64;
-            for event in &trace {
-                driver.apply(event);
-                acc += driver.last_work();
-            }
-            acc
-        });
-    });
-    group.bench_function("bw_cold_replay", |bencher| {
-        bencher.iter(|| {
-            let mut state = LogicalState::new(initial.clone());
-            let mut acc = 0u64;
-            for event in &trace {
-                state.apply(&pair, event.kind);
-                let (_, work) = churn::cold_rebuild(&pair, &state, &bw_cfg);
-                acc += work;
-            }
-            acc
-        });
-    });
+    }
     group.finish();
 }
 

@@ -3,7 +3,7 @@
 //! oracle) on the bench min-max programs.
 //!
 //! ```text
-//! cargo run --release -p nexit-lp --example cold_parity
+//! cargo run --release -p nexit-lp --features test-support --example cold_parity
 //! ```
 //!
 //! Prints per-size medians and the speedup ratio; the ROADMAP's

@@ -11,7 +11,8 @@
 //! Scope: minimize `c·x` subject to mixed `<=` / `>=` / `==` constraints
 //! and `x >= 0`. Two engines share one standard form:
 //!
-//! * [`revised`] — the production path: the constraint matrix in flat
+//! * [`revised`] — the only engine a production build contains: the
+//!   constraint matrix in flat
 //!   compressed storage (`sparse`: one column-major copy for FTRAN and
 //!   the factorization, one row-major copy for the pivot-row kernel),
 //!   sparse Markowitz-ordered LU of the basis (`lu`, column-compressed
@@ -19,9 +20,11 @@
 //!   updates and periodic refactorization, devex pricing over reduced
 //!   costs maintained from the pivot row, with a Bland's-rule
 //!   anti-cycling fallback. [`solve`] / [`solve_with`] run it cold.
-//! * [`simplex`] — the dense full-tableau method, kept as the
-//!   independently implemented **oracle** ([`solve_dense`]) that the
-//!   revised path is property-tested against.
+//! * `simplex` — the dense full-tableau method, kept as the
+//!   independently implemented **oracle** (`solve_dense`) that the
+//!   revised path is property-tested against. It is compiled only for
+//!   this crate's tests and under the `test-support` feature
+//!   (`examples/cold_parity.rs`).
 //!
 //! # Warm starts
 //!
@@ -77,11 +80,13 @@
 mod lu;
 pub mod problem;
 pub mod revised;
+#[cfg(any(test, feature = "test-support"))]
 pub mod simplex;
 mod sparse;
 pub mod workspace;
 
-pub use problem::{Constraint, ConstraintOp, LpProblem};
+pub use problem::{Constraint, ConstraintOp, LpOutcome, LpProblem, SimplexOptions};
 pub use revised::{solve, solve_with};
-pub use simplex::{solve_dense, solve_dense_with, LpOutcome, SimplexOptions};
+#[cfg(any(test, feature = "test-support"))]
+pub use simplex::{solve_dense, solve_dense_with};
 pub use workspace::{SimplexWorkspace, WarmStats};

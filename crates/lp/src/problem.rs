@@ -1,4 +1,5 @@
-//! LP problem construction.
+//! LP problem construction, and the option and outcome types every
+//! engine shares.
 //!
 //! Problems are built incrementally: declare variables (all implicitly
 //! `>= 0`), set objective coefficients, add constraints as sparse rows.
@@ -147,6 +148,54 @@ impl LpProblem {
             }
         })
     }
+}
+
+/// Solver knobs.
+#[derive(Debug, Clone, Copy)]
+pub struct SimplexOptions {
+    /// Hard cap on total pivots across both phases.
+    pub max_iterations: usize,
+    /// Numerical tolerance for reduced costs, pivots and feasibility.
+    pub tolerance: f64,
+    /// Consecutive non-improving pivots before switching to Bland's rule.
+    pub stall_threshold: usize,
+}
+
+impl Default for SimplexOptions {
+    fn default() -> Self {
+        Self {
+            max_iterations: 200_000,
+            tolerance: 1e-9,
+            stall_threshold: 64,
+        }
+    }
+}
+
+/// Result of an LP solve.
+#[derive(Debug, Clone, PartialEq)]
+pub enum LpOutcome {
+    /// Optimum found.
+    Optimal {
+        /// Minimal objective value.
+        objective: f64,
+        /// Optimal assignment of the problem's variables.
+        solution: Vec<f64>,
+    },
+    /// No feasible point exists.
+    Infeasible,
+    /// Objective unbounded below over the feasible region.
+    Unbounded,
+    /// Pivot cap exhausted before convergence.
+    IterationLimit {
+        /// Pivots consumed before the solver gave up.
+        iterations: usize,
+    },
+}
+
+pub(crate) enum PhaseResult {
+    Optimal,
+    Unbounded,
+    IterationLimit,
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //!
 //! The production engine behind [`crate::solve`] and
 //! [`crate::SimplexWorkspace`]. Where the dense tableau
-//! ([`crate::simplex`], kept as the property-tested oracle) rewrites the
+//! (`crate::simplex`, kept as the property-tested oracle) rewrites the
 //! whole `m x n` matrix on every pivot, the revised method keeps the
 //! constraint matrix **immutable and sparse** (one flat column-compressed
 //! store plus a row-compressed copy of it, `crate::sparse`) and works
@@ -72,8 +72,7 @@
 //! phase 2, exactly like the dense oracle.
 
 use crate::lu::{SparseLu, PIVOT_MIN};
-use crate::problem::{ConstraintOp, LpProblem};
-use crate::simplex::{LpOutcome, PhaseResult, SimplexOptions};
+use crate::problem::{ConstraintOp, LpOutcome, LpProblem, PhaseResult, SimplexOptions};
 use crate::sparse::Compressed;
 
 /// Eta vectors tolerated before the basis is refactorized. The sparse

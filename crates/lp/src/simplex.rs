@@ -17,49 +17,7 @@
 //! * an iteration cap turns pathological inputs into an explicit
 //!   [`LpOutcome::IterationLimit`] instead of a hang.
 
-use crate::problem::{ConstraintOp, LpProblem};
-
-/// Solver knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct SimplexOptions {
-    /// Hard cap on total pivots across both phases.
-    pub max_iterations: usize,
-    /// Numerical tolerance for reduced costs, pivots and feasibility.
-    pub tolerance: f64,
-    /// Consecutive non-improving pivots before switching to Bland's rule.
-    pub stall_threshold: usize,
-}
-
-impl Default for SimplexOptions {
-    fn default() -> Self {
-        Self {
-            max_iterations: 200_000,
-            tolerance: 1e-9,
-            stall_threshold: 64,
-        }
-    }
-}
-
-/// Result of an LP solve.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LpOutcome {
-    /// Optimum found.
-    Optimal {
-        /// Minimal objective value.
-        objective: f64,
-        /// Optimal assignment of the problem's variables.
-        solution: Vec<f64>,
-    },
-    /// No feasible point exists.
-    Infeasible,
-    /// Objective unbounded below over the feasible region.
-    Unbounded,
-    /// Pivot cap exhausted before convergence.
-    IterationLimit {
-        /// Pivots consumed before the solver gave up.
-        iterations: usize,
-    },
-}
+use crate::problem::{ConstraintOp, LpOutcome, LpProblem, PhaseResult, SimplexOptions};
 
 /// Solve with default options on the dense oracle path.
 pub fn solve_dense(problem: &LpProblem) -> LpOutcome {
@@ -402,12 +360,6 @@ impl Tableau {
         }
         solution
     }
-}
-
-pub(crate) enum PhaseResult {
-    Optimal,
-    Unbounded,
-    IterationLimit,
 }
 
 #[cfg(test)]

@@ -44,9 +44,8 @@
 //! problem itself before being returned, forcing a cold refresh when
 //! drift ever won.
 
-use crate::problem::{ConstraintOp, LpProblem};
+use crate::problem::{ConstraintOp, LpOutcome, LpProblem, SimplexOptions};
 use crate::revised::{EngineCounters, RevisedSimplex};
-use crate::simplex::{LpOutcome, SimplexOptions};
 
 /// Counters describing how a [`SimplexWorkspace`] resolved its solves,
 /// plus the engine's factorization/pricing telemetry: path counters

@@ -1,0 +1,325 @@
+//! The `experiments churn` sweep: replay seeded feeds through the
+//! driver, verify every prefix against the cold rebuild, rerun at
+//! 1/2/4 workers, and report.
+
+use super::driver::{ChurnCounters, ChurnDriver};
+use super::model::{generate_trace, initial_active, ChurnConfig, ChurnEvent, ChurnPair, Objective};
+use super::verify::{cold_rebuild, divergence};
+use crate::cdf::StreamingCdf;
+use crate::parallel::par_map;
+use nexit_lp::WarmStats;
+use nexit_topology::{GeneratorConfig, IcxId, TopologyGenerator, Universe};
+use std::time::Instant;
+
+/// The sweep's universe: the same 12-ISP topology the fault sweep and
+/// the broker determinism suite pin, restricted to pairs with three or
+/// more interconnections so failures leave a negotiable pair behind.
+pub fn universe() -> Universe {
+    TopologyGenerator::new(GeneratorConfig {
+        num_isps: 12,
+        num_mesh_isps: 0,
+        seed: 11,
+        ..GeneratorConfig::default()
+    })
+    .generate()
+}
+
+/// One pair's replay results.
+struct PairRun {
+    latency_ns: Vec<f64>,
+    cold_latency_ns: Vec<f64>,
+    work: Vec<f64>,
+    cold_work: Vec<f64>,
+    divergences: usize,
+    violations: Vec<String>,
+    counters: ChurnCounters,
+    final_choices: Vec<IcxId>,
+    lp_stats: WarmStats,
+    lp_skipped: bool,
+}
+
+/// Replay one pair's feed through the incremental driver; with
+/// `with_cold`, also rebuild every event prefix from scratch and
+/// compare (the correctness replay + the cold latency twin).
+fn replay_pair(
+    pair: &ChurnPair<'_>,
+    initial: &[bool],
+    trace: &[ChurnEvent],
+    cfg: &ChurnConfig,
+    with_cold: bool,
+) -> PairRun {
+    let mut driver = ChurnDriver::new(pair, initial.to_vec(), *cfg);
+    let mut latency_ns = Vec::with_capacity(trace.len());
+    let mut work = Vec::with_capacity(trace.len());
+    let mut cold_latency_ns = Vec::new();
+    let mut cold_work = Vec::new();
+    let mut divergences = 0;
+    let mut violations = Vec::new();
+    for (idx, event) in trace.iter().enumerate() {
+        let start = Instant::now();
+        driver.apply(event);
+        latency_ns.push(start.elapsed().as_nanos() as f64);
+        work.push(driver.last_work() as f64);
+        if with_cold {
+            let start = Instant::now();
+            let (cold, units) = cold_rebuild(pair, driver.state(), cfg);
+            cold_latency_ns.push(start.elapsed().as_nanos() as f64);
+            cold_work.push(units as f64);
+            if let Some(diff) = divergence(driver.negotiated(), &cold) {
+                divergences += 1;
+                if violations.len() < 3 {
+                    violations.push(format!("event {idx} ({:?}): {diff}", event.kind));
+                }
+            }
+        }
+    }
+    violations.extend(driver.lp_errors.iter().cloned());
+    PairRun {
+        latency_ns,
+        cold_latency_ns,
+        work,
+        cold_work,
+        divergences,
+        violations,
+        counters: driver.counters(),
+        final_choices: driver.negotiated().assignment.choices().to_vec(),
+        lp_stats: driver.lp_stats(),
+        lp_skipped: !driver.lp_enabled,
+    }
+}
+
+/// Everything `experiments churn` measures.
+#[derive(Default)]
+pub struct ChurnReport {
+    /// The objective the sweep negotiated under.
+    pub objective: Objective,
+    /// Pairs replayed.
+    pub pairs: usize,
+    /// Total events across all feeds.
+    pub events: usize,
+    /// Path and gain-cache counters, summed over all pairs.
+    pub counters: ChurnCounters,
+    /// Prefix replays that did not match the cold rebuild (must be 0).
+    pub divergences: usize,
+    /// Per-event incremental latency (wall-clock, ns).
+    pub latency: StreamingCdf,
+    /// Per-event cold-rebuild latency (wall-clock, ns).
+    pub cold_latency: StreamingCdf,
+    /// Per-event incremental work units (deterministic).
+    pub work: StreamingCdf,
+    /// Per-event cold work units (deterministic).
+    pub cold_work: StreamingCdf,
+    /// Aggregate LP warm/cold counters across all retained workspaces.
+    pub lp_stats: WarmStats,
+    /// Pairs whose baseline LP exceeded the size budget.
+    pub lp_skipped_pairs: usize,
+    /// Whether 1/2/4-worker reruns were byte-identical.
+    pub deterministic: bool,
+    /// Final per-pair assignments (for the determinism suite).
+    pub final_assignments: Vec<Vec<IcxId>>,
+    /// Hard failures; the binary exits non-zero when non-empty.
+    pub violations: Vec<String>,
+}
+
+/// Run the churn sweep: replay every pair's seeded feed incrementally,
+/// verify every event prefix against a from-scratch cold rebuild, then
+/// rerun the incremental path at 1, 2 and 4 workers and require
+/// byte-identical assignments and work series.
+pub fn run(
+    max_pairs: usize,
+    events_per_pair: usize,
+    threads: usize,
+    seed: u64,
+    objective: Objective,
+) -> ChurnReport {
+    let u = universe();
+    let cfg = ChurnConfig { objective };
+    let eligible = u.eligible_pairs(3, false);
+    assert!(
+        !eligible.is_empty(),
+        "universe has no 3+-interconnection pairs"
+    );
+    let take = eligible.len().min(max_pairs.max(1));
+    let pairs: Vec<ChurnPair<'_>> = eligible[..take]
+        .iter()
+        .map(|&idx| ChurnPair::build(&u, idx, 2))
+        .collect();
+    let feeds: Vec<(Vec<bool>, Vec<ChurnEvent>)> = pairs
+        .iter()
+        .enumerate()
+        .map(|(i, pair)| {
+            let pair_seed = seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let initial = initial_active(pair, pair_seed);
+            let trace = generate_trace(pair, &initial, events_per_pair, pair_seed);
+            (initial, trace)
+        })
+        .collect();
+
+    let sweep = |workers: usize, with_cold: bool| -> Vec<PairRun> {
+        par_map(workers, pairs.len(), |i| {
+            replay_pair(&pairs[i], &feeds[i].0, &feeds[i].1, &cfg, with_cold)
+        })
+    };
+
+    // Main sweep: incremental replay + per-prefix cold verification.
+    let main = sweep(threads, true);
+
+    let mut report = ChurnReport {
+        objective,
+        pairs: pairs.len(),
+        events: feeds.iter().map(|(_, t)| t.len()).sum(),
+        deterministic: true,
+        ..ChurnReport::default()
+    };
+    for run in &main {
+        report.counters.absorb(run.counters);
+        report.divergences += run.divergences;
+        report.latency.extend(run.latency_ns.iter().copied());
+        report
+            .cold_latency
+            .extend(run.cold_latency_ns.iter().copied());
+        report.work.extend(run.work.iter().copied());
+        report.cold_work.extend(run.cold_work.iter().copied());
+        report.lp_stats.absorb(run.lp_stats);
+        report.lp_skipped_pairs += usize::from(run.lp_skipped);
+        report.final_assignments.push(run.final_choices.clone());
+        report.violations.extend(run.violations.iter().cloned());
+    }
+    if report.divergences > 0 {
+        report.violations.push(format!(
+            "{} event prefix(es) diverged from the cold rebuild",
+            report.divergences
+        ));
+    }
+
+    // Worker-count determinism: the incremental path must reproduce
+    // identical assignments, work series and path counters at 1/2/4.
+    for workers in [1usize, 2, 4] {
+        let rerun = sweep(workers, false);
+        let identical = rerun.iter().zip(&main).all(|(r, m)| {
+            r.final_choices == m.final_choices && r.work == m.work && r.counters == m.counters
+        });
+        if !identical {
+            report.deterministic = false;
+            report.violations.push(format!(
+                "sweep diverged between the main run and {workers} worker(s)"
+            ));
+        }
+    }
+
+    // The headline latency claim, gated conservatively: the steady-state
+    // incremental median must sit at least 2x under the cold twin's.
+    if !report.latency.is_empty() && !report.cold_latency.is_empty() {
+        let (p50, cold_p50) = (report.latency.median(), report.cold_latency.median());
+        if cold_p50 < 2.0 * p50 {
+            report.violations.push(format!(
+                "incremental p50 {:.0} ns not >= 2x under cold p50 {:.0} ns",
+                p50, cold_p50
+            ));
+        }
+    }
+
+    report
+}
+
+/// Print the sweep.
+pub fn report(r: &ChurnReport) {
+    let c = &r.counters;
+    println!(
+        "churn [{}]: {} pairs, {} events ({} outcome-cached, {} incremental sessions, {} cold fallbacks)",
+        r.objective.name(),
+        r.pairs,
+        r.events,
+        c.cached_outcomes,
+        c.incremental_sessions,
+        c.fallback_sessions
+    );
+    let signature_checks = c.signature_hits + c.signature_misses;
+    if signature_checks > 0 {
+        println!(
+            "load-signature checks: {} hits / {} misses ({:.1}% hit rate)",
+            c.signature_hits,
+            c.signature_misses,
+            100.0 * c.signature_hits as f64 / signature_checks as f64
+        );
+    }
+    println!(
+        "gain cache: {} rows refreshed, {} served from memo, {} footprint-invalidated",
+        c.rows_refreshed, c.rows_served, c.rows_load_invalidated
+    );
+    println!(
+        "prefix replays vs cold rebuild: {} divergence(s); 1/2/4-worker reruns identical: {}",
+        r.divergences, r.deterministic
+    );
+    r.latency.print("per-event incremental latency (ns)");
+    r.cold_latency.print("per-event cold-rebuild latency (ns)");
+    if !r.latency.is_empty() && !r.cold_latency.is_empty() {
+        println!(
+            "latency p50: incremental {:.0} ns vs cold {:.0} ns ({:.1}x); p99: {:.0} vs {:.0} ns ({:.1}x)",
+            r.latency.median(),
+            r.cold_latency.median(),
+            r.cold_latency.median() / r.latency.median().max(1.0),
+            r.latency.percentile(99.0),
+            r.cold_latency.percentile(99.0),
+            r.cold_latency.percentile(99.0) / r.latency.percentile(99.0).max(1.0),
+        );
+    }
+    r.work
+        .print("per-event incremental work units (deterministic)");
+    crate::experiments::bandwidth::print_lp_stats(&r.lp_stats);
+    println!(
+        "lp warm re-entry: {} of {} solves warm ({:.1}%), {} pair(s) size-skipped",
+        r.lp_stats.warm_reentries(),
+        r.lp_stats.total_solves(),
+        100.0 * r.lp_stats.warm_fraction(),
+        r.lp_skipped_pairs
+    );
+    for v in &r.violations {
+        println!("VIOLATION: {v}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn small_sweep_has_no_violations() {
+        let r = run(2, 30, 2, 7, Objective::Distance);
+        assert!(r.violations.is_empty(), "violations: {:?}", r.violations);
+        assert_eq!(r.divergences, 0);
+        assert!(r.deterministic);
+        assert!(
+            r.counters.cached_outcomes > 0,
+            "load events must cache the outcome"
+        );
+        assert!(
+            r.counters.incremental_sessions > 0,
+            "flow events must take the delta path"
+        );
+        assert!(
+            r.lp_stats.warm_reentries() > 0,
+            "baseline must re-enter warm"
+        );
+    }
+
+    #[test]
+    fn small_bandwidth_sweep_has_no_violations() {
+        let r = run(2, 30, 2, 7, Objective::Bandwidth);
+        assert!(r.violations.is_empty(), "violations: {:?}", r.violations);
+        assert_eq!(r.divergences, 0);
+        assert!(r.deterministic);
+        assert!(
+            r.counters.signature_hits + r.counters.signature_misses > 0,
+            "load deltas must consult the signature"
+        );
+        assert!(
+            r.counters.rows_served > 0,
+            "footprint invalidation must leave rows to serve from the memo"
+        );
+        assert!(
+            r.counters.rows_load_invalidated > 0,
+            "moved classes must invalidate footprint-intersecting rows"
+        );
+    }
+}

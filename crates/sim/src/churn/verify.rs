@@ -1,0 +1,182 @@
+//! The reference every event prefix is replayed against: a from-scratch
+//! rebuild of the negotiated state, and the comparison that decides
+//! whether the live state diverged from it.
+
+use super::loads::aggregate;
+use super::model::{
+    session_input, ChurnConfig, ChurnPair, LogicalState, NegotiatedState, Objective,
+    MAX_LP_VARIABLES,
+};
+use nexit_baselines::{BandwidthLp, OptimalBandwidthError};
+use nexit_core::{negotiate, BandwidthMapper, DistanceMapper, NexitConfig, Party, Side};
+use nexit_topology::IcxId;
+
+/// From-scratch rebuild of the negotiated state for a logical state:
+/// fresh mappers, fresh tables, fresh machines, fresh LP skeleton, cold
+/// solve. This is the reference every event prefix is replayed against,
+/// and the cold twin the latency CDFs compare to. Returns the state and
+/// the deterministic work units spent.
+pub fn cold_rebuild(
+    pair: &ChurnPair<'_>,
+    state: &LogicalState,
+    cfg: &ChurnConfig,
+) -> (NegotiatedState, u64) {
+    let data = &pair.variants[state.variant];
+    let k = data.pair.num_interconnections();
+    let input = session_input(data, &state.active);
+    // Bandwidth only: fresh two-layer load aggregation and a fresh class
+    // snapshot — the reference the driver's incrementally maintained
+    // snapshot must reproduce bit-for-bit.
+    let loads = match cfg.objective {
+        Objective::Distance => None,
+        Objective::Bandwidth => Some(aggregate(pair, state)),
+    };
+    let sides = [(0, Side::A, "A"), (1, Side::B, "B")];
+    let [mut party_a, mut party_b] = sides.map(|(i, side, name)| match &loads {
+        None => Party::honest(name, DistanceMapper::new(side, &data.flows)),
+        Some(loads) => Party::honest(
+            name,
+            BandwidthMapper::new(side, &data.flows, &data.paths, pair.caps()[i])
+                .with_classes(loads[i].classes()),
+        ),
+    });
+    let outcome = negotiate(
+        &input,
+        &data.default,
+        &mut party_a,
+        &mut party_b,
+        &NexitConfig::win_win(),
+    );
+    let mut work = 2 * input.flow_ids.len() as u64 * k as u64 + outcome.transcript.len() as u64;
+
+    let mut opt_t = None;
+    if state.num_active * k <= MAX_LP_VARIABLES {
+        let mut lp = BandwidthLp::new();
+        let view = data.view();
+        lp.add_scenario(
+            IcxId::new(state.variant),
+            &view,
+            &data.paths,
+            &data.flows,
+            &input.flow_ids,
+            &data.default,
+            &pair.caps_up,
+            &pair.caps_down,
+        );
+        let solved: Result<_, OptimalBandwidthError> =
+            lp.solve_failure_scaled(IcxId::new(state.variant), state.scale);
+        if let Ok(opt) = solved {
+            opt_t = Some(opt.t);
+        }
+        let stats = lp.warm_stats();
+        work += (stats.eta_pivots + stats.refactorizations) as u64;
+    }
+    (
+        NegotiatedState {
+            assignment: outcome.assignment,
+            gain_a: outcome.gain_a,
+            gain_b: outcome.gain_b,
+            termination: outcome.termination,
+            reassignments: outcome.reassignments,
+            opt_t,
+        },
+        work + 1,
+    )
+}
+
+/// Compare incremental and cold states; `None` means identical
+/// (byte-identical assignments, identical gains and bookkeeping, LP
+/// objective within 1e-6).
+pub fn divergence(incremental: &NegotiatedState, cold: &NegotiatedState) -> Option<String> {
+    if incremental.assignment.choices() != cold.assignment.choices() {
+        let first = incremental
+            .assignment
+            .choices()
+            .iter()
+            .zip(cold.assignment.choices())
+            .position(|(a, b)| a != b)
+            .unwrap_or(0);
+        return Some(format!("assignment diverged (first at flow {first})"));
+    }
+    if (incremental.gain_a, incremental.gain_b) != (cold.gain_a, cold.gain_b) {
+        return Some("gains diverged".into());
+    }
+    if incremental.termination != cold.termination
+        || incremental.reassignments != cold.reassignments
+    {
+        return Some("termination/reassignment bookkeeping diverged".into());
+    }
+    match (incremental.opt_t, cold.opt_t) {
+        (Some(w), Some(c)) if (w - c).abs() > 1e-6 => {
+            Some(format!("warm LP t {w} vs cold {c} beyond 1e-6"))
+        }
+        (Some(_), None) | (None, Some(_)) => Some("LP evaluated on one path only".into()),
+        _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::churn::{
+        generate_trace, initial_active, universe, ChurnDriver, ChurnEvent, ChurnKind,
+    };
+    use nexit_routing::FlowId;
+
+    #[test]
+    fn every_prefix_matches_the_cold_rebuild() {
+        for objective in [Objective::Distance, Objective::Bandwidth] {
+            let u = universe();
+            let idx = u.eligible_pairs(3, false)[0];
+            let pair = ChurnPair::build(&u, idx, 2);
+            let initial = initial_active(&pair, 21);
+            let trace = generate_trace(&pair, &initial, 25, 21);
+            let cfg = ChurnConfig { objective };
+            let mut driver = ChurnDriver::new(&pair, initial, cfg);
+            for event in &trace {
+                driver.apply(event);
+                let (cold, _) = cold_rebuild(&pair, driver.state(), &cfg);
+                assert_eq!(
+                    divergence(driver.negotiated(), &cold),
+                    None,
+                    "[{}] prefix diverged at {event:?}",
+                    objective.name()
+                );
+            }
+        }
+    }
+
+    /// A topology flap changes the defaults every flow rides, on the
+    /// table or not: with nothing left to negotiate it must still take
+    /// the cold path, not serve the stale variant's state from cache.
+    #[test]
+    fn a_flap_on_an_empty_table_still_falls_back_cold() {
+        for objective in [Objective::Distance, Objective::Bandwidth] {
+            let u = universe();
+            let idx = u.eligible_pairs(3, false)[0];
+            let pair = ChurnPair::build(&u, idx, 2);
+            let cfg = ChurnConfig { objective };
+            let mut initial = vec![false; pair.num_flows()];
+            initial[0] = true;
+            let mut driver = ChurnDriver::new(&pair, initial, cfg);
+            let kinds = [
+                ChurnKind::FlowRemove(FlowId::new(0)),
+                ChurnKind::LinkFail(pair.failable()[0]),
+                ChurnKind::LinkRestore,
+            ];
+            for (tick, &kind) in (1..).zip(&kinds) {
+                let fallbacks = driver.fallback_sessions;
+                driver.apply(&ChurnEvent { tick, kind });
+                let (cold, _) = cold_rebuild(&pair, driver.state(), &cfg);
+                assert_eq!(
+                    divergence(driver.negotiated(), &cold),
+                    None,
+                    "[{}] diverged at {kind:?}",
+                    objective.name()
+                );
+                assert_eq!(driver.fallback_sessions, fallbacks + 1, "{kind:?}");
+            }
+            assert_eq!(driver.state().num_active, 0);
+        }
+    }
+}
