@@ -570,6 +570,141 @@ fn bench_broker(c: &mut Criterion) {
     group.finish();
 }
 
+/// The layers under one `broker_clean` / `broker_lossy` session, on that
+/// session (16 flows × 4 alternatives of
+/// [`nexit_sim::experiments::broker::synthetic_specs`]): one small frame
+/// written into a buffer and read back in place, one preference list
+/// from table to frame to table, one whole session through
+/// `run_session` with the agents built before the clock starts, and one
+/// session's share of a 250-session batch with all 250 live at once —
+/// codec, pump step and broker tick, each beside its end-to-end parent
+/// `broker/1k_pairs`.
+fn bench_wire_layers(c: &mut Criterion) {
+    use nexit_broker::{Broker, BrokerConfig};
+    use nexit_core::{PrefTable, Side};
+    use nexit_proto::frame::parse_frame;
+    use nexit_proto::messages::{write_pref_list, Message, MessageRef};
+    use nexit_proto::{run_session, Agent, FaultyLink};
+    use nexit_sim::experiments::broker::{synthetic_specs, ALTS, FLOWS};
+    use std::time::Instant;
+
+    let mut group = c.benchmark_group("proto");
+    group.bench_function("frame_propose", |bencher| {
+        let mut wire = Vec::new();
+        let mut round = 0u32;
+        bencher.iter(|| {
+            round = round.wrapping_add(1);
+            wire.clear();
+            let propose = Message::Propose {
+                round,
+                local_flow: 7,
+                alternative: IcxId(3),
+            };
+            propose.encode_into(&mut wire);
+            let frame = parse_frame(&wire).expect("sound").expect("whole");
+            match MessageRef::parse(frame).expect("well formed") {
+                MessageRef::Propose { round, .. } => round,
+                other => panic!("wrote a Propose, read {other:?}"),
+            }
+        });
+    });
+    group.bench_function("preflist_16x4", |bencher| {
+        let mut table = PrefTable::zero(FLOWS, ALTS);
+        for flow in 0..FLOWS {
+            for (alt, class) in table.row_mut(flow).iter_mut().enumerate() {
+                *class = ((flow * 7 + alt * 3) % 21) as i32 - 10;
+            }
+        }
+        let mut wire = Vec::new();
+        let mut back = PrefTable::zero(0, 0);
+        bencher.iter(|| {
+            wire.clear();
+            let cells = table.values().iter().map(|&class| class as i16);
+            write_pref_list(&mut wire, FLOWS, ALTS, cells);
+            let frame = parse_frame(&wire).expect("sound").expect("whole");
+            let MessageRef::PrefList {
+                rows,
+                columns,
+                classes,
+            } = MessageRef::parse(frame).expect("well formed")
+            else {
+                panic!("wrote a PrefList");
+            };
+            back.refill(rows, columns, MessageRef::classes(classes).map(i32::from));
+            back.max_class()
+        });
+        assert_eq!(back, table);
+    });
+    group.bench_function("session_16x4", |bencher| {
+        bencher.iter_custom(|iters| {
+            let mut sessions: Vec<_> = synthetic_specs(iters as usize, FLOWS, ALTS, 1)
+                .into_iter()
+                .map(|spec| {
+                    let agent = |side, input, assignment, mapper, disclosure| {
+                        Agent::new(
+                            side,
+                            "bench",
+                            input,
+                            assignment,
+                            mapper,
+                            disclosure,
+                            spec.config,
+                        )
+                        .expect("synthetic sessions are valid")
+                    };
+                    (
+                        agent(
+                            Side::A,
+                            spec.input.clone(),
+                            spec.default_assignment.clone(),
+                            spec.mapper_a,
+                            spec.disclosure_a,
+                        ),
+                        agent(
+                            Side::B,
+                            spec.input,
+                            spec.default_assignment,
+                            spec.mapper_b,
+                            spec.disclosure_b,
+                        ),
+                    )
+                })
+                .collect();
+            let start = Instant::now();
+            for (a, b) in &mut sessions {
+                let (mut ab, mut ba) = (FaultyLink::reliable(), FaultyLink::reliable());
+                let done = run_session(a, b, &mut ab, &mut ba).expect("clean session");
+                std::hint::black_box(done);
+            }
+            start.elapsed()
+        });
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("broker");
+    group.bench_function("session_16x4_250live", |bencher| {
+        const LIVE: u64 = 250;
+        let broker = Broker::new(BrokerConfig::with_workers(1));
+        bencher.iter_custom(|iters| {
+            // Whole batches only: `iters` sessions' worth of their time.
+            let batches = iters.div_ceil(LIVE);
+            let specs: Vec<_> = (0..batches)
+                .map(|batch| synthetic_specs(LIVE as usize, FLOWS, ALTS, 1 + batch))
+                .collect();
+            let start = Instant::now();
+            for batch in specs {
+                let run = broker.run_pairs(batch);
+                assert_eq!(run.stats.completed as u64, LIVE);
+                std::hint::black_box(run);
+            }
+            start
+                .elapsed()
+                .mul_f64(iters as f64 / (batches * LIVE) as f64)
+        });
+    });
+    group.finish();
+}
+
 /// The churn driver's steady-state feed, replayed incrementally versus
 /// rebuilt from scratch after every event. `replay` drives one pair's
 /// seeded 60-event feed (load drift + flow churn, no topology flaps)
@@ -646,6 +781,7 @@ criterion_group!(
     bench_model_grid,
     bench_simplex,
     bench_broker,
+    bench_wire_layers,
     bench_churn
 );
 criterion_main!(benches);

@@ -18,10 +18,10 @@
 //! * **One poll tick** — a tick is one [`SessionPump::step`] (the same
 //!   frame-moving loop the single-pair drivers in
 //!   [`nexit_proto::driver`] run: every outgoing frame onto its link,
-//!   queued wire units off it, what they release fed to the peer as one
-//!   byte run) followed by the broker's own bookkeeping: completion,
-//!   deadline, retransmit timers, stall. The tick does not know which
-//!   transport a session uses.
+//!   queued wire units off it, each read in place by the peer and its
+//!   buffer kept for that side's next frames) followed by the broker's
+//!   own bookkeeping: completion, deadline, retransmit timers, stall.
+//!   The tick does not know which transport a session uses.
 //! * **Bounded queues with backpressure** — a link holds at most
 //!   [`BrokerConfig::queue_capacity`] frames in flight and a peer
 //!   consumes at most [`BrokerConfig::deliver_budget`] frames per tick.
@@ -147,7 +147,7 @@ pub struct BrokerConfig {
     /// sending session until deliveries drain it.
     pub queue_capacity: usize,
     /// Frames delivered to a peer per direction per tick (models peer
-    /// consumption rate; the batched decode feeds them as one byte run).
+    /// consumption rate).
     pub deliver_budget: usize,
     /// Run every session through the [`nexit_proto::reliable`] ARQ
     /// layer with these knobs. `None` (the default) keeps the raw
@@ -473,7 +473,6 @@ fn run_shard<'a>(config: &BrokerConfig, specs: Vec<(usize, SessionSpec<'a>)>) ->
     let mut pending: VecDeque<(usize, SessionSpec<'a>)> = specs.into();
     let mut active: Vec<ActiveSession<'a>> = Vec::new();
     let mut arena = TableArena::new();
-    let mut scratch: Vec<u8> = Vec::new();
     let mut stats = BrokerStats::default();
 
     while !pending.is_empty() || !active.is_empty() {
@@ -502,7 +501,7 @@ fn run_shard<'a>(config: &BrokerConfig, specs: Vec<(usize, SessionSpec<'a>)>) ->
         // Poll every active session once; retire terminal ones in place.
         let mut i = 0;
         while i < active.len() {
-            let Some(end) = tick(config, &mut active[i], &mut scratch, &mut stats) else {
+            let Some(end) = tick(config, &mut active[i], &mut stats) else {
                 i += 1;
                 continue;
             };
@@ -554,7 +553,12 @@ fn admit<'a>(
     spec: SessionSpec<'a>,
 ) -> Result<ActiveSession<'a>, (Assignment, SessionFailure)> {
     let fallback = spec.default_assignment.clone();
-    let mut agent_a = match Agent::new_in(
+    let failure = |error, side| SessionFailure {
+        error,
+        side: Some(side),
+    };
+    // A works on copies; B takes the spec's own input and assignment.
+    let agent_a = Agent::new_in(
         arena,
         Side::A,
         format!("pair{id}-A"),
@@ -563,19 +567,12 @@ fn admit<'a>(
         spec.mapper_a,
         spec.disclosure_a,
         spec.config,
-    ) {
+    );
+    let mut agent_a = match agent_a {
         Ok(agent) => agent,
-        Err(error) => {
-            return Err((
-                fallback,
-                SessionFailure {
-                    error,
-                    side: Some(Side::A),
-                },
-            ))
-        }
+        Err(error) => return Err((fallback, failure(error, Side::A))),
     };
-    let mut agent_b = match Agent::new_in(
+    let agent_b = Agent::new_in(
         arena,
         Side::B,
         format!("pair{id}-B"),
@@ -584,17 +581,12 @@ fn admit<'a>(
         spec.mapper_b,
         spec.disclosure_b,
         spec.config,
-    ) {
+    );
+    let mut agent_b = match agent_b {
         Ok(agent) => agent,
         Err(error) => {
             agent_a.recycle(arena);
-            return Err((
-                fallback,
-                SessionFailure {
-                    error,
-                    side: Some(Side::B),
-                },
-            ));
+            return Err((fallback, failure(error, Side::B)));
         }
     };
     // Under the dedup window a replayed frame is absorbed, not a
@@ -621,7 +613,6 @@ fn admit<'a>(
 fn tick(
     config: &BrokerConfig,
     session: &mut ActiveSession<'_>,
-    scratch: &mut Vec<u8>,
     stats: &mut BrokerStats,
 ) -> Option<Result<PairOutcome, SessionFailure>> {
     let failed = |error, side| Some(Err(SessionFailure { error, side }));
@@ -636,7 +627,6 @@ fn tick(
         &mut session.link_ab,
         &mut session.link_ba,
         limits,
-        scratch,
     );
     let report = match step {
         Ok(report) => report,

@@ -33,7 +33,7 @@
 
 use crate::arena::TableArena;
 use crate::cheating::DisclosurePolicy;
-use crate::machine::{Action, Event, MachineError, NegotiationMachine};
+use crate::machine::{Action, MachineError, NegotiationMachine};
 use crate::mapping::PreferenceMapper;
 use crate::outcome::{NegotiationOutcome, RoundRecord, Side};
 use crate::policies::NexitConfig;
@@ -430,7 +430,7 @@ fn drive_machines<'b>(
         while let Some(action) = machine_a.poll_action() {
             deliver(
                 action,
-                Side::A,
+                &machine_a,
                 &mut machine_b,
                 input,
                 &mut pending,
@@ -442,7 +442,7 @@ fn drive_machines<'b>(
         while let Some(action) = machine_b.poll_action() {
             deliver(
                 action,
-                Side::B,
+                &machine_b,
                 &mut machine_a,
                 input,
                 &mut pending,
@@ -464,26 +464,18 @@ fn drive_machines<'b>(
 /// transcript rows exactly as the wire would show them.
 fn deliver<M: PreferenceMapper>(
     action: Action,
-    from: Side,
+    from: &NegotiationMachine<M>,
     peer: &mut NegotiationMachine<M>,
     input: &SessionInput,
     pending: &mut Option<(u32, Side, usize, IcxId)>,
     transcript: &mut Vec<RoundRecord>,
 ) -> Result<(), MachineError> {
-    let event = match action {
-        Action::SendPrefs { prefs } => Event::PeerPrefs { prefs },
+    match action {
         Action::SendProposal {
             round,
             local_flow,
             alternative,
-        } => {
-            *pending = Some((round, from, local_flow, alternative));
-            Event::Proposal {
-                round,
-                local_flow,
-                alternative,
-            }
-        }
+        } => *pending = Some((round, from.side(), local_flow, alternative)),
         Action::SendResponse { round, accepted } => {
             if let Some((prop_round, proposer, local, alt)) = pending.take() {
                 debug_assert_eq!(prop_round, round);
@@ -496,16 +488,12 @@ fn deliver<M: PreferenceMapper>(
                     reverted: false,
                 });
             }
-            Event::Response { round, accepted }
         }
-        Action::SendStop { side } => {
-            // An unanswered proposal never completed its round.
-            *pending = None;
-            Event::PeerStop { side }
-        }
-        Action::SendBye => Event::PeerBye,
-    };
-    peer.handle(event)
+        // An unanswered proposal never completed its round.
+        Action::SendStop { .. } => *pending = None,
+        Action::SendPrefs | Action::SendBye => {}
+    }
+    peer.handle(from.peer_event(action))
 }
 
 /// Assemble the outcome from the two finished machines, retiring their

@@ -14,9 +14,17 @@
 //!   admits exactly the alternatives whose true class is at least
 //!   `-floor`, and classes are integers in `[-P, P]`, there are only
 //!   `2P + 2` distinct guard thresholds — the index maintains one
-//!   per-flow-best row and heap *per threshold* (materialized lazily on
-//!   a threshold's first use), so a guard-floor crossing simply selects
-//!   a different heap instead of invalidating anything.
+//!   per-flow-best row and heap *per threshold*, so a guard-floor
+//!   crossing simply selects a different heap instead of invalidating
+//!   anything. A threshold's row is **allocated on its first use**:
+//!   rows are appended to one flat buffer in the order they materialize
+//!   and found through a per-threshold base offset, so a session pays
+//!   cells only for the thresholds it selects under. That is few. On
+//!   the six `perfbench` workloads every (re)disclosure epoch
+//!   materializes exactly one row (the win-win configurations keep the
+//!   credit floor far below `-P`, which is threshold 0) or, on the side
+//!   that never proposes in it, none — out of 22 at `P = 10`. Only a
+//!   binding `VetoNegativeCumulative` floor walks through several.
 //! * **Stop projection** keeps every remaining flow's combined-best
 //!   entry in a segment tree ordered like the reference sort
 //!   (combined sum descending, flow index ascending) whose nodes
@@ -154,29 +162,33 @@ impl PrefixTree {
     }
 }
 
+/// `row_base` of a guard threshold whose row has not materialized.
+const UNBUILT: usize = usize::MAX;
+
 /// The materialized index. Every buffer survives retirement: a session
 /// sweep recycles one `Indexed` through a [`TableArena`] instead of
 /// reallocating heaps and trees per session (see
 /// [`CandidateIndex::view`]).
 #[derive(Debug, Default)]
 struct Indexed {
-    /// Guard-threshold rows, materialized lazily and stored flat (like
-    /// every other table in the crate): `best_at[ti * num_flows + flow]`
-    /// is the flow's best alternative among those threshold `ti` admits
-    /// (`own_true >= ti - P`), `None` when it admits none. Row 0 admits
-    /// every alternative (no guard / non-binding guard) and is the only
-    /// row most configurations ever touch; a row is built on the first
+    /// Guard-threshold rows, stored flat (like every other table in the
+    /// crate) in the order they materialized:
+    /// `best_at[row_base[ti] + flow]` is the flow's best alternative
+    /// among those threshold `ti` admits (`own_true >= ti - P`), `None`
+    /// when it admits none. A row is appended by the first
     /// [`CandidateIndex::select`] whose guard floor maps to it and
-    /// maintained incrementally afterwards. An unbuilt row holds stale
-    /// cells that are fully overwritten on materialization (`built`
-    /// tracks validity).
+    /// maintained incrementally afterwards; a threshold nobody selects
+    /// under costs no cells. Row 0 admits every alternative (no guard /
+    /// non-binding guard) and is the only row most configurations ever
+    /// touch.
     best_at: Vec<Option<Candidate>>,
     /// Flows per threshold row of `best_at` (the session size).
     row_len: usize,
+    /// Per guard threshold, where its row starts in `best_at`;
+    /// [`UNBUILT`] until it materializes.
+    row_base: Vec<usize>,
     /// One lazy max-heap per guard threshold (empty while unbuilt).
     heaps: Vec<BinaryHeap<HeapEntry>>,
-    /// Which threshold rows are currently materialized.
-    built: Vec<bool>,
     /// Whether the stop projection is maintained (only under
     /// [`crate::StopPolicy::Early`]); the tree and slots below are kept
     /// at minimal size otherwise, retaining their capacity.
@@ -192,16 +204,10 @@ impl Indexed {
     /// `num_thresholds` guard rows, clearing contents but keeping
     /// backing capacity.
     fn reshape(&mut self, num_thresholds: usize, num_flows: usize, projection: bool) {
-        self.built.clear();
-        self.built.resize(num_thresholds, false);
-        self.best_at.clear();
-        self.best_at.resize(num_thresholds * num_flows, None);
         self.row_len = num_flows;
-        self.heaps.truncate(num_thresholds);
-        for heap in &mut self.heaps {
-            heap.clear();
-        }
+        self.row_base.resize(num_thresholds, UNBUILT);
         self.heaps.resize_with(num_thresholds, BinaryHeap::new);
+        self.drop_rows();
         self.projection = projection;
         let min_leaves = if projection {
             (2 * num_thresholds).saturating_sub(2).max(1) * num_flows
@@ -211,6 +217,15 @@ impl Indexed {
         self.tree.reshape(min_leaves);
         self.slot.clear();
         self.slot.resize(num_flows, None);
+    }
+
+    /// Forget every materialized row and heap, keeping their capacity.
+    fn drop_rows(&mut self) {
+        self.best_at.clear();
+        self.row_base.fill(UNBUILT);
+        for heap in &mut self.heaps {
+            heap.clear();
+        }
     }
 }
 
@@ -395,13 +410,9 @@ impl CandidateIndex {
         let Mode::Indexed(ix) = &mut self.mode else {
             return;
         };
-        // Invalidate every threshold row; each rematerializes on the
-        // first select() that needs it, against the new tables (stale
-        // `best_at` cells are overwritten wholesale then).
-        for ti in 0..ix.built.len() {
-            ix.built[ti] = false;
-            ix.heaps[ti].clear();
-        }
+        // Drop every threshold row; each rematerializes on the first
+        // select() that needs it, against the new tables.
+        ix.drop_rows();
         if ix.projection {
             ix.tree.clear();
             for flow in 0..num_flows {
@@ -455,8 +466,9 @@ impl CandidateIndex {
             return;
         };
         // Recompute the flow's entry in every materialized row.
-        for ti in 0..ix.built.len() {
-            if !ix.built[ti] {
+        for ti in 0..ix.row_base.len() {
+            let base = ix.row_base[ti];
+            if base == UNBUILT {
                 continue;
             }
             let row = row_candidate(
@@ -471,8 +483,8 @@ impl CandidateIndex {
                 flow,
                 ti as i64 - p,
             );
-            if ix.best_at[ti * ix.row_len + flow] != row {
-                ix.best_at[ti * ix.row_len + flow] = row;
+            if ix.best_at[base + flow] != row {
+                ix.best_at[base + flow] = row;
                 if state.is_remaining(flow) {
                     if let Some(c) = row {
                         ix.heaps[ti].push(HeapEntry {
@@ -536,13 +548,17 @@ impl CandidateIndex {
             None => 0,
             Some((_, floor)) => (floor.saturating_neg().clamp(-p, p + 1) + p) as usize,
         };
-        if !ix.built[ti] {
+        if ix.row_base[ti] == UNBUILT {
             // First use of this guard threshold since the last rebuild:
-            // materialize its row and heap in one pass.
+            // append its row and fill its heap (through the heap's own
+            // buffer) in one pass.
             let threshold = ti as i64 - p;
-            let row = &mut ix.best_at[ti * ix.row_len..(ti + 1) * ix.row_len];
-            let mut feed = Vec::new();
-            for (flow, slot) in row.iter_mut().enumerate() {
+            ix.row_base[ti] = ix.best_at.len();
+            ix.best_at.reserve(ix.row_len);
+            let mut feed = std::mem::take(&mut ix.heaps[ti]).into_vec();
+            debug_assert!(feed.is_empty(), "an unbuilt row's heap holds nothing");
+            feed.reserve(ix.row_len);
+            for flow in 0..ix.row_len {
                 let c = row_candidate(
                     self.rule,
                     p,
@@ -555,7 +571,7 @@ impl CandidateIndex {
                     flow,
                     threshold,
                 );
-                *slot = c;
+                ix.best_at.push(c);
                 if state.is_remaining(flow) {
                     if let Some(c) = c {
                         feed.push(HeapEntry {
@@ -567,11 +583,11 @@ impl CandidateIndex {
                 }
             }
             ix.heaps[ti] = BinaryHeap::from(feed);
-            ix.built[ti] = true;
         }
+        let row = &ix.best_at[ix.row_base[ti]..][..ix.row_len];
         let heap = &mut ix.heaps[ti];
         while let Some(top) = heap.peek() {
-            let current = ix.best_at[ti * ix.row_len + top.flow];
+            let current = row[top.flow];
             if state.is_remaining(top.flow)
                 && current
                     == Some(Candidate {
@@ -797,6 +813,25 @@ mod tests {
             self.index.on_accept(flow);
         }
 
+        /// Guard-threshold rows materialized right now, after checking
+        /// that they tile `best_at` without gap or overlap.
+        fn rows_built(&self) -> usize {
+            let Mode::Indexed(ix) = &self.index.mode else {
+                panic!("the harness shapes are all indexable");
+            };
+            let mut bases: Vec<usize> = ix
+                .row_base
+                .iter()
+                .copied()
+                .filter(|&base| base != UNBUILT)
+                .collect();
+            bases.sort_unstable();
+            let tiled: Vec<usize> = (0..bases.len()).map(|row| row * ix.row_len).collect();
+            assert_eq!(bases, tiled, "rows must tile best_at");
+            assert_eq!(ix.best_at.len(), bases.len() * ix.row_len);
+            bases.len()
+        }
+
         fn reassign(&mut self, tables: (PrefTable, PrefTable, PrefTable)) {
             (self.d_own, self.d_other, self.own_true) = tables;
             self.index
@@ -1009,6 +1044,46 @@ mod tests {
                 h.check(1 << 40);
                 h.check(-(1 << 40));
             }
+        }
+
+        // A cumulative gain wandering around zero, as the
+        // `VetoNegativeCumulative` floor does: every floor within the
+        // range binds at a threshold of its own, and the rows
+        // materialize in the order the floors come up, not in threshold
+        // order — each must land on cells of its own and stay in step
+        // with the reference under the bans and accepts that follow.
+        #[test]
+        fn binding_floors_materialize_rows_beyond_the_first(
+            (shape, seed, ops) in (3usize..7, 2usize..4, 3i32..12).prop_flat_map(|(n, k, p)| (
+                Just((n, k, p)),
+                any::<u64>(),
+                collection::vec((0u8..3, 0..n, 0..k, -3i64..=3), 1..24),
+            )),
+        ) {
+            let (n, k, p) = shape;
+            let tables = tables_from_seed(n, k, p, seed);
+            let mut h = Harness::new(ProposalRule::MaxCombined, p, tables, vec![IcxId(0); n], k);
+            for floor in [2, -3, 0] {
+                h.check(floor);
+            }
+            // Three binding floors and the unguarded row 0.
+            prop_assert_eq!(h.rows_built(), 4);
+            for (kind, flow, alt, floor) in ops {
+                match kind {
+                    0 => h.ban(flow, alt),
+                    1 => h.accept(flow),
+                    _ => {}
+                }
+                h.check(floor);
+                prop_assert!(h.rows_built() >= 4);
+            }
+            // A reassignment drops every row; they come back on demand.
+            h.reassign(tables_from_seed(n, k, p, !seed));
+            prop_assert_eq!(h.rows_built(), 0);
+            for floor in [-1, 1, 2] {
+                h.check(floor);
+            }
+            prop_assert_eq!(h.rows_built(), 4);
         }
     }
 }

@@ -46,13 +46,15 @@ use nexit_topology::IcxId;
 use std::collections::VecDeque;
 
 /// Peer activity fed into the machine.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Event {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Event<'a> {
     /// The peer's disclosed preference table (initial disclosure or a
-    /// reassignment refresh).
+    /// reassignment refresh). Borrowed: the machine copies the classes
+    /// into its own table, so a driver decodes every list of a session
+    /// into one buffer.
     PeerPrefs {
         /// Disclosed classes, one row per session flow.
-        prefs: PrefTable,
+        prefs: &'a PrefTable,
     },
     /// The peer proposes an alternative for one flow.
     Proposal {
@@ -80,13 +82,14 @@ pub enum Event {
 }
 
 /// What this side wants transmitted to the peer.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Action {
-    /// Disclose our preference table.
-    SendPrefs {
-        /// Disclosed classes, one row per session flow.
-        prefs: PrefTable,
-    },
+    /// Disclose our preference table: transmit
+    /// [`NegotiationMachine::own_disclosed`] as it stands. It changes
+    /// only inside [`NegotiationMachine::handle`], at most once per
+    /// call, so a driver that drains actions before it feeds the next
+    /// event always reads the table this action was queued for.
+    SendPrefs,
     /// Propose an alternative for one flow.
     SendProposal {
         /// Our round counter.
@@ -202,7 +205,7 @@ fn phase_name(p: Phase) -> &'static str {
     }
 }
 
-fn event_name(e: &Event) -> &'static str {
+fn event_name(e: &Event<'_>) -> &'static str {
     match e {
         Event::PeerPrefs { .. } => "PeerPrefs",
         Event::Proposal { .. } => "Proposal",
@@ -348,7 +351,8 @@ impl<M: PreferenceMapper> NegotiationMachine<M> {
             reassignments: 0,
             pending: None,
             termination: None,
-            accepted_log: Vec::new(),
+            // A flow is accepted at most once: the log never regrows.
+            accepted_log: Vec::with_capacity(n),
             reverted: Vec::new(),
         };
         if side == first_discloser {
@@ -373,8 +377,13 @@ impl<M: PreferenceMapper> NegotiationMachine<M> {
         self.side
     }
 
+    /// The session this machine negotiates.
+    pub fn input(&self) -> &SessionInput {
+        &self.input
+    }
+
     /// Feed one peer event.
-    pub fn handle(&mut self, event: Event) -> Result<(), MachineError> {
+    pub fn handle(&mut self, event: Event<'_>) -> Result<(), MachineError> {
         if self.phase == Phase::Failed {
             return Err(MachineError::Closed);
         }
@@ -458,6 +467,34 @@ impl<M: PreferenceMapper> NegotiationMachine<M> {
         &self.reverted
     }
 
+    /// The table this side last disclosed (what [`Action::SendPrefs`]
+    /// transmits).
+    pub fn own_disclosed(&self) -> &PrefTable {
+        &self.my_disclosed
+    }
+
+    /// What `action`, drained from this machine, is to the peer when
+    /// nothing sits between the two (the in-process transport).
+    pub fn peer_event(&self, action: Action) -> Event<'_> {
+        match action {
+            Action::SendPrefs => Event::PeerPrefs {
+                prefs: &self.my_disclosed,
+            },
+            Action::SendProposal {
+                round,
+                local_flow,
+                alternative,
+            } => Event::Proposal {
+                round,
+                local_flow,
+                alternative,
+            },
+            Action::SendResponse { round, accepted } => Event::Response { round, accepted },
+            Action::SendStop { side } => Event::PeerStop { side },
+            Action::SendBye => Event::PeerBye,
+        }
+    }
+
     /// Current disclosed preference tables in `(A, B)` orientation —
     /// exactly the view a transcript of the wire would show.
     pub fn disclosed_tables(&self) -> (&PrefTable, &PrefTable) {
@@ -469,8 +506,7 @@ impl<M: PreferenceMapper> NegotiationMachine<M> {
 
     /// Map our preferences, disclose, and queue the transmission. The
     /// whole chain (mapper gains → quantize → disclose) writes into
-    /// buffers reused across reassignments; only the wire copy of the
-    /// disclosed table is fresh.
+    /// buffers reused across reassignments.
     fn disclose_own(&mut self) {
         self.gains
             .reset(self.input.len(), self.input.num_alternatives);
@@ -490,12 +526,10 @@ impl<M: PreferenceMapper> NegotiationMachine<M> {
             &mut self.my_disclosed,
         );
         self.sent_prefs = true;
-        self.actions.push_back(Action::SendPrefs {
-            prefs: self.my_disclosed.clone(),
-        });
+        self.actions.push_back(Action::SendPrefs);
     }
 
-    fn store_their_prefs(&mut self, prefs: PrefTable) -> Result<(), MachineError> {
+    fn store_their_prefs(&mut self, prefs: &PrefTable) -> Result<(), MachineError> {
         if prefs.num_flows() != self.input.len() {
             return Err(MachineError::BadPrefList("row count mismatch"));
         }
@@ -505,7 +539,7 @@ impl<M: PreferenceMapper> NegotiationMachine<M> {
         if !prefs.within_range(self.config.pref_range) {
             return Err(MachineError::BadPrefList("class out of range"));
         }
-        self.their_disclosed = prefs;
+        self.their_disclosed.copy_from(prefs);
         Ok(())
     }
 
@@ -604,7 +638,7 @@ impl<M: PreferenceMapper> NegotiationMachine<M> {
             && self.my_gain + i64::from(self.my_true.get(local, alt)) < 0
     }
 
-    fn dispatch(&mut self, event: Event) -> Result<(), MachineError> {
+    fn dispatch(&mut self, event: Event<'_>) -> Result<(), MachineError> {
         match (self.phase, event) {
             (Phase::Disclose | Phase::AwaitReassign, Event::PeerPrefs { prefs }) => {
                 self.store_their_prefs(prefs)?;
@@ -873,31 +907,14 @@ mod tests {
         a: &mut NegotiationMachine<FixedMapper>,
         b: &mut NegotiationMachine<FixedMapper>,
     ) -> (MachineOutcome, MachineOutcome) {
-        fn to_event(action: Action) -> Event {
-            match action {
-                Action::SendPrefs { prefs } => Event::PeerPrefs { prefs },
-                Action::SendProposal {
-                    round,
-                    local_flow,
-                    alternative,
-                } => Event::Proposal {
-                    round,
-                    local_flow,
-                    alternative,
-                },
-                Action::SendResponse { round, accepted } => Event::Response { round, accepted },
-                Action::SendStop { side } => Event::PeerStop { side },
-                Action::SendBye => Event::PeerBye,
-            }
-        }
         for _ in 0..10_000 {
             let mut progressed = false;
             while let Some(action) = a.poll_action() {
-                b.handle(to_event(action)).unwrap();
+                b.handle(a.peer_event(action)).unwrap();
                 progressed = true;
             }
             while let Some(action) = b.poll_action() {
-                a.handle(to_event(action)).unwrap();
+                a.handle(b.peer_event(action)).unwrap();
                 progressed = true;
             }
             if a.is_done() && b.is_done() {
@@ -993,14 +1010,14 @@ mod tests {
         let mut b = mk();
         assert_eq!(
             b.handle(Event::PeerPrefs {
-                prefs: PrefTable::from_rows(&[vec![0, 0]]),
+                prefs: &PrefTable::from_rows(&[vec![0, 0]]),
             }),
             Err(MachineError::BadPrefList("row count mismatch"))
         );
         let mut b = mk();
         assert_eq!(
             b.handle(Event::PeerPrefs {
-                prefs: PrefTable::from_rows(&[vec![0, 99], vec![0, 0]]),
+                prefs: &PrefTable::from_rows(&[vec![0, 99], vec![0, 0]]),
             }),
             Err(MachineError::BadPrefList("class out of range"))
         );
@@ -1016,18 +1033,10 @@ mod tests {
             NexitConfig::default(),
         );
         // Exchange the preference lists only.
-        let prefs_a = a.poll_action().unwrap();
-        if let Action::SendPrefs { prefs } = prefs_a {
-            b.handle(Event::PeerPrefs { prefs }).unwrap();
-        } else {
-            panic!("first action must disclose");
-        }
-        let prefs_b = b.poll_action().unwrap();
-        if let Action::SendPrefs { prefs } = prefs_b {
-            a.handle(Event::PeerPrefs { prefs }).unwrap();
-        } else {
-            panic!("B must answer with its list");
-        }
+        assert_eq!(a.poll_action(), Some(Action::SendPrefs), "A discloses");
+        b.handle(a.peer_event(Action::SendPrefs)).unwrap();
+        assert_eq!(b.poll_action(), Some(Action::SendPrefs), "B answers");
+        a.handle(b.peer_event(Action::SendPrefs)).unwrap();
         // Round 0 is A's turn; a proposal *to* A is out of turn.
         assert_eq!(
             a.handle(Event::Proposal {

@@ -82,6 +82,31 @@ impl PrefTable {
         self.num_alts = num_alts;
     }
 
+    /// Reshape to `(num_flows, num_alts)` and fill the cells row by row
+    /// from `classes`, keeping the backing allocation; cells `classes`
+    /// does not reach are zero.
+    pub fn refill(
+        &mut self,
+        num_flows: usize,
+        num_alts: usize,
+        classes: impl Iterator<Item = i32>,
+    ) {
+        let cells = num_flows * num_alts;
+        self.storage.clear();
+        self.storage.extend(classes.take(cells));
+        self.storage.resize(cells, 0);
+        self.num_flows = num_flows;
+        self.num_alts = num_alts;
+    }
+
+    /// Make this table a copy of `other`, reusing the backing buffer.
+    pub fn copy_from(&mut self, other: &PrefTable) {
+        self.storage.clear();
+        self.storage.extend_from_slice(&other.storage);
+        self.num_flows = other.num_flows;
+        self.num_alts = other.num_alts;
+    }
+
     pub(crate) fn into_storage(self) -> Vec<i32> {
         self.storage
     }
@@ -107,6 +132,12 @@ impl PrefTable {
     #[inline]
     pub fn row_mut(&mut self, local_flow: usize) -> &mut [i32] {
         &mut self.storage[local_flow * self.num_alts..(local_flow + 1) * self.num_alts]
+    }
+
+    /// Every class, row by row.
+    #[inline]
+    pub fn values(&self) -> &[i32] {
+        &self.storage
     }
 
     /// One flow's preference row.
@@ -173,6 +204,7 @@ pub fn quantize_into(gains: &GainTable, p: i32, out: &mut PrefTable, magnitudes:
     // alternatives with substantially different quality" (paper §4) is a
     // statement about the typical spread, not the single worst case.
     magnitudes.clear();
+    magnitudes.reserve(gains.values().len());
     magnitudes.extend(gains.values().iter().map(|g| g.abs()).filter(|&g| g > 0.0));
     if magnitudes.is_empty() {
         return; // all-zero gains map to the all-zero table

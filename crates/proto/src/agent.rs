@@ -26,16 +26,35 @@
 //!
 //! Since the `NegotiationMachine` refactor the agent contains **no
 //! decision logic at all**: it is a codec shim that owns the session
-//! handshake (Hello / FlowAnnounce validation) and translates decoded
-//! [`Message`]s into [`nexit_core::machine::Event`]s and drained
-//! [`nexit_core::machine::Action`]s into framed messages. The round loop
-//! itself is the same [`NegotiationMachine`] the in-process engine
-//! drives, so a distributed session reproduces
-//! [`nexit_core::negotiate`]'s outcome *by construction* (still pinned
-//! end to end, bytes included, by the integration suite).
+//! handshake (Hello / FlowAnnounce validation) and translates parsed
+//! [`MessageRef`]s into [`nexit_core::machine::Event`]s and drained
+//! [`nexit_core::machine::Action`]s into frames. The round loop itself
+//! is the same [`NegotiationMachine`] the in-process engine drives, so a
+//! distributed session reproduces [`nexit_core::negotiate`]'s outcome *by
+//! construction* (still pinned end to end, bytes included, by the
+//! integration suite).
+//!
+//! ## Who owns a frame's bytes
+//!
+//! Every outgoing frame is written once, straight from where its fields
+//! live (the machine's disclosed table and session input, the agent's
+//! name, the action the machine queued) into a buffer from the agent's
+//! buffer pool. [`Agent::poll_transmit`] gives the
+//! buffer away; whoever holds it once it is spent hands it to the
+//! [`Agent::reclaim`] of the agent at hand. The pool is bounded in count
+//! ([`crate::frame::POOLED_FRAMES`]), and a session in lock step cycles
+//! the same few buffers: a `Propose` / `Response` round between two
+//! running agents allocates nothing.
+//!
+//! Incoming frames are parsed where they lie
+//! ([`FrameCodec::feed_frames`]): the receive buffer only ever holds the
+//! tail of a frame that has not fully arrived. Every `PrefList` of a
+//! session is widened into one table, and the replay window kept in one
+//! byte buffer.
 
-use crate::frame::{FrameCodec, FrameError};
-use crate::messages::{FlowEntry, Message, MessageError};
+use crate::frame::{FrameCodec, FrameError, FramePool, FrameRef, MAX_FRAME_PAYLOAD};
+use crate::messages::{self, FlowEntry, Message, MessageError, MessageRef};
+use crate::reliable::ENVELOPE_BYTES;
 use nexit_core::machine::{Action, Event, MachineError, NegotiationMachine};
 use nexit_core::prefs::PrefTable;
 use nexit_core::{DisclosurePolicy, NexitConfig, PreferenceMapper, SessionInput, Side, TableArena};
@@ -44,9 +63,6 @@ use std::collections::VecDeque;
 
 /// Final result of one agent's session (the machine's outcome).
 pub use nexit_core::machine::MachineOutcome as AgentOutcome;
-
-/// Wire type byte of [`Message::PrefList`] (see `messages.rs`).
-const PREF_LIST_TYPE: u8 = 3;
 
 /// Agent-level protocol failures. All are fatal to the session.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,6 +91,11 @@ pub enum ProtoError {
     /// `InflateBest` cheating needs the peer's list first, which only the
     /// second discloser (side B) has in this protocol.
     UnsupportedDisclosure,
+    /// The session does not fit the wire format: a name, a count or a
+    /// preference range wider than its field, or a flow set whose
+    /// announcement or preference list would exceed
+    /// [`MAX_FRAME_PAYLOAD`].
+    WireLimit(&'static str),
     /// The lock-step exchange stopped making progress before both sides
     /// finished — a lost frame stalled the protocol. Carries the number
     /// of frames still queued in each direction when the stall was
@@ -122,6 +143,7 @@ impl std::fmt::Display for ProtoError {
                     "InflateBest disclosure requires disclosing second (side B)"
                 )
             }
+            ProtoError::WireLimit(what) => write!(f, "session exceeds the wire format: {what}"),
             ProtoError::Stalled {
                 in_flight_ab,
                 in_flight_ba,
@@ -185,25 +207,71 @@ enum Handshake {
     Failed,
 }
 
-/// One side of a distributed negotiation: frame codec + handshake +
+/// One side of a distributed negotiation: receive buffer + handshake +
 /// [`NegotiationMachine`].
 pub struct Agent<'a> {
+    /// The tail of a frame that has not fully arrived. Kept apart from
+    /// `session` so frames parsed out of it can be handled in place.
+    codec: FrameCodec,
+    session: Session<'a>,
+}
+
+/// Everything of an [`Agent`] but its receive buffer.
+struct Session<'a> {
     side: Side,
     name: String,
     config: NexitConfig,
-    input: SessionInput,
     machine: NegotiationMachine<Box<dyn PreferenceMapper + Send + 'a>>,
-    codec: FrameCodec,
-    outbox: VecDeque<Vec<u8>>,
     handshake: Handshake,
+    /// Encoded frames awaiting [`Agent::poll_transmit`].
+    outbox: VecDeque<Vec<u8>>,
+    /// Spent frame buffers for the next frames.
+    pool: FramePool,
+    /// Where every `PrefList` of the session is decoded.
+    peer_prefs: PrefTable,
     /// Dedup-window mode (ARQ transports): a byte-identical replay of
     /// the last handled frame is silently ignored instead of failing the
     /// session. Off by default — on a raw link a duplicate is a protocol
     /// violation and must stay fatal.
     tolerate_replays: bool,
-    /// Last handled frame (`msg_type`, payload) for replay detection;
-    /// tracked only when `tolerate_replays` is set.
-    last_frame: Option<(u8, Vec<u8>)>,
+    /// Type byte and payload of the last handled frame, for replay
+    /// detection; empty until one was handled with `tolerate_replays`
+    /// set.
+    last_frame: Vec<u8>,
+}
+
+/// Refuse a session the wire format cannot carry, so that no writer ever
+/// truncates a field and no frame outgrows [`MAX_FRAME_PAYLOAD`]
+/// mid-session, inside an ARQ envelope included. Alternative ids and column counts are below
+/// `num_alternatives`, flow indices and row counts below the flow count
+/// (bounded by the payload limit, far under `u32::MAX`), classes within
+/// `pref_range`.
+fn check_wire_limits(
+    name: &str,
+    input: &SessionInput,
+    config: &NexitConfig,
+) -> Result<(), ProtoError> {
+    let limit = |holds, what| match holds {
+        true => Ok(()),
+        false => Err(ProtoError::WireLimit(what)),
+    };
+    let room = MAX_FRAME_PAYLOAD - ENVELOPE_BYTES;
+    let fits = |units, (fixed, each): (usize, usize)| units <= (room - fixed) / each;
+    let cells = input.len().saturating_mul(input.num_alternatives);
+    limit(name.len() <= 0xFFFF, "name longer than 65535 bytes")?;
+    limit(
+        input.num_alternatives <= 0xFFFF,
+        "more than 65535 alternatives",
+    )?;
+    limit(config.pref_range <= 0x7FFF, "preference range beyond i16")?;
+    limit(
+        fits(input.len(), messages::FLOW_ANNOUNCE_BYTES),
+        "flow announcement exceeds a frame",
+    )?;
+    limit(
+        fits(cells, messages::PREF_LIST_BYTES),
+        "preference list exceeds a frame",
+    )
 }
 
 impl<'a> Agent<'a> {
@@ -238,6 +306,9 @@ impl<'a> Agent<'a> {
     /// `arena`. Pair with [`Agent::recycle`]: a driver that serves many
     /// sessions back to back (the `nexit-broker` workers) allocates each
     /// backing buffer exactly once per worker.
+    ///
+    /// A session the wire format cannot carry is refused here with
+    /// [`ProtoError::WireLimit`], before anything is sent.
     #[allow(clippy::too_many_arguments)] // mirrors `new` plus the arena
     pub fn new_in(
         arena: &mut TableArena,
@@ -249,107 +320,82 @@ impl<'a> Agent<'a> {
         disclosure: DisclosurePolicy,
         config: NexitConfig,
     ) -> Result<Self, ProtoError> {
+        let name = name.into();
+        check_wire_limits(&name, &input, &config)?;
         let machine = NegotiationMachine::new_in(
             arena,
             side,
             // The wire protocol fixes the disclosure order: A discloses
             // first, so only B may run a peer-list-dependent cheater.
             Side::A,
-            input.clone(),
+            input,
             default_assignment,
             Box::new(mapper) as Box<dyn PreferenceMapper + Send + 'a>,
             disclosure,
             config,
         )?;
-        let mut agent = Self {
+        let mut session = Session {
             side,
-            name: name.into(),
+            name,
             config,
-            input,
             machine,
-            codec: FrameCodec::new(),
-            outbox: VecDeque::new(),
             handshake: Handshake::AwaitHello,
+            outbox: VecDeque::new(),
+            pool: FramePool::default(),
+            peer_prefs: arena.pref_table(0, 0),
             tolerate_replays: false,
-            last_frame: None,
+            last_frame: Vec::new(),
         };
         if side == Side::A {
-            agent.send(Message::Hello {
-                side: Side::A,
-                name: agent.name.clone(),
-                num_alternatives: agent.input.num_alternatives as u16,
-                config: agent.config,
-            });
+            session.send_hello();
         }
-        Ok(agent)
+        Ok(Self {
+            codec: FrameCodec::new(),
+            session,
+        })
     }
 
-    /// Retire the agent, returning its machine's table and index buffers
-    /// to `arena` for the next [`Agent::new_in`].
+    /// Retire the agent, returning its table and index buffers to
+    /// `arena` for the next [`Agent::new_in`].
     pub fn recycle(self, arena: &mut TableArena) {
-        self.machine.recycle(arena);
+        arena.recycle_pref(self.session.peer_prefs);
+        self.session.machine.recycle(arena);
     }
 
-    fn send(&mut self, msg: Message) {
-        self.outbox.push_back(msg.encode());
-    }
-
-    /// Encode every action the machine wants transmitted. Held back until
-    /// the handshake completes — the machine queues its first PrefList at
-    /// construction, but the wire order is Hello / Hello / FlowAnnounce
-    /// first.
-    fn drain_machine(&mut self) {
-        if self.handshake != Handshake::Running {
-            return;
-        }
-        while let Some(action) = self.machine.poll_action() {
-            let msg = match action {
-                Action::SendPrefs { prefs } => Message::PrefList {
-                    prefs: encode_prefs(&prefs),
-                },
-                Action::SendProposal {
-                    round,
-                    local_flow,
-                    alternative,
-                } => Message::Propose {
-                    round,
-                    local_flow: local_flow as u32,
-                    alternative,
-                },
-                Action::SendResponse { round, accepted } => Message::Response { round, accepted },
-                Action::SendStop { side } => Message::Stop { side },
-                Action::SendBye => Message::Bye,
-            };
-            self.send(msg);
-        }
-    }
-
-    /// Pop the next outgoing wire frame, if any.
+    /// Pop the next outgoing wire frame, if any. The buffer is the
+    /// caller's; once spent it is worth an [`Agent::reclaim`].
     pub fn poll_transmit(&mut self) -> Option<Vec<u8>> {
-        self.drain_machine();
-        self.outbox.pop_front()
+        self.session.outbox.pop_front()
+    }
+
+    /// Take a spent frame buffer (from this agent or its peer) for a
+    /// later frame. The pool is bounded: beyond
+    /// [`crate::frame::POOLED_FRAMES`] the buffer is dropped.
+    pub fn reclaim(&mut self, buf: Vec<u8>) {
+        self.session.pool.put(buf);
     }
 
     /// Whether the session reached a terminal state (done or failed).
     pub fn is_done(&self) -> bool {
-        match self.handshake {
-            Handshake::Failed => self.outbox.is_empty(),
-            Handshake::Running => self.machine.is_done() && self.outbox.is_empty(),
+        let session = &self.session;
+        match session.handshake {
+            Handshake::Failed => session.outbox.is_empty(),
+            Handshake::Running => session.machine.is_done() && session.outbox.is_empty(),
             _ => false,
         }
     }
 
     /// The outcome, once [`Agent::is_done`] and the session succeeded.
     pub fn outcome(&self) -> Option<AgentOutcome> {
-        if self.handshake != Handshake::Running {
+        if self.session.handshake != Handshake::Running {
             return None;
         }
-        self.machine.outcome()
+        self.session.machine.outcome()
     }
 
     /// This agent's side.
     pub fn side(&self) -> Side {
-        self.side
+        self.session.side
     }
 
     /// Enable (or disable) replay tolerance for dedup-window transports.
@@ -367,50 +413,50 @@ impl<'a> Agent<'a> {
     /// must leave this off: there a duplicate is a transport-contract
     /// violation and failing fast is correct.
     pub fn set_replay_tolerance(&mut self, tolerate: bool) {
-        self.tolerate_replays = tolerate;
+        self.session.tolerate_replays = tolerate;
         if !tolerate {
-            self.last_frame = None;
+            self.session.last_frame.clear();
         }
+    }
+
+    /// Bytes of an unfinished frame held back for the next
+    /// [`Agent::handle_bytes`] (for diagnostics): never more than one
+    /// frame's worth.
+    pub fn buffered(&self) -> usize {
+        self.codec.buffered()
     }
 
     /// Feed received transport bytes; processes every complete frame.
     pub fn handle_bytes(&mut self, data: &[u8]) -> Result<(), ProtoError> {
-        if self.handshake == Handshake::Failed {
+        let Self { codec, session } = self;
+        if session.handshake == Handshake::Failed {
             return Err(ProtoError::Closed);
         }
-        self.codec.feed(data);
-        loop {
-            match self.codec.next_frame() {
-                Ok(Some(frame)) => {
-                    if self.tolerate_replays {
-                        let is_replay = self
-                            .last_frame
-                            .as_ref()
-                            .is_some_and(|(t, p)| *t == frame.msg_type && *p == frame.payload);
-                        if is_replay && !self.replayed_frame_is_fresh(frame.msg_type) {
-                            continue;
-                        }
-                        self.last_frame = Some((frame.msg_type, frame.payload.clone()));
-                    }
-                    let msg = match Message::decode(&frame) {
-                        Ok(m) => m,
-                        Err(e) => {
-                            self.handshake = Handshake::Failed;
-                            return Err(e.into());
-                        }
-                    };
-                    if let Err(e) = self.handle_message(msg) {
-                        self.handshake = Handshake::Failed;
-                        return Err(e);
-                    }
-                }
-                Ok(None) => return Ok(()),
-                Err(e) => {
-                    self.handshake = Handshake::Failed;
-                    return Err(e.into());
-                }
-            }
+        let result = codec.feed_frames(data, |frame| session.handle_frame(frame));
+        if result.is_err() {
+            session.handshake = Handshake::Failed;
         }
+        result
+    }
+}
+
+impl Session<'_> {
+    fn handle_frame(&mut self, frame: FrameRef<'_>) -> Result<(), ProtoError> {
+        if self.tolerate_replays {
+            let is_replay = self
+                .last_frame
+                .split_first()
+                .is_some_and(|(&t, payload)| t == frame.msg_type && payload == frame.payload);
+            if is_replay && !self.replayed_frame_is_fresh(frame.msg_type) {
+                return Ok(());
+            }
+            self.last_frame.clear();
+            self.last_frame.push(frame.msg_type);
+            self.last_frame.extend_from_slice(frame.payload);
+        }
+        self.handle_message(MessageRef::parse(frame)?)?;
+        self.drain_machine();
+        Ok(())
     }
 
     /// Whether a byte-identical repeat of the last frame is legitimate
@@ -421,16 +467,74 @@ impl<'a> Agent<'a> {
     /// happen once, Propose/Response embed their round number, and
     /// Stop/Bye terminate.
     fn replayed_frame_is_fresh(&self, msg_type: u8) -> bool {
-        msg_type == PREF_LIST_TYPE
+        msg_type == messages::PREF_LIST
             && self.handshake == Handshake::Running
             && self.machine.expects_prefs()
     }
 
-    fn handle_message(&mut self, msg: Message) -> Result<(), ProtoError> {
+    /// Queue one frame: `write` appends it to a pooled buffer.
+    fn send(&mut self, write: impl FnOnce(&mut Vec<u8>, &Self)) {
+        let mut buf = self.pool.take();
+        write(&mut buf, self);
+        self.outbox.push_back(buf);
+    }
+
+    fn send_hello(&mut self) {
+        self.send(|out, s| {
+            // Fits: `check_wire_limits` bounded the alternative count.
+            let num_alternatives = s.machine.input().num_alternatives as u16;
+            messages::write_hello(out, s.side, &s.name, num_alternatives, &s.config);
+        });
+    }
+
+    /// Encode every action the machine wants transmitted, straight from
+    /// the machine's own state. Held back until the handshake completes
+    /// — the machine queues its first PrefList at construction, but the
+    /// wire order is Hello / Hello / FlowAnnounce first — and run after
+    /// every handled message from then on, so the outbox is always the
+    /// machine's actions in order and a `SendPrefs` reads the table it
+    /// was queued for.
+    fn drain_machine(&mut self) {
+        if self.handshake != Handshake::Running {
+            return;
+        }
+        while let Some(action) = self.machine.poll_action() {
+            self.send(|out, s| match action {
+                Action::SendPrefs => {
+                    let prefs = s.machine.own_disclosed();
+                    messages::write_pref_list(
+                        out,
+                        prefs.num_flows(),
+                        prefs.num_alternatives(),
+                        // Fits: classes are within the checked range.
+                        prefs.values().iter().map(|&class| class as i16),
+                    );
+                }
+                // The messages of fixed size own no memory.
+                Action::SendProposal {
+                    round,
+                    local_flow,
+                    alternative,
+                } => Message::Propose {
+                    round,
+                    local_flow: local_flow as u32,
+                    alternative,
+                }
+                .encode_into(out),
+                Action::SendResponse { round, accepted } => {
+                    Message::Response { round, accepted }.encode_into(out)
+                }
+                Action::SendStop { side } => Message::Stop { side }.encode_into(out),
+                Action::SendBye => Message::Bye.encode_into(out),
+            });
+        }
+    }
+
+    fn handle_message(&mut self, msg: MessageRef<'_>) -> Result<(), ProtoError> {
         match (self.handshake, msg) {
             (
                 Handshake::AwaitHello,
-                Message::Hello {
+                MessageRef::Hello {
                     side,
                     num_alternatives,
                     config,
@@ -440,7 +544,7 @@ impl<'a> Agent<'a> {
                 if side != self.side.other() {
                     return Err(ProtoError::ConfigMismatch("peer claims our side"));
                 }
-                if num_alternatives as usize != self.input.num_alternatives {
+                if usize::from(num_alternatives) != self.machine.input().num_alternatives {
                     return Err(ProtoError::ConfigMismatch("alternative count"));
                 }
                 if config != self.config {
@@ -450,47 +554,40 @@ impl<'a> Agent<'a> {
                     Side::A => {
                         // B answered our Hello: announce flows, then let
                         // the machine's queued PrefList go out.
-                        let flows: Vec<FlowEntry> = self
-                            .input
-                            .flow_ids
-                            .iter()
-                            .zip(&self.input.defaults)
-                            .zip(&self.input.volumes)
-                            .map(|((&flow, &default), &volume)| FlowEntry {
-                                flow,
-                                default,
-                                volume,
-                            })
-                            .collect();
-                        self.send(Message::FlowAnnounce { flows });
+                        self.send(|out, s| {
+                            let input = s.machine.input();
+                            let flows = (0..input.len()).map(|i| FlowEntry {
+                                flow: input.flow_ids[i],
+                                default: input.defaults[i],
+                                volume: input.volumes[i],
+                            });
+                            messages::write_flow_announce(out, flows);
+                        });
                         self.handshake = Handshake::Running;
                     }
                     Side::B => {
                         // A's opening Hello: answer it, then await the
                         // flow announcement.
-                        self.send(Message::Hello {
-                            side: Side::B,
-                            name: self.name.clone(),
-                            num_alternatives: self.input.num_alternatives as u16,
-                            config: self.config,
-                        });
+                        self.send_hello();
                         self.handshake = Handshake::AwaitAnnounce;
                     }
                 }
                 Ok(())
             }
-            (Handshake::AwaitAnnounce, Message::FlowAnnounce { flows }) => {
-                if flows.len() != self.input.len() {
+            (Handshake::AwaitAnnounce, MessageRef::FlowAnnounce { entries }) => {
+                let input = self.machine.input();
+                let flows = MessageRef::flows(entries);
+                if flows.len() != input.len() {
                     return Err(ProtoError::FlowMismatch("flow count"));
                 }
-                for (i, e) in flows.iter().enumerate() {
-                    if e.flow != self.input.flow_ids[i] {
+                for (i, e) in flows.enumerate() {
+                    if e.flow != input.flow_ids[i] {
                         return Err(ProtoError::FlowMismatch("flow id"));
                     }
-                    if e.default != self.input.defaults[i] {
+                    if e.default != input.defaults[i] {
                         return Err(ProtoError::FlowMismatch("default alternative"));
                     }
-                    if (e.volume - self.input.volumes[i]).abs() > 1e-9 {
+                    if (e.volume - input.volumes[i]).abs() > 1e-9 {
                         return Err(ProtoError::FlowMismatch("volume"));
                     }
                 }
@@ -499,10 +596,21 @@ impl<'a> Agent<'a> {
             }
             (Handshake::Running, msg) => {
                 let event = match msg {
-                    Message::PrefList { prefs } => Event::PeerPrefs {
-                        prefs: decode_prefs(prefs),
-                    },
-                    Message::Propose {
+                    MessageRef::PrefList {
+                        rows,
+                        columns,
+                        classes,
+                    } => {
+                        // Widened into the session's one table; shape and
+                        // range are the machine's to validate. The body
+                        // held every cell, so it is two frames big at most.
+                        let classes = MessageRef::classes(classes).map(i32::from);
+                        self.peer_prefs.refill(rows, columns, classes);
+                        Event::PeerPrefs {
+                            prefs: &self.peer_prefs,
+                        }
+                    }
+                    MessageRef::Propose {
                         round,
                         local_flow,
                         alternative,
@@ -511,13 +619,13 @@ impl<'a> Agent<'a> {
                         local_flow: local_flow as usize,
                         alternative,
                     },
-                    Message::Response { round, accepted } => Event::Response { round, accepted },
-                    Message::Stop { side } => Event::PeerStop { side },
-                    Message::Bye => Event::PeerBye,
+                    MessageRef::Response { round, accepted } => Event::Response { round, accepted },
+                    MessageRef::Stop { side } => Event::PeerStop { side },
+                    MessageRef::Bye => Event::PeerBye,
                     other => {
                         return Err(ProtoError::UnexpectedMessage {
                             state: "Running",
-                            got: msg_name(&other),
+                            got: other.name(),
                         })
                     }
                 };
@@ -525,31 +633,10 @@ impl<'a> Agent<'a> {
             }
             (phase, msg) => Err(ProtoError::UnexpectedMessage {
                 state: handshake_name(phase),
-                got: msg_name(&msg),
+                got: msg.name(),
             }),
         }
     }
-}
-
-/// Wire representation of a disclosed table (`i16` classes).
-fn encode_prefs(prefs: &PrefTable) -> Vec<Vec<i16>> {
-    (0..prefs.num_flows())
-        .map(|f| prefs.row(f).iter().map(|&c| c as i16).collect())
-        .collect()
-}
-
-/// Widen wire classes back to a [`PrefTable`]. Shape and range are
-/// validated by the machine.
-fn decode_prefs(prefs: Vec<Vec<i16>>) -> PrefTable {
-    let num_alts = prefs.first().map_or(0, Vec::len);
-    let mut out = PrefTable::zero(prefs.len(), num_alts);
-    for (f, row) in prefs.iter().enumerate() {
-        assert_eq!(row.len(), num_alts, "ragged preference table");
-        for (cell, &c) in out.row_mut(f).iter_mut().zip(row) {
-            *cell = i32::from(c);
-        }
-    }
-    out
 }
 
 fn handshake_name(h: Handshake) -> &'static str {
@@ -558,17 +645,5 @@ fn handshake_name(h: Handshake) -> &'static str {
         Handshake::AwaitAnnounce => "AwaitAnnounce",
         Handshake::Running => "Running",
         Handshake::Failed => "Failed",
-    }
-}
-
-fn msg_name(m: &Message) -> &'static str {
-    match m {
-        Message::Hello { .. } => "Hello",
-        Message::FlowAnnounce { .. } => "FlowAnnounce",
-        Message::PrefList { .. } => "PrefList",
-        Message::Propose { .. } => "Propose",
-        Message::Response { .. } => "Response",
-        Message::Stop { .. } => "Stop",
-        Message::Bye => "Bye",
     }
 }

@@ -12,12 +12,19 @@
 //! B→A link (each stopping at `queue_capacity`), up to `deliver_budget`
 //! wire units off the A→B link into B, the same from B→A into A. Every
 //! wire unit reaches the transport on its own — a corrupted unit poisons
-//! only itself — and what the transport hands up is fed to the agent as
-//! one byte run per direction.
+//! only itself.
+//!
+//! The pump copies no frame. A wire unit is the `Vec` its writer filled:
+//! it moves from the agent (or the ARQ endpoint) onto the link and off
+//! it again, the receiving agent reads it as a borrowed slice — the unit
+//! itself on the raw link, each frame the endpoint releases under ARQ —
+//! and the spent `Vec` goes into the receiving side's bounded buffer pool
+//! ([`Agent::reclaim`], [`ReliableEndpoint::reclaim`]) to become one of
+//! that side's next frames.
 
 use crate::agent::{Agent, AgentOutcome, ProtoError};
 use crate::channel::FaultyLink;
-use crate::reliable::{ReliableConfig, ReliableEndpoint, ReliableError};
+use crate::reliable::{ReliableConfig, ReliableEndpoint};
 use nexit_core::Side;
 
 /// One side's transport end: what sits between an agent and its link.
@@ -38,7 +45,8 @@ impl Transport {
     fn accept(&mut self, agent: &mut Agent<'_>) {
         if let Transport::Arq(endpoint) = self {
             while let Some(frame) = agent.poll_transmit() {
-                endpoint.send(frame);
+                endpoint.send(&frame);
+                agent.reclaim(frame);
             }
         }
     }
@@ -51,21 +59,29 @@ impl Transport {
         }
     }
 
-    /// Take one wire unit off the link and append whatever it releases
-    /// for the agent, in order, to `out`.
-    fn on_datagram(&mut self, unit: &[u8], out: &mut Vec<u8>) {
+    /// Take one wire unit off the link, feed the agent whatever it
+    /// releases, in order, and keep the spent buffers on this side.
+    fn on_datagram(&mut self, unit: Vec<u8>, agent: &mut Agent<'_>) -> Result<(), ProtoError> {
         match self {
-            Transport::Direct => out.extend_from_slice(unit),
+            Transport::Direct => {
+                let handled = agent.handle_bytes(&unit);
+                agent.reclaim(unit);
+                handled
+            }
             Transport::Arq(endpoint) => {
-                endpoint.on_datagram(unit);
+                endpoint.on_datagram(&unit);
+                endpoint.reclaim(unit);
                 while let Some(frame) = endpoint.poll_deliver() {
-                    out.extend_from_slice(&frame);
+                    let handled = agent.handle_bytes(&frame);
+                    endpoint.reclaim(frame);
+                    handled?;
                 }
+                Ok(())
             }
         }
     }
 
-    fn on_tick(&mut self) -> Result<(), ReliableError> {
+    fn on_tick(&mut self) -> Result<(), ProtoError> {
         match self {
             Transport::Direct => Ok(()),
             Transport::Arq(endpoint) => endpoint.on_tick(),
@@ -158,9 +174,7 @@ impl SessionPump {
 
     /// Move frames once around the session (see the module docs for the
     /// order). An agent rejecting what it was fed is fatal and is
-    /// returned with that agent's side. `scratch` holds the byte run on
-    /// its way into an agent and carries nothing between calls: a caller
-    /// stepping many sessions passes the same buffer to all of them.
+    /// returned with that agent's side.
     pub fn step(
         &mut self,
         agent_a: &mut Agent<'_>,
@@ -168,13 +182,12 @@ impl SessionPump {
         link_ab: &mut FaultyLink,
         link_ba: &mut FaultyLink,
         limits: StepLimits,
-        scratch: &mut Vec<u8>,
     ) -> Result<StepReport, (ProtoError, Side)> {
         let mut report = StepReport::default();
         self.transmit(Side::A, agent_a, link_ab, limits, &mut report);
         self.transmit(Side::B, agent_b, link_ba, limits, &mut report);
-        self.deliver(Side::B, link_ab, agent_b, limits, scratch, &mut report)?;
-        self.deliver(Side::A, link_ba, agent_a, limits, scratch, &mut report)?;
+        self.deliver(Side::B, link_ab, agent_b, limits, &mut report)?;
+        self.deliver(Side::A, link_ba, agent_a, limits, &mut report)?;
         report.done = agent_a.is_done()
             && agent_b.is_done()
             && self.end_a.settled(link_ab)
@@ -219,34 +232,27 @@ impl SessionPump {
         link: &mut FaultyLink,
         agent: &mut Agent<'_>,
         limits: StepLimits,
-        scratch: &mut Vec<u8>,
         report: &mut StepReport,
     ) -> Result<(), (ProtoError, Side)> {
         let end = match to {
             Side::A => &mut self.end_a,
             Side::B => &mut self.end_b,
         };
-        scratch.clear();
-        let mut delivered = 0usize;
-        while delivered < limits.deliver_budget {
+        for _ in 0..limits.deliver_budget {
             let Some(unit) = link.recv() else {
                 break;
             };
-            end.on_datagram(&unit, scratch);
-            delivered += 1;
+            report.moved = true;
+            end.on_datagram(unit, agent).map_err(|e| (e, to))?;
         }
-        report.moved |= delivered > 0;
-        if scratch.is_empty() {
-            return Ok(());
-        }
-        agent.handle_bytes(scratch).map_err(|e| (e, to))
+        Ok(())
     }
 
     /// Advance both ends' retransmit timers by one tick. A frame out of
     /// retries is fatal and is returned with the side that sent it.
     pub fn on_tick(&mut self) -> Result<(), (ProtoError, Side)> {
-        self.end_a.on_tick().map_err(|e| (e.into(), Side::A))?;
-        self.end_b.on_tick().map_err(|e| (e.into(), Side::B))
+        self.end_a.on_tick().map_err(|e| (e, Side::A))?;
+        self.end_b.on_tick().map_err(|e| (e, Side::B))
     }
 
     /// Whether a retransmit timer still has work scheduled, so a step
@@ -297,17 +303,9 @@ pub fn run_session(
     link_ba: &mut FaultyLink,
 ) -> Result<(AgentOutcome, AgentOutcome), ProtoError> {
     let mut pump = SessionPump::new(None);
-    let mut scratch = Vec::new();
     for _ in 0..MAX_STEPS {
         let report = pump
-            .step(
-                agent_a,
-                agent_b,
-                link_ab,
-                link_ba,
-                StepLimits::UNBOUNDED,
-                &mut scratch,
-            )
+            .step(agent_a, agent_b, link_ab, link_ba, StepLimits::UNBOUNDED)
             .map_err(|(error, _)| error)?;
         if report.done {
             return outcomes(agent_a, agent_b);
@@ -326,7 +324,7 @@ pub fn run_session(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::channel::FaultConfig;
     use nexit_core::{
@@ -345,7 +343,7 @@ mod tests {
 
     /// Two honest agents over a 6-flow, 3-alternative session whose
     /// tables disagree enough to take several rounds.
-    fn agents() -> (Agent<'static>, Agent<'static>) {
+    pub(crate) fn agents() -> (Agent<'static>, Agent<'static>) {
         let (flows, alts) = (6usize, 3usize);
         let agent = |side, tilt: f64| {
             let mut gains = GainTable::new(flows, alts);
@@ -387,19 +385,11 @@ mod tests {
         let (mut a, mut b) = agents();
         let (mut ab, mut ba) = (FaultyLink::reliable(), FaultyLink::reliable());
         let mut pump = SessionPump::new(None);
-        let mut scratch = Vec::new();
         let mut parked = 0;
         let mut steps = 0;
         loop {
             let report = pump
-                .step(
-                    &mut a,
-                    &mut b,
-                    &mut ab,
-                    &mut ba,
-                    ONE_AT_A_TIME,
-                    &mut scratch,
-                )
+                .step(&mut a, &mut b, &mut ab, &mut ba, ONE_AT_A_TIME)
                 .expect("clean links");
             assert!(ab.in_flight() <= 1 && ba.in_flight() <= 1);
             parked += usize::from(report.parked);
@@ -419,14 +409,7 @@ mod tests {
         let (mut a, mut b) = agents();
         let mut unbounded = SessionPump::new(None);
         while !unbounded
-            .step(
-                &mut a,
-                &mut b,
-                &mut ab,
-                &mut ba,
-                StepLimits::UNBOUNDED,
-                &mut scratch,
-            )
+            .step(&mut a, &mut b, &mut ab, &mut ba, StepLimits::UNBOUNDED)
             .unwrap()
             .done
         {}
@@ -447,14 +430,9 @@ mod tests {
             let (mut a, mut b) = agents();
             let (mut ab, mut ba) = (FaultyLink::reliable(), FaultyLink::reliable());
             let mut pump = SessionPump::new(reliability);
-            let mut scratch = Vec::new();
-            let first = pump
-                .step(&mut a, &mut b, &mut ab, &mut ba, frozen, &mut scratch)
-                .unwrap();
+            let first = pump.step(&mut a, &mut b, &mut ab, &mut ba, frozen).unwrap();
             assert!(first.moved && !first.done);
-            let second = pump
-                .step(&mut a, &mut b, &mut ab, &mut ba, frozen, &mut scratch)
-                .unwrap();
+            let second = pump.step(&mut a, &mut b, &mut ab, &mut ba, frozen).unwrap();
             assert!(!second.moved && !second.done);
             assert_eq!(pump.has_unacked(), waits);
             assert_eq!(ab.in_flight(), 1, "the Hello is queued, not lost");
@@ -471,14 +449,7 @@ mod tests {
         let (mut ab, mut ba) = (FaultyLink::new(corrupt, 3), FaultyLink::reliable());
         let mut pump = SessionPump::new(None);
         let (error, side) = pump
-            .step(
-                &mut a,
-                &mut b,
-                &mut ab,
-                &mut ba,
-                StepLimits::UNBOUNDED,
-                &mut Vec::new(),
-            )
+            .step(&mut a, &mut b, &mut ab, &mut ba, StepLimits::UNBOUNDED)
             .expect_err("B must reject A's corrupted Hello");
         assert!(matches!(
             error,
@@ -497,17 +468,9 @@ mod tests {
         };
         let (mut ab, mut ba) = (FaultyLink::new(dead, 1), FaultyLink::new(dead, 2));
         let mut pump = SessionPump::new(Some(ReliableConfig::default()));
-        let mut scratch = Vec::new();
         let (error, side) = loop {
             let report = pump
-                .step(
-                    &mut a,
-                    &mut b,
-                    &mut ab,
-                    &mut ba,
-                    StepLimits::UNBOUNDED,
-                    &mut scratch,
-                )
+                .step(&mut a, &mut b, &mut ab, &mut ba, StepLimits::UNBOUNDED)
                 .expect("nothing arrives, so nothing is rejected");
             assert!(!report.done);
             assert!(pump.has_unacked(), "A's Hello is never acknowledged");

@@ -8,9 +8,11 @@
 //! agent's protocol layer:
 //!
 //! * [`crc`] — CRC-32 (IEEE) for frame integrity,
-//! * [`frame`] — length-prefixed binary framing with incremental decode,
+//! * [`frame`] — length-prefixed binary framing: frames are written
+//!   once into a caller's buffer and parsed in place by one parser,
 //! * [`messages`] — the message set: session hello, flow announcements,
-//!   preference lists, proposals, accept/reject responses, stop and bye,
+//!   preference lists, proposals, accept/reject responses, stop and bye;
+//!   one borrowed parser and one writer, an owned form on top,
 //! * [`agent`] — a poll-based (sans-io) state machine driving one side of
 //!   a negotiation; transport-agnostic in the style of event-driven
 //!   network stacks: feed it received bytes with
@@ -54,7 +56,8 @@ pub use agent::{Agent, AgentOutcome, ProtoError};
 pub use channel::{FaultConfig, FaultyLink};
 pub use driver::{run_session, SessionPump, StepLimits, StepReport};
 pub use frame::{FrameCodec, FrameError, MAX_FRAME_PAYLOAD};
-pub use messages::Message;
-pub use reliable::{
-    run_reliable_session, ReliableConfig, ReliableEndpoint, ReliableError, ReliableStats,
-};
+pub use messages::{Message, MessageRef};
+pub use reliable::{run_reliable_session, ReliableConfig, ReliableEndpoint, ReliableStats};
+
+#[cfg(test)]
+mod wire_tests;

@@ -14,8 +14,15 @@
 //!
 //! All integers are big-endian; preferences travel as `i16` (classes are
 //! tiny); volumes as IEEE-754 `f64` bits.
+//!
+//! There is one parser, [`MessageRef::parse`], which reads a payload in
+//! place and checks every length, and one writer, [`Message::encode_into`],
+//! which appends a whole frame to a caller's buffer; the three messages
+//! that own memory are written by `write_hello`, `write_flow_announce`
+//! and `write_pref_list` from borrowed fields, which is how the agent
+//! calls them. [`Message::decode`] is `MessageRef::parse(..).to_owned()`.
 
-use crate::frame::{encode_frame, Frame};
+use crate::frame::{begin_frame, finish_frame, Frame, FrameRef, FRAME_OVERHEAD, MAX_FRAME_PAYLOAD};
 use bytes::{Buf, BufMut};
 use nexit_core::{NexitConfig, Side};
 use nexit_routing::FlowId;
@@ -41,6 +48,13 @@ impl std::fmt::Display for MessageError {
 }
 
 impl std::error::Error for MessageError {}
+
+/// Wire type byte of a `PrefList` (the table in the module docs).
+pub(crate) const PREF_LIST: u8 = 3;
+/// Bytes of a `FlowAnnounce` payload: the count, then this per entry.
+pub(crate) const FLOW_ANNOUNCE_BYTES: (usize, usize) = (4, 4 + 2 + 8);
+/// Bytes of a `PrefList` payload: rows and columns, then this per class.
+pub(crate) const PREF_LIST_BYTES: (usize, usize) = (4 + 2, 2);
 
 /// One announced flow.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,6 +115,43 @@ pub enum Message {
         side: Side,
     },
     /// Orderly close acknowledgement.
+    Bye,
+}
+
+/// A [`Message`] read in place: the same fields, with what would own
+/// memory borrowed from the payload — the name as `&str`, the two bodies
+/// as the bytes on the wire, their length already checked against their
+/// counts.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum MessageRef<'a> {
+    Hello {
+        side: Side,
+        name: &'a str,
+        num_alternatives: u16,
+        config: NexitConfig,
+    },
+    /// The entries are read with [`MessageRef::flows`].
+    FlowAnnounce {
+        entries: &'a [u8],
+    },
+    /// `rows × columns` classes, read with [`MessageRef::classes`].
+    PrefList {
+        rows: usize,
+        columns: usize,
+        classes: &'a [u8],
+    },
+    Propose {
+        round: u32,
+        local_flow: u32,
+        alternative: IcxId,
+    },
+    Response {
+        round: u32,
+        accepted: bool,
+    },
+    Stop {
+        side: Side,
+    },
     Bye,
 }
 
@@ -206,147 +257,134 @@ fn get_config(buf: &mut &[u8]) -> Result<NexitConfig, MessageError> {
     })
 }
 
-impl Message {
-    /// The frame type byte for this message.
-    pub fn msg_type(&self) -> u8 {
-        match self {
-            Message::Hello { .. } => 1,
-            Message::FlowAnnounce { .. } => 2,
-            Message::PrefList { .. } => 3,
-            Message::Propose { .. } => 4,
-            Message::Response { .. } => 5,
-            Message::Stop { .. } => 6,
-            Message::Bye => 7,
-        }
-    }
+/// Append one whole frame of type `msg_type` to `out`; `payload` appends
+/// its payload.
+fn write_frame(out: &mut Vec<u8>, msg_type: u8, payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = begin_frame(out, msg_type);
+    payload(out);
+    finish_frame(out, start);
+}
 
-    /// Encode to a complete wire frame (header + payload + CRC).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        match self {
-            Message::Hello {
-                side,
-                name,
-                num_alternatives,
-                config,
-            } => {
-                payload.put_u8(side_byte(*side));
-                let name_bytes = name.as_bytes();
-                payload.put_u16(name_bytes.len() as u16);
-                payload.extend_from_slice(name_bytes);
-                payload.put_u16(*num_alternatives);
-                put_config(&mut payload, config);
-            }
-            Message::FlowAnnounce { flows } => {
-                payload.put_u32(flows.len() as u32);
-                for e in flows {
-                    payload.put_u32(e.flow.0);
-                    payload.put_u16(e.default.0 as u16);
-                    payload.put_f64(e.volume);
-                }
-            }
-            Message::PrefList { prefs } => {
-                payload.put_u32(prefs.len() as u32);
-                let k = prefs.first().map_or(0, Vec::len);
-                payload.put_u16(k as u16);
-                for row in prefs {
-                    debug_assert_eq!(row.len(), k, "ragged preference list");
-                    for &p in row {
-                        payload.put_i16(p);
-                    }
-                }
-            }
-            Message::Propose {
-                round,
-                local_flow,
-                alternative,
-            } => {
-                payload.put_u32(*round);
-                payload.put_u32(*local_flow);
-                payload.put_u16(alternative.0 as u16);
-            }
-            Message::Response { round, accepted } => {
-                payload.put_u32(*round);
-                payload.put_u8(u8::from(*accepted));
-            }
-            Message::Stop { side } => {
-                payload.put_u8(side_byte(*side));
-            }
-            Message::Bye => {}
-        }
-        encode_frame(self.msg_type(), &payload)
-    }
+// The writers narrow to the wire's field widths with `as`; a caller
+// holding wider values rules the overflow out first, as the agent does
+// at construction (`ProtoError::WireLimit`).
 
-    /// Decode from a received frame.
-    pub fn decode(frame: &Frame) -> Result<Message, MessageError> {
-        let mut buf: &[u8] = &frame.payload;
+/// Append a `Hello` frame. `name` is at most `u16::MAX` bytes.
+pub fn write_hello(
+    out: &mut Vec<u8>,
+    side: Side,
+    name: &str,
+    num_alternatives: u16,
+    config: &NexitConfig,
+) {
+    write_frame(out, 1, |out| {
+        out.put_u8(side_byte(side));
+        out.put_u16(name.len() as u16);
+        out.extend_from_slice(name.as_bytes());
+        out.put_u16(num_alternatives);
+        put_config(out, config);
+    });
+}
+
+/// Append a `FlowAnnounce` frame.
+pub fn write_flow_announce(out: &mut Vec<u8>, flows: impl ExactSizeIterator<Item = FlowEntry>) {
+    let (fixed, each) = FLOW_ANNOUNCE_BYTES;
+    out.reserve(FRAME_OVERHEAD + fixed + flows.len() * each);
+    write_frame(out, 2, |out| {
+        out.put_u32(flows.len() as u32);
+        for e in flows {
+            out.put_u32(e.flow.0);
+            out.put_u16(e.default.0 as u16);
+            out.put_f64(e.volume);
+        }
+    });
+}
+
+/// Append a `PrefList` frame of `rows × columns` classes, which
+/// `classes` yields row by row.
+pub fn write_pref_list(
+    out: &mut Vec<u8>,
+    rows: usize,
+    columns: usize,
+    classes: impl Iterator<Item = i16>,
+) {
+    let (fixed, each) = PREF_LIST_BYTES;
+    out.reserve(FRAME_OVERHEAD + fixed + rows * columns * each);
+    write_frame(out, PREF_LIST, |out| {
+        out.put_u32(rows as u32);
+        out.put_u16(columns as u16);
+        for class in classes {
+            out.put_i16(class);
+        }
+    });
+}
+
+impl<'a> MessageRef<'a> {
+    /// Parse a frame's payload in place. Every length is checked here,
+    /// without overflow: a `FlowAnnounce` or `PrefList` body is exactly
+    /// as long as its counts say.
+    pub fn parse(frame: FrameRef<'a>) -> Result<Self, MessageError> {
+        let mut buf = frame.payload;
         let msg = match frame.msg_type {
             1 => {
                 if buf.remaining() < 3 {
                     return Err(MessageError::Malformed("hello truncated"));
                 }
                 let side = byte_side(buf.get_u8())?;
-                let name_len = buf.get_u16() as usize;
+                let name_len = usize::from(buf.get_u16());
                 if buf.remaining() < name_len + 2 {
                     return Err(MessageError::Malformed("hello name truncated"));
                 }
-                let name = String::from_utf8(buf[..name_len].to_vec())
-                    .map_err(|_| MessageError::Malformed("hello name not UTF-8"))?;
-                buf.advance(name_len);
-                let num_alternatives = buf.get_u16();
-                let config = get_config(&mut buf)?;
-                Message::Hello {
+                let (name, rest) = buf.split_at(name_len);
+                buf = rest;
+                MessageRef::Hello {
                     side,
-                    name,
-                    num_alternatives,
-                    config,
+                    name: std::str::from_utf8(name)
+                        .map_err(|_| MessageError::Malformed("hello name not UTF-8"))?,
+                    num_alternatives: buf.get_u16(),
+                    config: get_config(&mut buf)?,
                 }
             }
             2 => {
-                if buf.remaining() < 4 {
+                if buf.remaining() < FLOW_ANNOUNCE_BYTES.0 {
                     return Err(MessageError::Malformed("announce truncated"));
                 }
                 let n = buf.get_u32() as usize;
-                if buf.remaining() != n * (4 + 2 + 8) {
+                if n.checked_mul(FLOW_ANNOUNCE_BYTES.1) != Some(buf.remaining()) {
                     return Err(MessageError::Malformed("announce length mismatch"));
                 }
-                let mut flows = Vec::with_capacity(n);
-                for _ in 0..n {
-                    flows.push(FlowEntry {
-                        flow: FlowId(buf.get_u32()),
-                        default: IcxId(buf.get_u16() as u32),
-                        volume: buf.get_f64(),
-                    });
-                }
-                Message::FlowAnnounce { flows }
+                MessageRef::FlowAnnounce { entries: buf }
             }
-            3 => {
-                if buf.remaining() < 6 {
+            PREF_LIST => {
+                if buf.remaining() < PREF_LIST_BYTES.0 {
                     return Err(MessageError::Malformed("preflist truncated"));
                 }
-                let n = buf.get_u32() as usize;
-                let k = buf.get_u16() as usize;
-                if buf.remaining() != n * k * 2 {
+                let rows = buf.get_u32() as usize;
+                let columns = usize::from(buf.get_u16());
+                let cells = rows.checked_mul(columns);
+                if cells.and_then(|c| c.checked_mul(PREF_LIST_BYTES.1)) != Some(buf.remaining()) {
                     return Err(MessageError::Malformed("preflist length mismatch"));
                 }
-                let mut prefs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let mut row = Vec::with_capacity(k);
-                    for _ in 0..k {
-                        row.push(buf.get_i16());
-                    }
-                    prefs.push(row);
+                // Rows of no columns take no bytes, so the body cannot
+                // bound their count; a frame's worth of one-class rows
+                // does.
+                if rows > MAX_FRAME_PAYLOAD / PREF_LIST_BYTES.1 {
+                    return Err(MessageError::Malformed("preflist row count"));
                 }
-                Message::PrefList { prefs }
+                MessageRef::PrefList {
+                    rows,
+                    columns,
+                    classes: buf,
+                }
             }
             4 => {
                 if buf.remaining() != 4 + 4 + 2 {
                     return Err(MessageError::Malformed("propose length mismatch"));
                 }
-                Message::Propose {
+                MessageRef::Propose {
                     round: buf.get_u32(),
                     local_flow: buf.get_u32(),
-                    alternative: IcxId(buf.get_u16() as u32),
+                    alternative: IcxId(u32::from(buf.get_u16())),
                 }
             }
             5 => {
@@ -359,13 +397,13 @@ impl Message {
                     1 => true,
                     _ => return Err(MessageError::Malformed("bad accept byte")),
                 };
-                Message::Response { round, accepted }
+                MessageRef::Response { round, accepted }
             }
             6 => {
                 if buf.remaining() != 1 {
                     return Err(MessageError::Malformed("stop length mismatch"));
                 }
-                Message::Stop {
+                MessageRef::Stop {
                     side: byte_side(buf.get_u8())?,
                 }
             }
@@ -373,11 +411,136 @@ impl Message {
                 if !buf.is_empty() {
                     return Err(MessageError::Malformed("bye with payload"));
                 }
-                Message::Bye
+                MessageRef::Bye
             }
             t => return Err(MessageError::UnknownType(t)),
         };
         Ok(msg)
+    }
+
+    /// The entries of a `FlowAnnounce` body, in session (local) order.
+    pub fn flows(entries: &'a [u8]) -> impl ExactSizeIterator<Item = FlowEntry> + 'a {
+        entries
+            .chunks_exact(FLOW_ANNOUNCE_BYTES.1)
+            .map(|mut entry| FlowEntry {
+                flow: FlowId(entry.get_u32()),
+                default: IcxId(u32::from(entry.get_u16())),
+                volume: entry.get_f64(),
+            })
+    }
+
+    /// The classes of a `PrefList` body, row by row.
+    pub fn classes(classes: &'a [u8]) -> impl Iterator<Item = i16> + 'a {
+        classes
+            .chunks_exact(PREF_LIST_BYTES.1)
+            .map(|class| i16::from_be_bytes([class[0], class[1]]))
+    }
+
+    /// The owned form of this message.
+    pub fn to_owned(&self) -> Message {
+        match *self {
+            MessageRef::Hello {
+                side,
+                name,
+                num_alternatives,
+                config,
+            } => Message::Hello {
+                side,
+                name: name.to_owned(),
+                num_alternatives,
+                config,
+            },
+            MessageRef::FlowAnnounce { entries } => Message::FlowAnnounce {
+                flows: Self::flows(entries).collect(),
+            },
+            MessageRef::PrefList {
+                rows,
+                columns,
+                classes,
+            } => {
+                let mut classes = Self::classes(classes);
+                let row = |_| classes.by_ref().take(columns).collect();
+                Message::PrefList {
+                    prefs: (0..rows).map(row).collect(),
+                }
+            }
+            MessageRef::Propose {
+                round,
+                local_flow,
+                alternative,
+            } => Message::Propose {
+                round,
+                local_flow,
+                alternative,
+            },
+            MessageRef::Response { round, accepted } => Message::Response { round, accepted },
+            MessageRef::Stop { side } => Message::Stop { side },
+            MessageRef::Bye => Message::Bye,
+        }
+    }
+
+    /// The message's name, for diagnostics.
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            MessageRef::Hello { .. } => "Hello",
+            MessageRef::FlowAnnounce { .. } => "FlowAnnounce",
+            MessageRef::PrefList { .. } => "PrefList",
+            MessageRef::Propose { .. } => "Propose",
+            MessageRef::Response { .. } => "Response",
+            MessageRef::Stop { .. } => "Stop",
+            MessageRef::Bye => "Bye",
+        }
+    }
+}
+
+impl Message {
+    /// Encode to a complete wire frame (header + payload + CRC).
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append this message's wire frame to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        match self {
+            Message::Hello {
+                side,
+                name,
+                num_alternatives,
+                config,
+            } => write_hello(out, *side, name, *num_alternatives, config),
+            Message::FlowAnnounce { flows } => write_flow_announce(out, flows.iter().copied()),
+            Message::PrefList { prefs } => {
+                let k = prefs.first().map_or(0, Vec::len);
+                debug_assert!(prefs.iter().all(|r| r.len() == k), "ragged preference list");
+                write_pref_list(out, prefs.len(), k, prefs.iter().flatten().copied());
+            }
+            Message::Propose {
+                round,
+                local_flow,
+                alternative,
+            } => write_frame(out, 4, |out| {
+                out.put_u32(*round);
+                out.put_u32(*local_flow);
+                out.put_u16(alternative.0 as u16);
+            }),
+            Message::Response { round, accepted } => write_frame(out, 5, |out| {
+                out.put_u32(*round);
+                out.put_u8(u8::from(*accepted));
+            }),
+            Message::Stop { side } => write_frame(out, 6, |out| out.put_u8(side_byte(*side))),
+            Message::Bye => write_frame(out, 7, |_| {}),
+        }
+    }
+
+    /// Decode from a received frame.
+    pub fn decode(frame: &Frame) -> Result<Message, MessageError> {
+        let frame = FrameRef {
+            msg_type: frame.msg_type,
+            payload: &frame.payload,
+        };
+        MessageRef::parse(frame).map(|msg| msg.to_owned())
     }
 }
 
@@ -519,6 +682,126 @@ mod tests {
                 "type {t} should have been rejected"
             );
         }
+    }
+
+    /// One of every variant, the table without columns included.
+    fn every_variant() -> Vec<Message> {
+        vec![
+            Message::Hello {
+                side: Side::A,
+                name: "isp-03 (Wien)".into(),
+                num_alternatives: 4,
+                config: NexitConfig::win_win_bandwidth(),
+            },
+            Message::FlowAnnounce { flows: vec![] },
+            Message::FlowAnnounce {
+                flows: vec![FlowEntry {
+                    flow: FlowId(9),
+                    default: IcxId(1),
+                    volume: 2.5,
+                }],
+            },
+            Message::PrefList { prefs: vec![] },
+            Message::PrefList {
+                prefs: vec![vec![]; 3],
+            },
+            Message::PrefList {
+                prefs: vec![vec![0, 10, -10], vec![0, -3, 7]],
+            },
+            Message::Propose {
+                round: 42,
+                local_flow: 7,
+                alternative: IcxId(3),
+            },
+            Message::Response {
+                round: 42,
+                accepted: true,
+            },
+            Message::Stop { side: Side::B },
+            Message::Bye,
+        ]
+    }
+
+    /// The frame at the front of `wire`, borrowed and owned.
+    fn both_frames(wire: &[u8]) -> (FrameRef<'_>, Frame) {
+        let borrowed = crate::frame::parse_frame(wire).unwrap().expect("a frame");
+        let owned = Frame {
+            msg_type: borrowed.msg_type,
+            payload: borrowed.payload.to_vec(),
+        };
+        (borrowed, owned)
+    }
+
+    #[test]
+    fn borrowed_parse_is_the_owned_decode() {
+        let mut wires: Vec<Vec<u8>> = every_variant().iter().map(Message::encode).collect();
+        // Columns without rows: only the wire can say so.
+        let mut no_rows = Vec::new();
+        write_pref_list(&mut no_rows, 0, 5, std::iter::empty());
+        wires.push(no_rows);
+        for wire in &wires {
+            let (borrowed, owned) = both_frames(wire);
+            assert_eq!(borrowed.wire_len(), wire.len());
+            let parsed = MessageRef::parse(borrowed).unwrap();
+            assert_eq!(parsed.to_owned(), Message::decode(&owned).unwrap());
+            assert_eq!(
+                parsed.to_owned().encode()[..7],
+                wire[..7],
+                "type and length"
+            );
+        }
+        let (borrowed, _) = both_frames(wires.last().unwrap());
+        match MessageRef::parse(borrowed).unwrap() {
+            MessageRef::PrefList {
+                rows,
+                columns,
+                classes,
+            } => assert_eq!((rows, columns, classes), (0, 5, &[][..])),
+            other => panic!("expected a PrefList, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn encode_into_appends_exactly_encode() {
+        for msg in every_variant() {
+            let mut out = b"an earlier frame".to_vec();
+            msg.encode_into(&mut out);
+            let (before, appended) = out.split_at(16);
+            assert_eq!(before, b"an earlier frame");
+            assert_eq!(appended, msg.encode());
+            assert_eq!(roundtrip(msg.clone()), msg);
+        }
+    }
+
+    #[test]
+    fn counts_the_body_does_not_back_are_refused() {
+        fn parse(msg_type: u8, payload: &[u8]) -> Result<MessageRef<'_>, MessageError> {
+            MessageRef::parse(FrameRef { msg_type, payload })
+        }
+        // 2³² − 1 rows of no columns need no bytes — and would be 96 GB
+        // of empty rows in the owned form.
+        assert_eq!(
+            parse(PREF_LIST, &[0xFF, 0xFF, 0xFF, 0xFF, 0, 0]),
+            Err(MessageError::Malformed("preflist row count"))
+        );
+        assert_eq!(
+            parse(PREF_LIST, &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF]),
+            Err(MessageError::Malformed("preflist length mismatch"))
+        );
+        assert_eq!(
+            parse(2, &[0xFF, 0xFF, 0xFF, 0xFF]),
+            Err(MessageError::Malformed("announce length mismatch"))
+        );
+        // A count one short of the body is as wrong as one beyond it.
+        let mut wire = Vec::new();
+        write_pref_list(&mut wire, 2, 3, [1i16, 2, 3, 4, 5, 6].into_iter());
+        let (frame, _) = both_frames(&wire);
+        let mut payload = frame.payload.to_vec();
+        payload[3] = 1;
+        assert_eq!(
+            parse(PREF_LIST, &payload),
+            Err(MessageError::Malformed("preflist length mismatch"))
+        );
     }
 
     mod proptests {

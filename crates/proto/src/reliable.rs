@@ -15,7 +15,7 @@
 //! * **Loss** — an unacked frame is retransmitted after a deterministic,
 //!   tick-based timeout with exponential backoff, up to a bounded
 //!   [`ReliableConfig::retry_budget`]; exhausting the budget surfaces
-//!   [`ReliableError::RetryExhausted`] so the supervisor (broker /
+//!   [`ProtoError::RetryExhausted`] so the supervisor (broker /
 //!   driver) can terminate or degrade the session.
 //! * **Corruption** — a frame failing its CRC is *discarded and
 //!   counted*, never fatal: the retransmit timer recovers it. This turns
@@ -42,17 +42,30 @@
 //! e.g. one [`crate::channel::FaultyLink`] queue entry). A corrupt
 //! prefix poisons only its own datagram, and retransmission re-delivers
 //! the frames it carried.
+//!
+//! Frames are written once and read in place, as everywhere in this
+//! crate. [`ReliableEndpoint::send`] writes the envelope (header,
+//! sequence number, the inner frame, CRC) in one pass into a buffer from
+//! the endpoint's bounded buffer pool; acks, retransmitted copies and
+//! released inner frames use buffers from the same pool, and
+//! [`ReliableEndpoint::reclaim`] takes spent ones back.
+//! [`ReliableEndpoint::on_datagram`] runs [`parse_frame`] — the crate's
+//! one frame parser, CRC check included — directly on the datagram.
 
 use crate::agent::{Agent, AgentOutcome, ProtoError};
 use crate::channel::FaultyLink;
 use crate::driver::{outcomes, SessionPump, StepLimits};
-use crate::frame::{encode_frame, FrameCodec};
+use crate::frame::{begin_frame, finish_frame, parse_frame, FramePool, FRAME_OVERHEAD};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Frame-type byte for a sequenced data envelope (`u32 seq || inner`).
 pub const ARQ_DATA: u8 = 8;
 /// Frame-type byte for a cumulative acknowledgement (`u32 next expected`).
 pub const ARQ_ACK: u8 = 9;
+/// Bytes an envelope's payload holds beyond the inner frame's payload:
+/// the sequence number and the inner frame's own header and CRC. An
+/// inner payload may be this much short of [`MAX_FRAME_PAYLOAD`].
+pub(crate) const ENVELOPE_BYTES: usize = 4 + FRAME_OVERHEAD;
 
 /// Tuning knobs for the ARQ layer. All timings are in abstract ticks
 /// (one tick = one supervisor poll round), keeping the layer
@@ -60,7 +73,7 @@ pub const ARQ_ACK: u8 = 9;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReliableConfig {
     /// Retransmissions allowed per frame before the session is declared
-    /// dead ([`ReliableError::RetryExhausted`]).
+    /// dead ([`ProtoError::RetryExhausted`]).
     pub retry_budget: usize,
     /// Ticks an unacked frame waits before its first retransmission.
     pub retransmit_ticks: u64,
@@ -80,42 +93,6 @@ impl Default for ReliableConfig {
             retransmit_ticks: 4,
             backoff_cap: 4,
             window: 64,
-        }
-    }
-}
-
-/// Terminal ARQ failures. Transient faults (loss, corruption,
-/// duplication, reordering) never error — only a persistently dead link
-/// does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReliableError {
-    /// A frame exhausted its retransmission budget without being acked.
-    RetryExhausted {
-        /// Sequence number of the abandoned frame.
-        seq: u32,
-        /// Retransmissions already attempted.
-        retries: usize,
-    },
-}
-
-impl std::fmt::Display for ReliableError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReliableError::RetryExhausted { seq, retries } => {
-                write!(f, "frame seq {seq} unacked after {retries} retransmissions")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ReliableError {}
-
-impl From<ReliableError> for ProtoError {
-    fn from(e: ReliableError) -> Self {
-        match e {
-            ReliableError::RetryExhausted { seq, retries } => {
-                ProtoError::RetryExhausted { seq, retries }
-            }
         }
     }
 }
@@ -172,6 +149,8 @@ pub struct ReliableEndpoint {
     delivery: VecDeque<Vec<u8>>,
     ack_pending: bool,
     stats: ReliableStats,
+    /// Spent buffers for the next envelopes, acks and copies.
+    pool: FramePool,
 }
 
 impl ReliableEndpoint {
@@ -188,6 +167,7 @@ impl ReliableEndpoint {
             delivery: VecDeque::new(),
             ack_pending: false,
             stats: ReliableStats::default(),
+            pool: FramePool::default(),
         }
     }
 
@@ -202,16 +182,24 @@ impl ReliableEndpoint {
         }
     }
 
+    /// Take back a spent buffer — a wire unit this endpoint was fed, or
+    /// a frame it delivered — for a later envelope, ack or copy. The
+    /// pool is bounded ([`crate::frame::POOLED_FRAMES`]).
+    pub fn reclaim(&mut self, buf: Vec<u8>) {
+        self.pool.put(buf);
+    }
+
     /// Queue one application frame (a complete wire frame from
     /// [`Agent::poll_transmit`]) for sequenced transmission.
-    pub fn send(&mut self, inner: Vec<u8>) {
+    pub fn send(&mut self, inner: &[u8]) {
         let seq = self.next_seq;
         self.next_seq = self.next_seq.wrapping_add(1);
-        let mut payload = Vec::with_capacity(4 + inner.len());
-        payload.extend_from_slice(&seq.to_be_bytes());
-        payload.extend_from_slice(&inner);
-        let wire = encode_frame(ARQ_DATA, &payload);
-        self.outbox.push_back(wire.clone());
+        let mut wire = self.pool.take();
+        let start = begin_frame(&mut wire, ARQ_DATA);
+        wire.extend_from_slice(&seq.to_be_bytes());
+        wire.extend_from_slice(inner);
+        finish_frame(&mut wire, start);
+        self.outbox.push_back(self.pool.copy_of(&wire));
         self.pending.push_back(Pending {
             seq,
             wire,
@@ -226,7 +214,11 @@ impl ReliableEndpoint {
         if self.ack_pending {
             self.ack_pending = false;
             self.stats.acks_sent += 1;
-            return Some(encode_frame(ARQ_ACK, &self.recv_next.to_be_bytes()));
+            let mut ack = self.pool.take();
+            let start = begin_frame(&mut ack, ARQ_ACK);
+            ack.extend_from_slice(&self.recv_next.to_be_bytes());
+            finish_frame(&mut ack, start);
+            return Some(ack);
         }
         self.outbox.pop_front()
     }
@@ -235,41 +227,23 @@ impl ReliableEndpoint {
     /// Corruption is absorbed: a frame failing CRC/framing validation is
     /// discarded and counted, and the rest of the datagram is dropped
     /// with it (no trustworthy resync point past a bad length field).
-    pub fn on_datagram(&mut self, data: &[u8]) {
-        let mut codec = FrameCodec::new();
-        codec.feed(data);
+    pub fn on_datagram(&mut self, mut data: &[u8]) {
         loop {
-            match codec.next_frame() {
-                Ok(Some(frame)) => match frame.msg_type {
-                    ARQ_DATA if frame.payload.len() >= 4 => {
-                        let seq = u32::from_be_bytes([
-                            frame.payload[0],
-                            frame.payload[1],
-                            frame.payload[2],
-                            frame.payload[3],
-                        ]);
-                        self.on_data(seq, &frame.payload[4..]);
-                    }
-                    ARQ_ACK if frame.payload.len() == 4 => {
-                        let cum = u32::from_be_bytes([
-                            frame.payload[0],
-                            frame.payload[1],
-                            frame.payload[2],
-                            frame.payload[3],
-                        ]);
-                        self.on_ack(cum);
-                    }
-                    // Wrong layer or mangled payload: treat like
-                    // corruption — drop and let retransmission heal it.
-                    _ => {
-                        self.stats.corrupt_dropped += 1;
-                    }
-                },
+            let frame = match parse_frame(data) {
+                Ok(Some(frame)) => frame,
                 Ok(None) => return,
                 Err(_) => {
                     self.stats.corrupt_dropped += 1;
                     return;
                 }
+            };
+            data = &data[frame.wire_len()..];
+            match (frame.msg_type, frame.payload.split_first_chunk::<4>()) {
+                (ARQ_DATA, Some((seq, inner))) => self.on_data(u32::from_be_bytes(*seq), inner),
+                (ARQ_ACK, Some((cumulative, []))) => self.on_ack(u32::from_be_bytes(*cumulative)),
+                // Wrong layer or mangled payload: treat like
+                // corruption — drop and let retransmission heal it.
+                _ => self.stats.corrupt_dropped += 1,
             }
         }
     }
@@ -285,7 +259,7 @@ impl ReliableEndpoint {
             return;
         }
         if ahead == 0 {
-            self.delivery.push_back(inner.to_vec());
+            self.delivery.push_back(self.pool.copy_of(inner));
             self.recv_next = self.recv_next.wrapping_add(1);
             // Release any directly following buffered frames.
             while let Some(next) = self.reorder.remove(&self.recv_next) {
@@ -295,10 +269,13 @@ impl ReliableEndpoint {
             return;
         }
         if ahead < self.config.window {
-            if self.reorder.insert(seq, inner.to_vec()).is_none() {
-                self.stats.reordered += 1;
-            } else {
-                self.stats.duplicates += 1;
+            let copy = self.pool.copy_of(inner);
+            match self.reorder.insert(seq, copy) {
+                None => self.stats.reordered += 1,
+                Some(replaced) => {
+                    self.stats.duplicates += 1;
+                    self.pool.put(replaced);
+                }
             }
         } else {
             self.stats.out_of_window += 1;
@@ -312,7 +289,9 @@ impl ReliableEndpoint {
             .front()
             .is_some_and(|p| p.seq.wrapping_sub(cumulative) >= SEQ_BEHIND)
         {
-            self.pending.pop_front();
+            if let Some(acked) = self.pending.pop_front() {
+                self.pool.put(acked.wire);
+            }
         }
     }
 
@@ -322,15 +301,18 @@ impl ReliableEndpoint {
     }
 
     /// Advance one tick: retransmit every due unacked frame with
-    /// exponential backoff, or fail once a frame exhausts its budget.
-    pub fn on_tick(&mut self) -> Result<(), ReliableError> {
+    /// exponential backoff, or fail once a frame exhausts its budget —
+    /// the layer's one terminal failure: transient faults (loss,
+    /// corruption, duplication, reordering) never error, only a
+    /// persistently dead link does.
+    pub fn on_tick(&mut self) -> Result<(), ProtoError> {
         self.tick += 1;
         for p in &mut self.pending {
             if p.due > self.tick {
                 continue;
             }
             if p.retries >= self.config.retry_budget {
-                return Err(ReliableError::RetryExhausted {
+                return Err(ProtoError::RetryExhausted {
                     seq: p.seq,
                     retries: p.retries,
                 });
@@ -339,7 +321,7 @@ impl ReliableEndpoint {
             self.stats.retransmits += 1;
             let shift = (p.retries as u32).min(self.config.backoff_cap);
             p.due = self.tick + (self.config.retransmit_ticks << shift);
-            self.outbox.push_back(p.wire.clone());
+            self.outbox.push_back(self.pool.copy_of(&p.wire));
         }
         Ok(())
     }
@@ -372,17 +354,9 @@ pub fn run_reliable_session(
     max_ticks: u64,
 ) -> Result<(AgentOutcome, AgentOutcome), ProtoError> {
     let mut pump = SessionPump::new(Some(config));
-    let mut scratch = Vec::new();
     for _ in 0..max_ticks {
         let report = pump
-            .step(
-                agent_a,
-                agent_b,
-                link_ab,
-                link_ba,
-                StepLimits::UNBOUNDED,
-                &mut scratch,
-            )
+            .step(agent_a, agent_b, link_ab, link_ba, StepLimits::UNBOUNDED)
             .map_err(|(error, _)| error)?;
         if report.done {
             return outcomes(agent_a, agent_b);
@@ -406,8 +380,8 @@ mod tests {
     fn in_order_delivery_roundtrip() {
         let mut tx = ReliableEndpoint::new(ReliableConfig::default());
         let mut rx = ReliableEndpoint::new(ReliableConfig::default());
-        tx.send(b"alpha".to_vec());
-        tx.send(b"beta".to_vec());
+        tx.send(b"alpha");
+        tx.send(b"beta");
         let mut wire = Vec::new();
         drain_to(&mut wire, &mut tx);
         for unit in wire {
@@ -430,7 +404,7 @@ mod tests {
         };
         let mut tx = ReliableEndpoint::new(cfg);
         let mut rx = ReliableEndpoint::new(cfg);
-        tx.send(b"lost".to_vec());
+        tx.send(b"lost");
         let _dropped = tx.poll_transmit().unwrap(); // the link eats it
         assert!(tx.poll_transmit().is_none());
         // Tick past the timeout: the frame comes back out.
@@ -447,7 +421,7 @@ mod tests {
     fn corruption_is_absorbed_not_fatal() {
         let mut tx = ReliableEndpoint::new(ReliableConfig::default());
         let mut rx = ReliableEndpoint::new(ReliableConfig::default());
-        tx.send(b"payload".to_vec());
+        tx.send(b"payload");
         let mut unit = tx.poll_transmit().unwrap();
         let last = unit.len() - 1;
         unit[last] ^= 0x01; // break the CRC
@@ -467,7 +441,7 @@ mod tests {
     fn duplicates_are_dropped_and_reacked() {
         let mut tx = ReliableEndpoint::new(ReliableConfig::default());
         let mut rx = ReliableEndpoint::new(ReliableConfig::default());
-        tx.send(b"once".to_vec());
+        tx.send(b"once");
         let unit = tx.poll_transmit().unwrap();
         rx.on_datagram(&unit);
         let _first_ack = rx.poll_transmit().unwrap();
@@ -483,8 +457,8 @@ mod tests {
     fn reordered_frames_release_in_sequence() {
         let mut tx = ReliableEndpoint::new(ReliableConfig::default());
         let mut rx = ReliableEndpoint::new(ReliableConfig::default());
-        tx.send(b"first".to_vec());
-        tx.send(b"second".to_vec());
+        tx.send(b"first");
+        tx.send(b"second");
         let u1 = tx.poll_transmit().unwrap();
         let u2 = tx.poll_transmit().unwrap();
         rx.on_datagram(&u2); // out of order
@@ -504,7 +478,7 @@ mod tests {
             ..ReliableConfig::default()
         };
         let mut tx = ReliableEndpoint::new(cfg);
-        tx.send(b"doomed".to_vec());
+        tx.send(b"doomed");
         let _ = tx.poll_transmit();
         let mut err = None;
         for _ in 0..64 {
@@ -516,7 +490,7 @@ mod tests {
             while tx.poll_transmit().is_some() {}
         }
         match err.expect("budget must exhaust") {
-            ReliableError::RetryExhausted { seq: 0, retries } => assert_eq!(retries, 2),
+            ProtoError::RetryExhausted { seq: 0, retries } => assert_eq!(retries, 2),
             other => panic!("unexpected: {other:?}"),
         }
     }
@@ -533,7 +507,7 @@ mod tests {
         let mut tx = ReliableEndpoint::starting_at(cfg, start);
         let mut rx = ReliableEndpoint::starting_at(cfg, start);
         for i in 0..8u8 {
-            tx.send(vec![i]);
+            tx.send(&[i]);
         }
         let mut units: Vec<_> = std::iter::from_fn(|| tx.poll_transmit()).collect();
         units.remove(1); // seq u32::MAX - 1 is lost on the wire
@@ -572,6 +546,17 @@ mod tests {
     }
 
     #[test]
+    fn the_largest_frame_an_agent_may_write_fits_an_envelope() {
+        use crate::frame::MAX_FRAME_PAYLOAD;
+        let mut tx = ReliableEndpoint::new(ReliableConfig::default());
+        let mut rx = ReliableEndpoint::new(ReliableConfig::default());
+        let inner = vec![0x5A; MAX_FRAME_PAYLOAD - ENVELOPE_BYTES + FRAME_OVERHEAD];
+        tx.send(&inner);
+        rx.on_datagram(&tx.poll_transmit().expect("one envelope"));
+        assert_eq!(rx.poll_deliver(), Some(inner));
+    }
+
+    #[test]
     fn frames_beyond_the_window_are_dropped() {
         let cfg = ReliableConfig {
             window: 2,
@@ -580,7 +565,7 @@ mod tests {
         let mut tx = ReliableEndpoint::new(cfg);
         let mut rx = ReliableEndpoint::new(cfg);
         for i in 0..4u8 {
-            tx.send(vec![i]);
+            tx.send(&[i]);
         }
         let units: Vec<_> = std::iter::from_fn(|| tx.poll_transmit()).collect();
         // Deliver only the frame 3 windows ahead: outside the window.
