@@ -27,8 +27,7 @@
 //! builds each scenario's constraint skeleton **once** and re-solves it
 //! through a retained [`nexit_lp::SimplexWorkspace`], so every re-solve
 //! after the first warm-starts from the previous optimal basis instead
-//! of cold-starting the two-phase simplex. Two patch shapes re-enter
-//! warm:
+//! of building a fresh engine. Two patch shapes re-enter warm:
 //!
 //! * **rhs-only** — scaled background traffic
 //!   ([`BandwidthLp::solve_failure_scaled`]) changes only the capacity
@@ -50,8 +49,37 @@
 //! the per-scenario programs and loses far more to its size than basis
 //! reuse recovers. The session therefore keeps one compact skeleton and
 //! one workspace *per scenario* — the first solve of each is bit-identical
-//! to the standalone [`optimal_bandwidth`] (same construction, same cold
-//! path) and warm starts pay off across each scenario's re-solves.
+//! to the standalone [`optimal_bandwidth`], because both are the same
+//! function (`solve_program`) on the same construction through a fresh
+//! workspace — and warm starts pay off across each scenario's re-solves.
+//! Likewise recorded, so it is not retried: a *generic* crash basis
+//! (slack or triangular) was not needed to take phase 1 out of the cold
+//! solves; the program's own structure supplies a better one, below.
+//!
+//! # Cold solves start from the default routing
+//!
+//! The routing the optimum is compared against — every impacted flow on
+//! its default exit — is a feasible vertex of the program above: `x[f]`
+//! is a unit vector per flow, `t` is that routing's worst
+//! load-to-capacity ratio, and every link but the worst has slack. A
+//! cold solve that starts from the all-artificial basis spends 96 % of
+//! its pivots (measured over one failure sweep: 41 883 of 43 473)
+//! finding *some* feasible vertex before it optimizes at all, so every
+//! solve here names this one
+//! ([`nexit_lp::SimplexWorkspace::solve_from`]) and the engine runs
+//! phase 2 only. `build_program` collects it in the loop it already
+//! makes over the flows' paths; `solve_program` picks the bottleneck row
+//! under the rhs and capacities as currently patched.
+//!
+//! What that changes and what it cannot: the optimum `t` is unique and
+//! is the same to solver tolerance whatever vertex the solve begins at.
+//! [`BandwidthOptimum::fractions`] and [`BandwidthOptimum::loads`] are
+//! *one optimal vertex among many* — most programs have a face of
+//! optima, since only the bottleneck links constrain `t` — and a solve
+//! that starts elsewhere generally ends on another of them. Anything
+//! computed from one side's loads alone (`side_mel`, the per-side
+//! denominators of Figures 7 and 11) moves with that choice; anything
+//! computed from `t` does not.
 
 use nexit_core::GainTable;
 use nexit_lp::{ConstraintOp, LpOutcome, LpProblem, SimplexOptions, SimplexWorkspace, WarmStats};
@@ -133,6 +161,11 @@ const T_VAR: usize = 0;
 /// loads.
 struct Program {
     problem: LpProblem,
+    /// The default routing as a vertex of `problem`, in
+    /// [`SimplexWorkspace::solve_from`]'s terms: flow row `j` holds
+    /// `x[j][default exit]`. [`solve_program`] appends the pair that
+    /// depends on the patch — the bottleneck capacity row holds `t`.
+    start: Vec<(usize, usize)>,
     /// The retained capacity rows; see [`CapRow`].
     cap_rows: Vec<CapRow>,
     /// Residual loads (non-impacted flows on their defaults), unscaled.
@@ -150,6 +183,8 @@ struct CapRow {
     /// Unscaled residual load on the link; re-solving at
     /// `residual_scale = s` sets the row's rhs to `-residual * s`.
     residual: f64,
+    /// Load the impacted flows put on the link on their default exits.
+    default_load: f64,
     /// Whether the link belongs to the upstream ISP.
     upstream: bool,
     /// Link index within its side's capacity vector.
@@ -198,15 +233,22 @@ fn build_program(
     // Link capacity rows. Gather per-link coefficients sparsely.
     // link key: 0..num_up = upstream links, num_up.. = downstream links.
     let mut per_link: Vec<Vec<(usize, f64)>> = vec![Vec::new(); num_up + view.b.num_links()];
+    let mut default_load = vec![0.0; per_link.len()];
+    let mut start = Vec::with_capacity(impacted.len() + 1);
     for (j, &fid) in impacted.iter().enumerate() {
         let vol = flows.flows[fid.index()].volume;
+        let default_exit = default_assignment.choice(fid).index();
+        start.push((j, x_var(j, default_exit)));
         for i in 0..k {
             let icx = IcxId::new(i);
+            let on_default = if i == default_exit { vol } else { 0.0 };
             for &l in paths.up_links(fid, icx) {
                 per_link[l.index()].push((x_var(j, i), vol));
+                default_load[l.index()] += on_default;
             }
             for &l in paths.down_links(fid, icx) {
                 per_link[num_up + l.index()].push((x_var(j, i), vol));
+                default_load[num_up + l.index()] += on_default;
             }
         }
     }
@@ -232,6 +274,7 @@ fn build_program(
         cap_rows.push(CapRow {
             row: lp.num_constraints(),
             residual: res,
+            default_load: default_load[lkey],
             upstream: lkey < num_up,
             link: if lkey < num_up { lkey } else { lkey - num_up },
         });
@@ -240,9 +283,63 @@ fn build_program(
 
     Program {
         problem: lp,
+        start,
         cap_rows,
         residual,
     }
+}
+
+/// The one solve behind [`optimal_bandwidth`] and every [`BandwidthLp`]
+/// entry point: point the capacity rows at `residual_scale` times the
+/// background load — and at `capacities` (upstream, downstream), when a
+/// model is given — and solve through `workspace`, handing it the
+/// default routing as the starting vertex for when it has to go cold.
+///
+/// That vertex is every impacted flow on its default exit, `t` at the
+/// worst load-to-capacity ratio that routing produces (so `t` is basic
+/// in the bottleneck's capacity row) and every other capacity row slack.
+/// The ratio is taken under the rhs and `t` coefficients as just
+/// patched.
+fn solve_program(
+    program: &mut Program,
+    workspace: &mut SimplexWorkspace,
+    residual_scale: f64,
+    capacities: Option<(&[f64], &[f64])>,
+) -> LpOutcome {
+    let Program {
+        problem,
+        start,
+        cap_rows,
+        ..
+    } = program;
+    let mut bottleneck: Option<(usize, f64)> = None;
+    for cr in cap_rows.iter() {
+        if let Some((up, down)) = capacities {
+            let cap = if cr.upstream {
+                up[cr.link]
+            } else {
+                down[cr.link]
+            };
+            problem.set_coefficient(cr.row, T_VAR, -cap);
+        }
+        let rhs = -cr.residual * residual_scale;
+        problem.set_rhs(cr.row, rhs);
+        // `build_program` writes the `t` coefficient last in its row.
+        let &(t_var, neg_cap) = problem.constraints()[cr.row]
+            .coeffs
+            .last()
+            .expect("a capacity row carries t");
+        debug_assert_eq!(t_var, T_VAR);
+        let ratio = (cr.default_load - rhs) / -neg_cap;
+        if bottleneck.is_none_or(|(_, worst)| ratio > worst) {
+            bottleneck = Some((cr.row, ratio));
+        }
+    }
+    // One pair per flow row (every row that is not a capacity row),
+    // then this solve's bottleneck in place of the last solve's.
+    start.truncate(problem.num_constraints() - cap_rows.len());
+    start.extend(bottleneck.map(|(row, _)| (row, T_VAR)));
+    workspace.solve_from(problem, start)
 }
 
 /// Interpret one solve's solution vector: objective `t`, per-flow
@@ -323,8 +420,9 @@ fn finish_solve(
 /// * `up_capacities` / `down_capacities` are the per-link capacities of
 ///   the two ISPs (from [`nexit_workload::assign_capacities`]).
 ///
-/// This is the standalone cold-start build; sweeps that re-solve
-/// scenarios should hold a [`BandwidthLp`] session instead.
+/// This is the standalone build, solved once from the default routing's
+/// vertex; sweeps that re-solve scenarios should hold a [`BandwidthLp`]
+/// session instead.
 #[allow(clippy::too_many_arguments)]
 pub fn optimal_bandwidth(
     view: &PairView<'_>,
@@ -336,7 +434,7 @@ pub fn optimal_bandwidth(
     down_capacities: &[f64],
 ) -> Result<BandwidthOptimum, OptimalBandwidthError> {
     let k = view.num_interconnections();
-    let program = build_program(
+    let mut program = build_program(
         view,
         paths,
         flows,
@@ -345,7 +443,8 @@ pub fn optimal_bandwidth(
         up_capacities,
         down_capacities,
     );
-    let outcome = nexit_lp::solve_with(&program.problem, solver_options());
+    let mut workspace = SimplexWorkspace::with_options(solver_options());
+    let outcome = solve_program(&mut program, &mut workspace, 1.0, None);
     finish_solve(outcome, impacted, k, paths, flows, &program.residual, 1.0)
 }
 
@@ -364,8 +463,8 @@ struct ScenarioLp<'a> {
 ///
 /// Register every scenario once with [`BandwidthLp::add_scenario`] (the
 /// skeleton is built exactly like [`optimal_bandwidth`] builds its
-/// program, so the first solve of each scenario is bit-identical to the
-/// standalone path), then re-solve freely: each scenario keeps its own
+/// program and solved by the same function, so the first solve of each
+/// scenario is bit-identical to the standalone path), then re-solve freely: each scenario keeps its own
 /// [`SimplexWorkspace`], so repeated solves — identical or with patched
 /// capacity residuals via [`BandwidthLp::solve_failure_scaled`] — re-enter
 /// the simplex warm from the retained optimal basis.
@@ -488,19 +587,12 @@ impl<'a> BandwidthLp<'a> {
             .iter_mut()
             .find(|s| s.failed == failed)
             .unwrap_or_else(|| panic!("no scenario registered for failed {failed:?}"));
-        for cr in &scenario.program.cap_rows {
-            let cap = if cr.upstream {
-                up_capacities[cr.link]
-            } else {
-                down_capacities[cr.link]
-            };
-            scenario
-                .program
-                .problem
-                .set_coefficient(cr.row, T_VAR, -cap);
-            scenario.program.problem.set_rhs(cr.row, -cr.residual);
-        }
-        let outcome = scenario.workspace.solve(&scenario.program.problem);
+        let outcome = solve_program(
+            &mut scenario.program,
+            &mut scenario.workspace,
+            1.0,
+            Some((up_capacities, down_capacities)),
+        );
         finish_solve(
             outcome,
             &scenario.impacted,
@@ -578,13 +670,12 @@ impl<'a> BandwidthLp<'a> {
             .iter_mut()
             .find(|s| s.failed == failed)
             .unwrap_or_else(|| panic!("no scenario registered for failed {failed:?}"));
-        for cr in &scenario.program.cap_rows {
-            scenario
-                .program
-                .problem
-                .set_rhs(cr.row, -cr.residual * residual_scale);
-        }
-        let outcome = scenario.workspace.solve(&scenario.program.problem);
+        let outcome = solve_program(
+            &mut scenario.program,
+            &mut scenario.workspace,
+            residual_scale,
+            None,
+        );
         finish_solve(
             outcome,
             &scenario.impacted,
@@ -761,7 +852,7 @@ mod tests {
     }
 
     /// The session's first solve of a scenario is the standalone build:
-    /// same program, same cold path, identical results.
+    /// same program, same solve function, identical results.
     #[test]
     fn session_first_solve_matches_standalone() {
         let fx = fixture();
@@ -798,6 +889,139 @@ mod tests {
         assert_eq!(via_session.t.to_bits(), standalone.t.to_bits());
         assert_eq!(via_session.fractions, standalone.fractions);
         assert_eq!(via_session.loads, standalone.loads);
+    }
+
+    /// The default routing is accepted as the starting vertex of every
+    /// cold solve, and the started solve lands on the optimum a
+    /// start-less two-phase solve of the same (patched) program finds.
+    #[test]
+    fn default_vertex_starts_every_cold_solve() {
+        let fx = fixture();
+        let view = PairView::new(&fx.a, &fx.b, &fx.pair);
+        let sp_a = ShortestPaths::compute(&fx.a);
+        let sp_b = ShortestPaths::compute(&fx.b);
+        let flows = PairFlows::build(&view, &sp_a, &sp_b, |s, d| {
+            1.0 + (s.index() * 2 + d.index()) as f64
+        });
+        let paths = PathTable::build(&view, &sp_a, &sp_b, &flows);
+        let caps_a = vec![5.0; fx.a.num_links()];
+        let caps_b = vec![3.0; fx.b.num_links()];
+        // Mixed defaults, so the vertex is not one exit for everyone.
+        let default = Assignment::from_choices(
+            (0..flows.len())
+                .map(|f| IcxId::new(f % 2))
+                .collect::<Vec<_>>(),
+        );
+        let mut solves = 0;
+        for modulus in [1, 2, 3] {
+            let impacted: Vec<FlowId> = (0..flows.len())
+                .filter(|f| f % modulus == 0)
+                .map(FlowId::new)
+                .collect();
+            let mut session = BandwidthLp::new();
+            session.add_scenario(
+                IcxId(0),
+                &view,
+                &paths,
+                &flows,
+                &impacted,
+                &default,
+                &caps_a,
+                &caps_b,
+            );
+            for scale in [1.0, 1.05, 1.1, 1.2, 1.4, 0.0] {
+                session.invalidate_warm();
+                let started = session.solve_failure_scaled(IcxId(0), scale).unwrap();
+                let startless = match nexit_lp::solve_with(
+                    &session.scenarios[0].program.problem,
+                    solver_options(),
+                ) {
+                    LpOutcome::Optimal { objective, .. } => objective,
+                    other => panic!("start-less solve: {other:?}"),
+                };
+                assert!(
+                    (started.t - startless).abs() <= 1e-9,
+                    "1/{modulus} impacted, x{scale}: started {} vs start-less {startless}",
+                    started.t
+                );
+                solves += 1;
+            }
+            let stats = session.warm_stats();
+            assert_eq!(stats.start_refusals, 0, "{stats:?}");
+            assert_eq!(stats.cold_solves, 6, "{stats:?}");
+        }
+        assert_eq!(solves, 18);
+    }
+
+    /// A capacity patch that moves the bottleneck moves the start with
+    /// it: `t` must be basic in the row that is worst under the
+    /// coefficients as patched. Under the build-time capacities the
+    /// vertex would violate the new bottleneck's row and be refused.
+    #[test]
+    fn start_follows_a_capacity_patch_to_the_new_bottleneck() {
+        let fx = fixture();
+        let view = PairView::new(&fx.a, &fx.b, &fx.pair);
+        let sp_a = ShortestPaths::compute(&fx.a);
+        let sp_b = ShortestPaths::compute(&fx.b);
+        let flows = PairFlows::build(&view, &sp_a, &sp_b, |s, d| {
+            1.0 + (s.index() * 2 + d.index()) as f64
+        });
+        let paths = PathTable::build(&view, &sp_a, &sp_b, &flows);
+        let caps_a = vec![5.0; fx.a.num_links()];
+        let caps_b = vec![5.0; fx.b.num_links()];
+        let default = Assignment::uniform(flows.len(), IcxId(0));
+        let impacted: Vec<FlowId> = (0..flows.len())
+            .filter(|f| f % 3 != 0)
+            .map(FlowId::new)
+            .collect();
+        let mut session = BandwidthLp::new();
+        session.add_scenario(
+            IcxId(0),
+            &view,
+            &paths,
+            &flows,
+            &impacted,
+            &default,
+            &caps_a,
+            &caps_b,
+        );
+        session.solve_failure(IcxId(0)).unwrap();
+        let t_row = |session: &BandwidthLp<'_>| {
+            let &(row, var) = session.scenarios[0].program.start.last().unwrap();
+            assert_eq!(var, T_VAR);
+            row
+        };
+        let before = t_row(&session);
+
+        // Widen the bottleneck link a thousandfold: another link is now
+        // the worst one under the default routing.
+        let (mut wide_a, mut wide_b) = (caps_a.clone(), caps_b.clone());
+        let bottleneck = session.scenarios[0]
+            .program
+            .cap_rows
+            .iter()
+            .find(|cr| cr.row == before)
+            .unwrap();
+        if bottleneck.upstream {
+            wide_a[bottleneck.link] *= 1000.0;
+        } else {
+            wide_b[bottleneck.link] *= 1000.0;
+        }
+        session.invalidate_warm();
+        let started = session
+            .solve_with_model(IcxId(0), &wide_a, &wide_b)
+            .unwrap();
+        assert_ne!(t_row(&session), before, "the bottleneck must have moved");
+        let stats = session.warm_stats();
+        assert_eq!(
+            (stats.cold_solves, stats.start_refusals),
+            (2, 0),
+            "{stats:?}"
+        );
+        let standalone =
+            optimal_bandwidth(&view, &paths, &flows, &impacted, &default, &wide_a, &wide_b)
+                .unwrap();
+        assert!((started.t - standalone.t).abs() <= 1e-9);
     }
 
     /// Warm re-solves across residual scales must agree with fresh cold

@@ -38,11 +38,18 @@
 //! | rhs only                                | `x_B = B⁻¹b` + dual-simplex repair (retained basis)   |
 //! | coefficients / objective (same pattern) | column refresh against the retained factorization     |
 //! | new structure (rows/sparsity/operators) | cold two-phase solve                                  |
+//! | cold, caller names a feasible vertex    | that basis, factorized and checked, then phase 2 only |
 //!
-//! Every warm outcome is verified against the problem itself and falls
-//! back to a cold start transparently, so a warm solve can never return
-//! anything a cold solve would not ([`WarmStats`] counts which path each
-//! solve actually took).
+//! The last row is [`SimplexWorkspace::solve_from`]: a caller that knows
+//! a feasible vertex of its program (the bandwidth optimum knows the
+//! default routing) hands it over as `(row, structural column)` pairs,
+//! and a solve that has to go cold starts there instead of from the
+//! all-artificial basis.
+//!
+//! Every warm or started outcome is verified against the problem itself
+//! and falls back to a two-phase cold start transparently, so neither
+//! can return anything a cold solve would not ([`WarmStats`] counts
+//! which path each solve actually took).
 //!
 //! # Pricing and refactorization policy
 //!

@@ -49,6 +49,14 @@
 //! problem with `b' = B max(x_B, 0)`, then walk `b' -> b` with dual
 //! pivots from the now dual-feasible optimum.
 //!
+//! A cold solve need not begin at the all-artificial basis either:
+//! [`RevisedSimplex::build`] records each row's logical column, and
+//! [`RevisedSimplex::install_start`] swaps a caller's feasible vertex in
+//! before the first pivot, after which the solve is the same
+//! `reoptimize` a warm re-entry runs — phase 2 alone. The two-phase
+//! [`RevisedSimplex::run`] stays for callers with no vertex to offer
+//! and for starts that are refused.
+//!
 //! Pricing is **devex** (Forrest's approximate steepest edge): the
 //! entering column maximizes `d_j^2 / w_j` over reference-framework
 //! weights `w_j` that are updated from the pivot row after every basis
@@ -181,6 +189,10 @@ pub(crate) struct RevisedSimplex {
     /// flipped to make the original rhs non-negative); value patches are
     /// re-signed with these so the retained layout stays valid.
     signs: Vec<f64>,
+    /// Each row's own logical column: its slack or surplus, or its
+    /// artificial on an `==` row (which has neither). What a
+    /// caller-supplied start leaves basic in the rows it does not name.
+    logical: Vec<usize>,
     /// Basic variable of each row; `B`'s column `i` is column `basis[i]`.
     pub(crate) basis: Vec<usize>,
     /// Column -> basis row, `usize::MAX` when nonbasic.
@@ -207,6 +219,10 @@ pub(crate) struct RevisedSimplex {
     mark: Vec<bool>,
     pub(crate) options: SimplexOptions,
     pub(crate) iterations_used: usize,
+    /// Pivots the cold solve that first optimized this engine took
+    /// (written by the workspace when it retains the engine): what
+    /// [`Self::reoptimize`] sizes its dual-repair budget against.
+    pub(crate) cold_pivots: usize,
     /// Recycled length-`m` buffers (pricing multipliers, pivot
     /// columns): the solve loop allocates nothing in steady state.
     scratch: Vec<Vec<f64>>,
@@ -261,6 +277,7 @@ impl RevisedSimplex {
         let mut rows = Compressed::with_capacity(m, nnz);
         let mut b = vec![0.0; m];
         let mut basis = vec![usize::MAX; m];
+        let mut logical = Vec::with_capacity(m);
         let mut signs = Vec::with_capacity(m);
         let mut slack_col = nv;
         let mut art_col = nv + num_slack;
@@ -275,10 +292,12 @@ impl RevisedSimplex {
                 ConstraintOp::Le => {
                     rows.push(slack_col, 1.0);
                     basis[i] = slack_col;
+                    logical.push(slack_col);
                     slack_col += 1;
                 }
                 ConstraintOp::Ge => {
                     rows.push(slack_col, -1.0); // surplus
+                    logical.push(slack_col);
                     slack_col += 1;
                     rows.push(art_col, 1.0);
                     basis[i] = art_col;
@@ -287,6 +306,7 @@ impl RevisedSimplex {
                 ConstraintOp::Eq => {
                     rows.push(art_col, 1.0);
                     basis[i] = art_col;
+                    logical.push(art_col);
                     art_col += 1;
                 }
             }
@@ -308,6 +328,7 @@ impl RevisedSimplex {
             nv,
             artificial_start: nv + num_slack,
             signs,
+            logical,
             basis,
             position,
             xb: Vec::new(),
@@ -321,6 +342,7 @@ impl RevisedSimplex {
             mark: vec![false; n],
             options,
             iterations_used: 0,
+            cold_pivots: 0,
             scratch: Vec::new(),
             ptmp: vec![0.0; m],
             eta_pool: Vec::new(),
@@ -330,6 +352,55 @@ impl RevisedSimplex {
             return None;
         }
         Some(engine)
+    }
+
+    /// Replace the unit basis [`Self::build`] left with a caller-supplied
+    /// vertex: each `(row, column)` of `start` makes structural `column`
+    /// basic in `row`, every other row keeps its logical column. The
+    /// caller continues with [`Self::reoptimize`], exactly as after a
+    /// warm re-entry. `false` — the engine is then in no usable state
+    /// and the caller builds a fresh one — when a pair is out of range
+    /// or names a non-structural column, a row or column is named twice,
+    /// the basis is singular, or the vertex is not feasible (`x_B`
+    /// negative, or an artificial basic above zero).
+    pub(crate) fn install_start(&mut self, start: &[(usize, usize)]) -> bool {
+        let tol = self.options.tolerance;
+        self.basis.clone_from(&self.logical);
+        self.position.fill(usize::MAX);
+        for &(row, col) in start {
+            // Logical columns sit at `nv..`, so a row still holding one
+            // has not been named yet.
+            if row >= self.m
+                || col >= self.nv
+                || self.basis[row] < self.nv
+                || self.position[col] != usize::MAX
+            {
+                return false;
+            }
+            self.basis[row] = col;
+            self.position[col] = row;
+        }
+        for (row, &var) in self.basis.iter().enumerate() {
+            self.position[var] = row;
+        }
+        self.refactor() && self.xb.iter().all(|&x| x >= -tol) && !self.artificial_still_basic()
+    }
+
+    /// Test hook: the current basis in [`Self::install_start`]'s terms —
+    /// its structural columns dealt to the rows whose own logical column
+    /// is nonbasic (which row holds which is immaterial: the basis is a
+    /// set of columns). `None` when an artificial is basic in a row that
+    /// has a surplus, which no start can express.
+    #[cfg(test)]
+    pub(crate) fn basis_as_start(&self) -> Option<Vec<(usize, usize)>> {
+        let mut free_rows = (0..self.m).filter(|&r| self.position[self.logical[r]] == usize::MAX);
+        let start = self
+            .basis
+            .iter()
+            .filter(|&&var| var < self.nv)
+            .map(|&var| free_rows.next().map(|row| (row, var)))
+            .collect::<Option<Vec<_>>>()?;
+        free_rows.next().is_none().then_some(start)
     }
 
     /// Rebuild the LU factorization from the current basis columns, drop
@@ -1043,7 +1114,14 @@ impl RevisedSimplex {
         let tol = self.options.tolerance;
         self.set_phase_cost(objective);
         self.iterations_used = 0;
-        let dual_budget = 4 * self.m + 64;
+        // A repair that has taken twice the pivots of this program's
+        // own cold solve is not going to be cheaper than starting over:
+        // a dual pivot prices its row column-wise, several times the
+        // cost of a primal one. (`4 * m + 64`, the bound while cold
+        // solves ran phase 1, let a blocked repair burn ~1 350 pivots —
+        // 55-195 ms on `experiments churn --smoke` — before a cold
+        // solve that now takes 2-8 ms.)
+        let dual_budget = 2 * self.cold_pivots + 64;
 
         if self.xb.iter().all(|&x| x >= -tol) {
             return matches!(self.optimize(true), PhaseResult::Optimal);
@@ -1148,7 +1226,7 @@ impl PricingProbe {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::problem::{ConstraintOp, LpProblem};
 
@@ -1348,11 +1426,12 @@ mod tests {
         }
     }
 
-    mod proptests {
+    pub(crate) mod proptests {
         use super::*;
         use proptest::prelude::*;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
+        use std::ops::Range;
 
         /// With probability `density`, a coefficient for variable `i`.
         fn sparse_entry(rng: &mut StdRng, density: f64, i: usize) -> Option<(usize, f64)> {
@@ -1363,12 +1442,30 @@ mod tests {
             }
         }
 
-        /// A sparse program of 40..56 rows over 80..110 columns, feasible
-        /// at a known point `x0` and bounded by a box row. `mixed` draws
-        /// `<=`, `>=` and `==` rows; otherwise every row is `<=`.
-        fn large_program(seed: u64, mixed: bool) -> LpProblem {
+        /// The large size class: 40..56 rows over 80..110 columns at
+        /// density 0.12, so a solve crosses the eta limit several times.
+        pub(crate) fn large_program(seed: u64, mixed: bool) -> LpProblem {
+            random_program(seed, mixed, 40..56, 80..110, 0.12)
+        }
+
+        /// The small size class the strategy-built properties below
+        /// cover, drawn from a seed: 1..6 rows over 1..5 columns.
+        pub(crate) fn small_program(seed: u64, mixed: bool) -> LpProblem {
+            random_program(seed, mixed, 1..6, 1..5, 0.8)
+        }
+
+        /// A sparse program feasible at a known point `x0` and bounded
+        /// by a box row. `mixed` draws `<=`, `>=` and `==` rows;
+        /// otherwise every row is `<=`.
+        fn random_program(
+            seed: u64,
+            mixed: bool,
+            rows: Range<usize>,
+            cols: Range<usize>,
+            density: f64,
+        ) -> LpProblem {
             let mut rng = StdRng::seed_from_u64(seed);
-            let (m, nv) = (rng.gen_range(40usize..56), rng.gen_range(80usize..110));
+            let (m, nv) = (rng.gen_range(rows), rng.gen_range(cols));
             let mut p = LpProblem::new();
             for _ in 0..nv {
                 p.add_variable(rng.gen_range(-1.0..3.0));
@@ -1376,7 +1473,7 @@ mod tests {
             let x0: Vec<f64> = (0..nv).map(|_| rng.gen_range(0.2..2.0)).collect();
             for _ in 0..m {
                 let row: Vec<(usize, f64)> = (0..nv)
-                    .filter_map(|i| sparse_entry(&mut rng, 0.12, i))
+                    .filter_map(|i| sparse_entry(&mut rng, density, i))
                     .collect();
                 let at_x0: f64 = row.iter().map(|&(i, a)| a * x0[i]).sum();
                 let slack = rng.gen_range(0.0..2.0);

@@ -28,11 +28,24 @@
 //!   dual-simplex repair when still dual feasible, or an rhs-homotopy
 //!   bridge when neither survives the patch.
 //! * **structural change** (rows, operators or sparsity differ): cold.
+//! * **cold, with a caller-supplied start**
+//!   ([`SimplexWorkspace::solve_from`]): whenever the solve has to go
+//!   cold — the first solve, a structural change, a failed re-entry —
+//!   and the caller named a feasible vertex, the fresh engine's basis is
+//!   set to it (each named structural column basic in its row, every
+//!   other row on its own slack or surplus), factorized, checked
+//!   (`x_B >= 0`, no artificial above zero) and handed to the same
+//!   re-optimization and verification a warm re-entry gets. Phase 1 is
+//!   not run. The start is an argument of the solve, not a setting:
+//!   callers without one ([`SimplexWorkspace::solve`],
+//!   [`crate::solve_with`]) and refused starts take the two-phase path.
 //!
 //! Any trouble — a stale/singular basis, a blocked pivot, a budget
-//! overrun, a solution that fails verification — falls back to the
-//! ordinary cold start, so a warm solve can never return anything a cold
-//! solve would not. Matching is by content (64-bit signatures of the
+//! overrun, a solution that fails verification; for a start also a pair
+//! out of range, a non-structural column, a row or column named twice,
+//! an infeasible vertex ([`WarmStats::start_refusals`]) — falls back to
+//! the ordinary cold start on a fresh engine, so a warm or started solve
+//! can never return anything a cold solve would not. Matching is by content (64-bit signatures of the
 //! sparsity pattern and of the value vector, mixed a word at a time),
 //! not by pointer, so callers may rebuild problems freely.
 //!
@@ -53,7 +66,8 @@ use crate::revised::{EngineCounters, RevisedSimplex};
 /// the engine counters say what the basis machinery did along the way.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WarmStats {
-    /// Solves that ran the full two-phase cold path.
+    /// Solves that built a fresh engine: the two-phase cold path, or
+    /// phase 2 alone from a caller-supplied starting vertex.
     pub cold_solves: usize,
     /// Rhs-only solves answered from the saved basis (dual repair +
     /// polish).
@@ -80,6 +94,12 @@ pub struct WarmStats {
     pub lu_fill_nnz: usize,
     /// Devex-to-Bland pricing hand-overs (anti-cycling stalls).
     pub pricing_fallbacks: usize,
+    /// Caller-supplied starting vertices ([`SimplexWorkspace::solve_from`])
+    /// that were refused: malformed, singular, not a feasible vertex, or
+    /// failing the checks every warm result must pass. The solve then
+    /// ran the two-phase path (it is one of the `cold_solves` either
+    /// way).
+    pub start_refusals: usize,
 }
 
 impl WarmStats {
@@ -97,6 +117,7 @@ impl WarmStats {
         self.max_eta_chain = self.max_eta_chain.max(other.max_eta_chain);
         self.lu_fill_nnz = self.lu_fill_nnz.max(other.lu_fill_nnz);
         self.pricing_fallbacks += other.pricing_fallbacks;
+        self.start_refusals += other.start_refusals;
     }
 
     /// Fold one engine's drained telemetry into the totals.
@@ -191,6 +212,21 @@ impl SimplexWorkspace {
     /// [`crate::solve_with`] up to the solver tolerance (degenerate
     /// optima may pick a different optimal vertex).
     pub fn solve(&mut self, problem: &LpProblem) -> LpOutcome {
+        self.solve_from(problem, &[])
+    }
+
+    /// [`Self::solve`] for a caller that knows a feasible vertex of
+    /// `problem`: each `(row, structural column)` of `start` makes that
+    /// column basic in place of the row's own logical column, and every
+    /// other row keeps its slack or surplus (its artificial on an `==`
+    /// row). A retained basis still wins; when the solve has to go cold
+    /// it starts from this vertex instead of the all-artificial one, so
+    /// phase 1 is not run, and the result passes the same checks a warm
+    /// re-entry does. A start the engine refuses (see the module docs)
+    /// is counted in [`WarmStats::start_refusals`] and costs nothing
+    /// but time: the solve then is the two-phase one [`Self::solve`]
+    /// would have made. An empty `start` is no start.
+    pub fn solve_from(&mut self, problem: &LpProblem, start: &[(usize, usize)]) -> LpOutcome {
         let pattern = pattern_signature(problem);
         let values = value_signature(problem);
         if let Some(saved) = &mut self.saved {
@@ -230,6 +266,21 @@ impl SimplexWorkspace {
         }
 
         self.stats.cold_solves += 1;
+        if !start.is_empty() {
+            if let Some(mut engine) = RevisedSimplex::build(problem, self.options) {
+                let outcome = if engine.install_start(start) {
+                    finish_warm(&mut engine, problem)
+                } else {
+                    None
+                };
+                self.stats.absorb_engine(engine.take_counters());
+                if let Some(outcome) = outcome {
+                    self.retain(pattern, values, engine);
+                    return outcome;
+                }
+            }
+            self.stats.start_refusals += 1;
+        }
         let Some(mut engine) = RevisedSimplex::build(problem, self.options) else {
             // Unreachable in practice (the initial basis is a permuted
             // identity); classify like any other numerical failure.
@@ -239,13 +290,19 @@ impl SimplexWorkspace {
         let drained = engine.take_counters();
         self.stats.absorb_engine(drained);
         if matches!(outcome, LpOutcome::Optimal { .. }) {
-            self.saved = Some(Saved {
-                pattern,
-                values,
-                engine,
-            });
+            self.retain(pattern, values, engine);
         }
         outcome
+    }
+
+    /// Keep a cold-solved engine for the next solve to re-enter.
+    fn retain(&mut self, pattern: u64, values: u64, mut engine: RevisedSimplex) {
+        engine.cold_pivots = engine.iterations_used;
+        self.saved = Some(Saved {
+            pattern,
+            values,
+            engine,
+        });
     }
 }
 
@@ -579,6 +636,7 @@ mod tests {
             max_eta_chain: 8,
             lu_fill_nnz: 90,
             pricing_fallbacks: 1,
+            start_refusals: 2,
         });
         total.absorb(WarmStats {
             cold_solves: 10,
@@ -599,6 +657,7 @@ mod tests {
         assert_eq!(total.max_eta_chain, 8);
         assert_eq!(total.lu_fill_nnz, 120);
         assert_eq!(total.pricing_fallbacks, 1);
+        assert_eq!(total.start_refusals, 2);
         assert_eq!(total.total_solves(), 17);
     }
 
@@ -622,6 +681,200 @@ mod tests {
             "{after_warm:?}"
         );
         assert!(after_warm.max_eta_chain >= 1, "{after_warm:?}");
+    }
+
+    /// Caller-supplied starting vertices ([`SimplexWorkspace::solve_from`]).
+    mod start {
+        use super::*;
+        use crate::revised::tests::proptests::{large_program, small_program};
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        /// Same outcome, bit for bit (`f64`'s `Debug` form round-trips,
+        /// and tells `-0.0` from `0.0`).
+        fn assert_identical(got: &LpOutcome, want: &LpOutcome) {
+            assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        }
+
+        /// `start` must be refused, counted once, and leave the solve
+        /// exactly what a start-less one on a fresh workspace is.
+        fn assert_refused(p: &LpProblem, start: &[(usize, usize)], why: &str) {
+            let mut ws = SimplexWorkspace::new();
+            let got = ws.solve_from(p, start);
+            let stats = ws.stats();
+            assert_eq!(stats.start_refusals, 1, "{why}: {stats:?}");
+            assert_eq!(stats.cold_solves, 1, "{why}: {stats:?}");
+            assert_identical(&got, &SimplexWorkspace::new().solve(p));
+        }
+
+        // `min_max_problem`: columns t = 0, x1 = 1, x2 = 2, then two
+        // slack/surplus columns (3, 4) and three artificials (5..8);
+        // row 0 is the `==` row.
+
+        #[test]
+        fn a_feasible_vertex_is_accepted_and_skips_phase_one() {
+            // x1 = 1 (row 0), t = 0.6 basic in row 1, row 2 keeps its
+            // surplus at 2 * 0.6 - 0.5.
+            let p = min_max_problem(&[1.0, 0.5]);
+            let mut ws = SimplexWorkspace::new();
+            let started = objective(&ws.solve_from(&p, &[(0, 1), (1, 0)]));
+            let stats = ws.stats();
+            assert_eq!((stats.cold_solves, stats.start_refusals), (1, 0));
+            let mut cold = SimplexWorkspace::new();
+            assert!((started - objective(&cold.solve(&p))).abs() < 1e-9);
+            assert!(
+                stats.eta_pivots < cold.stats().eta_pivots,
+                "started {stats:?} vs cold {:?}",
+                cold.stats()
+            );
+            // The started engine is retained like any other: the next
+            // rhs patch re-enters warm.
+            let mut q = min_max_problem(&[1.0, 0.5]);
+            q.set_rhs(1, -2.0);
+            let warm = objective(&ws.solve_from(&q, &[(7, 7)]));
+            assert!((warm - objective(&solve(&q))).abs() < 1e-9);
+            let stats = ws.stats();
+            // A retained basis wins: the (malformed) start is not looked at.
+            assert_eq!((stats.warm_solves, stats.start_refusals), (1, 0));
+        }
+
+        #[test]
+        fn malformed_starts_are_refused() {
+            let p = min_max_problem(&[1.0, 0.5]);
+            assert_refused(&p, &[(3, 1)], "row out of range");
+            assert_refused(&p, &[(0, 8)], "column out of range");
+            assert_refused(&p, &[(0, usize::MAX)], "column far out of range");
+            assert_refused(&p, &[(0, 3)], "a surplus column");
+            assert_refused(&p, &[(0, 5)], "an artificial column");
+            assert_refused(&p, &[(0, 1), (1, 1)], "a column named twice");
+            assert_refused(&p, &[(0, 1), (0, 2)], "a row named twice");
+        }
+
+        #[test]
+        fn singular_and_infeasible_vertices_are_refused() {
+            let p = min_max_problem(&[1.0, 0.5]);
+            // t has no entry in row 0: the basis matrix has a zero row.
+            assert_refused(&p, &[(0, 0)], "singular");
+            // x1 = 1 with t nonbasic at 0 leaves row 1's surplus at -6.
+            assert_refused(&p, &[(0, 1)], "primal infeasible");
+            // Zero residuals: t = 0 in row 1 is primal feasible, but the
+            // `==` row is left to its artificial, basic at 1.
+            let p = min_max_problem(&[0.0, 0.0]);
+            assert_refused(&p, &[(1, 0)], "== row uncovered");
+        }
+
+        /// `p` with the objective negated: same polytope, and (the
+        /// generators bound it by a box row) an optimum at its far end.
+        fn reversed(p: &LpProblem) -> LpProblem {
+            let mut q = LpProblem::new();
+            for &c in p.objective() {
+                q.add_variable(-c);
+            }
+            for c in p.constraints() {
+                q.add_constraint(c.coeffs.clone(), c.op, c.rhs);
+            }
+            q
+        }
+
+        /// The optimal basis of `p` as a start (`None`: not expressible,
+        /// see `RevisedSimplex::basis_as_start`).
+        fn optimal_basis(p: &LpProblem) -> Option<Vec<(usize, usize)>> {
+            let mut ws = SimplexWorkspace::new();
+            assert!(matches!(ws.solve(p), LpOutcome::Optimal { .. }));
+            ws.saved.as_ref()?.engine.basis_as_start()
+        }
+
+        /// `solve_from(p, start)` against a start-less solve: same kind
+        /// of outcome, objective equal to 1e-7 relative, point feasible;
+        /// a refused start leaves the result bit-identical.
+        fn check_against_cold(
+            p: &LpProblem,
+            start: &[(usize, usize)],
+        ) -> Result<WarmStats, TestCaseError> {
+            let mut ws = SimplexWorkspace::new();
+            let started = ws.solve_from(p, start);
+            let cold = SimplexWorkspace::new().solve(p);
+            let stats = ws.stats();
+            prop_assert_eq!(stats.cold_solves, 1);
+            prop_assert!(stats.start_refusals <= 1);
+            if stats.start_refusals == 1 {
+                assert_identical(&started, &cold);
+            }
+            match (&started, &cold) {
+                (
+                    LpOutcome::Optimal {
+                        objective: s,
+                        solution,
+                    },
+                    LpOutcome::Optimal { objective: c, .. },
+                ) => {
+                    prop_assert!(
+                        (s - c).abs() <= 1e-7 * c.abs().max(1.0),
+                        "started {s} != cold {c}"
+                    );
+                    prop_assert!(p.is_feasible(solution, 1e-6));
+                }
+                (s, c) => prop_assert_eq!(s, c),
+            }
+            Ok(stats)
+        }
+
+        // The `#[cfg(test)]` hooks inside `optimize` (`assert_priced_out`,
+        // `assert_maintained_matches_fresh`) run on every started solve
+        // below: a start changes where phase 2 begins, not its contract.
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            // (a) Started at its own optimal basis a program needs no
+            // phase 1 and (next to) no pivots.
+            #[test]
+            fn start_at_the_optimal_basis(seed in any::<u64>(), mixed in any::<bool>(),
+                                          large in any::<bool>()) {
+                let p = if large { large_program(seed, mixed) } else { small_program(seed, mixed) };
+                let Some(start) = optimal_basis(&p) else { return Ok(()) };
+                let stats = check_against_cold(&p, &start)?;
+                prop_assert_eq!(stats.start_refusals, 0);
+                prop_assert!(stats.eta_pivots <= 2, "{stats:?}");
+            }
+
+            // (b) A feasible vertex far from the optimum: the optimal
+            // basis of the negated objective.
+            #[test]
+            fn start_at_the_far_end_of_the_polytope(seed in any::<u64>(), mixed in any::<bool>(),
+                                                    large in any::<bool>()) {
+                let p = if large { large_program(seed, mixed) } else { small_program(seed, mixed) };
+                let Some(start) = optimal_basis(&reversed(&p)) else { return Ok(()) };
+                let stats = check_against_cold(&p, &start)?;
+                prop_assert_eq!(stats.start_refusals, 0);
+            }
+
+            // (c) Arbitrary pairs — out of range, logical columns,
+            // repeats, singular and infeasible sets — never panic and
+            // never change the answer.
+            #[test]
+            fn hostile_starts_never_change_the_answer(seed in any::<u64>(), mixed in any::<bool>(),
+                                                      large in any::<bool>()) {
+                let p = if large { large_program(seed, mixed) } else { small_program(seed, mixed) };
+                let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+                let (m, nv) = (p.num_constraints(), p.num_variables());
+                let pairs = rng.gen_range(1..m + 3);
+                let start: Vec<(usize, usize)> = (0..pairs)
+                    .map(|_| (rng.gen_range(0..m + 2), rng.gen_range(0..nv + 2 * m + 2)))
+                    .collect();
+                check_against_cold(&p, &start)?;
+                // In-range, distinct rows and structural columns: what is
+                // left to refuse is the linear algebra.
+                let mut cols: Vec<usize> = (0..nv).collect();
+                let mut start = Vec::new();
+                for row in 0..m.min(nv) {
+                    if rng.gen_bool(0.5) {
+                        start.push((row, cols.swap_remove(rng.gen_range(0..cols.len()))));
+                    }
+                }
+                check_against_cold(&p, &start)?;
+            }
+        }
     }
 
     mod proptests {

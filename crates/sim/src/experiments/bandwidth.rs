@@ -491,9 +491,10 @@ pub fn run_growth(universe: &Universe, cfg: &ExpConfig, factors: &[f64]) -> Grow
 /// stalls).
 pub fn print_lp_stats(stats: &WarmStats) {
     println!(
-        "   LP solves: {} cold, {} warm (rhs re-entry, {} fell back), \
+        "   LP solves: {} cold ({} starts refused), {} warm (rhs re-entry, {} fell back), \
          {} refreshed (coefficient patch, {} fell back)",
         stats.cold_solves,
+        stats.start_refusals,
         stats.warm_solves,
         stats.warm_fallbacks,
         stats.refresh_solves,

@@ -54,6 +54,12 @@ fn sweep_is_identical_across_thread_counts() {
 /// above only compare with each other and the benchmark digests cover
 /// negotiated state only, so nothing else stops a change from silently
 /// turning incremental events into fallbacks.
+///
+/// The third value of each row, the costliest event's work units,
+/// counts LP pivots and so moves with the LP engine while the counters
+/// stay: 1 947 / 2 956 until cold solves began at the default routing's
+/// vertex instead of running phase 1 (and a dual repair's budget was
+/// sized from that), 1 795 / 1 904 since.
 #[test]
 fn path_counters_are_pinned() {
     let golden = [
@@ -67,7 +73,7 @@ fn path_counters_are_pinned() {
                 rows_served: 7_614,
                 ..ChurnCounters::default()
             },
-            1_947.0,
+            1_795.0,
         ),
         (
             Objective::Bandwidth,
@@ -81,7 +87,7 @@ fn path_counters_are_pinned() {
                 rows_served: 4_804,
                 rows_load_invalidated: 13_978,
             },
-            2_956.0,
+            1_904.0,
         ),
     ];
     for (objective, counters, max_work) in golden {

@@ -24,8 +24,8 @@ current report), 2 = usage/IO error.
 Beyond per-row regressions, ``--require-ratio NUM:DEN:MIN`` (repeatable)
 asserts structural speedups *within* the current report: the row named
 ``NUM`` must be at least ``MIN`` times the row named ``DEN`` — e.g.
-``model_grid/cold:model_grid/warm:2.0`` enforces that the warm-started
-coefficient-patch re-solves stay at least twice as fast as cold ones.
+``model_grid/cold:model_grid/warm:1.25`` enforces that the warm-started
+coefficient-patch re-solves stay at least 1.25x as fast as cold ones.
 Ratios are machine-independent (both rows come from the same run), so
 they hold absolutely, not merely relative to the suite.
 
@@ -198,40 +198,40 @@ def self_test():
     assert fails == ["simplex/warm_rhs"], f"dropped row not flagged: {fails}"
 
     # The churn wiring: bench-smoke pins both feed-replay rows with
-    # --require-row AND gates the incremental replay >= 2x under the
+    # --require-row AND gates the incremental replay >= 1.25x under the
     # per-event cold rebuild with --require-ratio; exercise the exact
     # row names and spec the job passes.
-    cur = {"churn/replay": 27_000_000.0, "churn/cold_replay": 91_000_000.0}
-    fails, _ = check_ratios(cur, ["churn/cold_replay:churn/replay:2.0"])
+    cur = {"churn/replay": 3_700_000.0, "churn/cold_replay": 7_800_000.0}
+    fails, _ = check_ratios(cur, ["churn/cold_replay:churn/replay:1.25"])
     assert not fails, f"healthy churn ratio tripped the gate: {fails}"
     fails, _ = check_required_rows(cur, ["churn/replay", "churn/cold_replay"])
     assert not fails, f"present churn rows tripped the gate: {fails}"
-    # A delta-path regression dragging the incremental replay within 2x
-    # of cold fires the ratio gate even with both rows still present.
-    cur = {"churn/replay": 60_000_000.0, "churn/cold_replay": 91_000_000.0}
-    fails, _ = check_ratios(cur, ["churn/cold_replay:churn/replay:2.0"])
+    # A delta-path regression dragging the incremental replay within
+    # 1.25x of cold fires the ratio gate even with both rows present.
+    cur = {"churn/replay": 7_000_000.0, "churn/cold_replay": 7_800_000.0}
+    fails, _ = check_ratios(cur, ["churn/cold_replay:churn/replay:1.25"])
     assert len(fails) == 1, f"churn ratio regression not flagged: {fails}"
     # Dropping the incremental row (e.g. a bench refactor losing the
     # group) is caught by the row pin, not just the ratio's missing-row
     # path.
     fails, _ = check_required_rows(
-        {"churn/cold_replay": 91_000_000.0}, ["churn/replay", "churn/cold_replay"]
+        {"churn/cold_replay": 7_800_000.0}, ["churn/replay", "churn/cold_replay"]
     )
     assert fails == ["churn/replay"], f"dropped churn row not flagged: {fails}"
 
     # The bandwidth-objective churn rows ride the same wiring: both
-    # pinned with --require-row, incremental >= 2x under cold via
+    # pinned with --require-row, incremental >= 1.5x under cold via
     # --require-ratio; exercise the exact row names the job passes.
-    cur = {"churn/bw_replay": 150_000_000.0, "churn/bw_cold_replay": 900_000_000.0}
-    fails, _ = check_ratios(cur, ["churn/bw_cold_replay:churn/bw_replay:2.0"])
+    cur = {"churn/bw_replay": 5_100_000.0, "churn/bw_cold_replay": 8_200_000.0}
+    fails, _ = check_ratios(cur, ["churn/bw_cold_replay:churn/bw_replay:1.5"])
     assert not fails, f"healthy bw churn ratio tripped the gate: {fails}"
     fails, _ = check_required_rows(cur, ["churn/bw_replay", "churn/bw_cold_replay"])
     assert not fails, f"present bw churn rows tripped the gate: {fails}"
-    cur = {"churn/bw_replay": 500_000_000.0, "churn/bw_cold_replay": 900_000_000.0}
-    fails, _ = check_ratios(cur, ["churn/bw_cold_replay:churn/bw_replay:2.0"])
+    cur = {"churn/bw_replay": 7_000_000.0, "churn/bw_cold_replay": 8_200_000.0}
+    fails, _ = check_ratios(cur, ["churn/bw_cold_replay:churn/bw_replay:1.5"])
     assert len(fails) == 1, f"bw churn ratio regression not flagged: {fails}"
     fails, _ = check_required_rows(
-        {"churn/bw_cold_replay": 900_000_000.0},
+        {"churn/bw_cold_replay": 8_200_000.0},
         ["churn/bw_replay", "churn/bw_cold_replay"],
     )
     assert fails == ["churn/bw_replay"], f"dropped bw churn row not flagged: {fails}"
