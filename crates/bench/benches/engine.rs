@@ -95,6 +95,39 @@ fn bench_engine(c: &mut Criterion) {
             },
         );
     }
+    // The §6 close: the rows above draw both gain tables from one
+    // distribution, no side ever ends negative, and the credit-veto
+    // rollback they all run plans nothing. Real pairs are lopsided — a
+    // quarter of their accepted moves are rolled back — so here B
+    // loses half of what A gains on three flows in four: the combined
+    // maximum keeps trading at B's expense and the close undoes 550 of
+    // the 2 000 accepted moves.
+    group.bench_function("rollback_2000x4", |bencher| {
+        let (n, k) = (2_000, 4);
+        let inp = input(n, k);
+        let default = Assignment::uniform(n, IcxId(0));
+        let lopsided = || {
+            let a = RandomMapper::new(n, k, 1);
+            let mut b = RandomMapper::new(n, k, 2);
+            for f in (0..n).filter(|f| f % 4 != 0) {
+                for (cell, &theirs) in b.gains.row_mut(f).iter_mut().zip(a.gains.row(f)) {
+                    *cell = -0.5 * theirs;
+                }
+            }
+            (Party::honest("A", a), Party::honest("B", b))
+        };
+        let (mut a, mut b) = lopsided();
+        let outcome = negotiate(&inp, &default, &mut a, &mut b, &NexitConfig::win_win());
+        let (accepted, reverted) = (outcome.flows_negotiated(), outcome.flows_rolled_back());
+        assert!(
+            5 * reverted >= accepted,
+            "the fixture must roll back a fifth of its {accepted} accepted moves, not {reverted}"
+        );
+        bencher.iter(|| {
+            let (mut a, mut b) = lopsided();
+            negotiate(&inp, &default, &mut a, &mut b, &NexitConfig::win_win())
+        });
+    });
     // Early-termination stop projections are the other rescan hot spot:
     // every round used to re-sort all remaining flows.
     group.bench_function("large_early_stop/2000x8", |bencher| {

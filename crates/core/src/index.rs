@@ -559,27 +559,31 @@ impl CandidateIndex {
             debug_assert!(feed.is_empty(), "an unbuilt row's heap holds nothing");
             feed.reserve(ix.row_len);
             for flow in 0..ix.row_len {
-                let c = row_candidate(
-                    self.rule,
-                    p,
-                    &self.defaults,
-                    self.num_alternatives,
-                    d_own,
-                    d_other,
-                    self_guard.map_or(d_own, |(own_true, _)| own_true),
-                    state,
-                    flow,
-                    threshold,
-                );
+                // A settled flow never enters the heap, and the row is
+                // read only through heap entries: its cell stays empty.
+                let c = if state.is_remaining(flow) {
+                    row_candidate(
+                        self.rule,
+                        p,
+                        &self.defaults,
+                        self.num_alternatives,
+                        d_own,
+                        d_other,
+                        self_guard.map_or(d_own, |(own_true, _)| own_true),
+                        state,
+                        flow,
+                        threshold,
+                    )
+                } else {
+                    None
+                };
                 ix.best_at.push(c);
-                if state.is_remaining(flow) {
-                    if let Some(c) = c {
-                        feed.push(HeapEntry {
-                            key: c.key,
-                            flow,
-                            alt: c.alt,
-                        });
-                    }
+                if let Some(c) = c {
+                    feed.push(HeapEntry {
+                        key: c.key,
+                        flow,
+                        alt: c.alt,
+                    });
                 }
             }
             ix.heaps[ti] = BinaryHeap::from(feed);
@@ -1018,7 +1022,7 @@ mod tests {
                     Just((n, k, p, rule)),
                     any::<u64>(),
                     collection::vec(0..k, n),
-                    collection::vec((0u8..4, 0..n, 0..k, any::<u64>()), 0..32),
+                    collection::vec((0u8..5, 0..n, 0..k, any::<u64>()), 0..32),
                 )),
         ) {
             let (n, k, p, rule) = shape;
@@ -1036,7 +1040,16 @@ mod tests {
                     0 => h.ban(flow, alt),
                     1 => h.accept(flow),
                     2 => h.reassign(tables_from_seed(n, k, p, op_seed)),
-                    _ => h.check((op_seed % 81) as i64 - 40),
+                    3 => h.check((op_seed % 81) as i64 - 40),
+                    // Rebuild after an accept: the epoch's first select
+                    // leaves the settled flow's row cell empty, and a
+                    // ban on that flow must not bring it back.
+                    _ => {
+                        h.accept(flow);
+                        h.reassign(tables_from_seed(n, k, p, op_seed));
+                        h.check(0);
+                        h.ban(flow, alt);
+                    }
                 }
                 // Guard floors: neutral, far above and far below any
                 // reachable cumulative gain (binding never / always).

@@ -249,6 +249,9 @@ pub struct NegotiationMachine<M: PreferenceMapper> {
     disclosed_gain_b: i64,
     round: u32,
     volume_since_reassign: f64,
+    /// Accepted volume that triggers a reassignment: the configured
+    /// fraction of the session's total volume, `None` when disabled.
+    reassign_threshold: Option<f64>,
     reassignments: usize,
     pending: Option<(usize, IcxId)>,
     termination: Option<Termination>,
@@ -315,6 +318,9 @@ impl<M: PreferenceMapper> NegotiationMachine<M> {
         }
         let n = input.len();
         let k = input.num_alternatives;
+        let reassign_threshold = config
+            .reassign_interval_frac
+            .map(|frac| frac * input.total_volume());
         let index = CandidateIndex::new_in(
             arena,
             config.proposal,
@@ -348,6 +354,7 @@ impl<M: PreferenceMapper> NegotiationMachine<M> {
             disclosed_gain_b: 0,
             round: 0,
             volume_since_reassign: 0.0,
+            reassign_threshold,
             reassignments: 0,
             pending: None,
             termination: None,
@@ -777,8 +784,7 @@ impl<M: PreferenceMapper> NegotiationMachine<M> {
         self.volume_since_reassign += self.input.volumes[local];
 
         // Reassignment trigger: computed identically on both sides.
-        if let Some(frac) = self.config.reassign_interval_frac {
-            let threshold = frac * self.input.total_volume();
+        if let Some(threshold) = self.reassign_threshold {
             if self.volume_since_reassign >= threshold && self.state.num_remaining() > 0 {
                 self.reassignments += 1;
                 self.volume_since_reassign = 0.0;
@@ -875,10 +881,20 @@ mod tests {
         NegotiationMachine<FixedMapper>,
         NegotiationMachine<FixedMapper>,
     ) {
-        let n = gains_a.len();
         let k = gains_a.first().map_or(1, Vec::len);
-        let inp = input(n, k);
-        let default = Assignment::uniform(n, IcxId(0));
+        pair_over(input(gains_a.len(), k), gains_a, gains_b, config)
+    }
+
+    fn pair_over(
+        inp: SessionInput,
+        gains_a: &[Vec<f64>],
+        gains_b: &[Vec<f64>],
+        config: NexitConfig,
+    ) -> (
+        NegotiationMachine<FixedMapper>,
+        NegotiationMachine<FixedMapper>,
+    ) {
+        let default = Assignment::uniform(inp.len(), IcxId(0));
         let a = NegotiationMachine::new(
             Side::A,
             Side::A,
@@ -1055,6 +1071,66 @@ mod tests {
             }),
             Err(MachineError::BadProposal("round mismatch"))
         );
+    }
+
+    /// The reassignment trigger as `apply_round_result` first spelled
+    /// it — the threshold recomputed from `total_volume()` on every
+    /// accepted round — replayed over a finished machine's log: whether
+    /// a reassignment follows each accepted move.
+    fn per_round_trigger(m: &NegotiationMachine<FixedMapper>, frac: f64) -> Vec<bool> {
+        let input = m.input();
+        let mut since = 0.0;
+        let mut fired = Vec::new();
+        for (i, &(local, _)) in m.accepted_log().iter().enumerate() {
+            since += input.volumes[local];
+            let fire = since >= frac * input.total_volume() && i + 1 < input.len();
+            if fire {
+                since = 0.0;
+            }
+            fired.push(fire);
+        }
+        fired
+    }
+
+    #[test]
+    fn reassignment_rounds_match_the_per_round_threshold() {
+        let n = 40;
+        let gains = |seed: usize| -> Vec<Vec<f64>> {
+            (0..n)
+                .map(|f| {
+                    let g = |alt: usize| ((f * 7 + alt * 13 + seed * 5) % 19) as f64 - 8.0;
+                    vec![0.0, g(1), g(2)]
+                })
+                .collect()
+        };
+        let uneven: Vec<f64> = (0..n).map(|f| 0.37 * (f % 7 + 1) as f64).collect();
+        for volumes in [uneven, vec![0.0; n]] {
+            let config = NexitConfig::win_win_bandwidth();
+            let frac = config.reassign_interval_frac.unwrap();
+            let inp = SessionInput {
+                volumes,
+                ..input(n, 3)
+            };
+            let (mut a, mut b) = pair_over(inp, &gains(1), &gains(2), config);
+            // Pump by hand, noting after which accepted moves A reassigned.
+            let mut fired = Vec::new();
+            while !(a.is_done() && b.is_done()) {
+                while let Some(action) = a.poll_action() {
+                    b.handle(a.peer_event(action)).unwrap();
+                }
+                while let Some(action) = b.poll_action() {
+                    let before = (a.accepted_log().len(), a.reassignments());
+                    a.handle(b.peer_event(action)).unwrap();
+                    if a.accepted_log().len() > before.0 {
+                        fired.push(a.reassignments() > before.1);
+                    }
+                }
+            }
+            assert_eq!(fired, per_round_trigger(&a, frac));
+            assert_eq!(a.reassignments(), b.reassignments());
+            assert_eq!(a.accepted_log(), b.accepted_log());
+            assert!(a.reassignments() > 0, "the session must reassign");
+        }
     }
 
     #[test]

@@ -97,6 +97,12 @@ impl NegotiationOutcome {
     pub fn flows_negotiated(&self) -> usize {
         self.transcript.iter().filter(|r| r.accepted).count()
     }
+
+    /// Number of accepted proposals the end-of-session rollback
+    /// reverted.
+    pub fn flows_rolled_back(&self) -> usize {
+        self.transcript.iter().filter(|r| r.reverted).count()
+    }
 }
 
 #[cfg(test)]
@@ -142,5 +148,6 @@ mod tests {
         assert_eq!(o.gain(Side::A), 3);
         assert_eq!(o.gain(Side::B), -1);
         assert_eq!(o.flows_negotiated(), 1);
+        assert_eq!(o.flows_rolled_back(), 0);
     }
 }

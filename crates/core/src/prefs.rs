@@ -224,8 +224,19 @@ pub fn quantize_into(gains: &GainTable, p: i32, out: &mut PrefTable, magnitudes:
     // least one quantum of true gain, each -1 class by at most one
     // quantum of true loss). Tested as a property in the engine suite.
     for (cell, &g) in out.storage.iter_mut().zip(gains.values()) {
-        *cell = ((g * scale).floor() as i32).clamp(-p, p);
+        *cell = floor_class(g * scale, p);
     }
+}
+
+/// `(x.floor() as i32).clamp(-p, p)` for every `f64`, without the call
+/// into libm that `floor` is on baseline x86-64: clamp first, then floor
+/// by truncating and stepping down where that rounded up. `f64::clamp`
+/// keeps a NaN a NaN (`max` / `min` would not), which casts to class 0.
+#[inline]
+fn floor_class(x: f64, p: i32) -> i32 {
+    let x = x.clamp(-f64::from(p), f64::from(p));
+    let truncated = x as i32;
+    truncated - i32::from(f64::from(truncated) > x)
 }
 
 #[cfg(test)]
@@ -423,6 +434,46 @@ mod tests {
                     .collect();
                 let table = gains(&table);
                 prop_assert_eq!(classes(&quantize(&table, p)), sorted_reference(&table, p));
+            }
+
+            // The cell formula against the form it replaced, on the
+            // values where a floor and a clamp can disagree about order.
+            #[test]
+            fn floor_class_is_floor_then_clamp(
+                (p, picks) in (1i32..300).prop_flat_map(|p| (
+                    Just(p),
+                    collection::vec((0u8..14, any::<u64>(), -2.0f64..2.0), 1..64),
+                )),
+            ) {
+                let pf = f64::from(p);
+                for (kind, bits, frac) in picks {
+                    let subnormal = f64::from_bits(bits >> 12);
+                    let x = match kind {
+                        0 => f64::NAN,
+                        1 => f64::INFINITY,
+                        2 => f64::NEG_INFINITY,
+                        3 => 0.0,
+                        4 => -0.0,
+                        5 => subnormal,
+                        6 => -subnormal,
+                        // Exact integers from -p - 2 to p + 2.
+                        7 => (bits % (2 * p as u64 + 5)) as f64 - pf - 2.0,
+                        // Either side of +p and -p, down to one ulp.
+                        8 => pf + frac,
+                        9 => -pf + frac,
+                        10 => f64::from_bits(pf.to_bits() + (bits % 3) - 1),
+                        11 => -f64::from_bits(pf.to_bits() + (bits % 3) - 1),
+                        12 => frac * pf / 2.0,
+                        // Any bit pattern: huge, tiny, NaN payloads.
+                        _ => f64::from_bits(bits),
+                    };
+                    prop_assert_eq!(
+                        floor_class(x, p),
+                        (x.floor() as i32).clamp(-p, p),
+                        "x = {x:e} ({:#018x}), p = {p}",
+                        x.to_bits()
+                    );
+                }
             }
 
             #[test]

@@ -222,6 +222,35 @@ pub fn projected_gain(
     }
 }
 
+/// One side's negative accepted moves in the order the rollback reverts
+/// them — `(class, log index)` ascending: worst first, ties to the
+/// earliest round — with every move before `next` already reverted.
+struct RevertQueue {
+    moves: Vec<(i32, u32)>,
+    next: usize,
+}
+
+impl RevertQueue {
+    fn new(table: &PrefTable, accepted: &[(usize, IcxId)]) -> Self {
+        let mut moves: Vec<(i32, u32)> = accepted
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &(local, alt))| {
+                let class = table.get(local, alt);
+                let i = u32::try_from(i).expect("a session has fewer than 2^32 flows");
+                (class < 0).then_some((class, i))
+            })
+            .collect();
+        moves.sort_unstable();
+        Self { moves, next: 0 }
+    }
+
+    /// Whether the move lies behind the cursor, i.e. was reverted.
+    fn passed(&self, class: i32, idx: u32) -> bool {
+        self.next > 0 && (class, idx) <= self.moves[self.next - 1]
+    }
+}
+
 /// The deterministic end-of-session rollback plan for
 /// [`crate::AcceptRule::CreditVeto`].
 ///
@@ -231,43 +260,46 @@ pub fn projected_gain(
 /// remaining move (ties to the earliest round). Returns the indices into
 /// `accepted` to revert, in revert order. Both sides of a distributed
 /// session compute this identically from shared state.
+///
+/// O(n log n): a side's negative moves are sorted once, the first time
+/// it is the negative side, and a cursor walks them. The only moves a
+/// cursor can meet already reverted are the other side's reverts, and
+/// those are exactly the ones behind the other side's cursor — so no
+/// per-move flag is kept, and a session that ends with both gains
+/// non-negative allocates nothing.
 pub fn rollback_plan(
     d_a: &PrefTable,
     d_b: &PrefTable,
     accepted: &[(usize, IcxId)],
-    mut gain_a: i64,
-    mut gain_b: i64,
+    gain_a: i64,
+    gain_b: i64,
 ) -> Vec<usize> {
-    let mut reverted = vec![false; accepted.len()];
+    let tables = [d_a, d_b];
+    let mut gains = [gain_a, gain_b];
+    let mut queues: [Option<RevertQueue>; 2] = [None, None];
     let mut plan = Vec::new();
-    loop {
-        let side_a = if gain_a < 0 {
-            true
-        } else if gain_b < 0 {
-            false
-        } else {
-            return plan;
-        };
-        let table = if side_a { d_a } else { d_b };
-        let mut worst: Option<(i64, usize)> = None;
-        for (i, &(local, alt)) in accepted.iter().enumerate() {
-            if reverted[i] {
-                continue;
+    while let Some(side) = gains.iter().position(|&gain| gain < 0) {
+        let idx = loop {
+            let queue =
+                queues[side].get_or_insert_with(|| RevertQueue::new(tables[side], accepted));
+            let Some(&(_, idx)) = queue.moves.get(queue.next) else {
+                return plan; // nothing left to revert for the negative side
+            };
+            queue.next += 1;
+            let (local, alt) = accepted[idx as usize];
+            let other_class = tables[1 - side].get(local, alt);
+            let other = &queues[1 - side];
+            if !other.as_ref().is_some_and(|q| q.passed(other_class, idx)) {
+                break idx as usize;
             }
-            let pref = i64::from(table.get(local, alt));
-            if pref < 0 && worst.is_none_or(|(wp, _)| pref < wp) {
-                worst = Some((pref, i));
-            }
-        }
-        let Some((_, idx)) = worst else {
-            return plan; // nothing left to revert for the negative side
         };
         let (local, alt) = accepted[idx];
-        reverted[idx] = true;
-        gain_a -= i64::from(d_a.get(local, alt));
-        gain_b -= i64::from(d_b.get(local, alt));
+        for (gain, table) in gains.iter_mut().zip(tables) {
+            *gain -= i64::from(table.get(local, alt));
+        }
         plan.push(idx);
     }
+    plan
 }
 
 /// Whose turn it is in `round`, given the policy and current disclosed
@@ -424,6 +456,129 @@ mod tests {
     fn rollback_noop_when_both_nonnegative() {
         let d = table(&[vec![0, 1]]);
         assert!(rollback_plan(&d, &d, &[(0, IcxId(1))], 1, 1).is_empty());
+    }
+
+    /// [`rollback_plan`] as it was first written, and still its
+    /// definition: one scan of the whole log per revert.
+    fn quadratic_rollback_plan(
+        d_a: &PrefTable,
+        d_b: &PrefTable,
+        accepted: &[(usize, IcxId)],
+        mut gain_a: i64,
+        mut gain_b: i64,
+    ) -> Vec<usize> {
+        let mut reverted = vec![false; accepted.len()];
+        let mut plan = Vec::new();
+        loop {
+            let side_a = if gain_a < 0 {
+                true
+            } else if gain_b < 0 {
+                false
+            } else {
+                return plan;
+            };
+            let table = if side_a { d_a } else { d_b };
+            let mut worst: Option<(i64, usize)> = None;
+            for (i, &(local, alt)) in accepted.iter().enumerate() {
+                if reverted[i] {
+                    continue;
+                }
+                let pref = i64::from(table.get(local, alt));
+                if pref < 0 && worst.is_none_or(|(wp, _)| pref < wp) {
+                    worst = Some((pref, i));
+                }
+            }
+            let Some((_, idx)) = worst else {
+                return plan; // nothing left to revert for the negative side
+            };
+            let (local, alt) = accepted[idx];
+            reverted[idx] = true;
+            gain_a -= i64::from(d_a.get(local, alt));
+            gain_b -= i64::from(d_b.get(local, alt));
+            plan.push(idx);
+        }
+    }
+
+    #[test]
+    fn rollback_skips_what_the_other_side_reverted() {
+        // Move 0 is negative for both sides. A (priority while negative)
+        // reverts it as its worst; B then goes through its own list,
+        // where move 0 comes first and is already gone.
+        let d_a = table(&[vec![0, -6], vec![0, -1], vec![0, 4]]);
+        let d_b = table(&[vec![0, -9], vec![0, 8], vec![0, -3]]);
+        let accepted = vec![(0, IcxId(1)), (1, IcxId(1)), (2, IcxId(1))];
+        let plan = rollback_plan(&d_a, &d_b, &accepted, -3, -4);
+        // A: revert 0 -> (3, 5). Nobody negative: done.
+        assert_eq!(plan, vec![0]);
+        // Start B deeper in the red: A reverts 0 -> (3, -1); B skips
+        // move 0 and reverts 2 -> (-1, 2); A reverts 1 -> (0, -6); B has
+        // nothing left.
+        let plan = rollback_plan(&d_a, &d_b, &accepted, -3, -10);
+        assert_eq!(plan, vec![0, 2, 1]);
+        assert_eq!(
+            plan,
+            quadratic_rollback_plan(&d_a, &d_b, &accepted, -3, -10)
+        );
+    }
+
+    #[test]
+    fn rollback_stops_when_the_negative_side_has_nothing_left() {
+        // A is negative beyond what its one negative move explains (the
+        // tables were reassigned since): the plan reverts it and stops.
+        let d_a = table(&[vec![0, -2], vec![0, 3]]);
+        let d_b = table(&[vec![0, 5], vec![0, 1]]);
+        let accepted = vec![(0, IcxId(1)), (1, IcxId(1))];
+        assert_eq!(rollback_plan(&d_a, &d_b, &accepted, -7, 6), vec![0]);
+        assert!(rollback_plan(&d_a, &d_b, &[], -1, -1).is_empty());
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+            // Random logs over a narrow class range, so ties in class
+            // and moves negative for both sides are the common case.
+            // The starting gains are either the log's own sums (what a
+            // session without reassignment hands over) or arbitrary
+            // (after a reassignment the final tables no longer add up
+            // to the running gains), which also reaches "negative with
+            // nothing left to revert" and the sides alternating.
+            #[test]
+            fn rollback_matches_the_quadratic_reference(
+                (tables, order, offsets) in (0usize..40, 2usize..4).prop_flat_map(|(n, k)| (
+                    collection::vec(
+                        (collection::vec(-3i32..=3, k), collection::vec(-3i32..=3, k)),
+                        n,
+                    ),
+                    collection::vec((any::<u32>(), 0..k, any::<bool>()), n),
+                    (any::<bool>(), -20i64..20, -20i64..20),
+                )),
+            ) {
+                let (rows_a, rows_b): (Vec<_>, Vec<_>) = tables.into_iter().unzip();
+                let (d_a, d_b) = (table(&rows_a), table(&rows_b));
+                // A random subset of the flows, accepted in random order.
+                let mut log: Vec<(u32, usize, IcxId)> = order
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &(_, _, taken))| taken)
+                    .map(|(flow, &(rank, alt, _))| (rank, flow, IcxId::new(alt)))
+                    .collect();
+                log.sort_unstable();
+                let accepted: Vec<(usize, IcxId)> =
+                    log.into_iter().map(|(_, flow, alt)| (flow, alt)).collect();
+                let gain = |t: &PrefTable, offset: i64| -> i64 {
+                    let sum: i64 = accepted.iter().map(|&(f, a)| i64::from(t.get(f, a))).sum();
+                    if offsets.0 { sum + offset } else { sum }
+                };
+                let (gain_a, gain_b) = (gain(&d_a, offsets.1), gain(&d_b, offsets.2));
+                prop_assert_eq!(
+                    rollback_plan(&d_a, &d_b, &accepted, gain_a, gain_b),
+                    quadratic_rollback_plan(&d_a, &d_b, &accepted, gain_a, gain_b)
+                );
+            }
+        }
     }
 
     #[test]

@@ -252,7 +252,9 @@ pub fn model_grid(universe: &Universe, cfg: &ExpConfig) -> ModelGridResults {
                     let (def_up, _) =
                         scenario.mels_with_caps(&scenario.data.default, &caps_up, &caps_down);
                     def.push(def_up / opt_up);
-                    let negotiated = scenario.negotiate_bandwidth_with(arena, &caps_up, &caps_down);
+                    let negotiated = scenario
+                        .negotiate_bandwidth_with(arena, &caps_up, &caps_down)
+                        .assignment;
                     let (neg_up, _) = scenario.mels_with_caps(&negotiated, &caps_up, &caps_down);
                     neg.push(neg_up / opt_up);
                 }

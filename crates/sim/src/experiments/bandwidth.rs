@@ -12,7 +12,9 @@ use crate::parallel::par_map_with;
 use nexit_baselines::{
     optimal_bandwidth, unilateral_upstream, BandwidthLp, BandwidthOptimum, OptimalBandwidthError,
 };
-use nexit_core::{negotiate_in, BandwidthMapper, NexitConfig, Party, Side, TableArena};
+use nexit_core::{
+    negotiate_in, BandwidthMapper, NegotiationOutcome, NexitConfig, Party, Side, TableArena,
+};
 use nexit_lp::WarmStats;
 use nexit_routing::{Assignment, FlowId};
 use nexit_topology::{IcxId, Universe};
@@ -228,16 +230,18 @@ impl FailureScenario<'_> {
     /// backing tables once.
     pub fn negotiate_bandwidth_in(&self, arena: &mut TableArena) -> Assignment {
         self.negotiate_bandwidth_with(arena, &self.caps_up, &self.caps_down)
+            .assignment
     }
 
     /// [`FailureScenario::negotiate_bandwidth_in`] against explicit
-    /// capacity vectors (the capacity-model grid's per-cell capacities).
+    /// capacity vectors (the capacity-model grid's per-cell capacities),
+    /// returning the whole outcome.
     pub fn negotiate_bandwidth_with(
         &self,
         arena: &mut TableArena,
         caps_up: &[f64],
         caps_down: &[f64],
-    ) -> Assignment {
+    ) -> NegotiationOutcome {
         let input = self.session_input();
         let mut party_a = Party::honest(
             "up",
@@ -255,7 +259,6 @@ impl FailureScenario<'_> {
             &mut party_b,
             &NexitConfig::win_win_bandwidth(),
         )
-        .assignment
     }
 
     /// [`FailureScenario::negotiate_bandwidth_in`] with a throwaway
@@ -309,6 +312,10 @@ pub struct BandwidthResults {
     pub failed_lp: usize,
     /// Scenarios evaluated.
     pub scenarios: usize,
+    /// Accepted moves across the evaluated scenarios' sessions.
+    pub accepted_moves: usize,
+    /// Of those, moves the win-win close rolled back.
+    pub rolled_back: usize,
     /// How the pair-scoped LP sessions resolved their solves
     /// (cold / warm rhs re-entry / coefficient refresh, plus fallbacks)
     /// — the sweep-level record of how often the warm path held.
@@ -341,6 +348,8 @@ pub fn run(universe: &Universe, cfg: &ExpConfig) -> BandwidthResults {
         out.skipped_lp_size += p.skipped_lp_size;
         out.failed_lp += p.failed_lp;
         out.scenarios += p.scenarios;
+        out.accepted_moves += p.accepted_moves;
+        out.rolled_back += p.rolled_back;
         out.lp_stats.absorb(p.lp_stats);
     }
     out
@@ -383,8 +392,11 @@ fn run_pair_into(
         out.up_default.push(def_up / opt_up);
         out.down_default.push(def_down / opt_down);
 
-        let negotiated = scenario.negotiate_bandwidth_in(arena);
-        let (neg_up, neg_down) = scenario.mels(&negotiated);
+        let outcome =
+            scenario.negotiate_bandwidth_with(arena, &scenario.caps_up, &scenario.caps_down);
+        out.accepted_moves += outcome.flows_negotiated();
+        out.rolled_back += outcome.flows_rolled_back();
+        let (neg_up, neg_down) = scenario.mels(&outcome.assignment);
         out.up_negotiated.push(neg_up / opt_up);
         out.down_negotiated.push(neg_down / opt_down);
 
@@ -532,6 +544,10 @@ pub fn report(results: &BandwidthResults) {
         results.scenarios, results.skipped_lp_size, results.failed_lp
     );
     print_lp_stats(&results.lp_stats);
+    println!(
+        "   rolled back: {} of {} accepted moves",
+        results.rolled_back, results.accepted_moves
+    );
     println!("-- upstream ISP --");
     Cdf::new(results.up_negotiated.clone()).print("negotiated");
     Cdf::new(results.up_default.clone()).print("default");

@@ -43,6 +43,10 @@ pub struct DistanceResults {
     /// Late-exit (consistently honored MEDs, Fig. 1b): per-pair total %
     /// "gain" — typically near zero, since it merely mirrors early-exit.
     pub total_late_exit: Vec<f64>,
+    /// Accepted moves across all sessions.
+    pub accepted_moves: usize,
+    /// Of those, moves the win-win close rolled back.
+    pub rolled_back: usize,
     /// Number of pairs evaluated.
     pub pairs: usize,
 }
@@ -86,6 +90,8 @@ struct PairResult {
     flow_negotiated: StreamingCdf,
     flow_optimal: StreamingCdf,
     fraction_for_90pct: f64,
+    accepted_moves: usize,
+    rolled_back: usize,
 }
 
 /// Run the full distance experiment. Pairs are swept on
@@ -115,6 +121,8 @@ pub fn run(universe: &Universe, cfg: &ExpConfig) -> DistanceResults {
         out.flow_negotiated.merge(&p.flow_negotiated);
         out.flow_optimal.merge(&p.flow_optimal);
         out.fraction_for_90pct.push(p.fraction_for_90pct);
+        out.accepted_moves += p.accepted_moves;
+        out.rolled_back += p.rolled_back;
     }
     out
 }
@@ -220,6 +228,8 @@ fn run_pair(universe: &Universe, pair_idx: usize) -> PairResult {
         flow_negotiated,
         flow_optimal,
         fraction_for_90pct: fraction_for_gain_share(&per_flow_saving, 0.9),
+        accepted_moves: outcome.flows_negotiated(),
+        rolled_back: outcome.flows_rolled_back(),
     }
 }
 
@@ -251,6 +261,10 @@ pub fn fraction_for_gain_share(per_flow_saving: &[f64], share: f64) -> f64 {
 pub fn report(results: &DistanceResults) {
     use crate::cdf::Cdf;
     println!("== Figure 4a: total distance gain over default (% reduction) ==");
+    println!(
+        "   rolled back: {} of {} accepted moves",
+        results.rolled_back, results.accepted_moves
+    );
     Cdf::new(results.total_negotiated.clone()).print("negotiated");
     Cdf::new(results.total_optimal.clone()).print("optimal");
     Cdf::new(results.total_late_exit.clone()).print("late-exit (MEDs, Fig. 1b)");

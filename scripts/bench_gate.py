@@ -236,6 +236,29 @@ def self_test():
     )
     assert fails == ["churn/bw_replay"], f"dropped bw churn row not flagged: {fails}"
 
+    # The session-close row: pinned with --require-row and gated like
+    # any other row. Its fixture is the only one that rolls moves back,
+    # so a quadratic close shows as this row regressing several-fold
+    # while the rest of negotiate/* holds still.
+    base = {
+        "negotiate/large/2000x8": 1_680_000.0,
+        "negotiate/reassignment_5pct": 370_000.0,
+        "negotiate/rollback_2000x4": 1_030_000.0,
+    }
+    cur = dict(base)
+    fails, _ = check_required_rows(cur, ["negotiate/rollback_2000x4"])
+    assert not fails, f"present rollback row tripped the gate: {fails}"
+    cur["negotiate/rollback_2000x4"] = 5_450_000.0
+    regs, _ = compare(base, cur, 25.0, normalize=True)
+    assert [r[0] for r in regs] == ["negotiate/rollback_2000x4"], (
+        f"quadratic close not flagged: {regs}"
+    )
+    del cur["negotiate/rollback_2000x4"]
+    fails, _ = check_required_rows(cur, ["negotiate/rollback_2000x4"])
+    assert fails == ["negotiate/rollback_2000x4"], (
+        f"dropped rollback row not flagged: {fails}"
+    )
+
     print("bench_gate self-test: ok")
 
 
