@@ -24,22 +24,16 @@
 //! # Incremental sessions and warm starts
 //!
 //! [`BandwidthLp`] is the per-pair session the failure sweeps use: it
-//! builds each scenario's constraint skeleton **once** and re-solves it
-//! through a retained [`nexit_lp::SimplexWorkspace`], so every re-solve
-//! after the first warm-starts from the previous optimal basis instead
-//! of building a fresh engine. Two patch shapes re-enter warm:
-//!
-//! * **rhs-only** — scaled background traffic
-//!   ([`BandwidthLp::solve_failure_scaled`]) changes only the capacity
-//!   rows' residual rhs, which the workspace's dual-simplex re-entry
-//!   repairs in a handful of pivots;
-//! * **coefficient patches** — a different capacity model
-//!   ([`BandwidthLp::solve_with_model`]) rewrites the `-capacity`
-//!   column, and a different workload model
-//!   ([`BandwidthLp::update_scenario`]) rewrites the volume
-//!   coefficients; both keep the skeleton's sparsity pattern, so the
-//!   workspace refreshes the changed columns against its retained basis
-//!   factorization and skips phase 1 entirely.
+//! builds each scenario's program **once** and re-solves it through a
+//! retained [`nexit_lp::SimplexWorkspace`]. One patch shape re-enters
+//! warm: scaled background traffic
+//! ([`BandwidthLp::solve_failure_scaled`]) changes only the capacity
+//! rows' residual rhs, which the workspace's dual-simplex re-entry
+//! repairs in a handful of pivots. Anything else — other capacities,
+//! volumes or flows — is a different program:
+//! [`BandwidthLp::update_scenario`] rebuilds it and the next solve is
+//! cold from the default routing's vertex (below), exactly the
+//! standalone [`optimal_bandwidth`] solve of the same inputs.
 //!
 //! A note on scope, from measurement: *different* failure scenarios of a
 //! pair do **not** share enough structure to warm-start across — their
@@ -69,7 +63,7 @@
 //! ([`nexit_lp::SimplexWorkspace::solve_from`]) and the engine runs
 //! phase 2 only. `build_program` collects it in the loop it already
 //! makes over the flows' paths; `solve_program` picks the bottleneck row
-//! under the rhs and capacities as currently patched.
+//! under the rhs as currently patched.
 //!
 //! What that changes and what it cannot: the optimum `t` is unique and
 //! is the same to solver tolerance whatever vertex the solve begins at.
@@ -174,9 +168,7 @@ struct Program {
 
 /// One retained capacity row of a scenario's program: enough to re-point
 /// the row at a scaled background load (rhs patch —
-/// [`BandwidthLp::solve_failure_scaled`]) or at a different capacity
-/// model (`t`-coefficient patch — [`BandwidthLp::solve_with_model`])
-/// without rebuilding the skeleton.
+/// [`BandwidthLp::solve_failure_scaled`]) without rebuilding the program.
 struct CapRow {
     /// Constraint row index in the problem.
     row: usize,
@@ -185,10 +177,6 @@ struct CapRow {
     residual: f64,
     /// Load the impacted flows put on the link on their default exits.
     default_load: f64,
-    /// Whether the link belongs to the upstream ISP.
-    upstream: bool,
-    /// Link index within its side's capacity vector.
-    link: usize,
 }
 
 /// Build one scenario's program. Variable 0 is `t`; `x[j][i]` follows in
@@ -275,8 +263,6 @@ fn build_program(
             row: lp.num_constraints(),
             residual: res,
             default_load: default_load[lkey],
-            upstream: lkey < num_up,
-            link: if lkey < num_up { lkey } else { lkey - num_up },
         });
         lp.add_constraint(row, ConstraintOp::Le, -res);
     }
@@ -291,20 +277,17 @@ fn build_program(
 
 /// The one solve behind [`optimal_bandwidth`] and every [`BandwidthLp`]
 /// entry point: point the capacity rows at `residual_scale` times the
-/// background load — and at `capacities` (upstream, downstream), when a
-/// model is given — and solve through `workspace`, handing it the
-/// default routing as the starting vertex for when it has to go cold.
+/// background load and solve through `workspace`, handing it the default
+/// routing as the starting vertex for when it has to go cold.
 ///
 /// That vertex is every impacted flow on its default exit, `t` at the
 /// worst load-to-capacity ratio that routing produces (so `t` is basic
 /// in the bottleneck's capacity row) and every other capacity row slack.
-/// The ratio is taken under the rhs and `t` coefficients as just
-/// patched.
+/// The ratio is taken under the rhs as just patched.
 fn solve_program(
     program: &mut Program,
     workspace: &mut SimplexWorkspace,
     residual_scale: f64,
-    capacities: Option<(&[f64], &[f64])>,
 ) -> LpOutcome {
     let Program {
         problem,
@@ -314,14 +297,6 @@ fn solve_program(
     } = program;
     let mut bottleneck: Option<(usize, f64)> = None;
     for cr in cap_rows.iter() {
-        if let Some((up, down)) = capacities {
-            let cap = if cr.upstream {
-                up[cr.link]
-            } else {
-                down[cr.link]
-            };
-            problem.set_coefficient(cr.row, T_VAR, -cap);
-        }
         let rhs = -cr.residual * residual_scale;
         problem.set_rhs(cr.row, rhs);
         // `build_program` writes the `t` coefficient last in its row.
@@ -444,7 +419,7 @@ pub fn optimal_bandwidth(
         down_capacities,
     );
     let mut workspace = SimplexWorkspace::with_options(solver_options());
-    let outcome = solve_program(&mut program, &mut workspace, 1.0, None);
+    let outcome = solve_program(&mut program, &mut workspace, 1.0);
     finish_solve(outcome, impacted, k, paths, flows, &program.residual, 1.0)
 }
 
@@ -496,10 +471,11 @@ impl<'a> BandwidthLp<'a> {
         down_capacities: &[f64],
     ) {
         debug_assert!(
-            !self.scenarios.iter().any(|s| s.failed == failed),
+            !self.has_scenario(failed),
             "scenario for failed {failed:?} registered twice"
         );
-        let program = build_program(
+        self.update_scenario(
+            failed,
             view,
             paths,
             flows,
@@ -508,27 +484,16 @@ impl<'a> BandwidthLp<'a> {
             up_capacities,
             down_capacities,
         );
-        self.scenarios.push(ScenarioLp {
-            failed,
-            impacted: impacted.to_vec(),
-            k: view.num_interconnections(),
-            paths,
-            flows,
-            program,
-            workspace: SimplexWorkspace::with_options(solver_options()),
-        });
     }
 
-    /// Replace a registered scenario's program in place — new pair data
-    /// (flows, volumes, residuals) and/or capacities — while
-    /// **retaining the scenario's simplex workspace**. The rebuilt
-    /// skeleton shares the old one's sparsity pattern whenever the
-    /// topology and impacted set are unchanged, so the next solve
-    /// re-enters through the workspace's coefficient-refresh path
-    /// (column reload against the retained basis factorization) instead
-    /// of cold-starting. The capacity-model grids call this once per
-    /// grid cell; for an unregistered failure id this is exactly
-    /// [`BandwidthLp::add_scenario`].
+    /// Replace a registered scenario's program — new pair data (flows,
+    /// volumes, residuals) and/or capacities — keeping the scenario's
+    /// simplex workspace, so its counters accumulate. The next solve is
+    /// what [`optimal_bandwidth`] on the same inputs is, cold from the
+    /// default routing's vertex, unless the rebuilt program differs from
+    /// the last one solved in right-hand sides only (the workspace then
+    /// re-enters from its retained basis). For an unregistered failure
+    /// id this registers the scenario.
     #[allow(clippy::too_many_arguments)]
     pub fn update_scenario(
         &mut self,
@@ -569,41 +534,6 @@ impl<'a> BandwidthLp<'a> {
         }
     }
 
-    /// Re-solve a registered scenario under a different capacity model:
-    /// the `-capacity` coefficient of every retained capacity row is
-    /// patched in place (the skeleton's sparsity pattern is untouched)
-    /// and the solve goes through the retained workspace — a
-    /// coefficient-patch warm start that refreshes the changed columns
-    /// against the retained basis factorization instead of re-running
-    /// phase 1. The rhs is reset to the unscaled residuals.
-    pub fn solve_with_model(
-        &mut self,
-        failed: IcxId,
-        up_capacities: &[f64],
-        down_capacities: &[f64],
-    ) -> Result<BandwidthOptimum, OptimalBandwidthError> {
-        let scenario = self
-            .scenarios
-            .iter_mut()
-            .find(|s| s.failed == failed)
-            .unwrap_or_else(|| panic!("no scenario registered for failed {failed:?}"));
-        let outcome = solve_program(
-            &mut scenario.program,
-            &mut scenario.workspace,
-            1.0,
-            Some((up_capacities, down_capacities)),
-        );
-        finish_solve(
-            outcome,
-            &scenario.impacted,
-            scenario.k,
-            scenario.paths,
-            scenario.flows,
-            &scenario.program.residual,
-            1.0,
-        )
-    }
-
     /// Number of registered scenarios.
     pub fn num_scenarios(&self) -> usize {
         self.scenarios.len()
@@ -622,8 +552,7 @@ impl<'a> BandwidthLp<'a> {
             .map(|s| s.program.problem.num_variables())
     }
 
-    /// Aggregate warm/cold/refresh counters across all scenario
-    /// workspaces.
+    /// Aggregate warm/cold counters across all scenario workspaces.
     pub fn warm_stats(&self) -> WarmStats {
         let mut total = WarmStats::default();
         for s in &self.scenarios {
@@ -674,7 +603,6 @@ impl<'a> BandwidthLp<'a> {
             &mut scenario.program,
             &mut scenario.workspace,
             residual_scale,
-            None,
         );
         finish_solve(
             outcome,
@@ -953,77 +881,6 @@ mod tests {
         assert_eq!(solves, 18);
     }
 
-    /// A capacity patch that moves the bottleneck moves the start with
-    /// it: `t` must be basic in the row that is worst under the
-    /// coefficients as patched. Under the build-time capacities the
-    /// vertex would violate the new bottleneck's row and be refused.
-    #[test]
-    fn start_follows_a_capacity_patch_to_the_new_bottleneck() {
-        let fx = fixture();
-        let view = PairView::new(&fx.a, &fx.b, &fx.pair);
-        let sp_a = ShortestPaths::compute(&fx.a);
-        let sp_b = ShortestPaths::compute(&fx.b);
-        let flows = PairFlows::build(&view, &sp_a, &sp_b, |s, d| {
-            1.0 + (s.index() * 2 + d.index()) as f64
-        });
-        let paths = PathTable::build(&view, &sp_a, &sp_b, &flows);
-        let caps_a = vec![5.0; fx.a.num_links()];
-        let caps_b = vec![5.0; fx.b.num_links()];
-        let default = Assignment::uniform(flows.len(), IcxId(0));
-        let impacted: Vec<FlowId> = (0..flows.len())
-            .filter(|f| f % 3 != 0)
-            .map(FlowId::new)
-            .collect();
-        let mut session = BandwidthLp::new();
-        session.add_scenario(
-            IcxId(0),
-            &view,
-            &paths,
-            &flows,
-            &impacted,
-            &default,
-            &caps_a,
-            &caps_b,
-        );
-        session.solve_failure(IcxId(0)).unwrap();
-        let t_row = |session: &BandwidthLp<'_>| {
-            let &(row, var) = session.scenarios[0].program.start.last().unwrap();
-            assert_eq!(var, T_VAR);
-            row
-        };
-        let before = t_row(&session);
-
-        // Widen the bottleneck link a thousandfold: another link is now
-        // the worst one under the default routing.
-        let (mut wide_a, mut wide_b) = (caps_a.clone(), caps_b.clone());
-        let bottleneck = session.scenarios[0]
-            .program
-            .cap_rows
-            .iter()
-            .find(|cr| cr.row == before)
-            .unwrap();
-        if bottleneck.upstream {
-            wide_a[bottleneck.link] *= 1000.0;
-        } else {
-            wide_b[bottleneck.link] *= 1000.0;
-        }
-        session.invalidate_warm();
-        let started = session
-            .solve_with_model(IcxId(0), &wide_a, &wide_b)
-            .unwrap();
-        assert_ne!(t_row(&session), before, "the bottleneck must have moved");
-        let stats = session.warm_stats();
-        assert_eq!(
-            (stats.cold_solves, stats.start_refusals),
-            (2, 0),
-            "{stats:?}"
-        );
-        let standalone =
-            optimal_bandwidth(&view, &paths, &flows, &impacted, &default, &wide_a, &wide_b)
-                .unwrap();
-        assert!((started.t - standalone.t).abs() <= 1e-9);
-    }
-
     /// Warm re-solves across residual scales must agree with fresh cold
     /// solves of the equivalently scaled program.
     #[test]
@@ -1097,73 +954,10 @@ mod tests {
         assert_eq!(cold.warm_stats().warm_solves, 0);
     }
 
-    /// Capacity-model re-solves through `solve_with_model` must agree
-    /// with a fresh standalone build under the same capacities, and must
-    /// actually take the coefficient-refresh path.
-    #[test]
-    fn capacity_model_resolves_run_warm_and_match_cold() {
-        let fx = fixture();
-        let view = PairView::new(&fx.a, &fx.b, &fx.pair);
-        let sp_a = ShortestPaths::compute(&fx.a);
-        let sp_b = ShortestPaths::compute(&fx.b);
-        let flows = PairFlows::build(&view, &sp_a, &sp_b, |s, d| {
-            1.0 + (s.index() * 2 + d.index()) as f64
-        });
-        let paths = PathTable::build(&view, &sp_a, &sp_b, &flows);
-        let base_caps_a = vec![5.0; fx.a.num_links()];
-        let base_caps_b = vec![5.0; fx.b.num_links()];
-        let default = Assignment::uniform(flows.len(), IcxId(0));
-        let impacted: Vec<FlowId> = (0..flows.len())
-            .filter(|f| f % 3 != 0)
-            .map(FlowId::new)
-            .collect();
-
-        let mut session = BandwidthLp::new();
-        session.add_scenario(
-            IcxId(0),
-            &view,
-            &paths,
-            &flows,
-            &impacted,
-            &default,
-            &base_caps_a,
-            &base_caps_b,
-        );
-        session.solve_failure(IcxId(0)).unwrap();
-
-        // A grid of capacity models: power-of-two-ish scalings and an
-        // asymmetric one.
-        for (sa, sb) in [(2.0, 1.0), (1.0, 2.0), (0.5, 1.5), (4.0, 4.0)] {
-            let caps_a: Vec<f64> = base_caps_a.iter().map(|c| c * sa).collect();
-            let caps_b: Vec<f64> = base_caps_b.iter().map(|c| c * sb).collect();
-            let warm = session
-                .solve_with_model(IcxId(0), &caps_a, &caps_b)
-                .unwrap();
-            let cold =
-                optimal_bandwidth(&view, &paths, &flows, &impacted, &default, &caps_a, &caps_b)
-                    .unwrap();
-            assert!(
-                (warm.t - cold.t).abs() < 1e-9,
-                "caps ({sa}, {sb}): warm t {} != cold t {}",
-                warm.t,
-                cold.t
-            );
-            // The warm optimum realizes its own objective on the new
-            // capacities.
-            let realized = mel(&warm.loads.up, &caps_a).max(mel(&warm.loads.down, &caps_b));
-            assert!((realized - warm.t).abs() < 1e-6);
-        }
-        let stats = session.warm_stats();
-        assert_eq!(stats.cold_solves, 1, "stats: {stats:?}");
-        assert!(
-            stats.refresh_solves >= 3,
-            "capacity patches must refresh, not fall back: {stats:?}"
-        );
-    }
-
-    /// `update_scenario` keeps the workspace: re-registering the same
-    /// scenario with different volumes (a workload change) re-solves
-    /// through the refresh path and matches the standalone build.
+    /// `update_scenario` keeps the workspace: an identical program
+    /// re-enters from the retained basis, one with different volumes (a
+    /// workload change) is solved cold and matches the standalone build,
+    /// and both are counted on the one scenario.
     #[test]
     fn update_scenario_retains_the_workspace() {
         let fx = fixture();
@@ -1182,46 +976,102 @@ mod tests {
         let impacted: Vec<FlowId> = (0..flows_1.len()).map(FlowId::new).collect();
 
         let mut session = BandwidthLp::new();
-        session.update_scenario(
-            IcxId(0),
-            &view,
-            &paths_1,
-            &flows_1,
-            &impacted,
-            &default,
-            &caps_a,
-            &caps_b,
-        );
-        session.solve_failure(IcxId(0)).unwrap();
-        assert_eq!(session.num_scenarios(), 1);
-
-        // Same structure, new volumes: the update must not discard the
-        // retained basis.
-        session.update_scenario(
-            IcxId(0),
-            &view,
-            &paths_2,
-            &flows_2,
-            &impacted,
-            &default,
-            &caps_a,
-            &caps_b,
-        );
-        assert_eq!(session.num_scenarios(), 1);
-        let warm = session.solve_failure(IcxId(0)).unwrap();
-        let cold = optimal_bandwidth(
-            &view, &paths_2, &flows_2, &impacted, &default, &caps_a, &caps_b,
-        )
-        .unwrap();
-        assert!(
-            (warm.t - cold.t).abs() < 1e-9,
-            "warm {} cold {}",
-            warm.t,
-            cold.t
-        );
+        for (paths, flows) in [
+            (&paths_1, &flows_1),
+            (&paths_1, &flows_1),
+            (&paths_2, &flows_2),
+        ] {
+            session.update_scenario(
+                IcxId(0),
+                &view,
+                paths,
+                flows,
+                &impacted,
+                &default,
+                &caps_a,
+                &caps_b,
+            );
+            assert_eq!(session.num_scenarios(), 1);
+            let got = session.solve_failure(IcxId(0)).unwrap();
+            let cold =
+                optimal_bandwidth(&view, paths, flows, &impacted, &default, &caps_a, &caps_b)
+                    .unwrap();
+            assert!(
+                (got.t - cold.t).abs() < 1e-9,
+                "session {} standalone {}",
+                got.t,
+                cold.t
+            );
+        }
         let stats = session.warm_stats();
-        assert_eq!(stats.cold_solves, 1, "stats: {stats:?}");
-        assert_eq!(stats.refresh_solves + stats.refresh_fallbacks, 1);
+        assert_eq!(
+            (stats.cold_solves, stats.warm_solves, stats.warm_fallbacks),
+            (2, 1, 0),
+            "stats: {stats:?}"
+        );
+    }
+
+    /// What a re-registered scenario solves to does not depend on what
+    /// the session solved before it: a walk over capacity models and
+    /// workloads, every cell through `update_scenario`, is bit for bit
+    /// the standalone solve of each cell.
+    #[test]
+    fn reregistered_scenario_solves_bit_identically_to_standalone() {
+        let fx = fixture();
+        let view = PairView::new(&fx.a, &fx.b, &fx.pair);
+        let sp_a = ShortestPaths::compute(&fx.a);
+        let sp_b = ShortestPaths::compute(&fx.b);
+        let flows_1 = PairFlows::build(&view, &sp_a, &sp_b, |s, d| {
+            1.0 + (s.index() * 2 + d.index()) as f64
+        });
+        let flows_2 = PairFlows::build(&view, &sp_a, &sp_b, |s, d| {
+            2.0 + (s.index() + d.index()) as f64
+        });
+        let paths_1 = PathTable::build(&view, &sp_a, &sp_b, &flows_1);
+        let paths_2 = PathTable::build(&view, &sp_a, &sp_b, &flows_2);
+        let default = Assignment::uniform(flows_1.len(), IcxId(0));
+        let impacted: Vec<FlowId> = (0..flows_1.len())
+            .filter(|f| f % 3 != 0)
+            .map(FlowId::new)
+            .collect();
+
+        let mut session = BandwidthLp::new();
+        let mut cells = 0;
+        for (paths, flows) in [(&paths_1, &flows_1), (&paths_2, &flows_2)] {
+            // Power-of-two-ish scalings and asymmetric ones.
+            for (sa, sb) in [(1.0, 1.0), (2.0, 1.0), (1.0, 2.0), (0.5, 1.5), (4.0, 4.0)] {
+                let caps_a = vec![5.0 * sa; fx.a.num_links()];
+                let caps_b = vec![5.0 * sb; fx.b.num_links()];
+                session.update_scenario(
+                    IcxId(0),
+                    &view,
+                    paths,
+                    flows,
+                    &impacted,
+                    &default,
+                    &caps_a,
+                    &caps_b,
+                );
+                let got = session.solve_failure(IcxId(0)).unwrap();
+                let standalone =
+                    optimal_bandwidth(&view, paths, flows, &impacted, &default, &caps_a, &caps_b)
+                        .unwrap();
+                assert_eq!(got.t.to_bits(), standalone.t.to_bits(), "({sa}, {sb})");
+                assert_eq!(got.fractions, standalone.fractions, "({sa}, {sb})");
+                assert_eq!(got.loads, standalone.loads, "({sa}, {sb})");
+                // The optimum realizes its own objective on the cell's
+                // capacities.
+                let realized = mel(&got.loads.up, &caps_a).max(mel(&got.loads.down, &caps_b));
+                assert!((realized - got.t).abs() < 1e-6);
+                cells += 1;
+            }
+        }
+        let stats = session.warm_stats();
+        assert_eq!(
+            (stats.cold_solves, stats.warm_solves, stats.start_refusals),
+            (cells, 0, 0),
+            "stats: {stats:?}"
+        );
     }
 
     /// Per-scenario workspaces: solving different failures in

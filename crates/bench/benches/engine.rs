@@ -9,7 +9,7 @@ use nexit_routing::{Assignment, FlowId};
 use nexit_sim::experiments::bandwidth::PairFailureSweep;
 use nexit_sim::ExpConfig;
 use nexit_topology::{GeneratorConfig, IcxId, TopologyGenerator, Universe};
-use nexit_workload::{assign_capacities, BackupRule, CapacityModel};
+use nexit_workload::CapacityModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -326,85 +326,10 @@ fn bench_scenario_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-/// One pair, all failure scenarios, re-solved across the capacity-model
-/// grid (the §5.2 alternate-model ablation): the `-capacity`
-/// coefficients of every skeleton are patched per model and re-solved
-/// warm (column refresh against each scenario's retained basis
-/// factorization) versus cold (the identical formulation with the basis
-/// invalidated before every solve). The warm/cold ratio is this PR's
-/// tentpole number in the CI bench gate — coefficient patches must
-/// re-enter at >= 2x over cold.
-fn bench_model_grid(c: &mut Criterion) {
-    let universe = sweep_universe();
-    let sweep = largest_sweep(&universe);
-    // The ablation's capacity grid: per-model capacities assigned from
-    // the shared pre-failure loads (coefficient-only patches of the one
-    // skeleton per scenario).
-    let models = [
-        CapacityModel::default(),
-        CapacityModel {
-            power_of_two: true,
-            ..CapacityModel::default()
-        },
-        CapacityModel {
-            backup: BackupRule::Max,
-            ..CapacityModel::default()
-        },
-        CapacityModel {
-            backup: BackupRule::Average,
-            ..CapacityModel::default()
-        },
-    ];
-    let caps: Vec<(Vec<f64>, Vec<f64>)> = models
-        .iter()
-        .map(|m| {
-            (
-                assign_capacities(m, &sweep.pre_loads.up),
-                assign_capacities(m, &sweep.pre_loads.down),
-            )
-        })
-        .collect();
-
-    let mut group = c.benchmark_group("model_grid");
-    group.sample_size(10);
-    group.bench_function("warm", |b| {
-        b.iter(|| {
-            let mut lp = sweep.lp_session(usize::MAX);
-            let mut acc = 0.0;
-            for (caps_up, caps_down) in &caps {
-                for s in &sweep.scenarios {
-                    acc += lp
-                        .solve_with_model(s.failed, caps_up, caps_down)
-                        .expect("solvable")
-                        .t;
-                }
-            }
-            acc
-        })
-    });
-    group.bench_function("cold", |b| {
-        b.iter(|| {
-            let mut lp = sweep.lp_session(usize::MAX);
-            let mut acc = 0.0;
-            for (caps_up, caps_down) in &caps {
-                for s in &sweep.scenarios {
-                    lp.invalidate_warm();
-                    acc += lp
-                        .solve_with_model(s.failed, caps_up, caps_down)
-                        .expect("solvable")
-                        .t;
-                }
-            }
-            acc
-        })
-    });
-    group.finish();
-}
-
 /// Build a min-max load-ratio LP (the bandwidth-optimum shape): `flows`
 /// flows split over `k` choices, `links` capacity rows with random
-/// coefficients. Returns the capacity rows as `(row index, capacity)`
-/// for the patch benches. Mirrors the `lp` bench's generator so the
+/// coefficients. Returns the capacity rows' indices for the rhs-patch
+/// bench. Mirrors the `lp` bench's generator so the
 /// gated rows here and the exploratory rows there describe the same
 /// programs.
 fn min_max_program(
@@ -412,7 +337,7 @@ fn min_max_program(
     k: usize,
     links: usize,
     seed: u64,
-) -> (nexit_lp::LpProblem, Vec<(usize, f64)>) {
+) -> (nexit_lp::LpProblem, Vec<usize>) {
     use nexit_lp::{ConstraintOp, LpProblem};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -431,7 +356,7 @@ fn min_max_program(
             1.0,
         );
     }
-    let mut cap_rows: Vec<(usize, f64)> = Vec::new();
+    let mut cap_rows: Vec<usize> = Vec::new();
     for _ in 0..links {
         let mut row: Vec<(usize, f64)> = Vec::new();
         for f in 0..flows {
@@ -446,7 +371,7 @@ fn min_max_program(
         }
         let cap = rng.gen_range(1.0..10.0);
         row.push((t, -cap));
-        cap_rows.push((p.num_constraints(), cap));
+        cap_rows.push(p.num_constraints());
         p.add_constraint(row, ConstraintOp::Le, 0.0);
     }
     (p, cap_rows)
@@ -462,8 +387,6 @@ fn min_max_program(
 ///   tableau).
 /// * `warm_rhs` — 8 runs of rhs-only patches re-entered through the
 ///   workspace's dual-simplex path (the failure-sweep access pattern).
-/// * `warm_coeff` — 8 runs of capacity-column perturbations re-entered
-///   through the column-refresh path (the model-grid access pattern).
 /// * `pivot_row` / `price_refresh` — the pricing layer under `cold`, on
 ///   the same program at its optimal basis: what every devex pivot pays
 ///   for its pivot row (BTRAN of a unit vector + the row-major kernel,
@@ -511,31 +434,9 @@ fn bench_simplex(c: &mut Criterion) {
                 // Tighten a deterministic spread of capacity rows
                 // (rows past the flow-conservation block).
                 for j in 0..4 {
-                    let (row, _) = cap_rows[(step as usize * 7 + j * 13) % cap_rows.len()];
+                    let row = cap_rows[(step as usize * 7 + j * 13) % cap_rows.len()];
                     let rhs = p.rhs(row);
                     p.set_rhs(row, rhs - 0.01 * ((step + 1) as f64));
-                }
-                if let nexit_lp::LpOutcome::Optimal { objective, .. } = ws.solve(&p) {
-                    acc += objective;
-                }
-            }
-            acc
-        });
-    });
-
-    group.bench_function("warm_coeff", |bencher| {
-        let (mut p, cap_rows) = min_max_program(60, 3, 40, 7);
-        let mut ws = SimplexWorkspace::new();
-        ws.solve(&p);
-        bencher.iter(|| {
-            let mut acc = 0.0;
-            for step in 0..8u64 {
-                // Perturb a deterministic spread of capacity coefficients
-                // (the t column of rows past the conservation block).
-                for j in 0..4 {
-                    let (row, cap) = cap_rows[(step as usize * 7 + j * 13) % cap_rows.len()];
-                    let scale = 1.0 + 0.05 * ((step + j as u64) % 5) as f64;
-                    p.set_coefficient(row, 0, -cap * scale);
                 }
                 if let nexit_lp::LpOutcome::Optimal { objective, .. } = ws.solve(&p) {
                     acc += objective;
@@ -811,7 +712,6 @@ criterion_group!(
     bench_engine,
     bench_pair_layers,
     bench_scenario_sweep,
-    bench_model_grid,
     bench_simplex,
     bench_broker,
     bench_wire_layers,

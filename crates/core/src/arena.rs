@@ -14,10 +14,7 @@
 //! [`FlowRange`] names a contiguous run of flows inside a larger
 //! session. It is the currency of shared-storage views: grouped
 //! negotiation lays the groups out contiguously and hands each group a
-//! range of one session-wide layout, and
-//! [`par_flows`](../../nexit_sim/parallel/fn.par_flows.html)-style
-//! fan-out splits one table's rows into disjoint ranges for worker
-//! threads.
+//! range of one session-wide layout.
 
 /// A contiguous run of flows inside a larger session: `start..start+len`
 /// in the session's local-flow index space.
@@ -155,14 +152,6 @@ impl GainTable {
     #[inline]
     pub fn values(&self) -> &[f64] {
         &self.storage
-    }
-
-    /// The flat cell buffer, mutably. Rows are `num_alternatives()`-sized
-    /// consecutive chunks; splitting this slice at row boundaries yields
-    /// disjoint [`FlowRange`] views for parallel fills.
-    #[inline]
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.storage
     }
 
     pub(crate) fn into_storage(self) -> Vec<f64> {

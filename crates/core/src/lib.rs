@@ -54,6 +54,5 @@ pub use mapping::{
     UTIL_CLASS_WIDTH,
 };
 pub use outcome::{NegotiationOutcome, RoundRecord, Side, Termination};
-pub use parallel::par_flows;
 pub use policies::{AcceptRule, NexitConfig, ProposalRule, StopPolicy, TurnPolicy};
 pub use prefs::{quantize, PrefTable};

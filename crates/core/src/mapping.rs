@@ -29,22 +29,18 @@
 //! keep their per-fill state across fills and do each piece of work
 //! once. Per fill: the own-side loads under `current` are aggregated
 //! into a buffer the mapper owns, and `loads / capacity` is computed
-//! once per link. Per row: the flow's current path is marked in a
-//! per-worker `LinkMarks` array, so "does the flow already ride this
+//! once per link. Per row: the flow's current path is marked in the
+//! mapper's `LinkMarks` array, so "does the flow already ride this
 //! link" is one lookup instead of a scan of the path; each alternative's
 //! cost is evaluated once, straight into the row, and the default's cost
 //! is read back from there; and `(load + volume) / capacity` is computed
 //! only for links the flow would move onto. All three bandwidth flavours
 //! (exact loads, quantized classes, and the cached mapper in
-//! [`crate::delta`]) run the one `path_max_row` kernel. Rows are
-//! independent given the per-fill state, so `with_threads` fans them
-//! across [`crate::par_flows`] workers — one mark array each, disjoint
-//! row ranges — byte-identical for any thread count.
+//! [`crate::delta`]) run the one `path_max_row` kernel.
 
 use crate::arena::GainTable;
 use crate::engine::SessionInput;
 use crate::outcome::Side;
-use crate::parallel::{par_flows, resolve_threads};
 use nexit_metrics::fortz_link_cost;
 use nexit_routing::{Assignment, FlowId, PairFlows};
 use nexit_topology::{IcxId, LinkId};
@@ -77,7 +73,7 @@ pub fn utilization_classes(loads: &[f64], capacities: &[f64], out: &mut Vec<u32>
 /// versus the O(flows × path length) full re-aggregation a
 /// [`BandwidthMapper`] runs per fill. A churn driver keeps one
 /// accumulator per (side, traffic layer) and feeds the snapshot into
-/// [`BandwidthMapper::with_loads`] / [`utilization_classes`].
+/// [`utilization_classes`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SideLoads {
     loads: Vec<f64>,
@@ -123,12 +119,12 @@ pub(crate) fn side_links(side: Side, paths: &PathTable, flow: FlowId, alt: IcxId
     }
 }
 
-/// Which of a worker's links lie on the flow's current path
+/// Which of a side's links lie on the flow's current path
 /// ([`LinkMarks::CUR`]) or on the candidate path ([`LinkMarks::ALT`]):
 /// the row kernels' O(1) replacement for scanning a path per link. A
 /// kernel clears every mark it set before returning, so one array
-/// serves all the rows (and fills) of a worker.
-#[derive(Debug, Clone, Default)]
+/// serves all the rows (and fills) of a mapper.
+#[derive(Debug, Clone)]
 pub(crate) struct LinkMarks {
     bits: Vec<u8>,
 }
@@ -141,15 +137,6 @@ impl LinkMarks {
     pub(crate) fn new(num_links: usize) -> Self {
         Self {
             bits: vec![0; num_links],
-        }
-    }
-
-    /// Size `pool` to one all-clear array per worker of a
-    /// `threads`-wide fill (0 = every available core).
-    fn pool(pool: &mut Vec<LinkMarks>, threads: usize, num_links: usize) {
-        pool.resize_with(resolve_threads(threads), LinkMarks::default);
-        for marks in pool {
-            marks.bits.resize(num_links, 0);
         }
     }
 
@@ -328,20 +315,15 @@ pub struct BandwidthMapper<'a> {
     paths: &'a PathTable,
     /// Capacity of every link on this ISP's side.
     capacities: &'a [f64],
-    /// Externally maintained load snapshot (skips the O(flows × links)
-    /// internal re-aggregation when set).
-    loads_override: Option<&'a [f64]>,
     /// Quantized utilization classes; when set, rows come from
     /// [`quantized_bandwidth_row`] (the churn objective).
     classes: Option<&'a [u32]>,
-    /// Worker threads for the per-flow cost loop (1 = serial).
-    threads: usize,
     /// Own-side loads under `current`, re-aggregated per fill.
     loads: SideLoads,
     /// `loads / capacities`, computed once per fill.
     util: Vec<f64>,
-    /// One current-path mark array per worker.
-    marks: Vec<LinkMarks>,
+    /// The row kernel's current-path marks.
+    marks: LinkMarks,
 }
 
 impl<'a> BandwidthMapper<'a> {
@@ -358,23 +340,11 @@ impl<'a> BandwidthMapper<'a> {
             flows,
             paths,
             capacities,
-            loads_override: None,
             classes: None,
-            threads: 1,
             loads: SideLoads::zero(capacities.len()),
             util: Vec::new(),
-            marks: Vec::new(),
+            marks: LinkMarks::new(capacities.len()),
         }
-    }
-
-    /// Read this side's loads from an externally maintained snapshot
-    /// (e.g. a [`SideLoads`] accumulator updated in O(links touched) per
-    /// event) instead of re-aggregating all flows per fill. The snapshot
-    /// must equal what the internal aggregation over `current` would
-    /// produce for the fill to stay bit-identical.
-    pub fn with_loads(mut self, loads: &'a [f64]) -> Self {
-        self.loads_override = Some(loads);
-        self
     }
 
     /// Score alternatives against quantized utilization classes (see
@@ -385,25 +355,14 @@ impl<'a> BandwidthMapper<'a> {
         self.classes = Some(classes);
         self
     }
-
-    /// Fan the per-flow cost loop across `threads` workers
-    /// (0 = every available core). The per-fill load state is computed
-    /// before the fan-out and each worker writes a disjoint row range,
-    /// so the table is byte-identical to the serial fill for any thread
-    /// count — and therefore so is every negotiation decision.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
 }
 
 impl PreferenceMapper for BandwidthMapper<'_> {
     fn gains(&mut self, input: &SessionInput, current: &Assignment, out: &mut GainTable) {
         let (side, flows, paths, capacities) = (self.side, self.flows, self.paths, self.capacities);
-        LinkMarks::pool(&mut self.marks, self.threads, capacities.len());
+        let marks = &mut self.marks;
         if let Some(classes) = self.classes {
-            par_flows(out, &mut self.marks, |marks, i, row| {
-                let fid = input.flow_ids[i];
+            for (i, &fid) in input.flow_ids.iter().enumerate() {
                 quantized_bandwidth_row(
                     side,
                     paths,
@@ -414,18 +373,13 @@ impl PreferenceMapper for BandwidthMapper<'_> {
                     input.defaults[i],
                     flows.flows[fid.index()].volume,
                     marks,
-                    row,
+                    out.row_mut(i),
                 );
-            });
+            }
             return;
         }
-        let loads: &[f64] = match self.loads_override {
-            Some(snapshot) => snapshot,
-            None => {
-                aggregate_loads(side, flows, paths, current, &mut self.loads);
-                self.loads.loads()
-            }
-        };
+        aggregate_loads(side, flows, paths, current, &mut self.loads);
+        let loads = self.loads.loads();
         self.util.clear();
         self.util
             .extend(loads.iter().zip(capacities).map(|(&load, &cap)| load / cap));
@@ -433,8 +387,7 @@ impl PreferenceMapper for BandwidthMapper<'_> {
         // Path-max load ratio after moving the flow from its current
         // path to the alternative's: links the flow already rides keep
         // their load, links it would arrive on carry its volume too.
-        par_flows(out, &mut self.marks, |marks, i, row| {
-            let fid = input.flow_ids[i];
+        for (i, &fid) in input.flow_ids.iter().enumerate() {
             let volume = flows.flows[fid.index()].volume;
             path_max_row(
                 side,
@@ -443,11 +396,11 @@ impl PreferenceMapper for BandwidthMapper<'_> {
                 current.choice(fid),
                 input.defaults[i],
                 marks,
-                row,
+                out.row_mut(i),
                 |l| util[l],
                 |l| (loads[l] + volume) / capacities[l],
             );
-        });
+        }
     }
 }
 
@@ -459,12 +412,10 @@ pub struct FortzMapper<'a> {
     flows: &'a PairFlows,
     paths: &'a PathTable,
     capacities: &'a [f64],
-    /// Worker threads for the per-flow cost loop (1 = serial).
-    threads: usize,
     /// Own-side loads under `current`, re-aggregated per fill.
     loads: SideLoads,
-    /// One current/candidate-path mark array per worker.
-    marks: Vec<LinkMarks>,
+    /// The row kernel's current/candidate-path marks.
+    marks: LinkMarks,
 }
 
 impl<'a> FortzMapper<'a> {
@@ -480,29 +431,20 @@ impl<'a> FortzMapper<'a> {
             flows,
             paths,
             capacities,
-            threads: 1,
             loads: SideLoads::zero(capacities.len()),
-            marks: Vec::new(),
+            marks: LinkMarks::new(capacities.len()),
         }
-    }
-
-    /// Fan the per-flow cost-delta loop across `threads` workers
-    /// (0 = every available core); byte-identical to the serial fill for
-    /// any thread count (see [`BandwidthMapper::with_threads`]).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 }
 
 impl PreferenceMapper for FortzMapper<'_> {
     fn gains(&mut self, input: &SessionInput, current: &Assignment, out: &mut GainTable) {
         let (side, flows, paths, capacities) = (self.side, self.flows, self.paths, self.capacities);
-        LinkMarks::pool(&mut self.marks, self.threads, capacities.len());
+        let marks = &mut self.marks;
         aggregate_loads(side, flows, paths, current, &mut self.loads);
         let loads = self.loads.loads();
-        par_flows(out, &mut self.marks, |marks, i, row| {
-            let fid = input.flow_ids[i];
+        for (i, &fid) in input.flow_ids.iter().enumerate() {
+            let row = out.row_mut(i);
             let volume = flows.flows[fid.index()].volume;
             let cur = current.choice(fid);
             let cur_links = side_links(side, paths, fid, cur);
@@ -539,7 +481,7 @@ impl PreferenceMapper for FortzMapper<'_> {
             for cell in row {
                 *cell = base - *cell;
             }
-        });
+        }
     }
 }
 
@@ -986,23 +928,12 @@ mod tests {
                     let loads = reference_loads(side, &c.flows, &c.paths, caps.len(), &c.current);
                     let mut expect = GainTable::new(c.input.len(), c.input.num_alternatives);
                     reference_bandwidth_fill(&c, side, &loads, &mut expect);
-                    for threads in [1, 2, 4] {
-                        let mut mapper = BandwidthMapper::new(side, &c.flows, &c.paths, caps)
-                            .with_threads(threads);
-                        let got = collect_gains(&mut mapper, &c.input, &c.current);
-                        prop_assert_eq!(bits(&got), bits(&expect), "{} threads", threads);
-                        // A second fill reuses the mapper's buffers.
-                        let again = collect_gains(&mut mapper, &c.input, &c.current);
-                        prop_assert_eq!(bits(&again), bits(&expect), "refill, {} threads", threads);
-                    }
-                    // An external snapshot skews the loads away from
-                    // `current`; the kernel must read it, not aggregate.
-                    let skewed: Vec<f64> = loads.iter().map(|l| l * 1.5 + 0.25).collect();
-                    reference_bandwidth_fill(&c, side, &skewed, &mut expect);
-                    let mut mapper =
-                        BandwidthMapper::new(side, &c.flows, &c.paths, caps).with_loads(&skewed);
+                    let mut mapper = BandwidthMapper::new(side, &c.flows, &c.paths, caps);
                     let got = collect_gains(&mut mapper, &c.input, &c.current);
-                    prop_assert_eq!(bits(&got), bits(&expect), "external snapshot");
+                    prop_assert_eq!(bits(&got), bits(&expect));
+                    // A second fill reuses the mapper's buffers.
+                    let again = collect_gains(&mut mapper, &c.input, &c.current);
+                    prop_assert_eq!(bits(&again), bits(&expect), "refill");
                 }
             }
 
@@ -1029,13 +960,10 @@ mod tests {
                             expect.row_mut(i),
                         );
                     }
-                    for threads in [1, 2, 4] {
-                        let mut mapper = BandwidthMapper::new(side, &c.flows, &c.paths, caps)
-                            .with_classes(&classes)
-                            .with_threads(threads);
-                        let got = collect_gains(&mut mapper, &c.input, &c.current);
-                        prop_assert_eq!(bits(&got), bits(&expect), "{} threads", threads);
-                    }
+                    let mut mapper = BandwidthMapper::new(side, &c.flows, &c.paths, caps)
+                        .with_classes(&classes);
+                    let got = collect_gains(&mut mapper, &c.input, &c.current);
+                    prop_assert_eq!(bits(&got), bits(&expect));
                 }
             }
 
@@ -1045,14 +973,11 @@ mod tests {
                 for side in [Side::A, Side::B] {
                     let mut expect = GainTable::new(c.input.len(), c.input.num_alternatives);
                     reference_fortz_fill(&c, side, &mut expect);
-                    for threads in [1, 2, 4] {
-                        let mut mapper = FortzMapper::new(side, &c.flows, &c.paths, c.caps(side))
-                            .with_threads(threads);
-                        let got = collect_gains(&mut mapper, &c.input, &c.current);
-                        prop_assert_eq!(bits(&got), bits(&expect), "{} threads", threads);
-                        let again = collect_gains(&mut mapper, &c.input, &c.current);
-                        prop_assert_eq!(bits(&again), bits(&expect), "refill, {} threads", threads);
-                    }
+                    let mut mapper = FortzMapper::new(side, &c.flows, &c.paths, c.caps(side));
+                    let got = collect_gains(&mut mapper, &c.input, &c.current);
+                    prop_assert_eq!(bits(&got), bits(&expect));
+                    let again = collect_gains(&mut mapper, &c.input, &c.current);
+                    prop_assert_eq!(bits(&again), bits(&expect), "refill");
                 }
             }
         }

@@ -31,14 +31,13 @@
 //! Sweeps that re-solve one program with patches should hold a
 //! [`SimplexWorkspace`]: it retains the revised engine — the basis and
 //! its factorization — between solves and re-enters it instead of
-//! cold-starting. What is reused depends on what changed:
+//! cold-starting. There are two re-entries, chosen by content:
 //!
-//! | patch                                   | re-entry                                              |
-//! |-----------------------------------------|-------------------------------------------------------|
-//! | rhs only                                | `x_B = B⁻¹b` + dual-simplex repair (retained basis)   |
-//! | coefficients / objective (same pattern) | column refresh against the retained factorization     |
-//! | new structure (rows/sparsity/operators) | cold two-phase solve                                  |
-//! | cold, caller names a feasible vertex    | that basis, factorized and checked, then phase 2 only |
+//! | what changed                             | re-entry                                              |
+//! |------------------------------------------|-------------------------------------------------------|
+//! | rhs only                                 | `x_B = B⁻¹b` + dual-simplex repair (retained basis)   |
+//! | anything else (values, objective, shape) | cold: a fresh engine                                  |
+//! | cold, caller names a feasible vertex     | that basis, factorized and checked, then phase 2 only |
 //!
 //! The last row is [`SimplexWorkspace::solve_from`]: a caller that knows
 //! a feasible vertex of its program (the bandwidth optimum knows the
@@ -79,10 +78,9 @@
 //!
 //! The basis is **refactorized** every `(m/6).clamp(12, 48)` eta
 //! updates (which is also the longest stretch reduced costs and `x_B`
-//! are carried by updates alone), on numerically unusable pivots, and
-//! whenever a coefficient patch touches more basic columns than the eta
-//! budget absorbs; `WarmStats::refactorizations`, `max_eta_chain` and
-//! `lu_fill_nnz` expose that machinery per solve.
+//! are carried by updates alone) and on numerically unusable pivots;
+//! `WarmStats::refactorizations`, `max_eta_chain` and `lu_fill_nnz`
+//! expose that machinery per solve.
 
 mod lu;
 pub mod problem;

@@ -83,23 +83,6 @@ impl LpProblem {
         self.constraints[row].rhs
     }
 
-    /// Patch one coefficient of an existing constraint in place. The
-    /// variable must already appear in the row — the sparsity *pattern*
-    /// (which variables each row touches, and the operators) stays
-    /// fixed, which is what lets a [`crate::SimplexWorkspace`] re-enter
-    /// the re-solve through a column refresh of its retained basis
-    /// factorization instead of a cold start. Panics on an out-of-range
-    /// row, a variable absent from the row, or a non-finite value.
-    pub fn set_coefficient(&mut self, row: usize, var: usize, coeff: f64) {
-        assert!(coeff.is_finite(), "coefficient must be finite");
-        let slot = self.constraints[row]
-            .coeffs
-            .iter_mut()
-            .find(|(v, _)| *v == var)
-            .unwrap_or_else(|| panic!("variable {var} not present in constraint {row}"));
-        slot.1 = coeff;
-    }
-
     /// Number of variables.
     #[inline]
     pub fn num_variables(&self) -> usize {

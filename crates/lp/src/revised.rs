@@ -38,16 +38,11 @@
 //! (three quarters of them on the failure-sweep programs) cost nothing.
 //!
 //! The payoff is warm restarts: the basis is a *set of column indices*
-//! plus a factorization, so a patched problem can re-enter without any
-//! saved tableau. Right-hand-side patches re-solve `x_B = B^{-1} b` and
-//! repair primal feasibility with dual-simplex pivots; **coefficient
-//! patches reload only the column values, refactorize the retained basis
-//! and re-optimize from it** — no phase 1, no rebuild (see
-//! [`RevisedSimplex::reload_values`] and [`RevisedSimplex::reoptimize`]).
-//! When a patch leaves the basis neither primal- nor dual-feasible, an
-//! **rhs homotopy** bridges: solve the (primal-feasible by construction)
-//! problem with `b' = B max(x_B, 0)`, then walk `b' -> b` with dual
-//! pivots from the now dual-feasible optimum.
+//! plus a factorization, so a problem whose right-hand side alone was
+//! patched re-enters without any saved tableau — `x_B = B^{-1} b` is
+//! re-solved and primal feasibility repaired with dual-simplex pivots
+//! (see [`RevisedSimplex::install_rhs`] and
+//! [`RevisedSimplex::reoptimize`]). Any other edit gets a fresh engine.
 //!
 //! A cold solve need not begin at the all-artificial basis either:
 //! [`RevisedSimplex::build`] records each row's logical column, and
@@ -174,7 +169,8 @@ pub(crate) struct RevisedSimplex {
     /// The same matrix row-compressed (lane `i` lists row `i`'s
     /// `(column, value)` entries: the problem's coefficients in their
     /// given order, then the row's slack/surplus and artificial). The
-    /// pivot-row kernel's input; `reload_values` patches both copies.
+    /// pivot-row kernel's input. Both copies are built once and never
+    /// patched.
     rows: Compressed,
     /// Sign-normalized right-hand side.
     b: Vec<f64>,
@@ -186,7 +182,7 @@ pub(crate) struct RevisedSimplex {
     /// First artificial column.
     pub(crate) artificial_start: usize,
     /// Row normalization signs fixed at the cold build (`-1.0` for rows
-    /// flipped to make the original rhs non-negative); value patches are
+    /// flipped to make the original rhs non-negative); rhs patches are
     /// re-signed with these so the retained layout stays valid.
     signs: Vec<f64>,
     /// Each row's own logical column: its slack or surplus, or its
@@ -884,7 +880,7 @@ impl RevisedSimplex {
         let tol = self.options.tolerance;
         // Primal-feasibility threshold for the leaving test: looser than
         // the pivot tolerance, like every practical dual simplex — after
-        // an aggressive coefficient patch, roundoff alone can push a
+        // a large rhs patch, roundoff alone can push a
         // genuinely-tight basic value a few 1e-9 below zero, and trying
         // to "repair" that phantom infeasibility dead-ends in a spurious
         // dual ray (no eligible pivot). End-of-solve verification still
@@ -1037,76 +1033,11 @@ impl RevisedSimplex {
         self.recompute_xb();
     }
 
-    /// Reload the structural column values and rhs from a
-    /// pattern-identical problem (the coefficient-patch warm path),
-    /// keeping the basis. The factorization only stale-dates where a
-    /// **basic** column's values changed; when few did (a capacity-model
-    /// patch touches one shared column), each is absorbed as a rank-1
-    /// **product-form update** — one FTRAN per changed basic column —
-    /// instead of an `O(m^3)` refactorization. `false` when the retained
-    /// basis went singular under the new values (the caller falls back
-    /// to a cold start).
-    pub(crate) fn reload_values(&mut self, problem: &LpProblem) -> bool {
-        debug_assert_eq!(problem.num_constraints(), self.m);
-        debug_assert_eq!(problem.num_variables(), self.nv);
-        // Stream the new values over the retained sparsity pattern,
-        // tracking which basic columns actually changed. Row `i` of the
-        // problem is lane `i` of `rows` entry for entry; the matching
-        // slot of the column store is found by claiming each structural
-        // column's entries in row order (`Compressed::claim`).
-        let mut changed_basic: Vec<usize> = Vec::new();
-        for (i, c) in problem.constraints().iter().enumerate() {
-            let sign = self.signs[i];
-            let lane = self.rows.lane_start(i);
-            for (k, &(var, coeff)) in c.coeffs.iter().enumerate() {
-                let in_col = self.cols.claim(var);
-                debug_assert_eq!(self.rows.entry(lane + k).0, var, "pattern mismatch");
-                debug_assert_eq!(self.cols.entry(in_col).0, i, "pattern mismatch");
-                let value = sign * coeff;
-                if self.rows.entry(lane + k).1.to_bits() != value.to_bits() {
-                    self.rows.set_value(lane + k, value);
-                    self.cols.set_value(in_col, value);
-                    if self.position[var] != usize::MAX {
-                        changed_basic.push(var);
-                    }
-                }
-            }
-            self.b[i] = sign * c.rhs;
-        }
-        self.cols.rewind(self.nv);
-        changed_basic.sort_unstable();
-        changed_basic.dedup();
-        // Few changed basic columns: absorb each as an eta update
-        // (`B_new = B_old * E`, `E`'s column `position[var]` being
-        // `B_old^{-1} a_var_new`). Many (a workload patch rewrites every
-        // volume): a fresh factorization is cheaper.
-        let budget = refactor_limit(self.m).saturating_sub(self.etas.len());
-        if changed_basic.len() <= 8.min(budget) {
-            for var in changed_basic {
-                let pos = self.position[var];
-                let w = self.ftran_col(var);
-                if w[pos].abs() <= PIVOT_MIN {
-                    self.scratch.push(w);
-                    return self.refactor();
-                }
-                self.push_eta(pos, w);
-            }
-            self.recompute_xb();
-            true
-        } else {
-            self.refactor()
-        }
-    }
-
     /// Re-optimize from the current basis with the phase-2 objective
-    /// installed, choosing the cheapest repair that applies:
-    ///
-    /// 1. primal feasible — a plain primal polish,
-    /// 2. dual feasible — dual-simplex repair, then the polish,
-    /// 3. neither — the rhs homotopy: solve with `b' = B max(x_B, 0)`
-    ///    (primal feasible at the current basis by construction), then
-    ///    walk back to the true `b` with dual pivots from the bridge
-    ///    optimum, which *is* dual feasible.
+    /// installed: a plain primal polish when the basis is primal
+    /// feasible (a caller's start, an rhs patch that kept it so),
+    /// dual-simplex repair and then the polish when it is dual feasible
+    /// (any other rhs patch).
     ///
     /// `false` means the basis could not be reused (the caller falls
     /// back to a cold start, so no outcome is ever lost).
@@ -1126,37 +1057,9 @@ impl RevisedSimplex {
         if self.xb.iter().all(|&x| x >= -tol) {
             return matches!(self.optimize(true), PhaseResult::Optimal);
         }
-        if self.dual_feasible() {
-            // A blocked dual repair (budget burnt with large
-            // infeasibility left — measured on workload-model switches,
-            // whose patches move the whole residual vector) is a basis
-            // that is genuinely far from re-usable: the homotopy's
-            // walk-back would burn the same budget again, so fall back
-            // to a cold start instead.
-            return self.dual_optimize(dual_budget)
-                && matches!(self.optimize(true), PhaseResult::Optimal);
-        }
-
-        // Homotopy bridge: clamp `x_B` in place, swap `b' = B x_B` in
-        // for the true rhs, optimize, swap back.
-        let mut bridge = self.take_buffer();
-        for (x, &var) in self.xb.iter_mut().zip(&self.basis) {
-            *x = x.max(0.0);
-            if *x != 0.0 {
-                for (r, v) in self.cols.lane(var) {
-                    bridge[r] += v * *x;
-                }
-            }
-        }
-        std::mem::swap(&mut self.b, &mut bridge);
-        let bridged = matches!(self.optimize(true), PhaseResult::Optimal);
-        std::mem::swap(&mut self.b, &mut bridge);
-        self.retire_buffer(bridge);
-        self.recompute_xb();
-        if !bridged {
-            return false;
-        }
-        self.dual_optimize(dual_budget) && matches!(self.optimize(true), PhaseResult::Optimal)
+        self.dual_feasible()
+            && self.dual_optimize(dual_budget)
+            && matches!(self.optimize(true), PhaseResult::Optimal)
     }
 
     /// Whether every non-artificial nonbasic column prices out
@@ -1526,9 +1429,7 @@ pub(crate) mod tests {
         // The pivot-row kernel against the column-wise dot product
         // (`row_entry`), `to_bits`-equal: random sparse
         // matrices with unsorted rows, sparse and dense `rho`, random
-        // basic sets, both `limit`s, and again after a coefficient
-        // patch through `reload_values` (the two copies of the matrix
-        // must move together).
+        // basic sets, both `limit`s.
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(96))]
             #[test]
@@ -1552,67 +1453,42 @@ pub(crate) mod tests {
                 }
                 let mut e = RevisedSimplex::build(&p, SimplexOptions::default())
                     .expect("unit basis");
-                let real_position = e.position.clone();
-                for round in 0..2 {
-                    if round == 1 {
-                        // Patch a spread of coefficients (including to
-                        // zero) and reload over the retained pattern.
-                        for row in 0..m {
-                            let vars: Vec<usize> =
-                                p.constraints()[row].coeffs.iter().map(|c| c.0).collect();
-                            for var in vars {
-                                if rng.gen_bool(0.3) {
-                                    let v = if rng.gen_bool(0.2) {
-                                        0.0
-                                    } else {
-                                        rng.gen_range(-4.0..4.0)
-                                    };
-                                    p.set_coefficient(row, var, v);
-                                }
+                for limit in [e.n, e.artificial_start] {
+                    // The kernel reads `position` only as a
+                    // basic/nonbasic flag: any subset will do.
+                    for pos in e.position.iter_mut() {
+                        *pos = if rng.gen_bool(0.3) { 0 } else { usize::MAX };
+                    }
+                    let dense_rho = rng.gen_bool(0.5);
+                    let rho: Vec<f64> = (0..m)
+                        .map(|_| {
+                            if dense_rho || rng.gen_bool(0.25) {
+                                rng.gen_range(-3.0..3.0)
+                            } else {
+                                0.0
                             }
-                        }
-                        e.position.clone_from(&real_position);
-                        // A singular reloaded basis is fine here: the
-                        // values are streamed in before it is noticed.
-                        let _ = e.reload_values(&p);
+                        })
+                        .collect();
+                    let q = rng.gen_range(0..e.n);
+                    e.pivot_row(&rho, limit, q);
+                    let mut listed = vec![false; e.n];
+                    for &j in &e.touched {
+                        prop_assert!(!listed[j as usize], "column {j} listed twice");
+                        listed[j as usize] = true;
                     }
-                    for limit in [e.n, e.artificial_start] {
-                        // The kernel reads `position` only as a
-                        // basic/nonbasic flag: any subset will do.
-                        for pos in e.position.iter_mut() {
-                            *pos = if rng.gen_bool(0.3) { 0 } else { usize::MAX };
-                        }
-                        let dense_rho = rng.gen_bool(0.5);
-                        let rho: Vec<f64> = (0..m)
-                            .map(|_| {
-                                if dense_rho || rng.gen_bool(0.25) {
-                                    rng.gen_range(-3.0..3.0)
-                                } else {
-                                    0.0
-                                }
-                            })
-                            .collect();
-                        let q = rng.gen_range(0..e.n);
-                        e.pivot_row(&rho, limit, q);
-                        let mut listed = vec![false; e.n];
-                        for &j in &e.touched {
-                            prop_assert!(!listed[j as usize], "column {j} listed twice");
-                            listed[j as usize] = true;
-                        }
-                        for (j, &listed) in listed.iter().enumerate() {
-                            let read = j < limit && j != q && e.position[j] == usize::MAX;
-                            let want = if read { e.row_entry(&rho, j) } else { 0.0 };
-                            prop_assert_eq!(e.alpha[j].to_bits(), want.to_bits(),
-                                "alpha[{}] = {:e}, column-wise {:e}", j, e.alpha[j], want);
-                            prop_assert!(read || !listed, "column {j} must be dropped");
-                            prop_assert!(want == 0.0 || listed, "column {j} missing");
-                            prop_assert_eq!(e.mark[j], listed);
-                        }
-                        e.clear_pivot_row();
-                        prop_assert!(e.touched.is_empty());
-                        prop_assert!(e.alpha.iter().all(|a| a.to_bits() == 0));
-                        prop_assert!(e.mark.iter().all(|&m| !m));
+                    for (j, &listed) in listed.iter().enumerate() {
+                        let read = j < limit && j != q && e.position[j] == usize::MAX;
+                        let want = if read { e.row_entry(&rho, j) } else { 0.0 };
+                        prop_assert_eq!(e.alpha[j].to_bits(), want.to_bits(),
+                            "alpha[{}] = {:e}, column-wise {:e}", j, e.alpha[j], want);
+                        prop_assert!(read || !listed, "column {j} must be dropped");
+                        prop_assert!(want == 0.0 || listed, "column {j} missing");
+                        prop_assert_eq!(e.mark[j], listed);
                     }
+                    e.clear_pivot_row();
+                    prop_assert!(e.touched.is_empty());
+                    prop_assert!(e.alpha.iter().all(|a| a.to_bits() == 0));
+                    prop_assert!(e.mark.iter().all(|&m| !m));
                 }
             }
         }

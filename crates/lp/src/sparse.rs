@@ -7,6 +7,7 @@
 //! Read column-major it is the column store every FTRAN, reduced cost
 //! and factorization walks (lane = column, index = row); read row-major
 //! it is the pivot-row kernel's input (lane = row, index = column).
+//! A matrix is filled once and then only read.
 
 /// A compressed sparse matrix: lane `k` holds the entries
 /// `idx[ptr[k]..ptr[k + 1]]` / `val[ptr[k]..ptr[k + 1]]`.
@@ -62,35 +63,20 @@ impl Compressed {
             .map(|(&i, &v)| (i as usize, v))
     }
 
-    /// Position (into the flat arrays) of lane `k`'s first entry.
-    pub(crate) fn lane_start(&self, k: usize) -> usize {
-        self.ptr[k] as usize
-    }
-
-    /// Index and value of the entry at flat position `at`.
-    pub(crate) fn entry(&self, at: usize) -> (usize, f64) {
-        (self.idx[at] as usize, self.val[at])
-    }
-
-    /// Overwrite the value of the entry at flat position `at`.
-    pub(crate) fn set_value(&mut self, at: usize, value: f64) {
-        self.val[at] = value;
-    }
-
     /// The flat position of lane `k`'s next unclaimed entry. `ptr[k]`
     /// itself is the cursor, so a sweep that claims every entry of lanes
     /// `..lanes` exactly once needs no side array; it leaves each
     /// `ptr[k]` at the start of lane `k + 1`, and [`Self::rewind`] puts
     /// them back. Between the first `claim` and the `rewind` the lane
     /// readers above are invalid.
-    pub(crate) fn claim(&mut self, k: usize) -> usize {
+    fn claim(&mut self, k: usize) -> usize {
         let at = self.ptr[k];
         self.ptr[k] += 1;
         at as usize
     }
 
     /// Undo a full [`Self::claim`] sweep over lanes `..lanes`.
-    pub(crate) fn rewind(&mut self, lanes: usize) {
+    fn rewind(&mut self, lanes: usize) {
         self.ptr.copy_within(0..lanes, 1);
         self.ptr[0] = 0;
     }

@@ -1,53 +1,41 @@
 //! Warm-started solving: a reusable [`SimplexWorkspace`].
 //!
-//! The what-if sweeps solve long runs of LPs that share one constraint
-//! skeleton: failure-scenario ladders patch right-hand sides
-//! (`baselines::BandwidthLp` scales residuals per scenario), and the
-//! capacity-model grids patch constraint *coefficients* (every capacity
-//! model rewrites the `-cap` column of the same rows). Cold-starting the
-//! two-phase simplex on every member of such a run wastes almost all of
-//! its work: phase 1 re-derives a basic feasible solution from scratch
-//! and phase 2 re-walks to an optimum the previous solve already sat
-//! next to.
+//! The what-if sweeps solve long runs of LPs that share one program and
+//! differ in their right-hand sides: failure-scenario ladders
+//! (`baselines::BandwidthLp` scales residuals per scenario). Solving
+//! every member of such a run from scratch re-walks to an optimum the
+//! previous solve already sat next to.
 //!
 //! A [`SimplexWorkspace`] keeps the **revised-simplex engine** of the
 //! last successful solve — the basis (a set of column indices), its LU
-//! factorization and the standard-form layout. Re-entry depends on what
-//! changed relative to the saved problem:
+//! factorization and the standard-form layout — and has exactly two
+//! answers to the next problem:
 //!
-//! * **rhs-only patch** (identical objective and coefficients): the new
-//!   `x_B = B^{-1} b̃` is one FTRAN against the retained factorization;
-//!   the saved basis is still dual feasible, so primal feasibility is
-//!   repaired with **dual-simplex** pivots and polished with an (almost
-//!   always trivial) primal pass.
-//! * **coefficient patch** (same sparsity pattern and operators,
-//!   different values — capacity-model and volume grids): the engine
-//!   **reloads only the column values and refactorizes the retained
-//!   basis** — no rebuild, no phase 1. From that basis the cheapest
-//!   applicable repair runs: a primal polish when still primal feasible,
-//!   dual-simplex repair when still dual feasible, or an rhs-homotopy
-//!   bridge when neither survives the patch.
-//! * **structural change** (rows, operators or sparsity differ): cold.
-//! * **cold, with a caller-supplied start**
-//!   ([`SimplexWorkspace::solve_from`]): whenever the solve has to go
-//!   cold — the first solve, a structural change, a failed re-entry —
-//!   and the caller named a feasible vertex, the fresh engine's basis is
-//!   set to it (each named structural column basic in its row, every
-//!   other row on its own slack or surplus), factorized, checked
-//!   (`x_B >= 0`, no artificial above zero) and handed to the same
-//!   re-optimization and verification a warm re-entry gets. Phase 1 is
-//!   not run. The start is an argument of the solve, not a setting:
-//!   callers without one ([`SimplexWorkspace::solve`],
-//!   [`crate::solve_with`]) and refused starts take the two-phase path.
+//! * **same program, new rhs** (identical objective, pattern and
+//!   coefficients): the new `x_B = B^{-1} b̃` is one FTRAN against the
+//!   retained factorization; the saved basis is still dual feasible, so
+//!   primal feasibility is repaired with **dual-simplex** pivots and
+//!   polished with an (almost always trivial) primal pass.
+//! * **anything else**: cold, on a fresh engine. With a caller-supplied
+//!   start ([`SimplexWorkspace::solve_from`]) the fresh engine's basis
+//!   is set to the named feasible vertex (each named structural column
+//!   basic in its row, every other row on its own slack or surplus),
+//!   factorized, checked (`x_B >= 0`, no artificial above zero) and
+//!   handed to the same re-optimization and verification a warm
+//!   re-entry gets. Phase 1 is not run. The start is an argument of the
+//!   solve, not a setting: callers without one
+//!   ([`SimplexWorkspace::solve`], [`crate::solve_with`]) and refused
+//!   starts take the two-phase path.
 //!
 //! Any trouble — a stale/singular basis, a blocked pivot, a budget
 //! overrun, a solution that fails verification; for a start also a pair
 //! out of range, a non-structural column, a row or column named twice,
 //! an infeasible vertex ([`WarmStats::start_refusals`]) — falls back to
 //! the ordinary cold start on a fresh engine, so a warm or started solve
-//! can never return anything a cold solve would not. Matching is by content (64-bit signatures of the
-//! sparsity pattern and of the value vector, mixed a word at a time),
-//! not by pointer, so callers may rebuild problems freely.
+//! can never return anything a cold solve would not. Matching is by
+//! content (one 64-bit signature of everything but the right-hand
+//! sides, mixed a word at a time), not by pointer, so callers may
+//! rebuild problems freely.
 //!
 //! Accumulated float drift is bounded three ways: the factorization is
 //! rebuilt periodically, re-deriving both `x_B` (from the raw rhs) and
@@ -75,15 +63,8 @@ pub struct WarmStats {
     /// Warm attempts that had to fall back to a cold start (stale or
     /// infeasible-at-basis); each also counts as a cold solve.
     pub warm_fallbacks: usize,
-    /// Coefficient-patched solves answered by refreshing the changed
-    /// columns against the retained basis factorization.
-    pub refresh_solves: usize,
-    /// Column-refresh attempts that had to fall back to a cold start
-    /// (singular refreshed basis, blocked repair, failed verification);
-    /// each also counts as a cold solve.
-    pub refresh_fallbacks: usize,
-    /// Sparse-LU basis refactorizations (scheduled eta-limit rebuilds,
-    /// cold builds, and coefficient patches too broad to absorb).
+    /// Sparse-LU basis refactorizations (scheduled eta-limit rebuilds
+    /// and cold builds).
     pub refactorizations: usize,
     /// Basis changes recorded as product-form eta updates.
     pub eta_pivots: usize,
@@ -110,8 +91,6 @@ impl WarmStats {
         self.cold_solves += other.cold_solves;
         self.warm_solves += other.warm_solves;
         self.warm_fallbacks += other.warm_fallbacks;
-        self.refresh_solves += other.refresh_solves;
-        self.refresh_fallbacks += other.refresh_fallbacks;
         self.refactorizations += other.refactorizations;
         self.eta_pivots += other.eta_pivots;
         self.max_eta_chain = self.max_eta_chain.max(other.max_eta_chain);
@@ -131,15 +110,14 @@ impl WarmStats {
 
     /// Total solves recorded.
     pub fn total_solves(&self) -> usize {
-        self.cold_solves + self.warm_solves + self.refresh_solves
+        self.cold_solves + self.warm_solves
     }
 
-    /// Solves answered without a cold two-phase start: rhs re-entries
-    /// through the saved basis plus coefficient-patch column refreshes.
-    /// Streaming drivers report this to show their event loop actually
-    /// re-enters warm instead of silently falling back.
+    /// Solves answered from the saved basis. Streaming drivers report
+    /// this to show their event loop actually re-enters warm instead of
+    /// silently falling back.
     pub fn warm_reentries(&self) -> usize {
-        self.warm_solves + self.refresh_solves
+        self.warm_solves
     }
 
     /// Fraction of all solves answered warm (0 when nothing solved).
@@ -153,9 +131,9 @@ impl WarmStats {
     }
 }
 
-/// A reusable simplex solver that warm-starts patched problems from the
-/// previous solve's retained basis factorization. See the module docs
-/// for the re-entry matrix and the fallback rules.
+/// A reusable simplex solver that warm-starts rhs-patched problems from
+/// the previous solve's retained basis factorization. See the module
+/// docs for the two re-entries and the fallback rules.
 pub struct SimplexWorkspace {
     options: SimplexOptions,
     saved: Option<Saved>,
@@ -163,12 +141,9 @@ pub struct SimplexWorkspace {
 }
 
 struct Saved {
-    /// Hash of the sparsity pattern: variable/constraint counts, row
-    /// operators and per-row variable indices. Must match for any reuse.
-    pattern: u64,
-    /// Hash of the objective and coefficient values. Equal values mean
-    /// an rhs-only patch; differing values mean a column refresh.
-    values: u64,
+    /// [`program_signature`] of the problem `engine` solved; the next
+    /// problem must match it to re-enter.
+    signature: u64,
     engine: RevisedSimplex,
 }
 
@@ -205,12 +180,11 @@ impl SimplexWorkspace {
         self.saved = None;
     }
 
-    /// Solve, re-entering from the previous solve's basis when the
-    /// problem shares its constraint pattern: rhs-only patches repair
-    /// via dual simplex, coefficient patches refresh the changed columns
-    /// against the retained factorization. Outcomes are identical to
-    /// [`crate::solve_with`] up to the solver tolerance (degenerate
-    /// optima may pick a different optimal vertex).
+    /// Solve, re-entering from the previous solve's basis (dual-simplex
+    /// repair) when the problem differs from it in right-hand sides
+    /// only. Outcomes are identical to [`crate::solve_with`] up to the
+    /// solver tolerance (degenerate optima may pick a different optimal
+    /// vertex).
     pub fn solve(&mut self, problem: &LpProblem) -> LpOutcome {
         self.solve_from(problem, &[])
     }
@@ -227,43 +201,20 @@ impl SimplexWorkspace {
     /// but time: the solve then is the two-phase one [`Self::solve`]
     /// would have made. An empty `start` is no start.
     pub fn solve_from(&mut self, problem: &LpProblem, start: &[(usize, usize)]) -> LpOutcome {
-        let pattern = pattern_signature(problem);
-        let values = value_signature(problem);
-        if let Some(saved) = &mut self.saved {
-            if saved.pattern == pattern {
-                let rhs_only = saved.values == values;
-                let attempt = if rhs_only {
-                    saved.engine.install_rhs(problem);
-                    Some(&mut saved.engine)
-                } else if saved.engine.reload_values(problem) {
-                    Some(&mut saved.engine)
-                } else {
-                    None
-                };
-                let outcome = attempt.and_then(|e| finish_warm(e, problem));
-                // Telemetry accrues even on a failed attempt (partial
-                // repairs still refactorize and push etas).
-                let drained = saved.engine.take_counters();
-                self.stats.absorb_engine(drained);
-                if let Some(outcome) = outcome {
-                    saved.values = values;
-                    if rhs_only {
-                        self.stats.warm_solves += 1;
-                    } else {
-                        self.stats.refresh_solves += 1;
-                    }
-                    return outcome;
-                }
-                self.saved = None;
-                if rhs_only {
-                    self.stats.warm_fallbacks += 1;
-                } else {
-                    self.stats.refresh_fallbacks += 1;
-                }
-            } else {
-                self.saved = None;
+        let signature = program_signature(problem);
+        if let Some(saved) = self.saved.as_mut().filter(|s| s.signature == signature) {
+            saved.engine.install_rhs(problem);
+            let outcome = finish_warm(&mut saved.engine, problem);
+            // Telemetry accrues even on a failed attempt (partial
+            // repairs still refactorize and push etas).
+            self.stats.absorb_engine(saved.engine.take_counters());
+            if let Some(outcome) = outcome {
+                self.stats.warm_solves += 1;
+                return outcome;
             }
+            self.stats.warm_fallbacks += 1;
         }
+        self.saved = None;
 
         self.stats.cold_solves += 1;
         if !start.is_empty() {
@@ -275,7 +226,7 @@ impl SimplexWorkspace {
                 };
                 self.stats.absorb_engine(engine.take_counters());
                 if let Some(outcome) = outcome {
-                    self.retain(pattern, values, engine);
+                    self.retain(signature, engine);
                     return outcome;
                 }
             }
@@ -290,19 +241,15 @@ impl SimplexWorkspace {
         let drained = engine.take_counters();
         self.stats.absorb_engine(drained);
         if matches!(outcome, LpOutcome::Optimal { .. }) {
-            self.retain(pattern, values, engine);
+            self.retain(signature, engine);
         }
         outcome
     }
 
     /// Keep a cold-solved engine for the next solve to re-enter.
-    fn retain(&mut self, pattern: u64, values: u64, mut engine: RevisedSimplex) {
+    fn retain(&mut self, signature: u64, mut engine: RevisedSimplex) {
         engine.cold_pivots = engine.iterations_used;
-        self.saved = Some(Saved {
-            pattern,
-            values,
-            engine,
-        });
+        self.saved = Some(Saved { signature, engine });
     }
 }
 
@@ -330,15 +277,19 @@ fn finish_warm(engine: &mut RevisedSimplex, problem: &LpProblem) -> Option<LpOut
     })
 }
 
-/// Content hash of the constraint *pattern*: variable and constraint
-/// counts, each row's operator and the variable indices it touches.
-/// Problems with equal patterns share a standard-form column layout, so
-/// a saved basis from one is meaningful for the other (values are
-/// refreshed separately).
-fn pattern_signature(problem: &LpProblem) -> u64 {
+/// Content hash of everything except right-hand sides: variable and
+/// constraint counts, the objective, and each row's operator, variable
+/// indices and coefficient values. Problems with equal signatures share
+/// a standard-form matrix and cost vector, so a basis saved from one is
+/// dual feasible for the other and its factorization still valid: the
+/// rhs re-entry.
+fn program_signature(problem: &LpProblem) -> u64 {
     let mut h = Signature::new();
     h.write_usize(problem.num_variables());
     h.write_usize(problem.num_constraints());
+    for &c in problem.objective() {
+        h.write_u64(c.to_bits());
+    }
     for constraint in problem.constraints() {
         h.write_usize(match constraint.op {
             ConstraintOp::Le => 1,
@@ -346,23 +297,8 @@ fn pattern_signature(problem: &LpProblem) -> u64 {
             ConstraintOp::Eq => 3,
         });
         h.write_usize(constraint.coeffs.len());
-        for &(var, _) in &constraint.coeffs {
+        for &(var, coeff) in &constraint.coeffs {
             h.write_usize(var);
-        }
-    }
-    h.finish()
-}
-
-/// Content hash of everything except right-hand sides: the objective and
-/// every coefficient value. Together with an equal pattern this certifies
-/// an rhs-only patch (the dual-simplex fast path).
-fn value_signature(problem: &LpProblem) -> u64 {
-    let mut h = Signature::new();
-    for &c in problem.objective() {
-        h.write_u64(c.to_bits());
-    }
-    for constraint in problem.constraints() {
-        for &(_, coeff) in &constraint.coeffs {
             h.write_u64(coeff.to_bits());
         }
     }
@@ -421,49 +357,54 @@ mod tests {
         p
     }
 
-    /// Each kind of edit must move exactly the signature that routes it:
-    /// rhs edits neither (the dual-repair path), value edits only the
-    /// value signature (the column-refresh path), pattern edits the
-    /// pattern signature (cold).
+    /// `p` rebuilt with one coefficient replaced (the variable must
+    /// already appear in the row): same pattern, different values.
+    fn with_coefficient(p: &LpProblem, row: usize, var: usize, coeff: f64) -> LpProblem {
+        let mut q = LpProblem::new();
+        for &c in p.objective() {
+            q.add_variable(c);
+        }
+        for (i, c) in p.constraints().iter().enumerate() {
+            let mut coeffs = c.coeffs.clone();
+            if i == row {
+                let slot = coeffs.iter_mut().find(|(v, _)| *v == var);
+                slot.expect("variable present in the row").1 = coeff;
+            }
+            q.add_constraint(coeffs, c.op, c.rhs);
+        }
+        q
+    }
+
+    /// An rhs edit leaves the signature (the dual-repair path); any
+    /// other edit moves it (cold).
     #[test]
-    fn signatures_separate_rhs_value_and_pattern_edits() {
+    fn only_rhs_edits_keep_the_signature() {
         let base = min_max_problem(&[1.0, 0.5]);
-        let sig = |p: &LpProblem| (pattern_signature(p), value_signature(p));
-        let (pattern, values) = sig(&base);
+        let signature = program_signature(&base);
 
         let mut rhs_only = min_max_problem(&[1.0, 0.5]);
         rhs_only.set_rhs(1, -7.25);
-        assert_eq!(sig(&rhs_only), (pattern, values));
+        assert_eq!(program_signature(&rhs_only), signature);
 
         // One coefficient, by one ulp.
-        let mut one_coeff = min_max_problem(&[1.0, 0.5]);
-        one_coeff.set_coefficient(2, 0, f64::from_bits((-2.0f64).to_bits() + 1));
-        assert_eq!(pattern_signature(&one_coeff), pattern);
-        assert_ne!(value_signature(&one_coeff), values);
+        let one_coeff = with_coefficient(&base, 2, 0, f64::from_bits((-2.0f64).to_bits() + 1));
+        assert_ne!(program_signature(&one_coeff), signature);
 
-        // Objective only: rebuild with a different cost on `t`.
-        let mut objective_only = LpProblem::new();
-        let t = objective_only.add_variable(2.0);
-        let x1 = objective_only.add_variable(0.0);
-        let x2 = objective_only.add_variable(0.0);
-        objective_only.add_constraint(vec![(x1, 1.0), (x2, 1.0)], ConstraintOp::Eq, 1.0);
-        objective_only.add_constraint(vec![(x1, 5.0), (t, -10.0)], ConstraintOp::Le, -1.0);
-        objective_only.add_constraint(vec![(x2, 5.0), (t, -2.0)], ConstraintOp::Le, -0.5);
-        assert_eq!(pattern_signature(&objective_only), pattern);
-        assert_ne!(value_signature(&objective_only), values);
-
-        // Pattern only: the same values in the same order, but the last
-        // row reads `x1` where it read `x2`, or is `>=` where it was `<=`.
-        for (var, op) in [(1, ConstraintOp::Le), (2, ConstraintOp::Ge)] {
+        // The objective, the variable a row reads, a row's operator:
+        // every other number the same.
+        for (cost, var, op) in [
+            (2.0, 2, ConstraintOp::Le),
+            (1.0, 1, ConstraintOp::Le),
+            (1.0, 2, ConstraintOp::Ge),
+        ] {
             let mut p = LpProblem::new();
-            let t = p.add_variable(1.0);
+            let t = p.add_variable(cost);
             let x1 = p.add_variable(0.0);
             let x2 = p.add_variable(0.0);
             p.add_constraint(vec![(x1, 1.0), (x2, 1.0)], ConstraintOp::Eq, 1.0);
             p.add_constraint(vec![(x1, 5.0), (t, -10.0)], ConstraintOp::Le, -1.0);
             p.add_constraint(vec![(var, 5.0), (t, -2.0)], op, -0.5);
-            assert_ne!(pattern_signature(&p), pattern);
-            assert_eq!(value_signature(&p), values);
+            assert_ne!(program_signature(&p), signature, "{cost} {var} {op:?}");
         }
     }
 
@@ -489,75 +430,39 @@ mod tests {
         let stats = ws.stats();
         assert!(stats.warm_solves >= 3, "stats = {stats:?}");
         assert_eq!(stats.cold_solves + stats.warm_solves, 5);
-        assert_eq!(stats.refresh_solves, 0, "no coefficient changed");
     }
 
+    /// Anything but an rhs edit is a different program: solved cold (not
+    /// a fallback), equal to a stand-alone solve, and retained for the
+    /// rhs patch that follows it.
     #[test]
-    fn coefficient_patch_refreshes_the_basis() {
-        // Capacity-model style patch: the t-column coefficients change,
-        // the pattern does not. Must run as a refresh, not a cold start.
+    fn any_other_change_goes_cold() {
         let mut ws = SimplexWorkspace::new();
-        let mut p = min_max_problem(&[1.0, 0.5]);
-        ws.solve(&p);
+        let base = min_max_problem(&[1.0, 0.5]);
+        ws.solve(&base);
+        // A new row, then capacity-model style rewrites of the `t`
+        // column and of an `==` row's coefficient.
+        let mut extra_row = min_max_problem(&[1.0, 0.5]);
+        extra_row.add_constraint(vec![(1, 1.0)], ConstraintOp::Le, 0.9);
+        let mut programs = vec![extra_row];
         for (c1, c2) in [(-8.0, -3.0), (-16.0, -1.0), (-6.0, -6.0), (-9.0, -2.5)] {
-            p.set_coefficient(1, 0, c1);
-            p.set_coefficient(2, 0, c2);
-            let warm = objective(&ws.solve(&p));
-            let cold = objective(&solve(&p));
-            assert!(
-                (warm - cold).abs() < 1e-9,
-                "refresh {warm} != cold {cold} for caps ({c1}, {c2})"
-            );
+            let p = with_coefficient(&base, 1, 0, c1);
+            programs.push(with_coefficient(&p, 2, 0, c2));
         }
-        let stats = ws.stats();
-        assert_eq!(stats.cold_solves, 1, "stats = {stats:?}");
-        assert_eq!(stats.refresh_solves + stats.refresh_fallbacks, 4);
-        assert!(stats.refresh_solves >= 3, "stats = {stats:?}");
-    }
-
-    #[test]
-    fn mixed_rhs_and_coefficient_patches_agree() {
-        let mut ws = SimplexWorkspace::new();
-        let mut p = min_max_problem(&[0.5, 0.5]);
-        ws.solve(&p);
-        // Alternate rhs-only and coefficient patches; every solve must
-        // match a fresh cold solve.
-        for step in 0..6 {
-            if step % 2 == 0 {
-                p.set_rhs(1, -(step as f64) * 0.4);
-            } else {
-                p.set_coefficient(1, 0, -10.0 - step as f64);
-                p.set_coefficient(0, 1, 1.0 + 0.1 * step as f64);
-            }
-            let warm = objective(&ws.solve(&p));
-            let cold = objective(&solve(&p));
-            assert!(
-                (warm - cold).abs() < 1e-9,
-                "step {step}: warm {warm} != cold {cold}"
-            );
+        programs.push(with_coefficient(&base, 0, 1, 1.3));
+        for (k, p) in programs.iter_mut().enumerate() {
+            let got = objective(&ws.solve(p));
+            let cold = objective(&solve(p));
+            assert!((got - cold).abs() < 1e-9, "program {k}: {got} != {cold}");
+            let stats = ws.stats();
+            assert_eq!(stats.cold_solves, k + 2, "program {k}: {stats:?}");
+            assert_eq!(stats.warm_solves, k, "program {k}: {stats:?}");
+            p.set_rhs(1, -0.4 * k as f64);
+            let warm = objective(&ws.solve(p));
+            let cold = objective(&solve(p));
+            assert!((warm - cold).abs() < 1e-9, "program {k}: {warm} != {cold}");
         }
-        let stats = ws.stats();
-        assert!(
-            stats.warm_solves + stats.refresh_solves >= 4,
-            "patch chain barely warm: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn structural_change_falls_back_cold() {
-        let mut ws = SimplexWorkspace::new();
-        let p = min_max_problem(&[0.0, 0.0]);
-        ws.solve(&p);
-        // New constraint => different pattern => cold, not a fallback.
-        let mut q = min_max_problem(&[0.0, 0.0]);
-        q.add_constraint(vec![(1, 1.0)], ConstraintOp::Le, 0.9);
-        let warm = objective(&ws.solve(&q));
-        let cold = objective(&solve(&q));
-        assert!((warm - cold).abs() < 1e-9);
-        assert_eq!(ws.stats().cold_solves, 2);
-        assert_eq!(ws.stats().warm_solves, 0);
         assert_eq!(ws.stats().warm_fallbacks, 0);
-        assert_eq!(ws.stats().refresh_solves, 0);
     }
 
     #[test]
@@ -577,7 +482,7 @@ mod tests {
     }
 
     #[test]
-    fn infeasible_after_coefficient_patch_detected() {
+    fn infeasible_after_coefficient_change_detected() {
         let mut p = LpProblem::new();
         let x = p.add_variable(1.0);
         p.add_constraint(vec![(x, 1.0)], ConstraintOp::Le, 2.0);
@@ -585,11 +490,13 @@ mod tests {
         let mut ws = SimplexWorkspace::new();
         assert!((objective(&ws.solve(&p)) - 1.0).abs() < 1e-9);
         // x <= 2 becomes 5x <= 2 while x >= 1 stays: infeasible.
-        p.set_coefficient(0, x, 5.0);
-        assert_eq!(ws.solve(&p), LpOutcome::Infeasible);
+        assert_eq!(
+            ws.solve(&with_coefficient(&p, 0, x, 5.0)),
+            LpOutcome::Infeasible
+        );
         // Relax back: feasible again.
-        p.set_coefficient(0, x, 0.5);
-        assert!((objective(&ws.solve(&p)) - 1.0).abs() < 1e-9);
+        let relaxed = with_coefficient(&p, 0, x, 0.5);
+        assert!((objective(&ws.solve(&relaxed)) - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -629,8 +536,6 @@ mod tests {
             cold_solves: 1,
             warm_solves: 2,
             warm_fallbacks: 3,
-            refresh_solves: 4,
-            refresh_fallbacks: 5,
             refactorizations: 6,
             eta_pivots: 7,
             max_eta_chain: 8,
@@ -649,8 +554,6 @@ mod tests {
         assert_eq!(total.cold_solves, 11);
         assert_eq!(total.warm_solves, 2);
         assert_eq!(total.warm_fallbacks, 3);
-        assert_eq!(total.refresh_solves, 4);
-        assert_eq!(total.refresh_fallbacks, 5);
         // Counts sum; the two peak fields take the max.
         assert_eq!(total.refactorizations, 8);
         assert_eq!(total.eta_pivots, 10);
@@ -658,7 +561,7 @@ mod tests {
         assert_eq!(total.lu_fill_nnz, 120);
         assert_eq!(total.pricing_fallbacks, 1);
         assert_eq!(total.start_refusals, 2);
-        assert_eq!(total.total_solves(), 17);
+        assert_eq!(total.total_solves(), 13);
     }
 
     #[test]
@@ -937,9 +840,11 @@ mod tests {
                     + ws.stats().cold_solves >= patches.len());
             }
 
-            // Randomized *rhs and coefficient* patch chains: the revised
-            // warm/refresh paths must match both a fresh revised cold
-            // solve and the dense oracle to 1e-9, on every step.
+            // Randomized *rhs and coefficient* patch chains (an rhs
+            // patch re-enters warm, a coefficient patch is a new program
+            // and goes cold): the workspace must match both a fresh
+            // revised cold solve and the dense oracle to 1e-9, on every
+            // step.
             #[test]
             fn warm_matches_cold_and_dense_across_mixed_patches(
                 nv in 1usize..5,
@@ -971,7 +876,7 @@ mod tests {
                     let coeff_patch = var >= 5;
                     let var = var % nv;
                     if coeff_patch {
-                        p.set_coefficient(row, var, coeff);
+                        p = with_coefficient(&p, row, var, coeff);
                     }
                     // Re-derive a feasible rhs for the (possibly patched)
                     // row so the program stays feasible at x0.

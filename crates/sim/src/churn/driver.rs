@@ -3,8 +3,8 @@
 
 use super::loads::LoadTracker;
 use super::model::{
-    session_input, ChurnConfig, ChurnEvent, ChurnKind, ChurnPair, LogicalState, NegotiatedState,
-    Objective, MAX_LP_VARIABLES,
+    lp_fits, session_input, ChurnConfig, ChurnEvent, ChurnKind, ChurnPair, LogicalState,
+    NegotiatedState, Objective,
 };
 use nexit_baselines::BandwidthLp;
 use nexit_core::{
@@ -70,9 +70,7 @@ pub struct ChurnDriver<'u> {
     arena: TableArena,
     /// One retained LP scenario per variant, keyed by variant index.
     lp: BandwidthLp<'u>,
-    /// Whether the baseline LP fits the size budget for this pair.
-    pub(super) lp_enabled: bool,
-    /// Bumps when the active set changes; variants re-skeleton lazily.
+    /// Bumps when the active set changes; variants rebuild lazily.
     lp_epoch: u64,
     lp_variant_epoch: Vec<u64>,
     /// Events where the negotiated state was provably untouched.
@@ -100,8 +98,6 @@ impl<'u> ChurnDriver<'u> {
     pub fn new(pair: &'u ChurnPair<'u>, initial_active: Vec<bool>, cfg: ChurnConfig) -> Self {
         assert_eq!(initial_active.len(), pair.num_flows());
         let state = LogicalState::new(initial_active);
-        let lp_enabled =
-            state.num_active * pair.variants[0].pair.num_interconnections() <= MAX_LP_VARIABLES;
         let loads = match cfg.objective {
             Objective::Distance => None,
             Objective::Bandwidth => Some(LoadTracker::new(pair, &state)),
@@ -121,7 +117,6 @@ impl<'u> ChurnDriver<'u> {
             loads,
             arena: TableArena::new(),
             lp: BandwidthLp::new(),
-            lp_enabled,
             lp_epoch: 0,
             lp_variant_epoch: vec![u64::MAX; pair.variants.len()],
             cached_outcomes: 0,
@@ -327,12 +322,16 @@ impl<'u> ChurnDriver<'u> {
     }
 
     /// Re-solve the optimal-MEL baseline through the retained
-    /// workspaces: load drift re-enters via the rhs (dual simplex),
-    /// flow-set changes re-skeleton the current variant in place
-    /// (column refresh against the retained basis), and a variant
-    /// switch re-enters that variant's own retained basis.
+    /// workspaces, when the live state's program fits the size budget
+    /// (asked per event: a feed may cross it either way). Load drift
+    /// re-enters via the rhs (dual simplex). After a flow-set change the
+    /// variant's program is rebuilt and solved cold from the default
+    /// routing's vertex; its workspace is kept, so the scenario's
+    /// counters accumulate. A variant switch with no flow change since
+    /// that variant was last live finds its program unchanged and
+    /// re-enters its own retained basis by rhs.
     fn resolve_baseline(&mut self) -> u64 {
-        if !self.lp_enabled {
+        if !lp_fits(self.pair, &self.state) {
             self.negotiated.opt_t = None;
             return 0;
         }

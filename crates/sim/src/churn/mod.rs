@@ -44,8 +44,10 @@
 //! * the optimal-MEL baseline re-solves through the retained
 //!   `BandwidthLp` workspaces: a load delta is an rhs-only patch
 //!   (dual-simplex re-entry — the growth sweep's ladder, folded in as
-//!   batched load events), a flow event a coefficient refresh, and a
-//!   topology flap re-enters the flapped variant's own retained basis;
+//!   batched load events), a flow event rebuilds the variant's program
+//!   and solves it cold from the default routing's vertex, and a
+//!   topology flap re-enters the flapped variant's own retained basis
+//!   when its program is unchanged;
 //! * when an event's impacted set exceeds 5% of the active set (a
 //!   constant: the `reassignment_5pct` pacing generalized), the driver
 //!   falls back to a full cold session: caches invalidated wholesale,

@@ -10,9 +10,9 @@ use nexit_routing::{Assignment, FlowId};
 use nexit_topology::{IcxId, Universe};
 use nexit_workload::{assign_capacities, link_loads, CapacityModel, WorkloadModel};
 
-/// Pairs whose optimal-MEL baseline LP would exceed this many variables
-/// skip the baseline.
-pub(super) const MAX_LP_VARIABLES: usize = 6_000;
+/// States whose optimal-MEL baseline LP would exceed this many
+/// variables skip the baseline.
+const MAX_LP_VARIABLES: usize = 6_000;
 
 /// What one churn event does to a pair's live state.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -203,6 +203,15 @@ impl LogicalState {
             }
         }
     }
+}
+
+/// Whether `state`'s optimal-MEL baseline LP — one variable per active
+/// flow and interconnection of the live variant — fits the size budget.
+/// The driver asks per event and the cold rebuild per state, so both
+/// evaluate the baseline on exactly the same states.
+pub(super) fn lp_fits(pair: &ChurnPair<'_>, state: &LogicalState) -> bool {
+    let k = pair.variants[state.variant].pair.num_interconnections();
+    state.num_active * k <= MAX_LP_VARIABLES
 }
 
 /// Negotiated state snapshot, for incremental-vs-cold comparison.

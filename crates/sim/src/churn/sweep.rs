@@ -3,7 +3,9 @@
 //! 1/2/4 workers, and report.
 
 use super::driver::{ChurnCounters, ChurnDriver};
-use super::model::{generate_trace, initial_active, ChurnConfig, ChurnEvent, ChurnPair, Objective};
+use super::model::{
+    generate_trace, initial_active, lp_fits, ChurnConfig, ChurnEvent, ChurnPair, Objective,
+};
 use super::verify::{cold_rebuild, divergence};
 use crate::cdf::StreamingCdf;
 use crate::parallel::par_map;
@@ -49,6 +51,7 @@ fn replay_pair(
     with_cold: bool,
 ) -> PairRun {
     let mut driver = ChurnDriver::new(pair, initial.to_vec(), *cfg);
+    let mut lp_skipped = !lp_fits(pair, driver.state());
     let mut latency_ns = Vec::with_capacity(trace.len());
     let mut work = Vec::with_capacity(trace.len());
     let mut cold_latency_ns = Vec::new();
@@ -60,6 +63,7 @@ fn replay_pair(
         driver.apply(event);
         latency_ns.push(start.elapsed().as_nanos() as f64);
         work.push(driver.last_work() as f64);
+        lp_skipped |= !lp_fits(pair, driver.state());
         if with_cold {
             let start = Instant::now();
             let (cold, units) = cold_rebuild(pair, driver.state(), cfg);
@@ -84,7 +88,7 @@ fn replay_pair(
         counters: driver.counters(),
         final_choices: driver.negotiated().assignment.choices().to_vec(),
         lp_stats: driver.lp_stats(),
-        lp_skipped: !driver.lp_enabled,
+        lp_skipped,
     }
 }
 
@@ -111,7 +115,7 @@ pub struct ChurnReport {
     pub cold_work: StreamingCdf,
     /// Aggregate LP warm/cold counters across all retained workspaces.
     pub lp_stats: WarmStats,
-    /// Pairs whose baseline LP exceeded the size budget.
+    /// Pairs whose baseline LP exceeded the size budget on some event.
     pub lp_skipped_pairs: usize,
     /// Whether 1/2/4-worker reruns were byte-identical.
     pub deterministic: bool,

@@ -4,8 +4,7 @@
 
 use super::loads::aggregate;
 use super::model::{
-    session_input, ChurnConfig, ChurnPair, LogicalState, NegotiatedState, Objective,
-    MAX_LP_VARIABLES,
+    lp_fits, session_input, ChurnConfig, ChurnPair, LogicalState, NegotiatedState, Objective,
 };
 use nexit_baselines::{BandwidthLp, OptimalBandwidthError};
 use nexit_core::{negotiate, BandwidthMapper, DistanceMapper, NexitConfig, Party, Side};
@@ -50,7 +49,7 @@ pub fn cold_rebuild(
     let mut work = 2 * input.flow_ids.len() as u64 * k as u64 + outcome.transcript.len() as u64;
 
     let mut opt_t = None;
-    if state.num_active * k <= MAX_LP_VARIABLES {
+    if lp_fits(pair, state) {
         let mut lp = BandwidthLp::new();
         let view = data.view();
         lp.add_scenario(
@@ -144,6 +143,42 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The size cap is asked of the live state by the driver and the
+    /// cold rebuild alike: a feed that crosses it — a flap to a variant
+    /// with one exit fewer, a flow leaving an over-cap table — must not
+    /// leave the baseline evaluated on one path only.
+    #[test]
+    fn crossing_the_lp_size_cap_keeps_both_paths_in_step() {
+        let u = universe();
+        let pair = u
+            .eligible_pairs(3, false)
+            .into_iter()
+            .map(|idx| ChurnPair::build(&u, idx, 2))
+            .find(|pair| !lp_fits(pair, &LogicalState::new(vec![true; pair.num_flows()])))
+            .expect("a pair whose full table exceeds the cap");
+        // The smallest over-cap table: one flow more than fits.
+        let mut table = LogicalState::new(vec![false; pair.num_flows()]);
+        while lp_fits(&pair, &table) {
+            table.apply(&pair, ChurnKind::FlowAdd(FlowId::new(table.num_active)));
+        }
+        let cfg = ChurnConfig::default();
+        let mut driver = ChurnDriver::new(&pair, table.active, cfg);
+        assert_eq!(driver.negotiated().opt_t, None, "over the cap at bring-up");
+        let kinds = [
+            (ChurnKind::LinkFail(pair.failable()[0]), true),
+            (ChurnKind::LinkRestore, false),
+            (ChurnKind::FlowRemove(FlowId::new(0)), true),
+        ];
+        for (tick, &(kind, fits)) in (1..).zip(&kinds) {
+            driver.apply(&ChurnEvent { tick, kind });
+            assert_eq!(lp_fits(&pair, driver.state()), fits, "{kind:?}");
+            assert_eq!(driver.negotiated().opt_t.is_some(), fits, "{kind:?}");
+            let (cold, _) = cold_rebuild(&pair, driver.state(), &cfg);
+            assert_eq!(divergence(driver.negotiated(), &cold), None, "{kind:?}");
+        }
+        assert!(driver.lp_errors.is_empty(), "{:?}", driver.lp_errors);
     }
 
     /// A topology flap changes the defaults every flow rides, on the

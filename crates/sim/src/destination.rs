@@ -14,7 +14,6 @@
 //! member flow.
 
 use crate::pairdata::PairData;
-use crate::parallel::{par_flows, resolve_threads};
 use nexit_core::{GainTable, PreferenceMapper, SessionInput, Side};
 use nexit_routing::{Assignment, FlowId, PairFlows};
 use nexit_topology::IcxId;
@@ -99,38 +98,20 @@ impl DestinationSession {
 /// Distance mapper at destination granularity: the gain of moving a
 /// destination to an alternative is the summed own-side gain of all its
 /// member flows.
-///
-/// This is the mapper where flow-level parallelism pays: one
-/// destination-granularity session covers *every* destination PoP of the
-/// downstream ISP at once, and each unit's row sums over all its member
-/// flows — O(pops × flows-per-pop × alternatives) of work that is
-/// independent per unit. [`DestinationDistanceMapper::with_threads`] fans
-/// the row fills across [`par_flows`] workers writing disjoint slices of
-/// the one flat table; the output is byte-identical to the serial fill.
 pub struct DestinationDistanceMapper<'a> {
     side: Side,
     flows: &'a PairFlows,
     members: Vec<Vec<FlowId>>,
-    threads: usize,
 }
 
 impl<'a> DestinationDistanceMapper<'a> {
-    /// Mapper over a destination session's member table (serial fill).
+    /// Mapper over a destination session's member table.
     pub fn new(side: Side, flows: &'a PairFlows, session: &DestinationSession) -> Self {
         Self {
             side,
             flows,
             members: session.members.clone(),
-            threads: 1,
         }
-    }
-
-    /// Fan the per-unit gain computation across `threads` workers
-    /// (0 = every available core). Results are byte-identical to the
-    /// serial mapper for any thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 }
 
@@ -138,16 +119,9 @@ impl PreferenceMapper for DestinationDistanceMapper<'_> {
     fn gains(&mut self, input: &SessionInput, _current: &Assignment, out: &mut GainTable) {
         let side = self.side;
         let flows = self.flows;
-        let members = &self.members;
-        let flow_ids = &input.flow_ids;
-        let defaults = &input.defaults;
-        // Stateless rows: the workers carry no scratch.
-        let mut workers = vec![(); resolve_threads(self.threads)];
-        par_flows(out, &mut workers, |(), i, row| {
-            let dst_unit = flow_ids[i];
-            let default = defaults[i];
-            let member_flows = &members[dst_unit.index()];
-            for (alt, cell) in row.iter_mut().enumerate() {
+        for (i, (&dst_unit, &default)) in input.flow_ids.iter().zip(&input.defaults).enumerate() {
+            let member_flows = &self.members[dst_unit.index()];
+            for (alt, cell) in out.row_mut(i).iter_mut().enumerate() {
                 *cell = member_flows
                     .iter()
                     .map(|&f| {
@@ -161,7 +135,7 @@ impl PreferenceMapper for DestinationDistanceMapper<'_> {
                     })
                     .sum();
             }
-        });
+        }
     }
 }
 
@@ -178,13 +152,9 @@ pub struct DestinationResults {
     pub pairs: usize,
 }
 
-/// Run destination-granularity negotiation across all eligible pairs.
-///
-/// Unlike the per-pair sweeps, parallelism here is applied *inside* each
-/// session: every destination unit's gain row sums over all member
-/// flows, and `cfg.threads` workers fill disjoint row ranges of the one
-/// flat gain table ([`par_flows`]; 0 = all cores). Results are
-/// byte-identical for any thread count.
+/// Run destination-granularity negotiation across all eligible pairs,
+/// one after the other (`cfg.threads` is not read: a second worker
+/// inside a session's gain fill measured no faster than one).
 pub fn run(
     universe: &nexit_topology::Universe,
     cfg: &crate::pairdata::ExpConfig,
@@ -210,16 +180,14 @@ pub fn run(
         );
         let session = DestinationSession::build(&data);
 
-        // Destination-granularity negotiation, flow-parallel mappers.
+        // Destination-granularity negotiation.
         let mut a = Party::honest(
             "A",
-            DestinationDistanceMapper::new(Side::A, &data.flows, &session)
-                .with_threads(cfg.threads),
+            DestinationDistanceMapper::new(Side::A, &data.flows, &session),
         );
         let mut b = Party::honest(
             "B",
-            DestinationDistanceMapper::new(Side::B, &data.flows, &session)
-                .with_threads(cfg.threads),
+            DestinationDistanceMapper::new(Side::B, &data.flows, &session),
         );
         let dst_default = Assignment::from_choices(session.input.defaults.clone());
         let outcome = negotiate(
@@ -330,48 +298,6 @@ mod tests {
             }
         }
         assert_eq!(fanned, session.fanned_default(data.flows.len()));
-    }
-
-    #[test]
-    fn threaded_gain_fanout_is_byte_identical() {
-        // The satellite guarantee: fanning the destination mapper's
-        // per-unit fills across worker threads changes wall-clock time,
-        // never a single bit of the table — and therefore never a
-        // negotiation decision.
-        let u = setup();
-        let idx = u.eligible_pairs(2, true)[0];
-        let pair = &u.pairs[idx];
-        let data = PairData::build(
-            &u.isps[pair.isp_a.index()],
-            &u.isps[pair.isp_b.index()],
-            pair.clone(),
-            WorkloadModel::Gravity,
-        );
-        let session = DestinationSession::build(&data);
-        let current = Assignment::from_choices(session.input.defaults.clone());
-        let k = session.input.num_alternatives;
-        let fill = |threads: usize| {
-            let mut mapper = DestinationDistanceMapper::new(Side::A, &data.flows, &session)
-                .with_threads(threads);
-            let mut out = GainTable::new(session.input.len(), k);
-            mapper.gains(&session.input, &current, &mut out);
-            out
-        };
-        let serial = fill(1);
-        for threads in [2, 4] {
-            let threaded = fill(threads);
-            assert!(
-                serial
-                    .values()
-                    .iter()
-                    .zip(threaded.values())
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "{threads} threads diverged from the serial fill"
-            );
-        }
-        // And the gains are not trivially zero (the comparison means
-        // something).
-        assert!(serial.values().iter().any(|&g| g != 0.0));
     }
 
     #[test]

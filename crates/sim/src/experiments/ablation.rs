@@ -141,29 +141,24 @@ pub struct ModelRow {
 }
 
 /// The alternate-model grid's results: one row per (workload, capacity)
-/// cell plus the LP session counters recording how often the
-/// coefficient-patch warm path held across the grid.
+/// cell plus the LP session counters.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ModelGridResults {
     /// One row per grid cell, workloads outer, capacity models inner.
     pub rows: Vec<ModelRow>,
-    /// Aggregate warm/cold/refresh counters of the per-pair LP sessions.
+    /// Aggregate warm/cold counters of the per-pair LP sessions.
     pub lp_stats: WarmStats,
 }
 
 /// The §5.2 alternate-model grid.
 ///
-/// The grid re-solves near-identical LPs for every (workload, capacity)
-/// cell: for one pair, every cell shares the scenario skeletons'
-/// sparsity pattern — only volumes (workload) and capacities (capacity
-/// model) change. Each pair therefore keeps **one** [`BandwidthLp`]
-/// session across the whole grid: the first cell registers each
-/// scenario's skeleton ([`BandwidthLp::update_scenario`]), capacity
-/// cells re-solve through [`BandwidthLp::solve_with_model`]
-/// (`-capacity` coefficient patch), and workload changes re-register
-/// the skeleton while retaining the simplex workspace — so every
-/// re-solve after each scenario's first enters the revised simplex's
-/// coefficient-refresh warm path instead of cold-starting.
+/// Every (workload, capacity) cell is a different program — the workload
+/// sets the volumes, the capacity model the `t` column — so each cell
+/// registers its scenarios through [`BandwidthLp::update_scenario`] and
+/// solves them cold from the default routing's vertex: a cell's result
+/// is the standalone `optimal_bandwidth` solve of that cell, whatever
+/// cell was solved before it. One session per pair spans the grid only
+/// so that its counters add up.
 pub fn model_grid(universe: &Universe, cfg: &ExpConfig) -> ModelGridResults {
     let workloads = [
         ("gravity", WorkloadModel::Gravity),
@@ -192,14 +187,13 @@ pub fn model_grid(universe: &Universe, cfg: &ExpConfig) -> ModelGridResults {
     eligible.truncate(cfg.max_pairs.unwrap_or(20).min(20));
 
     // Per pair: per-cell (default ratios, negotiated ratios) in scenario
-    // order, plus the pair's LP counters. The LP session is pair-scoped
-    // and spans the whole grid (warm starts), the arena worker-scoped
-    // (buffer reuse) — collected by pair index, so the output is
-    // thread-count independent.
+    // order, plus the pair's LP counters. The LP session is pair-scoped,
+    // the arena worker-scoped (buffer reuse) — collected by pair index,
+    // so the output is thread-count independent.
     let per_pair = par_map_with(cfg.threads, eligible.len(), TableArena::new, |arena, i| {
         let mut cells: Vec<(Vec<f64>, Vec<f64>)> = vec![(Vec::new(), Vec::new()); num_cells];
-        // One sweep per workload; all stay alive so the LP session can
-        // borrow each one's pair data across the capacity cells.
+        // One sweep per workload; all stay alive because the LP session
+        // borrows each one's pair data.
         let sweeps: Vec<PairFailureSweep<'_>> = workloads
             .iter()
             .map(|&(_, workload)| {
@@ -222,27 +216,18 @@ pub fn model_grid(universe: &Universe, cfg: &ExpConfig) -> ModelGridResults {
                     if vars > cfg.max_lp_variables {
                         continue;
                     }
-                    let opt = if ci == 0 {
-                        // New workload: re-register the skeleton (new
-                        // volumes/residuals), keeping the workspace.
-                        let view = scenario.data.view();
-                        session.update_scenario(
-                            scenario.failed,
-                            &view,
-                            &scenario.data.paths,
-                            &scenario.data.flows,
-                            &scenario.impacted,
-                            &scenario.data.default,
-                            &caps_up,
-                            &caps_down,
-                        );
-                        session.solve_failure(scenario.failed)
-                    } else {
-                        // Same workload, new capacity model: patch the
-                        // `-capacity` coefficients in place.
-                        session.solve_with_model(scenario.failed, &caps_up, &caps_down)
-                    };
-                    let Ok(opt) = opt else {
+                    let view = scenario.data.view();
+                    session.update_scenario(
+                        scenario.failed,
+                        &view,
+                        &scenario.data.paths,
+                        &scenario.data.flows,
+                        &scenario.impacted,
+                        &scenario.data.default,
+                        &caps_up,
+                        &caps_down,
+                    );
+                    let Ok(opt) = session.solve_failure(scenario.failed) else {
                         continue;
                     };
                     let opt_up = opt.side_mel(&caps_up, true);

@@ -496,21 +496,15 @@ pub fn run_growth(universe: &Universe, cfg: &ExpConfig, factors: &[f64]) -> Grow
     out
 }
 
-/// Print one sweep's LP warm/cold/refresh counters — how often the warm
+/// Print one sweep's LP warm/cold counters — how often the warm
 /// path actually held across the sweep's re-solves — plus the engine's
 /// factorization/pricing telemetry, so a slow-looking sweep is
 /// diagnosable from its output (basis churn vs fill-in vs anti-cycling
 /// stalls).
 pub fn print_lp_stats(stats: &WarmStats) {
     println!(
-        "   LP solves: {} cold ({} starts refused), {} warm (rhs re-entry, {} fell back), \
-         {} refreshed (coefficient patch, {} fell back)",
-        stats.cold_solves,
-        stats.start_refusals,
-        stats.warm_solves,
-        stats.warm_fallbacks,
-        stats.refresh_solves,
-        stats.refresh_fallbacks
+        "   LP solves: {} cold ({} starts refused), {} warm (rhs re-entry, {} fell back)",
+        stats.cold_solves, stats.start_refusals, stats.warm_solves, stats.warm_fallbacks
     );
     println!(
         "   LP engine: {} refactorizations, {} eta pivots \

@@ -10,10 +10,9 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-// The flow-level fill lives in the core crate (the preference mappers
-// fan out through it directly); the harness re-exports it next to the
-// pair-level `par_map` so experiment code has one import site.
-pub use nexit_core::parallel::{par_flows, resolve_threads};
+// Re-exported next to the pair-level `par_map` so experiment code has
+// one import site.
+pub use nexit_core::parallel::resolve_threads;
 
 /// Map `f` over `0..num_items` with `threads` workers, returning results
 /// in item order. `threads <= 1` runs the plain serial loop; any other

@@ -87,94 +87,6 @@ fn diverse_and_filter_results_are_thread_count_independent() {
 }
 
 #[test]
-fn model_grid_is_thread_count_independent_and_reuses_skeletons() {
-    let u = small_universe();
-    let serial = ablation::model_grid(&u, &cfg(1));
-    for threads in [2, 4] {
-        let parallel = ablation::model_grid(&u, &cfg(threads));
-        assert_eq!(serial, parallel, "threads = {threads}");
-    }
-    assert!(!serial.rows.is_empty(), "grid must produce rows");
-    // The tentpole guarantee: the grid's coefficient-patched re-solves
-    // actually reuse the per-pair skeletons (column refresh against the
-    // retained factorization), instead of silently cold-starting every
-    // cell.
-    let stats = serial.lp_stats;
-    assert!(
-        stats.refresh_solves > stats.cold_solves,
-        "most grid cells must re-enter warm: {stats:?}"
-    );
-}
-
-/// The bandwidth and Fortz mappers fan their per-flow cost loops across
-/// `par_flows` workers after snapshotting the shared load vector; the
-/// gain tables must be byte-identical for threads 1, 2 and 4.
-#[test]
-fn threaded_mapper_fills_are_byte_identical() {
-    use nexit_core::{
-        BandwidthMapper, FortzMapper, GainTable, PreferenceMapper, SessionInput, Side,
-    };
-    use nexit_routing::FlowId;
-    use nexit_sim::experiments::bandwidth::PairFailureSweep;
-    use nexit_workload::CapacityModel;
-
-    let u = small_universe();
-    let pair_idx = u.eligible_pairs(3, false)[0];
-    let sweep = PairFailureSweep::build(&u, pair_idx, &cfg(1), &CapacityModel::default());
-    let scenario = &sweep.scenarios[0];
-    let data = &scenario.data;
-    let input = SessionInput {
-        flow_ids: (0..data.flows.len()).map(FlowId::new).collect(),
-        defaults: data.default.choices().to_vec(),
-        volumes: data.flows.flows.iter().map(|f| f.volume).collect(),
-        num_alternatives: data.pair.num_interconnections(),
-    };
-    let fill = |mapper: &mut dyn PreferenceMapper| {
-        let mut out = GainTable::new(input.len(), input.num_alternatives);
-        mapper.gains(&input, &data.default, &mut out);
-        out
-    };
-    for side in [Side::A, Side::B] {
-        let caps = if side == Side::A {
-            &scenario.caps_up
-        } else {
-            &scenario.caps_down
-        };
-        let bw_serial = fill(&mut BandwidthMapper::new(
-            side,
-            &data.flows,
-            &data.paths,
-            caps,
-        ));
-        let fz_serial = fill(&mut FortzMapper::new(side, &data.flows, &data.paths, caps));
-        assert!(
-            bw_serial.values().iter().any(|&g| g != 0.0),
-            "bandwidth gains must be non-trivial for the comparison to mean anything"
-        );
-        for threads in [2, 4] {
-            let bw = fill(
-                &mut BandwidthMapper::new(side, &data.flows, &data.paths, caps)
-                    .with_threads(threads),
-            );
-            let fz = fill(
-                &mut FortzMapper::new(side, &data.flows, &data.paths, caps).with_threads(threads),
-            );
-            let bits = |t: &GainTable| t.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(
-                bits(&bw_serial),
-                bits(&bw),
-                "bandwidth mapper, {side:?}, {threads} threads"
-            );
-            assert_eq!(
-                bits(&fz_serial),
-                bits(&fz),
-                "fortz mapper, {side:?}, {threads} threads"
-            );
-        }
-    }
-}
-
-#[test]
 fn ablation_sweeps_are_thread_count_independent() {
     let u = small_universe();
     let ranges = [1, 10];
@@ -189,4 +101,13 @@ fn ablation_sweeps_are_thread_count_independent() {
     let serial_modes = ablation::mode_comparison(&u, &cfg(1));
     let parallel_modes = ablation::mode_comparison(&u, &cfg(4));
     assert_eq!(serial_modes, parallel_modes);
+    let serial_grid = ablation::model_grid(&u, &cfg(1));
+    for threads in [2, 4] {
+        assert_eq!(
+            serial_grid,
+            ablation::model_grid(&u, &cfg(threads)),
+            "threads = {threads}"
+        );
+    }
+    assert!(!serial_grid.rows.is_empty(), "grid must produce rows");
 }

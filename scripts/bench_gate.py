@@ -24,8 +24,8 @@ current report), 2 = usage/IO error.
 Beyond per-row regressions, ``--require-ratio NUM:DEN:MIN`` (repeatable)
 asserts structural speedups *within* the current report: the row named
 ``NUM`` must be at least ``MIN`` times the row named ``DEN`` — e.g.
-``model_grid/cold:model_grid/warm:1.25`` enforces that the warm-started
-coefficient-patch re-solves stay at least 1.25x as fast as cold ones.
+``scenario_sweep/cold:scenario_sweep/warm:2.75`` enforces that the
+warm-started rhs re-solves stay at least 2.75x as fast as cold ones.
 Ratios are machine-independent (both rows come from the same run), so
 they hold absolutely, not merely relative to the suite.
 
@@ -185,15 +185,15 @@ def self_test():
     cur = {
         "simplex/cold": 20000.0,
         "simplex/warm_rhs": 4000.0,
-        "simplex/warm_coeff": 1400.0,
+        "simplex/pivot_row": 1400.0,
     }
     fails, _ = check_required_rows(
-        cur, ["simplex/cold", "simplex/warm_rhs", "simplex/warm_coeff"]
+        cur, ["simplex/cold", "simplex/warm_rhs", "simplex/pivot_row"]
     )
     assert not fails, f"present required rows tripped the gate: {fails}"
     del cur["simplex/warm_rhs"]
     fails, _ = check_required_rows(
-        cur, ["simplex/cold", "simplex/warm_rhs", "simplex/warm_coeff"]
+        cur, ["simplex/cold", "simplex/warm_rhs", "simplex/pivot_row"]
     )
     assert fails == ["simplex/warm_rhs"], f"dropped row not flagged: {fails}"
 
