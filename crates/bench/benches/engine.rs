@@ -448,62 +448,6 @@ fn bench_simplex(c: &mut Criterion) {
     group.finish();
 }
 
-/// The session broker serving whole batches of wire negotiations: the
-/// tentpole numbers for `nexit-broker` (sessions/sec at 1k and 10k
-/// pairs). The synthetic workload is `experiments broker`'s
-/// ([`nexit_sim::experiments::broker::synthetic_specs`]), so the bench
-/// rows, the CLI's sessions/sec and the CI gate all describe the same
-/// sessions. Worker count is fixed at 1 so the rows measure broker
-/// overhead (framing, queueing, arena recycling), not host parallelism.
-fn bench_broker(c: &mut Criterion) {
-    use nexit_broker::{Broker, BrokerConfig, ReliableConfig};
-    use nexit_proto::channel::FaultConfig;
-    use nexit_sim::experiments::broker::{synthetic_specs, ALTS, FLOWS};
-
-    let mut group = c.benchmark_group("broker");
-    group.sample_size(10);
-    for &(label, pairs) in &[("1k_pairs", 1_000usize), ("10k_pairs", 10_000)] {
-        group.bench_function(label, |bencher| {
-            let broker = Broker::new(BrokerConfig::with_workers(1));
-            bencher.iter(|| {
-                let run = broker.run_pairs(synthetic_specs(pairs, FLOWS, ALTS, 1));
-                assert_eq!(run.stats.completed, pairs);
-                run.stats.frames
-            });
-        });
-    }
-    // The 1k batch again, but over links dropping and corrupting 5% of
-    // frames each (10% faulted overall) with the ARQ layer healing them:
-    // the row prices retransmission + dedup overhead against the clean
-    // broker/1k_pairs baseline. Degradation is on, so the batch always
-    // lands (completed + degraded); at the default retry budget every
-    // session in practice recovers outright.
-    group.bench_function("faulty_10pct", |bencher| {
-        let faults = FaultConfig {
-            drop_chance: 0.05,
-            corrupt_chance: 0.05,
-            ..FaultConfig::RELIABLE
-        };
-        let config = BrokerConfig::with_workers(1)
-            .with_reliability(ReliableConfig::default())
-            .with_degradation();
-        let broker = Broker::new(config);
-        bencher.iter(|| {
-            let pairs = 1_000usize;
-            let specs: Vec<_> = synthetic_specs(pairs, FLOWS, ALTS, 1)
-                .into_iter()
-                .enumerate()
-                .map(|(i, spec)| spec.with_faults(faults, 1 + i as u64))
-                .collect();
-            let run = broker.run_pairs(specs);
-            assert_eq!(run.stats.completed + run.stats.degraded, pairs);
-            assert_eq!(run.stats.failed, 0);
-            run.stats.retransmits
-        });
-    });
-    group.finish();
-}
-
 /// The layers under one `broker_clean` / `broker_lossy` session, on that
 /// session (16 flows × 4 alternatives of
 /// [`nexit_sim::experiments::broker::synthetic_specs`]): one small frame
@@ -511,8 +455,9 @@ fn bench_broker(c: &mut Criterion) {
 /// from table to frame to table, one whole session through
 /// `run_session` with the agents built before the clock starts, and one
 /// session's share of a 250-session batch with all 250 live at once —
-/// codec, pump step and broker tick, each beside its end-to-end parent
-/// `broker/1k_pairs`.
+/// codec, pump step and broker tick. Their end-to-end parents are the
+/// benchmark of record's `broker_clean` / `broker_lossy` workloads, which
+/// time whole batches with spread.
 fn bench_wire_layers(c: &mut Criterion) {
     use nexit_broker::{Broker, BrokerConfig};
     use nexit_core::{PrefTable, Side};
@@ -639,27 +584,26 @@ fn bench_wire_layers(c: &mut Criterion) {
     group.finish();
 }
 
-/// The churn driver's steady-state feed, replayed incrementally versus
-/// rebuilt from scratch after every event. `replay` drives one pair's
-/// seeded 60-event feed (load drift + flow churn, no topology flaps)
-/// through [`nexit_sim::churn::ChurnDriver`] — cached gain rows,
-/// recycled arenas, warm LP re-entry; `cold_replay` applies the same
-/// feed to the logical state only and pays a full cold rebuild (fresh
-/// mappers, fresh negotiation, cold LP) per event. `bw_replay` /
-/// `bw_cold_replay` are the same pair and feed under the bandwidth
-/// objective, where the delta path's win additionally rests on
-/// footprint-keyed invalidation (only rows whose links changed
-/// utilization class recompute). Both ratios are the delta path's
-/// whole-feed win, gated at >= 2x in CI; per-event percentiles live in
+/// The churn driver's steady-state feed, replayed live versus rebuilt
+/// from scratch after every event. `replay` drives one pair's seeded
+/// 60-event feed (load drift + flow churn, no topology flaps) through
+/// [`nexit_sim::churn::ChurnDriver`] — outcome cache, incrementally
+/// maintained loads, recycled arena, warm LP re-entry; `cold_replay`
+/// applies the same feed to the logical state only and pays a full cold
+/// rebuild (fresh load aggregation, fresh negotiation, cold LP) per
+/// event. `bw_replay` / `bw_cold_replay` are the same pair and feed
+/// under the bandwidth objective, where nearly every load delta moves a
+/// utilization class and renegotiates, so the ratio is what the
+/// maintained loads and the retained LP are worth. Both ratios are the
+/// live driver's whole-feed win, gated in CI at the floors 1.25
+/// (distance) and 1.5 (bandwidth); per-event percentiles live in
 /// `experiments churn`.
 fn bench_churn(c: &mut Criterion) {
     use nexit_sim::churn::{self, ChurnConfig, ChurnDriver, ChurnPair, LogicalState, Objective};
 
     let universe = churn::universe();
-    // Deterministically pick the smallest eligible pair with enough
-    // flows that single-flow events stay under the impact threshold:
-    // the delta path (not the cold fallback) is what the row prices,
-    // and a compact LP keeps per-iteration time CI-friendly.
+    // Deterministically pick the smallest eligible pair with a table
+    // of 48+ flows: a compact LP keeps per-iteration time CI-friendly.
     let flows_of = |i: usize| {
         let p = &universe.pairs[i];
         universe.isps[p.isp_a.index()].num_pops() * universe.isps[p.isp_b.index()].num_pops()
@@ -713,7 +657,6 @@ criterion_group!(
     bench_pair_layers,
     bench_scenario_sweep,
     bench_simplex,
-    bench_broker,
     bench_wire_layers,
     bench_churn
 );

@@ -32,7 +32,6 @@
 
 pub mod arena;
 pub mod cheating;
-pub mod delta;
 pub mod engine;
 pub mod index;
 pub mod machine;
@@ -45,7 +44,6 @@ pub mod selection;
 
 pub use arena::{FlowRange, GainTable, TableArena};
 pub use cheating::DisclosurePolicy;
-pub use delta::{CachedBandwidthMapper, CachedDistanceMapper, GainCache, LinkSet, RowFootprint};
 pub use engine::{negotiate, negotiate_in, Party, SessionBuilder, SessionError, SessionInput};
 pub use index::CandidateIndex;
 pub use machine::{Action, Event, MachineError, MachineOutcome, NegotiationMachine};

@@ -34,9 +34,8 @@
 //! link" is one lookup instead of a scan of the path; each alternative's
 //! cost is evaluated once, straight into the row, and the default's cost
 //! is read back from there; and `(load + volume) / capacity` is computed
-//! only for links the flow would move onto. All three bandwidth flavours
-//! (exact loads, quantized classes, and the cached mapper in
-//! [`crate::delta`]) run the one `path_max_row` kernel.
+//! only for links the flow would move onto. Both bandwidth flavours (exact
+//! loads and quantized classes) run the one `path_max_row` kernel.
 
 use crate::arena::GainTable;
 use crate::engine::SessionInput;
@@ -50,8 +49,8 @@ use nexit_workload::PathTable;
 /// load-to-capacity ratios are bucketed into steps of 1/16. A power of
 /// two keeps `class / 16` exact in f64, so a gain row is a *pure
 /// function* of the per-link class vector — the invariant the churn
-/// driver's footprint invalidation rests on: a load move that leaves
-/// every class unchanged provably leaves every cached row bit-identical.
+/// driver's outcome cache rests on: a load move that leaves every class
+/// unchanged provably leaves every gain row bit-identical.
 pub const UTIL_CLASS_WIDTH: f64 = 1.0 / 16.0;
 
 /// Quantize per-link utilization (`load / capacity`) into classes of
@@ -112,7 +111,7 @@ impl SideLoads {
 
 /// This side's link sequence for one (flow, alternative).
 #[inline]
-pub(crate) fn side_links(side: Side, paths: &PathTable, flow: FlowId, alt: IcxId) -> &[LinkId] {
+fn side_links(side: Side, paths: &PathTable, flow: FlowId, alt: IcxId) -> &[LinkId] {
     match side {
         Side::A => paths.up_links(flow, alt),
         Side::B => paths.down_links(flow, alt),
@@ -125,7 +124,7 @@ pub(crate) fn side_links(side: Side, paths: &PathTable, flow: FlowId, alt: IcxId
 /// kernel clears every mark it set before returning, so one array
 /// serves all the rows (and fills) of a mapper.
 #[derive(Debug, Clone)]
-pub(crate) struct LinkMarks {
+struct LinkMarks {
     bits: Vec<u8>,
 }
 
@@ -134,7 +133,7 @@ impl LinkMarks {
     const ALT: u8 = 2;
 
     /// All-clear marks over `num_links` links.
-    pub(crate) fn new(num_links: usize) -> Self {
+    fn new(num_links: usize) -> Self {
         Self {
             bits: vec![0; num_links],
         }
@@ -198,39 +197,6 @@ fn path_max_row(
     for cell in row {
         *cell = base - *cell;
     }
-}
-
-/// One flow's gain row under the quantized bandwidth objective: path-max
-/// utilization read through [`utilization_classes`] buckets, plus the
-/// (unquantized) `volume / capacity` the flow itself would add on links
-/// it moves onto. Shared verbatim by [`BandwidthMapper::with_classes`]
-/// and the cached mapper in [`crate::delta`], so the two compute
-/// bit-identical values by construction.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn quantized_bandwidth_row(
-    side: Side,
-    paths: &PathTable,
-    capacities: &[f64],
-    classes: &[u32],
-    fid: FlowId,
-    cur: IcxId,
-    default: IcxId,
-    volume: f64,
-    marks: &mut LinkMarks,
-    row: &mut [f64],
-) {
-    let class_util = |l: usize| classes[l] as f64 * UTIL_CLASS_WIDTH;
-    path_max_row(
-        side,
-        paths,
-        fid,
-        cur,
-        default,
-        marks,
-        row,
-        class_util,
-        |l| class_util(l) + volume / capacities[l],
-    );
 }
 
 /// Re-aggregate `loads` as the own-side per-link loads under `current`,
@@ -315,8 +281,8 @@ pub struct BandwidthMapper<'a> {
     paths: &'a PathTable,
     /// Capacity of every link on this ISP's side.
     capacities: &'a [f64],
-    /// Quantized utilization classes; when set, rows come from
-    /// [`quantized_bandwidth_row`] (the churn objective).
+    /// Quantized utilization classes; when set, rows read these instead
+    /// of the loads under `current` (the churn objective).
     classes: Option<&'a [u32]>,
     /// Own-side loads under `current`, re-aggregated per fill.
     loads: SideLoads,
@@ -350,7 +316,7 @@ impl<'a> BandwidthMapper<'a> {
     /// Score alternatives against quantized utilization classes (see
     /// [`utilization_classes`]) instead of exact loads — the churn
     /// driver's bandwidth objective, whose rows are a pure function of
-    /// the class vector and therefore footprint-invalidatable.
+    /// the class vector.
     pub fn with_classes(mut self, classes: &'a [u32]) -> Self {
         self.classes = Some(classes);
         self
@@ -362,18 +328,22 @@ impl PreferenceMapper for BandwidthMapper<'_> {
         let (side, flows, paths, capacities) = (self.side, self.flows, self.paths, self.capacities);
         let marks = &mut self.marks;
         if let Some(classes) = self.classes {
+            // Path-max utilization read through the class buckets, plus
+            // the (unquantized) `volume / capacity` the flow itself would
+            // add on links it moves onto.
+            let class_util = |l: usize| classes[l] as f64 * UTIL_CLASS_WIDTH;
             for (i, &fid) in input.flow_ids.iter().enumerate() {
-                quantized_bandwidth_row(
+                let volume = flows.flows[fid.index()].volume;
+                path_max_row(
                     side,
                     paths,
-                    capacities,
-                    classes,
                     fid,
                     current.choice(fid),
                     input.defaults[i],
-                    flows.flows[fid.index()].volume,
                     marks,
                     out.row_mut(i),
+                    class_util,
+                    |l| class_util(l) + volume / capacities[l],
                 );
             }
             return;
@@ -740,7 +710,7 @@ mod tests {
             }
         }
 
-        /// `quantized_bandwidth_row` as it was.
+        /// One row of the quantized (`with_classes`) fill as it was.
         #[allow(clippy::too_many_arguments)]
         fn reference_quantized_row(
             side: Side,

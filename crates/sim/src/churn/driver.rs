@@ -3,43 +3,33 @@
 
 use super::loads::LoadTracker;
 use super::model::{
-    lp_fits, session_input, ChurnConfig, ChurnEvent, ChurnKind, ChurnPair, LogicalState,
+    lp_fits, run_session, ChurnConfig, ChurnEvent, ChurnKind, ChurnPair, LogicalState,
     NegotiatedState, Objective,
 };
 use nexit_baselines::BandwidthLp;
-use nexit_core::{
-    negotiate_in, CachedBandwidthMapper, CachedDistanceMapper, GainCache, NexitConfig, Party, Side,
-    TableArena, Termination,
-};
+use nexit_core::{TableArena, Termination};
 use nexit_lp::WarmStats;
 use nexit_routing::FlowId;
 use nexit_topology::IcxId;
 
-/// Impacted fraction of the active set above which an event runs a full
-/// cold session instead of the delta path (the `reassignment_5pct`
-/// pacing generalized).
-const IMPACT_THRESHOLD: f64 = 0.05;
-
-/// Which path events took and what the gain caches did: every counter
-/// that must be identical across reruns and worker counts.
+/// Which path events took and how many gain rows they filled: every
+/// counter that must be identical across reruns and worker counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ChurnCounters {
     /// Events where the negotiated outcome was provably untouched.
     pub cached_outcomes: u64,
-    /// Delta-path re-negotiations (cache-served rows).
+    /// Sessions re-entered on the live variant (flow events, and load
+    /// deltas that moved a utilization class).
     pub incremental_sessions: u64,
-    /// Full cold sessions: topology flaps and threshold-forced ones.
+    /// Topology flaps: the variant switches and the loads are
+    /// re-aggregated from scratch before the session.
     pub fallback_sessions: u64,
-    /// Load deltas that left every cached row valid.
+    /// Load deltas that moved no utilization class on either side.
     pub signature_hits: u64,
-    /// Load deltas whose moved classes invalidated at least one row.
+    /// Load deltas that moved at least one class.
     pub signature_misses: u64,
-    /// Gain rows (re)computed across all caches.
+    /// Gain rows filled, both sides, bring-up session included.
     pub rows_refreshed: u64,
-    /// Gain rows served from the memo without recomputation.
-    pub rows_served: u64,
-    /// Gain rows dropped by footprint-keyed load invalidation.
-    pub rows_load_invalidated: u64,
 }
 
 impl ChurnCounters {
@@ -51,8 +41,6 @@ impl ChurnCounters {
         self.signature_hits += other.signature_hits;
         self.signature_misses += other.signature_misses;
         self.rows_refreshed += other.rows_refreshed;
-        self.rows_served += other.rows_served;
-        self.rows_load_invalidated += other.rows_load_invalidated;
     }
 }
 
@@ -61,8 +49,6 @@ pub struct ChurnDriver<'u> {
     pair: &'u ChurnPair<'u>,
     state: LogicalState,
     negotiated: NegotiatedState,
-    /// Per-variant (side A, side B) gain-row memo tables, built lazily.
-    caches: Vec<Option<(GainCache, GainCache)>>,
     /// Per-link loads of the live variant — the only objective seam:
     /// `None` under an objective whose gain rows never read a load.
     loads: Option<LoadTracker>,
@@ -75,16 +61,19 @@ pub struct ChurnDriver<'u> {
     lp_variant_epoch: Vec<u64>,
     /// Events where the negotiated state was provably untouched.
     pub cached_outcomes: u64,
-    /// Re-negotiations on the delta path (cache-served rows).
+    /// Sessions re-entered on the live variant: every flow event, and
+    /// every load delta that moved a utilization class.
     pub incremental_sessions: u64,
-    /// Full cold sessions: every topology flap, and every event whose
-    /// impacted fraction exceeded the threshold.
+    /// Topology flaps: the variant switches and the loads are
+    /// re-aggregated from scratch before the session.
     pub fallback_sessions: u64,
-    /// Load events whose quantized class signature was unchanged on
-    /// every cached footprint (provable outcome-cache hit).
+    /// Load deltas that moved no utilization class on either side (a
+    /// provable outcome-cache hit).
     pub signature_hits: u64,
-    /// Load events that moved at least one cached row's class bucket.
+    /// Load deltas that moved at least one class.
     pub signature_misses: u64,
+    /// Gain rows filled across all sessions, both sides.
+    rows_filled: u64,
     /// Deterministic work units spent by the last event.
     last_work: u64,
     /// LP failures (iteration cap / numerical trouble) — hard errors.
@@ -92,9 +81,8 @@ pub struct ChurnDriver<'u> {
 }
 
 impl<'u> ChurnDriver<'u> {
-    /// Bring a pair live: one initial cold session (not counted as a
-    /// fallback — it is not churn) plus the baseline LP's first (cold)
-    /// solve.
+    /// Bring a pair live: one initial session (not counted on any path
+    /// — it is not churn) plus the baseline LP's first (cold) solve.
     pub fn new(pair: &'u ChurnPair<'u>, initial_active: Vec<bool>, cfg: ChurnConfig) -> Self {
         assert_eq!(initial_active.len(), pair.num_flows());
         let state = LogicalState::new(initial_active);
@@ -113,7 +101,6 @@ impl<'u> ChurnDriver<'u> {
                 reassignments: 0,
                 opt_t: None,
             },
-            caches: pair.variants.iter().map(|_| None).collect(),
             loads,
             arena: TableArena::new(),
             lp: BandwidthLp::new(),
@@ -124,10 +111,11 @@ impl<'u> ChurnDriver<'u> {
             fallback_sessions: 0,
             signature_hits: 0,
             signature_misses: 0,
+            rows_filled: 0,
             last_work: 0,
             lp_errors: Vec::new(),
         };
-        driver.renegotiate(true);
+        driver.renegotiate();
         driver.resolve_baseline();
         driver
     }
@@ -142,7 +130,7 @@ impl<'u> ChurnDriver<'u> {
         &self.negotiated
     }
 
-    /// Deterministic work units (rows refreshed + rounds + LP pivots)
+    /// Deterministic work units (gain cells filled + rounds + LP pivots)
     /// spent by the most recent [`ChurnDriver::apply`].
     pub fn last_work(&self) -> u64 {
         self.last_work
@@ -153,99 +141,75 @@ impl<'u> ChurnDriver<'u> {
         self.lp.warm_stats()
     }
 
-    /// Aggregate gain-cache counters across all variant caches:
-    /// `(rows refreshed, rows served, rows footprint-invalidated)`.
+    /// `(gain rows filled, 0, 0)`. The two zeros were the rows a per-row
+    /// memo served and dropped; every session now fills its rows, and
+    /// the shape stays because the benchmark of record reads it.
     pub fn cache_stats(&self) -> (u64, u64, u64) {
-        self.caches
-            .iter()
-            .flatten()
-            .fold((0, 0, 0), |(r, s, i), (a, b)| {
-                (
-                    r + a.refreshed() + b.refreshed(),
-                    s + a.served() + b.served(),
-                    i + a.load_invalidated() + b.load_invalidated(),
-                )
-            })
+        (self.rows_filled, 0, 0)
     }
 
-    /// The path and cache counters as one value.
+    /// The path and row counters as one value.
     pub fn counters(&self) -> ChurnCounters {
-        let (rows_refreshed, rows_served, rows_load_invalidated) = self.cache_stats();
         ChurnCounters {
             cached_outcomes: self.cached_outcomes,
             incremental_sessions: self.incremental_sessions,
             fallback_sessions: self.fallback_sessions,
             signature_hits: self.signature_hits,
             signature_misses: self.signature_misses,
-            rows_refreshed,
-            rows_served,
-            rows_load_invalidated,
+            rows_refreshed: self.rows_filled,
         }
     }
 
-    /// Process one event incrementally: apply → invalidate → count
-    /// impacted → threshold → renegotiate → re-solve the baseline.
+    /// Process one event: apply → bring the loads up to date → decide
+    /// whether the outcome can have changed → renegotiate if so →
+    /// re-solve the baseline.
     ///
-    /// The impacted set is the distinct *active* flows whose cached rows
-    /// the event dropped, plus the churned flow itself for a membership
-    /// change. Without a load tracker no row can be dropped (rows are
-    /// geometry-static per variant), so a load delta provably leaves the
-    /// outcome untouched and a flow event impacts exactly one row.
+    /// A topology flap or a flow event changes the table itself, so it
+    /// always renegotiates. A load delta reaches the outcome only through
+    /// the utilization classes the gain rows read: without a load tracker
+    /// it provably cannot, and with one it does exactly when a class
+    /// moved on either side.
     pub fn apply(&mut self, event: &ChurnEvent) {
         self.state.apply(self.pair, event.kind);
-        let (flap, churned) = match event.kind {
-            ChurnKind::LinkFail(_) | ChurnKind::LinkRestore => (true, None),
-            ChurnKind::FlowAdd(f) | ChurnKind::FlowRemove(f) => (false, Some(f)),
-            ChurnKind::LoadDelta { .. } => (false, None),
-        };
-        let load_delta = !flap && churned.is_none();
-        // `None`: the negotiated outcome is provably current.
-        let session = if flap {
-            // Variant switch: every row's alternative set (and the
-            // defaults the load layers accumulate over) changed — a full
-            // cold session, whatever is on the table.
-            if let Some(loads) = &mut self.loads {
-                loads.rebuild(self.pair, &self.state);
+        let (pair, state) = (self.pair, &self.state);
+        let load_delta = matches!(event.kind, ChurnKind::LoadDelta { .. });
+        let session = match event.kind {
+            ChurnKind::LinkFail(_) | ChurnKind::LinkRestore => {
+                // Variant switch: every row's alternative set (and the
+                // defaults the load layers accumulate over) changed.
+                if let Some(loads) = &mut self.loads {
+                    loads.rebuild(pair, state);
+                }
+                self.fallback_sessions += 1;
+                true
             }
-            Some(true)
-        } else {
-            let mut impacted = 0;
-            let mut churned_counted = false;
-            if let Some(loads) = &mut self.loads {
-                let caches = self.caches[self.state.variant]
-                    .as_mut()
-                    .expect("the live variant was negotiated on at bring-up or its flap");
-                impacted = loads.refresh(self.pair, &self.state, churned, caches);
-                if load_delta {
-                    if impacted == 0 {
-                        self.signature_hits += 1;
-                    } else {
+            ChurnKind::FlowAdd(f) | ChurnKind::FlowRemove(f) => {
+                if let Some(loads) = &mut self.loads {
+                    loads.refresh(pair, state, Some(f));
+                }
+                self.incremental_sessions += 1;
+                true
+            }
+            ChurnKind::LoadDelta { .. } => match &mut self.loads {
+                None => false,
+                Some(loads) => {
+                    let moved = loads.refresh(pair, state, None);
+                    if moved {
                         self.signature_misses += 1;
+                        self.incremental_sessions += 1;
+                    } else {
+                        self.signature_hits += 1;
                     }
+                    moved
                 }
-                churned_counted =
-                    churned.is_some_and(|f| self.state.active[f.index()] && loads.dropped(f));
-            }
-            // The churned flow impacts the session through its table
-            // membership even when no class moved; count it once.
-            impacted += usize::from(churned.is_some() && !churned_counted);
-            let fraction = impacted as f64 / self.state.num_active.max(1) as f64;
-            (impacted > 0).then_some(fraction > IMPACT_THRESHOLD)
+            },
         };
-        let mut work = match session {
+        let mut work = if session {
+            self.renegotiate()
+        } else {
             // Only the baseline needs an (rhs-only) re-solve.
-            None => {
-                self.cached_outcomes += 1;
-                0
-            }
-            Some(fallback) => {
-                if fallback {
-                    self.fallback_sessions += 1;
-                } else {
-                    self.incremental_sessions += 1;
-                }
-                self.renegotiate(fallback)
-            }
+            self.cached_outcomes += 1;
+            0
         };
         if !load_delta {
             self.lp_epoch += 1;
@@ -254,71 +218,16 @@ impl<'u> ChurnDriver<'u> {
         self.last_work = work + 1;
     }
 
-    /// Re-enter the negotiation machine on the current variant. With
-    /// `fallback` the variant's caches are invalidated wholesale (a
-    /// full cold session); otherwise rows are served from the memo and
-    /// only missing/invalidated rows recompute. Either way the machine
-    /// sees bit-identical inputs to a from-scratch build, so the
-    /// outcome is byte-identical by construction.
-    fn renegotiate(&mut self, fallback: bool) -> u64 {
-        let pair = self.pair;
-        let data = &pair.variants[self.state.variant];
-        let (n, k) = (data.flows.len(), data.pair.num_interconnections());
-        let loads = self.loads.as_ref().map(LoadTracker::sides);
-        let arena = &mut self.arena;
-        let (cache_a, cache_b) = self.caches[self.state.variant].get_or_insert_with(|| {
-            let [a, b] = pair.caps().map(|caps| {
-                let cache = GainCache::new_in(arena, n, k);
-                // Only rows that read loads carry a load footprint.
-                match loads {
-                    None => cache,
-                    Some(_) => cache.with_footprints(caps.len()),
-                }
-            });
-            (a, b)
-        });
-        if fallback {
-            cache_a.invalidate_all();
-            cache_b.invalidate_all();
-        }
-        let rows_before = cache_a.refreshed() + cache_b.refreshed();
-        let input = session_input(data, &self.state.active);
-        let outcome = {
-            let parties = [
-                (0, Side::A, "A", &mut *cache_a),
-                (1, Side::B, "B", &mut *cache_b),
-            ];
-            let [mut party_a, mut party_b] = parties.map(|(i, side, name, cache)| match loads {
-                None => Party::honest(name, CachedDistanceMapper::new(side, &data.flows, cache)),
-                Some(loads) => Party::honest(
-                    name,
-                    CachedBandwidthMapper::new(
-                        side,
-                        &data.flows,
-                        &data.paths,
-                        pair.caps()[i],
-                        loads[i].classes(),
-                        cache,
-                    ),
-                ),
-            });
-            negotiate_in(
-                arena,
-                &input,
-                &data.default,
-                &mut party_a,
-                &mut party_b,
-                &NexitConfig::win_win(),
-            )
-        };
-        let rounds = outcome.transcript.len() as u64;
-        self.negotiated.assignment = outcome.assignment;
-        self.negotiated.gain_a = outcome.gain_a;
-        self.negotiated.gain_b = outcome.gain_b;
-        self.negotiated.termination = outcome.termination;
-        self.negotiated.reassignments = outcome.reassignments;
-        let rows = cache_a.refreshed() + cache_b.refreshed() - rows_before;
-        rows * k as u64 + rounds
+    /// Re-enter the negotiation machine on the live variant: the session
+    /// a from-scratch build would run, on the maintained classes and the
+    /// recycled arena. Leaves the baseline for
+    /// [`ChurnDriver::resolve_baseline`], which every caller runs next.
+    fn renegotiate(&mut self) -> u64 {
+        let classes = self.loads.as_ref().map(LoadTracker::classes);
+        let (negotiated, work) = run_session(self.pair, &self.state, classes, &mut self.arena);
+        self.negotiated = negotiated;
+        self.rows_filled += 2 * self.state.num_active as u64;
+        work
     }
 
     /// Re-solve the optimal-MEL baseline through the retained
@@ -341,14 +250,7 @@ impl<'u> ChurnDriver<'u> {
         let key = IcxId::new(variant);
         let before = self.lp.warm_stats();
         if self.lp_variant_epoch[variant] != self.lp_epoch {
-            let impacted: Vec<FlowId> = self
-                .state
-                .active
-                .iter()
-                .enumerate()
-                .filter(|(_, &on)| on)
-                .map(|(i, _)| FlowId::new(i))
-                .collect();
+            let impacted: Vec<FlowId> = self.state.active_flows().collect();
             let view = data.view();
             self.lp.update_scenario(
                 key,
@@ -391,8 +293,8 @@ mod tests {
         };
         let mut driver = ChurnDriver::new(&pair, initial, cfg);
         // Re-asserting the current background scale moves no effective
-        // load, so no utilization class moves, no row is invalidated,
-        // and the outcome cache answers without renegotiating.
+        // load, so no utilization class moves and the outcome cache
+        // answers without renegotiating.
         driver.apply(&ChurnEvent {
             tick: 1,
             kind: ChurnKind::LoadDelta { factor: 1.0 },
@@ -400,8 +302,7 @@ mod tests {
         assert_eq!(driver.signature_hits, 1);
         assert_eq!(driver.signature_misses, 0);
         assert_eq!(driver.cached_outcomes, 1);
-        let (_, _, load_invalidated) = driver.cache_stats();
-        assert_eq!(load_invalidated, 0);
+        assert_eq!(driver.incremental_sessions, 0);
     }
 
     #[test]

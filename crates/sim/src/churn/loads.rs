@@ -1,6 +1,6 @@
 //! Per-link load state for an objective whose gain rows read loads (the
 //! bandwidth objective): the one module that knows how loads are
-//! layered, quantized, and how a load move invalidates cached rows.
+//! layered and quantized, and whether an event moved a class.
 //!
 //! Active and background volumes are accumulated separately per side;
 //! the effective load on link `l` is `active[l] + scale * background[l]`,
@@ -8,18 +8,19 @@
 //! width 1/16) that make every gain row a pure function of the per-link
 //! class vector. A flow event moves one flow's volume between the two
 //! layers along its default paths in O(links touched); a load delta
-//! changes only `scale`. Either way the classes are re-quantized and
-//! exactly the cached rows whose footprint intersects a link whose class
-//! moved are dropped ([`GainCache::bump_load_epoch`]).
+//! changes only `scale`. Either way the classes are re-quantized, and
+//! [`LoadTracker::refresh`] reports whether any of them moved: with none
+//! moved every gain row — and so the negotiated outcome — is provably
+//! what it was.
 
 use super::model::{ChurnPair, LogicalState};
 use crate::pairdata::PairData;
-use nexit_core::{utilization_classes, GainCache, LinkSet, SideLoads};
+use nexit_core::{utilization_classes, SideLoads};
 use nexit_routing::FlowId;
 use nexit_topology::LinkId;
 
 /// One side's per-link loads on one variant, in two layers, plus the
-/// utilization classes of the current load epoch.
+/// utilization classes they quantize to.
 pub(super) struct SideLayers {
     /// Active flows' volumes on their default paths.
     active: SideLoads,
@@ -29,11 +30,6 @@ pub(super) struct SideLayers {
 }
 
 impl SideLayers {
-    /// Utilization classes of the current load epoch.
-    pub(super) fn classes(&self) -> &[u32] {
-        &self.classes
-    }
-
     /// Quantize the effective loads into `out` (`eff` is scratch).
     fn quantize(&self, scale: f64, caps: &[f64], eff: &mut Vec<f64>, out: &mut Vec<u32>) {
         eff.clear();
@@ -55,6 +51,11 @@ impl SideLayers {
             &mut self.background
         }
     }
+}
+
+/// The `[side A, side B]` utilization classes of a load state.
+pub(super) fn classes(sides: &[SideLayers; 2]) -> [&[u32]; 2] {
+    sides.each_ref().map(|side| side.classes.as_slice())
 }
 
 /// Flow `f`'s default paths on `data` as `[side A, side B]` links.
@@ -96,25 +97,17 @@ pub(super) fn aggregate(pair: &ChurnPair<'_>, state: &LogicalState) -> [SideLaye
 /// scratch its refresh step needs.
 pub(super) struct LoadTracker {
     sides: [SideLayers; 2],
-    /// Links whose utilization class the last refresh moved, per side.
-    moved: [LinkSet; 2],
     /// Effective loads and fresh classes of one side.
     eff: Vec<f64>,
     fresh: Vec<u32>,
-    /// Distinct flows whose cached rows the last refresh dropped.
-    dropped: Vec<bool>,
-    dropped_list: Vec<usize>,
 }
 
 impl LoadTracker {
     pub(super) fn new(pair: &ChurnPair<'_>, state: &LogicalState) -> Self {
         Self {
             sides: aggregate(pair, state),
-            moved: pair.caps().map(|caps| LinkSet::new(caps.len())),
             eff: Vec::new(),
             fresh: Vec::new(),
-            dropped: vec![false; pair.num_flows()],
-            dropped_list: Vec::new(),
         }
     }
 
@@ -124,31 +117,22 @@ impl LoadTracker {
         self.sides = aggregate(pair, state);
     }
 
-    /// Current `[side A, side B]` load state.
-    pub(super) fn sides(&self) -> &[SideLayers; 2] {
-        &self.sides
-    }
-
-    /// Whether the last [`LoadTracker::refresh`] dropped `f`'s row.
-    pub(super) fn dropped(&self, f: FlowId) -> bool {
-        self.dropped[f.index()]
+    /// Current `[side A, side B]` utilization classes.
+    pub(super) fn classes(&self) -> [&[u32]; 2] {
+        classes(&self.sides)
     }
 
     /// A flow or load event on the live variant (`state` already has it
     /// applied): move the churned flow's volume to the layer it now
-    /// rides in, re-quantize, advance both side caches' load epochs and
-    /// drop every cached row whose footprint intersects a moved class.
-    /// Returns the number of distinct **active** flows among the dropped
-    /// rows (inactive rows are dropped too but do not impact the
-    /// session); zero means the gain tables are provably bit-identical
-    /// to a fresh fill against the new snapshot.
+    /// rides in and re-quantize. Returns whether any link's utilization
+    /// class moved on either side; `false` means every gain row is
+    /// provably bit-identical to a fresh fill against the new loads.
     pub(super) fn refresh(
         &mut self,
         pair: &ChurnPair<'_>,
         state: &LogicalState,
         churned: Option<FlowId>,
-        caches: &mut (GainCache, GainCache),
-    ) -> usize {
+    ) -> bool {
         if let Some(f) = churned {
             let data = &pair.variants[state.variant];
             let volume = data.flows.flows[f.index()].volume;
@@ -158,34 +142,63 @@ impl LoadTracker {
                 side.layer(now_active).add_path(links, volume);
             }
         }
-        let sides = self.sides.iter_mut().zip(&mut self.moved);
-        for ((side, moved), caps) in sides.zip(pair.caps()) {
+        let mut moved = false;
+        for (side, caps) in self.sides.iter_mut().zip(pair.caps()) {
             side.quantize(state.scale, caps, &mut self.eff, &mut self.fresh);
-            moved.clear();
-            for (l, (&new, old)) in self.fresh.iter().zip(&mut side.classes).enumerate() {
-                if new != *old {
-                    *old = new;
-                    moved.insert(LinkId::new(l));
-                }
+            if self.fresh != side.classes {
+                std::mem::swap(&mut self.fresh, &mut side.classes);
+                moved = true;
             }
         }
-        for &f in &self.dropped_list {
-            self.dropped[f] = false;
-        }
-        self.dropped_list.clear();
-        let (dropped, dropped_list) = (&mut self.dropped, &mut self.dropped_list);
-        let mut count = 0usize;
-        let mut mark = |f: usize| {
-            if !dropped[f] {
-                dropped[f] = true;
-                dropped_list.push(f);
-                if state.active[f] {
-                    count += 1;
-                }
-            }
+        moved
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::churn::{
+        cold_rebuild, divergence, initial_active, universe, ChurnConfig, ChurnDriver, ChurnEvent,
+        ChurnKind, Objective,
+    };
+
+    /// The outcome cache's key is "did a class move on either side":
+    /// re-asserting the nominal scale must hit, a load delta that moves
+    /// a class on exactly one side must miss and renegotiate into what a
+    /// cold rebuild gives, and repeating it must hit again.
+    #[test]
+    fn a_class_move_on_one_side_is_a_miss_and_no_move_a_hit() {
+        let u = universe();
+        let idx = u.eligible_pairs(3, false)[0];
+        let pair = ChurnPair::build(&u, idx, 2);
+        let initial = initial_active(&pair, 3);
+        let mut state = LogicalState::new(initial.clone());
+        let nominal = aggregate(&pair, &state);
+        // The feed generator's ladder, nearest to nominal first.
+        let factor = (1..=49)
+            .flat_map(|step| [1.0 + step as f64 / 100.0, 1.0 - step as f64 / 100.0])
+            .find(|&factor| {
+                state.scale = factor;
+                let scaled = aggregate(&pair, &state);
+                let (was, now) = (classes(&nominal), classes(&scaled));
+                (was[0] != now[0]) != (was[1] != now[1])
+            })
+            .expect("some background scale moves a class on one side only");
+
+        let cfg = ChurnConfig {
+            objective: Objective::Bandwidth,
         };
-        caches.0.bump_load_epoch(&self.moved[0], &mut mark);
-        caches.1.bump_load_epoch(&self.moved[1], &mut mark);
-        count
+        let mut driver = ChurnDriver::new(&pair, initial, cfg);
+        let steps = [(1.0, (1, 0)), (factor, (1, 1)), (factor, (2, 1))];
+        for (tick, (factor, (hits, misses))) in (1..).zip(steps) {
+            let kind = ChurnKind::LoadDelta { factor };
+            driver.apply(&ChurnEvent { tick, kind });
+            let signature = (driver.signature_hits, driver.signature_misses);
+            assert_eq!(signature, (hits, misses), "tick {tick}");
+            assert_eq!(driver.incremental_sessions, misses);
+            assert_eq!(driver.cached_outcomes, hits);
+            let (cold, _) = cold_rebuild(&pair, driver.state(), &cfg);
+            assert_eq!(divergence(driver.negotiated(), &cold), None, "tick {tick}");
+        }
     }
 }

@@ -1,77 +1,87 @@
-//! Streaming churn driver (`experiments churn`): incremental
-//! re-negotiation under live traffic.
+//! Streaming churn driver (`experiments churn`): re-negotiation under
+//! live traffic.
 //!
 //! Every other experiment is batch — build a universe, negotiate once,
 //! sweep. This module is the online path: a deterministic, seeded feed
 //! of timestamped [`ChurnEvent`]s (flow arrivals/departures, background
 //! load drift, interconnection failures and restorations) drives a
 //! [`ChurnDriver`] that keeps one live negotiated state per pair and
-//! re-derives, per event, **only what the event invalidated**.
+//! decides, per event, **whether the outcome can have changed** — and
+//! keeps warm what a re-negotiation needs when it has.
 //!
 //! There is **one event pipeline** ([`ChurnDriver::apply`]): apply the
-//! event → invalidate → count the impacted flows → threshold →
-//! renegotiate → re-solve the baseline. An ISP's objective is private
-//! and reaches the negotiation only as preference classes, so the
-//! pipeline does not know which one is in use; the only seam is whether
-//! the driver tracks per-link loads (the `loads` module), which it does
-//! exactly when the objective's gain rows read them.
+//! event → bring the loads up to date → renegotiate unless the outcome
+//! provably stands → re-solve the baseline. An ISP's objective is
+//! private and reaches the negotiation only as preference classes, so
+//! the pipeline does not know which one is in use; the only seam is
+//! whether the driver tracks per-link loads (the `loads` module), which
+//! it does exactly when the objective's gain rows read them.
 //!
 //! * the flow set defines the negotiation table: active flows are
 //!   negotiated, inactive flows ride their defaults as background
 //!   traffic — exactly the impacted/residual split of the optimal-MEL
 //!   LP, so the two layers share one state model;
-//! * gain rows live in per-(variant, side) `GainCache`s (arena-backed
-//!   memo tables from `nexit_core::delta`): a flow event refreshes one
-//!   row, everything else is served bit-identically from the cache, so
-//!   the re-entered negotiation machine is byte-for-byte the session a
-//!   cold build would run;
-//! * the driver negotiates with either [`Objective`]: **distance** gains
-//!   are geometry-static per variant (caching is pure memoization, no
-//!   loads tracked), while **bandwidth** gains read the shared link
-//!   loads. The bandwidth objective scores quantized utilization classes
-//!   (`nexit_core::utilization_classes`, width 1/16), making every gain
-//!   row a pure function of the per-link class vector; each cached row
-//!   carries the *load footprint* of links it read, and a load move
-//!   invalidates exactly the rows whose footprint intersects links whose
-//!   class moved (`GainCache::bump_load_epoch`) — the outcome-cache key
-//!   is effectively (flow set, variant, footprint-restricted class
-//!   signature): a factor that leaves every footprint bucket unchanged
-//!   is a provable hit, a class move misses precisely the touched rows.
-//!   Per-link loads are maintained incrementally (`nexit_core::SideLoads`
+//! * a session is a session: the driver and the cold rebuild run the
+//!   same function (`model::run_session`) on the plain
+//!   `DistanceMapper` / `BandwidthMapper::with_classes`, and every
+//!   session fills its own gain rows. Gain rows are not memoised across
+//!   events, on measurement: a per-row memo with link-footprint
+//!   invalidation served 12 % of a bandwidth session's rows on the
+//!   benchmark of record, a memoised distance row is `k` copies in place
+//!   of `k` subtractions, and bandwidth events ran 9 % faster at p50
+//!   without it (README, "What was deleted, and on what evidence");
+//! * the **outcome cache** is what skips work. Its key is what the
+//!   outcome is a function of: the table, the variant, and — only for an
+//!   objective that reads loads — the per-link utilization classes
+//!   (`nexit_core::utilization_classes`, width 1/16, which make every
+//!   **bandwidth** gain row a pure function of the class vector).
+//!   **Distance** gains are geometry-static per variant, so a load delta
+//!   cannot touch the outcome; under bandwidth it does exactly when a
+//!   class moved on either side, which is one vector compare
+//!   (`LoadTracker::refresh`). Flow events and topology flaps change the
+//!   table and always renegotiate;
+//! * per-link loads are maintained incrementally (`nexit_core::SideLoads`
 //!   accumulators per traffic layer, O(links touched) per flow event),
 //!   re-aggregated only when a topology flap changes the defaults they
-//!   accumulate over;
+//!   accumulate over; sessions draw their tables from one recycled
+//!   `TableArena`;
 //! * the optimal-MEL baseline re-solves through the retained
 //!   `BandwidthLp` workspaces: a load delta is an rhs-only patch
 //!   (dual-simplex re-entry — the growth sweep's ladder, folded in as
 //!   batched load events), a flow event rebuilds the variant's program
 //!   and solves it cold from the default routing's vertex, and a
 //!   topology flap re-enters the flapped variant's own retained basis
-//!   when its program is unchanged;
-//! * when an event's impacted set exceeds 5% of the active set (a
-//!   constant: the `reassignment_5pct` pacing generalized), the driver
-//!   falls back to a full cold session: caches invalidated wholesale,
-//!   every row recomputed. Interconnection failures always take this
-//!   path, whatever is on the table — they change every row's
-//!   alternative set and every flow's default.
+//!   when its program is unchanged.
+//!
+//! [`ChurnCounters`] names the three paths by what happened, not by what
+//! it cost: `cached_outcomes` (outcome stands), `incremental_sessions`
+//! (a session re-entered on the live variant) and `fallback_sessions`
+//! (a topology flap: the variant switches and the loads are re-aggregated
+//! from scratch). Every event bumps exactly one.
 //!
 //! Correctness is replay-checked: after every event the driver's state
-//! is compared ([`divergence`]) against a from-scratch cold negotiation
-//! of the same prefix state ([`cold_rebuild`]: fresh mappers, fresh
-//! tables, fresh machines, cold LP). Assignments must be
-//! **byte-identical** — the cache layer may never perturb a negotiation
-//! decision — and any divergence is a hard violation that exits the
-//! binary non-zero, making `churn --smoke` a CI gate. Determinism is
-//! pinned the same way: the sweep reruns at 1/2/4 workers and must
-//! reproduce identical assignments, identical per-event work series and
-//! identical [`ChurnCounters`].
+//! is compared ([`divergence`]) against a from-scratch negotiation of
+//! the same prefix state ([`cold_rebuild`]: fresh load aggregation,
+//! fresh tables, fresh machines, cold LP). Since both run the same
+//! session function, what the comparison tests is what differs:
+//! maintained vs fresh classes, retained vs fresh LP, and the outcome
+//! cache's decision to skip. Assignments must be **byte-identical**, and
+//! any divergence is a hard violation that exits the binary non-zero,
+//! making `churn --smoke` a CI gate. Determinism is pinned the same way:
+//! the sweep reruns at 1/2/4 workers and must reproduce identical
+//! assignments, identical per-event work series and identical
+//! [`ChurnCounters`].
 //!
 //! Latency is reported two ways: wall-clock per-event re-negotiation
-//! latency (p50/p99 `StreamingCdf`s, incremental vs cold twin — the
-//! headline claim) and a deterministic *work* meter (gain rows
-//! refreshed + negotiation rounds + LP pivots) whose series is
-//! reproducible across runs and thread counts, used by the determinism
-//! tests where wall-clock cannot be.
+//! latency (p50/p99 `StreamingCdf`s, incremental vs cold twin) and a
+//! deterministic *work* meter (gain cells filled + negotiation rounds +
+//! LP pivots) whose series is reproducible across runs and thread
+//! counts, used by the determinism tests where wall-clock cannot be.
+//! "Incremental work p50 under cold" is gated under distance, where the
+//! median event is a cached outcome; under bandwidth the median event
+//! renegotiates at the cold twin's price by construction, the two
+//! medians are printed, and the guard is the clock (the engine bench's
+//! `churn/bw_cold_replay : churn/bw_replay` floor).
 
 mod driver;
 mod loads;

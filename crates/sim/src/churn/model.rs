@@ -5,7 +5,10 @@
 //! agree on event semantics.
 
 use crate::pairdata::PairData;
-use nexit_core::{SessionInput, Termination};
+use nexit_core::{
+    negotiate_in, BandwidthMapper, DistanceMapper, NexitConfig, Party, SessionInput, Side,
+    TableArena, Termination,
+};
 use nexit_routing::{Assignment, FlowId};
 use nexit_topology::{IcxId, Universe};
 use nexit_workload::{assign_capacities, link_loads, CapacityModel, WorkloadModel};
@@ -46,12 +49,12 @@ pub struct ChurnEvent {
 /// Which ISP-internal objective the churn driver negotiates with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Objective {
-    /// §5.1 distance gains — geometry-static per variant, so a cached
-    /// row survives any amount of flow and load churn.
+    /// §5.1 distance gains — geometry-static per variant, so no load
+    /// move can touch a negotiated outcome.
     #[default]
     Distance,
     /// §5.2 overload avoidance over quantized utilization classes —
-    /// load-dependent, served through footprint-keyed invalidation.
+    /// load-dependent: an outcome stands until a class moves.
     Bandwidth,
 }
 
@@ -179,6 +182,12 @@ impl LogicalState {
         }
     }
 
+    /// The flows on the table, in flow order.
+    pub(super) fn active_flows(&self) -> impl Iterator<Item = FlowId> + '_ {
+        let on_table = self.active.iter().enumerate().filter(|(_, &on)| on);
+        on_table.map(|(i, _)| FlowId::new(i))
+    }
+
     /// Apply one event.
     pub fn apply(&mut self, pair: &ChurnPair<'_>, kind: ChurnKind) {
         match kind {
@@ -234,17 +243,14 @@ pub struct NegotiatedState {
 }
 
 /// The session-input projection of a logical state on one variant.
-pub(super) fn session_input(data: &PairData<'_>, active: &[bool]) -> SessionInput {
+fn session_input(data: &PairData<'_>, state: &LogicalState) -> SessionInput {
     let mut flow_ids = Vec::new();
     let mut defaults = Vec::new();
     let mut volumes = Vec::new();
-    for (i, &on) in active.iter().enumerate() {
-        if on {
-            let fid = FlowId::new(i);
-            flow_ids.push(fid);
-            defaults.push(data.default.choice(fid));
-            volumes.push(data.flows.flows[i].volume);
-        }
+    for fid in state.active_flows() {
+        flow_ids.push(fid);
+        defaults.push(data.default.choice(fid));
+        volumes.push(data.flows.flows[fid.index()].volume);
     }
     SessionInput {
         flow_ids,
@@ -252,6 +258,55 @@ pub(super) fn session_input(data: &PairData<'_>, active: &[bool]) -> SessionInpu
         volumes,
         num_alternatives: data.pair.num_interconnections(),
     }
+}
+
+/// One negotiation of `state`'s table on its variant, both parties on
+/// the plain mappers: distance when `classes` is `None` (its gain rows
+/// read no loads), otherwise the quantized bandwidth objective over the
+/// given `[side A, side B]` utilization classes. The live driver and the
+/// cold rebuild both run exactly this, so what the replay check compares
+/// is what the callers differ in — maintained vs freshly aggregated
+/// classes, a recycled vs a fresh arena. Returns the negotiated state
+/// (baseline not evaluated) and the session's deterministic work units:
+/// one per gain cell filled plus one per round.
+pub(super) fn run_session(
+    pair: &ChurnPair<'_>,
+    state: &LogicalState,
+    classes: Option<[&[u32]; 2]>,
+    arena: &mut TableArena,
+) -> (NegotiatedState, u64) {
+    let data = &pair.variants[state.variant];
+    let input = session_input(data, state);
+    let sides = [(0, Side::A, "A"), (1, Side::B, "B")];
+    let [mut party_a, mut party_b] = sides.map(|(i, side, name)| match classes {
+        None => Party::honest(name, DistanceMapper::new(side, &data.flows)),
+        Some(classes) => Party::honest(
+            name,
+            BandwidthMapper::new(side, &data.flows, &data.paths, pair.caps()[i])
+                .with_classes(classes[i]),
+        ),
+    });
+    let outcome = negotiate_in(
+        arena,
+        &input,
+        &data.default,
+        &mut party_a,
+        &mut party_b,
+        &NexitConfig::win_win(),
+    );
+    let cells = 2 * (input.len() * input.num_alternatives) as u64;
+    let work = cells + outcome.transcript.len() as u64;
+    (
+        NegotiatedState {
+            assignment: outcome.assignment,
+            gain_a: outcome.gain_a,
+            gain_b: outcome.gain_b,
+            termination: outcome.termination,
+            reassignments: outcome.reassignments,
+            opt_t: None,
+        },
+        work,
+    )
 }
 
 fn splitmix64(state: &mut u64) -> u64 {

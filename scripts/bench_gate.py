@@ -206,7 +206,7 @@ def self_test():
     assert not fails, f"healthy churn ratio tripped the gate: {fails}"
     fails, _ = check_required_rows(cur, ["churn/replay", "churn/cold_replay"])
     assert not fails, f"present churn rows tripped the gate: {fails}"
-    # A delta-path regression dragging the incremental replay within
+    # A live-driver regression dragging the incremental replay within
     # 1.25x of cold fires the ratio gate even with both rows present.
     cur = {"churn/replay": 7_000_000.0, "churn/cold_replay": 7_800_000.0}
     fails, _ = check_ratios(cur, ["churn/cold_replay:churn/replay:1.25"])
