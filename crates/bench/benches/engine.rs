@@ -145,10 +145,10 @@ fn bench_engine(c: &mut Criterion) {
         });
     });
     // Reassignment is the allocation-churn hot spot the table arena
-    // targets: every 5% of accepted volume the whole mapper-gains →
-    // quantize → disclose chain re-runs on both sides. With flat
-    // arena-backed tables the steady state of this loop allocates
-    // nothing but the wire copy of each disclosed table.
+    // targets: every 5% of accepted volume the mapper-gains → quantize →
+    // disclose chain re-runs on both sides, over the flows still on the
+    // table. With flat arena-backed tables the steady state of this
+    // loop allocates nothing but the wire copy of each disclosed table.
     group.bench_function("reassignment_5pct", |bencher| {
         let n = 200;
         let inp = input(n, 4);
@@ -157,6 +157,24 @@ fn bench_engine(c: &mut Criterion) {
             reassign_interval_frac: Some(0.05),
             ..NexitConfig::win_win()
         };
+        // What makes the row representative: the session re-maps often,
+        // and each re-map is asked for fewer rows than the one before.
+        struct Counting<'a>(RandomMapper, &'a mut Vec<usize>);
+        impl PreferenceMapper for Counting<'_> {
+            fn gains(&mut self, i: &SessionInput, c: &Assignment, out: &mut GainTable) {
+                self.1.push(i.len());
+                self.0.gains(i, c, out);
+            }
+        }
+        let mut rows_asked = Vec::new();
+        let outcome = {
+            let mut a = Party::honest("A", Counting(RandomMapper::new(n, 4, 1), &mut rows_asked));
+            let mut b = Party::honest("B", RandomMapper::new(n, 4, 2));
+            negotiate(&inp, &default, &mut a, &mut b, &config)
+        };
+        assert!(outcome.reassignments >= 10, "{}", outcome.reassignments);
+        assert_eq!(rows_asked.len(), outcome.reassignments + 1);
+        assert!(rows_asked.windows(2).all(|w| w[1] < w[0]), "{rows_asked:?}");
         bencher.iter(|| {
             let mut a = Party::honest("A", RandomMapper::new(n, 4, 1));
             let mut b = Party::honest("B", RandomMapper::new(n, 4, 2));

@@ -6,12 +6,12 @@ use nexit_proto::{run_session, Agent, FaultyLink, Message};
 use nexit_routing::{Assignment, FlowId};
 use nexit_topology::IcxId;
 
-struct Flat(usize);
+struct Flat;
 impl PreferenceMapper for Flat {
-    fn gains(&mut self, _i: &SessionInput, _c: &Assignment, out: &mut GainTable) {
-        for f in 0..self.0 {
-            for (a, cell) in out.row_mut(f).iter_mut().enumerate() {
-                *cell = ((f + a) % 7) as f64 - 3.0;
+    fn gains(&mut self, i: &SessionInput, _c: &Assignment, out: &mut GainTable) {
+        for (row, flow) in i.flow_ids.iter().enumerate() {
+            for (a, cell) in out.row_mut(row).iter_mut().enumerate() {
+                *cell = ((flow.index() + a) % 7) as f64 - 3.0;
             }
         }
     }
@@ -51,7 +51,7 @@ fn bench_proto(c: &mut Criterion) {
                 "A",
                 input.clone(),
                 default.clone(),
-                Flat(n),
+                Flat,
                 DisclosurePolicy::Truthful,
                 config,
             )
@@ -61,7 +61,7 @@ fn bench_proto(c: &mut Criterion) {
                 "B",
                 input.clone(),
                 default.clone(),
-                Flat(n),
+                Flat,
                 DisclosurePolicy::Truthful,
                 config,
             )

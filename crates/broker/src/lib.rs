@@ -694,8 +694,11 @@ mod tests {
     }
 
     impl PreferenceMapper for TableMapper {
-        fn gains(&mut self, _i: &SessionInput, _c: &Assignment, out: &mut GainTable) {
-            out.copy_from(&self.gains);
+        fn gains(&mut self, i: &SessionInput, _c: &Assignment, out: &mut GainTable) {
+            for (row, flow) in i.flow_ids.iter().enumerate() {
+                out.row_mut(row)
+                    .copy_from_slice(self.gains.row(flow.index()));
+            }
         }
     }
 

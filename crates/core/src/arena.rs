@@ -214,9 +214,13 @@ impl TableArena {
         GainTable::from_storage(buf, num_flows, num_alts)
     }
 
-    /// Return a preference table's backing buffer to the pool.
+    /// Return a preference table's backing buffer to the pool. A table
+    /// that never took one (the machine's re-disclosure scratch, in a
+    /// session that did not reassign) has nothing to lend and is dropped.
     pub fn recycle_pref(&mut self, table: crate::prefs::PrefTable) {
-        self.pref_bufs.push(table);
+        if table.has_buffer() {
+            self.pref_bufs.push(table);
+        }
     }
 
     /// Return a gain table's backing buffer to the pool.

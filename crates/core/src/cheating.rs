@@ -47,29 +47,30 @@ impl DisclosurePolicy {
         defaults: &[IcxId],
     ) -> PrefTable {
         let mut out = PrefTable::zero(truth.num_flows(), truth.num_alternatives());
-        self.disclose_into(truth, other, p, defaults, &mut out);
+        let all = vec![true; truth.num_flows()];
+        self.disclose_into(truth, other, p, defaults, &all, &mut out);
         out
     }
 
-    /// Produce the disclosed table into `out` (reshaped in place), the
-    /// allocation-free form the machine uses on every (re)disclosure.
+    /// Disclose the flows `live` marks into `out`, which has `truth`'s
+    /// shape already; every other row of `out` stays as it is. The
+    /// allocation-free form the machine uses on every (re)disclosure: a
+    /// re-disclosure marks the flows still on the table, and a settled
+    /// flow keeps the classes it was accepted at.
     pub fn disclose_into(
         &self,
         truth: &PrefTable,
         other: &PrefTable,
         p: i32,
         defaults: &[IcxId],
+        live: &[bool],
         out: &mut PrefTable,
     ) {
-        out.reset(truth.num_flows(), truth.num_alternatives());
+        let rows = (0..live.len()).filter(|&flow| live[flow]);
         match self {
-            DisclosurePolicy::Truthful => {
-                for flow in 0..truth.num_flows() {
-                    out.row_mut(flow).copy_from_slice(truth.row(flow));
-                }
-            }
-            DisclosurePolicy::InflateBest => inflate_best(truth, other, p, defaults, out),
-            DisclosurePolicy::BlindMax => blind_max(truth, p, defaults, out),
+            DisclosurePolicy::Truthful => out.copy_live_rows(truth, live),
+            DisclosurePolicy::InflateBest => inflate_best(truth, other, p, defaults, rows, out),
+            DisclosurePolicy::BlindMax => blind_max(truth, p, defaults, rows, out),
         }
     }
 
@@ -112,10 +113,11 @@ fn inflate_best(
     other: &PrefTable,
     p: i32,
     defaults: &[IcxId],
+    rows: impl Iterator<Item = usize>,
     out: &mut PrefTable,
 ) {
     let k = truth.num_alternatives();
-    for flow in 0..truth.num_flows() {
+    for flow in rows {
         let b = best_alternative(truth, flow);
         let row = out.row_mut(flow);
         row.copy_from_slice(truth.row(flow));
@@ -152,8 +154,14 @@ fn inflate_best(
 }
 
 /// Naive blind maximization.
-fn blind_max(truth: &PrefTable, p: i32, _defaults: &[IcxId], out: &mut PrefTable) {
-    for flow in 0..truth.num_flows() {
+fn blind_max(
+    truth: &PrefTable,
+    p: i32,
+    _defaults: &[IcxId],
+    rows: impl Iterator<Item = usize>,
+    out: &mut PrefTable,
+) {
+    for flow in rows {
         let b = best_alternative(truth, flow);
         for (x, cell) in out.row_mut(flow).iter_mut().enumerate() {
             *cell = if x == b { p } else { -p };
@@ -237,17 +245,21 @@ mod tests {
     }
 
     #[test]
-    fn disclose_into_reuses_the_buffer() {
-        let t = table(&[vec![0, 4, 2]]);
-        let o = table(&[vec![0, 0, 0]]);
-        let mut out = PrefTable::zero(0, 0);
+    fn disclose_into_writes_the_live_rows_only() {
+        let t = table(&[vec![0, 4, 2], vec![0, -3, 5], vec![0, 1, -1]]);
+        let o = table(&[vec![0, 0, 9], vec![0, 7, 0], vec![0, 0, 0]]);
+        let defaults = [IcxId(0); 3];
         for policy in [
             DisclosurePolicy::Truthful,
             DisclosurePolicy::InflateBest,
             DisclosurePolicy::BlindMax,
         ] {
-            policy.disclose_into(&t, &o, 10, &[IcxId(0)], &mut out);
-            assert_eq!(out, policy.disclose(&t, &o, 10, &[IcxId(0)]));
+            let whole = policy.disclose(&t, &o, 10, &defaults);
+            let mut out = table(&[[77; 3]; 3]);
+            policy.disclose_into(&t, &o, 10, &defaults, &[true, false, true], &mut out);
+            assert_eq!(out.row(0), whole.row(0));
+            assert_eq!(out.row(1), &[77; 3], "a settled row was rewritten");
+            assert_eq!(out.row(2), whole.row(2));
         }
     }
 

@@ -231,8 +231,10 @@ impl std::error::Error for SessionError {}
 ///
 /// struct Fixed(GainTable);
 /// impl PreferenceMapper for Fixed {
-///     fn gains(&mut self, _: &SessionInput, _: &Assignment, out: &mut GainTable) {
-///         out.copy_from(&self.0);
+///     fn gains(&mut self, input: &SessionInput, _: &Assignment, out: &mut GainTable) {
+///         for (row, flow) in input.flow_ids.iter().enumerate() {
+///             out.row_mut(row).copy_from_slice(self.0.row(flow.index()));
+///         }
 ///     }
 /// }
 ///
@@ -546,15 +548,18 @@ mod tests {
 
     use crate::arena::GainTable;
 
-    /// A mapper returning a fixed gain table (tests drive the engine with
-    /// hand-crafted scenarios).
+    /// A mapper replaying a fixed gain table, one row per flow id (tests
+    /// drive the engine with hand-crafted scenarios).
     struct FixedMapper {
         gains: GainTable,
     }
 
     impl PreferenceMapper for FixedMapper {
-        fn gains(&mut self, _input: &SessionInput, _current: &Assignment, out: &mut GainTable) {
-            out.copy_from(&self.gains);
+        fn gains(&mut self, input: &SessionInput, _current: &Assignment, out: &mut GainTable) {
+            for (row, flow) in input.flow_ids.iter().enumerate() {
+                out.row_mut(row)
+                    .copy_from_slice(self.gains.row(flow.index()));
+            }
         }
     }
 
@@ -814,22 +819,29 @@ mod tests {
         // Initial lists: A is averse to f2-top (-1); B indifferent to all.
         // After f2-bottom is accepted, reassignment reveals B prefers
         // f3-top (+1). Final outcome: f2 on bottom, f3 on top (Fig. 2e).
+        /// The row of `flow`, when the (possibly re-mapped, hence
+        /// restricted) session still holds it.
+        fn row_of(input: &SessionInput, flow: FlowId) -> Option<usize> {
+            input.flow_ids.iter().position(|&f| f == flow)
+        }
         struct IspA;
         impl PreferenceMapper for IspA {
-            fn gains(&mut self, _i: &SessionInput, _c: &Assignment, out: &mut GainTable) {
-                // [bottom, top] per flow; f2 = local 0, f3 = local 1.
-                out.set(0, 1, -1.0);
+            fn gains(&mut self, i: &SessionInput, _c: &Assignment, out: &mut GainTable) {
+                // [bottom, top] per flow; f2 = flow 0, f3 = flow 1.
+                if let Some(f2) = row_of(i, FlowId(0)) {
+                    out.set(f2, 1, -1.0);
+                }
             }
         }
         struct IspB;
         impl PreferenceMapper for IspB {
-            fn gains(&mut self, _i: &SessionInput, current: &Assignment, out: &mut GainTable) {
+            fn gains(&mut self, i: &SessionInput, current: &Assignment, out: &mut GainTable) {
                 // B can handle either flow on the bottom link, but not
                 // both: once f2 is settled on bottom, f3-top becomes
                 // preferable.
                 let f2_on_bottom = current.choice(FlowId(0)) == IcxId(0);
-                if f2_on_bottom {
-                    out.set(1, 1, 1.0);
+                if let (true, Some(f3)) = (f2_on_bottom, row_of(i, FlowId(1))) {
+                    out.set(f3, 1, 1.0);
                 }
             }
         }

@@ -244,6 +244,11 @@ pub struct NegotiationMachine<M: PreferenceMapper> {
     gains: GainTable,
     /// Quantization sort scratch, reused likewise.
     magnitudes: Vec<f64>,
+    /// Re-disclosure scratch: the session restricted to the flows still
+    /// on the table, and their freshly quantized classes. Both stay
+    /// empty in a session that never reassigns.
+    live_input: SessionInput,
+    live_true: PrefTable,
     my_gain: i64,
     disclosed_gain_a: i64,
     disclosed_gain_b: i64,
@@ -349,6 +354,13 @@ impl<M: PreferenceMapper> NegotiationMachine<M> {
             // Recycled through the arena as a shapeless gain buffer —
             // only its capacity matters.
             magnitudes: arena.gain_table(0, 0).into_storage(),
+            live_input: SessionInput {
+                flow_ids: Vec::new(),
+                defaults: Vec::new(),
+                volumes: Vec::new(),
+                num_alternatives: k,
+            },
+            live_true: arena.pref_table(0, 0),
             my_gain: 0,
             disclosed_gain_a: 0,
             disclosed_gain_b: 0,
@@ -374,6 +386,7 @@ impl<M: PreferenceMapper> NegotiationMachine<M> {
         arena.recycle_pref(self.my_true);
         arena.recycle_pref(self.my_disclosed);
         arena.recycle_pref(self.their_disclosed);
+        arena.recycle_pref(self.live_true);
         arena.recycle_gain(self.gains);
         arena.recycle_gain(GainTable::from_storage(self.magnitudes, 0, 0));
         self.index.recycle(arena);
@@ -511,31 +524,71 @@ impl<M: PreferenceMapper> NegotiationMachine<M> {
         }
     }
 
-    /// Map our preferences, disclose, and queue the transmission. The
-    /// whole chain (mapper gains → quantize → disclose) writes into
-    /// buffers reused across reassignments.
+    /// Map our preferences over the flows still on the table, disclose
+    /// them, and queue the transmission (paper §4: preferences are
+    /// re-mapped "for the remaining flows"). The mapper sees the session
+    /// restricted to those flows, the quantization scale is taken over
+    /// their cells, and only their rows of `my_true` / `my_disclosed` are
+    /// written: a settled flow keeps the classes it was accepted at, so
+    /// what [`Self::finish`] takes back for a reverted move is what the
+    /// round that accepted it added. The whole chain writes into buffers
+    /// reused across reassignments.
     fn disclose_own(&mut self) {
-        self.gains
-            .reset(self.input.len(), self.input.num_alternatives);
-        self.mapper
-            .gains(&self.input, &self.assignment, &mut self.gains);
+        let k = self.input.num_alternatives;
+        let live = self.state.remaining();
+        // Before the first accept the live session is the session, and
+        // its classes are the table.
+        let all_live = self.state.num_remaining() == live.len();
+        let (input, classes) = if all_live {
+            (&self.input, &mut self.my_true)
+        } else {
+            let (whole, part) = (&self.input, &mut self.live_input);
+            part.flow_ids.clear();
+            part.defaults.clear();
+            part.volumes.clear();
+            let flows = whole
+                .flow_ids
+                .iter()
+                .zip(&whole.defaults)
+                .zip(&whole.volumes);
+            for (((&id, &default), &volume), _) in flows.zip(live).filter(|(_, &live)| live) {
+                part.flow_ids.push(id);
+                part.defaults.push(default);
+                part.volumes.push(volume);
+            }
+            (&*part, &mut self.live_true)
+        };
+        self.gains.reset(input.len(), k);
+        self.mapper.gains(input, &self.assignment, &mut self.gains);
+        assert_eq!(
+            (self.gains.num_flows(), self.gains.num_alternatives()),
+            (input.len(), k),
+            "the mapper reshaped the gain table: row i is input.flow_ids[i], for the input given"
+        );
         quantize_into(
             &self.gains,
             self.config.pref_range,
-            &mut self.my_true,
+            classes,
             &mut self.magnitudes,
         );
+        if !all_live {
+            self.my_true.scatter_live_rows(&self.live_true, live);
+        }
         self.disclosure.disclose_into(
             &self.my_true,
             &self.their_disclosed,
             self.config.pref_range,
             &self.input.defaults,
+            live,
             &mut self.my_disclosed,
         );
         self.sent_prefs = true;
         self.actions.push_back(Action::SendPrefs);
     }
 
+    /// Take the peer's list: checked whole, as it arrived, but copied
+    /// for the flows still on the table only — what the peer says about
+    /// a settled flow is never read, so it cannot re-price one.
     fn store_their_prefs(&mut self, prefs: &PrefTable) -> Result<(), MachineError> {
         if prefs.num_flows() != self.input.len() {
             return Err(MachineError::BadPrefList("row count mismatch"));
@@ -546,7 +599,8 @@ impl<M: PreferenceMapper> NegotiationMachine<M> {
         if !prefs.within_range(self.config.pref_range) {
             return Err(MachineError::BadPrefList("class out of range"));
         }
-        self.their_disclosed.copy_from(prefs);
+        self.their_disclosed
+            .copy_live_rows(prefs, self.state.remaining());
         Ok(())
     }
 
@@ -845,7 +899,7 @@ mod tests {
     use crate::engine::SessionInput;
     use nexit_routing::FlowId;
 
-    /// A mapper returning a fixed gain table.
+    /// A mapper replaying a fixed gain table, one row per flow id.
     struct FixedMapper {
         gains: GainTable,
     }
@@ -859,8 +913,11 @@ mod tests {
     }
 
     impl PreferenceMapper for FixedMapper {
-        fn gains(&mut self, _input: &SessionInput, _current: &Assignment, out: &mut GainTable) {
-            out.copy_from(&self.gains);
+        fn gains(&mut self, input: &SessionInput, _current: &Assignment, out: &mut GainTable) {
+            for (row, flow) in input.flow_ids.iter().enumerate() {
+                out.row_mut(row)
+                    .copy_from_slice(self.gains.row(flow.index()));
+            }
         }
     }
 
@@ -894,13 +951,27 @@ mod tests {
         NegotiationMachine<FixedMapper>,
         NegotiationMachine<FixedMapper>,
     ) {
+        pair_with(
+            inp,
+            FixedMapper::new(gains_a),
+            FixedMapper::new(gains_b),
+            config,
+        )
+    }
+
+    fn pair_with<M: PreferenceMapper>(
+        inp: SessionInput,
+        mapper_a: M,
+        mapper_b: M,
+        config: NexitConfig,
+    ) -> (NegotiationMachine<M>, NegotiationMachine<M>) {
         let default = Assignment::uniform(inp.len(), IcxId(0));
         let a = NegotiationMachine::new(
             Side::A,
             Side::A,
             inp.clone(),
             default.clone(),
-            FixedMapper::new(gains_a),
+            mapper_a,
             DisclosurePolicy::Truthful,
             config,
         )
@@ -910,7 +981,7 @@ mod tests {
             Side::A,
             inp,
             default,
-            FixedMapper::new(gains_b),
+            mapper_b,
             DisclosurePolicy::Truthful,
             config,
         )
@@ -919,9 +990,9 @@ mod tests {
     }
 
     /// Shuttle events until both machines are done.
-    fn pump(
-        a: &mut NegotiationMachine<FixedMapper>,
-        b: &mut NegotiationMachine<FixedMapper>,
+    fn pump<M: PreferenceMapper>(
+        a: &mut NegotiationMachine<M>,
+        b: &mut NegotiationMachine<M>,
     ) -> (MachineOutcome, MachineOutcome) {
         for _ in 0..10_000 {
             let mut progressed = false;
@@ -1095,14 +1166,7 @@ mod tests {
     #[test]
     fn reassignment_rounds_match_the_per_round_threshold() {
         let n = 40;
-        let gains = |seed: usize| -> Vec<Vec<f64>> {
-            (0..n)
-                .map(|f| {
-                    let g = |alt: usize| ((f * 7 + alt * 13 + seed * 5) % 19) as f64 - 8.0;
-                    vec![0.0, g(1), g(2)]
-                })
-                .collect()
-        };
+        let gains = |seed| seeded_gains(n, seed);
         let uneven: Vec<f64> = (0..n).map(|f| 0.37 * (f % 7 + 1) as f64).collect();
         for volumes in [uneven, vec![0.0; n]] {
             let config = NexitConfig::win_win_bandwidth();
@@ -1151,5 +1215,249 @@ mod tests {
         assert_eq!(a.reverted_indices(), b.reverted_indices());
         assert!(out_a.my_gain >= 0, "rollback failed: {}", out_a.my_gain);
         assert!(out_b.my_gain >= 0);
+    }
+
+    /// A load-like objective: a fixed table less a charge for every flow
+    /// `current` already routes over the alternative (beyond the
+    /// default's riders), so each accepted move re-prices every row the
+    /// mapper is asked for again. Records the flows of each fill.
+    struct CrowdedMapper {
+        base: GainTable,
+        charge: f64,
+        fills: Vec<Vec<FlowId>>,
+    }
+
+    impl CrowdedMapper {
+        fn new(rows: &[Vec<f64>], charge: f64) -> Self {
+            Self {
+                base: GainTable::from_rows(rows),
+                charge,
+                fills: Vec::new(),
+            }
+        }
+    }
+
+    impl PreferenceMapper for CrowdedMapper {
+        fn gains(&mut self, input: &SessionInput, current: &Assignment, out: &mut GainTable) {
+            self.fills.push(input.flow_ids.clone());
+            let mut riders = vec![0.0; input.num_alternatives];
+            for (_, alt) in current.iter() {
+                riders[alt.index()] += 1.0;
+            }
+            for (row, (flow, default)) in input.flow_ids.iter().zip(&input.defaults).enumerate() {
+                for (alt, cell) in out.row_mut(row).iter_mut().enumerate() {
+                    if alt != default.index() {
+                        *cell = self.base.get(flow.index(), alt)
+                            - self.charge * (riders[alt] - riders[default.index()]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Deterministic `n x 3` gain rows in `[-8, 10]`, default column 0.
+    fn seeded_gains(n: usize, seed: usize) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|f| {
+                let g = |alt: usize| ((f * 7 + alt * 13 + seed * 5) % 19) as f64 - 8.0;
+                vec![0.0, g(1), g(2)]
+            })
+            .collect()
+    }
+
+    /// Deliver `action` and, when it completed an accepted round, enter
+    /// in `ledger` the class `to` held for the move when it accepted.
+    fn deliver_with_ledger<M: PreferenceMapper>(
+        from: &NegotiationMachine<M>,
+        to: &mut NegotiationMachine<M>,
+        action: Action,
+        ledger: &mut Vec<i64>,
+    ) {
+        let (held, logged) = (to.my_true.clone(), to.accepted_log.len());
+        to.handle(from.peer_event(action)).unwrap();
+        if let Some(&(local, alt)) = to.accepted_log.get(logged) {
+            ledger.push(i64::from(held.get(local, alt)));
+        }
+    }
+
+    /// What `finish` must leave: the accept-time classes of the moves
+    /// the rollback kept.
+    fn surviving(ledger: &[i64], reverted: &[usize]) -> i64 {
+        let taken_back: i64 = reverted.iter().map(|&idx| ledger[idx]).sum();
+        ledger.iter().sum::<i64>() - taken_back
+    }
+
+    #[test]
+    fn remapping_asks_for_the_unsettled_flows_only() {
+        let n = 40;
+        let (mut a, mut b) = pair_with(
+            input(n, 3),
+            CrowdedMapper::new(&seeded_gains(n, 1), 0.5),
+            CrowdedMapper::new(&seeded_gains(n, 2), 0.5),
+            NexitConfig::win_win_bandwidth(),
+        );
+        assert_eq!(a.mapper.fills, [a.input.flow_ids.clone()], "first fill");
+        // After every event, a fill that event caused was asked for
+        // exactly the flows still on the table.
+        fn check(m: &NegotiationMachine<CrowdedMapper>, fills_before: usize) {
+            if m.mapper.fills.len() == fills_before {
+                return;
+            }
+            assert_eq!(m.mapper.fills.len(), fills_before + 1, "one fill per event");
+            let unsettled: Vec<FlowId> = (0..m.input.len())
+                .filter(|&flow| m.state.is_remaining(flow))
+                .map(|flow| m.input.flow_ids[flow])
+                .collect();
+            assert_eq!(unsettled.len(), m.state.num_remaining());
+            assert_eq!(m.mapper.fills.last(), Some(&unsettled));
+        }
+        while !(a.is_done() && b.is_done()) {
+            while let Some(action) = a.poll_action() {
+                let fills = b.mapper.fills.len();
+                b.handle(a.peer_event(action)).unwrap();
+                check(&b, fills);
+            }
+            while let Some(action) = b.poll_action() {
+                let fills = a.mapper.fills.len();
+                a.handle(b.peer_event(action)).unwrap();
+                check(&a, fills);
+            }
+        }
+        for m in [&a, &b] {
+            assert!(m.reassignments() >= 10, "{} epochs", m.reassignments());
+            assert_eq!(m.mapper.fills.len(), m.reassignments() + 1);
+            assert!(
+                m.mapper.fills.windows(2).all(|w| w[1].len() < w[0].len()),
+                "every re-map must be asked for fewer flows than the one before"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "the mapper reshaped the gain table")]
+    fn a_mapper_that_ignores_its_input_is_caught() {
+        /// Replays its whole table whatever subset it is asked for.
+        struct WholeTable(GainTable);
+        impl PreferenceMapper for WholeTable {
+            fn gains(&mut self, _: &SessionInput, _: &Assignment, out: &mut GainTable) {
+                out.copy_from(&self.0);
+            }
+        }
+        let table = || WholeTable(GainTable::from_rows(&seeded_gains(40, 1)));
+        let (mut a, mut b) = pair_with(
+            input(40, 3),
+            table(),
+            table(),
+            NexitConfig::win_win_bandwidth(),
+        );
+        pump(&mut a, &mut b);
+    }
+
+    #[test]
+    fn a_peer_cannot_reprice_a_settled_move() {
+        // B loses on three flows in four, so the close rolls moves back
+        // on B's disclosed classes — the ones a lying B would rewrite.
+        let n = 40;
+        let gains_a = seeded_gains(n, 1);
+        let gains_b: Vec<Vec<f64>> = gains_a
+            .iter()
+            .enumerate()
+            .map(|(f, row)| {
+                let tilt = if f % 4 == 0 { 0.5 } else { -0.5 };
+                row.iter().map(|g| tilt * g.abs()).collect()
+            })
+            .collect();
+        let config = NexitConfig::win_win_bandwidth();
+        let mk = || pair_over(input(n, 3), &gains_a, &gains_b, config);
+
+        let (mut a, mut b) = mk();
+        let (honest, _) = pump(&mut a, &mut b);
+        assert!(!a.reverted_indices().is_empty(), "the close must revert");
+        let honest_reverted = a.reverted_indices().to_vec();
+
+        // The same session, but every re-disclosure of B's claims +P in
+        // every cell of every flow already settled.
+        let (mut a, mut b) = mk();
+        let mut lies = 0;
+        while !(a.is_done() && b.is_done()) {
+            while let Some(action) = a.poll_action() {
+                b.handle(a.peer_event(action)).unwrap();
+            }
+            while let Some(action) = b.poll_action() {
+                if action == Action::SendPrefs && b.reassignments() > 0 {
+                    let mut forged = b.own_disclosed().clone();
+                    for flow in (0..n).filter(|&flow| !a.state.is_remaining(flow)) {
+                        forged.row_mut(flow).fill(config.pref_range);
+                        lies += 1;
+                    }
+                    a.handle(Event::PeerPrefs { prefs: &forged }).unwrap();
+                } else {
+                    a.handle(b.peer_event(action)).unwrap();
+                }
+            }
+        }
+        assert!(lies > 0, "no settled row was ever re-disclosed");
+        let lied_to = a.outcome().unwrap();
+        assert_eq!(lied_to, honest);
+        assert_eq!(a.reverted_indices(), honest_reverted);
+        assert!(lied_to.my_gain >= 0);
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn arb_rows(n: usize, best: f64) -> impl Strategy<Value = Vec<Vec<f64>>> {
+            proptest::collection::vec(proptest::collection::vec(-10.0..best, 3), n).prop_map(
+                |mut rows| {
+                    for row in &mut rows {
+                        row[0] = 0.0; // default column
+                    }
+                    rows
+                },
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+            #[test]
+            fn the_close_takes_back_what_the_rounds_entered(
+                // B has less to win than A, so most closes revert moves.
+                (rows_a, rows_b) in (6usize..24)
+                    .prop_flat_map(|n| (arb_rows(n, 10.0), arb_rows(n, 3.0))),
+                charge in 0.0f64..2.0,
+                frac in 0.05f64..0.5,
+                credit in 0i64..40,
+            ) {
+                let config = NexitConfig {
+                    accept: AcceptRule::CreditVeto { credit },
+                    stop: StopPolicy::NegotiateAll,
+                    reassign_interval_frac: Some(frac),
+                    ..NexitConfig::default()
+                };
+                let (mut a, mut b) = pair_with(
+                    input(rows_a.len(), 3),
+                    CrowdedMapper::new(&rows_a, charge),
+                    CrowdedMapper::new(&rows_b, charge),
+                    config,
+                );
+                let (mut ledger_a, mut ledger_b) = (Vec::new(), Vec::new());
+                while !(a.is_done() && b.is_done()) {
+                    while let Some(action) = a.poll_action() {
+                        deliver_with_ledger(&a, &mut b, action, &mut ledger_b);
+                    }
+                    while let Some(action) = b.poll_action() {
+                        deliver_with_ledger(&b, &mut a, action, &mut ledger_a);
+                    }
+                }
+                prop_assert_eq!(a.reverted_indices(), b.reverted_indices());
+                prop_assert_eq!(a.my_gain(), surviving(&ledger_a, a.reverted_indices()));
+                prop_assert_eq!(b.my_gain(), surviving(&ledger_b, b.reverted_indices()));
+                // Honest sides: the disclosed ledger is the true one.
+                prop_assert_eq!(a.disclosed_gains(), (a.my_gain(), b.my_gain()));
+                prop_assert!(a.my_gain() >= 0 && b.my_gain() >= 0,
+                    "gains ({}, {})", a.my_gain(), b.my_gain());
+            }
+        }
     }
 }

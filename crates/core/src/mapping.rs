@@ -25,11 +25,12 @@
 //! session.
 //!
 //! The bandwidth and Fortz mappers are re-run after every reassignment
-//! (about fifteen times a session at the paper's 5 % interval), so they
-//! keep their per-fill state across fills and do each piece of work
-//! once. Per fill: the own-side loads under `current` are aggregated
-//! into a buffer the mapper owns, and `loads / capacity` is computed
-//! once per link. Per row: the flow's current path is marked in the
+//! (about fifteen times a session at the paper's 5 % interval), each
+//! time over the flows still on the table only, so they keep their
+//! per-fill state across fills and do each piece of work once. Per
+//! fill: the own-side loads under `current` are aggregated into a
+//! buffer the mapper owns, and `loads / capacity` is computed once per
+//! link. Per row: the flow's current path is marked in the
 //! mapper's `LinkMarks` array, so "does the flow already ride this
 //! link" is one lookup instead of a scan of the path; each alternative's
 //! cost is evaluated once, straight into the row, and the default's cost
@@ -220,13 +221,16 @@ fn aggregate_loads(
 /// An ISP-internal objective that scores the session's alternatives.
 pub trait PreferenceMapper {
     /// Write raw gains (positive = better than the flow's default) for
-    /// every session flow × alternative into `out`, given the current
+    /// every flow of `input` × alternative into `out`, given the current
     /// expected assignment of *all* pair flows.
     ///
-    /// `out` arrives zeroed with shape
-    /// `(input.len(), input.num_alternatives)`; row `i` corresponds to
-    /// `input.flow_ids[i]`, and column `d` where `d` is the flow's
-    /// default must stay 0.
+    /// `input` may be any subset of the session, in session order: the
+    /// first disclosure asks for every flow, a re-disclosure only for
+    /// the flows still on the table. `out` arrives zeroed with shape
+    /// `(input.len(), input.num_alternatives)` and must keep it (the
+    /// machine asserts so); row `i` corresponds to `input.flow_ids[i]`
+    /// — a mapper that replays a stored table looks its rows up by flow
+    /// id — and column `d` where `d` is the flow's default must stay 0.
     fn gains(&mut self, input: &SessionInput, current: &Assignment, out: &mut GainTable);
 }
 

@@ -107,6 +107,43 @@ impl PrefTable {
         self.num_alts = other.num_alts;
     }
 
+    /// Overwrite each row `live` marks with the same row of `other`, a
+    /// table of this shape; unmarked rows stay as they are.
+    pub(crate) fn copy_live_rows(&mut self, other: &PrefTable, live: &[bool]) {
+        debug_assert_eq!(
+            (self.num_flows, self.storage.len(), live.len()),
+            (other.num_flows, other.storage.len(), other.num_flows)
+        );
+        let width = self.num_alts.max(1); // a zero-width table has no cells
+        let rows = self.storage.chunks_exact_mut(width);
+        let theirs = other.storage.chunks_exact(width);
+        for ((row, their), _) in rows.zip(theirs).zip(live).filter(|(_, &live)| live) {
+            row.copy_from_slice(their);
+        }
+    }
+
+    /// Overwrite the rows `live` marks, in flow order, with the rows of
+    /// `packed` — one row per marked flow; unmarked rows stay as they
+    /// are.
+    pub(crate) fn scatter_live_rows(&mut self, packed: &PrefTable, live: &[bool]) {
+        debug_assert_eq!(
+            (self.num_flows, self.num_alts),
+            (live.len(), packed.num_alts)
+        );
+        debug_assert_eq!(packed.num_flows, live.iter().filter(|&&live| live).count());
+        let width = self.num_alts.max(1); // a zero-width table has no cells
+        let rows = self.storage.chunks_exact_mut(width);
+        let mut packed = packed.storage.chunks_exact(width);
+        for (row, _) in rows.zip(live).filter(|(_, &live)| live) {
+            row.copy_from_slice(packed.next().expect("one packed row per live flow"));
+        }
+    }
+
+    /// Whether the table owns a heap buffer (of any size).
+    pub(crate) fn has_buffer(&self) -> bool {
+        self.storage.capacity() > 0
+    }
+
     pub(crate) fn into_storage(self) -> Vec<i32> {
         self.storage
     }
@@ -271,6 +308,21 @@ mod tests {
         row[0] = 7;
         assert_eq!(t.row(1), &[7, 3]);
         assert_eq!(t.num_alternatives(), 2);
+    }
+
+    #[test]
+    fn live_row_copies_leave_settled_rows_alone() {
+        let live = [true, false, true, true];
+        let other = PrefTable::from_rows(&[[1, 2], [3, 4], [5, 6], [7, 8]]);
+        let mut t = PrefTable::from_rows(&[[9, 9]; 4]);
+        t.copy_live_rows(&other, &live);
+        assert_eq!(t.values(), &[1, 2, 9, 9, 5, 6, 7, 8]);
+        // One packed row per live flow, in flow order.
+        let packed = PrefTable::from_rows(&[[-1, -2], [-3, -4], [-5, -6]]);
+        t.scatter_live_rows(&packed, &live);
+        assert_eq!(t.values(), &[-1, -2, 9, 9, -3, -4, -5, -6]);
+        // A table without flows has no rows to copy, whatever its width.
+        PrefTable::zero(0, 3).copy_live_rows(&PrefTable::zero(0, 0), &[]);
     }
 
     #[test]

@@ -78,6 +78,12 @@ impl TableState {
         self.remaining[flow]
     }
 
+    /// [`TableState::is_remaining`] for every flow, in flow order.
+    #[inline]
+    pub fn remaining(&self) -> &[bool] {
+        &self.remaining
+    }
+
     /// Whether the (flow, alternative) cell was withdrawn by veto.
     #[inline]
     pub fn is_banned(&self, flow: usize, alt: usize) -> bool {

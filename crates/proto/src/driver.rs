@@ -336,8 +336,10 @@ pub(crate) mod tests {
     struct TableMapper(GainTable);
 
     impl PreferenceMapper for TableMapper {
-        fn gains(&mut self, _i: &SessionInput, _c: &Assignment, out: &mut GainTable) {
-            out.copy_from(&self.0);
+        fn gains(&mut self, i: &SessionInput, _c: &Assignment, out: &mut GainTable) {
+            for (row, flow) in i.flow_ids.iter().enumerate() {
+                out.row_mut(row).copy_from_slice(self.0.row(flow.index()));
+            }
         }
     }
 

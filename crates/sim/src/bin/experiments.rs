@@ -198,6 +198,7 @@ fn main() {
     );
 
     let want = |name: &str| target == "all" || target == name;
+    let mut violated = false;
 
     if want("fig4") || want("fig6") || want("fraction") {
         eprintln!("running distance experiment (Figures 4, 6) ...");
@@ -216,6 +217,11 @@ fn main() {
         let results = bandwidth::run(&universe, &cfg);
         bandwidth::report(&results);
         println!();
+        // The win-win close under reassignment is a gate, not a figure.
+        if results.negative_sessions > 0 {
+            eprintln!("win-win violated: a bandwidth session ended below default!");
+            violated = true;
+        }
     }
     if want("fig9") {
         eprintln!("running diverse-criteria experiment (Figure 9) ...");
@@ -270,5 +276,8 @@ fn main() {
         let results = bandwidth::run_growth(&universe, &cfg, &[1.1, 1.25, 1.5, 2.0]);
         bandwidth::report_growth(&results);
         println!();
+    }
+    if violated {
+        std::process::exit(1);
     }
 }

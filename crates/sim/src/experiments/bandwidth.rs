@@ -316,6 +316,9 @@ pub struct BandwidthResults {
     pub accepted_moves: usize,
     /// Of those, moves the win-win close rolled back.
     pub rolled_back: usize,
+    /// Evaluated sessions that left either side's cumulative gain
+    /// negative. The win-win close guarantees zero.
+    pub negative_sessions: usize,
     /// How the pair-scoped LP sessions resolved their solves
     /// (cold / warm rhs re-entry / coefficient refresh, plus fallbacks)
     /// — the sweep-level record of how often the warm path held.
@@ -350,6 +353,7 @@ pub fn run(universe: &Universe, cfg: &ExpConfig) -> BandwidthResults {
         out.scenarios += p.scenarios;
         out.accepted_moves += p.accepted_moves;
         out.rolled_back += p.rolled_back;
+        out.negative_sessions += p.negative_sessions;
         out.lp_stats.absorb(p.lp_stats);
     }
     out
@@ -396,6 +400,7 @@ fn run_pair_into(
             scenario.negotiate_bandwidth_with(arena, &scenario.caps_up, &scenario.caps_down);
         out.accepted_moves += outcome.flows_negotiated();
         out.rolled_back += outcome.flows_rolled_back();
+        out.negative_sessions += usize::from(outcome.gain_a < 0 || outcome.gain_b < 0);
         let (neg_up, neg_down) = scenario.mels(&outcome.assignment);
         out.up_negotiated.push(neg_up / opt_up);
         out.down_negotiated.push(neg_down / opt_down);
@@ -541,6 +546,10 @@ pub fn report(results: &BandwidthResults) {
     println!(
         "   rolled back: {} of {} accepted moves",
         results.rolled_back, results.accepted_moves
+    );
+    println!(
+        "   negative final gain: {} of {} sessions",
+        results.negative_sessions, results.scenarios
     );
     println!("-- upstream ISP --");
     Cdf::new(results.up_negotiated.clone()).print("negotiated");

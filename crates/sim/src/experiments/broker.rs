@@ -41,6 +41,10 @@ impl SeededTableMapper {
 }
 
 impl PreferenceMapper for SeededTableMapper {
+    /// One copy of the whole table: right only while `input` is the
+    /// whole session, i.e. under configurations that never reassign
+    /// (every caller runs [`NexitConfig::win_win`]). Under one that
+    /// does, the machine's shape assert speaks.
     fn gains(&mut self, _input: &SessionInput, _current: &Assignment, out: &mut GainTable) {
         out.copy_from(&self.gains);
     }

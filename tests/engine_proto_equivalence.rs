@@ -8,8 +8,8 @@
 //! silently change its outcome.
 
 use nexit::core::{
-    negotiate, DisclosurePolicy, DistanceMapper, GainTable, NexitConfig, Party, PreferenceMapper,
-    SessionInput, Side,
+    negotiate, DisclosurePolicy, DistanceMapper, GainTable, NegotiationMachine, NexitConfig, Party,
+    PreferenceMapper, SessionInput, Side,
 };
 use nexit::proto::{
     run_reliable_session, run_session, Agent, FaultConfig, FaultyLink, ProtoError, ReliableConfig,
@@ -48,6 +48,7 @@ fn run_both(seed: u64, config: NexitConfig) {
     let mut pa = Party::honest("A", DistanceMapper::new(Side::A, &flows));
     let mut pb = Party::honest("B", DistanceMapper::new(Side::B, &flows));
     let engine = negotiate(&input, &default, &mut pa, &mut pb, &config);
+    check_final_tables(&input, &default, &flows, config, &engine);
 
     // Wire-protocol outcome over framed binary messages.
     let mut agent_a = Agent::new(
@@ -93,6 +94,70 @@ fn run_both(seed: u64, config: NexitConfig) {
         engine.reassignments, out_a.reassignments,
         "reassignment mismatch"
     );
+}
+
+/// Whether `classes` can be a floor quantization of `gains` under some
+/// positive scale: no sign flipped, no order inverted.
+fn quantizes(gains: &[f64], classes: &[i32]) -> bool {
+    let pairs = || gains.iter().zip(classes);
+    pairs().all(|(&g, &c)| (c <= 0 || g > 0.0) && (c >= 0 || g < 0.0))
+        && pairs().all(|(&g, &c)| pairs().all(|(&h, &d)| g <= h || c >= d))
+}
+
+/// The same session on two bare machines, whose tables the agents and
+/// the engine do not show: both sides must end holding the same two
+/// disclosed tables, row by row, and — engine and wire running one
+/// machine, a fill wrong on both sides would pass every check above —
+/// each row must still be a quantization of *its own flow's* gains,
+/// computed here without the machine.
+fn check_final_tables(
+    input: &SessionInput,
+    default: &Assignment,
+    flows: &PairFlows,
+    config: NexitConfig,
+    engine: &nexit::core::NegotiationOutcome,
+) {
+    let machine = |side| {
+        NegotiationMachine::new(
+            side,
+            Side::A,
+            input.clone(),
+            default.clone(),
+            DistanceMapper::new(side, flows),
+            DisclosurePolicy::Truthful,
+            config,
+        )
+        .unwrap()
+    };
+    let (mut a, mut b) = (machine(Side::A), machine(Side::B));
+    while !(a.is_done() && b.is_done()) {
+        while let Some(action) = a.poll_action() {
+            b.handle(a.peer_event(action)).unwrap();
+        }
+        while let Some(action) = b.poll_action() {
+            a.handle(b.peer_event(action)).unwrap();
+        }
+    }
+    assert_eq!(a.assignment(), &engine.assignment);
+    assert_eq!(a.reassignments(), engine.reassignments);
+    let (held_by_a, held_by_b) = (a.disclosed_tables(), b.disclosed_tables());
+    let mut gains = GainTable::new(input.len(), input.num_alternatives);
+    for (side, by_a, by_b) in [
+        (Side::A, held_by_a.0, held_by_b.0),
+        (Side::B, held_by_a.1, held_by_b.1),
+    ] {
+        gains.reset(input.len(), input.num_alternatives);
+        DistanceMapper::new(side, flows).gains(input, default, &mut gains);
+        for flow in 0..input.len() {
+            assert_eq!(by_a.row(flow), by_b.row(flow), "{side}'s row {flow}");
+            assert!(
+                quantizes(gains.row(flow), by_a.row(flow)),
+                "{side}'s row {flow} {:?} is not its gains {:?} quantized",
+                by_a.row(flow),
+                gains.row(flow)
+            );
+        }
+    }
 }
 
 #[test]
@@ -220,8 +285,11 @@ struct TableMapper {
 }
 
 impl PreferenceMapper for TableMapper {
-    fn gains(&mut self, _i: &SessionInput, _c: &Assignment, out: &mut GainTable) {
-        out.copy_from(&self.gains);
+    fn gains(&mut self, i: &SessionInput, _c: &Assignment, out: &mut GainTable) {
+        for (row, flow) in i.flow_ids.iter().enumerate() {
+            out.row_mut(row)
+                .copy_from_slice(self.gains.row(flow.index()));
+        }
     }
 }
 
