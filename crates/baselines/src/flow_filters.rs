@@ -62,9 +62,9 @@ pub fn flow_both_better(input: &OppositeFlows<'_>, seed: u64) -> (Assignment, As
 fn run_filter(input: &OppositeFlows<'_>, filter: Filter, seed: u64) -> (Assignment, Assignment) {
     let k = input
         .fwd
-        .metrics
-        .first()
-        .map_or(0, |m| m.num_alternatives());
+        .iter()
+        .next()
+        .map_or(0, |(_, _, m)| m.num_alternatives());
     let mut rng = StdRng::seed_from_u64(seed);
     let mut fwd_asg = input.fwd_default.clone();
     let mut rev_asg = input.rev_default.clone();
@@ -73,8 +73,8 @@ fn run_filter(input: &OppositeFlows<'_>, filter: Filter, seed: u64) -> (Assignme
         for j in 0..input.num_pops_b {
             let f_fwd = FlowId::new(i * input.num_pops_b + j);
             let f_rev = FlowId::new(j * input.num_pops_a + i);
-            let mf = &input.fwd.metrics[f_fwd.index()];
-            let mr = &input.rev.metrics[f_rev.index()];
+            let mf = input.fwd.metrics(f_fwd);
+            let mr = input.rev.metrics(f_rev);
             let fd = input.fwd_default.choice(f_fwd);
             let rd = input.rev_default.choice(f_rev);
 

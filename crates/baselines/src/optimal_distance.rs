@@ -11,9 +11,8 @@ use nexit_topology::IcxId;
 /// Ties break to the lower interconnection id, deterministically.
 pub fn optimal_distance(flows: &PairFlows) -> Assignment {
     let choices = flows
-        .metrics
         .iter()
-        .map(|m| {
+        .map(|(_, _, m)| {
             let mut best = IcxId::new(0);
             let mut best_km = m.total_km(best);
             for alt in 1..m.num_alternatives() {

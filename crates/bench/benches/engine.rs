@@ -285,11 +285,14 @@ fn bench_pair_layers(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("pairdata");
     group.bench_function("build_reduced", |bencher| {
-        let (reduced, _) = sweep.full.pair.without_interconnection(scenario.failed);
+        // Tables are stored per PoP; a fixture with few flows per PoP
+        // would hide a per-flow copy coming back.
+        let full = &sweep.full;
+        let (flows, pops) = (full.flows.len(), full.a.num_pops() + full.b.num_pops());
+        assert!(flows >= 4 * pops, "{flows} flows over {pops} PoPs");
+        let (reduced, _) = full.pair.without_interconnection(scenario.failed);
         bencher.iter(|| {
-            sweep
-                .full
-                .build_reduced(reduced.clone(), ExpConfig::default().workload)
+            full.build_reduced(reduced.clone(), ExpConfig::default().workload)
                 .default
                 .len()
         });

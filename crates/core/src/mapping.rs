@@ -44,7 +44,7 @@ use crate::outcome::Side;
 use nexit_metrics::fortz_link_cost;
 use nexit_routing::{Assignment, FlowId, PairFlows};
 use nexit_topology::{IcxId, LinkId};
-use nexit_workload::PathTable;
+use nexit_workload::{PathRow, PathTable};
 
 /// Width of one utilization class for the quantized bandwidth objective:
 /// load-to-capacity ratios are bucketed into steps of 1/16. A power of
@@ -119,6 +119,15 @@ fn side_links(side: Side, paths: &PathTable, flow: FlowId, alt: IcxId) -> &[Link
     }
 }
 
+/// This side's link sequences for every alternative of one flow.
+#[inline]
+fn side_paths(side: Side, paths: &PathTable, flow: FlowId) -> PathRow<'_> {
+    match side {
+        Side::A => paths.up_paths(flow),
+        Side::B => paths.down_paths(flow),
+    }
+}
+
 /// Which of a side's links lie on the flow's current path
 /// ([`LinkMarks::CUR`]) or on the candidate path ([`LinkMarks::ALT`]):
 /// the row kernels' O(1) replacement for scanning a path per link. A
@@ -160,18 +169,15 @@ impl LinkMarks {
     }
 }
 
-/// One flow's gain row under a path-max objective: an alternative costs
-/// the maximum over its links of `stay(link)` where the flow already
-/// rides the link (its current path) and `arrive(link)` where moving
-/// would add the flow; the gain is the default's cost minus the
-/// alternative's. Costs are written into `row` once and turned into
-/// gains in place.
+/// One flow's gain row under a path-max objective: an alternative of
+/// `flow_paths` costs the maximum over its links of `stay(link)` where
+/// the flow already rides the link (its current path) and
+/// `arrive(link)` where moving would add the flow; the gain is the
+/// default's cost minus the alternative's. Costs are written into `row`
+/// once and turned into gains in place.
 #[inline]
-#[allow(clippy::too_many_arguments)]
 fn path_max_row(
-    side: Side,
-    paths: &PathTable,
-    fid: FlowId,
+    flow_paths: PathRow<'_>,
     cur: IcxId,
     default: IcxId,
     marks: &mut LinkMarks,
@@ -179,10 +185,11 @@ fn path_max_row(
     stay: impl Fn(usize) -> f64,
     arrive: impl Fn(usize) -> f64,
 ) {
-    let cur_links = side_links(side, paths, fid, cur);
+    let cur_links = flow_paths.get(cur);
     marks.set(cur_links, LinkMarks::CUR);
     for (alt, cell) in row.iter_mut().enumerate() {
-        *cell = side_links(side, paths, fid, IcxId::new(alt))
+        *cell = flow_paths
+            .get(IcxId::new(alt))
             .iter()
             .map(|&l| {
                 if marks.has(l.index(), LinkMarks::CUR) {
@@ -263,7 +270,7 @@ impl<'a> DistanceMapper<'a> {
 impl PreferenceMapper for DistanceMapper<'_> {
     fn gains(&mut self, input: &SessionInput, _current: &Assignment, out: &mut GainTable) {
         for (i, (&fid, &default)) in input.flow_ids.iter().zip(&input.defaults).enumerate() {
-            let m = &self.flows.metrics[fid.index()];
+            let m = self.flows.metrics(fid);
             let km = |alt: usize| match self.side {
                 Side::A => m.up_km[alt],
                 Side::B => m.down_km[alt],
@@ -339,9 +346,7 @@ impl PreferenceMapper for BandwidthMapper<'_> {
             for (i, &fid) in input.flow_ids.iter().enumerate() {
                 let volume = flows.flows[fid.index()].volume;
                 path_max_row(
-                    side,
-                    paths,
-                    fid,
+                    side_paths(side, paths, fid),
                     current.choice(fid),
                     input.defaults[i],
                     marks,
@@ -364,9 +369,7 @@ impl PreferenceMapper for BandwidthMapper<'_> {
         for (i, &fid) in input.flow_ids.iter().enumerate() {
             let volume = flows.flows[fid.index()].volume;
             path_max_row(
-                side,
-                paths,
-                fid,
+                side_paths(side, paths, fid),
                 current.choice(fid),
                 input.defaults[i],
                 marks,
@@ -421,7 +424,8 @@ impl PreferenceMapper for FortzMapper<'_> {
             let row = out.row_mut(i);
             let volume = flows.flows[fid.index()].volume;
             let cur = current.choice(fid);
-            let cur_links = side_links(side, paths, fid, cur);
+            let flow_paths = side_paths(side, paths, fid);
+            let cur_links = flow_paths.get(cur);
             marks.set(cur_links, LinkMarks::CUR);
             // Total-cost delta of moving the flow from `cur` to each
             // alternative, computed over affected links only: the links
@@ -431,7 +435,7 @@ impl PreferenceMapper for FortzMapper<'_> {
                     *cell = 0.0;
                     continue;
                 }
-                let alt_links = side_links(side, paths, fid, IcxId::new(alt));
+                let alt_links = flow_paths.get(IcxId::new(alt));
                 marks.set(alt_links, LinkMarks::ALT);
                 let mut delta = 0.0;
                 for &l in alt_links {
@@ -524,7 +528,7 @@ mod tests {
             flow_ids: (0..flows.len()).map(FlowId::new).collect(),
             defaults: vec![default; flows.len()],
             volumes: flows.flows.iter().map(|f| f.volume).collect(),
-            num_alternatives: flows.metrics[0].num_alternatives(),
+            num_alternatives: flows.metrics(FlowId(0)).num_alternatives(),
         }
     }
 

@@ -8,7 +8,7 @@
 //! path from the entry PoP inside the downstream.
 
 use crate::dijkstra::ShortestPaths;
-use nexit_topology::{IcxId, LinkId, PairView, PopId};
+use nexit_topology::{IcxId, Interconnection, IspTopology, LinkId, PairView, PopId};
 
 /// Index of a flow within one [`PairFlows`] set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -48,22 +48,25 @@ pub struct Flow {
     pub volume: f64,
 }
 
-/// Distance decomposition of one flow over every alternative.
+/// Distance decomposition of one flow over every alternative: a view
+/// into its [`PairFlows`]' per-PoP tables.
 ///
-/// All vectors are indexed by [`IcxId`]: `up_km[i]` is the geographic
+/// All slices are indexed by [`IcxId`]: `up_km[i]` is the geographic
 /// length the flow travels inside the upstream ISP when using
-/// interconnection `i`, and so on.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlowMetrics {
+/// interconnection `i`, and so on. `up_km` depends only on the flow's
+/// source PoP, `down_km` only on its destination PoP and `icx_km` on
+/// neither, so every flow from one source shares its `up_km` slice.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FlowMetrics<'a> {
     /// Kilometres inside the upstream ISP, per alternative.
-    pub up_km: Vec<f64>,
+    pub up_km: &'a [f64],
     /// Kilometres inside the downstream ISP, per alternative.
-    pub down_km: Vec<f64>,
+    pub down_km: &'a [f64],
     /// Kilometres of the interconnection itself, per alternative.
-    pub icx_km: Vec<f64>,
+    pub icx_km: &'a [f64],
 }
 
-impl FlowMetrics {
+impl FlowMetrics<'_> {
     /// Total end-to-end kilometres for alternative `icx`.
     #[inline]
     pub fn total_km(&self, icx: IcxId) -> f64 {
@@ -79,13 +82,22 @@ impl FlowMetrics {
 
 /// The full flow set of one directed pair experiment: one flow per
 /// (upstream PoP, downstream PoP) combination, in row-major order
-/// (`src.index() * |B| + dst.index()`), plus per-flow metrics.
+/// (`src.index() * |B| + dst.index()`), plus their distance metrics.
+///
+/// The metrics are stored once per PoP, not per flow: kilometres inside
+/// the upstream per (source PoP, alternative), inside the downstream per
+/// (destination PoP, alternative), and of the interconnection per
+/// alternative. [`PairFlows::metrics`] assembles a flow's view.
 #[derive(Debug, Clone)]
 pub struct PairFlows {
     /// All flows.
     pub flows: Vec<Flow>,
-    /// Per-flow distance metrics, parallel to `flows`.
-    pub metrics: Vec<FlowMetrics>,
+    /// `up_km[src * k + icx]`: upstream kilometres from PoP `src`.
+    up_km: Vec<f64>,
+    /// `down_km[dst * k + icx]`: downstream kilometres to PoP `dst`.
+    down_km: Vec<f64>,
+    /// Length of each interconnection; its length is `k`.
+    icx_km: Vec<f64>,
 }
 
 impl PairFlows {
@@ -100,7 +112,6 @@ impl PairFlows {
         mut volume_of: impl FnMut(PopId, PopId) -> f64,
     ) -> Self {
         let mut flows = Vec::with_capacity(view.a.num_pops() * view.b.num_pops());
-        let mut metrics = Vec::with_capacity(flows.capacity());
         for (src, _) in view.a.pops() {
             for (dst, _) in view.b.pops() {
                 flows.push(Flow {
@@ -108,28 +119,46 @@ impl PairFlows {
                     dst,
                     volume: volume_of(src, dst),
                 });
-                metrics.push(flow_metrics(view, sp_up, sp_down, src, dst));
             }
         }
-        Self { flows, metrics }
+        let icxs = &view.pair.interconnections;
+        // `km(pop, icx)` for every PoP of `isp` × interconnection.
+        let per_pop = |isp: &IspTopology, km: &dyn Fn(PopId, &Interconnection) -> f64| {
+            let mut out = Vec::with_capacity(isp.num_pops() * icxs.len());
+            for (pop, _) in isp.pops() {
+                out.extend(icxs.iter().map(|x| km(pop, x)));
+            }
+            out
+        };
+        Self {
+            flows,
+            up_km: per_pop(view.a, &|src, x| sp_up.path_length_km(src, x.pop_a)),
+            down_km: per_pop(view.b, &|dst, x| sp_down.path_length_km(x.pop_b, dst)),
+            icx_km: icxs.iter().map(|x| x.length_km).collect(),
+        }
     }
 
     /// The same flows restricted to the alternatives `keep` (ids in this
     /// set), renumbered in `keep` order: what [`PairFlows::build`]
     /// returns for the pair with only those interconnections.
     pub fn select_alternatives(&self, keep: &[IcxId]) -> Self {
-        let pick = |km: &[f64]| keep.iter().map(|icx| km[icx.index()]).collect();
+        let k = self.icx_km.len();
+        // Each per-PoP row minus the columns not kept.
+        let pick = |km: &[f64]| {
+            if keep.is_empty() {
+                return Vec::new();
+            }
+            let mut out = Vec::with_capacity(km.len() / k * keep.len());
+            for row in km.chunks_exact(k) {
+                out.extend(keep.iter().map(|icx| row[icx.index()]));
+            }
+            out
+        };
         Self {
             flows: self.flows.clone(),
-            metrics: self
-                .metrics
-                .iter()
-                .map(|m| FlowMetrics {
-                    up_km: pick(&m.up_km),
-                    down_km: pick(&m.down_km),
-                    icx_km: pick(&m.icx_km),
-                })
-                .collect(),
+            up_km: pick(&self.up_km),
+            down_km: pick(&self.down_km),
+            icx_km: pick(&self.icx_km),
         }
     }
 
@@ -145,42 +174,34 @@ impl PairFlows {
         self.flows.is_empty()
     }
 
-    /// Iterator over `(FlowId, &Flow, &FlowMetrics)`.
-    pub fn iter(&self) -> impl Iterator<Item = (FlowId, &Flow, &FlowMetrics)> {
+    /// The distance metrics of one flow.
+    #[inline]
+    pub fn metrics(&self, flow: FlowId) -> FlowMetrics<'_> {
+        self.metrics_of(&self.flows[flow.index()])
+    }
+
+    #[inline]
+    fn metrics_of(&self, flow: &Flow) -> FlowMetrics<'_> {
+        let k = self.icx_km.len();
+        let (up, down) = (flow.src.index() * k, flow.dst.index() * k);
+        FlowMetrics {
+            up_km: &self.up_km[up..up + k],
+            down_km: &self.down_km[down..down + k],
+            icx_km: &self.icx_km,
+        }
+    }
+
+    /// Iterator over `(FlowId, &Flow, FlowMetrics)`.
+    pub fn iter(&self) -> impl Iterator<Item = (FlowId, &Flow, FlowMetrics<'_>)> {
         self.flows
             .iter()
-            .zip(&self.metrics)
             .enumerate()
-            .map(|(i, (f, m))| (FlowId::new(i), f, m))
+            .map(|(i, f)| (FlowId::new(i), f, self.metrics_of(f)))
     }
 
     /// Total traffic volume across all flows.
     pub fn total_volume(&self) -> f64 {
         self.flows.iter().map(|f| f.volume).sum()
-    }
-}
-
-/// Compute the distance decomposition of one flow over every alternative.
-pub fn flow_metrics(
-    view: &PairView<'_>,
-    sp_up: &ShortestPaths,
-    sp_down: &ShortestPaths,
-    src: PopId,
-    dst: PopId,
-) -> FlowMetrics {
-    let k = view.num_interconnections();
-    let mut up_km = Vec::with_capacity(k);
-    let mut down_km = Vec::with_capacity(k);
-    let mut icx_km = Vec::with_capacity(k);
-    for (_, icx) in view.pair.interconnections() {
-        up_km.push(sp_up.path_length_km(src, icx.pop_a));
-        down_km.push(sp_down.path_length_km(icx.pop_b, dst));
-        icx_km.push(icx.length_km);
-    }
-    FlowMetrics {
-        up_km,
-        down_km,
-        icx_km,
     }
 }
 
@@ -285,8 +306,9 @@ mod tests {
         let view = PairView::new(&a, &b, &pair);
         let sp_a = ShortestPaths::compute(&a);
         let sp_b = ShortestPaths::compute(&b);
+        let flows = PairFlows::build(&view, &sp_a, &sp_b, |_, _| 1.0);
         // Flow a0 -> b2.
-        let m = flow_metrics(&view, &sp_a, &sp_b, PopId(0), PopId(2));
+        let m = flows.metrics(FlowId(2));
         // Via icx 0 (at x): 0 km upstream, 200 downstream.
         assert_eq!(m.up_km[0], 0.0);
         assert_eq!(m.down_km[0], 200.0);

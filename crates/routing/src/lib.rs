@@ -30,6 +30,4 @@ pub mod flowpath;
 pub use assignment::Assignment;
 pub use dijkstra::ShortestPaths;
 pub use exits::{early_exit, late_exit};
-pub use flowpath::{
-    flow_links, flow_links_into, flow_metrics, Flow, FlowId, FlowMetrics, PairFlows,
-};
+pub use flowpath::{flow_links, flow_links_into, Flow, FlowId, FlowMetrics, PairFlows};

@@ -125,7 +125,7 @@ impl PreferenceMapper for DestinationDistanceMapper<'_> {
                 *cell = member_flows
                     .iter()
                     .map(|&f| {
-                        let m = &flows.metrics[f.index()];
+                        let m = flows.metrics(f);
                         let v = flows.flows[f.index()].volume;
                         let km = |a: usize| match side {
                             Side::A => m.up_km[a],

@@ -40,7 +40,7 @@ fn downstream_impacted_km(
         .impacted
         .iter()
         .map(|&f| {
-            let m = &scenario.data.flows.metrics[f.index()];
+            let m = scenario.data.flows.metrics(f);
             let v = scenario.data.flows.flows[f.index()].volume;
             v * m.down_km[assignment.choice(f).index()]
         })

@@ -229,6 +229,7 @@ impl<'u> PairData<'u> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nexit_routing::flow_links_into;
     use nexit_topology::{GeneratorConfig, TopologyGenerator};
 
     #[test]
@@ -325,12 +326,13 @@ mod tests {
         .generate()
     }
 
-    /// Projection must be indistinguishable from a rebuild: every
-    /// failure of every pair with a choice left afterwards, under each
-    /// workload model.
-    #[test]
-    fn reduced_projection_equals_rebuild() {
-        let u = small_universe();
+    /// Calls `check(full, reduced, workload)` for every failure of every
+    /// pair with a choice left afterwards, under each workload model,
+    /// and returns how many it made.
+    fn each_failure(
+        u: &nexit_topology::Universe,
+        mut check: impl FnMut(&PairData<'_>, IspPair, WorkloadModel),
+    ) -> usize {
         let eligible = u.eligible_pairs(3, false);
         assert!(!eligible.is_empty());
         let mut variants = 0;
@@ -344,38 +346,93 @@ mod tests {
                 let (a, b) = (&u.isps[pair.isp_a.index()], &u.isps[pair.isp_b.index()]);
                 let full = PairData::build(a, b, pair.clone(), workload);
                 for (failed, _) in pair.interconnections() {
-                    let (reduced, _) = pair.without_interconnection(failed);
-                    let projected = full.build_reduced(reduced.clone(), workload);
-                    let rebuilt = PairData::build_with_paths(
-                        a,
-                        b,
-                        reduced,
-                        workload,
-                        full.sp_up.clone(),
-                        full.sp_down.clone(),
-                    );
-                    assert_eq!(projected.pair, rebuilt.pair);
-                    assert_eq!(projected.flows.flows, rebuilt.flows.flows);
-                    assert_eq!(projected.flows.metrics, rebuilt.flows.metrics);
-                    assert_eq!(projected.default, rebuilt.default);
-                    assert_eq!(projected.paths.len(), rebuilt.paths.len());
-                    for (fid, _, _) in rebuilt.flows.iter() {
-                        for (icx, _) in rebuilt.pair.interconnections() {
-                            assert_eq!(
-                                projected.paths.up_links(fid, icx),
-                                rebuilt.paths.up_links(fid, icx)
-                            );
-                            assert_eq!(
-                                projected.paths.down_links(fid, icx),
-                                rebuilt.paths.down_links(fid, icx)
-                            );
-                        }
-                    }
+                    check(&full, pair.without_interconnection(failed).0, workload);
                     variants += 1;
                 }
             }
         }
+        variants
+    }
+
+    /// Projection must be indistinguishable from a rebuild.
+    #[test]
+    fn reduced_projection_equals_rebuild() {
+        let u = small_universe();
+        let variants = each_failure(&u, |full, reduced, workload| {
+            let projected = full.build_reduced(reduced.clone(), workload);
+            let rebuilt = PairData::build_with_paths(
+                full.a,
+                full.b,
+                reduced,
+                workload,
+                full.sp_up.clone(),
+                full.sp_down.clone(),
+            );
+            assert_eq!(projected.pair, rebuilt.pair);
+            assert_eq!(projected.flows.flows, rebuilt.flows.flows);
+            assert_eq!(projected.default, rebuilt.default);
+            assert_eq!(projected.paths.len(), rebuilt.paths.len());
+            for (fid, _, m) in rebuilt.flows.iter() {
+                assert_eq!(projected.flows.metrics(fid), m);
+                for (icx, _) in rebuilt.pair.interconnections() {
+                    assert_eq!(
+                        projected.paths.up_links(fid, icx),
+                        rebuilt.paths.up_links(fid, icx)
+                    );
+                    assert_eq!(
+                        projected.paths.down_links(fid, icx),
+                        rebuilt.paths.down_links(fid, icx)
+                    );
+                }
+            }
+        });
         assert!(variants >= 9, "only {variants} variants compared");
+    }
+
+    /// Every flow × alternative of `data` against the per-flow walk the
+    /// per-PoP tables replaced: links from `flow_links_into`, kilometres
+    /// straight from the shortest-path matrices and the pair record.
+    fn assert_equals_per_flow_walk(data: &PairData<'_>) {
+        let view = data.view();
+        let (mut up, mut down) = (Vec::new(), Vec::new());
+        assert_eq!(data.paths.len(), data.flows.len());
+        for (fid, flow, m) in data.flows.iter() {
+            assert_eq!(m, data.flows.metrics(fid));
+            assert_eq!(m.num_alternatives(), data.pair.num_interconnections());
+            for (icx, x) in data.pair.interconnections() {
+                up.clear();
+                down.clear();
+                flow_links_into(
+                    &view,
+                    &data.sp_up,
+                    &data.sp_down,
+                    flow,
+                    icx,
+                    &mut up,
+                    &mut down,
+                );
+                assert_eq!(data.paths.up_links(fid, icx), up);
+                assert_eq!(data.paths.down_links(fid, icx), down);
+                assert_eq!(data.paths.up_paths(fid).get(icx), up);
+                assert_eq!(data.paths.down_paths(fid).get(icx), down);
+                let i = icx.index();
+                assert_eq!(m.up_km[i], data.sp_up.path_length_km(flow.src, x.pop_a));
+                assert_eq!(m.down_km[i], data.sp_down.path_length_km(x.pop_b, flow.dst));
+                assert_eq!(m.icx_km[i], x.length_km);
+            }
+        }
+    }
+
+    /// The per-PoP tables of the intact pair and of every failure
+    /// projection read exactly what a per-flow walk computes.
+    #[test]
+    fn per_pop_tables_equal_a_per_flow_walk() {
+        let u = small_universe();
+        let variants = each_failure(&u, |full, reduced, workload| {
+            assert_equals_per_flow_walk(full);
+            assert_equals_per_flow_walk(&full.build_reduced(reduced, workload));
+        });
+        assert!(variants >= 9, "only {variants} variants checked");
     }
 
     #[test]

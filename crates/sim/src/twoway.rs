@@ -102,10 +102,10 @@ impl PreferenceMapper for TwoWayDistanceMapper<'_> {
             // Which direction does this combined index belong to, and
             // which side of that direction's view are we?
             let (metrics, upstream_here) = if fid.index() < self.n_fwd {
-                (&self.fwd.metrics[fid.index()], self.side == Side::A)
+                (self.fwd.metrics(fid), self.side == Side::A)
             } else {
                 (
-                    &self.rev.metrics[fid.index() - self.n_fwd],
+                    self.rev.metrics(FlowId::new(fid.index() - self.n_fwd)),
                     self.side == Side::B,
                 )
             };

@@ -18,6 +18,8 @@ use nexit_topology::{IcxId, LinkId, PairView, PopId};
 /// stay cache-dense.
 #[derive(Debug, Clone)]
 struct PathRows {
+    /// Rows held (kept, not derived, so that `k == 0` is no division).
+    rows: usize,
     /// Alternatives per row.
     k: usize,
     /// Concatenated link sequences, segment `row * k + icx`.
@@ -31,6 +33,7 @@ impl PathRows {
         let mut bounds = Vec::with_capacity(rows * k + 1);
         bounds.push(0);
         Self {
+            rows,
             k,
             links: Vec::with_capacity(links),
             bounds,
@@ -62,19 +65,26 @@ impl PathRows {
         &self.links[self.bounds[i] as usize..self.bounds[i + 1] as usize]
     }
 
-    /// A new table with one row per element of `rows`, holding that
-    /// row's sequences for the alternatives `keep`, in `keep` order.
-    fn gather(&self, rows: impl ExactSizeIterator<Item = usize> + Clone, keep: &[IcxId]) -> Self {
-        let row_links = |row: usize| {
-            keep.iter()
-                .map(|&icx| self.get(row, icx).len())
-                .sum::<usize>()
-        };
-        let links = rows.clone().map(row_links).sum();
-        let mut out = Self::with_capacity(keep.len(), rows.len(), links);
-        for row in rows {
+    #[inline]
+    fn row(&self, row: usize) -> PathRow<'_> {
+        let first = row * self.k;
+        PathRow {
+            links: &self.links,
+            bounds: &self.bounds[first..=first + self.k],
+        }
+    }
+
+    /// A new table over the same rows holding their sequences for the
+    /// alternatives `keep`, in `keep` order.
+    fn select(&self, keep: &[IcxId]) -> Self {
+        let rows = || (0..self.rows).map(|row| self.row(row));
+        let links = rows()
+            .map(|row| keep.iter().map(|&icx| row.get(icx).len()).sum::<usize>())
+            .sum();
+        let mut out = Self::with_capacity(keep.len(), self.rows, links);
+        for row in rows() {
             for &icx in keep {
-                out.links.extend_from_slice(self.get(row, icx));
+                out.links.extend_from_slice(row.get(icx));
                 out.end_segment();
             }
         }
@@ -82,26 +92,49 @@ impl PathRows {
     }
 }
 
+/// One flow's link sequences on one side, every alternative: the handle
+/// a kernel that reads a whole row looks up once per flow.
+#[derive(Debug, Clone, Copy)]
+pub struct PathRow<'a> {
+    links: &'a [LinkId],
+    /// The row's `k + 1` segment bounds into `links`.
+    bounds: &'a [u32],
+}
+
+impl<'a> PathRow<'a> {
+    /// The links of alternative `icx`.
+    #[inline]
+    pub fn get(self, icx: IcxId) -> &'a [LinkId] {
+        let i = icx.index();
+        &self.links[self.bounds[i] as usize..self.bounds[i + 1] as usize]
+    }
+}
+
 /// Precomputed link paths for every (flow, alternative) combination on
 /// both sides of a pair.
+///
+/// A flow's upstream paths depend only on its source PoP and its
+/// downstream paths only on its destination PoP. The table therefore
+/// holds one row of `k` sequences per upstream PoP and one per
+/// downstream PoP — the `(|A| + |B|) × k` distinct paths, each walked
+/// out of a predecessor matrix once — and gives each flow only the
+/// index of its two rows. A failure variant
+/// ([`PathTable::select_alternatives`]) copies the PoP rows minus the
+/// failed column, and the two index vectors.
 #[derive(Debug, Clone)]
 pub struct PathTable {
-    /// Flows covered.
-    num_flows: usize,
-    /// Upstream link sequences, one row per flow.
+    /// Upstream link sequences, one row per upstream PoP.
     up: PathRows,
-    /// Downstream link sequences, one row per flow.
+    /// Downstream link sequences, one row per downstream PoP.
     down: PathRows,
+    /// Each flow's row of `up` (its source PoP), in flow order.
+    up_row: Vec<u32>,
+    /// Each flow's row of `down` (its destination PoP), in flow order.
+    down_row: Vec<u32>,
 }
 
 impl PathTable {
     /// Precompute all paths for a flow set.
-    ///
-    /// A flow's upstream paths depend only on its source PoP and its
-    /// downstream paths only on its destination PoP, so of the
-    /// `flows × k` paths per side only `pops × k` are distinct: each is
-    /// walked out of the predecessor matrix once and copied to the
-    /// flows that share it.
     pub fn build(
         view: &PairView<'_>,
         sp_up: &ShortestPaths,
@@ -109,17 +142,15 @@ impl PathTable {
         flows: &PairFlows,
     ) -> Self {
         let k = view.num_interconnections();
-        let from_src = PathRows::walk(view.a.num_pops(), k, |src, icx, out| {
-            sp_up.path_links_into(view.a, src, view.pair.interconnection(icx).pop_a, out)
-        });
-        let to_dst = PathRows::walk(view.b.num_pops(), k, |dst, icx, out| {
-            sp_down.path_links_into(view.b, view.pair.interconnection(icx).pop_b, dst, out)
-        });
-        let all: Vec<IcxId> = (0..k).map(IcxId::new).collect();
         Self {
-            num_flows: flows.len(),
-            up: from_src.gather(flows.flows.iter().map(|f| f.src.index()), &all),
-            down: to_dst.gather(flows.flows.iter().map(|f| f.dst.index()), &all),
+            up: PathRows::walk(view.a.num_pops(), k, |src, icx, out| {
+                sp_up.path_links_into(view.a, src, view.pair.interconnection(icx).pop_a, out)
+            }),
+            down: PathRows::walk(view.b.num_pops(), k, |dst, icx, out| {
+                sp_down.path_links_into(view.b, view.pair.interconnection(icx).pop_b, dst, out)
+            }),
+            up_row: flows.flows.iter().map(|f| f.src.0).collect(),
+            down_row: flows.flows.iter().map(|f| f.dst.0).collect(),
         }
     }
 
@@ -129,34 +160,47 @@ impl PathTable {
     /// interconnections, derived by copying instead of re-walking.
     pub fn select_alternatives(&self, keep: &[IcxId]) -> Self {
         Self {
-            num_flows: self.num_flows,
-            up: self.up.gather(0..self.num_flows, keep),
-            down: self.down.gather(0..self.num_flows, keep),
+            up: self.up.select(keep),
+            down: self.down.select(keep),
+            up_row: self.up_row.clone(),
+            down_row: self.down_row.clone(),
         }
+    }
+
+    /// Upstream links of every alternative of one flow.
+    #[inline]
+    pub fn up_paths(&self, flow: FlowId) -> PathRow<'_> {
+        self.up.row(self.up_row[flow.index()] as usize)
+    }
+
+    /// Downstream links of every alternative of one flow.
+    #[inline]
+    pub fn down_paths(&self, flow: FlowId) -> PathRow<'_> {
+        self.down.row(self.down_row[flow.index()] as usize)
     }
 
     /// Upstream links for one (flow, alternative).
     #[inline]
     pub fn up_links(&self, flow: FlowId, icx: IcxId) -> &[LinkId] {
-        self.up.get(flow.index(), icx)
+        self.up.get(self.up_row[flow.index()] as usize, icx)
     }
 
     /// Downstream links for one (flow, alternative).
     #[inline]
     pub fn down_links(&self, flow: FlowId, icx: IcxId) -> &[LinkId] {
-        self.down.get(flow.index(), icx)
+        self.down.get(self.down_row[flow.index()] as usize, icx)
     }
 
     /// Number of flows covered.
     #[inline]
     pub fn len(&self) -> usize {
-        self.num_flows
+        self.up_row.len()
     }
 
     /// True when no flows are covered.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.num_flows == 0
+        self.up_row.is_empty()
     }
 }
 

@@ -64,7 +64,7 @@ fn main() {
             .iter()
             .map(|&f| {
                 scenario.data.flows.flows[f.index()].volume
-                    * scenario.data.flows.metrics[f.index()].down_km[asg.choice(f).index()]
+                    * scenario.data.flows.metrics(f).down_km[asg.choice(f).index()]
             })
             .sum()
     };
