@@ -194,14 +194,28 @@ fn build_program(
     let k = view.num_interconnections();
     let num_up = view.a.num_links();
 
-    // Residual loads from non-impacted flows.
-    let mut residual = LinkLoads::zero(view);
-    let impacted_set: std::collections::HashSet<FlowId> = impacted.iter().copied().collect();
-    for (fid, flow, _) in flows.iter() {
-        if !impacted_set.contains(&fid) {
-            residual.add_flow(paths, fid, default_assignment.choice(fid), flow.volume);
-        }
+    // Residual loads from non-impacted flows, and the impacted flows'
+    // loads on their default exits.
+    let mut is_impacted = vec![false; flows.len()];
+    for &f in impacted {
+        is_impacted[f.index()] = true;
     }
+    let background = || {
+        let flows = flows.iter().filter(|(f, ..)| !is_impacted[f.index()]);
+        flows.map(|(f, flow, _)| (f, default_assignment.choice(f), flow.volume))
+    };
+    let mut residual = LinkLoads::zero(view);
+    paths.add_loads(true, background(), &mut residual.up);
+    paths.add_loads(false, background(), &mut residual.down);
+    // Keyed like `per_link` below: upstream links, then downstream.
+    let mut default_load = vec![0.0; num_up + view.b.num_links()];
+    let (up, down) = default_load.split_at_mut(num_up);
+    let on_default = || {
+        let volumes = impacted.iter().map(|&f| (f, flows.flows[f.index()].volume));
+        volumes.map(|(f, volume)| (f, default_assignment.choice(f), volume))
+    };
+    paths.add_loads(true, on_default(), up);
+    paths.add_loads(false, on_default(), down);
 
     // Build the LP. Variable 0 is t; x[j][i] follows in row-major order.
     let mut lp = LpProblem::new();
@@ -221,22 +235,17 @@ fn build_program(
     // Link capacity rows. Gather per-link coefficients sparsely.
     // link key: 0..num_up = upstream links, num_up.. = downstream links.
     let mut per_link: Vec<Vec<(usize, f64)>> = vec![Vec::new(); num_up + view.b.num_links()];
-    let mut default_load = vec![0.0; per_link.len()];
     let mut start = Vec::with_capacity(impacted.len() + 1);
     for (j, &fid) in impacted.iter().enumerate() {
         let vol = flows.flows[fid.index()].volume;
-        let default_exit = default_assignment.choice(fid).index();
-        start.push((j, x_var(j, default_exit)));
+        start.push((j, x_var(j, default_assignment.choice(fid).index())));
         for i in 0..k {
             let icx = IcxId::new(i);
-            let on_default = if i == default_exit { vol } else { 0.0 };
             for &l in paths.up_links(fid, icx) {
                 per_link[l.index()].push((x_var(j, i), vol));
-                default_load[l.index()] += on_default;
             }
             for &l in paths.down_links(fid, icx) {
                 per_link[num_up + l.index()].push((x_var(j, i), vol));
-                default_load[num_up + l.index()] += on_default;
             }
         }
     }
@@ -344,14 +353,16 @@ fn extract_optimum(
             *v *= residual_scale;
         }
     }
-    for (j, &fid) in impacted.iter().enumerate() {
-        let vol = flows.flows[fid.index()].volume;
-        for (i, &frac) in fractions.row(j).iter().enumerate() {
-            if frac > 1e-12 {
-                loads.add_flow(paths, fid, IcxId::new(i), vol * frac);
-            }
-        }
-    }
+    let routed = || {
+        impacted.iter().enumerate().flat_map(|(j, &fid)| {
+            let vol = flows.flows[fid.index()].volume;
+            let row = fractions.row(j).iter().enumerate();
+            row.filter(|&(_, &x)| x > 1e-12)
+                .map(move |(i, &x)| (fid, IcxId::new(i), vol * x))
+        })
+    };
+    paths.add_loads(true, routed(), &mut loads.up);
+    paths.add_loads(false, routed(), &mut loads.down);
     BandwidthOptimum {
         t,
         fractions,

@@ -30,11 +30,10 @@ pub fn unilateral_upstream(
 
     // Current upstream loads under the default assignment.
     let mut loads = vec![0.0; up_capacities.len()];
-    for (fid, flow, _) in flows.iter() {
-        for &l in paths.up_links(fid, assignment.choice(fid)) {
-            loads[l.index()] += flow.volume;
-        }
-    }
+    let routed = flows
+        .iter()
+        .map(|(fid, flow, _)| (fid, assignment.choice(fid), flow.volume));
+    paths.add_loads(true, routed, &mut loads);
 
     let mut order: Vec<FlowId> = impacted.to_vec();
     // The comparator is a total order (volume desc, flow id asc), so the
@@ -54,9 +53,7 @@ pub fn unilateral_upstream(
         let cur = assignment.choice(fid);
         // Remove the flow from its current path, then evaluate each
         // alternative on the emptied state.
-        for &l in paths.up_links(fid, cur) {
-            loads[l.index()] -= volume;
-        }
+        paths.add_loads(true, [(fid, cur, -volume)], &mut loads);
         let mut best = IcxId::new(0);
         let mut best_cost = f64::INFINITY;
         for alt in 0..k {
@@ -71,9 +68,7 @@ pub fn unilateral_upstream(
                 best = alt_id;
             }
         }
-        for &l in paths.up_links(fid, best) {
-            loads[l.index()] += volume;
-        }
+        paths.add_loads(true, [(fid, best, volume)], &mut loads);
         assignment.set(fid, best);
     }
     assignment

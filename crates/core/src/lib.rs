@@ -48,7 +48,7 @@ pub use engine::{negotiate, negotiate_in, Party, SessionBuilder, SessionError, S
 pub use index::CandidateIndex;
 pub use machine::{Action, Event, MachineError, MachineOutcome, NegotiationMachine};
 pub use mapping::{
-    utilization_classes, BandwidthMapper, DistanceMapper, FortzMapper, PreferenceMapper, SideLoads,
+    utilization_classes, BandwidthMapper, DistanceMapper, FortzMapper, PreferenceMapper,
     UTIL_CLASS_WIDTH,
 };
 pub use outcome::{NegotiationOutcome, RoundRecord, Side, Termination};

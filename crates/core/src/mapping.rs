@@ -67,58 +67,6 @@ pub fn utilization_classes(loads: &[f64], capacities: &[f64], out: &mut Vec<u32>
     );
 }
 
-/// Per-link load accumulator for one side of a pair, maintained
-/// incrementally: [`SideLoads::add_path`] moves a volume onto the links
-/// of one path (off, with a negative volume) in O(links touched),
-/// versus the O(flows × path length) full re-aggregation a
-/// [`BandwidthMapper`] runs per fill. A churn driver keeps one
-/// accumulator per (side, traffic layer) and feeds the snapshot into
-/// [`utilization_classes`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SideLoads {
-    loads: Vec<f64>,
-}
-
-impl SideLoads {
-    /// All-zero loads over `num_links` links.
-    pub fn zero(num_links: usize) -> Self {
-        Self {
-            loads: vec![0.0; num_links],
-        }
-    }
-
-    /// Links covered.
-    pub fn num_links(&self) -> usize {
-        self.loads.len()
-    }
-
-    /// The current per-link loads.
-    pub fn loads(&self) -> &[f64] {
-        &self.loads
-    }
-
-    /// Add `volume` on every link of `links` (negative to remove).
-    pub fn add_path(&mut self, links: &[LinkId], volume: f64) {
-        for &l in links {
-            self.loads[l.index()] += volume;
-        }
-    }
-
-    /// Zero every link in place.
-    pub fn reset(&mut self) {
-        self.loads.iter_mut().for_each(|l| *l = 0.0);
-    }
-}
-
-/// This side's link sequence for one (flow, alternative).
-#[inline]
-fn side_links(side: Side, paths: &PathTable, flow: FlowId, alt: IcxId) -> &[LinkId] {
-    match side {
-        Side::A => paths.up_links(flow, alt),
-        Side::B => paths.down_links(flow, alt),
-    }
-}
-
 /// This side's link sequences for every alternative of one flow.
 #[inline]
 fn side_paths(side: Side, paths: &PathTable, flow: FlowId) -> PathRow<'_> {
@@ -207,22 +155,20 @@ fn path_max_row(
     }
 }
 
-/// Re-aggregate `loads` as the own-side per-link loads under `current`,
-/// in flow order.
+/// Refill `loads` with the own-side per-link loads under `current`, in
+/// flow order.
 fn aggregate_loads(
     side: Side,
     flows: &PairFlows,
     paths: &PathTable,
     current: &Assignment,
-    loads: &mut SideLoads,
+    loads: &mut [f64],
 ) {
-    loads.reset();
-    for (fid, flow, _) in flows.iter() {
-        loads.add_path(
-            side_links(side, paths, fid, current.choice(fid)),
-            flow.volume,
-        );
-    }
+    loads.fill(0.0);
+    let moves = flows
+        .iter()
+        .map(|(fid, flow, _)| (fid, current.choice(fid), flow.volume));
+    paths.add_loads(side == Side::A, moves, loads);
 }
 
 /// An ISP-internal objective that scores the session's alternatives.
@@ -296,7 +242,7 @@ pub struct BandwidthMapper<'a> {
     /// of the loads under `current` (the churn objective).
     classes: Option<&'a [u32]>,
     /// Own-side loads under `current`, re-aggregated per fill.
-    loads: SideLoads,
+    loads: Vec<f64>,
     /// `loads / capacities`, computed once per fill.
     util: Vec<f64>,
     /// The row kernel's current-path marks.
@@ -318,7 +264,7 @@ impl<'a> BandwidthMapper<'a> {
             paths,
             capacities,
             classes: None,
-            loads: SideLoads::zero(capacities.len()),
+            loads: vec![0.0; capacities.len()],
             util: Vec::new(),
             marks: LinkMarks::new(capacities.len()),
         }
@@ -358,7 +304,7 @@ impl PreferenceMapper for BandwidthMapper<'_> {
             return;
         }
         aggregate_loads(side, flows, paths, current, &mut self.loads);
-        let loads = self.loads.loads();
+        let loads = &self.loads;
         self.util.clear();
         self.util
             .extend(loads.iter().zip(capacities).map(|(&load, &cap)| load / cap));
@@ -390,7 +336,7 @@ pub struct FortzMapper<'a> {
     paths: &'a PathTable,
     capacities: &'a [f64],
     /// Own-side loads under `current`, re-aggregated per fill.
-    loads: SideLoads,
+    loads: Vec<f64>,
     /// The row kernel's current/candidate-path marks.
     marks: LinkMarks,
 }
@@ -408,7 +354,7 @@ impl<'a> FortzMapper<'a> {
             flows,
             paths,
             capacities,
-            loads: SideLoads::zero(capacities.len()),
+            loads: vec![0.0; capacities.len()],
             marks: LinkMarks::new(capacities.len()),
         }
     }
@@ -419,7 +365,7 @@ impl PreferenceMapper for FortzMapper<'_> {
         let (side, flows, paths, capacities) = (self.side, self.flows, self.paths, self.capacities);
         let marks = &mut self.marks;
         aggregate_loads(side, flows, paths, current, &mut self.loads);
-        let loads = self.loads.loads();
+        let loads = &self.loads;
         for (i, &fid) in input.flow_ids.iter().enumerate() {
             let row = out.row_mut(i);
             let volume = flows.flows[fid.index()].volume;
@@ -490,6 +436,14 @@ mod tests {
             })
             .collect();
         IspTopology::new(IspId(id), format!("L{id}"), pops, links, false).unwrap()
+    }
+
+    /// This side's link sequence for one (flow, alternative).
+    fn side_links(side: Side, paths: &PathTable, flow: FlowId, alt: IcxId) -> &[LinkId] {
+        match side {
+            Side::A => paths.up_links(flow, alt),
+            Side::B => paths.down_links(flow, alt),
+        }
     }
 
     struct Fixture {
@@ -956,6 +910,41 @@ mod tests {
                     prop_assert_eq!(bits(&got), bits(&expect));
                     let again = collect_gains(&mut mapper, &c.input, &c.current);
                     prop_assert_eq!(bits(&again), bits(&expect), "refill");
+                }
+            }
+
+            /// `PathTable::add_loads` against a naive per-link loop over
+            /// the same moves (the session's flows, random alternatives,
+            /// some volumes negative), on the built table and on a
+            /// `select_alternatives` variant.
+            #[test]
+            fn add_loads_matches_a_naive_per_link_loop(seed in any::<u64>()) {
+                let c = case(seed, 0.0);
+                let mut rng = StdRng::seed_from_u64(!seed);
+                let k = c.input.num_alternatives;
+                let mut keep: Vec<IcxId> = (0..k).map(IcxId::new).collect();
+                keep.swap(0, k - 1);
+                keep.truncate(rng.gen_range(1..=k));
+                let selected = c.paths.select_alternatives(&keep);
+                for (paths, alts) in [(&c.paths, k), (&selected, keep.len())] {
+                    let mut moves: Vec<(FlowId, IcxId, f64)> = Vec::new();
+                    for &f in &c.input.flow_ids {
+                        let alt = IcxId::new(rng.gen_range(0..alts));
+                        moves.push((f, alt, rng.gen_range(-4.0..4.0)));
+                    }
+                    for side in [Side::A, Side::B] {
+                        let mut got = vec![0.0; c.caps(side).len()];
+                        paths.add_loads(side == Side::A, moves.iter().copied(), &mut got);
+                        for (l, got) in got.iter().enumerate() {
+                            let mut expect = 0.0_f64;
+                            for &(f, alt, volume) in &moves {
+                                if side_links(side, paths, f, alt).contains(&LinkId::new(l)) {
+                                    expect += volume;
+                                }
+                            }
+                            prop_assert_eq!(got.to_bits(), expect.to_bits());
+                        }
+                    }
                 }
             }
         }

@@ -217,7 +217,8 @@ fn main() {
         let results = bandwidth::run(&universe, &cfg);
         bandwidth::report(&results);
         println!();
-        // The win-win close under reassignment is a gate, not a figure.
+        // The win-win close under reassignment is a gate, not a figure
+        // (here, in fig9 and in fig11).
         if results.negative_sessions > 0 {
             eprintln!("win-win violated: a bandwidth session ended below default!");
             violated = true;
@@ -228,6 +229,10 @@ fn main() {
         let results = diverse::run(&universe, &cfg);
         diverse::report(&results);
         println!();
+        if results.negative_sessions > 0 {
+            eprintln!("win-win violated: a diverse-criteria session ended below default!");
+            violated = true;
+        }
     }
     if want("fig10") {
         eprintln!("running distance cheating experiment (Figure 10) ...");
@@ -240,6 +245,11 @@ fn main() {
         let results = cheating::run_bandwidth(&universe, &cfg);
         cheating::report_bandwidth(&results);
         println!();
+        // The cheater's own loss is §5.4's point, not a violation.
+        if results.negative_sessions > 0 {
+            eprintln!("win-win violated: an honest ISP ended below default!");
+            violated = true;
+        }
     }
     if want("prange") {
         eprintln!("running preference-range sweep ...");

@@ -14,18 +14,16 @@
 //! what it was.
 
 use super::model::{ChurnPair, LogicalState};
-use crate::pairdata::PairData;
-use nexit_core::{utilization_classes, SideLoads};
+use nexit_core::utilization_classes;
 use nexit_routing::FlowId;
-use nexit_topology::LinkId;
 
 /// One side's per-link loads on one variant, in two layers, plus the
 /// utilization classes they quantize to.
 pub(super) struct SideLayers {
     /// Active flows' volumes on their default paths.
-    active: SideLoads,
+    active: Vec<f64>,
     /// Background (inactive) volumes, at nominal scale.
-    background: SideLoads,
+    background: Vec<f64>,
     classes: Vec<u32>,
 }
 
@@ -35,16 +33,15 @@ impl SideLayers {
         eff.clear();
         eff.extend(
             self.active
-                .loads()
                 .iter()
-                .zip(self.background.loads())
+                .zip(&self.background)
                 .map(|(&a, &b)| a + scale * b),
         );
         utilization_classes(eff, caps, out);
     }
 
     /// The layer a flow's volume rides in.
-    fn layer(&mut self, active: bool) -> &mut SideLoads {
+    fn layer(&mut self, active: bool) -> &mut [f64] {
         if active {
             &mut self.active
         } else {
@@ -58,14 +55,8 @@ pub(super) fn classes(sides: &[SideLayers; 2]) -> [&[u32]; 2] {
     sides.each_ref().map(|side| side.classes.as_slice())
 }
 
-/// Flow `f`'s default paths on `data` as `[side A, side B]` links.
-fn default_paths<'d>(data: &'d PairData<'_>, f: FlowId) -> [&'d [LinkId]; 2] {
-    let d = data.default.choice(f);
-    [data.paths.up_links(f, d), data.paths.down_links(f, d)]
-}
-
 /// From-scratch load state of `state`'s variant, `[side A, side B]`:
-/// both layers aggregated over the variant's own defaults in flow order,
+/// each layer aggregated over the variant's own defaults in flow order,
 /// then quantized. The driver builds its tracker through this at
 /// bring-up and on every topology flap, and the cold rebuild calls it
 /// per event — so what the replay check compares against it is the
@@ -73,16 +64,23 @@ fn default_paths<'d>(data: &'d PairData<'_>, f: FlowId) -> [&'d [LinkId]; 2] {
 pub(super) fn aggregate(pair: &ChurnPair<'_>, state: &LogicalState) -> [SideLayers; 2] {
     let data = &pair.variants[state.variant];
     let mut sides = pair.caps().map(|caps| SideLayers {
-        active: SideLoads::zero(caps.len()),
-        background: SideLoads::zero(caps.len()),
+        active: vec![0.0; caps.len()],
+        background: vec![0.0; caps.len()],
         classes: Vec::new(),
     });
-    for (i, &on) in state.active.iter().enumerate() {
-        let f = FlowId::new(i);
-        let volume = data.flows.flows[i].volume;
-        for (side, links) in sides.iter_mut().zip(default_paths(data, f)) {
-            side.layer(on).add_path(links, volume);
-        }
+    // The default-path moves of the flows whose activity is `on`.
+    let moves = |on: bool| {
+        (0..state.active.len())
+            .filter(move |&i| state.active[i] == on)
+            .map(move |i| {
+                let f = FlowId::new(i);
+                (f, data.default.choice(f), data.flows.flows[i].volume)
+            })
+    };
+    for (side, upstream) in sides.iter_mut().zip([true, false]) {
+        let paths = &data.paths;
+        paths.add_loads(upstream, moves(true), &mut side.active);
+        paths.add_loads(upstream, moves(false), &mut side.background);
     }
     let mut eff = Vec::new();
     for (side, caps) in sides.iter_mut().zip(pair.caps()) {
@@ -135,11 +133,12 @@ impl LoadTracker {
     ) -> bool {
         if let Some(f) = churned {
             let data = &pair.variants[state.variant];
+            let (paths, d) = (&data.paths, data.default.choice(f));
             let volume = data.flows.flows[f.index()].volume;
             let now_active = state.active[f.index()];
-            for (side, links) in self.sides.iter_mut().zip(default_paths(data, f)) {
-                side.layer(!now_active).add_path(links, -volume);
-                side.layer(now_active).add_path(links, volume);
+            for (side, upstream) in self.sides.iter_mut().zip([true, false]) {
+                paths.add_loads(upstream, [(f, d, -volume)], side.layer(!now_active));
+                paths.add_loads(upstream, [(f, d, volume)], side.layer(now_active));
             }
         }
         let mut moved = false;

@@ -40,8 +40,9 @@
 //!   class moved on either side, which is one vector compare
 //!   (`LoadTracker::refresh`). Flow events and topology flaps change the
 //!   table and always renegotiate;
-//! * per-link loads are maintained incrementally (`nexit_core::SideLoads`
-//!   accumulators per traffic layer, O(links touched) per flow event),
+//! * per-link loads are maintained incrementally (one buffer per side and
+//!   traffic layer, moved by `nexit_workload::PathTable::add_loads` in
+//!   O(links touched) per flow event),
 //!   re-aggregated only when a topology flap changes the defaults they
 //!   accumulate over; sessions draw their tables from one recycled
 //!   `TableArena`;

@@ -134,6 +134,13 @@ pub struct CheatBandwidthResults {
     pub down_cheater: Vec<f64>,
     /// Downstream MEL ratio, default routing.
     pub down_default: Vec<f64>,
+    /// Truthful sessions that left either side's cumulative gain
+    /// negative, plus cheated sessions that left the honest (downstream)
+    /// side negative. The win-win close guarantees zero.
+    pub negative_sessions: usize,
+    /// Cheated sessions that left the cheater itself negative: cheating
+    /// can hurt the cheater (§5.4), so this is reported, not gated.
+    pub negative_cheater: usize,
     /// How the pair-scoped LP sessions resolved their solves.
     pub lp_stats: WarmStats,
 }
@@ -158,6 +165,8 @@ pub fn run_bandwidth(universe: &Universe, cfg: &ExpConfig) -> CheatBandwidthResu
         out.down_truthful.extend(p.down_truthful);
         out.down_cheater.extend(p.down_cheater);
         out.down_default.extend(p.down_default);
+        out.negative_sessions += p.negative_sessions;
+        out.negative_cheater += p.negative_cheater;
         out.lp_stats.absorb(p.lp_stats);
     }
     out
@@ -226,6 +235,9 @@ fn run_bandwidth_pair(
             config,
         );
         let (cu, cd) = scenario.mels(&cheated.assignment);
+        out.negative_sessions += usize::from(truthful.gain_a < 0 || truthful.gain_b < 0);
+        out.negative_sessions += usize::from(cheated.gain_b < 0);
+        out.negative_cheater += usize::from(cheated.gain_a < 0);
 
         let (du, dd) = scenario.default_mels;
         out.up_truthful.push(tu / opt_up);
@@ -257,6 +269,16 @@ pub fn report_bandwidth(results: &CheatBandwidthResults) {
     use crate::cdf::Cdf;
     println!("== Figure 11: bandwidth cheating (upstream cheats), MEL vs optimal ==");
     crate::experiments::bandwidth::print_lp_stats(&results.lp_stats);
+    let scenarios = results.up_truthful.len();
+    println!(
+        "   negative final gain: {} of {} sessions (truthful, and the honest side under a cheater)",
+        results.negative_sessions,
+        2 * scenarios
+    );
+    println!(
+        "   cheater's own final gain negative: {} of {scenarios} sessions (not gated)",
+        results.negative_cheater
+    );
     println!("-- upstream ISP --");
     Cdf::new(results.up_truthful.clone()).print("both truthful");
     Cdf::new(results.up_cheater.clone()).print("one cheater");

@@ -29,6 +29,9 @@ pub struct DiverseResults {
     pub down_distance_gain: Vec<f64>,
     /// Scenarios evaluated.
     pub scenarios: usize,
+    /// Evaluated sessions that left either side's cumulative gain
+    /// negative. The win-win close guarantees zero.
+    pub negative_sessions: usize,
 }
 
 /// Downstream distance over the impacted flows only.
@@ -65,6 +68,7 @@ pub fn run(universe: &Universe, cfg: &ExpConfig) -> DiverseResults {
         out.up_default.extend(p.up_default);
         out.down_distance_gain.extend(p.down_distance_gain);
         out.scenarios += p.scenarios;
+        out.negative_sessions += p.negative_sessions;
     }
     out
 }
@@ -114,6 +118,7 @@ fn run_pair(
             &mut party_b,
             &NexitConfig::win_win_bandwidth(),
         );
+        out.negative_sessions += usize::from(outcome.gain_a < 0 || outcome.gain_b < 0);
 
         let (def_up, _) = scenario.default_mels;
         let (neg_up, _) = scenario.mels(&outcome.assignment);
@@ -133,6 +138,10 @@ pub fn report(results: &DiverseResults) {
     println!(
         "== Figure 9: diverse criteria ({} scenarios) ==",
         results.scenarios
+    );
+    println!(
+        "   negative final gain: {} of {} sessions",
+        results.negative_sessions, results.scenarios
     );
     println!("-- upstream ISP (bandwidth objective): MEL relative to optimal --");
     Cdf::new(results.up_negotiated.clone()).print("negotiated");

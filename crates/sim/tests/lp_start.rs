@@ -24,12 +24,13 @@ fn startless_t(s: &FailureScenario<'_>, scale: f64) -> f64 {
     let num_up = view.a.num_links();
 
     let impacted: HashSet<FlowId> = s.impacted.iter().copied().collect();
+    let moves = || {
+        let stay = flows.iter().filter(|(fid, ..)| !impacted.contains(fid));
+        stay.map(|(fid, flow, _)| (fid, s.data.default.choice(fid), flow.volume))
+    };
     let mut background = LinkLoads::zero(&view);
-    for (fid, flow, _) in flows.iter() {
-        if !impacted.contains(&fid) {
-            background.add_flow(paths, fid, s.data.default.choice(fid), flow.volume);
-        }
-    }
+    paths.add_loads(true, moves(), &mut background.up);
+    paths.add_loads(false, moves(), &mut background.down);
 
     let mut p = LpProblem::new();
     let t = p.add_variable(1.0);

@@ -5,9 +5,13 @@
 //! load, and the Nexit bandwidth preference mapping inspects the load a
 //! flow alternative would add to each link on its path.
 //!
-//! [`PathTable`] precomputes, for every (flow, alternative), the exact
-//! link sequences inside both ISPs, so load accumulation and incremental
-//! what-if queries are cheap inner loops.
+//! [`PathTable`] precomputes the link sequences inside both ISPs once per
+//! (PoP, alternative) — a flow's upstream paths are its source PoP's,
+//! its downstream paths its destination PoP's — and indexes each flow to
+//! its two PoP rows. [`PathTable::add_loads`] is the one per-link load
+//! sum: the mappers' per-fill loads, [`link_loads`], the churn driver's
+//! layers and the baselines' residual, default and greedy loads all add
+//! volumes onto paths through it, in the order their callers give.
 
 use nexit_routing::{Assignment, FlowId, PairFlows, ShortestPaths};
 use nexit_topology::{IcxId, LinkId, PairView, PopId};
@@ -110,8 +114,8 @@ impl<'a> PathRow<'a> {
     }
 }
 
-/// Precomputed link paths for every (flow, alternative) combination on
-/// both sides of a pair.
+/// Precomputed link paths for every (PoP, alternative) on both sides of
+/// a pair, and each flow's two PoP rows.
 ///
 /// A flow's upstream paths depend only on its source PoP and its
 /// downstream paths only on its destination PoP. The table therefore
@@ -191,6 +195,30 @@ impl PathTable {
         self.down.get(self.down_row[flow.index()] as usize, icx)
     }
 
+    /// Add each `(flow, alternative, volume)` of `moves`, in the order
+    /// given, onto every link of that flow's path for that alternative
+    /// on one side (upstream when `upstream`, else downstream); a
+    /// negative volume takes the load off. `loads` is indexed by that
+    /// side's [`LinkId`]. Every per-link load in the workspace is summed
+    /// here, so each link's sum is over its moves in `moves` order.
+    pub fn add_loads(
+        &self,
+        upstream: bool,
+        moves: impl IntoIterator<Item = (FlowId, IcxId, f64)>,
+        loads: &mut [f64],
+    ) {
+        let (rows, flow_row) = if upstream {
+            (&self.up, &self.up_row)
+        } else {
+            (&self.down, &self.down_row)
+        };
+        for (flow, icx, volume) in moves {
+            for &l in rows.get(flow_row[flow.index()] as usize, icx) {
+                loads[l.index()] += volume;
+            }
+        }
+    }
+
     /// Number of flows covered.
     #[inline]
     pub fn len(&self) -> usize {
@@ -221,31 +249,6 @@ impl LinkLoads {
             down: vec![0.0; view.b.num_links()],
         }
     }
-
-    /// Add the load of one flow routed via `icx`.
-    pub fn add_flow(&mut self, paths: &PathTable, flow: FlowId, icx: IcxId, volume: f64) {
-        for &l in paths.up_links(flow, icx) {
-            self.up[l.index()] += volume;
-        }
-        for &l in paths.down_links(flow, icx) {
-            self.down[l.index()] += volume;
-        }
-    }
-
-    /// Remove the load of one flow routed via `icx` (inverse of
-    /// [`LinkLoads::add_flow`]).
-    pub fn remove_flow(&mut self, paths: &PathTable, flow: FlowId, icx: IcxId, volume: f64) {
-        self.add_flow(paths, flow, icx, -volume);
-    }
-
-    /// The maximum load on either side.
-    pub fn max_load(&self) -> f64 {
-        self.up
-            .iter()
-            .chain(&self.down)
-            .copied()
-            .fold(0.0, f64::max)
-    }
 }
 
 /// Compute the loads produced by a complete assignment.
@@ -256,9 +259,13 @@ pub fn link_loads(
     assignment: &Assignment,
 ) -> LinkLoads {
     let mut loads = LinkLoads::zero(view);
-    for (id, flow, _) in flows.iter() {
-        loads.add_flow(paths, id, assignment.choice(id), flow.volume);
-    }
+    let moves = || {
+        flows
+            .iter()
+            .map(|(id, flow, _)| (id, assignment.choice(id), flow.volume))
+    };
+    paths.add_loads(true, moves(), &mut loads.up);
+    paths.add_loads(false, moves(), &mut loads.down);
     loads
 }
 
@@ -382,23 +389,15 @@ mod tests {
         let full = link_loads(&view, &paths, &flows, &asg1);
         let mut incr = link_loads(&view, &paths, &flows, &asg0);
         let vol = flows.flows[4].volume;
-        incr.remove_flow(&paths, FlowId(4), IcxId(0), vol);
-        incr.add_flow(&paths, FlowId(4), IcxId(1), vol);
+        let moved = [(FlowId(4), IcxId(0), -vol), (FlowId(4), IcxId(1), vol)];
+        paths.add_loads(true, moved, &mut incr.up);
+        paths.add_loads(false, moved, &mut incr.down);
         for (x, y) in incr.up.iter().zip(&full.up) {
             assert!((x - y).abs() < 1e-9);
         }
         for (x, y) in incr.down.iter().zip(&full.down) {
             assert!((x - y).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn max_load_over_both_sides() {
-        let loads = LinkLoads {
-            up: vec![1.0, 5.0],
-            down: vec![3.0],
-        };
-        assert_eq!(loads.max_load(), 5.0);
     }
 
     #[test]
