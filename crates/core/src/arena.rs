@@ -10,49 +10,6 @@
 //! `num_alts`-sized slices — and provides a [`TableArena`] that recycles
 //! the backing buffers across reassignments, sessions and group sweeps,
 //! so the steady state of the round loop allocates nothing.
-//!
-//! [`FlowRange`] names a contiguous run of flows inside a larger
-//! session. It is the currency of shared-storage views: grouped
-//! negotiation lays the groups out contiguously and hands each group a
-//! range of one session-wide layout.
-
-/// A contiguous run of flows inside a larger session: `start..start+len`
-/// in the session's local-flow index space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlowRange {
-    /// First flow of the range.
-    pub start: usize,
-    /// Number of flows covered.
-    pub len: usize,
-}
-
-impl FlowRange {
-    /// The range `start..start + len`.
-    pub fn new(start: usize, len: usize) -> Self {
-        Self { start, len }
-    }
-
-    /// The whole session: `0..len`.
-    pub fn full(len: usize) -> Self {
-        Self { start: 0, len }
-    }
-
-    /// One past the last flow.
-    #[inline]
-    pub fn end(&self) -> usize {
-        self.start + self.len
-    }
-
-    /// True when the range covers no flows.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The covered flow indices.
-    pub fn indices(&self) -> std::ops::Range<usize> {
-        self.start..self.end()
-    }
-}
 
 /// A flat `flows × alternatives` table of raw metric gains.
 ///
@@ -242,16 +199,6 @@ impl TableArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn flow_range_basics() {
-        let r = FlowRange::new(3, 4);
-        assert_eq!(r.end(), 7);
-        assert_eq!(r.indices().collect::<Vec<_>>(), vec![3, 4, 5, 6]);
-        assert!(!r.is_empty());
-        assert!(FlowRange::full(0).is_empty());
-        assert_eq!(FlowRange::full(5), FlowRange::new(0, 5));
-    }
 
     #[test]
     fn gain_table_rows_are_contiguous() {

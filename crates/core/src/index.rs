@@ -44,7 +44,7 @@
 //! `2P + 2` threshold rows would not pay for itself) it transparently
 //! delegates to the reference implementation.
 
-use crate::arena::{FlowRange, TableArena};
+use crate::arena::TableArena;
 use crate::policies::ProposalRule;
 use crate::prefs::PrefTable;
 use crate::selection::{self, TableState};
@@ -168,7 +168,7 @@ const UNBUILT: usize = usize::MAX;
 /// The materialized index. Every buffer survives retirement: a session
 /// sweep recycles one `Indexed` through a [`TableArena`] instead of
 /// reallocating heaps and trees per session (see
-/// [`CandidateIndex::view`]).
+/// [`CandidateIndex::new_in`]).
 #[derive(Debug, Default)]
 struct Indexed {
     /// Guard-threshold rows, stored flat (like every other table in the
@@ -279,12 +279,11 @@ impl CandidateIndex {
         num_alternatives: usize,
         with_projection: bool,
     ) -> Self {
-        Self::view(
+        Self::build(
             IndexBuffers::default(),
             rule,
             pref_range,
             defaults,
-            FlowRange::full(defaults.len()),
             num_alternatives,
             with_projection,
         )
@@ -301,56 +300,18 @@ impl CandidateIndex {
         num_alternatives: usize,
         with_projection: bool,
     ) -> Self {
-        Self::view(
+        Self::build(
             arena.index_buffers(),
             rule,
             pref_range,
             defaults,
-            FlowRange::full(defaults.len()),
             num_alternatives,
             with_projection,
-        )
-    }
-
-    /// An index over one [`FlowRange`] of a larger shared session:
-    /// `session_defaults` is the whole session's default list and
-    /// `range` selects the covered flows (which become local indices
-    /// `0..range.len` of this index). `bufs` — typically the previous
-    /// group's retired index — supplies every internal allocation, so a
-    /// sweep over many groups sets up in O(total flows) with exactly one
-    /// set of backing buffers.
-    ///
-    /// This is the one real constructor: [`CandidateIndex::new`] and
-    /// [`CandidateIndex::new_in`] are full-range views, so every machine
-    /// (and every group of an arena-threaded sweep) builds its index
-    /// through this path.
-    pub fn view(
-        bufs: IndexBuffers,
-        rule: ProposalRule,
-        pref_range: i32,
-        session_defaults: &[IcxId],
-        range: FlowRange,
-        num_alternatives: usize,
-        with_projection: bool,
-    ) -> Self {
-        let IndexBuffers {
-            inner,
-            defaults: mut buf,
-        } = bufs;
-        buf.clear();
-        buf.extend_from_slice(&session_defaults[range.indices()]);
-        Self::build(
-            rule,
-            pref_range,
-            buf,
-            num_alternatives,
-            with_projection,
-            inner,
         )
     }
 
     /// Retire the index, returning its buffers to `arena` for the next
-    /// [`CandidateIndex::new_in`] / [`CandidateIndex::view`].
+    /// [`CandidateIndex::new_in`].
     pub fn recycle(self, arena: &mut TableArena) {
         let inner = match self.mode {
             Mode::Indexed(ix) => ix,
@@ -362,14 +323,23 @@ impl CandidateIndex {
         });
     }
 
+    /// The one constructor: `bufs` — a fresh set, or a retired index's —
+    /// supplies every internal allocation, including the copy of
+    /// `defaults`.
     fn build(
+        bufs: IndexBuffers,
         rule: ProposalRule,
         pref_range: i32,
-        defaults: Vec<IcxId>,
+        defaults: &[IcxId],
         num_alternatives: usize,
         with_projection: bool,
-        mut inner: Box<Indexed>,
     ) -> Self {
+        let IndexBuffers {
+            mut inner,
+            defaults: mut own_defaults,
+        } = bufs;
+        own_defaults.clear();
+        own_defaults.extend_from_slice(defaults);
         let num_flows = defaults.len();
         let projection_leaves = (4 * pref_range.max(0) as usize + 2).saturating_mul(num_flows);
         let mode = if pref_range > MAX_INDEXED_PREF_RANGE
@@ -390,7 +360,7 @@ impl CandidateIndex {
             rule,
             p: i64::from(pref_range),
             num_alternatives,
-            defaults,
+            defaults: own_defaults,
             mode,
         }
     }
@@ -906,61 +876,6 @@ mod tests {
         let index =
             CandidateIndex::new(ProposalRule::MaxCombined, 200, &vec![IcxId(0); n], 2, false);
         assert!(matches!(index.mode, Mode::Indexed(_)));
-    }
-
-    #[test]
-    fn view_over_a_range_matches_a_fresh_index() {
-        // A "session" of 6 flows split as [0..2), [2..6): the second
-        // group's index, built as a view over the shared defaults with
-        // recycled buffers, must behave exactly like a fresh index over
-        // the sliced defaults.
-        let session_defaults = vec![IcxId(0), IcxId(1), IcxId(2), IcxId(0), IcxId(1), IcxId(2)];
-        let range = FlowRange::new(2, 4);
-        let d_own = table(&[vec![0, 5, 3], vec![0, -2, 7], vec![4, 1, 1], vec![0, 2, -9]]);
-        let d_other = table(&[vec![0, 5, 4], vec![0, 9, -7], vec![0, 1, 1], vec![3, 0, 2]]);
-        let own_true = table(&[vec![0, -5, 3], vec![0, 2, 7], vec![1, 1, -1], vec![0, 2, 0]]);
-        let state = TableState::new(4, 3);
-
-        let mut arena = TableArena::new();
-        // Retire a first index (different shape) into the arena...
-        CandidateIndex::new_in(
-            &mut arena,
-            ProposalRule::MaxCombined,
-            10,
-            &[IcxId(0); 7],
-            2,
-            true,
-        )
-        .recycle(&mut arena);
-        // ...and build the group view from its buffers.
-        let mut view = CandidateIndex::view(
-            arena.index_buffers(),
-            ProposalRule::MaxCombined,
-            10,
-            &session_defaults,
-            range,
-            3,
-            true,
-        );
-        let mut fresh = CandidateIndex::new(
-            ProposalRule::MaxCombined,
-            10,
-            &session_defaults[range.indices()],
-            3,
-            true,
-        );
-        view.rebuild(&d_own, &d_other, &own_true, &state);
-        fresh.rebuild(&d_own, &d_other, &own_true, &state);
-        for guard in [None, Some((&own_true, 0i64)), Some((&own_true, -3))] {
-            assert_eq!(
-                view.select(&d_own, &d_other, &state, guard),
-                fresh.select(&d_own, &d_other, &state, guard),
-            );
-        }
-        assert_eq!(
-            view.projected_gain(&own_true, &d_own, &d_other, &state),
-            fresh.projected_gain(&own_true, &d_own, &d_other, &state),
-        );
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod policies;
 pub mod prefs;
 pub mod selection;
 
-pub use arena::{FlowRange, GainTable, TableArena};
+pub use arena::{GainTable, TableArena};
 pub use cheating::DisclosurePolicy;
 pub use engine::{negotiate, negotiate_in, Party, SessionBuilder, SessionError, SessionInput};
 pub use index::CandidateIndex;

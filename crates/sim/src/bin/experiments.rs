@@ -205,6 +205,12 @@ fn main() {
         let results = distance::run(&universe, &cfg);
         distance::report(&results);
         println!();
+        // The win-win close is a gate, not a figure (here and in every
+        // target that counts negative final gains).
+        if results.negative_sessions > 0 {
+            eprintln!("win-win violated: a distance session ended below default!");
+            violated = true;
+        }
     }
     if want("fig5") {
         eprintln!("running filter strategies (Figure 5) ...");
@@ -217,8 +223,6 @@ fn main() {
         let results = bandwidth::run(&universe, &cfg);
         bandwidth::report(&results);
         println!();
-        // The win-win close under reassignment is a gate, not a figure
-        // (here, in fig9 and in fig11).
         if results.negative_sessions > 0 {
             eprintln!("win-win violated: a bandwidth session ended below default!");
             violated = true;
@@ -239,6 +243,11 @@ fn main() {
         let results = cheating::run_distance(&universe, &cfg);
         cheating::report_distance(&results);
         println!();
+        // The cheater's own loss is §5.4's point, not a violation.
+        if results.negative_sessions > 0 {
+            eprintln!("win-win violated: an honest ISP ended below default!");
+            violated = true;
+        }
     }
     if want("fig11") {
         eprintln!("running bandwidth cheating experiment (Figure 11) ...");
@@ -274,6 +283,10 @@ fn main() {
         let results = nexit_sim::destination::run(&universe, &cfg);
         nexit_sim::destination::report(&results);
         println!();
+        if results.negative_sessions > 0 {
+            eprintln!("win-win violated: a destination session ended below default!");
+            violated = true;
+        }
     }
     if want("models") {
         eprintln!("running alternate-model grid ...");

@@ -4,13 +4,10 @@
 //! / failed links" on the y-axis). [`Cdf`] collects samples and emits the
 //! same series: the x-value at each cumulative percentage.
 //!
-//! [`Cdf`] keeps every sample, which is fine for per-pair series (one
-//! sample per ISP pair) but not for per-flow series at full paper scale:
-//! `flow_negotiated` is ~pops² samples *per pair* across hundreds of
-//! pairs. [`StreamingCdf`] is the bounded-memory drop-in for those — a
-//! deterministic mergeable quantile sketch that is **exact** while the
-//! stream fits its capacity and degrades to weighted-centroid
-//! interpolation beyond it.
+//! Result structs hold every series whole, as a `Vec<f64>`, and build a
+//! [`Cdf`] only when a report or gate reads it. The largest series,
+//! Fig. 6's per-flow gains, is 160 832 samples (1.3 MB) per column at
+//! full paper scale.
 
 /// An empirical CDF over `f64` samples.
 #[derive(Debug, Clone)]
@@ -60,12 +57,6 @@ impl Cdf {
         self.percentile(50.0)
     }
 
-    /// Fraction of samples `<= x`, in percent.
-    pub fn cumulative_at(&self, x: f64) -> f64 {
-        let count = self.sorted.partition_point(|&s| s <= x);
-        100.0 * count as f64 / self.sorted.len().max(1) as f64
-    }
-
     /// Smallest sample.
     pub fn min(&self) -> f64 {
         *self.sorted.first().expect("empty CDF")
@@ -101,323 +92,6 @@ impl Cdf {
     }
 }
 
-/// Default centroid budget of a [`StreamingCdf`]: at 16 bytes per
-/// centroid this bounds a sketch at 64 KiB regardless of stream length,
-/// while staying exact for any series the tests and small experiments
-/// produce.
-pub const DEFAULT_SKETCH_CAPACITY: usize = 4096;
-
-/// A bounded-memory streaming quantile sketch.
-///
-/// Samples are held as sorted `(value, weight)` centroids plus a small
-/// unsorted buffer of recent pushes (folded in batch, so a push is
-/// amortized O(log capacity) instead of a per-sample sorted insert).
-/// While no compaction has run, every sample is its own unit-weight
-/// centroid and every quantile query returns **exactly** what [`Cdf`]
-/// over the same samples would (same nearest-rank interpolation
-/// arithmetic; pinned by a test). Once the stream outgrows the centroid
-/// budget, adjacent centroids are pairwise-merged into weighted means —
-/// memory stays bounded, the true min/max are kept exactly, quantiles
-/// interpolate between centroid mean-ranks, and [`StreamingCdf::is_exact`]
-/// reports the degradation (it survives [`StreamingCdf::merge`]: folding
-/// in an already-compacted sketch marks the result inexact too).
-///
-/// Everything is deterministic in the insertion sequence (no sampling,
-/// no randomness), so experiment output stays byte-identical across
-/// thread counts as long as streams are pushed in pair order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamingCdf {
-    /// Sorted ascending by value; parallel arrays (flat, cache-friendly).
-    values: Vec<f64>,
-    weights: Vec<f64>,
-    /// Unit-weight samples awaiting the next batched fold.
-    pending: Vec<f64>,
-    /// Centroid budget; a fold compacts down to it whenever the merged
-    /// centroid count would exceed it.
-    capacity: usize,
-    count: u64,
-    min: f64,
-    max: f64,
-    /// False as soon as any compaction has merged samples into means —
-    /// whether here or in a sketch this one absorbed via `merge`.
-    exact: bool,
-}
-
-impl Default for StreamingCdf {
-    fn default() -> Self {
-        Self::new(DEFAULT_SKETCH_CAPACITY)
-    }
-}
-
-impl StreamingCdf {
-    /// An empty sketch with room for `capacity` centroids (>= 2).
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity >= 2, "need at least two centroids");
-        Self {
-            values: Vec::new(),
-            weights: Vec::new(),
-            pending: Vec::new(),
-            capacity,
-            count: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            exact: true,
-        }
-    }
-
-    /// Add one sample (non-finite samples are rejected, like [`Cdf`]).
-    /// Amortized O(log capacity): samples batch in an unsorted buffer
-    /// and fold into the sorted centroids once per `capacity` pushes.
-    pub fn push(&mut self, sample: f64) {
-        assert!(sample.is_finite(), "CDF samples must be finite");
-        self.count += 1;
-        self.min = self.min.min(sample);
-        self.max = self.max.max(sample);
-        self.pending.push(sample);
-        if self.pending.len() >= self.capacity {
-            self.fold();
-        }
-    }
-
-    /// Add every sample of an iterator.
-    pub fn extend(&mut self, samples: impl IntoIterator<Item = f64>) {
-        for s in samples {
-            self.push(s);
-        }
-    }
-
-    /// Fold another sketch into this one (used to combine per-pair
-    /// sketches in pair order). Absorbing an already-compacted sketch
-    /// marks this one inexact as well.
-    pub fn merge(&mut self, other: &StreamingCdf) {
-        self.exact &= other.exact;
-        for (&v, &w) in other.values.iter().zip(&other.weights) {
-            if w == 1.0 {
-                // A unit centroid is just a sample (and in an exact
-                // sketch they all are): take the cheap batched path.
-                self.push(v);
-            } else {
-                // Weighted centroids only exist in compacted sketches —
-                // rare; a sorted insert is fine here.
-                self.count += w as u64;
-                let at = self.values.partition_point(|&x| x <= v);
-                self.values.insert(at, v);
-                self.weights.insert(at, w);
-                if self.values.len() > self.capacity {
-                    self.fold();
-                }
-            }
-        }
-        for &v in &other.pending {
-            self.push(v);
-        }
-        // min/max honor the other sketch's exact extremes (its interior
-        // centroids may already be merged means).
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Sort the pending batch, merge it into the centroids, and compact
-    /// back down to the budget if the merge overflowed it.
-    fn fold(&mut self) {
-        if !self.pending.is_empty() {
-            self.pending
-                .sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-            let mut out_v = Vec::with_capacity(self.values.len() + self.pending.len());
-            let mut out_w = Vec::with_capacity(out_v.capacity());
-            let (mut i, mut j) = (0, 0);
-            while i < self.values.len() || j < self.pending.len() {
-                let take_centroid = j >= self.pending.len()
-                    || (i < self.values.len() && self.values[i] <= self.pending[j]);
-                if take_centroid {
-                    out_v.push(self.values[i]);
-                    out_w.push(self.weights[i]);
-                    i += 1;
-                } else {
-                    out_v.push(self.pending[j]);
-                    out_w.push(1.0);
-                    j += 1;
-                }
-            }
-            self.values = out_v;
-            self.weights = out_w;
-            self.pending.clear();
-        }
-        while self.values.len() > self.capacity {
-            self.compact_once();
-            self.exact = false;
-        }
-    }
-
-    /// Halve the centroid count by merging adjacent pairs into their
-    /// weighted means. Exactness ends here; rank error stays bounded
-    /// because merges are always between value-adjacent centroids.
-    fn compact_once(&mut self) {
-        let n = self.values.len();
-        let mut out_v = Vec::with_capacity(n / 2 + 1);
-        let mut out_w = Vec::with_capacity(n / 2 + 1);
-        let mut i = 0;
-        while i < n {
-            if i + 1 < n {
-                let (w0, w1) = (self.weights[i], self.weights[i + 1]);
-                let w = w0 + w1;
-                out_v.push((self.values[i] * w0 + self.values[i + 1] * w1) / w);
-                out_w.push(w);
-                i += 2;
-            } else {
-                out_v.push(self.values[i]);
-                out_w.push(self.weights[i]);
-                i += 1;
-            }
-        }
-        self.values = out_v;
-        self.weights = out_w;
-    }
-
-    /// The sorted `(values, weights)` view including any pending batch
-    /// (query-time only; pushes never pay for this).
-    fn canonical(&self) -> (Vec<f64>, Vec<f64>) {
-        let mut pend = self.pending.clone();
-        pend.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-        let mut out_v = Vec::with_capacity(self.values.len() + pend.len());
-        let mut out_w = Vec::with_capacity(out_v.capacity());
-        let (mut i, mut j) = (0, 0);
-        while i < self.values.len() || j < pend.len() {
-            let take_centroid =
-                j >= pend.len() || (i < self.values.len() && self.values[i] <= pend[j]);
-            if take_centroid {
-                out_v.push(self.values[i]);
-                out_w.push(self.weights[i]);
-                i += 1;
-            } else {
-                out_v.push(pend[j]);
-                out_w.push(1.0);
-                j += 1;
-            }
-        }
-        (out_v, out_w)
-    }
-
-    /// Number of samples pushed (not centroids held).
-    pub fn len(&self) -> u64 {
-        self.count
-    }
-
-    /// True when no sample was pushed.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Whether every quantile is still exact: no compaction has merged
-    /// samples into means, in this sketch or in any sketch it absorbed
-    /// via [`StreamingCdf::merge`].
-    pub fn is_exact(&self) -> bool {
-        self.exact
-    }
-
-    /// Smallest sample (exact even after compaction).
-    pub fn min(&self) -> f64 {
-        assert!(self.count > 0, "empty sketch");
-        self.min
-    }
-
-    /// Largest sample (exact even after compaction).
-    pub fn max(&self) -> f64 {
-        assert!(self.count > 0, "empty sketch");
-        self.max
-    }
-
-    /// The x-value below which `pct` percent of samples fall. Matches
-    /// [`Cdf::percentile`] exactly while the sketch is exact; past
-    /// compaction, interpolates between centroid mean-ranks.
-    pub fn percentile(&self, pct: f64) -> f64 {
-        // Queries fold the pending batch into a temporary sorted view;
-        // pushes never pay for sorting.
-        let folded;
-        let (values, weights): (&[f64], &[f64]) = if self.pending.is_empty() {
-            (&self.values, &self.weights)
-        } else {
-            folded = self.canonical();
-            (&folded.0, &folded.1)
-        };
-        self.percentile_over(values, weights, pct)
-    }
-
-    /// [`StreamingCdf::percentile`] over an already-folded view, so bulk
-    /// queries ([`StreamingCdf::series`]) fold once, not per point.
-    fn percentile_over(&self, values: &[f64], weights: &[f64], pct: f64) -> f64 {
-        assert!(self.count > 0, "percentile of empty sketch");
-        assert!((0.0..=100.0).contains(&pct), "pct out of range: {pct}");
-        if self.count == 1 {
-            return self.min;
-        }
-        let target = (pct / 100.0) * (self.count - 1) as f64;
-        // Anchor each centroid at the mean rank of the samples it
-        // absorbed: `cum_before + (w - 1) / 2`. With unit weights that is
-        // exactly rank `i`, reproducing the full-vector interpolation
-        // arithmetic bit for bit. The exact extremes bracket the walk so
-        // pct 0 / 100 always return the true min / max.
-        let (mut prev_anchor, mut prev_value) = (0.0, self.min);
-        let mut cum = 0.0;
-        for (&v, &w) in values.iter().zip(weights) {
-            let anchor = cum + (w - 1.0) / 2.0;
-            if target <= anchor {
-                if anchor <= prev_anchor {
-                    return v; // degenerate leading anchor (rank 0)
-                }
-                let frac = (target - prev_anchor) / (anchor - prev_anchor);
-                return prev_value * (1.0 - frac) + v * frac;
-            }
-            (prev_anchor, prev_value) = (anchor, v);
-            cum += w;
-        }
-        // Past the last centroid anchor: climb to the exact maximum.
-        let last = (self.count - 1) as f64;
-        if last > prev_anchor {
-            let frac = (target - prev_anchor) / (last - prev_anchor);
-            return prev_value * (1.0 - frac) + self.max * frac;
-        }
-        self.max
-    }
-
-    /// Median.
-    pub fn median(&self) -> f64 {
-        self.percentile(50.0)
-    }
-
-    /// The standard report series: x-values at 5% steps (same shape as
-    /// [`Cdf::series`]). Folds the pending batch once for all 21 points.
-    pub fn series(&self) -> Vec<(f64, f64)> {
-        let folded;
-        let (values, weights): (&[f64], &[f64]) = if self.pending.is_empty() {
-            (&self.values, &self.weights)
-        } else {
-            folded = self.canonical();
-            (&folded.0, &folded.1)
-        };
-        (0..=20)
-            .map(|i| {
-                let pct = i as f64 * 5.0;
-                (pct, self.percentile_over(values, weights, pct))
-            })
-            .collect()
-    }
-
-    /// Print the series as aligned rows with a label.
-    pub fn print(&self, label: &str) {
-        if self.is_empty() {
-            println!("{label}: (no samples)");
-            return;
-        }
-        let note = if self.is_exact() { "" } else { ", sketched" };
-        println!("{label} (n={}{note}):", self.len());
-        println!("  cumulative%      x");
-        for (pct, x) in self.series() {
-            println!("  {pct:10.0} {x:10.3}");
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -438,14 +112,6 @@ mod tests {
         let cdf = Cdf::new(vec![0.0, 10.0]);
         assert!((cdf.percentile(50.0) - 5.0).abs() < 1e-9);
         assert!((cdf.percentile(25.0) - 2.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cumulative_at_inverts() {
-        let cdf = Cdf::new(vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(cdf.cumulative_at(0.5), 0.0);
-        assert_eq!(cdf.cumulative_at(2.0), 50.0);
-        assert_eq!(cdf.cumulative_at(10.0), 100.0);
     }
 
     #[test]
@@ -470,129 +136,11 @@ mod tests {
         assert_eq!(s[20].0, 100.0);
     }
 
-    #[test]
-    fn sketch_is_exact_below_capacity() {
-        // The satellite contract: while the stream fits the sketch, the
-        // streaming path is indistinguishable from the full-vector path
-        // — including at plateaus (repeated values) and extremes.
-        let samples = vec![3.0, 1.0, 1.0, 2.0, 5.0, 2.0, 2.0, -4.0];
-        let cdf = Cdf::new(samples.clone());
-        let mut sketch = StreamingCdf::new(16);
-        sketch.extend(samples);
-        assert!(sketch.is_exact());
-        for pct in [0.0, 12.5, 33.0, 50.0, 66.6, 90.0, 100.0] {
-            assert_eq!(
-                sketch.percentile(pct).to_bits(),
-                cdf.percentile(pct).to_bits(),
-                "diverged at pct {pct}"
-            );
-        }
-        assert_eq!(sketch.min(), cdf.min());
-        assert_eq!(sketch.max(), cdf.max());
-        assert_eq!(sketch.series(), cdf.series());
-    }
-
-    #[test]
-    fn sketch_memory_is_bounded_and_stays_accurate() {
-        let mut sketch = StreamingCdf::new(64);
-        // 10k samples of a deterministic ramp with shuffle-ish ordering.
-        let n = 10_000u64;
-        for i in 0..n {
-            let x = ((i * 7919) % n) as f64; // a permutation of 0..n
-            sketch.push(x);
-        }
-        assert!(!sketch.is_exact());
-        assert_eq!(sketch.len(), n);
-        assert!(sketch.values.len() <= 64, "memory bound violated");
-        // Exact extremes survive compaction.
-        assert_eq!(sketch.min(), 0.0);
-        assert_eq!(sketch.max(), (n - 1) as f64);
-        // Interior quantiles of the uniform ramp stay within a few
-        // percent despite 150x compression.
-        for pct in [10.0, 25.0, 50.0, 75.0, 90.0] {
-            let truth = pct / 100.0 * (n - 1) as f64;
-            let got = sketch.percentile(pct);
-            assert!(
-                (got - truth).abs() < 0.05 * (n as f64),
-                "pct {pct}: {got} vs {truth}"
-            );
-        }
-    }
-
-    #[test]
-    fn merging_a_compacted_sketch_reports_inexact() {
-        // A compacted donor holds interpolated means; a small receiver
-        // absorbing it must not claim exactness just because its own
-        // count fits the budget.
-        let mut donor = StreamingCdf::new(8);
-        donor.extend((0..100).map(f64::from));
-        assert!(!donor.is_exact());
-        let mut receiver = StreamingCdf::new(4096);
-        receiver.push(5.0);
-        receiver.merge(&donor);
-        assert!(!receiver.is_exact(), "inexactness must survive merge");
-        // Extremes still exact through the merge.
-        assert_eq!(receiver.min(), 0.0);
-        assert_eq!(receiver.max(), 99.0);
-        assert_eq!(receiver.len(), 101);
-    }
-
-    #[test]
-    fn sketch_merge_in_order_matches_one_stream() {
-        // Per-pair sketches merged in pair order must equal one sketch
-        // fed the concatenated stream (what the serial loop would do).
-        let chunks = [
-            vec![5.0, -2.0, 7.5],
-            vec![0.25, 5.0],
-            vec![-9.0, 3.0, 3.0, 11.0],
-        ];
-        let mut merged = StreamingCdf::new(32);
-        let mut direct = StreamingCdf::new(32);
-        for chunk in &chunks {
-            let mut per_pair = StreamingCdf::new(32);
-            per_pair.extend(chunk.iter().copied());
-            merged.merge(&per_pair);
-            direct.extend(chunk.iter().copied());
-        }
-        assert_eq!(merged, direct);
-    }
-
     mod proptests {
         use super::*;
         use proptest::prelude::*;
 
         proptest! {
-            #[test]
-            fn sketch_matches_full_vector_exactly_under_capacity(
-                samples in proptest::collection::vec(-1e6f64..1e6, 1..200),
-                p in 0.0f64..100.0,
-            ) {
-                let cdf = Cdf::new(samples.clone());
-                let mut sketch = StreamingCdf::new(256);
-                sketch.extend(samples);
-                prop_assert!(sketch.is_exact());
-                prop_assert_eq!(
-                    sketch.percentile(p).to_bits(),
-                    cdf.percentile(p).to_bits()
-                );
-            }
-
-            #[test]
-            fn sketch_percentile_is_monotone_and_in_range(
-                samples in proptest::collection::vec(-1e3f64..1e3, 1..400),
-                p1 in 0.0f64..100.0,
-                p2 in 0.0f64..100.0,
-            ) {
-                // Tiny capacity: force heavy compaction, then check the
-                // structural quantile guarantees still hold.
-                let mut sketch = StreamingCdf::new(8);
-                sketch.extend(samples);
-                let (lo, hi) = if p1 <= p2 { (p1, p2) } else { (p2, p1) };
-                prop_assert!(sketch.percentile(lo) <= sketch.percentile(hi) + 1e-9);
-                prop_assert!(sketch.percentile(lo) >= sketch.min() - 1e-9);
-                prop_assert!(sketch.percentile(hi) <= sketch.max() + 1e-9);
-            }
-
             #[test]
             fn percentile_is_monotone(
                 samples in proptest::collection::vec(-1e6f64..1e6, 1..200),

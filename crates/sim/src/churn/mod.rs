@@ -74,7 +74,7 @@
 //! [`ChurnCounters`].
 //!
 //! Latency is reported two ways: wall-clock per-event re-negotiation
-//! latency (p50/p99 `StreamingCdf`s, incremental vs cold twin) and a
+//! latency (p50/p99, incremental vs cold twin) and a
 //! deterministic *work* meter (gain cells filled + negotiation rounds +
 //! LP pivots) whose series is reproducible across runs and thread
 //! counts, used by the determinism tests where wall-clock cannot be.

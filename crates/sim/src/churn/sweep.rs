@@ -7,7 +7,7 @@ use super::model::{
     generate_trace, initial_active, lp_fits, ChurnConfig, ChurnEvent, ChurnPair, Objective,
 };
 use super::verify::{cold_rebuild, divergence};
-use crate::cdf::StreamingCdf;
+use crate::cdf::Cdf;
 use crate::parallel::par_map;
 use nexit_lp::WarmStats;
 use nexit_topology::{GeneratorConfig, IcxId, TopologyGenerator, Universe};
@@ -106,13 +106,13 @@ pub struct ChurnReport {
     /// Prefix replays that did not match the cold rebuild (must be 0).
     pub divergences: usize,
     /// Per-event incremental latency (wall-clock, ns).
-    pub latency: StreamingCdf,
+    pub latency: Vec<f64>,
     /// Per-event cold-rebuild latency (wall-clock, ns).
-    pub cold_latency: StreamingCdf,
+    pub cold_latency: Vec<f64>,
     /// Per-event incremental work units (deterministic).
-    pub work: StreamingCdf,
+    pub work: Vec<f64>,
     /// Per-event cold work units (deterministic).
-    pub cold_work: StreamingCdf,
+    pub cold_work: Vec<f64>,
     /// Aggregate LP warm/cold counters across all retained workspaces.
     pub lp_stats: WarmStats,
     /// Pairs whose baseline LP exceeded the size budget on some event.
@@ -178,12 +178,10 @@ pub fn run(
     for run in &main {
         report.counters.absorb(run.counters);
         report.divergences += run.divergences;
-        report.latency.extend(run.latency_ns.iter().copied());
-        report
-            .cold_latency
-            .extend(run.cold_latency_ns.iter().copied());
-        report.work.extend(run.work.iter().copied());
-        report.cold_work.extend(run.cold_work.iter().copied());
+        report.latency.extend(&run.latency_ns);
+        report.cold_latency.extend(&run.cold_latency_ns);
+        report.work.extend(&run.work);
+        report.cold_work.extend(&run.cold_work);
         report.lp_stats.absorb(run.lp_stats);
         report.lp_skipped_pairs += usize::from(run.lp_skipped);
         report.final_assignments.push(run.final_choices.clone());
@@ -222,7 +220,8 @@ pub fn run(
     // pivot counts — printed by `report`, guarded by the clock instead
     // (the engine bench's churn/bw ratio floor).
     if work_rule_gated(objective) && !report.work.is_empty() && !report.cold_work.is_empty() {
-        let (p50, cold_p50) = (report.work.median(), report.cold_work.median());
+        let p50 = Cdf::new(report.work.clone()).median();
+        let cold_p50 = Cdf::new(report.cold_work.clone()).median();
         if p50 >= cold_p50 {
             report.violations.push(format!(
                 "incremental work p50 {p50:.1} not under cold work p50 {cold_p50:.1}"
@@ -265,26 +264,29 @@ pub fn report(r: &ChurnReport) {
         "prefix replays vs cold rebuild: {} divergence(s); 1/2/4-worker reruns identical: {}",
         r.divergences, r.deterministic
     );
-    r.latency.print("per-event incremental latency (ns)");
-    r.cold_latency.print("per-event cold-rebuild latency (ns)");
-    if !r.latency.is_empty() && !r.cold_latency.is_empty() {
+    let latency = Cdf::new(r.latency.clone());
+    let cold_latency = Cdf::new(r.cold_latency.clone());
+    latency.print("per-event incremental latency (ns)");
+    cold_latency.print("per-event cold-rebuild latency (ns)");
+    if !latency.is_empty() && !cold_latency.is_empty() {
         println!(
             "latency p50: incremental {:.0} ns vs cold {:.0} ns ({:.1}x); p99: {:.0} vs {:.0} ns ({:.1}x)",
-            r.latency.median(),
-            r.cold_latency.median(),
-            r.cold_latency.median() / r.latency.median().max(1.0),
-            r.latency.percentile(99.0),
-            r.cold_latency.percentile(99.0),
-            r.cold_latency.percentile(99.0) / r.latency.percentile(99.0).max(1.0),
+            latency.median(),
+            cold_latency.median(),
+            cold_latency.median() / latency.median().max(1.0),
+            latency.percentile(99.0),
+            cold_latency.percentile(99.0),
+            cold_latency.percentile(99.0) / latency.percentile(99.0).max(1.0),
         );
     }
-    r.work
-        .print("per-event incremental work units (deterministic)");
-    if !r.work.is_empty() && !r.cold_work.is_empty() {
+    let work = Cdf::new(r.work.clone());
+    let cold_work = Cdf::new(r.cold_work.clone());
+    work.print("per-event incremental work units (deterministic)");
+    if !work.is_empty() && !cold_work.is_empty() {
         println!(
             "work p50: incremental {:.1} vs cold {:.1} units ({})",
-            r.work.median(),
-            r.cold_work.median(),
+            work.median(),
+            cold_work.median(),
             if work_rule_gated(r.objective) {
                 "gated: incremental must be under cold"
             } else {

@@ -148,6 +148,9 @@ pub struct DestinationResults {
     /// Per pair: % reduction achieved by per-flow negotiation on the
     /// same pair (the finer granularity the paper evaluates headline).
     pub flow_gain: Vec<f64>,
+    /// Sessions (two per pair) that left either side's cumulative gain
+    /// negative. The win-win close guarantees zero.
+    pub negative_sessions: usize,
     /// Pairs evaluated.
     pub pairs: usize,
 }
@@ -224,6 +227,9 @@ pub fn run(
             total_distance_km(&data.flows, &base),
             total_distance_km(&data.flows, &flow_out.assignment),
         ));
+        for o in [&outcome, &flow_out] {
+            out.negative_sessions += usize::from(o.gain_a < 0 || o.gain_b < 0);
+        }
     }
     out
 }
@@ -234,6 +240,11 @@ pub fn report(results: &DestinationResults) {
     println!(
         "== Footnote 2: destination-granularity negotiation ({} pairs) ==",
         results.pairs
+    );
+    println!(
+        "   negative final gain: {} of {} sessions",
+        results.negative_sessions,
+        2 * results.pairs
     );
     Cdf::new(results.pair_gain.clone()).print("destination-negotiated (% vs BGP default)");
     Cdf::new(results.flow_gain.clone()).print("per-flow negotiated (same baseline)");

@@ -5,7 +5,7 @@
 //! distance experiment with ISP-B cheating; Figure 11 repeats the
 //! bandwidth experiment with the upstream ISP cheating.
 
-use crate::cdf::StreamingCdf;
+use crate::cdf::Cdf;
 use crate::experiments::bandwidth::PairFailureSweep;
 use crate::experiments::distance::build_pair_run;
 use crate::pairdata::ExpConfig;
@@ -20,10 +20,7 @@ use nexit_metrics::percent_gain;
 use nexit_topology::Universe;
 use nexit_workload::CapacityModel;
 
-/// Figure 10 results (distance, ISP-B cheats). The per-ISP gain series
-/// (Fig. 10b) stream through bounded-memory sketches — they are the
-/// flow-scaled half of this experiment's output, and the report only
-/// reads quantiles.
+/// Figure 10 results (distance, ISP-B cheats).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CheatDistanceResults {
     /// Total gain per pair, both truthful.
@@ -31,11 +28,18 @@ pub struct CheatDistanceResults {
     /// Total gain per pair, one cheater.
     pub total_cheater: Vec<f64>,
     /// Individual gains with both truthful (two samples per pair).
-    pub individual_truthful: StreamingCdf,
+    pub individual_truthful: Vec<f64>,
     /// The cheater's individual gain per pair.
-    pub cheater_gain: StreamingCdf,
+    pub cheater_gain: Vec<f64>,
     /// The truthful ISP's individual gain per pair (cheater run).
-    pub truthful_gain: StreamingCdf,
+    pub truthful_gain: Vec<f64>,
+    /// Truthful sessions that left either side's cumulative gain
+    /// negative, plus cheated sessions that left the honest side (A)
+    /// negative. The win-win close guarantees zero.
+    pub negative_sessions: usize,
+    /// Cheated sessions that left the cheater itself negative: reported,
+    /// not gated, as in Figure 11.
+    pub negative_cheater: usize,
 }
 
 /// Run Figure 10. Pairs are swept on `cfg.threads` workers and merged
@@ -46,21 +50,18 @@ pub fn run_distance(universe: &Universe, cfg: &ExpConfig) -> CheatDistanceResult
         eligible.truncate(cap);
     }
     let config = NexitConfig::win_win();
-    // Per pair: (total_truthful, (indiv_t_a, indiv_t_b), total_cheater,
-    // truthful_gain, cheater_gain).
     let per_pair = par_map(cfg.threads, eligible.len(), |i| {
         run_distance_pair(universe, eligible[i], &config)
     });
     let mut out = CheatDistanceResults::default();
-    // Streamed in pair order, so the sketches are independent of the
-    // worker count.
-    for (t_total, (t_a, t_b), c_total, c_a, c_b) in per_pair {
-        out.total_truthful.push(t_total);
-        out.individual_truthful.push(t_a);
-        out.individual_truthful.push(t_b);
-        out.total_cheater.push(c_total);
-        out.truthful_gain.push(c_a);
-        out.cheater_gain.push(c_b);
+    for p in per_pair {
+        out.total_truthful.extend(p.total_truthful);
+        out.total_cheater.extend(p.total_cheater);
+        out.individual_truthful.extend(p.individual_truthful);
+        out.cheater_gain.extend(p.cheater_gain);
+        out.truthful_gain.extend(p.truthful_gain);
+        out.negative_sessions += p.negative_sessions;
+        out.negative_cheater += p.negative_cheater;
     }
     out
 }
@@ -70,7 +71,7 @@ fn run_distance_pair(
     universe: &Universe,
     idx: usize,
     config: &NexitConfig,
-) -> (f64, (f64, f64), f64, f64, f64) {
+) -> CheatDistanceResults {
     let run = build_pair_run(universe, idx);
     let session = &run.session;
     let mapper =
@@ -115,7 +116,16 @@ fn run_distance_pair(
     let cheated = negotiate(&session.input, &session.default, &mut a, &mut b, config);
     let (c_total, c_a, c_b) = evaluate(&cheated.assignment);
 
-    (t_total, (t_a, t_b), c_total, c_a, c_b)
+    CheatDistanceResults {
+        total_truthful: vec![t_total],
+        total_cheater: vec![c_total],
+        individual_truthful: vec![t_a, t_b],
+        cheater_gain: vec![c_b],
+        truthful_gain: vec![c_a],
+        negative_sessions: usize::from(truthful.gain_a < 0 || truthful.gain_b < 0)
+            + usize::from(cheated.gain_a < 0),
+        negative_cheater: usize::from(cheated.gain_b < 0),
+    }
 }
 
 /// Figure 11 results (bandwidth, upstream cheats). MELs relative to the
@@ -253,31 +263,41 @@ fn run_bandwidth_pair(
 
 /// Print the Figure 10 report.
 pub fn report_distance(results: &CheatDistanceResults) {
-    use crate::cdf::Cdf;
     println!("== Figure 10a: total distance gain, truthful vs one cheater ==");
+    print_negative_counts(
+        results.negative_sessions,
+        results.negative_cheater,
+        results.total_truthful.len(),
+    );
     Cdf::new(results.total_truthful.clone()).print("both truthful");
     Cdf::new(results.total_cheater.clone()).print("one cheater");
     println!();
     println!("== Figure 10b: individual gains ==");
-    results.individual_truthful.print("both truthful");
-    results.cheater_gain.print("cheater");
-    results.truthful_gain.print("truthful");
+    Cdf::new(results.individual_truthful.clone()).print("both truthful");
+    Cdf::new(results.cheater_gain.clone()).print("cheater");
+    Cdf::new(results.truthful_gain.clone()).print("truthful");
+}
+
+/// The win-win lines of Figures 10 and 11: `gated` counts truthful
+/// sessions plus the honest side of each cheated one (two per pair or
+/// scenario), `cheater` the cheater's own negatives (one per pair or
+/// scenario).
+fn print_negative_counts(gated: usize, cheater: usize, runs: usize) {
+    println!(
+        "   negative final gain: {gated} of {} sessions (truthful, and the honest side under a cheater)",
+        2 * runs
+    );
+    println!("   cheater's own final gain negative: {cheater} of {runs} sessions (not gated)");
 }
 
 /// Print the Figure 11 report.
 pub fn report_bandwidth(results: &CheatBandwidthResults) {
-    use crate::cdf::Cdf;
     println!("== Figure 11: bandwidth cheating (upstream cheats), MEL vs optimal ==");
     crate::experiments::bandwidth::print_lp_stats(&results.lp_stats);
-    let scenarios = results.up_truthful.len();
-    println!(
-        "   negative final gain: {} of {} sessions (truthful, and the honest side under a cheater)",
+    print_negative_counts(
         results.negative_sessions,
-        2 * scenarios
-    );
-    println!(
-        "   cheater's own final gain negative: {} of {scenarios} sessions (not gated)",
-        results.negative_cheater
+        results.negative_cheater,
+        results.up_truthful.len(),
     );
     println!("-- upstream ISP --");
     Cdf::new(results.up_truthful.clone()).print("both truthful");

@@ -8,7 +8,7 @@
 //! identical-weights workload model is forced here regardless of the
 //! experiment configuration.
 
-use crate::cdf::StreamingCdf;
+use crate::cdf::Cdf;
 use crate::pairdata::{ExpConfig, PairData};
 use crate::parallel::par_map;
 use crate::twoway::{
@@ -31,12 +31,12 @@ pub struct DistanceResults {
     pub individual_negotiated: Vec<f64>,
     /// Fig. 4b: per-ISP % reduction, optimal.
     pub individual_optimal: Vec<f64>,
-    /// Fig. 6: per-flow % gain across all pairs, negotiated. Held as a
-    /// bounded-memory sketch: this series is ~pops² samples per pair and
-    /// the only one that scales with flows rather than pairs.
-    pub flow_negotiated: StreamingCdf,
-    /// Fig. 6: per-flow % gain, optimal (sketched likewise).
-    pub flow_optimal: StreamingCdf,
+    /// Fig. 6: per-flow % gain across all pairs, negotiated: ~pops²
+    /// samples per pair, the only series that scales with flows rather
+    /// than pairs.
+    pub flow_negotiated: Vec<f64>,
+    /// Fig. 6: per-flow % gain, optimal.
+    pub flow_optimal: Vec<f64>,
     /// §5.1 claim: per pair, the fraction of all flows that must be
     /// non-default routed to capture 90% of the negotiated gain.
     pub fraction_for_90pct: Vec<f64>,
@@ -47,6 +47,9 @@ pub struct DistanceResults {
     pub accepted_moves: usize,
     /// Of those, moves the win-win close rolled back.
     pub rolled_back: usize,
+    /// Sessions (one per pair) that left either side's cumulative gain
+    /// negative. The win-win close guarantees zero.
+    pub negative_sessions: usize,
     /// Number of pairs evaluated.
     pub pairs: usize,
 }
@@ -84,14 +87,12 @@ struct PairResult {
     /// `[A, B]` per-ISP gains.
     individual_negotiated: [f64; 2],
     individual_optimal: [f64; 2],
-    /// Per-pair sketches, not vectors: even while every pair's result is
-    /// alive between the parallel sweep and the merge, peak memory stays
-    /// bounded by pairs x sketch capacity, not total flows.
-    flow_negotiated: StreamingCdf,
-    flow_optimal: StreamingCdf,
+    flow_negotiated: Vec<f64>,
+    flow_optimal: Vec<f64>,
     fraction_for_90pct: f64,
     accepted_moves: usize,
     rolled_back: usize,
+    negative: bool,
 }
 
 /// Run the full distance experiment. Pairs are swept on
@@ -116,13 +117,12 @@ pub fn run(universe: &Universe, cfg: &ExpConfig) -> DistanceResults {
         out.total_late_exit.push(p.total_late_exit);
         out.individual_negotiated.extend(p.individual_negotiated);
         out.individual_optimal.extend(p.individual_optimal);
-        // Per-flow series merge into the sketches in pair order, so the
-        // result is independent of the worker count.
-        out.flow_negotiated.merge(&p.flow_negotiated);
-        out.flow_optimal.merge(&p.flow_optimal);
+        out.flow_negotiated.extend(p.flow_negotiated);
+        out.flow_optimal.extend(p.flow_optimal);
         out.fraction_for_90pct.push(p.fraction_for_90pct);
         out.accepted_moves += p.accepted_moves;
         out.rolled_back += p.rolled_back;
+        out.negative_sessions += usize::from(p.negative);
     }
     out
 }
@@ -202,8 +202,8 @@ fn run_pair(universe: &Universe, pair_idx: usize) -> PairResult {
     let (ind_neg_b, ind_opt_b) = side_gains(Side::B);
 
     // Flow-level gains (Fig. 6) and the 90%-of-gain fraction.
-    let mut flow_negotiated = StreamingCdf::default();
-    let mut flow_optimal = StreamingCdf::default();
+    let mut flow_negotiated = Vec::new();
+    let mut flow_optimal = Vec::new();
     let mut per_flow_saving: Vec<f64> = Vec::new();
     let mut collect = |flows: &nexit_routing::PairFlows,
                        default: &nexit_routing::Assignment,
@@ -230,6 +230,7 @@ fn run_pair(universe: &Universe, pair_idx: usize) -> PairResult {
         fraction_for_90pct: fraction_for_gain_share(&per_flow_saving, 0.9),
         accepted_moves: outcome.flows_negotiated(),
         rolled_back: outcome.flows_rolled_back(),
+        negative: outcome.gain_a < 0 || outcome.gain_b < 0,
     }
 }
 
@@ -259,11 +260,14 @@ pub fn fraction_for_gain_share(per_flow_saving: &[f64], share: f64) -> f64 {
 
 /// Print the distance experiment report (Figures 4a, 4b, 6).
 pub fn report(results: &DistanceResults) {
-    use crate::cdf::Cdf;
     println!("== Figure 4a: total distance gain over default (% reduction) ==");
     println!(
         "   rolled back: {} of {} accepted moves",
         results.rolled_back, results.accepted_moves
+    );
+    println!(
+        "   negative final gain: {} of {} sessions",
+        results.negative_sessions, results.pairs
     );
     Cdf::new(results.total_negotiated.clone()).print("negotiated");
     Cdf::new(results.total_optimal.clone()).print("optimal");
@@ -274,8 +278,8 @@ pub fn report(results: &DistanceResults) {
     Cdf::new(results.individual_optimal.clone()).print("optimal");
     println!();
     println!("== Figure 6: flow-level gain (% reduction, all flows, all pairs) ==");
-    results.flow_negotiated.print("negotiated");
-    results.flow_optimal.print("optimal");
+    Cdf::new(results.flow_negotiated.clone()).print("negotiated");
+    Cdf::new(results.flow_optimal.clone()).print("optimal");
     println!();
     let frac = Cdf::new(results.fraction_for_90pct.clone());
     println!(

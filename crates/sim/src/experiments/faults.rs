@@ -14,14 +14,14 @@
 //!    fall back to the pair's default early-exit assignment — every
 //!    pair stays usable even on a dead link. The MEL cost of that
 //!    fallback (degraded vs negotiated routing, capacities from the
-//!    paper's §5.2 model) streams through a [`StreamingCdf`].
+//!    paper's §5.2 model) is reported as a CDF over degraded sessions.
 //! 3. **Determinism**: the headline cell reruns at 1, 2 and 4 workers
 //!    and must produce byte-identical results and fault counters.
 //!
 //! Any violation is collected into [`FaultsReport::violations`] and the
 //! binary exits non-zero, making this sweep a CI gate.
 
-use crate::cdf::StreamingCdf;
+use crate::cdf::Cdf;
 use crate::PairData;
 use nexit_broker::{Broker, BrokerConfig, PairOutcome, PairResult, ReliableConfig, SessionSpec};
 use nexit_core::{
@@ -156,7 +156,7 @@ pub struct FaultsReport {
     pub deterministic: bool,
     /// Degraded-vs-negotiated MEL cost ratio, one sample per degraded
     /// session anywhere in the sweep.
-    pub mel_ratio: StreamingCdf,
+    pub mel_ratio: Vec<f64>,
     /// Hard failures; the binary exits non-zero when non-empty.
     pub violations: Vec<String>,
 }
@@ -177,7 +177,7 @@ fn run_cell(
     plan: &CellPlan,
     workers: usize,
     seed: u64,
-    mel_cdf: &mut StreamingCdf,
+    mel_ratio: &mut Vec<f64>,
     violations: &mut Vec<String>,
 ) -> (FaultsCell, Vec<PairResult>) {
     let specs: Vec<_> = (0..plan.sessions)
@@ -213,7 +213,7 @@ fn run_cell(
                 if assignment != &pairs[p].default {
                     cell.mismatched += 1;
                 } else {
-                    mel_cdf.push(mel_ratios[p]);
+                    mel_ratio.push(mel_ratios[p]);
                 }
             }
             PairResult::Failed(_) => cell.failed += 1,
@@ -257,7 +257,7 @@ pub fn run(headline_sessions: usize, workers: usize, seed: u64) -> FaultsReport 
         .map(|(data, reference)| mel_cost_ratio(data, &reference.assignment))
         .collect();
 
-    let mut mel_cdf = StreamingCdf::default();
+    let mut mel_ratio = Vec::new();
     let mut violations = Vec::new();
 
     // Headline acceptance cell, rerun at 1/2/4 workers: classification
@@ -283,7 +283,7 @@ pub fn run(headline_sessions: usize, workers: usize, seed: u64) -> FaultsReport 
             &headline_plan,
             w,
             seed,
-            &mut mel_cdf,
+            &mut mel_ratio,
             &mut violations,
         );
         match &first_outcome {
@@ -367,7 +367,7 @@ pub fn run(headline_sessions: usize, workers: usize, seed: u64) -> FaultsReport 
             plan,
             workers,
             seed,
-            &mut mel_cdf,
+            &mut mel_ratio,
             &mut violations,
         );
         grid.push(cell);
@@ -387,7 +387,7 @@ pub fn run(headline_sessions: usize, workers: usize, seed: u64) -> FaultsReport 
         headline,
         grid,
         deterministic,
-        mel_ratio: mel_cdf,
+        mel_ratio,
         violations,
     }
 }
@@ -426,7 +426,7 @@ pub fn report(r: &FaultsReport) {
         "headline rerun at 1/2/4 workers byte-identical: {}",
         r.deterministic
     );
-    r.mel_ratio
+    Cdf::new(r.mel_ratio.clone())
         .print("degraded-vs-negotiated MEL cost ratio (per degraded session)");
     for v in &r.violations {
         println!("VIOLATION: {v}");
@@ -449,6 +449,9 @@ mod tests {
         let dead = r.grid.last().unwrap();
         assert_eq!(dead.degraded, dead.sessions);
         assert!(!r.mel_ratio.is_empty(), "dead cell must feed the MEL CDF");
-        assert!(r.mel_ratio.percentile(0.0) > 0.0, "MEL ratios are positive");
+        assert!(
+            Cdf::new(r.mel_ratio.clone()).min() > 0.0,
+            "MEL ratios are positive"
+        );
     }
 }

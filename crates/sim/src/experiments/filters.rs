@@ -1,6 +1,6 @@
 //! Figure 5: the flow-Pareto and flow-both-better strategies.
 
-use crate::cdf::StreamingCdf;
+use crate::cdf::Cdf;
 use crate::experiments::distance::build_pair_run;
 use crate::pairdata::ExpConfig;
 use crate::parallel::par_map;
@@ -9,15 +9,13 @@ use nexit_baselines::flow_filters::{flow_both_better, flow_pareto, OppositeFlows
 use nexit_metrics::percent_gain;
 use nexit_topology::Universe;
 
-/// Results: per-pair total % gains for both strategies, held as
-/// bounded-memory sketches (these series scale with the flow-filter
-/// sweep size, and the reports only read quantiles).
+/// Results: per-pair total % gains for both strategies.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FilterResults {
     /// flow-Pareto total distance gain per pair.
-    pub pareto: StreamingCdf,
+    pub pareto: Vec<f64>,
     /// flow-both-better total distance gain per pair.
-    pub both_better: StreamingCdf,
+    pub both_better: Vec<f64>,
 }
 
 /// Run Figure 5 over the distance-eligible pairs. Pairs are swept on
@@ -58,19 +56,16 @@ pub fn run(universe: &Universe, cfg: &ExpConfig) -> FilterResults {
         );
         (pareto, both_better)
     });
-    let mut out = FilterResults::default();
-    // Streamed in pair order, so the sketches are independent of the
-    // worker count.
-    for (pareto, both_better) in per_pair {
-        out.pareto.push(pareto);
-        out.both_better.push(both_better);
+    let (pareto, both_better) = per_pair.into_iter().unzip();
+    FilterResults {
+        pareto,
+        both_better,
     }
-    out
 }
 
 /// Print the Figure 5 report.
 pub fn report(results: &FilterResults) {
     println!("== Figure 5: gain of flow-level filter strategies (% reduction) ==");
-    results.both_better.print("flow-both-better");
-    results.pareto.print("flow-Pareto");
+    Cdf::new(results.both_better.clone()).print("flow-both-better");
+    Cdf::new(results.pareto.clone()).print("flow-Pareto");
 }

@@ -14,7 +14,7 @@
 //!
 //! The `experiments` binary (`cargo run --release -p nexit-sim --bin
 //! experiments -- all`) regenerates everything and prints the CDF series
-//! the paper plots; `EXPERIMENTS.md` records paper-vs-measured.
+//! the paper plots.
 
 pub mod cdf;
 pub mod churn;

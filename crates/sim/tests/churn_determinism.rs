@@ -34,7 +34,6 @@ fn sweep_is_identical_across_thread_counts() {
         for run in &runs[1..] {
             assert_eq!(run.final_assignments, reference.final_assignments);
             assert_eq!(run.work, reference.work, "work series must be identical");
-            assert_eq!(run.work.series(), reference.work.series());
             assert_eq!(run.counters, reference.counters);
             assert_eq!(run.lp_stats, reference.lp_stats);
             // Wall-clock values differ; the sample count may not.
@@ -109,7 +108,8 @@ fn path_counters_are_pinned() {
     for (objective, counters, max_work) in golden {
         let run = churn::run(3, 40, 1, 9, objective);
         assert_eq!(run.counters, counters, "[{}]", objective.name());
-        assert_eq!(run.work.max(), max_work, "[{}]", objective.name());
+        let costliest = run.work.iter().copied().fold(f64::MIN, f64::max);
+        assert_eq!(costliest, max_work, "[{}]", objective.name());
     }
 }
 
