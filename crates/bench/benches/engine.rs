@@ -272,12 +272,36 @@ fn bench_pair_layers(c: &mut Criterion) {
     group.bench_function("bw_fill", |bencher| {
         let data = &scenario.data;
         let inp = scenario.session_input();
+        // The mappers keep their loads across fills and update them from
+        // the flows that moved: refill alternately under the default and
+        // under one 5 % reassignment's worth of session flows moved, as
+        // a session's refills do, not under an unchanged assignment.
+        let mut moved = data.default.clone();
+        let budget = 0.05 * inp.volumes.iter().sum::<f64>();
+        let mut volume = 0.0;
+        for ((&f, &default), &v) in inp.flow_ids.iter().zip(&inp.defaults).zip(&inp.volumes) {
+            if volume >= budget {
+                break;
+            }
+            moved.set(f, IcxId::new((default.index() + 1) % inp.num_alternatives));
+            volume += v;
+        }
+        let diff = data.default.diff(&moved).len();
+        assert!(
+            diff > 0 && diff * 10 < data.flows.len(),
+            "{diff} of {} flows moved",
+            data.flows.len()
+        );
+        let currents = [&data.default, &moved];
         let mut up = BandwidthMapper::new(Side::A, &data.flows, &data.paths, &scenario.caps_up);
         let mut down = BandwidthMapper::new(Side::B, &data.flows, &data.paths, &scenario.caps_down);
         let mut out = GainTable::new(inp.len(), inp.num_alternatives);
+        let mut fills = 0usize;
         bencher.iter(|| {
-            up.gains(&inp, &data.default, &mut out);
-            down.gains(&inp, &data.default, &mut out);
+            let current = currents[fills % 2];
+            fills += 1;
+            up.gains(&inp, current, &mut out);
+            down.gains(&inp, current, &mut out);
             out.get(0, 0)
         });
     });

@@ -28,8 +28,9 @@
 //! (about fifteen times a session at the paper's 5 % interval), each
 //! time over the flows still on the table only, so they keep their
 //! per-fill state across fills and do each piece of work once. Per
-//! fill: the own-side loads under `current` are aggregated into a
-//! buffer the mapper owns, and `loads / capacity` is computed once per
+//! fill: the own-side loads the mapper keeps are updated from the flows
+//! that moved since its last fill (in exact units, so they equal a cold
+//! sum bit for bit), and `loads / capacity` is computed once per
 //! link. Per row: the flow's current path is marked in the
 //! mapper's `LinkMarks` array, so "does the flow already ride this
 //! link" is one lookup instead of a scan of the path; each alternative's
@@ -44,7 +45,7 @@ use crate::outcome::Side;
 use nexit_metrics::fortz_link_cost;
 use nexit_routing::{Assignment, FlowId, PairFlows};
 use nexit_topology::{IcxId, LinkId};
-use nexit_workload::{PathRow, PathTable};
+use nexit_workload::{exact_volume, PathRow, PathTable, EXACT_LOAD_LIMIT};
 
 /// Width of one utilization class for the quantized bandwidth objective:
 /// load-to-capacity ratios are bucketed into steps of 1/16. A power of
@@ -155,20 +156,58 @@ fn path_max_row(
     }
 }
 
-/// Refill `loads` with the own-side per-link loads under `current`, in
-/// flow order.
-fn aggregate_loads(
-    side: Side,
-    flows: &PairFlows,
-    paths: &PathTable,
-    current: &Assignment,
-    loads: &mut [f64],
-) {
-    loads.fill(0.0);
-    let moves = flows
-        .iter()
-        .map(|(fid, flow, _)| (fid, current.choice(fid), flow.volume));
-    paths.add_loads(side == Side::A, moves, loads);
+/// One side's per-link loads under the assignment a mapper last filled
+/// against, kept across fills. A session moves few flows between fills,
+/// so each fill adds only the flows whose choice changed; volumes are
+/// [`exact_volume`]s, so the loads equal a cold sum over every flow bit
+/// for bit whatever the order of the moves.
+#[derive(Debug, Clone)]
+struct KeptLoads {
+    /// Per-link loads under `choices`.
+    loads: Vec<f64>,
+    /// The choice of every flow that `loads` were summed under; empty
+    /// before the first fill.
+    choices: Vec<IcxId>,
+}
+
+impl KeptLoads {
+    fn new(num_links: usize) -> Self {
+        Self {
+            loads: vec![0.0; num_links],
+            choices: Vec::new(),
+        }
+    }
+
+    /// Bring the loads to `current` and return them.
+    fn update(
+        &mut self,
+        side: Side,
+        flows: &PairFlows,
+        paths: &PathTable,
+        current: &Assignment,
+    ) -> &[f64] {
+        debug_assert_eq!(current.len(), flows.len());
+        let volume = |i: usize| exact_volume(flows.flows[i].volume);
+        if self.choices.is_empty() {
+            let moves = current.iter().map(|(f, icx)| (f, icx, volume(f.index())));
+            paths.add_loads(side == Side::A, moves, &mut self.loads);
+            self.choices.extend_from_slice(current.choices());
+        } else {
+            let moved = self
+                .choices
+                .iter_mut()
+                .zip(current.choices())
+                .enumerate()
+                .filter(|(_, (was, now))| **was != **now)
+                .flat_map(|(i, (was, &now))| {
+                    let (f, v) = (FlowId::new(i), volume(i));
+                    [(f, std::mem::replace(was, now), -v), (f, now, v)]
+                });
+            paths.add_loads(side == Side::A, moved, &mut self.loads);
+        }
+        debug_assert!(self.loads.iter().all(|l| l.abs() < EXACT_LOAD_LIMIT));
+        &self.loads
+    }
 }
 
 /// An ISP-internal objective that scores the session's alternatives.
@@ -241,8 +280,8 @@ pub struct BandwidthMapper<'a> {
     /// Quantized utilization classes; when set, rows read these instead
     /// of the loads under `current` (the churn objective).
     classes: Option<&'a [u32]>,
-    /// Own-side loads under `current`, re-aggregated per fill.
-    loads: Vec<f64>,
+    /// Own-side loads, brought to `current` per fill.
+    loads: KeptLoads,
     /// `loads / capacities`, computed once per fill.
     util: Vec<f64>,
     /// The row kernel's current-path marks.
@@ -264,7 +303,7 @@ impl<'a> BandwidthMapper<'a> {
             paths,
             capacities,
             classes: None,
-            loads: vec![0.0; capacities.len()],
+            loads: KeptLoads::new(capacities.len()),
             util: Vec::new(),
             marks: LinkMarks::new(capacities.len()),
         }
@@ -303,8 +342,7 @@ impl PreferenceMapper for BandwidthMapper<'_> {
             }
             return;
         }
-        aggregate_loads(side, flows, paths, current, &mut self.loads);
-        let loads = &self.loads;
+        let loads = self.loads.update(side, flows, paths, current);
         self.util.clear();
         self.util
             .extend(loads.iter().zip(capacities).map(|(&load, &cap)| load / cap));
@@ -335,8 +373,8 @@ pub struct FortzMapper<'a> {
     flows: &'a PairFlows,
     paths: &'a PathTable,
     capacities: &'a [f64],
-    /// Own-side loads under `current`, re-aggregated per fill.
-    loads: Vec<f64>,
+    /// Own-side loads, brought to `current` per fill.
+    loads: KeptLoads,
     /// The row kernel's current/candidate-path marks.
     marks: LinkMarks,
 }
@@ -354,7 +392,7 @@ impl<'a> FortzMapper<'a> {
             flows,
             paths,
             capacities,
-            loads: vec![0.0; capacities.len()],
+            loads: KeptLoads::new(capacities.len()),
             marks: LinkMarks::new(capacities.len()),
         }
     }
@@ -364,8 +402,7 @@ impl PreferenceMapper for FortzMapper<'_> {
     fn gains(&mut self, input: &SessionInput, current: &Assignment, out: &mut GainTable) {
         let (side, flows, paths, capacities) = (self.side, self.flows, self.paths, self.capacities);
         let marks = &mut self.marks;
-        aggregate_loads(side, flows, paths, current, &mut self.loads);
-        let loads = &self.loads;
+        let loads = self.loads.update(side, flows, paths, current);
         for (i, &fid) in input.flow_ids.iter().enumerate() {
             let row = out.row_mut(i);
             let volume = flows.flows[fid.index()].volume;
@@ -625,7 +662,8 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
 
-        /// The per-fill load aggregation the mappers used to allocate.
+        /// A cold per-link sum of every flow's exact volume under
+        /// `current`.
         fn reference_loads(
             side: Side,
             flows: &PairFlows,
@@ -636,7 +674,7 @@ mod tests {
             let mut loads = vec![0.0; num_links];
             for (fid, flow, _) in flows.iter() {
                 for &l in side_links(side, paths, fid, current.choice(fid)) {
-                    loads[l.index()] += flow.volume;
+                    loads[l.index()] += exact_volume(flow.volume);
                 }
             }
             loads
@@ -910,6 +948,45 @@ mod tests {
                     prop_assert_eq!(bits(&got), bits(&expect));
                     let again = collect_gains(&mut mapper, &c.input, &c.current);
                     prop_assert_eq!(bits(&again), bits(&expect), "refill");
+                }
+            }
+
+            /// Mappers kept across fills against fresh ones, bit for bit,
+            /// along a random walk of assignments: each step moves a few
+            /// flows (a reassignment, possibly none) or redraws every
+            /// flow's choice (a jump).
+            #[test]
+            fn kept_loads_match_a_fresh_mapper(seed in any::<u64>(), steps in 1usize..12) {
+                let c = case(seed, 0.5);
+                let mut rng = StdRng::seed_from_u64(!seed);
+                let (n, k) = (c.flows.len(), c.input.num_alternatives);
+                for side in [Side::A, Side::B] {
+                    let caps = c.caps(side);
+                    let mut bandwidth = BandwidthMapper::new(side, &c.flows, &c.paths, caps);
+                    let mut fortz = FortzMapper::new(side, &c.flows, &c.paths, caps);
+                    let mut current = c.current.clone();
+                    for step in 0..steps {
+                        let flows: Vec<usize> = if rng.gen_bool(0.25) {
+                            (0..n).collect()
+                        } else {
+                            (0..rng.gen_range(0..=3)).map(|_| rng.gen_range(0..n)).collect()
+                        };
+                        for f in flows {
+                            current.set(FlowId::new(f), IcxId::new(rng.gen_range(0..k)));
+                        }
+                        let mut fresh = BandwidthMapper::new(side, &c.flows, &c.paths, caps);
+                        prop_assert_eq!(
+                            bits(&collect_gains(&mut bandwidth, &c.input, &current)),
+                            bits(&collect_gains(&mut fresh, &c.input, &current)),
+                            "bandwidth, step {}", step
+                        );
+                        let mut fresh = FortzMapper::new(side, &c.flows, &c.paths, caps);
+                        prop_assert_eq!(
+                            bits(&collect_gains(&mut fortz, &c.input, &current)),
+                            bits(&collect_gains(&mut fresh, &c.input, &current)),
+                            "fortz, step {}", step
+                        );
+                    }
                 }
             }
 

@@ -262,21 +262,33 @@ fn main() {
     }
     if want("prange") {
         eprintln!("running preference-range sweep ...");
-        let rows = ablation::preference_range_sweep(&universe, &cfg, &[1, 2, 5, 10, 20, 50]);
-        ablation::report_prange(&rows);
+        let results = ablation::preference_range_sweep(&universe, &cfg, &[1, 2, 5, 10, 20, 50]);
+        ablation::report_prange(&results);
         println!();
+        if results.gate.negative_sessions > 0 {
+            eprintln!("win-win violated: a preference-range session ended below default!");
+            violated = true;
+        }
     }
     if want("groups") {
         eprintln!("running group-count sweep ...");
-        let rows = ablation::group_sweep(&universe, &cfg, &[1, 2, 4, 8]);
-        ablation::report_groups(&rows);
+        let results = ablation::group_sweep(&universe, &cfg, &[1, 2, 4, 8]);
+        ablation::report_groups(&results);
         println!();
+        if results.gate.negative_sessions > 0 {
+            eprintln!("win-win violated: a group session ended below default!");
+            violated = true;
+        }
     }
     if want("modes") {
         eprintln!("running protocol-mode ablation ...");
-        let rows = ablation::mode_comparison(&universe, &cfg);
-        ablation::report_modes(&rows);
+        let results = ablation::mode_comparison(&universe, &cfg);
+        ablation::report_modes(&results);
         println!();
+        if results.gate.negative_sessions > 0 {
+            eprintln!("win-win violated: a credit-veto session ended below default!");
+            violated = true;
+        }
     }
     if want("dest") {
         eprintln!("running destination-granularity negotiation (footnote 2) ...");
@@ -290,9 +302,13 @@ fn main() {
     }
     if want("models") {
         eprintln!("running alternate-model grid ...");
-        let rows = ablation::model_grid(&universe, &cfg);
-        ablation::report_models(&rows);
+        let results = ablation::model_grid(&universe, &cfg);
+        ablation::report_models(&results);
         println!();
+        if results.gate.negative_sessions > 0 {
+            eprintln!("win-win violated: an alternate-model session ended below default!");
+            violated = true;
+        }
     }
     if want("growth") {
         eprintln!("running background-growth sweep (warm-started LP ladder) ...");

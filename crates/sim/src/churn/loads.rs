@@ -11,11 +11,13 @@
 //! changes only `scale`. Either way the classes are re-quantized, and
 //! [`LoadTracker::refresh`] reports whether any of them moved: with none
 //! moved every gain row — and so the negotiated outcome — is provably
-//! what it was.
+//! what it was. Volumes are exact units (`nexit_workload::exact_volume`),
+//! so the maintained layers equal a cold [`aggregate`] bit for bit.
 
 use super::model::{ChurnPair, LogicalState};
 use nexit_core::utilization_classes;
 use nexit_routing::FlowId;
+use nexit_workload::exact_volume;
 
 /// One side's per-link loads on one variant, in two layers, plus the
 /// utilization classes they quantize to.
@@ -73,8 +75,8 @@ pub(super) fn aggregate(pair: &ChurnPair<'_>, state: &LogicalState) -> [SideLaye
         (0..state.active.len())
             .filter(move |&i| state.active[i] == on)
             .map(move |i| {
-                let f = FlowId::new(i);
-                (f, data.default.choice(f), data.flows.flows[i].volume)
+                let (f, volume) = (FlowId::new(i), exact_volume(data.flows.flows[i].volume));
+                (f, data.default.choice(f), volume)
             })
     };
     for (side, upstream) in sides.iter_mut().zip([true, false]) {
@@ -134,7 +136,7 @@ impl LoadTracker {
         if let Some(f) = churned {
             let data = &pair.variants[state.variant];
             let (paths, d) = (&data.paths, data.default.choice(f));
-            let volume = data.flows.flows[f.index()].volume;
+            let volume = exact_volume(data.flows.flows[f.index()].volume);
             let now_active = state.active[f.index()];
             for (side, upstream) in self.sides.iter_mut().zip([true, false]) {
                 paths.add_loads(upstream, [(f, d, -volume)], side.layer(!now_active));
@@ -157,9 +159,43 @@ impl LoadTracker {
 mod tests {
     use super::*;
     use crate::churn::{
-        cold_rebuild, divergence, initial_active, universe, ChurnConfig, ChurnDriver, ChurnEvent,
-        ChurnKind, Objective,
+        cold_rebuild, divergence, generate_trace, initial_active, universe, ChurnConfig,
+        ChurnDriver, ChurnEvent, ChurnKind, Objective,
     };
+
+    /// After a seeded run of flow events, both maintained layers equal a
+    /// cold aggregate bit for bit. The feed's pairs carry identical
+    /// volumes (1.0, whose sums are exact in any order), so the flows get
+    /// fractional volumes here.
+    #[test]
+    fn refreshed_layers_equal_a_cold_aggregate_bit_for_bit() {
+        let u = universe();
+        let idx = u.eligible_pairs(3, false)[0];
+        let mut pair = ChurnPair::build(&u, idx, 2);
+        for data in &mut pair.variants {
+            for (i, flow) in data.flows.flows.iter_mut().enumerate() {
+                flow.volume = 0.1 + (i % 13) as f64 * 0.37;
+            }
+        }
+        let initial = initial_active(&pair, 7);
+        let mut state = LogicalState::new(initial.clone());
+        let mut tracker = LoadTracker::new(&pair, &state);
+        let mut flow_events = 0;
+        for event in generate_trace(&pair, &initial, 400, 7) {
+            let (ChurnKind::FlowAdd(f) | ChurnKind::FlowRemove(f)) = event.kind else {
+                continue;
+            };
+            state.apply(&pair, event.kind);
+            tracker.refresh(&pair, &state, Some(f));
+            flow_events += 1;
+        }
+        assert!(flow_events >= 40, "{flow_events} flow events");
+        let bits = |loads: &[f64]| loads.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+        for (kept, cold) in tracker.sides.iter().zip(&aggregate(&pair, &state)) {
+            assert_eq!(bits(&kept.active), bits(&cold.active));
+            assert_eq!(bits(&kept.background), bits(&cold.background));
+        }
+    }
 
     /// The outcome cache's key is "did a class move on either side":
     /// re-asserting the nominal scale must hit, a load delta that moves

@@ -529,6 +529,7 @@ pub fn report_growth(results: &GrowthResults) {
         "== Background growth: optimal MEL degradation ({} scenarios, {} failed re-solves) ==",
         results.scenarios, results.failed_resolves
     );
+    println!("   negotiation: none (the LP optimum only, so no win-win gate)");
     print_lp_stats(&results.lp_stats);
     for (factor, samples) in results.factors.iter().zip(&results.degradation) {
         Cdf::new(samples.clone()).print(&format!("x{factor:.2} background"));

@@ -25,4 +25,4 @@ pub mod loads;
 
 pub use capacity::{assign_capacities, BackupRule, CapacityModel};
 pub use gravity::{volume_fn, WorkloadModel};
-pub use loads::{link_loads, LinkLoads, PathRow, PathTable};
+pub use loads::{exact_volume, link_loads, LinkLoads, PathRow, PathTable, EXACT_LOAD_LIMIT};

@@ -9,9 +9,11 @@
 //! (PoP, alternative) — a flow's upstream paths are its source PoP's,
 //! its downstream paths its destination PoP's — and indexes each flow to
 //! its two PoP rows. [`PathTable::add_loads`] is the one per-link load
-//! sum: the mappers' per-fill loads, [`link_loads`], the churn driver's
-//! layers and the baselines' residual, default and greedy loads all add
+//! sum: the mappers' loads, [`link_loads`], the churn driver's layers
+//! and the baselines' residual, default and greedy loads all add
 //! volumes onto paths through it, in the order their callers give.
+//! Callers that update loads incrementally (the mappers, churn) add
+//! [`exact_volume`]s, whose sums do not depend on that order.
 
 use nexit_routing::{Assignment, FlowId, PairFlows, ShortestPaths};
 use nexit_topology::{IcxId, LinkId, PairView, PopId};
@@ -232,6 +234,26 @@ impl PathTable {
     }
 }
 
+/// Units per unit of volume in [`exact_volume`]: 2³².
+const EXACT_UNITS: f64 = 4_294_967_296.0;
+
+/// Bound on |load| below which every sum of [`exact_volume`]s is exact:
+/// 2²¹ volumes of 2⁻³² units fill f64's 53-bit mantissa.
+pub const EXACT_LOAD_LIMIT: f64 = 2_097_152.0;
+
+/// `volume` truncated toward zero to a whole multiple of 2⁻³².
+///
+/// Loads summed from such volumes are exact while every partial sum
+/// stays under [`EXACT_LOAD_LIMIT`] in magnitude, so they do not depend
+/// on summation order: adding and removing single flows reproduces a
+/// cold sum bit for bit. Truncation makes `exact_volume(-v)` exactly
+/// `-exact_volume(v)`.
+#[inline]
+pub fn exact_volume(volume: f64) -> f64 {
+    debug_assert!(volume.abs() < EXACT_LOAD_LIMIT, "volume {volume}");
+    ((volume * EXACT_UNITS) as i64) as f64 / EXACT_UNITS
+}
+
 /// Per-link loads on both sides of a pair, indexed by [`LinkId`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkLoads {
@@ -397,6 +419,19 @@ mod tests {
         }
         for (x, y) in incr.down.iter().zip(&full.down) {
             assert!((x - y).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn exact_volumes_sum_alike_in_any_order() {
+        let raw = [0.1, 0.2, 0.3];
+        assert_ne!((raw[0] + raw[1]) + raw[2], raw[0] + (raw[1] + raw[2]));
+        let [x, y, z] = raw.map(exact_volume);
+        assert_eq!(((x + y) + z).to_bits(), (x + (y + z)).to_bits());
+        assert_eq!((((x + y) + z) - y).to_bits(), (x + z).to_bits());
+        for v in raw {
+            assert_eq!(exact_volume(-v).to_bits(), (-exact_volume(v)).to_bits());
+            assert!(exact_volume(v) <= v && v - exact_volume(v) < 1.0 / EXACT_UNITS);
         }
     }
 
