@@ -8,8 +8,13 @@
 //! amortized per-event cost is logarithmic:
 //!
 //! * **Proposal selection** keeps, per flow, its best alternative under
-//!   the active [`ProposalRule`] in lazy max-heaps keyed by
-//!   `(key, flow, alt)`. Because the self-guard ("never propose an
+//!   the active [`ProposalRule`] as one packed `u64` cell, in lazy
+//!   max-heaps of those cells. From the high bit down a cell holds: a
+//!   valid bit, the primary key `+ 2P` (11 bits), the secondary `+ P`
+//!   (10), the default bias (1), `u32::MAX - flow` (32) and `511 - alt`
+//!   (9), so a larger integer is exactly the reference scan's earlier
+//!   pick (higher key, then lower flow, then lower alternative) and `0`
+//!   is "no candidate". Because the self-guard ("never propose an
 //!   alternative that would push my own true cumulative gain negative")
 //!   admits exactly the alternatives whose true class is at least
 //!   `-floor`, and classes are integers in `[-P, P]`, there are only
@@ -41,7 +46,8 @@
 //! The index is property-tested to take bit-identical decisions to the
 //! reference scans over randomized accept/veto/rebuild interleavings;
 //! for pathologically large preference ranges (where materializing
-//! `2P + 2` threshold rows would not pay for itself) it transparently
+//! `2P + 2` threshold rows would not pay for itself) and shapes a cell
+//! cannot hold (over 512 alternatives, 2³² flows) it transparently
 //! delegates to the reference implementation.
 
 use crate::arena::TableArena;
@@ -64,42 +70,34 @@ const MAX_INDEXED_PREF_RANGE: i32 = 256;
 /// combinations.
 const MAX_PROJECTION_LEAVES: usize = 1 << 20;
 
-/// Selection key of one `(flow, alt)` cell under a [`ProposalRule`]:
-/// `(primary, secondary, prefer-default-on-tie)`, compared
-/// lexicographically. Mirrors the reference implementation in
-/// [`selection::select_proposal`].
-type Key = (i64, i64, i64);
+/// Width of a packed cell's alternative field: a session with more
+/// alternatives than this holds delegates to the reference scans.
+const ALT_BITS: u32 = 9;
+const MAX_INDEXED_ALTS: usize = 1 << ALT_BITS;
 
-/// One flow's current best alternative (within one guard-threshold row).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Candidate {
-    key: Key,
-    alt: u32,
+/// One `(flow, alt)` candidate packed so that integer order is the
+/// reference scan's pick order (module docs). `key` is
+/// `(primary, secondary, prefer-default-on-tie)` as in
+/// [`selection::select_proposal`], with `|primary| <= 2p` and
+/// `|secondary| <= p`.
+#[inline]
+fn pack(key: (i64, i64, i64), p: i64, flow: usize, alt: usize) -> u64 {
+    let (primary, secondary, bias) = key;
+    debug_assert!(primary.abs() <= 2 * p && secondary.abs() <= p);
+    1 << 63
+        | ((primary + 2 * p) as u64) << 52
+        | ((secondary + p) as u64) << 42
+        | (bias as u64) << 41
+        | u64::from(u32::MAX - flow as u32) << ALT_BITS
+        | (MAX_INDEXED_ALTS - 1 - alt) as u64
 }
 
-/// A lazy heap entry. Ordered so the heap maximum is the cell the
-/// reference scan would pick: highest key, then lowest flow, then lowest
-/// alternative.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct HeapEntry {
-    key: Key,
-    flow: usize,
-    alt: u32,
+fn unpack_flow(cell: u64) -> usize {
+    (u32::MAX - (cell >> ALT_BITS) as u32) as usize
 }
 
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key
-            .cmp(&other.key)
-            .then_with(|| other.flow.cmp(&self.flow))
-            .then_with(|| other.alt.cmp(&self.alt))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+fn unpack_alt(cell: u64) -> usize {
+    MAX_INDEXED_ALTS - 1 - (cell as usize & (MAX_INDEXED_ALTS - 1))
 }
 
 /// Fixed-shape segment tree whose leaves hold the remaining flows'
@@ -173,22 +171,22 @@ const UNBUILT: usize = usize::MAX;
 struct Indexed {
     /// Guard-threshold rows, stored flat (like every other table in the
     /// crate) in the order they materialized:
-    /// `best_at[row_base[ti] + flow]` is the flow's best alternative
-    /// among those threshold `ti` admits (`own_true >= ti - P`), `None`
-    /// when it admits none. A row is appended by the first
-    /// [`CandidateIndex::select`] whose guard floor maps to it and
-    /// maintained incrementally afterwards; a threshold nobody selects
-    /// under costs no cells. Row 0 admits every alternative (no guard /
-    /// non-binding guard) and is the only row most configurations ever
-    /// touch.
-    best_at: Vec<Option<Candidate>>,
+    /// `best_at[row_base[ti] + flow]` is the packed cell of the flow's
+    /// best alternative among those threshold `ti` admits
+    /// (`own_true >= ti - P`), `0` when it admits none. A row is appended
+    /// by the first [`CandidateIndex::select`] whose guard floor maps to
+    /// it and maintained incrementally afterwards; a threshold nobody
+    /// selects under costs no cells. Row 0 admits every alternative (no
+    /// guard / non-binding guard) and is the only row most configurations
+    /// ever touch.
+    best_at: Vec<u64>,
     /// Flows per threshold row of `best_at` (the session size).
     row_len: usize,
     /// Per guard threshold, where its row starts in `best_at`;
     /// [`UNBUILT`] until it materializes.
     row_base: Vec<usize>,
     /// One lazy max-heap per guard threshold (empty while unbuilt).
-    heaps: Vec<BinaryHeap<HeapEntry>>,
+    heaps: Vec<BinaryHeap<u64>>,
     /// Whether the stop projection is maintained (only under
     /// [`crate::StopPolicy::Early`]); the tree and slots below are kept
     /// at minimal size otherwise, retaining their capacity.
@@ -260,11 +258,16 @@ enum Mode {
 /// guarantees for both quantized true tables and validated disclosed
 /// tables.
 pub struct CandidateIndex {
+    shape: Shape,
+    mode: Mode,
+}
+
+/// The session constants every cell is computed under.
+struct Shape {
     rule: ProposalRule,
     p: i64,
     num_alternatives: usize,
     defaults: Vec<IcxId>,
-    mode: Mode,
 }
 
 impl CandidateIndex {
@@ -317,10 +320,8 @@ impl CandidateIndex {
             Mode::Indexed(ix) => ix,
             Mode::Fallback { spare } => spare,
         };
-        arena.recycle_index(IndexBuffers {
-            inner,
-            defaults: self.defaults,
-        });
+        let defaults = self.shape.defaults;
+        arena.recycle_index(IndexBuffers { inner, defaults });
     }
 
     /// The one constructor: `bufs` — a fresh set, or a retired index's —
@@ -343,6 +344,8 @@ impl CandidateIndex {
         let num_flows = defaults.len();
         let projection_leaves = (4 * pref_range.max(0) as usize + 2).saturating_mul(num_flows);
         let mode = if pref_range > MAX_INDEXED_PREF_RANGE
+            || num_alternatives > MAX_INDEXED_ALTS
+            || u32::try_from(num_flows).is_err()
             || (with_projection && projection_leaves > MAX_PROJECTION_LEAVES)
         {
             Mode::Fallback { spare: inner }
@@ -356,13 +359,13 @@ impl CandidateIndex {
             inner.reshape(2 * p + 2, num_flows, with_projection);
             Mode::Indexed(inner)
         };
-        Self {
+        let shape = Shape {
             rule,
             p: i64::from(pref_range),
             num_alternatives,
             defaults: own_defaults,
-            mode,
-        }
+        };
+        Self { shape, mode }
     }
 
     /// Rebuild from scratch — used at every (re)disclosure, when the
@@ -375,8 +378,7 @@ impl CandidateIndex {
         own_true: &PrefTable,
         state: &TableState,
     ) {
-        let p = self.p;
-        let num_flows = self.defaults.len();
+        let (shape, num_flows) = (&self.shape, self.shape.defaults.len());
         let Mode::Indexed(ix) = &mut self.mode else {
             return;
         };
@@ -388,16 +390,8 @@ impl CandidateIndex {
             for flow in 0..num_flows {
                 ix.slot[flow] = None;
                 if state.is_remaining(flow) {
-                    let (bucket, value) = projection_entry(
-                        p,
-                        &self.defaults,
-                        self.num_alternatives,
-                        d_own,
-                        d_other,
-                        own_true,
-                        state,
-                        flow,
-                    );
+                    let (bucket, value) =
+                        shape.projection_entry(d_own, d_other, own_true, state, flow);
                     ix.slot[flow] = Some((bucket, value));
                     ix.tree.set(bucket * num_flows + flow, Some(value));
                 }
@@ -408,7 +402,7 @@ impl CandidateIndex {
     /// Apply an accepted proposal: the flow left the table. Call *after*
     /// [`TableState::accept`].
     pub fn on_accept(&mut self, flow: usize) {
-        let num_flows = self.defaults.len();
+        let num_flows = self.shape.defaults.len();
         let Mode::Indexed(ix) = &mut self.mode else {
             return;
         };
@@ -430,53 +424,25 @@ impl CandidateIndex {
         state: &TableState,
         flow: usize,
     ) {
-        let p = self.p;
-        let num_flows = self.defaults.len();
+        let (shape, num_flows) = (&self.shape, self.shape.defaults.len());
         let Mode::Indexed(ix) = &mut self.mode else {
             return;
         };
         // Recompute the flow's entry in every materialized row.
-        for ti in 0..ix.row_base.len() {
-            let base = ix.row_base[ti];
+        for (ti, &base) in ix.row_base.iter().enumerate() {
             if base == UNBUILT {
                 continue;
             }
-            let row = row_candidate(
-                self.rule,
-                p,
-                &self.defaults,
-                self.num_alternatives,
-                d_own,
-                d_other,
-                own_true,
-                state,
-                flow,
-                ti as i64 - p,
-            );
-            if ix.best_at[base + flow] != row {
-                ix.best_at[base + flow] = row;
-                if state.is_remaining(flow) {
-                    if let Some(c) = row {
-                        ix.heaps[ti].push(HeapEntry {
-                            key: c.key,
-                            flow,
-                            alt: c.alt,
-                        });
-                    }
+            let cell = shape.cell(d_own, d_other, own_true, state, flow, ti as i64 - shape.p);
+            if ix.best_at[base + flow] != cell {
+                ix.best_at[base + flow] = cell;
+                if cell != 0 && state.is_remaining(flow) {
+                    ix.heaps[ti].push(cell);
                 }
             }
         }
         if ix.projection && state.is_remaining(flow) {
-            let entry = projection_entry(
-                p,
-                &self.defaults,
-                self.num_alternatives,
-                d_own,
-                d_other,
-                own_true,
-                state,
-                flow,
-            );
+            let entry = shape.projection_entry(d_own, d_other, own_true, state, flow);
             if ix.slot[flow] != Some(entry) {
                 if let Some((old_bucket, _)) = ix.slot[flow] {
                     ix.tree.set(old_bucket * num_flows + flow, None);
@@ -497,17 +463,17 @@ impl CandidateIndex {
         state: &TableState,
         self_guard: Option<(&PrefTable, i64)>,
     ) -> Option<(usize, IcxId)> {
-        let p = self.p;
+        let (shape, p) = (&self.shape, self.shape.p);
         let ix = match &mut self.mode {
             Mode::Fallback { .. } => {
                 return selection::select_proposal(
                     d_own,
                     d_other,
                     state,
-                    self.num_alternatives,
-                    self.rule,
+                    shape.num_alternatives,
+                    shape.rule,
                     self_guard,
-                    &self.defaults,
+                    &shape.defaults,
                 );
             }
             Mode::Indexed(ix) => ix,
@@ -520,56 +486,30 @@ impl CandidateIndex {
         };
         if ix.row_base[ti] == UNBUILT {
             // First use of this guard threshold since the last rebuild:
-            // append its row and fill its heap (through the heap's own
-            // buffer) in one pass.
+            // append its row, then heapify its cells (through the heap's
+            // own buffer).
             let threshold = ti as i64 - p;
-            ix.row_base[ti] = ix.best_at.len();
-            ix.best_at.reserve(ix.row_len);
+            let own_true = self_guard.map_or(d_own, |(own_true, _)| own_true);
+            let base = ix.best_at.len();
+            ix.row_base[ti] = base;
+            // A settled flow never enters the heap, and the row is read
+            // only through heap entries: its cell stays empty.
+            ix.best_at
+                .extend((0..ix.row_len).map(|flow| match state.is_remaining(flow) {
+                    true => shape.cell(d_own, d_other, own_true, state, flow, threshold),
+                    false => 0,
+                }));
             let mut feed = std::mem::take(&mut ix.heaps[ti]).into_vec();
             debug_assert!(feed.is_empty(), "an unbuilt row's heap holds nothing");
-            feed.reserve(ix.row_len);
-            for flow in 0..ix.row_len {
-                // A settled flow never enters the heap, and the row is
-                // read only through heap entries: its cell stays empty.
-                let c = if state.is_remaining(flow) {
-                    row_candidate(
-                        self.rule,
-                        p,
-                        &self.defaults,
-                        self.num_alternatives,
-                        d_own,
-                        d_other,
-                        self_guard.map_or(d_own, |(own_true, _)| own_true),
-                        state,
-                        flow,
-                        threshold,
-                    )
-                } else {
-                    None
-                };
-                ix.best_at.push(c);
-                if let Some(c) = c {
-                    feed.push(HeapEntry {
-                        key: c.key,
-                        flow,
-                        alt: c.alt,
-                    });
-                }
-            }
+            feed.extend(ix.best_at[base..].iter().filter(|&&cell| cell != 0));
             ix.heaps[ti] = BinaryHeap::from(feed);
         }
         let row = &ix.best_at[ix.row_base[ti]..][..ix.row_len];
         let heap = &mut ix.heaps[ti];
-        while let Some(top) = heap.peek() {
-            let current = row[top.flow];
-            if state.is_remaining(top.flow)
-                && current
-                    == Some(Candidate {
-                        key: top.key,
-                        alt: top.alt,
-                    })
-            {
-                return Some((top.flow, IcxId::new(top.alt as usize)));
+        while let Some(&top) = heap.peek() {
+            let flow = unpack_flow(top);
+            if state.is_remaining(flow) && row[flow] == top {
+                return Some((flow, IcxId::new(unpack_alt(top))));
             }
             heap.pop();
         }
@@ -595,8 +535,8 @@ impl CandidateIndex {
                 d_own,
                 d_other,
                 state,
-                self.num_alternatives,
-                &self.defaults,
+                self.shape.num_alternatives,
+                &self.shape.defaults,
             ),
             Mode::Indexed(ix) => {
                 assert!(
@@ -610,80 +550,97 @@ impl CandidateIndex {
             }
         }
     }
-}
 
-/// One flow's best non-banned alternative among those whose own true
-/// class is at least `threshold`, by `(key, lowest alt)` — exactly the
-/// reference scan's pick order within a flow. A threshold of `-P`
-/// admits every alternative (classes are clamped into `[-P, P]`), so
-/// callers without a binding guard may pass any table as `own_true`.
-#[allow(clippy::too_many_arguments)] // parallel tables, mirrors selection::
-fn row_candidate(
-    rule: ProposalRule,
-    p: i64,
-    defaults: &[IcxId],
-    num_alternatives: usize,
-    d_own: &PrefTable,
-    d_other: &PrefTable,
-    own_true: &PrefTable,
-    state: &TableState,
-    flow: usize,
-    threshold: i64,
-) -> Option<Candidate> {
-    let mut best: Option<Candidate> = None;
-    for alt in 0..num_alternatives {
-        if state.is_banned(flow, alt) {
-            continue;
-        }
-        let id = IcxId::new(alt);
-        if i64::from(own_true.get(flow, id)).clamp(-p, p) < threshold {
-            continue;
-        }
-        let o = i64::from(d_own.get(flow, id));
-        let t = i64::from(d_other.get(flow, id));
-        let bias = i64::from(id == defaults[flow]);
-        let key = match rule {
-            ProposalRule::MaxCombined => (o + t, o, bias),
-            ProposalRule::BestLocalMinHarm => (o, t, bias),
+    /// Audit the materialized rows against the tables and state they
+    /// were maintained under: they tile `best_at`, each remaining flow's
+    /// cell is a fresh [`Shape::cell`], and each such non-empty cell
+    /// is in its row's heap. Returns the number of rows.
+    #[cfg(test)]
+    fn check_invariants(
+        &self,
+        d_own: &PrefTable,
+        d_other: &PrefTable,
+        own_true: &PrefTable,
+        state: &TableState,
+    ) -> usize {
+        let (shape, Mode::Indexed(ix)) = (&self.shape, &self.mode) else {
+            return 0;
         };
-        let alt = alt as u32;
-        if best.is_none_or(|b| key > b.key || (key == b.key && alt < b.alt)) {
-            best = Some(Candidate { key, alt });
+        let built = || (ix.row_base.iter().enumerate()).filter(|&(_, &base)| base != UNBUILT);
+        let mut bases: Vec<usize> = built().map(|(_, &base)| base).collect();
+        bases.sort_unstable();
+        let tiled: Vec<usize> = (0..bases.len()).map(|row| row * ix.row_len).collect();
+        assert_eq!(bases, tiled, "rows must tile best_at");
+        assert_eq!(ix.best_at.len(), bases.len() * ix.row_len);
+        for (ti, &base) in built() {
+            let threshold = ti as i64 - shape.p;
+            for flow in (0..ix.row_len).filter(|&flow| state.is_remaining(flow)) {
+                let cell = ix.best_at[base + flow];
+                let fresh = shape.cell(d_own, d_other, own_true, state, flow, threshold);
+                assert_eq!(cell, fresh, "stale cell (row {ti}, flow {flow})");
+                assert!(cell == 0 || ix.heaps[ti].iter().any(|&c| c == cell));
+            }
         }
+        bases.len()
     }
-    best
 }
 
-/// One flow's stop-projection entry `(bucket, own-true value)`: the
-/// combined-best pick of the reference implementation, mapped onto the
-/// tree's bucket order (combined sum descending; the final bucket holds
-/// fully-banned flows, whose reference sentinel is `i64::MIN` with the
-/// alternative defaulting to index 0).
-#[allow(clippy::too_many_arguments)] // parallel tables, mirrors selection::
-fn projection_entry(
-    p: i64,
-    defaults: &[IcxId],
-    num_alternatives: usize,
-    d_own: &PrefTable,
-    d_other: &PrefTable,
-    own_true: &PrefTable,
-    state: &TableState,
-    flow: usize,
-) -> (usize, i64) {
-    let (alt, combined) = selection::combined_best(
-        d_own,
-        d_other,
-        state,
-        flow,
-        num_alternatives,
-        defaults[flow],
-    );
-    let bucket = if combined == i64::MIN {
-        (4 * p + 1) as usize
-    } else {
-        (2 * p - combined) as usize
-    };
-    (bucket, i64::from(own_true.get(flow, alt)))
+impl Shape {
+    /// The packed cell of one flow's best non-banned alternative among
+    /// those whose own true class is at least `threshold` (`0` when none
+    /// is): the cell order is the reference scan's pick order within a
+    /// flow. A threshold of `-P` admits every alternative (classes are
+    /// clamped into `[-P, P]`), so callers without a binding guard may
+    /// pass any table as `own_true`.
+    fn cell(
+        &self,
+        d_own: &PrefTable,
+        d_other: &PrefTable,
+        own_true: &PrefTable,
+        state: &TableState,
+        flow: usize,
+        threshold: i64,
+    ) -> u64 {
+        let (p, default) = (self.p, self.defaults[flow].index());
+        let combined = self.rule == ProposalRule::MaxCombined;
+        let cells = d_own.row(flow).iter().zip(d_other.row(flow));
+        cells
+            .zip(own_true.row(flow))
+            .enumerate()
+            .map(|(alt, ((&o, &t), &truth))| {
+                let (o, t, bias) = (i64::from(o), i64::from(t), i64::from(alt == default));
+                let (primary, secondary) = if combined { (o + t, o) } else { (o, t) };
+                // Branch-free: an inadmissible cell is masked to `0`.
+                let admitted =
+                    i64::from(truth).clamp(-p, p) >= threshold && !state.is_banned(flow, alt);
+                pack((primary, secondary, bias), p, flow, alt) * u64::from(admitted)
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// One flow's stop-projection entry `(bucket, own-true value)`: the
+    /// combined-best pick of the reference implementation, mapped onto
+    /// the tree's bucket order (combined sum descending; the final bucket
+    /// holds fully-banned flows, whose reference sentinel is `i64::MIN`
+    /// with the alternative defaulting to index 0).
+    fn projection_entry(
+        &self,
+        d_own: &PrefTable,
+        d_other: &PrefTable,
+        own_true: &PrefTable,
+        state: &TableState,
+        flow: usize,
+    ) -> (usize, i64) {
+        let (k, default) = (self.num_alternatives, self.defaults[flow]);
+        let (alt, combined) = selection::combined_best(d_own, d_other, state, flow, k, default);
+        let bucket = if combined == i64::MIN {
+            (4 * self.p + 1) as usize
+        } else {
+            (2 * self.p - combined) as usize
+        };
+        (bucket, i64::from(own_true.get(flow, alt)))
+    }
 }
 
 #[cfg(test)]
@@ -717,6 +674,7 @@ mod tests {
             let state = TableState::new(n, k);
             let mut index = CandidateIndex::new(rule, p, &defaults, k, true);
             index.rebuild(&d_own, &d_other, &own_true, &state);
+            index.check_invariants(&d_own, &d_other, &own_true, &state);
             Self {
                 d_own,
                 d_other,
@@ -777,6 +735,7 @@ mod tests {
                 &self.state,
                 flow,
             );
+            self.rows_built();
         }
 
         fn accept(&mut self, flow: usize) {
@@ -785,31 +744,21 @@ mod tests {
             }
             self.state.accept(flow);
             self.index.on_accept(flow);
+            self.rows_built();
         }
 
         /// Guard-threshold rows materialized right now, after checking
-        /// that they tile `best_at` without gap or overlap.
+        /// the index's invariants.
         fn rows_built(&self) -> usize {
-            let Mode::Indexed(ix) = &self.index.mode else {
-                panic!("the harness shapes are all indexable");
-            };
-            let mut bases: Vec<usize> = ix
-                .row_base
-                .iter()
-                .copied()
-                .filter(|&base| base != UNBUILT)
-                .collect();
-            bases.sort_unstable();
-            let tiled: Vec<usize> = (0..bases.len()).map(|row| row * ix.row_len).collect();
-            assert_eq!(bases, tiled, "rows must tile best_at");
-            assert_eq!(ix.best_at.len(), bases.len() * ix.row_len);
-            bases.len()
+            let (d_own, d_other, own_true) = (&self.d_own, &self.d_other, &self.own_true);
+            (self.index).check_invariants(d_own, d_other, own_true, &self.state)
         }
 
         fn reassign(&mut self, tables: (PrefTable, PrefTable, PrefTable)) {
             (self.d_own, self.d_other, self.own_true) = tables;
             self.index
                 .rebuild(&self.d_own, &self.d_other, &self.own_true, &self.state);
+            self.rows_built();
         }
     }
 
@@ -878,29 +827,78 @@ mod tests {
         assert!(matches!(index.mode, Mode::Indexed(_)));
     }
 
+    /// An index over `d` (every table `d`, defaults 0, last alternative
+    /// the pick) is indexed iff `indexed`, and answers as the reference.
+    fn assert_answers_like_reference(p: i32, d: &PrefTable, indexed: bool) {
+        let (n, k, rule) = (
+            d.num_flows(),
+            d.num_alternatives(),
+            ProposalRule::MaxCombined,
+        );
+        let (defaults, state) = (vec![IcxId(0); n], TableState::new(n, k));
+        let mut index = CandidateIndex::new(rule, p, &defaults, k, true);
+        let mode = matches!(index.mode, Mode::Indexed(_));
+        assert_eq!(mode, indexed, "P = {p}, {k} alternatives");
+        index.rebuild(d, d, d, &state);
+        let reference = selection::select_proposal(d, d, &state, k, rule, None, &defaults);
+        assert_eq!(reference, Some((0, IcxId::new(k - 1))));
+        assert_eq!(index.select(d, d, &state, None), reference);
+        let projected = selection::projected_gain(d, d, d, &state, k, &defaults);
+        assert_eq!(index.projected_gain(d, d, d, &state), projected);
+    }
+
     #[test]
     fn huge_pref_range_falls_back() {
-        let d = table(&[vec![0, 1000]]);
-        let defaults = vec![IcxId(0)];
-        let state = TableState::new(1, 2);
-        let mut index = CandidateIndex::new(ProposalRule::MaxCombined, 100_000, &defaults, 2, true);
-        index.rebuild(&d, &d, &d, &state);
-        assert_eq!(
-            index.select(&d, &d, &state, None),
-            selection::select_proposal(
-                &d,
-                &d,
-                &state,
-                2,
-                ProposalRule::MaxCombined,
-                None,
-                &defaults
-            )
-        );
-        assert_eq!(
-            index.projected_gain(&d, &d, &d, &state),
-            selection::projected_gain(&d, &d, &d, &state, 2, &defaults)
-        );
+        assert_answers_like_reference(100_000, &table(&[vec![0, 1000]]), false);
+    }
+
+    #[test]
+    fn too_many_alternatives_falls_back() {
+        // The pick sits at the packed alternative field's edge (511) or
+        // beyond it.
+        for (k, indexed) in [(512, true), (513, false)] {
+            let row: Vec<i32> = (0..k)
+                .map(|alt| if alt + 1 == k { 10 } else { -10 })
+                .collect();
+            assert_answers_like_reference(10, &table(&[row]), indexed);
+        }
+    }
+
+    /// Packed cells over every combination of the given field values
+    /// (flows 0, 1, 2 and `u32::MAX - 1`) must sort as the reference scan
+    /// picks (higher key, then lower flow, then lower alternative) and
+    /// round-trip flow and alternative.
+    fn assert_pack_order(p: i64, primary: &[i64], secondary: &[i64], alts: &[usize]) {
+        let keys = primary
+            .iter()
+            .flat_map(|&a| secondary.iter().map(move |&b| (a, b)));
+        let mut cells = Vec::new();
+        for ((a, b), bias) in keys.flat_map(|key| [(key, 0), (key, 1)]) {
+            for flow in [0, 1, 2, u32::MAX as usize - 1] {
+                cells.extend(alts.iter().map(|&alt| ((a, b, bias), flow, alt)));
+            }
+        }
+        cells.sort_by_key(|&(key, flow, alt)| (key, std::cmp::Reverse((flow, alt))));
+        let packed: Vec<u64> = cells
+            .iter()
+            .map(|&(key, f, alt)| pack(key, p, f, alt))
+            .collect();
+        assert!(packed[0] > 0 && packed.windows(2).all(|pair| pair[0] < pair[1]));
+        for (&(_, flow, alt), &cell) in cells.iter().zip(&packed) {
+            assert_eq!((unpack_flow(cell), unpack_alt(cell)), (flow, alt));
+        }
+    }
+
+    #[test]
+    fn packed_order_is_the_reference_pick_order() {
+        for p in [1, 2] {
+            let (primary, secondary): (Vec<_>, Vec<_>) =
+                ((-2 * p..=2 * p).collect(), (-p..=p).collect());
+            assert_pack_order(p, &primary, &secondary, &[0, 1, 2]);
+        }
+        let p = i64::from(MAX_INDEXED_PREF_RANGE);
+        let (primary, secondary) = ([-2 * p, 1 - 2 * p, 2 * p], [-p, p - 1, p]);
+        assert_pack_order(p, &primary, &secondary, &[0, 1, 510, 511]);
     }
 
     fn tables_from_seed(
