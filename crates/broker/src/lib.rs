@@ -681,7 +681,7 @@ fn tick(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nexit_core::{negotiate, GainTable, Party};
+    use nexit_core::{negotiate, GainTable, Party, SessionError};
     use nexit_routing::FlowId;
     use nexit_topology::IcxId;
     use rand::rngs::StdRng;
@@ -906,16 +906,26 @@ mod tests {
     #[test]
     fn invalid_spec_is_rejected_at_admission_without_poisoning_the_shard() {
         // InflateBest on side A is rejected by the wire protocol (A must
-        // disclose first). The admission failure lands in that pair's
-        // slot; the sibling completes normally.
-        let mut bad = spec(0, 4, 2);
-        bad.disclosure_a = DisclosurePolicy::InflateBest;
-        let specs = vec![bad, spec(1, 4, 2)];
-        let run = Broker::new(BrokerConfig::with_workers(1)).run_pairs(specs);
-        let failure = run.results[0].failure().expect("bad spec rejected");
-        assert!(matches!(failure.error, ProtoError::UnsupportedDisclosure));
-        assert_eq!(failure.side, Some(Side::A));
-        assert_matches_engine(1, 4, 2, run.results[1].outcome().unwrap());
+        // disclose first); a preference range beyond the candidate
+        // index's 256 is an invalid session. Either admission failure
+        // lands in that pair's slot; the sibling completes normally.
+        let mut cheater = spec(0, 4, 2);
+        cheater.disclosure_a = DisclosurePolicy::InflateBest;
+        let mut too_wide = spec(0, 4, 2);
+        too_wide.config.pref_range = 257;
+        let admit = |bad| {
+            let run =
+                Broker::new(BrokerConfig::with_workers(1)).run_pairs(vec![bad, spec(1, 4, 2)]);
+            assert_matches_engine(1, 4, 2, run.results[1].outcome().unwrap());
+            let failure = run.results[0].failure().expect("bad spec rejected");
+            assert_eq!(failure.side, Some(Side::A));
+            failure.error.clone()
+        };
+        assert!(matches!(admit(cheater), ProtoError::UnsupportedDisclosure));
+        assert!(matches!(
+            admit(too_wide),
+            ProtoError::InvalidSession(SessionError::IndexLimit(_))
+        ));
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::cheating::DisclosurePolicy;
 use crate::machine::{Action, MachineError, NegotiationMachine};
 use crate::mapping::PreferenceMapper;
 use crate::outcome::{NegotiationOutcome, RoundRecord, Side};
-use crate::policies::NexitConfig;
+use crate::policies::{NexitConfig, StopPolicy};
 use nexit_routing::{Assignment, FlowId};
 use nexit_topology::IcxId;
 
@@ -73,9 +73,11 @@ impl SessionInput {
         self.volumes.iter().sum()
     }
 
-    /// Structural validity: parallel arrays line up and every default
-    /// names a real alternative.
-    pub fn check(&self) -> Result<(), SessionError> {
+    /// The one session validator: parallel arrays line up, every default
+    /// names a real alternative, the preference range is positive and
+    /// the shape fits the candidate index's envelope under `config`
+    /// ([`SessionError::IndexLimit`]).
+    pub fn check(&self, config: &NexitConfig) -> Result<(), SessionError> {
         if self.defaults.len() != self.flow_ids.len() {
             return Err(SessionError::LengthMismatch {
                 field: "defaults",
@@ -98,13 +100,16 @@ impl SessionInput {
                 return Err(SessionError::DefaultOutOfRange { flow });
             }
         }
-        Ok(())
-    }
-
-    pub(crate) fn validate(&self) {
-        if let Err(e) = self.check() {
-            panic!("invalid session input: {e}");
+        if config.pref_range <= 0 {
+            return Err(SessionError::BadPrefRange(config.pref_range));
         }
+        crate::index::check_envelope(
+            config.pref_range,
+            self.num_alternatives,
+            self.len(),
+            config.stop == StopPolicy::Early,
+        )
+        .map_err(SessionError::IndexLimit)
     }
 }
 
@@ -169,6 +174,9 @@ pub enum SessionError {
     },
     /// The preference class range must be positive.
     BadPrefRange(i32),
+    /// The session shape is outside the candidate index's envelope; names
+    /// the limit (see [`SessionInput::check`]).
+    IndexLimit(&'static str),
     /// The default assignment does not cover every negotiated flow.
     DefaultAssignmentTooSmall {
         /// Flows the assignment must cover (max flow id + 1).
@@ -203,6 +211,9 @@ impl std::fmt::Display for SessionError {
             }
             SessionError::BadPrefRange(p) => {
                 write!(f, "preference range must be positive, got {p}")
+            }
+            SessionError::IndexLimit(what) => {
+                write!(f, "session exceeds the candidate index: {what}")
             }
             SessionError::DefaultAssignmentTooSmall { need, got } => write!(
                 f,
@@ -307,10 +318,7 @@ impl<'a> SessionBuilder<'a> {
             .ok_or(SessionError::MissingDefaultAssignment)?;
         let mut party_a = self.party_a.ok_or(SessionError::MissingParty(Side::A))?;
         let mut party_b = self.party_b.ok_or(SessionError::MissingParty(Side::B))?;
-        input.check()?;
-        if self.config.pref_range <= 0 {
-            return Err(SessionError::BadPrefRange(self.config.pref_range));
-        }
+        input.check(&self.config)?;
         if let Some(max_flow) = input.flow_ids.iter().map(|f| f.index()).max() {
             if default.len() <= max_flow {
                 return Err(SessionError::DefaultAssignmentTooSmall {
@@ -337,8 +345,8 @@ impl<'a> SessionBuilder<'a> {
 ///
 /// `default_assignment` must cover *all* flows of the pair (the engine
 /// mutates only the negotiated subset); `input` names the subset on the
-/// table. Panics on structurally invalid input — use [`SessionBuilder`]
-/// for checked construction.
+/// table. Panics on input [`SessionInput::check`] refuses — use
+/// [`SessionBuilder`] for checked construction.
 pub fn negotiate<'b>(
     input: &SessionInput,
     default_assignment: &Assignment,
@@ -370,8 +378,9 @@ pub fn negotiate_in<'b>(
     party_b: &mut Party<'b>,
     config: &NexitConfig,
 ) -> NegotiationOutcome {
-    input.validate();
-    assert!(config.pref_range > 0);
+    if let Err(e) = input.check(config) {
+        panic!("invalid session: {e}");
+    }
     assert!(
         !(party_a.disclosure.needs_peer_list() && party_b.disclosure.needs_peer_list()),
         "both parties cannot disclose second"
@@ -999,6 +1008,62 @@ mod tests {
                 .unwrap_err(),
             SessionError::ConflictingDisclosure
         );
+    }
+
+    #[test]
+    fn builder_refuses_shapes_outside_the_index_envelope() {
+        // One row per limit edge: (P, flows, alternatives, stop) and the
+        // limit refused, if any. 1 022 flows at P = 256 is the largest
+        // early-stop projection under 2²⁰ leaves (1 022 × 1 026 =
+        // 1 048 572; no shape hits 2²⁰ exactly, as 4P + 2 has an odd
+        // factor), and one flow more is refused unless nothing projects.
+        let (early, all) = (StopPolicy::Early, StopPolicy::NegotiateAll);
+        let too_many_leaves = Some("early-stop projection above 2^20 leaves");
+        let rows = [
+            ((256, 1, 2, early), None),
+            ((257, 1, 2, early), Some("preference range above 256")),
+            ((10, 1, 512, early), None),
+            ((10, 1, 513, early), Some("more than 512 alternatives")),
+            ((256, 1_022, 2, early), None),
+            ((256, 1_023, 2, early), too_many_leaves),
+            ((256, 1_023, 2, all), None),
+        ];
+        for ((pref_range, n, k, stop), refused) in rows {
+            // The last alternative, at the packed cell's edge for 512,
+            // is the best for both sides.
+            let mut gains = GainTable::new(n, k);
+            (0..n).for_each(|flow| gains.row_mut(flow)[k - 1] = 1.0);
+            let config = NexitConfig {
+                pref_range,
+                stop,
+                ..NexitConfig::default()
+            };
+            let party = |name| {
+                Party::honest(
+                    name,
+                    FixedMapper {
+                        gains: gains.clone(),
+                    },
+                )
+            };
+            let result = SessionBuilder::new()
+                .input(input(n, k))
+                .default_assignment(Assignment::uniform(n, IcxId(0)))
+                .config(config)
+                .party_a(party("A"))
+                .party_b(party("B"))
+                .run();
+            let row = format!("P = {pref_range}, {n} x {k}, {stop:?}");
+            match (result, refused) {
+                (Ok(out), None) => {
+                    let last = IcxId::new(k - 1);
+                    let moved = (0..n).all(|f| out.assignment.choice(FlowId::new(f)) == last);
+                    assert!(moved, "{row}: every flow takes the last alternative");
+                }
+                (Err(e), Some(limit)) => assert_eq!(e, SessionError::IndexLimit(limit), "{row}"),
+                (result, _) => panic!("{row}: expected {refused:?}, got {:?}", result.err()),
+            }
+        }
     }
 
     #[test]

@@ -44,11 +44,14 @@
 //! traffic-volume interval between reassignments).
 //!
 //! The index is property-tested to take bit-identical decisions to the
-//! reference scans over randomized accept/veto/rebuild interleavings;
-//! for pathologically large preference ranges (where materializing
-//! `2P + 2` threshold rows would not pay for itself) and shapes a cell
-//! cannot hold (over 512 alternatives, 2³² flows) it transparently
-//! delegates to the reference implementation.
+//! reference scans (test-only, in [`crate::selection`]) over randomized
+//! accept/veto/rebuild interleavings, and it is the only selector: a
+//! session shape outside its envelope (`check_envelope`: `P ≤ 256`, at
+//! most 512 alternatives, fewer than 2³² flows and, under early stop,
+//! `(4P + 2) × flows ≤ 2²⁰` projection leaves) is refused at session
+//! construction with [`crate::SessionError::IndexLimit`]. On the record
+//! the largest `P` is 50, the most alternatives 24 and flows 4 140; the
+//! largest projection tree (`P = 10`, 3 956 flows) has 166 152 leaves.
 
 use crate::arena::TableArena;
 use crate::policies::ProposalRule;
@@ -57,28 +60,50 @@ use crate::selection::{self, TableState};
 use nexit_topology::IcxId;
 use std::collections::BinaryHeap;
 
-/// Above this preference range the per-threshold rows are not worth
-/// materializing and the index delegates to the reference scans.
+/// Largest preference range the index holds: `2P + 2` guard-threshold
+/// rows, and packed key fields well inside their 11 and 10 bits.
 const MAX_INDEXED_PREF_RANGE: i32 = 256;
 
-/// Cap on the stop-projection tree's leaf count
-/// (`(4P + 2) × num_flows`, padded to a power of two). Beyond this the
-/// tree's memory and per-rebuild clear cost would dwarf the rescans it
-/// replaces, so the index delegates instead. 2²⁰ leaves ≈ 34 MB of
-/// node arrays — far above any paper-scale session (P = 10, 4000 flows
-/// is ~170 k leaves) but a hard ceiling for pathological `P × flows`
-/// combinations.
+/// Cap on the stop-projection tree's leaf count (`(4P + 2) × num_flows`,
+/// padded to a power of two): 2²⁰ leaves ≈ 34 MB of node arrays. Far
+/// above any paper-scale session (module docs), but a hard ceiling for
+/// pathological `P × flows` combinations under early stop.
 const MAX_PROJECTION_LEAVES: usize = 1 << 20;
 
-/// Width of a packed cell's alternative field: a session with more
-/// alternatives than this holds delegates to the reference scans.
+/// Width of a packed cell's alternative field: a session holds at most
+/// `MAX_INDEXED_ALTS` alternatives.
 const ALT_BITS: u32 = 9;
 const MAX_INDEXED_ALTS: usize = 1 << ALT_BITS;
 
+/// Whether the index holds a session shape; `Err` names the first limit
+/// it exceeds. [`crate::SessionInput::check`] refuses such a session
+/// before any table is built, and [`CandidateIndex::new`] asserts it.
+/// `projection` is whether the stop-projection tree is kept (early
+/// stop); `pref_range` must be positive.
+pub(crate) fn check_envelope(
+    pref_range: i32,
+    num_alternatives: usize,
+    num_flows: usize,
+    projection: bool,
+) -> Result<(), &'static str> {
+    let leaves = (4 * pref_range.max(0) as usize + 2).saturating_mul(num_flows);
+    if pref_range > MAX_INDEXED_PREF_RANGE {
+        Err("preference range above 256")
+    } else if num_alternatives > MAX_INDEXED_ALTS {
+        Err("more than 512 alternatives")
+    } else if u32::try_from(num_flows).is_err() {
+        Err("2^32 flows or more")
+    } else if projection && leaves > MAX_PROJECTION_LEAVES {
+        Err("early-stop projection above 2^20 leaves")
+    } else {
+        Ok(())
+    }
+}
+
 /// One `(flow, alt)` candidate packed so that integer order is the
 /// reference scan's pick order (module docs). `key` is
-/// `(primary, secondary, prefer-default-on-tie)` as in
-/// [`selection::select_proposal`], with `|primary| <= 2p` and
+/// `(primary, secondary, prefer-default-on-tie)` as in the reference
+/// `selection::select_proposal`, with `|primary| <= 2p` and
 /// `|secondary| <= p`.
 #[inline]
 fn pack(key: (i64, i64, i64), p: i64, flow: usize, alt: usize) -> u64 {
@@ -237,21 +262,11 @@ pub struct IndexBuffers {
     defaults: Vec<IcxId>,
 }
 
-enum Mode {
-    Indexed(Box<Indexed>),
-    /// Delegate to the reference scans (preference range too large to
-    /// index profitably). The retired buffers ride along so recycling
-    /// still returns them to the arena.
-    Fallback {
-        spare: Box<Indexed>,
-    },
-}
-
-/// Incremental replacement for [`selection::select_proposal`] and
-/// [`selection::projected_gain`], maintained by the three events that
-/// can change their answers: accept, veto, reassignment. See the module
-/// docs for the structure; see [`crate::machine::NegotiationMachine`]
-/// for the single production consumer.
+/// The round loop's proposal selection and stop projection, maintained
+/// by the three events that can change their answers: accept, veto,
+/// reassignment. See the module docs for the structure; see
+/// [`crate::machine::NegotiationMachine`] for the single production
+/// consumer.
 ///
 /// All preference tables handed to the index must be within the
 /// configured range (`within_range(pref_range)`), which the machine
@@ -259,7 +274,7 @@ enum Mode {
 /// tables.
 pub struct CandidateIndex {
     shape: Shape,
-    mode: Mode,
+    ix: Box<Indexed>,
 }
 
 /// The session constants every cell is computed under.
@@ -275,6 +290,9 @@ impl CandidateIndex {
     /// the stop-projection tree (needed only under
     /// [`crate::StopPolicy::Early`]). The index holds no table data until
     /// the first [`CandidateIndex::rebuild`].
+    ///
+    /// Panics on a shape outside the envelope (module docs), which a
+    /// validated session never has.
     pub fn new(
         rule: ProposalRule,
         pref_range: i32,
@@ -316,11 +334,7 @@ impl CandidateIndex {
     /// Retire the index, returning its buffers to `arena` for the next
     /// [`CandidateIndex::new_in`].
     pub fn recycle(self, arena: &mut TableArena) {
-        let inner = match self.mode {
-            Mode::Indexed(ix) => ix,
-            Mode::Fallback { spare } => spare,
-        };
-        let defaults = self.shape.defaults;
+        let (inner, defaults) = (self.ix, self.shape.defaults);
         arena.recycle_index(IndexBuffers { inner, defaults });
     }
 
@@ -342,30 +356,23 @@ impl CandidateIndex {
         own_defaults.clear();
         own_defaults.extend_from_slice(defaults);
         let num_flows = defaults.len();
-        let projection_leaves = (4 * pref_range.max(0) as usize + 2).saturating_mul(num_flows);
-        let mode = if pref_range > MAX_INDEXED_PREF_RANGE
-            || num_alternatives > MAX_INDEXED_ALTS
-            || u32::try_from(num_flows).is_err()
-            || (with_projection && projection_leaves > MAX_PROJECTION_LEAVES)
-        {
-            Mode::Fallback { spare: inner }
-        } else {
-            let p = pref_range as usize;
-            // Buckets 0..=4P of the projection tree hold combined sums 2P
-            // down to -2P; the extra bucket 4P+1 holds flows with every
-            // alternative banned (combined sum `i64::MIN` in the
-            // reference). `reshape` sizes the tree accordingly from the
-            // threshold count.
-            inner.reshape(2 * p + 2, num_flows, with_projection);
-            Mode::Indexed(inner)
-        };
+        let envelope = check_envelope(pref_range, num_alternatives, num_flows, with_projection);
+        assert!(
+            pref_range > 0 && envelope.is_ok(),
+            "session shape outside the index envelope: P = {pref_range}, {envelope:?}"
+        );
+        // Buckets 0..=4P of the projection tree hold combined sums 2P
+        // down to -2P; the extra bucket 4P+1 holds flows with every
+        // alternative banned (combined sum `i64::MIN` in the reference).
+        // `reshape` sizes the tree accordingly from the threshold count.
+        inner.reshape(2 * pref_range as usize + 2, num_flows, with_projection);
         let shape = Shape {
             rule,
             p: i64::from(pref_range),
             num_alternatives,
             defaults: own_defaults,
         };
-        Self { shape, mode }
+        Self { shape, ix: inner }
     }
 
     /// Rebuild from scratch — used at every (re)disclosure, when the
@@ -378,10 +385,7 @@ impl CandidateIndex {
         own_true: &PrefTable,
         state: &TableState,
     ) {
-        let (shape, num_flows) = (&self.shape, self.shape.defaults.len());
-        let Mode::Indexed(ix) = &mut self.mode else {
-            return;
-        };
+        let (shape, ix, num_flows) = (&self.shape, &mut self.ix, self.shape.defaults.len());
         // Drop every threshold row; each rematerializes on the first
         // select() that needs it, against the new tables.
         ix.drop_rows();
@@ -402,10 +406,7 @@ impl CandidateIndex {
     /// Apply an accepted proposal: the flow left the table. Call *after*
     /// [`TableState::accept`].
     pub fn on_accept(&mut self, flow: usize) {
-        let num_flows = self.shape.defaults.len();
-        let Mode::Indexed(ix) = &mut self.mode else {
-            return;
-        };
+        let (ix, num_flows) = (&mut self.ix, self.shape.defaults.len());
         // Heap entries for the flow die lazily via the remaining check.
         if ix.projection {
             if let Some((bucket, _)) = ix.slot[flow].take() {
@@ -424,10 +425,7 @@ impl CandidateIndex {
         state: &TableState,
         flow: usize,
     ) {
-        let (shape, num_flows) = (&self.shape, self.shape.defaults.len());
-        let Mode::Indexed(ix) = &mut self.mode else {
-            return;
-        };
+        let (shape, ix, num_flows) = (&self.shape, &mut self.ix, self.shape.defaults.len());
         // Recompute the flow's entry in every materialized row.
         for (ti, &base) in ix.row_base.iter().enumerate() {
             if base == UNBUILT {
@@ -453,8 +451,8 @@ impl CandidateIndex {
         }
     }
 
-    /// The proposer's choice, bit-identical to
-    /// [`selection::select_proposal`]. `&mut` only to discard stale lazy
+    /// The proposer's choice, bit-identical to the reference
+    /// `selection::select_proposal`. `&mut` only to discard stale lazy
     /// heap entries; the logical content never changes.
     pub fn select(
         &mut self,
@@ -463,21 +461,7 @@ impl CandidateIndex {
         state: &TableState,
         self_guard: Option<(&PrefTable, i64)>,
     ) -> Option<(usize, IcxId)> {
-        let (shape, p) = (&self.shape, self.shape.p);
-        let ix = match &mut self.mode {
-            Mode::Fallback { .. } => {
-                return selection::select_proposal(
-                    d_own,
-                    d_other,
-                    state,
-                    shape.num_alternatives,
-                    shape.rule,
-                    self_guard,
-                    &shape.defaults,
-                );
-            }
-            Mode::Indexed(ix) => ix,
-        };
+        let (shape, ix, p) = (&self.shape, &mut self.ix, self.shape.p);
         // The guard admits alternatives with own_true >= -floor; map the
         // (possibly unbounded) floor onto the materialized thresholds.
         let ti = match self_guard {
@@ -516,38 +500,21 @@ impl CandidateIndex {
         None
     }
 
-    /// The early-termination projection, bit-identical to
-    /// [`selection::projected_gain`]. O(1) in indexed mode.
+    /// The early-termination projection over the tables the index was
+    /// maintained under, bit-identical to the reference
+    /// `selection::projected_gain`: an O(1) root read.
     ///
     /// Panics if the index was built without projection support (the
     /// machine only asks under [`crate::StopPolicy::Early`], which sets
     /// `with_projection`).
-    pub fn projected_gain(
-        &self,
-        own_true: &PrefTable,
-        d_own: &PrefTable,
-        d_other: &PrefTable,
-        state: &TableState,
-    ) -> i64 {
-        match &self.mode {
-            Mode::Fallback { .. } => selection::projected_gain(
-                own_true,
-                d_own,
-                d_other,
-                state,
-                self.shape.num_alternatives,
-                &self.shape.defaults,
-            ),
-            Mode::Indexed(ix) => {
-                assert!(
-                    ix.projection,
-                    "projection queried on an index built without it"
-                );
-                match ix.tree.root_best() {
-                    i64::MIN => 0,
-                    best => best,
-                }
-            }
+    pub fn projected_gain(&self) -> i64 {
+        assert!(
+            self.ix.projection,
+            "projection queried on an index built without it"
+        );
+        match self.ix.tree.root_best() {
+            i64::MIN => 0,
+            best => best,
         }
     }
 
@@ -563,9 +530,7 @@ impl CandidateIndex {
         own_true: &PrefTable,
         state: &TableState,
     ) -> usize {
-        let (shape, Mode::Indexed(ix)) = (&self.shape, &self.mode) else {
-            return 0;
-        };
+        let (shape, ix) = (&self.shape, &self.ix);
         let built = || (ix.row_base.iter().enumerate()).filter(|&(_, &base)| base != UNBUILT);
         let mut bases: Vec<usize> = built().map(|(_, &base)| base).collect();
         bases.sort_unstable();
@@ -717,9 +682,7 @@ mod tests {
                 self.k,
                 &self.defaults,
             );
-            let indexed =
-                self.index
-                    .projected_gain(&self.own_true, &self.d_own, &self.d_other, &self.state);
+            let indexed = self.index.projected_gain();
             assert_eq!(indexed, reference, "projected_gain diverged");
         }
 
@@ -814,54 +777,12 @@ mod tests {
     }
 
     #[test]
-    fn oversized_projection_falls_back() {
-        // P and flow count are each acceptable, but their product would
-        // need a hundreds-of-MB projection tree: delegate instead.
-        let n = 10_000;
-        let index =
-            CandidateIndex::new(ProposalRule::MaxCombined, 200, &vec![IcxId(0); n], 2, true);
-        assert!(matches!(index.mode, Mode::Fallback { .. }));
-        // Without a projection tree the same shape stays indexed.
-        let index =
-            CandidateIndex::new(ProposalRule::MaxCombined, 200, &vec![IcxId(0); n], 2, false);
-        assert!(matches!(index.mode, Mode::Indexed(_)));
-    }
-
-    /// An index over `d` (every table `d`, defaults 0, last alternative
-    /// the pick) is indexed iff `indexed`, and answers as the reference.
-    fn assert_answers_like_reference(p: i32, d: &PrefTable, indexed: bool) {
-        let (n, k, rule) = (
-            d.num_flows(),
-            d.num_alternatives(),
-            ProposalRule::MaxCombined,
-        );
-        let (defaults, state) = (vec![IcxId(0); n], TableState::new(n, k));
-        let mut index = CandidateIndex::new(rule, p, &defaults, k, true);
-        let mode = matches!(index.mode, Mode::Indexed(_));
-        assert_eq!(mode, indexed, "P = {p}, {k} alternatives");
-        index.rebuild(d, d, d, &state);
-        let reference = selection::select_proposal(d, d, &state, k, rule, None, &defaults);
-        assert_eq!(reference, Some((0, IcxId::new(k - 1))));
-        assert_eq!(index.select(d, d, &state, None), reference);
-        let projected = selection::projected_gain(d, d, d, &state, k, &defaults);
-        assert_eq!(index.projected_gain(d, d, d, &state), projected);
-    }
-
-    #[test]
-    fn huge_pref_range_falls_back() {
-        assert_answers_like_reference(100_000, &table(&[vec![0, 1000]]), false);
-    }
-
-    #[test]
-    fn too_many_alternatives_falls_back() {
-        // The pick sits at the packed alternative field's edge (511) or
-        // beyond it.
-        for (k, indexed) in [(512, true), (513, false)] {
-            let row: Vec<i32> = (0..k)
-                .map(|alt| if alt + 1 == k { 10 } else { -10 })
-                .collect();
-            assert_answers_like_reference(10, &table(&[row]), indexed);
-        }
+    fn the_envelope_refuses_2_pow_32_flows() {
+        // The one limit no test session can reach; the builder's refusal
+        // rows cover the others.
+        assert_eq!(check_envelope(1, 2, u32::MAX as usize, false), Ok(()));
+        let refused = check_envelope(1, 2, 1 << 32, false);
+        assert_eq!(refused, Err("2^32 flows or more"));
     }
 
     /// Packed cells over every combination of the given field values

@@ -120,7 +120,8 @@ pub enum Action {
 /// session.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MachineError {
-    /// The session input or configuration is structurally invalid.
+    /// [`crate::SessionInput::check`] refused the session input and
+    /// configuration.
     InvalidSession(crate::engine::SessionError),
     /// The configured disclosure policy needs the peer's list first, but
     /// this side is the first discloser.
@@ -315,12 +316,7 @@ impl<M: PreferenceMapper> NegotiationMachine<M> {
         if side == first_discloser && disclosure.needs_peer_list() {
             return Err(MachineError::UnsupportedDisclosure);
         }
-        input.check().map_err(MachineError::InvalidSession)?;
-        if config.pref_range <= 0 {
-            return Err(MachineError::InvalidSession(
-                crate::engine::SessionError::BadPrefRange(config.pref_range),
-            ));
-        }
+        input.check(&config).map_err(MachineError::InvalidSession)?;
         let n = input.len();
         let k = input.num_alternatives;
         let reassign_threshold = config
@@ -604,11 +600,6 @@ impl<M: PreferenceMapper> NegotiationMachine<M> {
         Ok(())
     }
 
-    /// Disclosed tables in `(own, other)` orientation for selection.
-    fn selection_tables(&self) -> (&PrefTable, &PrefTable) {
-        (&self.my_disclosed, &self.their_disclosed)
-    }
-
     fn whose_turn(&self) -> Side {
         selection::decide_turn(
             self.config.turn,
@@ -616,12 +607,6 @@ impl<M: PreferenceMapper> NegotiationMachine<M> {
             self.disclosed_gain_a,
             self.disclosed_gain_b,
         )
-    }
-
-    fn my_projection(&self) -> i64 {
-        let (d_own, d_other) = self.selection_tables();
-        self.index
-            .projected_gain(&self.my_true, d_own, d_other, &self.state)
     }
 
     /// Rebuild the candidate index after a (re)disclosure changed the
@@ -650,7 +635,7 @@ impl<M: PreferenceMapper> NegotiationMachine<M> {
             return; // peer proposes; we wait
         }
         // Our turn: early-termination self check.
-        if self.config.stop == StopPolicy::Early && self.my_projection() < 0 {
+        if self.config.stop == StopPolicy::Early && self.index.projected_gain() < 0 {
             self.stop_self();
             return;
         }
@@ -737,7 +722,7 @@ impl<M: PreferenceMapper> NegotiationMachine<M> {
                     return Err(MachineError::BadProposal("alternative unavailable"));
                 }
                 // Our own stop checks, exercised as the acceptor.
-                if self.config.stop == StopPolicy::Early && self.my_projection() < 0 {
+                if self.config.stop == StopPolicy::Early && self.index.projected_gain() < 0 {
                     self.stop_self();
                     return Ok(());
                 }

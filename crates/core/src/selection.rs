@@ -7,17 +7,19 @@
 //! (`nexit-proto`) for deployment fidelity — so the decision rules live
 //! here, parameterized only on data.
 //!
-//! [`select_proposal`], [`projected_gain`] and [`combined_best`] are the
-//! *reference* implementations: straightforward full-table scans whose
-//! semantics define the protocol. The hot path
+//! [`combined_best`] and the test-only `select_proposal` and
+//! `projected_gain` are the *reference* implementations: straightforward
+//! full-table scans whose semantics define the protocol. The round loop
 //! ([`crate::machine::NegotiationMachine`]) executes the incrementally
-//! maintained [`crate::index::CandidateIndex`] instead, which is
-//! property-tested to take bit-identical decisions; the scans remain the
-//! equivalence oracle and the fallback for configurations the index does
-//! not cover (pathologically large preference ranges).
+//! maintained [`crate::index::CandidateIndex`] instead; the scans are its
+//! test oracle, which the index is property-tested to match decision for
+//! decision. A session shape the index cannot hold is refused at
+//! construction, so no production path rescans the table.
 
 use crate::outcome::Side;
-use crate::policies::{ProposalRule, TurnPolicy};
+#[cfg(test)]
+use crate::policies::ProposalRule;
+use crate::policies::TurnPolicy;
 use crate::prefs::PrefTable;
 use nexit_topology::IcxId;
 use rand::rngs::StdRng;
@@ -142,6 +144,7 @@ pub fn combined_best(
 /// `self_guard` carries `(own_true_table, own_cumulative_gain)` when the
 /// veto accept-rule is active: the proposer never proposes an alternative
 /// that would push its own true cumulative gain negative.
+#[cfg(test)]
 #[allow(clippy::needless_range_loop)] // parallel arrays indexed together
 pub fn select_proposal(
     d_own: &PrefTable,
@@ -190,6 +193,7 @@ pub fn select_proposal(
 /// `own_true` preferences over the remaining flows, in combined-selection
 /// order (see the engine's documentation for semantics). Returns 0 when
 /// no flows remain.
+#[cfg(test)]
 #[allow(clippy::needless_range_loop)] // parallel arrays indexed together
 pub fn projected_gain(
     own_true: &PrefTable,

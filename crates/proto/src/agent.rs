@@ -86,7 +86,9 @@ pub enum ProtoError {
     BadProposal(&'static str),
     /// A preference list had the wrong shape or out-of-range classes.
     BadPrefList(&'static str),
-    /// The session input or configuration is structurally invalid.
+    /// [`nexit_core::SessionInput::check`] refused the session input and
+    /// configuration (a structural error, or a shape outside the
+    /// candidate index's envelope).
     InvalidSession(nexit_core::SessionError),
     /// `InflateBest` cheating needs the peer's list first, which only the
     /// second discloser (side B) has in this protocol.

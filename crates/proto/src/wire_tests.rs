@@ -11,7 +11,9 @@ use crate::driver::{SessionPump, StepLimits};
 use crate::frame::{parse_frame, FrameCodec, FrameRef, MAX_FRAME_PAYLOAD};
 use crate::messages::{Message, MessageRef};
 use crate::reliable::{ReliableConfig, ReliableEndpoint};
-use nexit_core::{DisclosurePolicy, GainTable, NexitConfig, PreferenceMapper, SessionInput, Side};
+use nexit_core::{
+    DisclosurePolicy, GainTable, NexitConfig, PreferenceMapper, SessionError, SessionInput, Side,
+};
 use nexit_routing::{Assignment, FlowId};
 use nexit_topology::IcxId;
 use proptest::prelude::*;
@@ -378,8 +380,25 @@ fn more_alternatives_than_a_u16_are_refused() {
 
 #[test]
 fn a_preference_range_beyond_i16_is_refused() {
-    assert!(agent_for("a", 2, 2, i32::from(i16::MAX)).is_ok());
+    // The wire format carries P = i16::MAX, which the candidate index
+    // (P <= 256) refuses; one more is refused by the wire limits first.
+    assert_index_limit(agent_for("a", 2, 2, i32::from(i16::MAX)));
     assert_wire_limit(agent_for("a", 2, 2, i32::from(i16::MAX) + 1));
+}
+
+fn assert_index_limit(result: Result<Agent<'static>, ProtoError>) {
+    match result {
+        Err(ProtoError::InvalidSession(SessionError::IndexLimit(_))) => {}
+        Err(other) => panic!("expected an index limit, got {other}"),
+        Ok(_) => panic!("expected an index limit, got an agent"),
+    }
+}
+
+#[test]
+fn a_shape_beyond_the_candidate_index_is_an_invalid_session() {
+    assert!(agent_for("a", 2, 512, 256).is_ok());
+    assert_index_limit(agent_for("a", 2, 512, 257));
+    assert_index_limit(agent_for("a", 2, 513, 10));
 }
 
 #[test]
@@ -389,7 +408,8 @@ fn a_flow_set_beyond_one_frame_is_refused() {
     let announceable = (MAX_FRAME_PAYLOAD - 15 - 4) / 14;
     assert_eq!(announceable + 1, (MAX_FRAME_PAYLOAD - 4) / 14);
     assert_wire_limit(agent_for("a", announceable + 1, 1, 10));
-    let columns = 2_000;
+    // The widest rows the candidate index holds.
+    let columns = 512;
     let disclosable = (MAX_FRAME_PAYLOAD - 15 - 6) / (2 * columns);
     assert!(agent_for("a", disclosable, columns, 10).is_ok());
     assert_wire_limit(agent_for("a", disclosable + 1, columns, 10));
