@@ -9,10 +9,9 @@
 //! offline crate set does not include.
 //!
 //! Scope: minimize `c·x` subject to mixed `<=` / `>=` / `==` constraints
-//! and `x >= 0`. Two engines share one standard form:
+//! and `x >= 0`, on one engine:
 //!
-//! * [`revised`] — the only engine a production build contains: the
-//!   constraint matrix in flat
+//! * [`revised`] — the revised simplex: the constraint matrix in flat
 //!   compressed storage (`sparse`: one column-major copy for FTRAN and
 //!   the factorization, one row-major copy for the pivot-row kernel),
 //!   sparse Markowitz-ordered LU of the basis (`lu`, column-compressed
@@ -20,11 +19,14 @@
 //!   updates and periodic refactorization, devex pricing over reduced
 //!   costs maintained from the pivot row, with a Bland's-rule
 //!   anti-cycling fallback. [`solve`] / [`solve_with`] run it cold.
-//! * `simplex` — the dense full-tableau method, kept as the
-//!   independently implemented **oracle** (`solve_dense`) that the
-//!   revised path is property-tested against. It is compiled only for
-//!   this crate's tests and under the `test-support` feature
-//!   (`examples/cold_parity.rs`).
+//!
+//! Every `Optimal` carries its proof: the duals `y` of the fresh pricing
+//! pass that ended the solve, one per constraint. [`certify`] checks the
+//! pair `(x, y)` by LP duality — primal feasibility, dual signs, reduced
+//! costs `c − Aᵀy >= 0` and `c·x = b·y` — from the problem alone, sharing
+//! no code with the engine. Debug builds certify every optimum the
+//! engine returns; the tests check small programs against a vertex
+//! enumerator as well.
 //!
 //! # Warm starts
 //!
@@ -82,16 +84,18 @@
 //! `WarmStats::refactorizations`, `max_eta_chain` and `lu_fill_nnz`
 //! expose that machinery per solve.
 
+mod certify;
 mod lu;
+#[cfg(test)]
+mod numerics_tests;
 pub mod problem;
+#[cfg(test)]
+mod reference;
 pub mod revised;
-#[cfg(any(test, feature = "test-support"))]
-pub mod simplex;
 mod sparse;
 pub mod workspace;
 
+pub use certify::certify;
 pub use problem::{Constraint, ConstraintOp, LpOutcome, LpProblem, SimplexOptions};
 pub use revised::{solve, solve_with};
-#[cfg(any(test, feature = "test-support"))]
-pub use simplex::{solve_dense, solve_dense_with};
 pub use workspace::{SimplexWorkspace, WarmStats};

@@ -1,5 +1,4 @@
-//! LP problem construction, and the option and outcome types every
-//! engine shares.
+//! LP problem construction, and the solver's option and outcome types.
 //!
 //! Problems are built incrementally: declare variables (all implicitly
 //! `>= 0`), set objective coefficients, add constraints as sparse rows.
@@ -163,6 +162,11 @@ pub enum LpOutcome {
         objective: f64,
         /// Optimal assignment of the problem's variables.
         solution: Vec<f64>,
+        /// One multiplier per constraint, in the problem's row order and
+        /// sign: `<=` rows price at or below zero, `>=` rows at or above,
+        /// and `c − Aᵀy ≥ 0` with `c·x = b·y`. [`crate::certify`] checks
+        /// exactly that.
+        duals: Vec<f64>,
     },
     /// No feasible point exists.
     Infeasible,
@@ -173,12 +177,6 @@ pub enum LpOutcome {
         /// Pivots consumed before the solver gave up.
         iterations: usize,
     },
-}
-
-pub(crate) enum PhaseResult {
-    Optimal,
-    Unbounded,
-    IterationLimit,
 }
 
 #[cfg(test)]

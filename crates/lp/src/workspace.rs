@@ -45,6 +45,7 @@
 //! problem itself before being returned, forcing a cold refresh when
 //! drift ever won.
 
+use crate::certify::VERIFY_TOL;
 use crate::problem::{ConstraintOp, LpOutcome, LpProblem, SimplexOptions};
 use crate::revised::{EngineCounters, RevisedSimplex};
 
@@ -268,13 +269,10 @@ fn finish_warm(engine: &mut RevisedSimplex, problem: &LpProblem) -> Option<LpOut
     // Trust, but verify: the warm path must never return a point the
     // problem itself rejects.
     let solution = engine.extract_solution(problem.num_variables());
-    if !problem.is_feasible(&solution, 1e-6) {
+    if !problem.is_feasible(&solution, VERIFY_TOL) {
         return None;
     }
-    Some(LpOutcome::Optimal {
-        objective: problem.objective_value(&solution),
-        solution,
-    })
+    Some(engine.optimal(problem, solution))
 }
 
 /// Content hash of everything except right-hand sides: variable and
@@ -589,6 +587,7 @@ mod tests {
     /// Caller-supplied starting vertices ([`SimplexWorkspace::solve_from`]).
     mod start {
         use super::*;
+        use crate::reference;
         use crate::revised::tests::proptests::{large_program, small_program};
         use proptest::prelude::*;
         use rand::rngs::StdRng;
@@ -689,8 +688,9 @@ mod tests {
         }
 
         /// `solve_from(p, start)` against a start-less solve: same kind
-        /// of outcome, objective equal to 1e-7 relative, point feasible;
-        /// a refused start leaves the result bit-identical.
+        /// of outcome, objective equal to 1e-7 relative, a certified
+        /// optimum that (at most five variables) the vertex reference
+        /// agrees with; a refused start leaves the result bit-identical.
         fn check_against_cold(
             p: &LpProblem,
             start: &[(usize, usize)],
@@ -704,19 +704,16 @@ mod tests {
             if stats.start_refusals == 1 {
                 assert_identical(&started, &cold);
             }
+            reference::check(p, &started)?;
             match (&started, &cold) {
                 (
-                    LpOutcome::Optimal {
-                        objective: s,
-                        solution,
-                    },
+                    LpOutcome::Optimal { objective: s, .. },
                     LpOutcome::Optimal { objective: c, .. },
                 ) => {
                     prop_assert!(
                         (s - c).abs() <= 1e-7 * c.abs().max(1.0),
                         "started {s} != cold {c}"
                     );
-                    prop_assert!(p.is_feasible(solution, 1e-6));
                 }
                 (s, c) => prop_assert_eq!(s, c),
             }
@@ -724,8 +721,9 @@ mod tests {
         }
 
         // The `#[cfg(test)]` hooks inside `optimize` (`assert_priced_out`,
-        // `assert_maintained_matches_fresh`) run on every started solve
-        // below: a start changes where phase 2 begins, not its contract.
+        // `assert_maintained_matches_fresh`) and the debug certificate run
+        // on every started solve below: a start changes where phase 2
+        // begins, not its contract.
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -782,11 +780,12 @@ mod tests {
 
     mod proptests {
         use super::*;
+        use crate::reference;
         use proptest::prelude::*;
 
         // Randomized feasible-by-construction LPs with a sequence of rhs
         // patches: every warm solve must match a fresh cold solve's
-        // objective to 1e-9 and return a feasible point.
+        // objective to 1e-9 and carry a certificate.
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
             #[test]
@@ -822,15 +821,12 @@ mod tests {
                     p.set_rhs(row, base + extra);
                     let warm = ws.solve(&p);
                     let cold = solve(&p);
-                    match (warm, cold) {
+                    reference::check(&p, &warm)?;
+                    match (&warm, &cold) {
                         (
-                            LpOutcome::Optimal { objective: w, solution },
+                            LpOutcome::Optimal { objective: w, .. },
                             LpOutcome::Optimal { objective: c, .. },
-                        ) => {
-                            prop_assert!((w - c).abs() < 1e-9,
-                                "warm {w} != cold {c}");
-                            prop_assert!(p.is_feasible(&solution, 1e-6));
-                        }
+                        ) => prop_assert!((w - c).abs() < 1e-9, "warm {w} != cold {c}"),
                         (w, c) => prop_assert!(
                             false, "outcome mismatch: warm {w:?} cold {c:?}"),
                     }
@@ -842,11 +838,11 @@ mod tests {
 
             // Randomized *rhs and coefficient* patch chains (an rhs
             // patch re-enters warm, a coefficient patch is a new program
-            // and goes cold): the workspace must match both a fresh
-            // revised cold solve and the dense oracle to 1e-9, on every
-            // step.
+            // and goes cold): on every step the workspace must match a
+            // fresh cold solve to 1e-9, carry a certificate and equal the
+            // vertex reference's optimum.
             #[test]
-            fn warm_matches_cold_and_dense_across_mixed_patches(
+            fn warm_matches_cold_and_reference_across_mixed_patches(
                 nv in 1usize..5,
                 seed_rows in proptest::collection::vec(
                     (proptest::collection::vec(-5.0f64..5.0, 5), 0.2f64..3.0), 1..6),
@@ -888,22 +884,14 @@ mod tests {
                     p.set_rhs(row, base + extra);
                     let warm = ws.solve(&p);
                     let cold = solve(&p);
-                    let dense = crate::simplex::solve_dense(&p);
-                    match (warm, cold, dense) {
+                    reference::check(&p, &warm)?;
+                    match (&warm, &cold) {
                         (
-                            LpOutcome::Optimal { objective: w, solution },
+                            LpOutcome::Optimal { objective: w, .. },
                             LpOutcome::Optimal { objective: c, .. },
-                            LpOutcome::Optimal { objective: d, .. },
-                        ) => {
-                            prop_assert!((w - c).abs() < 1e-9,
-                                "warm {w} != cold {c}");
-                            prop_assert!((w - d).abs() < 1e-9,
-                                "warm {w} != dense oracle {d}");
-                            prop_assert!(p.is_feasible(&solution, 1e-6));
-                        }
-                        (w, c, d) => prop_assert!(
-                            false,
-                            "outcome mismatch: warm {w:?} cold {c:?} dense {d:?}"),
+                        ) => prop_assert!((w - c).abs() < 1e-9, "warm {w} != cold {c}"),
+                        (w, c) => prop_assert!(
+                            false, "outcome mismatch: warm {w:?} cold {c:?}"),
                     }
                 }
                 // Every solve lands in exactly one terminal bucket
