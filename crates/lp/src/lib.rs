@@ -78,6 +78,20 @@
 //! maintained reduced cost can propose a pivot, never certify an
 //! answer.
 //!
+//! **Dual pivots** (the rhs re-entry's repair) are priced the same
+//! way: one BTRAN for `rho`, the same row kernel, a ratio test
+//! `min d_j / -alpha_j` over the row's negative entries (near-ties to
+//! the lowest column index), and the same update carrying `d` across
+//! the pivot, so a dual pivot costs what a primal one does. The repair
+//! starts from the `d` of the fresh pass the retained solve ended on (a
+//! patched rhs changes neither `y` nor `d`; an rhs patch that leaves
+//! `x_B >= 0` is answered by that pass outright) and re-prices fresh
+//! after a refactorization. The leaving row maximizes `x_i^2 / w_i`
+//! over **dual devex** row weights: reset to 1 per repair, updated from
+//! the pivot column `B⁻¹a_q` each pivot already computes
+//! (`w_i = max(w_i, (alpha_iq / alpha_rq)^2 w_r)`,
+//! `w_r = max(w_r / alpha_rq^2, 1)`), re-anchored at the same ceiling.
+//!
 //! The basis is **refactorized** every `(m/6).clamp(12, 48)` eta
 //! updates (which is also the longest stretch reduced costs and `x_B`
 //! are carried by updates alone) and on numerically unusable pivots;

@@ -31,6 +31,9 @@ pub struct Constraint {
 pub struct LpProblem {
     objective: Vec<f64>,
     constraints: Vec<Constraint>,
+    /// Everything but the right-hand sides, mixed in as the problem is
+    /// built: see [`Self::fingerprint`].
+    fingerprint: Signature,
 }
 
 impl LpProblem {
@@ -46,6 +49,8 @@ impl LpProblem {
             objective_coeff.is_finite(),
             "objective coefficient must be finite"
         );
+        self.fingerprint.write(4);
+        self.fingerprint.write(objective_coeff.to_bits());
         self.objective.push(objective_coeff);
         self.objective.len() - 1
     }
@@ -64,6 +69,12 @@ impl LpProblem {
             assert!(!seen[var], "duplicate variable {var} in constraint");
             seen[var] = true;
         }
+        self.fingerprint.write(1 + op as u64);
+        self.fingerprint.write(coeffs.len() as u64);
+        for &(var, coeff) in &coeffs {
+            self.fingerprint.write(var as u64);
+            self.fingerprint.write(coeff.to_bits());
+        }
         self.constraints.push(Constraint { coeffs, op, rhs });
     }
 
@@ -80,6 +91,20 @@ impl LpProblem {
     #[inline]
     pub fn rhs(&self, row: usize) -> f64 {
         self.constraints[row].rhs
+    }
+
+    /// Content hash of everything except the right-hand sides: each
+    /// variable's objective coefficient and each row's operator, length,
+    /// indices and coefficients, in the order they were added (a tag word
+    /// per item, so the stream decodes back to the build, counts
+    /// included). Equal fingerprints mean a shared standard-form matrix
+    /// and cost vector, so a basis saved from one problem is dual
+    /// feasible for the other and its factorization still valid:
+    /// [`crate::SimplexWorkspace`]'s rhs re-entry. [`Self::set_rhs`]
+    /// leaves it unchanged.
+    #[inline]
+    pub(crate) fn fingerprint(&self) -> u64 {
+        self.fingerprint.0
     }
 
     /// Number of variables.
@@ -129,6 +154,24 @@ impl LpProblem {
                 ConstraintOp::Eq => (lhs - c.rhs).abs() <= tol,
             }
         })
+    }
+}
+
+/// A 64-bit structure fingerprint mixed one word per step: xor, an odd
+/// multiply (FNV's prime) and a rotation that carries the well-mixed
+/// high bits back under the next word. Each step is a bijection of the
+/// state for a fixed word and of the word for a fixed state, so two
+/// inputs that differ in exactly one word never collide; every item
+/// opens with a non-zero tag, so the zero start never lingers.
+/// Fingerprints are compared within one process and never stored.
+#[derive(Debug, Clone, Copy, Default)]
+struct Signature(u64);
+
+impl Signature {
+    fn write(&mut self, v: u64) {
+        self.0 = (self.0 ^ v)
+            .wrapping_mul(0x0000_0100_0000_01b3)
+            .rotate_left(29);
     }
 }
 

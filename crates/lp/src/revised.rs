@@ -20,15 +20,14 @@
 //!   solution from the raw right-hand side and so bounds drift,
 //! * pricing reads **maintained reduced costs**: `d` is computed from
 //!   scratch (`y = B^{-T} c_B`, `d_j = c_j - y · a_j`) on entry to every
-//!   phase, after every refactorization and on every iteration under
-//!   Bland's rule, and in between is updated from the pivot row
-//!   (`d_j -= (d_q / alpha_q) alpha_j`) that the devex update computes
-//!   anyway. A maintained `d` may *propose* a pivot but never certifies
+//!   primal phase, after every refactorization and on every iteration
+//!   under Bland's rule, and in between is updated from the pivot row
+//!   (`d_j -= (d_q / alpha_q) alpha_j`), primal and dual pivots alike. A
+//!   maintained `d` may *propose* a pivot but never certifies
 //!   optimality: a phase returns `Optimal` only straight after a fresh
-//!   pass that found no candidate, so `d` drifts for at most one
-//!   refactorization interval and never into an answer. That pass's
-//!   multipliers are kept and returned with the optimum as its duals
-//!   (`LpOutcome::Optimal::duals`), which [`crate::certify`] checks.
+//!   pass that found no candidate. That pass's multipliers are kept and
+//!   returned with the optimum as its duals, which [`crate::certify`]
+//!   checks.
 //!
 //! The pivot row `alpha_j = rho · a_j` (`rho = B^{-T} e_r`) comes from
 //! one **row-major kernel** (`RevisedSimplex::pivot_row`): it scatters
@@ -39,41 +38,21 @@
 //! (three quarters of them on the failure-sweep programs) cost nothing.
 //!
 //! The payoff is warm restarts: the basis is a *set of column indices*
-//! plus a factorization, so a problem whose right-hand side alone was
-//! patched re-enters without any saved tableau — `x_B = B^{-1} b` is
-//! re-solved and primal feasibility repaired with dual-simplex pivots
-//! (see [`RevisedSimplex::install_rhs`] and
-//! [`RevisedSimplex::reoptimize`]). Any other edit gets a fresh engine.
+//! plus a factorization, so an rhs-patched problem re-enters without
+//! any saved tableau ([`RevisedSimplex::install_rhs`], then
+//! [`RevisedSimplex::reoptimize`]), and a caller's feasible vertex can
+//! replace the all-artificial basis before the first pivot
+//! ([`RevisedSimplex::install_start`], then the same `reoptimize`:
+//! phase 2 alone). The two-phase [`RevisedSimplex::run`] serves callers
+//! with no vertex to offer and refused starts.
 //!
-//! A cold solve need not begin at the all-artificial basis either:
-//! [`RevisedSimplex::build`] records each row's logical column, and
-//! [`RevisedSimplex::install_start`] swaps a caller's feasible vertex in
-//! before the first pivot, after which the solve is the same
-//! `reoptimize` a warm re-entry runs — phase 2 alone. The two-phase
-//! [`RevisedSimplex::run`] stays for callers with no vertex to offer
-//! and for starts that are refused.
-//!
-//! Pricing is **devex** (Forrest's approximate steepest edge): the
-//! entering column maximizes `d_j^2 / w_j` over reference-framework
-//! weights `w_j` that are updated from the pivot row after every basis
-//! change, so the engine steers by expected objective progress per unit
-//! step instead of raw reduced cost. The weights survive
-//! refactorization (they depend only on the pivot history, not the
-//! factorization), are reset to the unit framework at every phase
-//! boundary, and hand over to **Bland's rule** after a
-//! `stall_threshold`-long run of non-improving pivots (termination on
-//! degenerate/cycling programs; counted in
-//! [`EngineCounters::pricing_fallbacks`]). The hand-over is
-//! *non-sticky*: the first strictly improving pivot returns control to
-//! devex, so one degenerate plateau does not condemn the rest of the
-//! solve to Bland's slow crawl — each Bland stretch either terminates
-//! the phase or improves the objective, and an improved objective can
-//! never revisit a vertex, so termination is preserved. Ratio-test
-//! near-ties break on the largest pivot magnitude (numerically safest,
-//! and a Harris-style escape hatch out of degenerate plateaus) except
-//! under Bland's rule, whose termination proof needs the lowest basic
-//! index. The two-phase structure bans artificials from re-entering in
-//! phase 2.
+//! Pricing is **devex** in both directions — column weights choose
+//! the primal entering column, row weights the dual leaving row — with
+//! a non-sticky hand-over to **Bland's rule** after a stalled primal
+//! stretch; the crate docs' "Pricing and refactorization policy" gives
+//! the rules. Primal ratio-test near-ties break on the largest pivot
+//! magnitude except under Bland's rule, whose termination proof needs
+//! the lowest basic index. Artificials never re-enter in phase 2.
 
 use crate::certify::{certify, VERIFY_TOL};
 use crate::lu::{SparseLu, PIVOT_MIN};
@@ -81,18 +60,12 @@ use crate::problem::{ConstraintOp, LpOutcome, LpProblem, SimplexOptions};
 use crate::sparse::Compressed;
 
 /// Eta vectors tolerated before the basis is refactorized. The sparse
-/// Markowitz factorization is cheap (near-linear in basis nnz on these
-/// programs) and each one also buys a fresh pricing pass, while long
-/// eta chains make every FTRAN/BTRAN denser. Swept with fixed limits
-/// 8..100 once pricing was maintained from the pivot row: the bench
-/// min-max program (`simplex/cold`, m = 200, this formula gives 33)
-/// solves in 10.5 / 8.9 / 7.9 / 7.1 / 6.7 / 6.6 / 6.7 / 7.2 ms at
-/// 8 / 12 / 16 / 24 / 33 / 48 / 64 / 100, flat from 33 to 64; the
-/// benchmark of record's `failure_sweep` runs 990 / 1 445 / 1 740 /
-/// 1 617 / 1 676 / 1 572 ops/s at 8 / 12 / 24 / 48 / 64 / 100 and
-/// 1 590–1 780 for every `(m / 3..10).clamp(12..24, 32..64)` tried,
-/// this one at 1 600 — above 12 the order follows which tie-breaks a
-/// refresh point happens to flip, not the limit, so the formula stays.
+/// Markowitz factorization is cheap and each one also buys a fresh
+/// pricing pass, while long eta chains make every FTRAN/BTRAN denser.
+/// Swept with fixed limits 8..100: the bench min-max program (m = 200,
+/// this formula gives 33) is flat from 33 to 64 and 50 % slower at 8;
+/// `failure_sweep` is flat for every `(m / 3..10).clamp(12..24, 32..64)`
+/// tried, following which tie-breaks a refresh flips, not the limit.
 fn refactor_limit(m: usize) -> usize {
     (m / 6).clamp(12, 48)
 }
@@ -158,10 +131,8 @@ pub fn solve_with(problem: &LpProblem, options: SimplexOptions) -> LpOutcome {
 
 /// One product-form update: basis column `row` was replaced, and
 /// `B_old^{-1} a_entering` is the eta vector — stored sparse as its
-/// pivot-row entry plus the off-pivot nonzeros `nz` (rows ascending).
-/// The eta columns of these LPs are as hyper-sparse as the basis
-/// itself, so FTRAN/BTRAN walk `nz` instead of a dense length-`m`
-/// column.
+/// pivot-row entry plus the off-pivot nonzeros `nz` (rows ascending),
+/// which FTRAN/BTRAN walk instead of a dense length-`m` column.
 struct Eta {
     row: usize,
     pivot: f64,
@@ -220,6 +191,15 @@ pub(crate) struct RevisedSimplex {
     /// contract (fresh or maintained from the pivot row), zero on basic
     /// columns; only the columns the phase may enter are kept up.
     d: Vec<f64>,
+    /// `y` and `d` are a fresh phase-2 pass at this basis that priced
+    /// every column out: set where [`Self::optimize`]`(true)` returns
+    /// `Optimal`, cleared by a pivot and by a new phase cost. An rhs
+    /// patch changes neither, so [`Self::reoptimize`] starts from them.
+    priced: bool,
+    /// Dual devex weights, one per basis row: [`Self::dual_optimize`]
+    /// leaves on the row maximizing `x_i^2 / w_i`. Reset to 1 at the
+    /// start of each repair, updated from every pivot column.
+    dual_devex: Vec<f64>,
     /// Pivot-row kernel output: `alpha[j] = rho · a_j` for the columns
     /// listed in `touched`, zero everywhere else.
     alpha: Vec<f64>,
@@ -348,6 +328,8 @@ impl RevisedSimplex {
             devex: vec![1.0; n],
             y: Vec::new(),
             d: vec![0.0; n],
+            priced: false,
+            dual_devex: Vec::new(),
             alpha: vec![0.0; n],
             touched: Vec::new(),
             mark: vec![false; n],
@@ -502,9 +484,9 @@ impl RevisedSimplex {
         y
     }
 
-    /// One pivot-row entry `rho · a_j`, column-wise: what the few-pivot
-    /// paths (dual repair, artificial drive-out) use, and the reference
-    /// the row-major kernel is tested against.
+    /// One pivot-row entry `rho · a_j`, column-wise: what the artificial
+    /// drive-out uses, and the reference the row-major kernel is tested
+    /// against.
     fn row_entry(&self, rho: &[f64], j: usize) -> f64 {
         let mut alpha = 0.0;
         for (row, v) in self.cols.lane(j) {
@@ -542,6 +524,7 @@ impl RevisedSimplex {
             }
         }
         self.xb[r] = theta;
+        self.priced = false;
         self.position[self.basis[r]] = usize::MAX;
         self.basis[r] = q;
         self.position[q] = r;
@@ -583,21 +566,14 @@ impl RevisedSimplex {
     }
 
     /// One primal phase: pivot until optimal, unbounded or the budget
-    /// runs out. Devex pricing (entering column maximizes `d_j^2 / w_j`
-    /// over the reference-framework weights, reset to the unit
-    /// framework at the start of the phase) with a non-sticky Bland
-    /// fallback after a stall; ratio-test near-ties break on the
-    /// largest pivot magnitude, or the lowest basic index while Bland
-    /// is engaged. `ban_artificials` excludes artificial columns from
-    /// entering (phase 2 and every warm path).
-    ///
-    /// The reduced costs `self.d` are **fresh** (recomputed from the
-    /// multipliers) on entry, after every refactorization and on every
-    /// iteration under Bland's rule; between those they are
-    /// **maintained** from the pivot row. `Optimal` is returned only
-    /// when a fresh pass prices every column out: when a maintained `d`
-    /// finds no candidate, the pass is repeated fresh and the loop
-    /// carries on from whatever it finds.
+    /// runs out, under the pricing rules of the module docs.
+    /// `ban_artificials` excludes artificial columns from entering
+    /// (phase 2 and every warm path). The reduced costs `self.d` are
+    /// **fresh** on entry, after every refactorization and on every
+    /// Bland iteration, **maintained** from the pivot row in between.
+    /// `Optimal` is returned only when a fresh pass prices every column
+    /// out: when a maintained `d` finds no candidate, the pass is
+    /// repeated fresh and the loop carries on from whatever it finds.
     pub(crate) fn optimize(&mut self, ban_artificials: bool) -> PhaseResult {
         let tol = self.options.tolerance;
         let limit = if ban_artificials {
@@ -622,6 +598,7 @@ impl RevisedSimplex {
                 if pricing == Pricing::Fresh {
                     #[cfg(test)]
                     self.assert_priced_out(limit);
+                    self.priced = ban_artificials;
                     return PhaseResult::Optimal;
                 }
                 pricing = Pricing::Stale;
@@ -789,14 +766,9 @@ impl RevisedSimplex {
     /// The pivot-row kernel: `alpha_j = rho · a_j` for every nonbasic
     /// column `j < limit` other than `q`, left in `self.alpha` with the
     /// columns that received a term listed in `self.touched` (every
-    /// other `alpha_j` is exactly zero). The caller consumes the row and
-    /// then calls [`Self::clear_pivot_row`].
-    ///
-    /// Rows are scattered in ascending order and only where
-    /// `rho_i != 0`. A column-wise dot product over the rows-ascending
-    /// column store adds the same products in the same order, plus
-    /// exact zeros for the rows skipped here, so each `alpha_j` equals
-    /// it bit for bit.
+    /// other `alpha_j` is exactly zero), bit for bit the column-wise dot
+    /// product (module docs). The caller consumes the row and then calls
+    /// [`Self::clear_pivot_row`].
     fn pivot_row(&mut self, rho: &[f64], limit: usize, q: usize) {
         debug_assert!(self.touched.is_empty());
         for (i, &rho_i) in rho.iter().enumerate() {
@@ -826,6 +798,16 @@ impl RevisedSimplex {
         });
     }
 
+    /// Row `r` of `B^{-1} A` into the kernel's output: BTRAN of `e_r`
+    /// (one `rho` per pivot), then [`Self::pivot_row`].
+    fn basis_row(&mut self, r: usize, limit: usize, q: usize) {
+        let mut rho = self.take_buffer();
+        rho[r] = 1.0;
+        self.apply_btran(&mut rho);
+        self.pivot_row(&rho, limit, q);
+        self.retire_buffer(rho);
+    }
+
     /// Zero the kernel's output again (only the touched entries).
     fn clear_pivot_row(&mut self) {
         for &j in &self.touched {
@@ -837,23 +819,13 @@ impl RevisedSimplex {
 
     /// Carry the devex weights and the reduced costs across the pivot
     /// `(r, q)` with pivot column `w = B^{-1} a_q` (pre-pivot basis),
-    /// both from the pivot row `alpha_j = rho · a_j`,
-    /// `rho = B^{-T} e_r`:
-    ///
-    /// * every nonbasic column's weight becomes
-    ///   `max(w_j, (alpha_j / alpha_q)^2 w_q)` (Forrest–Goldfarb
-    ///   reference-framework recurrence), and the leaving variable
-    ///   re-enters the nonbasic pool with `max(w_q / alpha_q^2, 1)`.
-    ///   Weights only ever grow within a framework; when any weight
-    ///   this update wrote exceeds [`DEVEX_WEIGHT_CEILING`] the
-    ///   framework is re-anchored to unit weights, so no nonbasic
-    ///   weight above the ceiling survives an update (the columns the
-    ///   row misses keep a weight an earlier update already checked);
-    /// * `d_j -= (d_q / alpha_q) alpha_j`, the leaving variable prices
-    ///   at `-d_q / alpha_q` and the entering one at zero.
-    ///
-    /// Columns the pivot row does not touch have `alpha_j == 0` and
-    /// change in neither.
+    /// both from the pivot row `alpha_j = rho · a_j`: every nonbasic
+    /// column's weight becomes `max(w_j, (alpha_j / alpha_q)^2 w_q)`
+    /// (Forrest–Goldfarb), the leaving variable re-enters the pool with
+    /// `max(w_q / alpha_q^2, 1)`, and a weight past
+    /// [`DEVEX_WEIGHT_CEILING`] re-anchors the framework to unit
+    /// weights; `d` moves by [`Self::carry_reduced_costs`]. Columns the
+    /// row does not touch change in neither.
     fn update_pricing(&mut self, r: usize, q: usize, w: &[f64], limit: usize) {
         let alpha_q = w[r];
         if alpha_q.abs() <= PIVOT_MIN {
@@ -863,59 +835,62 @@ impl RevisedSimplex {
         let wq = self.devex[q].max(1.0);
         let scale = wq / (alpha_q * alpha_q);
         let step = self.d[q] / alpha_q;
-        let mut rho = self.take_buffer();
-        rho[r] = 1.0;
-        self.apply_btran(&mut rho);
-        self.pivot_row(&rho, limit, q);
-        self.retire_buffer(rho);
+        self.basis_row(r, limit, q);
         let leaving_weight = scale.max(1.0);
         let mut peak = leaving_weight;
         for &j in &self.touched {
             let j = j as usize;
             let alpha = self.alpha[j];
-            if alpha != 0.0 {
-                let candidate = alpha * alpha * scale;
-                if candidate > self.devex[j] {
-                    self.devex[j] = candidate;
-                }
-                self.d[j] -= step * alpha;
+            if alpha != 0.0 && alpha * alpha * scale > self.devex[j] {
+                self.devex[j] = alpha * alpha * scale;
             }
             peak = peak.max(self.devex[j]);
         }
-        self.clear_pivot_row();
         // The leaving variable joins the nonbasic pool.
-        let leaving = self.basis[r];
-        self.devex[leaving] = leaving_weight;
-        self.d[leaving] = -step;
-        self.d[q] = 0.0;
+        self.devex[self.basis[r]] = leaving_weight;
+        self.carry_reduced_costs(r, q, step);
         if peak > DEVEX_WEIGHT_CEILING {
             self.reset_devex();
         }
     }
 
+    /// Carry `d` across the pivot `(r, q)` on the kernel's row, which it
+    /// then clears: `d_j -= step alpha_j` on the touched columns
+    /// (`step = d_q / alpha_q`), the leaving variable prices at `-step`
+    /// and the entering one at zero.
+    fn carry_reduced_costs(&mut self, r: usize, q: usize, step: f64) {
+        for &j in &self.touched {
+            self.d[j as usize] -= step * self.alpha[j as usize];
+        }
+        self.clear_pivot_row();
+        self.d[self.basis[r]] = -step;
+        self.d[q] = 0.0;
+    }
+
     /// Dual-simplex pivoting from a dual-feasible basis towards primal
-    /// feasibility: leave on the most negative `x_B` row, enter on the
-    /// column minimizing `d_j / -alpha_j` over negative pivot
-    /// candidates (`alpha = row r of B^{-1} A`, obtained via BTRAN).
-    /// Artificials never enter. `false` when blocked (dual ray, bad
-    /// pivot, or the pivot budget ran out) — the caller falls back.
+    /// feasibility, on the `d` of the kept fresh phase-2 pass: leave on
+    /// the infeasible row maximizing `x_i^2 / w_i` (dual devex), enter
+    /// by [`Self::dual_entering`] on the kernel's pivot row, carry `d`
+    /// across the pivot from that row and re-price fresh after a
+    /// refactorization. Artificials never enter. `false` when blocked
+    /// (dual ray, bad pivot, or the pivot budget ran out) — the caller
+    /// falls back.
     pub(crate) fn dual_optimize(&mut self, max_pivots: usize) -> bool {
         let tol = self.options.tolerance;
-        // Primal-feasibility threshold for the leaving test: looser than
-        // the pivot tolerance, like every practical dual simplex — after
-        // a large rhs patch, roundoff alone can push a
-        // genuinely-tight basic value a few 1e-9 below zero, and trying
-        // to "repair" that phantom infeasibility dead-ends in a spurious
-        // dual ray (no eligible pivot). End-of-solve verification still
-        // checks the solution against the problem at 1e-6.
+        // The leaving test is looser than the pivot tolerance: after a
+        // large rhs patch roundoff alone can push a tight basic value a
+        // few 1e-9 below zero, and "repairing" that dead-ends in a
+        // spurious dual ray. Verification still checks at 1e-6.
         let feas = tol.max(1e-7);
+        let limit = self.artificial_start;
+        self.dual_devex.clear();
+        self.dual_devex.resize(self.m, 1.0);
         let mut pivots = 0usize;
         loop {
-            // Leaving row: most negative basic value.
             let mut leaving: Option<(usize, f64)> = None;
-            for (i, &xi) in self.xb.iter().enumerate() {
-                if xi < -feas && leaving.is_none_or(|(_, best)| xi < best) {
-                    leaving = Some((i, xi));
+            for (i, (&xi, &wi)) in self.xb.iter().zip(&self.dual_devex).enumerate() {
+                if xi < -feas && leaving.is_none_or(|(_, best)| xi * xi / wi > best) {
+                    leaving = Some((i, xi * xi / wi));
                 }
             }
             let Some((r, _)) = leaving else {
@@ -924,47 +899,77 @@ impl RevisedSimplex {
             if pivots >= max_pivots {
                 return false;
             }
-            // Row r of B^{-1} A: rho = B^{-T} e_r, alpha_j = rho · a_j.
-            let mut rho = self.take_buffer();
-            rho[r] = 1.0;
-            self.apply_btran(&mut rho);
-            let y = self.multipliers();
-            let mut entering: Option<(usize, f64)> = None;
-            for j in 0..self.artificial_start {
-                if self.position[j] != usize::MAX {
-                    continue;
-                }
-                let alpha = self.row_entry(&rho, j);
-                if alpha < -tol {
-                    let ratio = self.reduced_cost(j, &y) / -alpha;
-                    if entering.is_none_or(|(_, best)| ratio < best - tol) {
-                        entering = Some((j, ratio));
-                    }
-                }
-            }
-            self.retire_buffer(rho);
-            self.retire_buffer(y);
-            let Some((q, _)) = entering else {
+            self.basis_row(r, limit, usize::MAX);
+            let Some(q) = self.dual_entering() else {
+                self.clear_pivot_row();
                 return false;
             };
+            self.carry_reduced_costs(r, q, self.d[q] / self.alpha[q]);
             let w = self.ftran_col(q);
+            self.update_dual_devex(r, &w);
             if !self.pivot(r, q, w) {
                 return false;
             }
             self.iterations_used += 1;
             pivots += 1;
+            if self.etas.is_empty() {
+                // `pivot` refactorized: re-derive `d` like `x_B`.
+                self.price_refresh(limit);
+            } else {
+                #[cfg(test)]
+                self.assert_maintained_matches_fresh(limit);
+            }
+        }
+    }
+
+    /// The dual ratio test over the kernel's pivot row: of the columns
+    /// with `alpha_j < -tol` whose `d_j / -alpha_j` is within `tol` of
+    /// the minimum, the lowest index. `None` on a dual ray.
+    fn dual_entering(&self) -> Option<usize> {
+        let tol = self.options.tolerance;
+        let eligible = || {
+            self.touched
+                .iter()
+                .map(|&j| j as usize)
+                .filter(|&j| self.alpha[j] < -tol)
+        };
+        let ratio = |j: usize| self.d[j] / -self.alpha[j];
+        let best = eligible().map(ratio).fold(f64::INFINITY, f64::min);
+        eligible().filter(|&j| ratio(j) <= best + tol).min()
+    }
+
+    /// Carry the dual devex weights across the pivot in row `r` with
+    /// pivot column `w = B^{-1} a_q` (pre-pivot basis):
+    /// `w_i = max(w_i, (w[i] / w[r])^2 w_r)` for every other row, and the
+    /// entering column's row takes `max(w_r / w[r]^2, 1)`. Re-anchored
+    /// to unit weights when one passes [`DEVEX_WEIGHT_CEILING`] (a pivot
+    /// too small for `pivot` ends the repair, weights and all).
+    fn update_dual_devex(&mut self, r: usize, w: &[f64]) {
+        let scale = self.dual_devex[r] / (w[r] * w[r]);
+        let mut peak = scale.max(1.0);
+        for (weight, &wi) in self.dual_devex.iter_mut().zip(w) {
+            if wi != 0.0 {
+                *weight = weight.max(wi * wi * scale);
+                peak = peak.max(*weight);
+            }
+        }
+        self.dual_devex[r] = scale.max(1.0);
+        if peak > DEVEX_WEIGHT_CEILING {
+            self.dual_devex.iter_mut().for_each(|w| *w = 1.0);
         }
     }
 
     /// Install a phase cost vector: zero everywhere except `values` on
     /// the leading columns.
     fn set_phase_cost(&mut self, values: &[f64]) {
+        self.priced = false;
         self.phase_cost.iter_mut().for_each(|c| *c = 0.0);
         self.phase_cost[..values.len()].copy_from_slice(values);
     }
 
     /// Install the phase-1 cost (1 on artificials).
     fn set_phase1_cost(&mut self) {
+        self.priced = false;
         for (j, c) in self.phase_cost.iter_mut().enumerate() {
             *c = if j >= self.artificial_start { 1.0 } else { 0.0 };
         }
@@ -1069,40 +1074,39 @@ impl RevisedSimplex {
     }
 
     /// Re-optimize from the current basis with the phase-2 objective
-    /// installed: a plain primal polish when the basis is primal
-    /// feasible (a caller's start, an rhs patch that kept it so),
-    /// dual-simplex repair and then the polish when it is dual feasible
-    /// (any other rhs patch).
+    /// installed. An rhs re-entry keeps the fresh phase-2 pass its last
+    /// solve ended on (`priced`): when the patched `x_B` is still
+    /// feasible that pass is already the optimum's certificate, and
+    /// otherwise its `d` is dual feasible and dual-simplex repair starts
+    /// from it before a primal polish. A caller's start (never priced,
+    /// primal feasible by construction) gets the plain primal pass.
     ///
     /// `false` means the basis could not be reused (the caller falls
     /// back to a cold start, so no outcome is ever lost).
     pub(crate) fn reoptimize(&mut self, objective: &[f64]) -> bool {
         let tol = self.options.tolerance;
-        self.set_phase_cost(objective);
+        if !self.priced {
+            self.set_phase_cost(objective);
+        }
         self.iterations_used = 0;
         // A repair that has taken twice the pivots of this program's
-        // own cold solve is not going to be cheaper than starting over:
-        // a dual pivot prices its row column-wise, several times the
-        // cost of a primal one. (`4 * m + 64`, the bound while cold
-        // solves ran phase 1, let a blocked repair burn ~1 350 pivots —
-        // 55-195 ms on `experiments churn --smoke` — before a cold
-        // solve that now takes 2-8 ms.)
+        // own cold solve is not going to be cheaper than starting over.
+        // (`4 * m + 64`, the bound while cold solves ran phase 1, let a
+        // blocked repair burn ~1 350 pivots — 55-195 ms on `experiments
+        // churn --smoke` — before a cold solve that now takes 2-8 ms.)
         let dual_budget = 2 * self.cold_pivots + 64;
 
         if self.xb.iter().all(|&x| x >= -tol) {
+            if self.priced {
+                #[cfg(test)]
+                self.assert_priced_out(self.artificial_start);
+                return true;
+            }
             return matches!(self.optimize(true), PhaseResult::Optimal);
         }
-        self.dual_feasible()
+        self.priced
             && self.dual_optimize(dual_budget)
             && matches!(self.optimize(true), PhaseResult::Optimal)
-    }
-
-    /// Whether every non-artificial nonbasic column prices out
-    /// non-negative under the current phase cost (one fresh pass).
-    fn dual_feasible(&mut self) -> bool {
-        let tol = self.options.tolerance;
-        self.price_refresh(self.artificial_start);
-        self.d[..self.artificial_start].iter().all(|&dj| dj >= -tol)
     }
 
     /// Whether an artificial variable is basic at a meaningfully
@@ -1142,11 +1146,7 @@ impl PricingProbe {
     /// columns the row touched.
     pub fn pivot_row(&mut self, r: usize) -> usize {
         let engine = &mut self.0;
-        let mut rho = engine.take_buffer();
-        rho[r] = 1.0;
-        engine.apply_btran(&mut rho);
-        engine.pivot_row(&rho, engine.artificial_start, usize::MAX);
-        engine.retire_buffer(rho);
+        engine.basis_row(r, engine.artificial_start, usize::MAX);
         let touched = engine.touched.len();
         engine.clear_pivot_row();
         touched
@@ -1168,6 +1168,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::problem::{ConstraintOp, LpProblem};
     use crate::reference::{self, Verdict};
+    use crate::{SimplexWorkspace, WarmStats};
 
     /// `outcome` must be `p`'s optimum at `expect_obj`, certified and
     /// equal to the vertex reference's.
@@ -1428,15 +1429,39 @@ pub(crate) mod tests {
         }
 
         /// Cold-solve `p`, which is feasible and bounded by
-        /// construction: the outcome must be a certified optimum.
-        /// Returns the engine's telemetry.
-        fn assert_certified(p: &LpProblem) -> Result<EngineCounters, TestCaseError> {
-            let mut engine = RevisedSimplex::build(p, SimplexOptions::default())
-                .ok_or(TestCaseError::fail("singular initial basis"))?;
-            let outcome = engine.run(p);
-            prop_assert!(matches!(outcome, LpOutcome::Optimal { .. }), "{outcome:?}");
+        /// construction: the outcome must be a certified optimum. Then
+        /// pull every rhs in around half that optimum, which the optimum
+        /// itself breaks in many rows: the rhs re-entry's dual repair
+        /// must reach a certified optimum at a cold solve's objective.
+        /// Returns the cold solve's telemetry.
+        fn assert_certified(p: &LpProblem) -> Result<WarmStats, TestCaseError> {
+            let mut ws = SimplexWorkspace::new();
+            let outcome = ws.solve(p);
             reference::check(p, &outcome)?;
-            Ok(engine.take_counters())
+            let LpOutcome::Optimal { solution, .. } = outcome else {
+                return Err(TestCaseError::fail(format!("{outcome:?}")));
+            };
+            let cold = ws.stats();
+            let mut q = p.clone();
+            for (i, c) in p.constraints().iter().enumerate() {
+                let half: f64 = c.coeffs.iter().map(|&(j, a)| a * solution[j] / 2.0).sum();
+                // `<=` a little above, `>=` a little below, `==` on it.
+                let gap = [0.01, -0.01, 0.0][c.op as usize];
+                q.set_rhs(i, half + gap);
+            }
+            match (ws.solve(&q), solve(&q)) {
+                (
+                    LpOutcome::Optimal { objective: w, .. },
+                    LpOutcome::Optimal { objective: c, .. },
+                ) => {
+                    prop_assert!(
+                        (w - c).abs() <= 1e-9 * c.abs().max(1.0),
+                        "warm {w} != cold {c}"
+                    )
+                }
+                (w, c) => prop_assert!(false, "warm {w:?} cold {c:?}"),
+            }
+            Ok(cold)
         }
 
         // The pivot-row kernel against the column-wise dot product

@@ -8,14 +8,17 @@
 //!
 //! A [`SimplexWorkspace`] keeps the **revised-simplex engine** of the
 //! last successful solve — the basis (a set of column indices), its LU
-//! factorization and the standard-form layout — and has exactly two
-//! answers to the next problem:
+//! factorization, the standard-form layout and the fresh pricing pass
+//! the solve ended on — and has exactly two answers to the next problem:
 //!
-//! * **same program, new rhs** (identical objective, pattern and
-//!   coefficients): the new `x_B = B^{-1} b̃` is one FTRAN against the
-//!   retained factorization; the saved basis is still dual feasible, so
-//!   primal feasibility is repaired with **dual-simplex** pivots and
-//!   polished with an (almost always trivial) primal pass.
+//! * **same program, new rhs**: the problem's fingerprint (kept by
+//!   [`LpProblem`] itself, mixed in as it is built, blind to
+//!   [`LpProblem::set_rhs`]) equals the retained one. The re-entry
+//!   re-signs the rhs and re-solves `x_B = B^{-1} b̃` (one FTRAN against
+//!   the retained factorization). If `x_B >= 0` the kept pass is already
+//!   the optimum's certificate and nothing pivots; otherwise its reduced
+//!   costs are dual feasible, **dual-simplex** pivots repair primal
+//!   feasibility, and a primal pass polishes and re-prices fresh.
 //! * **anything else**: cold, on a fresh engine. With a caller-supplied
 //!   start ([`SimplexWorkspace::solve_from`]) the fresh engine's basis
 //!   is set to the named feasible vertex (each named structural column
@@ -33,20 +36,13 @@
 //! an infeasible vertex ([`WarmStats::start_refusals`]) — falls back to
 //! the ordinary cold start on a fresh engine, so a warm or started solve
 //! can never return anything a cold solve would not. Matching is by
-//! content (one 64-bit signature of everything but the right-hand
-//! sides, mixed a word at a time), not by pointer, so callers may
-//! rebuild problems freely.
-//!
-//! Accumulated float drift is bounded three ways: the factorization is
-//! rebuilt periodically, re-deriving both `x_B` (from the raw rhs) and
-//! the reduced costs (from fresh multipliers) that pivots update in
-//! between; no phase reports an optimum except straight after such a
-//! from-scratch pricing pass; and solutions are verified against the
-//! problem itself before being returned, forcing a cold refresh when
-//! drift ever won.
+//! content, not by pointer, so callers may rebuild problems freely.
+//! Every result is verified against the problem itself before it is
+//! returned, which bounds what float drift could ever cost to a cold
+//! refresh.
 
 use crate::certify::VERIFY_TOL;
-use crate::problem::{ConstraintOp, LpOutcome, LpProblem, SimplexOptions};
+use crate::problem::{LpOutcome, LpProblem, SimplexOptions};
 use crate::revised::{EngineCounters, RevisedSimplex};
 
 /// Counters describing how a [`SimplexWorkspace`] resolved its solves,
@@ -142,9 +138,9 @@ pub struct SimplexWorkspace {
 }
 
 struct Saved {
-    /// [`program_signature`] of the problem `engine` solved; the next
-    /// problem must match it to re-enter.
-    signature: u64,
+    /// [`LpProblem::fingerprint`] of the problem `engine` solved; the
+    /// next problem must match it to re-enter.
+    fingerprint: u64,
     engine: RevisedSimplex,
 }
 
@@ -202,8 +198,8 @@ impl SimplexWorkspace {
     /// but time: the solve then is the two-phase one [`Self::solve`]
     /// would have made. An empty `start` is no start.
     pub fn solve_from(&mut self, problem: &LpProblem, start: &[(usize, usize)]) -> LpOutcome {
-        let signature = program_signature(problem);
-        if let Some(saved) = self.saved.as_mut().filter(|s| s.signature == signature) {
+        let fingerprint = problem.fingerprint();
+        if let Some(saved) = self.saved.as_mut().filter(|s| s.fingerprint == fingerprint) {
             saved.engine.install_rhs(problem);
             let outcome = finish_warm(&mut saved.engine, problem);
             // Telemetry accrues even on a failed attempt (partial
@@ -227,7 +223,7 @@ impl SimplexWorkspace {
                 };
                 self.stats.absorb_engine(engine.take_counters());
                 if let Some(outcome) = outcome {
-                    self.retain(signature, engine);
+                    self.retain(fingerprint, engine);
                     return outcome;
                 }
             }
@@ -242,15 +238,18 @@ impl SimplexWorkspace {
         let drained = engine.take_counters();
         self.stats.absorb_engine(drained);
         if matches!(outcome, LpOutcome::Optimal { .. }) {
-            self.retain(signature, engine);
+            self.retain(fingerprint, engine);
         }
         outcome
     }
 
     /// Keep a cold-solved engine for the next solve to re-enter.
-    fn retain(&mut self, signature: u64, mut engine: RevisedSimplex) {
+    fn retain(&mut self, fingerprint: u64, mut engine: RevisedSimplex) {
         engine.cold_pivots = engine.iterations_used;
-        self.saved = Some(Saved { signature, engine });
+        self.saved = Some(Saved {
+            fingerprint,
+            engine,
+        });
     }
 }
 
@@ -273,59 +272,6 @@ fn finish_warm(engine: &mut RevisedSimplex, problem: &LpProblem) -> Option<LpOut
         return None;
     }
     Some(engine.optimal(problem, solution))
-}
-
-/// Content hash of everything except right-hand sides: variable and
-/// constraint counts, the objective, and each row's operator, variable
-/// indices and coefficient values. Problems with equal signatures share
-/// a standard-form matrix and cost vector, so a basis saved from one is
-/// dual feasible for the other and its factorization still valid: the
-/// rhs re-entry.
-fn program_signature(problem: &LpProblem) -> u64 {
-    let mut h = Signature::new();
-    h.write_usize(problem.num_variables());
-    h.write_usize(problem.num_constraints());
-    for &c in problem.objective() {
-        h.write_u64(c.to_bits());
-    }
-    for constraint in problem.constraints() {
-        h.write_usize(match constraint.op {
-            ConstraintOp::Le => 1,
-            ConstraintOp::Ge => 2,
-            ConstraintOp::Eq => 3,
-        });
-        h.write_usize(constraint.coeffs.len());
-        for &(var, coeff) in &constraint.coeffs {
-            h.write_usize(var);
-            h.write_u64(coeff.to_bits());
-        }
-    }
-    h.finish()
-}
-
-/// A 64-bit structure fingerprint mixed one word per step: xor, an odd
-/// multiply (FNV's prime) and a rotation that carries the well-mixed
-/// high bits back under the next word. Each step is a bijection of the
-/// state for a fixed word and of the word for a fixed state, so two
-/// inputs that differ in exactly one word never collide. The signatures
-/// are compared within one process and never stored.
-struct Signature(u64);
-
-impl Signature {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v)
-            .wrapping_mul(0x0000_0100_0000_01b3)
-            .rotate_left(29);
-    }
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 #[cfg(test)]
@@ -373,20 +319,26 @@ mod tests {
         q
     }
 
-    /// An rhs edit leaves the signature (the dual-repair path); any
-    /// other edit moves it (cold).
+    /// An rhs edit leaves the fingerprint (the dual-repair path), and so
+    /// does building the same program again; any other edit moves it
+    /// (cold).
     #[test]
-    fn only_rhs_edits_keep_the_signature() {
+    fn only_rhs_edits_keep_the_fingerprint() {
         let base = min_max_problem(&[1.0, 0.5]);
-        let signature = program_signature(&base);
+        let fingerprint = base.fingerprint();
 
         let mut rhs_only = min_max_problem(&[1.0, 0.5]);
         rhs_only.set_rhs(1, -7.25);
-        assert_eq!(program_signature(&rhs_only), signature);
+        assert_eq!(rhs_only.fingerprint(), fingerprint);
+        // Rebuilt row by row from `base`'s content: the same program.
+        assert_eq!(
+            with_coefficient(&base, 2, 0, -2.0).fingerprint(),
+            fingerprint
+        );
 
         // One coefficient, by one ulp.
         let one_coeff = with_coefficient(&base, 2, 0, f64::from_bits((-2.0f64).to_bits() + 1));
-        assert_ne!(program_signature(&one_coeff), signature);
+        assert_ne!(one_coeff.fingerprint(), fingerprint);
 
         // The objective, the variable a row reads, a row's operator:
         // every other number the same.
@@ -402,7 +354,7 @@ mod tests {
             p.add_constraint(vec![(x1, 1.0), (x2, 1.0)], ConstraintOp::Eq, 1.0);
             p.add_constraint(vec![(x1, 5.0), (t, -10.0)], ConstraintOp::Le, -1.0);
             p.add_constraint(vec![(var, 5.0), (t, -2.0)], op, -0.5);
-            assert_ne!(program_signature(&p), signature, "{cost} {var} {op:?}");
+            assert_ne!(p.fingerprint(), fingerprint, "{cost} {var} {op:?}");
         }
     }
 
@@ -449,6 +401,7 @@ mod tests {
         }
         programs.push(with_coefficient(&base, 0, 1, 1.3));
         for (k, p) in programs.iter_mut().enumerate() {
+            assert_ne!(p.fingerprint(), base.fingerprint(), "program {k}");
             let got = objective(&ws.solve(p));
             let cold = objective(&solve(p));
             assert!((got - cold).abs() < 1e-9, "program {k}: {got} != {cold}");
@@ -783,75 +736,27 @@ mod tests {
         use crate::reference;
         use proptest::prelude::*;
 
-        // Randomized feasible-by-construction LPs with a sequence of rhs
-        // patches: every warm solve must match a fresh cold solve's
-        // objective to 1e-9 and carry a certificate.
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
+            // Randomized patch chains on feasible-by-construction LPs:
+            // one row's rhs (warm), a coefficient too (a new program,
+            // cold), or every row's rhs pulled in to just above a new
+            // point (`x0` rotated) so the last optimum breaks several
+            // rows at once (a multi-pivot dual repair). On every step the
+            // workspace must match a fresh cold solve to 1e-9, carry a
+            // certificate and equal the vertex reference's optimum.
             #[test]
-            fn warm_matches_cold_across_rhs_patches(
-                nv in 1usize..5,
+            fn warm_matches_cold_and_reference_across_mixed_patches(
+                nv in 1usize..6,
                 seed_rows in proptest::collection::vec(
                     (proptest::collection::vec(-5.0f64..5.0, 5), 0.0f64..3.0), 1..6),
                 cost in proptest::collection::vec(0.0f64..4.0, 5),
                 x0 in proptest::collection::vec(0.0f64..3.0, 5),
+                // `var` in 5..10 encodes "patch a coefficient too", 10..
+                // "patch every row" (the vendored proptest tuples stop
+                // at four elements).
                 patches in proptest::collection::vec(
-                    (0usize..6, 0.0f64..4.0), 1..8),
-            ) {
-                let mut p = LpProblem::new();
-                for &c in cost.iter().take(nv) {
-                    p.add_variable(c);
-                }
-                for (coeffs, slack) in &seed_rows {
-                    let row: Vec<(usize, f64)> =
-                        (0..nv).map(|i| (i, coeffs[i])).collect();
-                    let rhs: f64 =
-                        (0..nv).map(|i| coeffs[i] * x0[i]).sum::<f64>() + slack;
-                    p.add_constraint(row, ConstraintOp::Le, rhs);
-                }
-                let mut ws = SimplexWorkspace::new();
-                ws.solve(&p);
-                for &(row, extra) in &patches {
-                    let row = row % seed_rows.len();
-                    // Keep the problem feasible: rhs >= the known point's
-                    // row value.
-                    let base: f64 = (0..nv)
-                        .map(|i| seed_rows[row].0[i] * x0[i])
-                        .sum();
-                    p.set_rhs(row, base + extra);
-                    let warm = ws.solve(&p);
-                    let cold = solve(&p);
-                    reference::check(&p, &warm)?;
-                    match (&warm, &cold) {
-                        (
-                            LpOutcome::Optimal { objective: w, .. },
-                            LpOutcome::Optimal { objective: c, .. },
-                        ) => prop_assert!((w - c).abs() < 1e-9, "warm {w} != cold {c}"),
-                        (w, c) => prop_assert!(
-                            false, "outcome mismatch: warm {w:?} cold {c:?}"),
-                    }
-                }
-                // The sequence must actually exercise the warm path.
-                prop_assert!(ws.stats().warm_solves + ws.stats().warm_fallbacks
-                    + ws.stats().cold_solves >= patches.len());
-            }
-
-            // Randomized *rhs and coefficient* patch chains (an rhs
-            // patch re-enters warm, a coefficient patch is a new program
-            // and goes cold): on every step the workspace must match a
-            // fresh cold solve to 1e-9, carry a certificate and equal the
-            // vertex reference's optimum.
-            #[test]
-            fn warm_matches_cold_and_reference_across_mixed_patches(
-                nv in 1usize..5,
-                seed_rows in proptest::collection::vec(
-                    (proptest::collection::vec(-5.0f64..5.0, 5), 0.2f64..3.0), 1..6),
-                cost in proptest::collection::vec(0.0f64..4.0, 5),
-                x0 in proptest::collection::vec(0.0f64..3.0, 5),
-                // `var >= 5` encodes "patch a coefficient too" (the
-                // vendored proptest tuples stop at four elements).
-                patches in proptest::collection::vec(
-                    (0usize..6, 0usize..10, -4.0f64..4.0, 0.0f64..4.0),
+                    (0usize..6, 0usize..15, -4.0f64..4.0, 0.0f64..4.0),
                     1..8),
             ) {
                 let mut p = LpProblem::new();
@@ -865,23 +770,35 @@ mod tests {
                         (0..nv).map(|i| coeffs[i] * x0[i]).sum::<f64>() + slack;
                     p.add_constraint(row, ConstraintOp::Le, rhs);
                 }
+                // Every rhs is set at or above its row's value at
+                // `anchor`, so the program stays feasible there.
+                let mut anchor = x0.clone();
+                let at = |p: &LpProblem, anchor: &[f64], i: usize| -> f64 {
+                    p.constraints()[i].coeffs.iter().map(|&(j, a)| a * anchor[j]).sum()
+                };
                 let mut ws = SimplexWorkspace::new();
                 ws.solve(&p);
                 for &(row, var, coeff, extra) in &patches {
-                    let row = row % seed_rows.len();
-                    let coeff_patch = var >= 5;
-                    let var = var % nv;
-                    if coeff_patch {
-                        p = with_coefficient(&p, row, var, coeff);
+                    if var >= 10 {
+                        // Alternately free the origin (the optimum
+                        // drops onto it) and pull every row in to just
+                        // above a new anchor: the repair then enters a
+                        // structural column per row the origin breaks.
+                        let tighten = row % 2 == 1;
+                        if tighten {
+                            anchor.rotate_left(1 + row % 4);
+                        }
+                        for i in 0..seed_rows.len() {
+                            let b = at(&p, &anchor, i);
+                            p.set_rhs(i, if tighten { b + extra / 16.0 } else { b.max(0.0) + extra });
+                        }
+                    } else {
+                        let row = row % seed_rows.len();
+                        if var >= 5 {
+                            p = with_coefficient(&p, row, var % nv, coeff);
+                        }
+                        p.set_rhs(row, at(&p, &anchor, row) + extra);
                     }
-                    // Re-derive a feasible rhs for the (possibly patched)
-                    // row so the program stays feasible at x0.
-                    let base: f64 = p.constraints()[row]
-                        .coeffs
-                        .iter()
-                        .map(|&(i, a)| a * x0[i])
-                        .sum();
-                    p.set_rhs(row, base + extra);
                     let warm = ws.solve(&p);
                     let cold = solve(&p);
                     reference::check(&p, &warm)?;
