@@ -1067,6 +1067,43 @@ mod tests {
     }
 
     #[test]
+    fn lopsided_pair_rolls_back_a_fifth_and_ends_win_win() {
+        // The §6 close on a lopsided pair, as real pairs are (a quarter
+        // of their accepted moves are rolled back): B loses half of what
+        // A gains on three flows in four, so the combined maximum keeps
+        // trading at B's expense and the close must undo much of it.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let (n, k) = (2_000, 4);
+        let random = |seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut gains = GainTable::new(n, k);
+            for f in 0..n {
+                let row = gains.row_mut(f);
+                row.iter_mut()
+                    .for_each(|cell| *cell = rng.gen_range(-100.0..100.0));
+                row[0] = 0.0;
+            }
+            gains
+        };
+        let gains_a = random(1);
+        let mut gains_b = random(2);
+        for f in (0..n).filter(|f| f % 4 != 0) {
+            for (cell, &theirs) in gains_b.row_mut(f).iter_mut().zip(gains_a.row(f)) {
+                *cell = -0.5 * theirs;
+            }
+        }
+        let out = run(gains_a, gains_b, NexitConfig::win_win());
+        let (accepted, reverted) = (out.flows_negotiated(), out.flows_rolled_back());
+        assert!(
+            5 * reverted >= accepted,
+            "a fifth of the {accepted} accepted moves must be rolled back, not {reverted}"
+        );
+        assert!(out.gain_a >= 0, "A lost {}", out.gain_a);
+        assert!(out.gain_b >= 0, "B lost {}", out.gain_b);
+    }
+
+    #[test]
     fn builder_matches_negotiate() {
         let gains_a = tbl(&[vec![0.0, 10.0], vec![0.0, -2.0], vec![0.0, 6.0]]);
         let gains_b = tbl(&[vec![0.0, -2.0], vec![0.0, 10.0], vec![0.0, 6.0]]);

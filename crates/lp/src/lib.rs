@@ -11,7 +11,7 @@
 //! Scope: minimize `c·x` subject to mixed `<=` / `>=` / `==` constraints
 //! and `x >= 0`, on one engine:
 //!
-//! * [`revised`] — the revised simplex: the constraint matrix in flat
+//! * `revised` — the revised simplex: the constraint matrix in flat
 //!   compressed storage (`sparse`: one column-major copy for FTRAN and
 //!   the factorization, one row-major copy for the pivot-row kernel),
 //!   sparse Markowitz-ordered LU of the basis (`lu`, column-compressed
@@ -105,7 +105,7 @@ mod numerics_tests;
 pub mod problem;
 #[cfg(test)]
 mod reference;
-pub mod revised;
+mod revised;
 mod sparse;
 pub mod workspace;
 

@@ -1121,48 +1121,6 @@ impl RevisedSimplex {
     }
 }
 
-/// Bench access to the two pricing kernels of a solved engine, for the
-/// `simplex/pivot_row` and `simplex/price_refresh` layer rows of
-/// `crates/bench/benches/engine.rs` (bench targets sit outside the
-/// crate). Not part of the solver API.
-#[doc(hidden)]
-pub struct PricingProbe(RevisedSimplex);
-
-impl PricingProbe {
-    /// Cold-solve `problem` and keep the engine at its optimal basis
-    /// (eta file as the solve left it). `None` unless optimal.
-    pub fn at_optimum(problem: &LpProblem) -> Option<Self> {
-        let mut engine = RevisedSimplex::build(problem, SimplexOptions::default())?;
-        matches!(engine.run(problem), LpOutcome::Optimal { .. }).then_some(Self(engine))
-    }
-
-    /// Basis rows.
-    pub fn rows(&self) -> usize {
-        self.0.m
-    }
-
-    /// What one pivot pays for its pivot row: BTRAN of `e_r`, then the
-    /// row-major kernel over the phase-2 columns. Returns the number of
-    /// columns the row touched.
-    pub fn pivot_row(&mut self, r: usize) -> usize {
-        let engine = &mut self.0;
-        engine.basis_row(r, engine.artificial_start, usize::MAX);
-        let touched = engine.touched.len();
-        engine.clear_pivot_row();
-        touched
-    }
-
-    /// One fresh pricing pass (multipliers BTRAN + every phase-2
-    /// reduced cost). Returns the most negative reduced cost.
-    pub fn price_refresh(&mut self) -> f64 {
-        let engine = &mut self.0;
-        engine.price_refresh(engine.artificial_start);
-        engine.d[..engine.artificial_start]
-            .iter()
-            .fold(0.0, |lo, &d| lo.min(d))
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;

@@ -148,17 +148,17 @@ fn main() {
     // incremental re-negotiation driver on its own pinned universe;
     // like `broker` and `faults` it runs only when named explicitly and
     // exits non-zero on any divergence from the per-prefix cold
-    // rebuild, nondeterminism across worker counts, or an
-    // incremental-vs-cold latency-ratio regression.
+    // rebuild, nondeterminism across worker counts, or (distance) an
+    // incremental work median not under the cold twin's. Its stdout is
+    // thread-count independent and pinned in `scripts/smoke_churn.txt`.
     if target == "churn" {
         let pairs = cfg.max_pairs.unwrap_or(24);
         let events = if cfg.max_pairs.is_some() { 60 } else { 250 };
         let mut failed = false;
         for (i, &objective) in objectives.iter().enumerate() {
             eprintln!(
-                "running churn sweep [{}] ({pairs} pairs x {events} events, {} worker(s)) ...",
+                "running churn sweep [{}] ({pairs} pairs x {events} events) ...",
                 objective.name(),
-                nexit_sim::parallel::resolve_threads(cfg.threads),
             );
             let r = churn::run(pairs, events, cfg.threads, cfg.seed, objective);
             churn::report(&r);

@@ -73,16 +73,14 @@
 //! assignments, identical per-event work series and identical
 //! [`ChurnCounters`].
 //!
-//! Latency is reported two ways: wall-clock per-event re-negotiation
-//! latency (p50/p99, incremental vs cold twin) and a
-//! deterministic *work* meter (gain cells filled + negotiation rounds +
-//! LP pivots) whose series is reproducible across runs and thread
-//! counts, used by the determinism tests where wall-clock cannot be.
-//! "Incremental work p50 under cold" is gated under distance, where the
-//! median event is a cached outcome; under bandwidth the median event
-//! renegotiates at the cold twin's price by construction, the two
-//! medians are printed, and the guard is the clock (the engine bench's
-//! `churn/bw_cold_replay : churn/bw_replay` floor).
+//! Cost is reported as a deterministic *work* meter per event (gain
+//! cells filled + negotiation rounds + LP pivots, incremental vs cold
+//! twin) whose series is reproducible across runs and thread counts, so
+//! the whole report is too. "Incremental work p50 under cold" is gated
+//! under distance, where the median event is a cached outcome; under
+//! bandwidth the median event renegotiates at the cold twin's price by
+//! construction and the two medians are printed. Wall-clock time is the
+//! benchmark of record's business (`perfbench`'s `churn_*` workloads).
 
 mod driver;
 mod loads;

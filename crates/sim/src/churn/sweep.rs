@@ -11,7 +11,6 @@ use crate::cdf::Cdf;
 use crate::parallel::par_map;
 use nexit_lp::WarmStats;
 use nexit_topology::{GeneratorConfig, IcxId, TopologyGenerator, Universe};
-use std::time::Instant;
 
 /// The sweep's universe: the same 12-ISP topology the fault sweep and
 /// the broker determinism suite pin, restricted to pairs with three or
@@ -28,8 +27,6 @@ pub fn universe() -> Universe {
 
 /// One pair's replay results.
 struct PairRun {
-    latency_ns: Vec<f64>,
-    cold_latency_ns: Vec<f64>,
     work: Vec<f64>,
     cold_work: Vec<f64>,
     divergences: usize,
@@ -42,7 +39,7 @@ struct PairRun {
 
 /// Replay one pair's feed through the incremental driver; with
 /// `with_cold`, also rebuild every event prefix from scratch and
-/// compare (the correctness replay + the cold latency twin).
+/// compare (the correctness replay + the cold work twin).
 fn replay_pair(
     pair: &ChurnPair<'_>,
     initial: &[bool],
@@ -52,22 +49,16 @@ fn replay_pair(
 ) -> PairRun {
     let mut driver = ChurnDriver::new(pair, initial.to_vec(), *cfg);
     let mut lp_skipped = !lp_fits(pair, driver.state());
-    let mut latency_ns = Vec::with_capacity(trace.len());
     let mut work = Vec::with_capacity(trace.len());
-    let mut cold_latency_ns = Vec::new();
     let mut cold_work = Vec::new();
     let mut divergences = 0;
     let mut violations = Vec::new();
     for (idx, event) in trace.iter().enumerate() {
-        let start = Instant::now();
         driver.apply(event);
-        latency_ns.push(start.elapsed().as_nanos() as f64);
         work.push(driver.last_work() as f64);
         lp_skipped |= !lp_fits(pair, driver.state());
         if with_cold {
-            let start = Instant::now();
             let (cold, units) = cold_rebuild(pair, driver.state(), cfg);
-            cold_latency_ns.push(start.elapsed().as_nanos() as f64);
             cold_work.push(units as f64);
             if let Some(diff) = divergence(driver.negotiated(), &cold) {
                 divergences += 1;
@@ -79,8 +70,6 @@ fn replay_pair(
     }
     violations.extend(driver.lp_errors.iter().cloned());
     PairRun {
-        latency_ns,
-        cold_latency_ns,
         work,
         cold_work,
         divergences,
@@ -105,10 +94,6 @@ pub struct ChurnReport {
     pub counters: ChurnCounters,
     /// Prefix replays that did not match the cold rebuild (must be 0).
     pub divergences: usize,
-    /// Per-event incremental latency (wall-clock, ns).
-    pub latency: Vec<f64>,
-    /// Per-event cold-rebuild latency (wall-clock, ns).
-    pub cold_latency: Vec<f64>,
     /// Per-event incremental work units (deterministic).
     pub work: Vec<f64>,
     /// Per-event cold work units (deterministic).
@@ -178,8 +163,6 @@ pub fn run(
     for run in &main {
         report.counters.absorb(run.counters);
         report.divergences += run.divergences;
-        report.latency.extend(&run.latency_ns);
-        report.cold_latency.extend(&run.cold_latency_ns);
         report.work.extend(&run.work);
         report.cold_work.extend(&run.cold_work);
         report.lp_stats.absorb(run.lp_stats);
@@ -217,8 +200,8 @@ pub fn run(
     // something. Under bandwidth the median event renegotiates, a live
     // session costs what the cold twin's does by construction and LP
     // pivots are at parity, so the two medians differ by noise in the
-    // pivot counts — printed by `report`, guarded by the clock instead
-    // (the engine bench's churn/bw ratio floor).
+    // pivot counts — printed by `report` and pinned, with the rest of
+    // the smoke's output, in `scripts/smoke_churn.txt`.
     if work_rule_gated(objective) && !report.work.is_empty() && !report.cold_work.is_empty() {
         let p50 = Cdf::new(report.work.clone()).median();
         let cold_p50 = Cdf::new(report.cold_work.clone()).median();
@@ -264,21 +247,6 @@ pub fn report(r: &ChurnReport) {
         "prefix replays vs cold rebuild: {} divergence(s); 1/2/4-worker reruns identical: {}",
         r.divergences, r.deterministic
     );
-    let latency = Cdf::new(r.latency.clone());
-    let cold_latency = Cdf::new(r.cold_latency.clone());
-    latency.print("per-event incremental latency (ns)");
-    cold_latency.print("per-event cold-rebuild latency (ns)");
-    if !latency.is_empty() && !cold_latency.is_empty() {
-        println!(
-            "latency p50: incremental {:.0} ns vs cold {:.0} ns ({:.1}x); p99: {:.0} vs {:.0} ns ({:.1}x)",
-            latency.median(),
-            cold_latency.median(),
-            cold_latency.median() / latency.median().max(1.0),
-            latency.percentile(99.0),
-            cold_latency.percentile(99.0),
-            cold_latency.percentile(99.0) / latency.percentile(99.0).max(1.0),
-        );
-    }
     let work = Cdf::new(r.work.clone());
     let cold_work = Cdf::new(r.cold_work.clone());
     work.print("per-event incremental work units (deterministic)");

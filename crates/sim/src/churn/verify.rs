@@ -14,7 +14,7 @@ use nexit_topology::IcxId;
 /// From-scratch rebuild of the negotiated state for a logical state:
 /// fresh load aggregation, fresh tables, fresh machines, fresh LP
 /// skeleton, cold solve. This is the reference every event prefix is
-/// replayed against, and the cold twin the latency CDFs compare to.
+/// replayed against, and the cold twin the work medians compare to.
 /// Returns the state and the deterministic work units spent.
 pub fn cold_rebuild(
     pair: &ChurnPair<'_>,
