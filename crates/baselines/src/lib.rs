@@ -11,7 +11,7 @@
 //!   fractional LP that minimizes the maximum post-failure link-load
 //!   ratio across both ISPs (§5.2); an upper bound on unsplittable
 //!   routing quality, exactly as in the paper. Failure sweeps hold a
-//!   [`BandwidthLp`](optimal_bandwidth::BandwidthLp) session instead:
+//!   [`BandwidthLp`] session instead:
 //!   per-scenario skeletons built once, re-solves warm-started,
 //! * [`flow_filters`] — the flow-Pareto and flow-both-better strategies
 //!   of Figure 5, which discard obviously bad paths per opposite-flow

@@ -330,7 +330,7 @@ impl<'a> SessionBuilder<'a> {
         if party_a.disclosure.needs_peer_list() && party_b.disclosure.needs_peer_list() {
             return Err(SessionError::ConflictingDisclosure);
         }
-        Ok(drive_machines(
+        Ok(negotiate_in(
             &mut TableArena::new(),
             &input,
             &default,
@@ -370,32 +370,16 @@ pub fn negotiate<'b>(
 /// negotiation, failure-scenario sweeps) threads one arena through all
 /// of them so every backing buffer is allocated exactly once for the
 /// whole sweep.
-pub fn negotiate_in<'b>(
-    arena: &mut TableArena,
-    input: &SessionInput,
-    default_assignment: &Assignment,
-    party_a: &mut Party<'b>,
-    party_b: &mut Party<'b>,
-    config: &NexitConfig,
-) -> NegotiationOutcome {
-    if let Err(e) = input.check(config) {
-        panic!("invalid session: {e}");
-    }
-    assert!(
-        !(party_a.disclosure.needs_peer_list() && party_b.disclosure.needs_peer_list()),
-        "both parties cannot disclose second"
-    );
-    drive_machines(arena, input, default_assignment, party_a, party_b, config)
-}
-
-/// The in-memory event pump: two machines, zero IO.
 ///
-/// Disclosure order matches the wire protocol (A first) unless A cheats
-/// with a peer-list-dependent policy, in which case the honest B
-/// discloses first — the §5.4 "perfect knowledge" cheater model, now
-/// expressed purely through message ordering instead of privileged
-/// access to the peer's internal state.
-fn drive_machines<'b>(
+/// The in-memory event pump: two machines, zero IO. Disclosure order
+/// matches the wire protocol (A first) unless A cheats with a
+/// peer-list-dependent policy, in which case the honest B discloses
+/// first — the §5.4 "perfect knowledge" cheater model, expressed purely
+/// through message ordering instead of privileged access to the peer's
+/// internal state. Panics where a machine refuses the session: input
+/// [`SessionInput::check`] refuses, or both parties needing the other's
+/// list first.
+pub fn negotiate_in<'b>(
     arena: &mut TableArena,
     input: &SessionInput,
     default_assignment: &Assignment,
@@ -418,7 +402,8 @@ fn drive_machines<'b>(
         party_a.disclosure,
         *config,
     )
-    .expect("session already validated");
+    // Documented precondition (`SessionBuilder` is the checked path).
+    .unwrap_or_else(|e| panic!("{e}"));
     let mut machine_b = NegotiationMachine::new_in(
         arena,
         Side::B,
@@ -429,80 +414,56 @@ fn drive_machines<'b>(
         party_b.disclosure,
         *config,
     )
-    .expect("session already validated");
+    // As for machine A.
+    .unwrap_or_else(|e| panic!("{e}"));
 
     let mut transcript: Vec<RoundRecord> = Vec::new();
-    // The proposal whose response has not been observed yet:
-    // (round, proposer, local flow, alternative).
-    let mut pending: Option<(u32, Side, usize, IcxId)> = None;
-
     loop {
         let mut progressed = false;
         while let Some(action) = machine_a.poll_action() {
-            deliver(
-                action,
-                &machine_a,
-                &mut machine_b,
-                input,
-                &mut pending,
-                &mut transcript,
-            )
-            .expect("in-process machines cannot violate the protocol");
+            deliver(action, &machine_a, &mut machine_b, input, &mut transcript)
+                // Invariant: each event is the peer's own action, in order.
+                .expect("in-process machines cannot violate the protocol");
             progressed = true;
         }
         while let Some(action) = machine_b.poll_action() {
-            deliver(
-                action,
-                &machine_b,
-                &mut machine_a,
-                input,
-                &mut pending,
-                &mut transcript,
-            )
-            .expect("in-process machines cannot violate the protocol");
+            deliver(action, &machine_b, &mut machine_a, input, &mut transcript)
+                // Invariant: as above, in the other direction.
+                .expect("in-process machines cannot violate the protocol");
             progressed = true;
         }
         if machine_a.is_done() && machine_b.is_done() {
             break;
         }
+        // Invariant: a live machine pair always has an action in flight.
         assert!(progressed, "machine pair deadlocked without terminating");
     }
 
     finish_outcome(arena, machine_a, machine_b, transcript)
 }
 
-/// Translate one side's action into the peer's event, recording the
-/// transcript rows exactly as the wire would show them.
+/// Translate one side's action into the peer's event, recording each
+/// answered proposal as a transcript row, as the wire would show it.
 fn deliver<M: PreferenceMapper>(
     action: Action,
     from: &NegotiationMachine<M>,
     peer: &mut NegotiationMachine<M>,
     input: &SessionInput,
-    pending: &mut Option<(u32, Side, usize, IcxId)>,
     transcript: &mut Vec<RoundRecord>,
 ) -> Result<(), MachineError> {
-    match action {
-        Action::SendProposal {
-            round,
-            local_flow,
-            alternative,
-        } => *pending = Some((round, from.side(), local_flow, alternative)),
-        Action::SendResponse { round, accepted } => {
-            if let Some((prop_round, proposer, local, alt)) = pending.take() {
-                debug_assert_eq!(prop_round, round);
-                transcript.push(RoundRecord {
-                    round: round as usize,
-                    proposer,
-                    flow: input.flow_ids[local],
-                    alternative: alt,
-                    accepted,
-                    reverted: false,
-                });
-            }
-        }
-        // An unanswered proposal never completed its round.
-        Action::SendStop { .. } => *pending = None,
-        Action::SendPrefs | Action::SendBye => {}
+    // A response answers the proposal its proposer still holds; a
+    // proposal met by a stop never completed its round.
+    if let (Action::SendResponse { round, accepted }, Some((local, alt))) =
+        (action, peer.state().pending)
+    {
+        transcript.push(RoundRecord {
+            round: round as usize,
+            proposer: peer.side(),
+            flow: input.flow_ids[local],
+            alternative: alt,
+            accepted,
+            reverted: false,
+        });
     }
     peer.handle(from.peer_event(action))
 }
@@ -523,25 +484,27 @@ fn finish_outcome<MA: PreferenceMapper, MB: PreferenceMapper>(
         .filter(|(_, r)| r.accepted)
         .map(|(i, _)| i)
         .collect();
-    for &idx in machine_a.reverted_indices() {
+    let (a, b) = (machine_a.state(), machine_b.state());
+    for &idx in &a.reverted {
         transcript[accepted_rows[idx]].reverted = true;
     }
 
-    let termination = machine_a
-        .termination()
+    // Invariant: every path into `Phase::Done` records a termination.
+    let termination = a
+        .termination
         .expect("terminated machine must report a termination");
-    debug_assert_eq!(Some(termination), machine_b.termination());
-    debug_assert_eq!(machine_a.assignment(), machine_b.assignment());
-    let (disclosed_gain_a, disclosed_gain_b) = machine_a.disclosed_gains();
+    // Invariant: both machines advance one protocol state in lock step.
+    debug_assert_eq!(Some(termination), b.termination);
+    debug_assert_eq!(a.assignment, b.assignment);
     let outcome = NegotiationOutcome {
-        assignment: machine_a.assignment().clone(),
+        assignment: a.assignment.clone(),
         transcript,
-        gain_a: machine_a.my_gain(),
-        gain_b: machine_b.my_gain(),
-        disclosed_gain_a,
-        disclosed_gain_b,
+        gain_a: a.my_gain,
+        gain_b: b.my_gain,
+        disclosed_gain_a: a.disclosed_gain_a,
+        disclosed_gain_b: a.disclosed_gain_b,
         termination,
-        reassignments: machine_a.reassignments(),
+        reassignments: a.reassignments,
     };
     machine_a.recycle(arena);
     machine_b.recycle(arena);
@@ -1203,18 +1166,6 @@ mod tests {
                 });
                 prop_assert!(out.gain_a >= 0, "A lost {}", out.gain_a);
                 prop_assert!(out.gain_b >= 0, "B lost {}", out.gain_b);
-            }
-
-            #[test]
-            fn engine_is_deterministic(
-                ga in arb_gains(5, 3),
-                gb in arb_gains(5, 3),
-            ) {
-                let o1 = run(ga.clone(), gb.clone(), NexitConfig::default());
-                let o2 = run(ga, gb, NexitConfig::default());
-                prop_assert_eq!(o1.assignment.choices(), o2.assignment.choices());
-                prop_assert_eq!(o1.gain_a, o2.gain_a);
-                prop_assert_eq!(o1.gain_b, o2.gain_b);
             }
 
             #[test]

@@ -462,12 +462,7 @@ impl CandidateIndex {
         self_guard: Option<(&PrefTable, i64)>,
     ) -> Option<(usize, IcxId)> {
         let (shape, ix, p) = (&self.shape, &mut self.ix, self.shape.p);
-        // The guard admits alternatives with own_true >= -floor; map the
-        // (possibly unbounded) floor onto the materialized thresholds.
-        let ti = match self_guard {
-            None => 0,
-            Some((_, floor)) => (floor.saturating_neg().clamp(-p, p + 1) + p) as usize,
-        };
+        let ti = shape.threshold_row(self_guard);
         if ix.row_base[ti] == UNBUILT {
             // First use of this guard threshold since the last rebuild:
             // append its row, then heapify its cells (through the heap's
@@ -523,7 +518,7 @@ impl CandidateIndex {
     /// cell is a fresh [`Shape::cell`], and each such non-empty cell
     /// is in its row's heap. Returns the number of rows.
     #[cfg(test)]
-    fn check_invariants(
+    pub(crate) fn check_invariants(
         &self,
         d_own: &PrefTable,
         d_other: &PrefTable,
@@ -548,9 +543,45 @@ impl CandidateIndex {
         }
         bases.len()
     }
+
+    /// [`CandidateIndex::select`]'s answer without its side effects: the
+    /// best live cell of the guard's row, read where the row is built and
+    /// scanned where it is not. Where [`CandidateIndex::check_invariants`]
+    /// holds (every live cell is in its row's heap), `select`'s first
+    /// valid heap entry is exactly this cell.
+    #[cfg(test)]
+    pub(crate) fn peek(
+        &self,
+        d_own: &PrefTable,
+        d_other: &PrefTable,
+        state: &TableState,
+        self_guard: Option<(&PrefTable, i64)>,
+    ) -> Option<(usize, IcxId)> {
+        let (shape, ix) = (&self.shape, &self.ix);
+        let ti = shape.threshold_row(self_guard);
+        let own_true = self_guard.map_or(d_own, |(own_true, _)| own_true);
+        let cell = |flow| match ix.row_base[ti] {
+            UNBUILT => shape.cell(d_own, d_other, own_true, state, flow, ti as i64 - shape.p),
+            base => ix.best_at[base + flow],
+        };
+        let live = (0..ix.row_len).filter(|&flow| state.is_remaining(flow));
+        let best = live.map(cell).max().filter(|&cell| cell != 0);
+        best.map(|cell| (unpack_flow(cell), IcxId::new(unpack_alt(cell))))
+    }
 }
 
 impl Shape {
+    /// The guard-threshold row a selection reads: the guard admits
+    /// alternatives with `own_true >= -floor`, and the (possibly
+    /// unbounded) floor maps onto the `2P + 2` materializable thresholds.
+    fn threshold_row(&self, self_guard: Option<(&PrefTable, i64)>) -> usize {
+        let p = self.p;
+        match self_guard {
+            None => 0,
+            Some((_, floor)) => (floor.saturating_neg().clamp(-p, p + 1) + p) as usize,
+        }
+    }
+
     /// The packed cell of one flow's best non-banned alternative among
     /// those whose own true class is at least `threshold` (`0` when none
     /// is): the cell order is the reference scan's pick order within a
@@ -624,6 +655,8 @@ mod tests {
         index: CandidateIndex,
         rule: ProposalRule,
         k: usize,
+        /// Guard-threshold rows selected under since the last rebuild.
+        thresholds: std::collections::BTreeSet<usize>,
     }
 
     impl Harness {
@@ -649,10 +682,12 @@ mod tests {
                 index,
                 rule,
                 k,
+                thresholds: Default::default(),
             }
         }
 
         fn select_unguarded(&mut self) -> Option<(usize, IcxId)> {
+            self.thresholds.insert(0);
             self.index
                 .select(&self.d_own, &self.d_other, &self.state, None)
         }
@@ -684,6 +719,10 @@ mod tests {
             );
             let indexed = self.index.projected_gain();
             assert_eq!(indexed, reference, "projected_gain diverged");
+            let guards = [None, Some((&self.own_true, floor))];
+            let rows = guards.map(|guard| self.index.shape.threshold_row(guard));
+            self.thresholds.extend(rows);
+            self.audit();
         }
 
         fn ban(&mut self, flow: usize, alt: usize) {
@@ -698,7 +737,7 @@ mod tests {
                 &self.state,
                 flow,
             );
-            self.rows_built();
+            self.audit();
         }
 
         fn accept(&mut self, flow: usize) {
@@ -707,21 +746,24 @@ mod tests {
             }
             self.state.accept(flow);
             self.index.on_accept(flow);
-            self.rows_built();
+            self.audit();
         }
 
-        /// Guard-threshold rows materialized right now, after checking
-        /// the index's invariants.
-        fn rows_built(&self) -> usize {
+        /// Check the index's invariants against the harness's tables, and
+        /// that it holds one row per threshold selected under since the
+        /// last rebuild: each built on first use, none before.
+        fn audit(&self) {
             let (d_own, d_other, own_true) = (&self.d_own, &self.d_other, &self.own_true);
-            (self.index).check_invariants(d_own, d_other, own_true, &self.state)
+            let rows = (self.index).check_invariants(d_own, d_other, own_true, &self.state);
+            assert_eq!(rows, self.thresholds.len(), "rows built");
         }
 
         fn reassign(&mut self, tables: (PrefTable, PrefTable, PrefTable)) {
             (self.d_own, self.d_other, self.own_true) = tables;
             self.index
                 .rebuild(&self.d_own, &self.d_other, &self.own_true, &self.state);
-            self.rows_built();
+            self.thresholds.clear(); // a rebuild drops every row
+            self.audit();
         }
     }
 
@@ -891,46 +933,6 @@ mod tests {
                 h.check(1 << 40);
                 h.check(-(1 << 40));
             }
-        }
-
-        // A cumulative gain wandering around zero, as the
-        // `VetoNegativeCumulative` floor does: every floor within the
-        // range binds at a threshold of its own, and the rows
-        // materialize in the order the floors come up, not in threshold
-        // order — each must land on cells of its own and stay in step
-        // with the reference under the bans and accepts that follow.
-        #[test]
-        fn binding_floors_materialize_rows_beyond_the_first(
-            (shape, seed, ops) in (3usize..7, 2usize..4, 3i32..12).prop_flat_map(|(n, k, p)| (
-                Just((n, k, p)),
-                any::<u64>(),
-                collection::vec((0u8..3, 0..n, 0..k, -3i64..=3), 1..24),
-            )),
-        ) {
-            let (n, k, p) = shape;
-            let tables = tables_from_seed(n, k, p, seed);
-            let mut h = Harness::new(ProposalRule::MaxCombined, p, tables, vec![IcxId(0); n], k);
-            for floor in [2, -3, 0] {
-                h.check(floor);
-            }
-            // Three binding floors and the unguarded row 0.
-            prop_assert_eq!(h.rows_built(), 4);
-            for (kind, flow, alt, floor) in ops {
-                match kind {
-                    0 => h.ban(flow, alt),
-                    1 => h.accept(flow),
-                    _ => {}
-                }
-                h.check(floor);
-                prop_assert!(h.rows_built() >= 4);
-            }
-            // A reassignment drops every row; they come back on demand.
-            h.reassign(tables_from_seed(n, k, p, !seed));
-            prop_assert_eq!(h.rows_built(), 0);
-            for floor in [-1, 1, 2] {
-                h.check(floor);
-            }
-            prop_assert_eq!(h.rows_built(), 4);
         }
     }
 }

@@ -54,7 +54,7 @@ pub struct RoundRecord {
 }
 
 /// Why the negotiation ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Termination {
     /// Every flow in the session was negotiated.
     Exhausted,

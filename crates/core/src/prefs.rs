@@ -21,6 +21,7 @@
 
 use crate::arena::GainTable;
 use nexit_topology::IcxId;
+use std::hash::{Hash, Hasher};
 
 /// A preference table for one ISP over one negotiated flow set:
 /// `prefs[local_flow][alternative]` is the preference class, stored
@@ -43,6 +44,18 @@ impl PartialEq for PrefTable {
         self.num_flows == other.num_flows
             && (self.num_flows == 0
                 || (self.num_alts == other.num_alts && self.storage == other.storage))
+    }
+}
+
+impl Hash for PrefTable {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // What `eq` compares, and nothing more: an empty table hashes its
+        // row count alone.
+        self.num_flows.hash(state);
+        if self.num_flows > 0 {
+            self.num_alts.hash(state);
+            self.storage.hash(state);
+        }
     }
 }
 
@@ -562,6 +575,25 @@ mod tests {
                             }
                         }
                     }
+                }
+            }
+
+            // `Hash` agrees with the custom `PartialEq`, under which empty
+            // tables are equal whatever their alternative count (one of
+            // them reshaped from a larger buffer).
+            #[test]
+            fn equal_tables_hash_alike(
+                (n, k, k2) in (0usize..3, 0usize..3, 0usize..3),
+                cells in proptest::collection::vec(0i32..2, 0..10),
+            ) {
+                use std::hash::{BuildHasher, RandomState};
+                let (mut a, mut b) = (PrefTable::zero(4, 4), PrefTable::zero(0, 0));
+                a.refill(n, k, cells.iter().copied());
+                b.refill(n, k2, cells.iter().copied());
+                prop_assert_eq!(a == b, n == 0 || k == k2);
+                let hasher = RandomState::new();
+                if a == b {
+                    prop_assert_eq!(hasher.hash_one(&a), hasher.hash_one(&b));
                 }
             }
         }

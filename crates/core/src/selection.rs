@@ -32,7 +32,7 @@ use rand::{Rng, SeedableRng};
 /// count is maintained on every accept, so the per-round checks the
 /// machine performs ([`TableState::is_banned`],
 /// [`TableState::num_remaining`]) are O(1).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TableState {
     /// `true` while the local flow is still on the table.
     remaining: Vec<bool>,

@@ -471,7 +471,7 @@ impl Session<'_> {
     fn replayed_frame_is_fresh(&self, msg_type: u8) -> bool {
         msg_type == messages::PREF_LIST
             && self.handshake == Handshake::Running
-            && self.machine.expects_prefs()
+            && self.machine.state().expects_prefs()
     }
 
     /// Queue one frame: `write` appends it to a pooled buffer.
@@ -503,7 +503,7 @@ impl Session<'_> {
         while let Some(action) = self.machine.poll_action() {
             self.send(|out, s| match action {
                 Action::SendPrefs => {
-                    let prefs = s.machine.own_disclosed();
+                    let prefs = &s.machine.state().my_disclosed;
                     messages::write_pref_list(
                         out,
                         prefs.num_flows(),

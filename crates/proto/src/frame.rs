@@ -25,7 +25,6 @@
 //! [`POOLED_FRAMES`] spent ones.
 
 use crate::crc::crc32;
-use bytes::{BufMut, BytesMut};
 
 /// Frame magic: "NX" (Nexit).
 pub const MAGIC: u16 = 0x4E58;
@@ -103,9 +102,9 @@ impl FrameRef<'_> {
 /// offset.
 pub fn begin_frame(out: &mut Vec<u8>, msg_type: u8) -> usize {
     let start = out.len();
-    out.put_u16(MAGIC);
-    out.put_u8(msg_type);
-    out.put_u32(0); // payload length, patched by `finish_frame`
+    out.extend_from_slice(&MAGIC.to_be_bytes());
+    out.push(msg_type);
+    out.extend_from_slice(&0u32.to_be_bytes()); // payload length, patched by `finish_frame`
     start
 }
 
@@ -117,7 +116,7 @@ pub fn finish_frame(out: &mut Vec<u8>, start: usize) {
     out[start + 3..start + HEADER].copy_from_slice(&(len as u32).to_be_bytes());
     // CRC over type || length || payload (everything after the magic).
     let crc = crc32(&out[start + 2..]);
-    out.put_u32(crc);
+    out.extend_from_slice(&crc.to_be_bytes());
 }
 
 /// Encode one frame to wire bytes.
@@ -209,7 +208,9 @@ impl FramePool {
 /// Incremental frame decoder: [`parse_frame`] behind a receive buffer.
 #[derive(Debug, Default)]
 pub struct FrameCodec {
-    buffer: BytesMut,
+    /// Received bytes; those before `start` are consumed.
+    buffer: Vec<u8>,
+    start: usize,
 }
 
 impl FrameCodec {
@@ -223,12 +224,22 @@ impl FrameCodec {
         self.buffer.extend_from_slice(data);
     }
 
+    /// Consume `n` bytes from the front. The consumed prefix is dropped
+    /// once it dominates: appends stay amortized O(1), memory bounded.
+    fn consume(&mut self, n: usize) {
+        self.start += n;
+        if self.start > 4096 && self.start * 2 >= self.buffer.len() {
+            self.buffer.drain(..self.start);
+            self.start = 0;
+        }
+    }
+
     /// Try to decode the next complete frame. `Ok(None)` means more bytes
     /// are needed. On error the buffer is poisoned — the caller must tear
     /// the session down (the transport is assumed reliable, so any error
     /// is fatal corruption, not something to resynchronize from).
     pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
-        let Some(frame) = parse_frame(&self.buffer)? else {
+        let Some(frame) = parse_frame(&self.buffer[self.start..])? else {
             return Ok(None);
         };
         let owned = Frame {
@@ -236,7 +247,7 @@ impl FrameCodec {
             payload: frame.payload.to_vec(),
         };
         let consumed = frame.wire_len();
-        self.buffer.advance(consumed);
+        self.consume(consumed);
         Ok(Some(owned))
     }
 
@@ -250,11 +261,15 @@ impl FrameCodec {
         data: &[u8],
         mut handle: impl FnMut(FrameRef<'_>) -> Result<(), E>,
     ) -> Result<(), E> {
-        let in_place = self.buffer.is_empty();
+        let in_place = self.buffered() == 0;
         if !in_place {
             self.buffer.extend_from_slice(data);
         }
-        let mut rest = if in_place { data } else { &self.buffer[..] };
+        let mut rest = if in_place {
+            data
+        } else {
+            &self.buffer[self.start..]
+        };
         let result = (|| {
             while let Some(frame) = parse_frame(rest)? {
                 rest = &rest[frame.wire_len()..];
@@ -266,14 +281,14 @@ impl FrameCodec {
         if in_place {
             self.buffer.extend_from_slice(&data[data.len() - tail..]);
         } else {
-            self.buffer.advance(self.buffer.len() - tail);
+            self.consume(self.buffered() - tail);
         }
         result
     }
 
     /// Bytes currently buffered (for diagnostics).
     pub fn buffered(&self) -> usize {
-        self.buffer.len()
+        self.buffer.len() - self.start
     }
 }
 
@@ -352,9 +367,9 @@ mod tests {
     fn oversize_rejected() {
         // Hand-craft a header declaring a huge payload.
         let mut wire = Vec::new();
-        wire.put_u16(MAGIC);
-        wire.put_u8(1);
-        wire.put_u32((MAX_FRAME_PAYLOAD + 1) as u32);
+        wire.extend_from_slice(&MAGIC.to_be_bytes());
+        wire.push(1);
+        wire.extend_from_slice(&(MAX_FRAME_PAYLOAD as u32 + 1).to_be_bytes());
         let mut codec = FrameCodec::new();
         codec.feed(&wire);
         assert!(matches!(
@@ -394,9 +409,9 @@ mod tests {
         // buffered) before the length is turned down, and the magic is
         // looked at first.
         let mut header = Vec::new();
-        header.put_u16(MAGIC);
-        header.put_u8(1);
-        header.put_u32((MAX_FRAME_PAYLOAD + 1) as u32);
+        header.extend_from_slice(&MAGIC.to_be_bytes());
+        header.push(1);
+        header.extend_from_slice(&(MAX_FRAME_PAYLOAD as u32 + 1).to_be_bytes());
         assert_eq!(
             parse_frame(&header),
             Err(FrameError::TooLarge {

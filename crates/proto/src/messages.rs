@@ -23,7 +23,6 @@
 //! calls them. [`Message::decode`] is `MessageRef::parse(..).to_owned()`.
 
 use crate::frame::{begin_frame, finish_frame, Frame, FrameRef, FRAME_OVERHEAD, MAX_FRAME_PAYLOAD};
-use bytes::{Buf, BufMut};
 use nexit_core::{NexitConfig, Side};
 use nexit_routing::FlowId;
 use nexit_topology::IcxId;
@@ -170,83 +169,110 @@ fn byte_side(b: u8) -> Result<Side, MessageError> {
     }
 }
 
+/// Big-endian reads off the front of a payload, as
+/// `T::from_be_bytes(reader.take())`. Every read is preceded by a length
+/// check on [`Reader::remaining`]; reading past the end would be a
+/// missing check, so it panics.
+struct Reader<'a>(&'a [u8]);
+
+impl Reader<'_> {
+    fn remaining(&self) -> usize {
+        self.0.len()
+    }
+
+    fn take<const N: usize>(&mut self) -> [u8; N] {
+        // Invariant: the caller checked `remaining` covers this read.
+        let (head, rest) = self
+            .0
+            .split_first_chunk()
+            .expect("length checked before the read");
+        self.0 = rest;
+        *head
+    }
+}
+
 fn put_config(out: &mut Vec<u8>, config: &NexitConfig) {
     use nexit_core::{AcceptRule, ProposalRule, StopPolicy, TurnPolicy};
-    out.put_i32(config.pref_range);
+    out.extend_from_slice(&config.pref_range.to_be_bytes());
     match config.turn {
         TurnPolicy::Alternate => {
-            out.put_u8(0);
-            out.put_u64(0);
+            out.push(0);
+            out.extend_from_slice(&0u64.to_be_bytes());
         }
         TurnPolicy::LowerGain => {
-            out.put_u8(1);
-            out.put_u64(0);
+            out.push(1);
+            out.extend_from_slice(&0u64.to_be_bytes());
         }
         TurnPolicy::CoinToss { seed } => {
-            out.put_u8(2);
-            out.put_u64(seed);
+            out.push(2);
+            out.extend_from_slice(&seed.to_be_bytes());
         }
     }
-    out.put_u8(match config.proposal {
+    out.push(match config.proposal {
         ProposalRule::MaxCombined => 0,
         ProposalRule::BestLocalMinHarm => 1,
     });
     match config.accept {
         AcceptRule::Always => {
-            out.put_u8(0);
-            out.put_i64(0);
+            out.push(0);
+            out.extend_from_slice(&0i64.to_be_bytes());
         }
         AcceptRule::VetoNegativeCumulative => {
-            out.put_u8(1);
-            out.put_i64(0);
+            out.push(1);
+            out.extend_from_slice(&0i64.to_be_bytes());
         }
         AcceptRule::CreditVeto { credit } => {
-            out.put_u8(2);
-            out.put_i64(credit);
+            out.push(2);
+            out.extend_from_slice(&credit.to_be_bytes());
         }
     }
-    out.put_u8(match config.stop {
+    out.push(match config.stop {
         StopPolicy::Early => 0,
         StopPolicy::Full => 1,
         StopPolicy::NegotiateAll => 2,
     });
-    out.put_f64(config.reassign_interval_frac.unwrap_or(f64::NAN));
+    out.extend_from_slice(
+        &config
+            .reassign_interval_frac
+            .unwrap_or(f64::NAN)
+            .to_be_bytes(),
+    );
 }
 
-fn get_config(buf: &mut &[u8]) -> Result<NexitConfig, MessageError> {
+fn get_config(buf: &mut Reader<'_>) -> Result<NexitConfig, MessageError> {
     use nexit_core::{AcceptRule, ProposalRule, StopPolicy, TurnPolicy};
     if buf.remaining() < 4 + 1 + 8 + 1 + 1 + 8 + 1 + 8 {
         return Err(MessageError::Malformed("config truncated"));
     }
-    let pref_range = buf.get_i32();
-    let turn_tag = buf.get_u8();
-    let seed = buf.get_u64();
+    let pref_range = i32::from_be_bytes(buf.take());
+    let turn_tag = u8::from_be_bytes(buf.take());
+    let seed = u64::from_be_bytes(buf.take());
     let turn = match turn_tag {
         0 => TurnPolicy::Alternate,
         1 => TurnPolicy::LowerGain,
         2 => TurnPolicy::CoinToss { seed },
         _ => return Err(MessageError::Malformed("bad turn policy")),
     };
-    let proposal = match buf.get_u8() {
+    let proposal = match u8::from_be_bytes(buf.take()) {
         0 => ProposalRule::MaxCombined,
         1 => ProposalRule::BestLocalMinHarm,
         _ => return Err(MessageError::Malformed("bad proposal rule")),
     };
-    let accept_tag = buf.get_u8();
-    let credit = buf.get_i64();
+    let accept_tag = u8::from_be_bytes(buf.take());
+    let credit = i64::from_be_bytes(buf.take());
     let accept = match accept_tag {
         0 => AcceptRule::Always,
         1 => AcceptRule::VetoNegativeCumulative,
         2 => AcceptRule::CreditVeto { credit },
         _ => return Err(MessageError::Malformed("bad accept rule")),
     };
-    let stop = match buf.get_u8() {
+    let stop = match u8::from_be_bytes(buf.take()) {
         0 => StopPolicy::Early,
         1 => StopPolicy::Full,
         2 => StopPolicy::NegotiateAll,
         _ => return Err(MessageError::Malformed("bad stop policy")),
     };
-    let frac = buf.get_f64();
+    let frac = f64::from_be_bytes(buf.take());
     Ok(NexitConfig {
         pref_range,
         turn,
@@ -278,10 +304,10 @@ pub fn write_hello(
     config: &NexitConfig,
 ) {
     write_frame(out, 1, |out| {
-        out.put_u8(side_byte(side));
-        out.put_u16(name.len() as u16);
+        out.push(side_byte(side));
+        out.extend_from_slice(&(name.len() as u16).to_be_bytes());
         out.extend_from_slice(name.as_bytes());
-        out.put_u16(num_alternatives);
+        out.extend_from_slice(&num_alternatives.to_be_bytes());
         put_config(out, config);
     });
 }
@@ -291,11 +317,11 @@ pub fn write_flow_announce(out: &mut Vec<u8>, flows: impl ExactSizeIterator<Item
     let (fixed, each) = FLOW_ANNOUNCE_BYTES;
     out.reserve(FRAME_OVERHEAD + fixed + flows.len() * each);
     write_frame(out, 2, |out| {
-        out.put_u32(flows.len() as u32);
+        out.extend_from_slice(&(flows.len() as u32).to_be_bytes());
         for e in flows {
-            out.put_u32(e.flow.0);
-            out.put_u16(e.default.0 as u16);
-            out.put_f64(e.volume);
+            out.extend_from_slice(&e.flow.0.to_be_bytes());
+            out.extend_from_slice(&(e.default.0 as u16).to_be_bytes());
+            out.extend_from_slice(&e.volume.to_be_bytes());
         }
     });
 }
@@ -311,10 +337,10 @@ pub fn write_pref_list(
     let (fixed, each) = PREF_LIST_BYTES;
     out.reserve(FRAME_OVERHEAD + fixed + rows * columns * each);
     write_frame(out, PREF_LIST, |out| {
-        out.put_u32(rows as u32);
-        out.put_u16(columns as u16);
+        out.extend_from_slice(&(rows as u32).to_be_bytes());
+        out.extend_from_slice(&(columns as u16).to_be_bytes());
         for class in classes {
-            out.put_i16(class);
+            out.extend_from_slice(&class.to_be_bytes());
         }
     });
 }
@@ -324,24 +350,24 @@ impl<'a> MessageRef<'a> {
     /// without overflow: a `FlowAnnounce` or `PrefList` body is exactly
     /// as long as its counts say.
     pub fn parse(frame: FrameRef<'a>) -> Result<Self, MessageError> {
-        let mut buf = frame.payload;
+        let mut buf = Reader(frame.payload);
         let msg = match frame.msg_type {
             1 => {
                 if buf.remaining() < 3 {
                     return Err(MessageError::Malformed("hello truncated"));
                 }
-                let side = byte_side(buf.get_u8())?;
-                let name_len = usize::from(buf.get_u16());
+                let side = byte_side(u8::from_be_bytes(buf.take()))?;
+                let name_len = usize::from(u16::from_be_bytes(buf.take()));
                 if buf.remaining() < name_len + 2 {
                     return Err(MessageError::Malformed("hello name truncated"));
                 }
-                let (name, rest) = buf.split_at(name_len);
-                buf = rest;
+                let (name, rest) = buf.0.split_at(name_len);
+                buf.0 = rest;
                 MessageRef::Hello {
                     side,
                     name: std::str::from_utf8(name)
                         .map_err(|_| MessageError::Malformed("hello name not UTF-8"))?,
-                    num_alternatives: buf.get_u16(),
+                    num_alternatives: u16::from_be_bytes(buf.take()),
                     config: get_config(&mut buf)?,
                 }
             }
@@ -349,18 +375,18 @@ impl<'a> MessageRef<'a> {
                 if buf.remaining() < FLOW_ANNOUNCE_BYTES.0 {
                     return Err(MessageError::Malformed("announce truncated"));
                 }
-                let n = buf.get_u32() as usize;
+                let n = u32::from_be_bytes(buf.take()) as usize;
                 if n.checked_mul(FLOW_ANNOUNCE_BYTES.1) != Some(buf.remaining()) {
                     return Err(MessageError::Malformed("announce length mismatch"));
                 }
-                MessageRef::FlowAnnounce { entries: buf }
+                MessageRef::FlowAnnounce { entries: buf.0 }
             }
             PREF_LIST => {
                 if buf.remaining() < PREF_LIST_BYTES.0 {
                     return Err(MessageError::Malformed("preflist truncated"));
                 }
-                let rows = buf.get_u32() as usize;
-                let columns = usize::from(buf.get_u16());
+                let rows = u32::from_be_bytes(buf.take()) as usize;
+                let columns = usize::from(u16::from_be_bytes(buf.take()));
                 let cells = rows.checked_mul(columns);
                 if cells.and_then(|c| c.checked_mul(PREF_LIST_BYTES.1)) != Some(buf.remaining()) {
                     return Err(MessageError::Malformed("preflist length mismatch"));
@@ -374,7 +400,7 @@ impl<'a> MessageRef<'a> {
                 MessageRef::PrefList {
                     rows,
                     columns,
-                    classes: buf,
+                    classes: buf.0,
                 }
             }
             4 => {
@@ -382,17 +408,17 @@ impl<'a> MessageRef<'a> {
                     return Err(MessageError::Malformed("propose length mismatch"));
                 }
                 MessageRef::Propose {
-                    round: buf.get_u32(),
-                    local_flow: buf.get_u32(),
-                    alternative: IcxId(u32::from(buf.get_u16())),
+                    round: u32::from_be_bytes(buf.take()),
+                    local_flow: u32::from_be_bytes(buf.take()),
+                    alternative: IcxId(u32::from(u16::from_be_bytes(buf.take()))),
                 }
             }
             5 => {
                 if buf.remaining() != 5 {
                     return Err(MessageError::Malformed("response length mismatch"));
                 }
-                let round = buf.get_u32();
-                let accepted = match buf.get_u8() {
+                let round = u32::from_be_bytes(buf.take());
+                let accepted = match u8::from_be_bytes(buf.take()) {
                     0 => false,
                     1 => true,
                     _ => return Err(MessageError::Malformed("bad accept byte")),
@@ -404,11 +430,11 @@ impl<'a> MessageRef<'a> {
                     return Err(MessageError::Malformed("stop length mismatch"));
                 }
                 MessageRef::Stop {
-                    side: byte_side(buf.get_u8())?,
+                    side: byte_side(u8::from_be_bytes(buf.take()))?,
                 }
             }
             7 => {
-                if !buf.is_empty() {
+                if buf.remaining() != 0 {
                     return Err(MessageError::Malformed("bye with payload"));
                 }
                 MessageRef::Bye
@@ -420,13 +446,14 @@ impl<'a> MessageRef<'a> {
 
     /// The entries of a `FlowAnnounce` body, in session (local) order.
     pub fn flows(entries: &'a [u8]) -> impl ExactSizeIterator<Item = FlowEntry> + 'a {
-        entries
-            .chunks_exact(FLOW_ANNOUNCE_BYTES.1)
-            .map(|mut entry| FlowEntry {
-                flow: FlowId(entry.get_u32()),
-                default: IcxId(u32::from(entry.get_u16())),
-                volume: entry.get_f64(),
-            })
+        entries.chunks_exact(FLOW_ANNOUNCE_BYTES.1).map(|entry| {
+            let mut entry = Reader(entry);
+            FlowEntry {
+                flow: FlowId(u32::from_be_bytes(entry.take())),
+                default: IcxId(u32::from(u16::from_be_bytes(entry.take()))),
+                volume: f64::from_be_bytes(entry.take()),
+            }
+        })
     }
 
     /// The classes of a `PrefList` body, row by row.
@@ -521,15 +548,15 @@ impl Message {
                 local_flow,
                 alternative,
             } => write_frame(out, 4, |out| {
-                out.put_u32(*round);
-                out.put_u32(*local_flow);
-                out.put_u16(alternative.0 as u16);
+                out.extend_from_slice(&round.to_be_bytes());
+                out.extend_from_slice(&local_flow.to_be_bytes());
+                out.extend_from_slice(&(alternative.0 as u16).to_be_bytes());
             }),
             Message::Response { round, accepted } => write_frame(out, 5, |out| {
-                out.put_u32(*round);
-                out.put_u8(u8::from(*accepted));
+                out.extend_from_slice(&round.to_be_bytes());
+                out.push(u8::from(*accepted));
             }),
-            Message::Stop { side } => write_frame(out, 6, |out| out.put_u8(side_byte(*side))),
+            Message::Stop { side } => write_frame(out, 6, |out| out.push(side_byte(*side))),
             Message::Bye => write_frame(out, 7, |_| {}),
         }
     }

@@ -12,7 +12,7 @@ use crate::flowpath::{FlowId, PairFlows};
 use nexit_topology::{IcxId, PairView, PopId};
 
 /// A complete mapping of flows to interconnections.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Assignment {
     choices: Vec<IcxId>,
 }

@@ -130,7 +130,7 @@ impl<'u> PairFailureSweep<'u> {
 
     /// The incremental LP session over this sweep's scenarios: each
     /// scenario's constraint skeleton is built once (identical to the
-    /// standalone [`optimal_bandwidth`] program, so first solves are
+    /// standalone [`optimal_bandwidth()`] program, so first solves are
     /// bit-identical to the cold path) and re-solves warm-start from the
     /// retained basis. Scenarios whose LP exceeds `max_lp_variables` are
     /// left unregistered; [`FailureScenario::optimum_in`] reports those
@@ -270,7 +270,7 @@ impl FailureScenario<'_> {
     /// The fractional optimum from a standalone cold-start build of this
     /// scenario's LP, gated on the per-scenario variable budget. The
     /// sweeps prefer the warm [`BandwidthLp`] session (see
-    /// [`PairFailureSweep::optimum`]) and use this as the fallback when
+    /// [`FailureScenario::optimum_in`]) and use this as the fallback when
     /// the session skeleton is over budget.
     pub fn optimum(&self, max_lp_variables: usize) -> Result<BandwidthOptimum, LpSkip> {
         let vars = self.impacted.len() * self.data.pair.num_interconnections() + 1;

@@ -22,12 +22,10 @@
 //! | [`sim`] | the full experiment harness reproducing every paper figure |
 //!
 //! Every turn/propose/accept/stop decision lives in exactly one place —
-//! [`core::machine::NegotiationMachine`](machine). The in-process driver
+//! [`core::machine::NegotiationMachine`]. The in-process driver
 //! ([`core::negotiate`] / [`core::SessionBuilder`]) and the wire agents
 //! ([`proto::Agent`]) are thin shells around it, so simulated and
 //! deployed negotiations agree by construction.
-//!
-//! [machine]: crate::core::machine::NegotiationMachine
 //!
 //! ## Quickstart
 //!

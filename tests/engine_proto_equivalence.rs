@@ -9,7 +9,7 @@
 
 use nexit::core::{
     negotiate, DisclosurePolicy, DistanceMapper, GainTable, NegotiationMachine, NexitConfig, Party,
-    PreferenceMapper, SessionInput, Side,
+    PreferenceMapper, SessionInput, Side, TableArena,
 };
 use nexit::proto::{
     run_reliable_session, run_session, Agent, FaultConfig, FaultyLink, ProtoError, ReliableConfig,
@@ -118,7 +118,8 @@ fn check_final_tables(
     engine: &nexit::core::NegotiationOutcome,
 ) {
     let machine = |side| {
-        NegotiationMachine::new(
+        NegotiationMachine::new_in(
+            &mut TableArena::new(),
             side,
             Side::A,
             input.clone(),
@@ -138,9 +139,10 @@ fn check_final_tables(
             a.handle(b.peer_event(action)).unwrap();
         }
     }
-    assert_eq!(a.assignment(), &engine.assignment);
-    assert_eq!(a.reassignments(), engine.reassignments);
-    let (held_by_a, held_by_b) = (a.disclosed_tables(), b.disclosed_tables());
+    assert_eq!(a.state().assignment, engine.assignment);
+    assert_eq!(a.state().reassignments, engine.reassignments);
+    let held_by_a = a.state().disclosed_tables(Side::A);
+    let held_by_b = b.state().disclosed_tables(Side::B);
     let mut gains = GainTable::new(input.len(), input.num_alternatives);
     for (side, by_a, by_b) in [
         (Side::A, held_by_a.0, held_by_b.0),
