@@ -74,9 +74,10 @@ impl SessionInput {
     }
 
     /// The one session validator: parallel arrays line up, every default
-    /// names a real alternative, the preference range is positive and
-    /// the shape fits the candidate index's envelope under `config`
-    /// ([`SessionError::IndexLimit`]).
+    /// names a real alternative, every volume is finite (a NaN would
+    /// never reach a reassignment threshold), the preference range is
+    /// positive and the shape fits the candidate index's envelope under
+    /// `config` ([`SessionError::IndexLimit`]).
     pub fn check(&self, config: &NexitConfig) -> Result<(), SessionError> {
         if self.defaults.len() != self.flow_ids.len() {
             return Err(SessionError::LengthMismatch {
@@ -99,6 +100,9 @@ impl SessionInput {
             if d.index() >= self.num_alternatives {
                 return Err(SessionError::DefaultOutOfRange { flow });
             }
+        }
+        if let Some(flow) = self.volumes.iter().position(|v| !v.is_finite()) {
+            return Err(SessionError::NonFiniteVolume { flow });
         }
         if config.pref_range <= 0 {
             return Err(SessionError::BadPrefRange(config.pref_range));
@@ -172,6 +176,11 @@ pub enum SessionError {
         /// Local index of the offending flow.
         flow: usize,
     },
+    /// A flow's volume is NaN or infinite.
+    NonFiniteVolume {
+        /// Local index of the offending flow.
+        flow: usize,
+    },
     /// The preference class range must be positive.
     BadPrefRange(i32),
     /// The session shape is outside the candidate index's envelope; names
@@ -208,6 +217,9 @@ impl std::fmt::Display for SessionError {
             SessionError::NoAlternatives => write!(f, "need at least one alternative"),
             SessionError::DefaultOutOfRange { flow } => {
                 write!(f, "flow {flow}'s default alternative is out of range")
+            }
+            SessionError::NonFiniteVolume { flow } => {
+                write!(f, "flow {flow}'s volume is not a finite number")
             }
             SessionError::BadPrefRange(p) => {
                 write!(f, "preference range must be positive, got {p}")
@@ -971,6 +983,22 @@ mod tests {
                 .unwrap_err(),
             SessionError::ConflictingDisclosure
         );
+    }
+
+    /// A NaN volume fails every threshold comparison, so a reassigning
+    /// session would never reassign: refused up front, as is infinity.
+    #[test]
+    fn non_finite_volumes_are_refused() {
+        let config = NexitConfig::default();
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut bad = input(3, 2);
+            bad.volumes[1] = v;
+            assert_eq!(
+                bad.check(&config),
+                Err(SessionError::NonFiniteVolume { flow: 1 })
+            );
+        }
+        assert_eq!(input(3, 2).check(&config), Ok(()));
     }
 
     #[test]

@@ -80,9 +80,12 @@
 //!
 //! **Dual pivots** (the rhs re-entry's repair) are priced the same
 //! way: one BTRAN for `rho`, the same row kernel, a ratio test
-//! `min d_j / -alpha_j` over the row's negative entries (near-ties to
-//! the lowest column index), and the same update carrying `d` across
-//! the pivot, so a dual pivot costs what a primal one does. The repair
+//! `min d_j / -alpha_j` over the row's negative entries, and the same
+//! update carrying `d` across the pivot, so a dual pivot costs what a
+//! primal one does. Ratio near-ties go to the largest `|alpha_j|`
+//! (Harris's second pass, as in the primal test): the min-max
+//! program's dual is mostly ties at zero, where the lowest column index
+//! walked zero-step pivots until the repair's budget ran out. The repair
 //! starts from the `d` of the fresh pass the retained solve ended on (a
 //! patched rhs changes neither `y` nor `d`; an rhs patch that leaves
 //! `x_B >= 0` is answered by that pass outright) and re-prices fresh

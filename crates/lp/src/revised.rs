@@ -50,9 +50,9 @@
 //! the primal entering column, row weights the dual leaving row — with
 //! a non-sticky hand-over to **Bland's rule** after a stalled primal
 //! stretch; the crate docs' "Pricing and refactorization policy" gives
-//! the rules. Primal ratio-test near-ties break on the largest pivot
-//! magnitude except under Bland's rule, whose termination proof needs
-//! the lowest basic index. Artificials never re-enter in phase 2.
+//! the rules. Ratio-test near-ties, primal and dual, break on the largest
+//! pivot magnitude except under Bland's rule, whose termination proof
+//! needs the lowest basic index. Artificials never re-enter in phase 2.
 
 use crate::certify::{certify, VERIFY_TOL};
 use crate::lu::{SparseLu, PIVOT_MIN};
@@ -877,11 +877,6 @@ impl RevisedSimplex {
     /// falls back.
     pub(crate) fn dual_optimize(&mut self, max_pivots: usize) -> bool {
         let tol = self.options.tolerance;
-        // The leaving test is looser than the pivot tolerance: after a
-        // large rhs patch roundoff alone can push a tight basic value a
-        // few 1e-9 below zero, and "repairing" that dead-ends in a
-        // spurious dual ray. Verification still checks at 1e-6.
-        let feas = tol.max(1e-7);
         let limit = self.artificial_start;
         self.dual_devex.clear();
         self.dual_devex.resize(self.m, 1.0);
@@ -889,7 +884,7 @@ impl RevisedSimplex {
         loop {
             let mut leaving: Option<(usize, f64)> = None;
             for (i, (&xi, &wi)) in self.xb.iter().zip(&self.dual_devex).enumerate() {
-                if xi < -feas && leaving.is_none_or(|(_, best)| xi * xi / wi > best) {
+                if xi < -tol && leaving.is_none_or(|(_, best)| xi * xi / wi > best) {
                     leaving = Some((i, xi * xi / wi));
                 }
             }
@@ -924,7 +919,10 @@ impl RevisedSimplex {
 
     /// The dual ratio test over the kernel's pivot row: of the columns
     /// with `alpha_j < -tol` whose `d_j / -alpha_j` is within `tol` of
-    /// the minimum, the lowest index. `None` on a dual ray.
+    /// the minimum, the one with the largest `|alpha_j|`, exact ties to
+    /// the lowest index (Harris's second pass, as in the primal test). A
+    /// min-max program's dual is mostly ties at zero, where the lowest
+    /// index walks zero-step pivots. `None` on a dual ray.
     fn dual_entering(&self) -> Option<usize> {
         let tol = self.options.tolerance;
         let eligible = || {
@@ -935,7 +933,9 @@ impl RevisedSimplex {
         };
         let ratio = |j: usize| self.d[j] / -self.alpha[j];
         let best = eligible().map(ratio).fold(f64::INFINITY, f64::min);
-        eligible().filter(|&j| ratio(j) <= best + tol).min()
+        eligible()
+            .filter(|&j| ratio(j) <= best + tol)
+            .min_by(|&a, &b| self.alpha[a].total_cmp(&self.alpha[b]).then(a.cmp(&b)))
     }
 
     /// Carry the dual devex weights across the pivot in row `r` with
@@ -1113,11 +1113,11 @@ impl RevisedSimplex {
     /// positive level — the retained basis cannot represent the patched
     /// problem, and the warm result must be discarded.
     pub(crate) fn artificial_still_basic(&self) -> bool {
-        let feas_tol = self.options.tolerance.max(1e-7);
+        let tol = self.options.tolerance;
         self.basis
             .iter()
             .zip(&self.xb)
-            .any(|(&var, &x)| var >= self.artificial_start && x > feas_tol)
+            .any(|(&var, &x)| var >= self.artificial_start && x > tol)
     }
 }
 
@@ -1318,6 +1318,71 @@ pub(crate) mod tests {
         assert!(matches!(outcome, LpOutcome::Optimal { .. }), "{outcome:?}");
         reference::check(&p, &outcome).unwrap();
         assert!(engine.take_counters().refactorizations >= 3);
+    }
+
+    /// Harris's second pass: of the ratios within `tol` of the minimum
+    /// the largest `|alpha_j|` enters, exact ties to the lowest index
+    /// whatever the kernel's order; a clearly larger ratio never does.
+    #[test]
+    fn dual_ratio_ties_break_on_the_largest_pivot() {
+        let mut p = LpProblem::new();
+        (0..5).for_each(|_| _ = p.add_variable(0.0));
+        p.add_constraint((0..5).map(|j| (j, 1.0)).collect(), ConstraintOp::Le, 1.0);
+        let mut e = RevisedSimplex::build(&p, SimplexOptions::default()).unwrap();
+        let alpha = [-0.5, -2.0, -2.0, -4.0, 3.0];
+        let d = [0.0, 2e-12, 0.0, 1.0, 0.0];
+        for j in (0..5).rev() {
+            (e.alpha[j], e.d[j]) = (alpha[j], d[j]);
+            e.touched.push(j as u32);
+        }
+        assert_eq!(e.dual_entering(), Some(1));
+    }
+
+    /// The stall: a min-max program whose only cost is on `t`, so its
+    /// dual is almost all ties at zero. Raising a third of the
+    /// residuals breaks their rows; the lowest-index tie-break walked
+    /// 2 831 mostly zero-step dual pivots here, past the repair budget
+    /// (a fallback). Breaking the ties on the largest pivot takes 72.
+    #[test]
+    fn degenerate_min_max_repair_stays_warm() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let (flows, exits, links) = (40, 4, 30);
+        let mut p = LpProblem::new();
+        (0..=flows * exits).for_each(|j| _ = p.add_variable(if j == 0 { 1.0 } else { 0.0 }));
+        for f in 0..flows {
+            let row = (1..=exits).map(|i| (f * exits + i, 1.0)).collect();
+            p.add_constraint(row, ConstraintOp::Eq, 1.0);
+        }
+        // Each exit's path crosses two links on average; a link carries
+        // background load (a residual) one time in five.
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..links {
+            let on_link = |x| rng.gen_bool(0.07).then_some((x, 1.0));
+            let mut row: Vec<_> = (1..=flows * exits).filter_map(on_link).collect();
+            row.push((0, -10.0));
+            let residual = rng.gen_range(-40..10i32).max(0);
+            p.add_constraint(row, ConstraintOp::Le, -f64::from(residual));
+        }
+        let mut q = p.clone();
+        for l in (flows..flows + links).step_by(3) {
+            q.set_rhs(l, p.constraints()[l].rhs - 12.0);
+        }
+        let mut e = RevisedSimplex::build(&p, SimplexOptions::default()).unwrap();
+        assert!(matches!(e.run(&p), LpOutcome::Optimal { .. }));
+        e.install_rhs(&q);
+        e.iterations_used = 0;
+        assert!(e.dual_optimize(usize::MAX));
+        let pivots = e.iterations_used;
+        assert!(pivots < 2831 / 10, "{pivots} dual pivots");
+        let mut ws = SimplexWorkspace::new();
+        ws.solve(&p);
+        let LpOutcome::Optimal { objective, .. } = solve(&q) else {
+            panic!("the patched program is feasible and bounded")
+        };
+        assert_optimal(&q, &ws.solve(&q), objective, 1e-9);
+        let stats = ws.stats();
+        assert_eq!(stats.warm_fallbacks, 0, "{stats:?}");
+        assert!(stats.eta_pivots > 0 && stats.max_eta_chain > 0 && stats.lu_fill_nnz > 0);
     }
 
     pub(crate) mod proptests {

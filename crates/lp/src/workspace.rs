@@ -237,7 +237,10 @@ impl SimplexWorkspace {
         let outcome = engine.run(problem);
         let drained = engine.take_counters();
         self.stats.absorb_engine(drained);
-        if matches!(outcome, LpOutcome::Optimal { .. }) {
+        // Phase 1 accepts artificials summing to 1e-7 (roundoff on a
+        // nearly redundant `==` pair), above the pivot tolerance every
+        // re-entry holds them to: such an engine could only fall back.
+        if matches!(outcome, LpOutcome::Optimal { .. }) && !engine.artificial_still_basic() {
             self.retain(fingerprint, engine);
         }
         outcome
@@ -430,6 +433,26 @@ mod tests {
         // And feasible again after widening.
         p.set_rhs(0, 2.0);
         assert!((objective(&ws.solve(&p)) - 1.0).abs() < 1e-9);
+    }
+
+    /// A cold optimum that keeps an artificial basic at 5e-8 (phase 1
+    /// passes it, a re-entry would not) is not retained: its rhs patches
+    /// solve cold without a fallback, and match a stand-alone solve.
+    #[test]
+    fn nearly_redundant_equalities_are_not_retained() {
+        let mut p = LpProblem::new();
+        let (x, y) = (p.add_variable(1.0), p.add_variable(2.0));
+        p.add_constraint(vec![(x, 1.0), (y, 1.0)], ConstraintOp::Eq, 1.0);
+        p.add_constraint(vec![(x, 1.0), (y, 1.0)], ConstraintOp::Eq, 1.0 + 5e-8);
+        p.add_constraint(vec![(x, 1.0)], ConstraintOp::Le, 0.75);
+        let mut ws = SimplexWorkspace::new();
+        for bound in [0.75, 0.5, 0.25] {
+            p.set_rhs(2, bound);
+            let (warm, cold) = (objective(&ws.solve(&p)), objective(&solve(&p)));
+            assert!((warm - (2.0 - bound)).abs() < 1e-6 && (warm - cold).abs() < 1e-9);
+        }
+        let s = ws.stats();
+        assert_eq!((s.cold_solves, s.warm_fallbacks), (3, 0), "{s:?}");
     }
 
     #[test]
@@ -736,15 +759,91 @@ mod tests {
         use crate::reference;
         use proptest::prelude::*;
 
+        /// A feasible-by-construction program over `nv` variables and a
+        /// chain of patches: one row's rhs (warm), a coefficient too (a
+        /// new program, cold), or every row's rhs pulled in to just above
+        /// a new point (`x0` rotated) so the last optimum breaks several
+        /// rows at once (a multi-pivot dual repair). A patch is `(row,
+        /// var, coeff, extra)`: `var` in 5..10 encodes "patch a
+        /// coefficient too", 10.. "patch every row" (the vendored
+        /// proptest tuples stop at four elements). On every step the
+        /// workspace must match a fresh cold solve to 1e-9, carry a
+        /// certificate and equal the vertex reference's optimum.
+        fn patch_chain(
+            nv: usize,
+            seed_rows: &[(Vec<f64>, f64)],
+            cost: &[f64],
+            x0: &[f64],
+            patches: &[(usize, usize, f64, f64)],
+        ) -> Result<(), TestCaseError> {
+            let mut p = LpProblem::new();
+            for &c in cost.iter().take(nv) {
+                p.add_variable(c);
+            }
+            for (coeffs, slack) in seed_rows {
+                let row: Vec<(usize, f64)> = (0..nv).map(|i| (i, coeffs[i])).collect();
+                let rhs: f64 = (0..nv).map(|i| coeffs[i] * x0[i]).sum::<f64>() + slack;
+                p.add_constraint(row, ConstraintOp::Le, rhs);
+            }
+            // Every rhs is set at or above its row's value at `anchor`,
+            // so the program stays feasible there.
+            let mut anchor = x0.to_vec();
+            let at = |p: &LpProblem, anchor: &[f64], i: usize| -> f64 {
+                p.constraints()[i]
+                    .coeffs
+                    .iter()
+                    .map(|&(j, a)| a * anchor[j])
+                    .sum()
+            };
+            let mut ws = SimplexWorkspace::new();
+            ws.solve(&p);
+            for &(row, var, coeff, extra) in patches {
+                if var >= 10 {
+                    // Alternately free the origin (the optimum drops onto
+                    // it) and pull every row in to just above a new
+                    // anchor: the repair then enters a structural column
+                    // per row the origin breaks.
+                    let tighten = row % 2 == 1;
+                    if tighten {
+                        anchor.rotate_left(1 + row % 4);
+                    }
+                    for i in 0..seed_rows.len() {
+                        let b = at(&p, &anchor, i);
+                        let rhs = if tighten {
+                            b + extra / 16.0
+                        } else {
+                            b.max(0.0) + extra
+                        };
+                        p.set_rhs(i, rhs);
+                    }
+                } else {
+                    let row = row % seed_rows.len();
+                    if var >= 5 {
+                        p = with_coefficient(&p, row, var % nv, coeff);
+                    }
+                    p.set_rhs(row, at(&p, &anchor, row) + extra);
+                }
+                let warm = ws.solve(&p);
+                let cold = solve(&p);
+                reference::check(&p, &warm)?;
+                match (&warm, &cold) {
+                    (
+                        LpOutcome::Optimal { objective: w, .. },
+                        LpOutcome::Optimal { objective: c, .. },
+                    ) => {
+                        prop_assert!((w - c).abs() < 1e-9, "warm {w} != cold {c}")
+                    }
+                    (w, c) => prop_assert!(false, "outcome mismatch: warm {w:?} cold {c:?}"),
+                }
+            }
+            // Every solve lands in exactly one terminal bucket
+            // (fallbacks re-run cold and are counted there).
+            prop_assert_eq!(ws.stats().total_solves(), patches.len() + 1);
+            Ok(())
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
-            // Randomized patch chains on feasible-by-construction LPs:
-            // one row's rhs (warm), a coefficient too (a new program,
-            // cold), or every row's rhs pulled in to just above a new
-            // point (`x0` rotated) so the last optimum breaks several
-            // rows at once (a multi-pivot dual repair). On every step the
-            // workspace must match a fresh cold solve to 1e-9, carry a
-            // certificate and equal the vertex reference's optimum.
             #[test]
             fn warm_matches_cold_and_reference_across_mixed_patches(
                 nv in 1usize..6,
@@ -752,69 +851,40 @@ mod tests {
                     (proptest::collection::vec(-5.0f64..5.0, 5), 0.0f64..3.0), 1..6),
                 cost in proptest::collection::vec(0.0f64..4.0, 5),
                 x0 in proptest::collection::vec(0.0f64..3.0, 5),
-                // `var` in 5..10 encodes "patch a coefficient too", 10..
-                // "patch every row" (the vendored proptest tuples stop
-                // at four elements).
                 patches in proptest::collection::vec(
                     (0usize..6, 0usize..15, -4.0f64..4.0, 0.0f64..4.0),
                     1..8),
             ) {
-                let mut p = LpProblem::new();
-                for &c in cost.iter().take(nv) {
-                    p.add_variable(c);
-                }
-                for (coeffs, slack) in &seed_rows {
-                    let row: Vec<(usize, f64)> =
-                        (0..nv).map(|i| (i, coeffs[i])).collect();
-                    let rhs: f64 =
-                        (0..nv).map(|i| coeffs[i] * x0[i]).sum::<f64>() + slack;
-                    p.add_constraint(row, ConstraintOp::Le, rhs);
-                }
-                // Every rhs is set at or above its row's value at
-                // `anchor`, so the program stays feasible there.
-                let mut anchor = x0.clone();
-                let at = |p: &LpProblem, anchor: &[f64], i: usize| -> f64 {
-                    p.constraints()[i].coeffs.iter().map(|&(j, a)| a * anchor[j]).sum()
-                };
-                let mut ws = SimplexWorkspace::new();
-                ws.solve(&p);
-                for &(row, var, coeff, extra) in &patches {
-                    if var >= 10 {
-                        // Alternately free the origin (the optimum
-                        // drops onto it) and pull every row in to just
-                        // above a new anchor: the repair then enters a
-                        // structural column per row the origin breaks.
-                        let tighten = row % 2 == 1;
-                        if tighten {
-                            anchor.rotate_left(1 + row % 4);
-                        }
-                        for i in 0..seed_rows.len() {
-                            let b = at(&p, &anchor, i);
-                            p.set_rhs(i, if tighten { b + extra / 16.0 } else { b.max(0.0) + extra });
-                        }
-                    } else {
-                        let row = row % seed_rows.len();
-                        if var >= 5 {
-                            p = with_coefficient(&p, row, var % nv, coeff);
-                        }
-                        p.set_rhs(row, at(&p, &anchor, row) + extra);
-                    }
-                    let warm = ws.solve(&p);
-                    let cold = solve(&p);
-                    reference::check(&p, &warm)?;
-                    match (&warm, &cold) {
-                        (
-                            LpOutcome::Optimal { objective: w, .. },
-                            LpOutcome::Optimal { objective: c, .. },
-                        ) => prop_assert!((w - c).abs() < 1e-9, "warm {w} != cold {c}"),
-                        (w, c) => prop_assert!(
-                            false, "outcome mismatch: warm {w:?} cold {c:?}"),
-                    }
-                }
-                // Every solve lands in exactly one terminal bucket
-                // (fallbacks re-run cold and are counted there).
-                prop_assert_eq!(ws.stats().total_solves(), patches.len() + 1);
+                patch_chain(nv, &seed_rows, &cost, &x0, &patches)?;
             }
+        }
+
+        /// Case 2 600 of the property above at 3 000 cases: a repair
+        /// whose leaving test is looser than the pivot tolerance (1e-7
+        /// against 1e-9) stops on a basic value in between, and the warm
+        /// optimum's certificate reads "primal infeasible".
+        #[test]
+        #[rustfmt::skip]
+        fn repair_leaves_no_row_between_two_tolerances() {
+            // Two variables: only each row's first two coefficients count.
+            let seed_rows = [
+                (vec![1.5367813561942514, -2.8514094199171613], 2.2030068195770824),
+                (vec![0.8566375008048368, -1.9998849493142155], 0.35488473859128444),
+                (vec![3.2453673241530385, 3.6552979370329943], 2.5901079597098673),
+                (vec![-1.336526311290144, 0.74595361203155], 2.8365881082976148),
+                (vec![-2.839025296105966, 3.155524938037125], 2.9313334725581566),
+            ];
+            let cost = [3.3391176549935913, 3.803246748101273];
+            let x0 = [0.15149818950893124, 2.5347741729848385, 2.3985352907394892,
+                0.9715332380232643, 2.2119245998595645];
+            let patches = [
+                (0, 0, -0.49994045225836903, 0.13698251378833293),
+                (3, 0, 0.9628629148603922, 3.0298462238011297),
+                (4, 7, 3.449088578664118, 2.6961549872225192),
+                (3, 14, 3.3107380399657034, 0.02478251645827312),
+                (1, 12, -1.9032767847352527, 2.008687792799769),
+            ];
+            patch_chain(2, &seed_rows, &cost, &x0, &patches).unwrap();
         }
     }
 }

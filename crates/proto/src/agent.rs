@@ -589,7 +589,9 @@ impl Session<'_> {
                     if e.default != input.defaults[i] {
                         return Err(ProtoError::FlowMismatch("default alternative"));
                     }
-                    if (e.volume - input.volumes[i]).abs() > 1e-9 {
+                    // False on NaN: a NaN volume is refused, not waved through.
+                    let agrees = (e.volume - input.volumes[i]).abs() <= 1e-9;
+                    if !agrees {
                         return Err(ProtoError::FlowMismatch("volume"));
                     }
                 }

@@ -414,3 +414,30 @@ fn a_flow_set_beyond_one_frame_is_refused() {
     assert!(agent_for("a", disclosable, columns, 10).is_ok());
     assert_wire_limit(agent_for("a", disclosable + 1, columns, 10));
 }
+
+/// A `FlowAnnounce` whose volume is NaN is refused like one a whole unit
+/// off: every comparison with NaN is false, so a "too far apart" test
+/// would wave it through.
+#[test]
+fn an_announced_nan_volume_is_refused() {
+    let t = transcript();
+    let announce = t.ab.iter().enumerate().find_map(|(at, frame)| {
+        match MessageRef::parse(parse_frame(frame).ok()??).ok()? {
+            MessageRef::FlowAnnounce { entries } => Some((at, MessageRef::flows(entries))),
+            _ => None,
+        }
+    });
+    let (at, flows) = announce.expect("A announces its flows");
+    let flows: Vec<_> = flows.collect();
+    for volume in [f64::NAN, f64::INFINITY, flows[0].volume + 1.0] {
+        let (_, mut b) = agents();
+        for frame in &t.ab[..at] {
+            b.handle_bytes(frame).expect("clean prefix");
+        }
+        let mut flows = flows.clone();
+        flows[0].volume = volume;
+        let announce = Message::FlowAnnounce { flows }.encode();
+        let refused = Err(ProtoError::FlowMismatch("volume"));
+        assert_eq!(b.handle_bytes(&announce), refused, "volume {volume}");
+    }
+}
