@@ -14,11 +14,11 @@
 //! * `revised` — the revised simplex: the constraint matrix in flat
 //!   compressed storage (`sparse`: one column-major copy for FTRAN and
 //!   the factorization, one row-major copy for the pivot-row kernel),
-//!   sparse Markowitz-ordered LU of the basis (`lu`, column-compressed
-//!   factors with fill-aware pivoting) with sparse product-form (eta)
-//!   updates and periodic refactorization, devex pricing over reduced
-//!   costs maintained from the pivot row, with a Bland's-rule
-//!   anti-cycling fallback. [`solve`] / [`solve_with`] run it cold.
+//!   sparse LU of the basis (`lu`, column-compressed factors, the
+//!   triangular part pivoted before a Markowitz nucleus) with sparse
+//!   product-form (eta) updates and periodic refactorization, devex
+//!   pricing over reduced costs maintained from the pivot row, with a
+//!   Bland's-rule anti-cycling fallback. [`solve`] / [`solve_with`] run it cold.
 //!
 //! Every `Optimal` carries its proof: the duals `y` of the fresh pricing
 //! pass that ended the solve, one per constraint. [`certify`] checks the

@@ -11,12 +11,17 @@
 //!   basis column is scattered sparsely, eliminated against the already
 //!   computed part of `L`, and appended to column-compressed `L`/`U`
 //!   factors — total work proportional to the factor flops, not `m^3`,
-//! * **fill-aware pivot selection**: columns are eliminated sparsest
-//!   first, and within a column every candidate row whose magnitude is
-//!   within [`PIVOT_TAU`] of the column maximum is acceptable; among
-//!   those the row with the smallest static Markowitz count (nonzeros in
-//!   that row of the basis) wins, so unit columns pivot with **zero
-//!   fill-in** and the structural block only fills where it must,
+//! * **triangular part first** (Suhl & Suhl, ORSA J. Computing 1990):
+//!   a column singleton of the active submatrix pivots on its one
+//!   un-pivoted row and leaves `L` empty, so it adds **zero fill-in**;
+//!   singletons are taken in the order they appear. A min-max start
+//!   basis is all triangular: slacks, then the dense `t`, then each
+//!   flow on its own row,
+//! * **threshold Markowitz on the nucleus**: the rest is eliminated
+//!   sparsest column first, and within a column every candidate row
+//!   whose magnitude is within [`PIVOT_TAU`] of the column maximum is
+//!   acceptable; among those the row with the smallest static Markowitz
+//!   count (nonzeros in that row of the basis) wins,
 //! * **sparse triangular solves**: FTRAN runs column-oriented with
 //!   zero-skips (a hyper-sparse right-hand side touches only the columns
 //!   it reaches), BTRAN runs as contiguous per-column dot products —
@@ -96,21 +101,72 @@ impl SparseLu {
     /// [`PIVOT_MIN`] (singular basis).
     pub(crate) fn factor(cols: &Compressed, basis: &[usize]) -> Option<Self> {
         let m = basis.len();
-        // Static Markowitz row counts over the basis matrix: how many
-        // basic columns touch each row. The sparsest acceptable pivot
-        // row bounds the fill a pivot can cause.
-        let mut row_count = vec![0u32; m];
+        // Row -> basis-position incidence, row-compressed: filled back to
+        // front so each row lists its positions ascending. A row's length
+        // is its static Markowitz count (how many basic columns touch it).
+        let mut row_ptr = vec![0u32; m + 1];
         for &var in basis {
             for (r, _) in cols.lane(var) {
-                row_count[r] += 1;
+                row_ptr[r] += 1;
             }
         }
-        // Eliminate sparsest columns first (stable sort: deterministic).
-        // Unit slack/artificial columns go first and factor fill-free.
-        let mut order: Vec<u32> = (0..m as u32).collect();
-        order.sort_by_key(|&j| (cols.lane_len(basis[j as usize]), j));
+        for r in 1..=m {
+            row_ptr[r] += row_ptr[r - 1];
+        }
+        let mut row_cols = vec![0u32; row_ptr[m] as usize];
+        for (j, &var) in basis.iter().enumerate().rev() {
+            for (r, _) in cols.lane(var) {
+                row_ptr[r] -= 1;
+                row_cols[row_ptr[r] as usize] = j as u32;
+            }
+        }
+        let row_count = |r: usize| row_ptr[r + 1] - row_ptr[r];
 
+        // Triangular pass (module docs): `order[..done]` holds the column
+        // singletons taken, `order[head..]` the queue of those found, and
+        // one whose entry is below PIVOT_MIN stays for the nucleus.
+        const TAKEN: u32 = u32::MAX;
+        let mut active: Vec<u32> = basis.iter().map(|&var| cols.lane_len(var) as u32).collect();
         let mut pinv = vec![u32::MAX; m];
+        let mut order: Vec<u32> = Vec::with_capacity(m);
+        order.extend((0..m as u32).filter(|&j| active[j as usize] == 1));
+        let (mut done, mut head) = (0, 0);
+        while head < order.len() {
+            let j = order[head] as usize;
+            head += 1;
+            // Its one row may have gone to an earlier singleton since.
+            if active[j] != 1 {
+                continue;
+            }
+            let (r, v) = cols
+                .lane(basis[j])
+                .find(|&(r, _)| pinv[r] == u32::MAX)
+                .expect("an active count of 1 is one un-pivoted row");
+            if v.abs() < PIVOT_MIN {
+                continue;
+            }
+            pinv[r] = done as u32;
+            order[done] = j as u32;
+            done += 1;
+            active[j] = TAKEN;
+            for &c in &row_cols[row_ptr[r] as usize..row_ptr[r + 1] as usize] {
+                let c = c as usize;
+                if active[c] != TAKEN {
+                    active[c] -= 1;
+                    if active[c] == 1 {
+                        order.push(c as u32);
+                    }
+                }
+            }
+        }
+        order.truncate(done);
+        // The nucleus, sparsest first (stable: deterministic). The loop
+        // below re-derives the triangular pivots: each such column has
+        // one un-pivoted row when its step comes.
+        let triangular = done;
+        order.extend((0..m as u32).filter(|&j| active[j as usize] != TAKEN));
+        order[triangular..].sort_by_key(|&j| (cols.lane_len(basis[j as usize]), j));
+        pinv.fill(u32::MAX);
         let mut row_perm = vec![0u32; m];
         // Dense scatter workspace: `x[r]` is live iff `mark[r] == k`.
         let mut x = vec![0.0f64; m];
@@ -195,7 +251,7 @@ impl SparseLu {
                 if pinv[ri] != u32::MAX || x[ri].abs() < accept {
                     continue;
                 }
-                let key = (row_count[ri], r);
+                let key = (row_count(ri), r);
                 if best.is_none_or(|b| key < b) {
                     best = Some(key);
                 }
@@ -218,6 +274,7 @@ impl SparseLu {
                     l_vals.push(xv / pivot);
                 }
             }
+            debug_assert!(k >= triangular || l_ptr[k] as usize == l_rows.len());
             l_ptr.push(l_rows.len() as u32);
             // No explicit clearing of `x`: `mark` gates every read.
         }
@@ -234,6 +291,65 @@ impl SparseLu {
             row_perm,
             col_perm: order,
         })
+    }
+
+    /// Test hook: `row_perm` and `col_perm` are permutations, `L` holds
+    /// only rows pivoted after its step, `U` only earlier steps, and
+    /// `L' U'` rebuilds the factored basis, each column of `P_r B P_c`
+    /// to 1e-9 of its largest entry.
+    #[cfg(test)]
+    pub(crate) fn check_invariants(&self, cols: &Compressed, basis: &[usize]) {
+        let m = self.m;
+        assert_eq!(basis.len(), m);
+        for perm in [&self.row_perm, &self.col_perm] {
+            let mut sorted = perm.clone();
+            sorted.sort_unstable();
+            assert!(
+                sorted.into_iter().eq(0..m as u32),
+                "not a permutation: {perm:?}"
+            );
+        }
+        let mut pinv = vec![0; m];
+        for (t, &r) in self.row_perm.iter().enumerate() {
+            pinv[r as usize] = t;
+        }
+        for t in 0..m {
+            assert!(self.l_column(t).all(|(r, _)| pinv[r] > t), "L column {t}");
+        }
+        let mut product = vec![0.0; m];
+        for k in 0..m {
+            // Column k of L' U': each L' column t <= k scaled by U'[t][k].
+            product.fill(0.0);
+            let (lo, hi) = (self.u_ptr[k] as usize, self.u_ptr[k + 1] as usize);
+            let above = self.u_steps[lo..hi].iter().zip(&self.u_vals[lo..hi]);
+            let u_col = above.map(|(&t, &u)| (t as usize, u));
+            for (t, u) in u_col.chain([(k, self.u_diag[k])]) {
+                assert!(t <= k, "U entry at step {t} in column {k}");
+                product[self.row_perm[t] as usize] += u;
+                for (r, lv) in self.l_column(t) {
+                    product[r] += lv * u;
+                }
+            }
+            let lane = basis[self.col_perm[k] as usize];
+            let scale = cols.lane(lane).fold(0.0f64, |a, (_, v)| a.max(v.abs()));
+            for (r, v) in cols.lane(lane) {
+                product[r] -= v;
+            }
+            for (r, err) in product.iter().enumerate() {
+                assert!(
+                    err.abs() <= 1e-9 * scale,
+                    "column {k} row {r} off by {err:e}"
+                );
+            }
+        }
+    }
+
+    /// The multipliers of `L` column `t`, by original row.
+    #[cfg(test)]
+    fn l_column(&self, t: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let (lo, hi) = (self.l_ptr[t] as usize, self.l_ptr[t + 1] as usize);
+        let rows = self.l_rows[lo..hi].iter().map(|&r| r as usize);
+        rows.zip(self.l_vals[lo..hi].iter().copied())
     }
 
     /// FTRAN base: overwrite `v` (indexed by basis row) with `B^{-1} v`
@@ -328,6 +444,7 @@ mod tests {
         let cols = Compressed::from_lanes(&cols);
         let basis: Vec<usize> = (0..m).collect();
         let lu = SparseLu::factor(&cols, &basis).expect("nonsingular");
+        lu.check_invariants(&cols, &basis);
         let mut tmp = vec![0.0; m];
         // FTRAN: B w = v  =>  dense * w == v.
         for rhs in 0..m {
@@ -361,6 +478,54 @@ mod tests {
         }
     }
 
+    /// The min-max start basis of the bandwidth optimum: flow rows with
+    /// coefficient 1, capacity rows with volume coefficients far above
+    /// 1 / [`PIVOT_TAU`], the dense `t` column basic in the bottleneck
+    /// row and slacks in every other capacity row. Slacks, then `t`, then
+    /// each flow on its own row are column singletons, so nothing fills;
+    /// eliminating `t` last chained every flow through the bottleneck
+    /// row and filled quadratically.
+    #[test]
+    fn min_max_start_basis_factors_fill_free() {
+        let (flows, links) = (40usize, 12usize);
+        let m = flows + links;
+        // Lanes: `t`, one default route per flow, one slack per link.
+        let mut lanes: Vec<Vec<(usize, f64)>> = Vec::new();
+        lanes.push((flows..m).map(|l| (l, -100.0 - l as f64)).collect());
+        for f in 0..flows {
+            // Each route crosses the bottleneck (`flows`) and one more link.
+            let other = flows + 1 + f % (links - 1);
+            lanes.push(vec![(f, 1.0), (flows, 20.0 + f as f64), (other, 15.0)]);
+        }
+        lanes.extend((flows + 1..m).map(|l| vec![(l, 1.0)]));
+        let cols = Compressed::from_lanes(&lanes);
+        let basis: Vec<usize> = (0..m).collect();
+        let lu = SparseLu::factor(&cols, &basis).expect("nonsingular");
+        lu.check_invariants(&cols, &basis);
+        let nnz: usize = basis.iter().map(|&j| cols.lane_len(j)).sum();
+        assert_eq!(lu.fill_nnz(), nnz);
+    }
+
+    /// A column singleton below [`PIVOT_MIN`] is not pivoted by the
+    /// triangular pass; the nucleus meets it and finds the basis
+    /// singular. Column 1 is a singleton on row 0 once column 0 pivots
+    /// row 1.
+    #[test]
+    fn a_tiny_singleton_falls_through_to_the_nucleus() {
+        let lanes = |tiny: f64| {
+            Compressed::from_lanes(&[
+                vec![(1, 1.0)],
+                vec![(0, tiny), (1, 1.0)],
+                vec![(0, 1.0), (2, 1.0)],
+            ])
+        };
+        let basis = [0usize, 1, 2];
+        assert!(SparseLu::factor(&lanes(PIVOT_MIN / 10.0), &basis).is_none());
+        let cols = lanes(PIVOT_MIN * 10.0);
+        let lu = SparseLu::factor(&cols, &basis).expect("above the floor");
+        lu.check_invariants(&cols, &basis);
+    }
+
     #[test]
     fn permuted_identity_is_fill_free() {
         let m = 4;
@@ -374,6 +539,7 @@ mod tests {
         let cols = Compressed::from_lanes(&cols);
         let basis: Vec<usize> = (0..m).collect();
         let lu = SparseLu::factor(&cols, &basis).unwrap();
+        lu.check_invariants(&cols, &basis);
         assert_eq!(lu.fill_nnz(), m, "unit basis must factor fill-free");
         check_roundtrip(&dense, m);
     }
@@ -408,7 +574,9 @@ mod tests {
 
     #[test]
     fn empty_basis() {
-        let lu = SparseLu::factor(&Compressed::from_lanes(&[]), &[]).unwrap();
+        let cols = Compressed::from_lanes(&[]);
+        let lu = SparseLu::factor(&cols, &[]).unwrap();
+        lu.check_invariants(&cols, &[]);
         assert_eq!(lu.fill_nnz(), 0);
         let mut v: Vec<f64> = Vec::new();
         let mut tmp: Vec<f64> = Vec::new();

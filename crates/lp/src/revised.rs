@@ -7,9 +7,9 @@
 //! store plus a row-compressed copy of it, `crate::sparse`) and works
 //! through a factorization of the current basis `B`:
 //!
-//! * a **sparse LU factorization** ([`crate::lu::SparseLu`]: threshold-
-//!   Markowitz fill-aware pivoting over column-compressed factors) of
-//!   the basis is computed at build time and rebuilt periodically,
+//! * a **sparse LU factorization** ([`crate::lu::SparseLu`]: its
+//!   triangular part first, threshold Markowitz on the rest) of the
+//!   basis a solve starts from is computed once and rebuilt periodically,
 //! * each pivot appends a **sparse product-form eta vector** instead of
 //!   touching the factorization — `FTRAN` (solve `B w = v`) and `BTRAN`
 //!   (solve `B^T y = v`) apply the LU base and then the eta file, with
@@ -120,13 +120,7 @@ pub fn solve(problem: &LpProblem) -> LpOutcome {
 
 /// Solve with explicit options on the revised engine.
 pub fn solve_with(problem: &LpProblem, options: SimplexOptions) -> LpOutcome {
-    match RevisedSimplex::build(problem, options) {
-        Some(mut engine) => engine.run(problem),
-        // A singular *initial* basis cannot happen (it is a permuted
-        // identity), so this is unreachable in practice; report as a
-        // numerical iteration-limit rather than panicking.
-        None => LpOutcome::IterationLimit { iterations: 0 },
-    }
+    RevisedSimplex::build(problem, options).run(problem)
 }
 
 /// One product-form update: basis column `row` was replaced, and
@@ -223,12 +217,12 @@ pub(crate) struct RevisedSimplex {
 }
 
 impl RevisedSimplex {
-    /// Build the standard form and the initial (unit) basis: rows with a
-    /// negative rhs are flipped, then each row gets its slack (`<=`) or
-    /// surplus and artificial (`>=`) or artificial (`==`). `None` only on
-    /// a singular initial basis, which cannot occur (it is a permuted
-    /// identity).
-    pub(crate) fn build(problem: &LpProblem, options: SimplexOptions) -> Option<Self> {
+    /// Build the standard form and name the initial (unit) basis: rows
+    /// with a negative rhs are flipped, then each row gets its slack
+    /// (`<=`) or surplus and artificial (`>=`) or artificial (`==`).
+    /// Nothing is factored yet: [`Self::run`] factors the unit basis,
+    /// [`Self::install_start`] the caller's vertex in its place.
+    pub(crate) fn build(problem: &LpProblem, options: SimplexOptions) -> Self {
         let m = problem.num_constraints();
         let nv = problem.num_variables();
 
@@ -309,7 +303,7 @@ impl RevisedSimplex {
         for (row, &var) in basis.iter().enumerate() {
             position[var] = row;
         }
-        let mut engine = Self {
+        Self {
             cols: rows.transpose(n),
             rows,
             b,
@@ -340,14 +334,10 @@ impl RevisedSimplex {
             ptmp: vec![0.0; m],
             eta_pool: Vec::new(),
             counters: EngineCounters::default(),
-        };
-        if !engine.refactor() {
-            return None;
         }
-        Some(engine)
     }
 
-    /// Replace the unit basis [`Self::build`] left with a caller-supplied
+    /// Replace the unit basis [`Self::build`] named with a caller-supplied
     /// vertex: each `(row, column)` of `start` makes structural `column`
     /// basic in `row`, every other row keeps its logical column. The
     /// caller continues with [`Self::reoptimize`], exactly as after a
@@ -975,10 +965,16 @@ impl RevisedSimplex {
         }
     }
 
-    /// Full two-phase cold solve: phase 1 drives the artificials to zero
-    /// (or reports `Infeasible`), phase 2 optimizes the objective.
+    /// Full two-phase cold solve from the unit basis [`Self::build`]
+    /// named: phase 1 drives the artificials to zero (or reports
+    /// `Infeasible`), phase 2 optimizes the objective.
     pub(crate) fn run(&mut self, problem: &LpProblem) -> LpOutcome {
         let tol = self.options.tolerance;
+        // A permuted identity always factors; were it not to, report a
+        // numerical iteration limit rather than panic.
+        if !self.refactor() {
+            return LpOutcome::IterationLimit { iterations: 0 };
+        }
         if self.artificial_start < self.n {
             self.set_phase1_cost();
             match self.optimize(false) {
@@ -1056,6 +1052,10 @@ impl RevisedSimplex {
     pub(crate) fn optimal(&self, problem: &LpProblem, solution: Vec<f64>) -> LpOutcome {
         let duals: Vec<f64> = self.y.iter().zip(&self.signs).map(|(y, s)| s * y).collect();
         debug_assert_eq!(certify(problem, &solution, &duals, VERIFY_TOL), Ok(()));
+        #[cfg(test)]
+        SparseLu::factor(&self.cols, &self.basis)
+            .expect("an optimal basis is nonsingular")
+            .check_invariants(&self.cols, &self.basis);
         LpOutcome::Optimal {
             objective: problem.objective_value(&solution),
             solution,
@@ -1094,7 +1094,10 @@ impl RevisedSimplex {
         // (`4 * m + 64`, the bound while cold solves ran phase 1, let a
         // blocked repair burn ~1 350 pivots — 55-195 ms on `experiments
         // churn --smoke` — before a cold solve that now takes 2-8 ms.)
-        let dual_budget = 2 * self.cold_pivots + 64;
+        // The floor grows with the program, as a vertex start can leave
+        // the cold solve 0 pivots: `experiments all` at seeds 11 and 12
+        // fell back 16 times under a flat 64 and once under `m`.
+        let dual_budget = 2 * self.cold_pivots + self.m.max(64);
 
         if self.xb.iter().all(|&x| x >= -tol) {
             if self.priced {
@@ -1313,7 +1316,7 @@ pub(crate) mod tests {
                 1.0 + (s % 3) as f64,
             );
         }
-        let mut engine = RevisedSimplex::build(&p, SimplexOptions::default()).unwrap();
+        let mut engine = RevisedSimplex::build(&p, SimplexOptions::default());
         let outcome = engine.run(&p);
         assert!(matches!(outcome, LpOutcome::Optimal { .. }), "{outcome:?}");
         reference::check(&p, &outcome).unwrap();
@@ -1328,7 +1331,7 @@ pub(crate) mod tests {
         let mut p = LpProblem::new();
         (0..5).for_each(|_| _ = p.add_variable(0.0));
         p.add_constraint((0..5).map(|j| (j, 1.0)).collect(), ConstraintOp::Le, 1.0);
-        let mut e = RevisedSimplex::build(&p, SimplexOptions::default()).unwrap();
+        let mut e = RevisedSimplex::build(&p, SimplexOptions::default());
         let alpha = [-0.5, -2.0, -2.0, -4.0, 3.0];
         let d = [0.0, 2e-12, 0.0, 1.0, 0.0];
         for j in (0..5).rev() {
@@ -1367,7 +1370,7 @@ pub(crate) mod tests {
         for l in (flows..flows + links).step_by(3) {
             q.set_rhs(l, p.constraints()[l].rhs - 12.0);
         }
-        let mut e = RevisedSimplex::build(&p, SimplexOptions::default()).unwrap();
+        let mut e = RevisedSimplex::build(&p, SimplexOptions::default());
         assert!(matches!(e.run(&p), LpOutcome::Optimal { .. }));
         e.install_rhs(&q);
         e.iterations_used = 0;
@@ -1512,8 +1515,7 @@ pub(crate) mod tests {
                         [rng.gen_range(0usize..3)];
                     p.add_constraint(row, op, rng.gen_range(-2.0..2.0));
                 }
-                let mut e = RevisedSimplex::build(&p, SimplexOptions::default())
-                    .expect("unit basis");
+                let mut e = RevisedSimplex::build(&p, SimplexOptions::default());
                 for limit in [e.n, e.artificial_start] {
                     // The kernel reads `position` only as a
                     // basic/nonbasic flag: any subset will do.

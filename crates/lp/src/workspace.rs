@@ -215,25 +215,20 @@ impl SimplexWorkspace {
 
         self.stats.cold_solves += 1;
         if !start.is_empty() {
-            if let Some(mut engine) = RevisedSimplex::build(problem, self.options) {
-                let outcome = if engine.install_start(start) {
-                    finish_warm(&mut engine, problem)
-                } else {
-                    None
-                };
-                self.stats.absorb_engine(engine.take_counters());
-                if let Some(outcome) = outcome {
-                    self.retain(fingerprint, engine);
-                    return outcome;
-                }
+            let mut engine = RevisedSimplex::build(problem, self.options);
+            let outcome = if engine.install_start(start) {
+                finish_warm(&mut engine, problem)
+            } else {
+                None
+            };
+            self.stats.absorb_engine(engine.take_counters());
+            if let Some(outcome) = outcome {
+                self.retain(fingerprint, engine);
+                return outcome;
             }
             self.stats.start_refusals += 1;
         }
-        let Some(mut engine) = RevisedSimplex::build(problem, self.options) else {
-            // Unreachable in practice (the initial basis is a permuted
-            // identity); classify like any other numerical failure.
-            return LpOutcome::IterationLimit { iterations: 0 };
-        };
+        let mut engine = RevisedSimplex::build(problem, self.options);
         let outcome = engine.run(problem);
         let drained = engine.take_counters();
         self.stats.absorb_engine(drained);
