@@ -21,6 +21,8 @@
 //! * [`unilateral`] — upstream-centric optimization without consulting
 //!   the downstream (Figure 8).
 
+#![forbid(unsafe_code)]
+
 pub mod flow_filters;
 pub mod grouped;
 pub mod optimal_bandwidth;

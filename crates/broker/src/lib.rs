@@ -59,6 +59,8 @@
 //! from wall clocks or scheduling), and results are collected by pair
 //! id. `crates/sim/tests/broker_determinism.rs` pins exactly this.
 
+#![forbid(unsafe_code)]
+
 use nexit_core::parallel::resolve_threads;
 use nexit_core::{DisclosurePolicy, NexitConfig, PreferenceMapper, SessionInput, Side, TableArena};
 use nexit_proto::agent::{Agent, AgentOutcome, ProtoError};

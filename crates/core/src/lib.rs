@@ -30,6 +30,8 @@
 //! preference of your best alternative to hijack the combined-maximum
 //! selection rule, given perfect knowledge of the other side's list).
 
+#![forbid(unsafe_code)]
+
 pub mod arena;
 pub mod cheating;
 pub mod engine;

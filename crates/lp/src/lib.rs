@@ -101,6 +101,8 @@
 //! `WarmStats::refactorizations`, `max_eta_chain` and `lu_fill_nnz`
 //! expose that machinery per solve.
 
+#![forbid(unsafe_code)]
+
 mod certify;
 mod lu;
 #[cfg(test)]

@@ -10,6 +10,8 @@
 //! * [`fortz`] — the Fortz–Thorup piecewise-linear link cost, the paper's
 //!   LP-based alternate ISP objective for the robustness ablation.
 
+#![forbid(unsafe_code)]
+
 pub mod distance;
 pub mod fortz;
 pub mod mel;

@@ -1,15 +1,28 @@
-//! CRC-32 (IEEE 802.3 polynomial), table-driven.
+//! CRC-32 (IEEE 802.3 polynomial), table-driven, eight bytes per step.
 //!
 //! Used as the frame integrity check. Implemented from scratch — the
 //! offline crate set has no checksum crate — with the standard reflected
 //! algorithm (polynomial `0xEDB88320`, init `0xFFFFFFFF`, final XOR
-//! `0xFFFFFFFF`), byte-at-a-time over a 256-entry table.
+//! `0xFFFFFFFF`).
+//!
+//! The kernel is slicing-by-8 (Kounavis & Berry, ISCC 2005). `TABLES[0]`
+//! is the classic byte table; `TABLES[k][b]` is the CRC contribution of
+//! byte `b` followed by `k` zero bytes. The running CRC is XORed into the
+//! first four bytes of each 8-byte block, and the block then folds with
+//! eight independent lookups, one per byte, instead of eight dependent
+//! ones. The 0–7 byte tail takes the byte-at-a-time step. Every checksum
+//! equals the byte-at-a-time one, so the wire bytes do not depend on it.
+//!
+//! There is no hardware path: SSE4.2's `crc32` instruction computes
+//! CRC-32C (Castagnoli), a different polynomial that would change every
+//! frame's checksum, and carry-less-multiply folding needs `std::arch`
+//! and `unsafe`, which the crate forbids.
 
-/// The 256-entry lookup table, built at compile time.
-const TABLE: [u32; 256] = build_table();
+/// The slicing tables (8 × 256 entries, 8 KB), built at compile time.
+static TABLES: [[u32; 256]; 8] = build_tables();
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -22,55 +35,57 @@ const fn build_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// CRC-32 of a byte slice.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut blocks = data.chunks_exact(8);
+    for block in &mut blocks {
+        let lo = crc ^ u32::from_le_bytes([block[0], block[1], block[2], block[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][block[4] as usize]
+            ^ t[2][block[5] as usize]
+            ^ t[1][block[6] as usize]
+            ^ t[0][block[7] as usize];
+    }
+    for &b in blocks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     crc ^ 0xFFFF_FFFF
-}
-
-/// Incremental CRC-32 state for multi-part inputs.
-#[derive(Debug, Clone, Copy)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Crc32 {
-    /// Fresh state.
-    pub fn new() -> Self {
-        Self { state: 0xFFFF_FFFF }
-    }
-
-    /// Feed bytes.
-    pub fn update(&mut self, data: &[u8]) {
-        for &b in data {
-            self.state = (self.state >> 8) ^ TABLE[((self.state ^ b as u32) & 0xFF) as usize];
-        }
-    }
-
-    /// Final checksum.
-    pub fn finish(self) -> u32 {
-        self.state ^ 0xFFFF_FFFF
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The byte-at-a-time loop the slicing kernel replaced, kept as the
+    /// reference every length and alignment is checked against.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        crc ^ 0xFFFF_FFFF
+    }
 
     #[test]
     fn known_vectors() {
@@ -85,13 +100,28 @@ mod tests {
     }
 
     #[test]
-    fn incremental_matches_oneshot() {
-        let data = b"negotiation-based routing between neighboring ISPs";
-        let mut inc = Crc32::new();
-        inc.update(&data[..10]);
-        inc.update(&data[10..30]);
-        inc.update(&data[30..]);
-        assert_eq!(inc.finish(), crc32(data));
+    fn matches_bytewise_at_every_length_and_offset() {
+        // One seeded buffer (xorshift32); every length 0..=64 at every
+        // start offset 0..8 covers each tail length and block boundary.
+        let mut state = 0x9E37_79B9u32;
+        let buf: Vec<u8> = (0..72)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 17;
+                state ^= state << 5;
+                state as u8
+            })
+            .collect();
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let data = &buf[offset..offset + len];
+                assert_eq!(
+                    crc32(data),
+                    crc32_bytewise(data),
+                    "offset {offset}, length {len}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -114,12 +144,8 @@ mod tests {
 
         proptest! {
             #[test]
-            fn split_invariance(data in proptest::collection::vec(any::<u8>(), 0..512), split in 0usize..512) {
-                let split = split.min(data.len());
-                let mut inc = Crc32::new();
-                inc.update(&data[..split]);
-                inc.update(&data[split..]);
-                prop_assert_eq!(inc.finish(), crc32(&data));
+            fn matches_bytewise(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
+                prop_assert_eq!(crc32(&data), crc32_bytewise(&data));
             }
         }
     }

@@ -7,7 +7,9 @@
 //! configures routers to implement the agreed paths. This crate is that
 //! agent's protocol layer:
 //!
-//! * [`crc`] — CRC-32 (IEEE) for frame integrity,
+//! * [`crc`] — CRC-32 (IEEE) for frame integrity, slicing-by-8 in safe
+//!   Rust: eight independent table lookups per 8-byte block, with the
+//!   byte-at-a-time loop's checksums bit for bit,
 //! * [`frame`] — length-prefixed binary framing: frames are written
 //!   once into a caller's buffer and parsed in place by one parser,
 //! * [`messages`] — the message set: session hello, flow announcements,
@@ -43,6 +45,8 @@
 //! so a distributed session reaches the same assignment as
 //! [`nexit_core::negotiate`] on the same inputs by construction (still
 //! pinned end to end, bytes included, by the integration suite).
+
+#![forbid(unsafe_code)]
 
 pub mod agent;
 pub mod channel;

@@ -22,6 +22,8 @@
 //! * [`Assignment`] — a complete mapping of flows to interconnections,
 //!   the output format shared by default, optimal and negotiated routing.
 
+#![forbid(unsafe_code)]
+
 pub mod assignment;
 pub mod dijkstra;
 pub mod exits;

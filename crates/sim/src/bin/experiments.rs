@@ -17,6 +17,8 @@
 //! default: all available cores). Results are byte-identical for every
 //! thread count — parallelism only changes wall-clock time.
 
+#![forbid(unsafe_code)]
+
 use nexit_sim::churn;
 use nexit_sim::experiments::{
     ablation, bandwidth, broker, cheating, distance, diverse, faults, filters,

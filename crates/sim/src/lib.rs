@@ -16,6 +16,8 @@
 //! experiments -- all`) regenerates everything and prints the CDF series
 //! the paper plots.
 
+#![forbid(unsafe_code)]
+
 pub mod cdf;
 pub mod churn;
 pub mod destination;

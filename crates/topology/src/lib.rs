@@ -19,6 +19,8 @@
 //! All coordinates are WGS-84 latitude/longitude and all distances are
 //! great-circle kilometres ([`geo::GeoPoint::distance_km`]).
 
+#![forbid(unsafe_code)]
+
 pub mod city;
 pub mod generator;
 pub mod geo;

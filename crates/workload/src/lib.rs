@@ -19,6 +19,8 @@
 //!    to the median). A power-of-two discretization is provided for the
 //!    ablation.
 
+#![forbid(unsafe_code)]
+
 pub mod capacity;
 pub mod gravity;
 pub mod loads;

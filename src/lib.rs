@@ -72,6 +72,8 @@
 //! assert!(outcome.gain_a >= 0 && outcome.gain_b >= 0, "win-win");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use nexit_baselines as baselines;
 pub use nexit_broker as broker;
 pub use nexit_core as core;
