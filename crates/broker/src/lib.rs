@@ -784,21 +784,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_engine_for_every_worker_count() {
-        let (pairs, n, k) = (96u64, 8, 3);
-        for workers in [1usize, 2, 4] {
-            let specs: Vec<_> = (0..pairs).map(|p| spec(p, n, k)).collect();
-            let run = Broker::new(BrokerConfig::with_workers(workers)).run_pairs(specs);
-            assert_eq!(run.stats.completed, pairs as usize, "workers={workers}");
-            assert_eq!(run.stats.failed, 0);
-            for (p, result) in run.results.iter().enumerate() {
-                let out = result.outcome().expect("session completed");
-                assert_matches_engine(p as u64, n, k, out);
-            }
-        }
-    }
-
-    #[test]
     fn admission_control_bounds_active_sessions() {
         let specs: Vec<_> = (0..64).map(|p| spec(p, 6, 3)).collect();
         let config = BrokerConfig {
@@ -836,42 +821,6 @@ mod tests {
         );
         for (p, result) in run.results.iter().enumerate() {
             assert_matches_engine(p as u64, 10, 3, result.outcome().unwrap());
-        }
-    }
-
-    #[test]
-    fn corrupted_session_fails_alone_with_unchanged_siblings() {
-        let (pairs, n, k) = (12u64, 8, 3);
-        let victim = 5usize;
-        let specs: Vec<_> = (0..pairs)
-            .map(|p| {
-                let s = spec(p, n, k);
-                if p as usize == victim {
-                    s.with_faults(
-                        FaultConfig {
-                            corrupt_chance: 1.0,
-                            ..FaultConfig::RELIABLE
-                        },
-                        9,
-                    )
-                } else {
-                    s
-                }
-            })
-            .collect();
-        let run = Broker::new(BrokerConfig::with_workers(1)).run_pairs(specs);
-        assert_eq!(run.stats.failed, 1);
-        assert_eq!(run.stats.completed, pairs as usize - 1);
-        let failure = run.results[victim].failure().expect("victim failed");
-        assert!(
-            matches!(failure.error, ProtoError::Frame(_) | ProtoError::Message(_)),
-            "corruption must surface via the CRC or message validation, got {:?}",
-            failure.error
-        );
-        for (p, result) in run.results.iter().enumerate() {
-            if p != victim {
-                assert_matches_engine(p as u64, n, k, result.outcome().unwrap());
-            }
         }
     }
 
@@ -942,38 +891,6 @@ mod tests {
     }
 
     #[test]
-    fn arq_recovers_faulty_sessions_byte_identical() {
-        // Every link injects all four fault kinds at 10%; with the ARQ
-        // layer on, every session must still complete with outcomes
-        // byte-identical to the fault-free engine, at any worker count.
-        let (pairs, n, k) = (24u64, 8, 3);
-        let faults = FaultConfig {
-            drop_chance: 0.1,
-            corrupt_chance: 0.1,
-            duplicate_chance: 0.1,
-            reorder_chance: 0.1,
-        };
-        for workers in [1usize, 2, 4] {
-            let specs: Vec<_> = (0..pairs)
-                .map(|p| spec(p, n, k).with_faults(faults, 100 + p))
-                .collect();
-            let config =
-                BrokerConfig::with_workers(workers).with_reliability(ReliableConfig::default());
-            let run = Broker::new(config).run_pairs(specs);
-            assert_eq!(run.stats.completed, pairs as usize, "workers={workers}");
-            assert_eq!(run.stats.failed, 0, "workers={workers}");
-            assert!(
-                run.stats.recovered > 0,
-                "10% fault rates must hit at least one session"
-            );
-            assert!(run.stats.retransmits > 0, "drops must force retransmits");
-            for (p, result) in run.results.iter().enumerate() {
-                assert_matches_engine(p as u64, n, k, result.outcome().unwrap());
-            }
-        }
-    }
-
-    #[test]
     fn degradation_falls_back_to_the_default_assignment() {
         // A hopeless link (every frame corrupted, ARQ off) with
         // degradation on: the pair still yields a usable assignment —
@@ -1041,6 +958,7 @@ mod tests {
             "expected a deadline failure, got {:?}",
             failure.error
         );
+        assert_eq!(run.stats.ticks, 2, "the session ends on its deadline tick");
         // A generous deadline leaves the session untouched.
         let specs = vec![spec(0, 8, 3)];
         let run = Broker::new(BrokerConfig::with_workers(1).with_deadline(10_000)).run_pairs(specs);

@@ -771,6 +771,17 @@ mod tests {
         assert_eq!(out.assignment.choice(FlowId(0)), IcxId(0));
         // Transcript shows the rejected proposal.
         assert!(out.transcript.iter().any(|r| !r.accepted));
+        // A move that leaves B at exactly 0 is not negative: accepted.
+        let out = run(
+            tbl(&[vec![0.0, 10.0]]),
+            tbl(&[vec![0.0, 0.0]]),
+            NexitConfig {
+                accept: AcceptRule::VetoNegativeCumulative,
+                stop: StopPolicy::NegotiateAll,
+                ..NexitConfig::default()
+            },
+        );
+        assert_eq!(out.assignment.choice(FlowId(0)), IcxId(1));
     }
 
     #[test]
@@ -1137,6 +1148,37 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(out.assignment.choice(FlowId(0)), IcxId(1));
+    }
+
+    #[test]
+    fn a_cheater_vetoes_on_its_true_classes() {
+        // B's true classes are [0, 10, 8]; inflating alt 1 deflates alt 2
+        // to a disclosed -5. A's guard rules out alt 1 (its own -5), so A
+        // proposes alt 2, which B truly gains from and accepts.
+        let out = SessionBuilder::new()
+            .input(input(1, 3))
+            .default_assignment(Assignment::uniform(1, IcxId(0)))
+            .config(NexitConfig {
+                accept: AcceptRule::VetoNegativeCumulative,
+                stop: StopPolicy::NegotiateAll,
+                ..NexitConfig::default()
+            })
+            .party_a(Party::honest(
+                "A",
+                FixedMapper {
+                    gains: tbl(&[vec![0.0, -5.0, 10.0]]),
+                },
+            ))
+            .party_b(Party::cheating(
+                "B",
+                FixedMapper {
+                    gains: tbl(&[vec![0.0, 5.0, 4.0]]),
+                },
+                DisclosurePolicy::InflateBest,
+            ))
+            .run()
+            .unwrap();
+        assert_eq!(out.assignment.choice(FlowId(0)), IcxId(2));
     }
 
     mod proptests {

@@ -91,6 +91,8 @@ mod tests {
             (&[0.0, 4.0], &[-1.5, 0.0], "reduced cost"),
             (&[0.0, 4.0], &[-2.0, -1.0], "duality gap"),
             (&[2.0, 2.0], &[-2.0, 0.0], "duality gap"),
+            // A gap 20 times the tolerance, 0.2 of it at 100 times.
+            (&[0.0, 4.0 - 1e-7], &[-2.0, 0.0], "duality gap"),
             (
                 &[0.0, 4.0],
                 &[-2.0],

@@ -1,7 +1,7 @@
 //! Regenerates every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! experiments [all|fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fraction|prange|groups|modes|models|dest|growth|broker|faults|churn]
+//! experiments [all|fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fraction|prange|groups|modes|models|dest|growth|faults|churn]
 //!             [--smoke] [--pairs N] [--seed N] [--threads N]
 //!             [--objective distance|bandwidth|both]
 //! ```
@@ -20,15 +20,13 @@
 #![forbid(unsafe_code)]
 
 use nexit_sim::churn;
-use nexit_sim::experiments::{
-    ablation, bandwidth, broker, cheating, distance, diverse, faults, filters,
-};
+use nexit_sim::experiments::{ablation, bandwidth, cheating, distance, diverse, faults, filters};
 use nexit_sim::ExpConfig;
 use nexit_topology::{GeneratorConfig, TopologyGenerator, Universe};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments [all|fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fraction|prange|groups|modes|models|dest|growth|broker|faults|churn] [--smoke] [--pairs N] [--seed N] [--threads N] [--objective distance|bandwidth|both]"
+        "usage: experiments [all|fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fraction|prange|groups|modes|models|dest|growth|faults|churn] [--smoke] [--pairs N] [--seed N] [--threads N] [--objective distance|bandwidth|both]"
     );
     std::process::exit(2);
 }
@@ -94,41 +92,19 @@ fn main() {
 
     const TARGETS: &[&str] = &[
         "all", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fraction",
-        "prange", "groups", "modes", "models", "dest", "growth", "broker", "faults", "churn",
+        "prange", "groups", "modes", "models", "dest", "growth", "faults", "churn",
     ];
     // Targets `all` does NOT cover: they pin their own workloads or
     // universes and run only when named (see below).
-    const NAMED_ONLY: &[&str] = &["broker", "faults", "churn"];
+    const NAMED_ONLY: &[&str] = &["faults", "churn"];
     if !TARGETS.contains(&target.as_str()) {
         eprintln!("unknown target `{target}`");
         usage();
     }
 
-    // The broker target uses a synthetic session workload (no universe)
-    // and runs only when named explicitly — not under `all`.
-    if target == "broker" {
-        let sizes: Vec<usize> = match cfg.max_pairs {
-            Some(n) => vec![n],
-            None => vec![1_000, 10_000],
-        };
-        for pairs in sizes {
-            eprintln!(
-                "running broker throughput + engine-equivalence ({pairs} pairs, {} worker(s)) ...",
-                nexit_sim::parallel::resolve_threads(cfg.threads),
-            );
-            let r = broker::run(pairs, cfg.threads, cfg.seed);
-            broker::report(&r);
-            if r.mismatches > 0 {
-                eprintln!("broker outcomes diverged from the engine!");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
     // The faults target sweeps the broker's ARQ + degradation layer over
-    // lossy links on real topology pairs; like `broker`, it runs only
-    // when named explicitly and exits non-zero on any acceptance
+    // lossy links on real topology pairs; it runs only when named
+    // explicitly and exits non-zero on any acceptance
     // violation (mismatched outcome, lost session, headline recovery
     // below 99%, or worker-count nondeterminism).
     if target == "faults" {
@@ -148,7 +124,7 @@ fn main() {
 
     // The churn target replays seeded event feeds through the
     // incremental re-negotiation driver on its own pinned universe;
-    // like `broker` and `faults` it runs only when named explicitly and
+    // like `faults` it runs only when named explicitly and
     // exits non-zero on any divergence from the per-prefix cold
     // rebuild, nondeterminism across worker counts, or (distance) an
     // incremental work median not under the cold twin's. Its stdout is
