@@ -1,14 +1,15 @@
 //! Regenerates every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! experiments [all|fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fraction|prange|groups|modes|models|dest|growth|faults|churn]
-//!             [--smoke] [--pairs N] [--seed N] [--threads N]
+//! experiments [TARGET] [--smoke] [--pairs N] [--seed N] [--threads N]
 //!             [--objective distance|bandwidth|both]
 //! ```
 //!
-//! `--objective` selects the negotiation objective of the `churn`
-//! target (default `both`: the distance sweep then the bandwidth
-//! sweep).
+//! `TARGET` is `all` (the default: every figure of `FIGURES`, in order),
+//! one figure's name, or one of the named-only targets `faults` and
+//! `churn`; a bad target prints the list. `--objective` selects the
+//! negotiation objective of the `churn` target (default `both`: the
+//! distance sweep then the bandwidth sweep).
 //!
 //! `--smoke` runs a small subset for quick verification; the default runs
 //! the full paper-scale universe (65 ISPs). Run with `--release`.
@@ -20,13 +21,106 @@
 #![forbid(unsafe_code)]
 
 use nexit_sim::churn;
+use nexit_sim::destination;
+use nexit_sim::experiments::sweep::{Pairs, WinWinGate};
 use nexit_sim::experiments::{ablation, bandwidth, cheating, distance, diverse, faults, filters};
 use nexit_sim::ExpConfig;
 use nexit_topology::{GeneratorConfig, TopologyGenerator, Universe};
 
+/// Runs one figure, prints its report and returns its win-win gate.
+type Figure = fn(&Universe, &ExpConfig) -> WinWinGate;
+
+/// Print a figure's results with `report` and hand them back.
+fn reported<R>(results: R, report: fn(&R)) -> R {
+    report(&results);
+    results
+}
+
+/// The growth ladder's background-load factors.
+const GROWTH: [f64; 4] = [1.1, 1.25, 1.5, 2.0];
+
+/// Every figure `all` runs, in its order: the names that select it, what
+/// it runs, and the runner. The cheater's own loss is §5.4's point, not a
+/// violation: the cheating gates count the honest side only.
+const FIGURES: &[(&[&str], &str, Figure)] = &[
+    (
+        &["fig4", "fig6", "fraction"],
+        "distance experiment (Figures 4, 6)",
+        |u, c| reported(distance::run(u, c), distance::report).gate,
+    ),
+    (&["fig5"], "filter strategies (Figure 5)", |u, c| {
+        reported(filters::run(u, c), filters::report).gate
+    }),
+    (
+        &["fig7", "fig8"],
+        "bandwidth experiment (Figures 7, 8)",
+        |u, c| reported(bandwidth::run(u, c), bandwidth::report).gate,
+    ),
+    (
+        &["fig9"],
+        "diverse-criteria experiment (Figure 9)",
+        |u, c| reported(diverse::run(u, c), diverse::report).gate,
+    ),
+    (
+        &["fig10"],
+        "distance cheating experiment (Figure 10)",
+        |u, c| reported(cheating::run_distance(u, c), cheating::report_distance).gate,
+    ),
+    (
+        &["fig11"],
+        "bandwidth cheating experiment (Figure 11)",
+        |u, c| reported(cheating::run_bandwidth(u, c), cheating::report_bandwidth).gate,
+    ),
+    (&["prange"], "preference-range sweep", |u, c| {
+        reported(
+            ablation::preference_range_sweep(u, c, &[1, 2, 5, 10, 20, 50]),
+            ablation::report_prange,
+        )
+        .gate
+    }),
+    (&["groups"], "group-count sweep", |u, c| {
+        reported(
+            ablation::group_sweep(u, c, &[1, 2, 4, 8]),
+            ablation::report_groups,
+        )
+        .gate
+    }),
+    (&["modes"], "protocol-mode ablation", |u, c| {
+        reported(ablation::mode_comparison(u, c), ablation::report_modes).gate
+    }),
+    (
+        &["dest"],
+        "destination-granularity negotiation (footnote 2)",
+        |u, c| reported(destination::run(u, c), destination::report).gate,
+    ),
+    (&["models"], "alternate-model grid", |u, c| {
+        reported(ablation::model_grid(u, c), ablation::report_models).gate
+    }),
+    (
+        &["growth"],
+        "background-growth sweep (warm-started LP ladder)",
+        |u, c| {
+            reported(bandwidth::run_growth(u, c, &GROWTH), |r| {
+                bandwidth::report_growth(r, &GROWTH)
+            })
+            .gate
+        },
+    ),
+];
+
+/// Targets `all` does NOT cover: they pin their own workloads or
+/// universes and run only when named (see below).
+const NAMED_ONLY: &[&str] = &["faults", "churn"];
+
 fn usage() -> ! {
+    let figures = FIGURES.iter().flat_map(|(names, ..)| names.iter().copied());
+    let targets: Vec<&str> = std::iter::once("all")
+        .chain(figures)
+        .chain(NAMED_ONLY.iter().copied())
+        .collect();
     eprintln!(
-        "usage: experiments [all|fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fraction|prange|groups|modes|models|dest|growth|faults|churn] [--smoke] [--pairs N] [--seed N] [--threads N] [--objective distance|bandwidth|both]"
+        "usage: experiments [{}] [--smoke] [--pairs N] [--seed N] [--threads N] [--objective distance|bandwidth|both]",
+        targets.join("|")
     );
     std::process::exit(2);
 }
@@ -90,14 +184,10 @@ fn main() {
     }
     cfg.threads = threads.unwrap_or(0);
 
-    const TARGETS: &[&str] = &[
-        "all", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fraction",
-        "prange", "groups", "modes", "models", "dest", "growth", "faults", "churn",
-    ];
-    // Targets `all` does NOT cover: they pin their own workloads or
-    // universes and run only when named (see below).
-    const NAMED_ONLY: &[&str] = &["faults", "churn"];
-    if !TARGETS.contains(&target.as_str()) {
+    let is_figure = FIGURES
+        .iter()
+        .any(|(names, ..)| names.contains(&target.as_str()));
+    if target != "all" && !is_figure && !NAMED_ONLY.contains(&target.as_str()) {
         eprintln!("unknown target `{target}`");
         usage();
     }
@@ -170,129 +260,25 @@ fn main() {
     eprintln!(
         "universe ready: {} pairs, {} distance-eligible, {} bandwidth-eligible ({} sweep threads)",
         universe.pairs.len(),
-        universe.eligible_pairs(2, true).len(),
-        universe.eligible_pairs(3, false).len(),
+        Pairs::Distance.eligible(&universe).len(),
+        Pairs::Bandwidth.eligible(&universe).len(),
         nexit_sim::parallel::resolve_threads(cfg.threads),
     );
 
-    let want = |name: &str| target == "all" || target == name;
+    // The win-win close is a gate, not a figure: any target whose
+    // sessions ended below default fails the run.
     let mut violated = false;
-
-    if want("fig4") || want("fig6") || want("fraction") {
-        eprintln!("running distance experiment (Figures 4, 6) ...");
-        let results = distance::run(&universe, &cfg);
-        distance::report(&results);
+    for &(names, what, figure) in FIGURES {
+        if target != "all" && !names.contains(&target.as_str()) {
+            continue;
+        }
+        eprintln!("running {what} ...");
+        let gate = figure(&universe, &cfg);
         println!();
-        // The win-win close is a gate, not a figure (here and in every
-        // target that counts negative final gains).
-        if results.negative_sessions > 0 {
-            eprintln!("win-win violated: a distance session ended below default!");
+        if gate.negative_sessions > 0 {
+            eprintln!("win-win violated: a {what} session ended below default!");
             violated = true;
         }
-    }
-    if want("fig5") {
-        eprintln!("running filter strategies (Figure 5) ...");
-        let results = filters::run(&universe, &cfg);
-        filters::report(&results);
-        println!();
-    }
-    if want("fig7") || want("fig8") {
-        eprintln!("running bandwidth experiment (Figures 7, 8) ...");
-        let results = bandwidth::run(&universe, &cfg);
-        bandwidth::report(&results);
-        println!();
-        if results.negative_sessions > 0 {
-            eprintln!("win-win violated: a bandwidth session ended below default!");
-            violated = true;
-        }
-    }
-    if want("fig9") {
-        eprintln!("running diverse-criteria experiment (Figure 9) ...");
-        let results = diverse::run(&universe, &cfg);
-        diverse::report(&results);
-        println!();
-        if results.negative_sessions > 0 {
-            eprintln!("win-win violated: a diverse-criteria session ended below default!");
-            violated = true;
-        }
-    }
-    if want("fig10") {
-        eprintln!("running distance cheating experiment (Figure 10) ...");
-        let results = cheating::run_distance(&universe, &cfg);
-        cheating::report_distance(&results);
-        println!();
-        // The cheater's own loss is §5.4's point, not a violation.
-        if results.negative_sessions > 0 {
-            eprintln!("win-win violated: an honest ISP ended below default!");
-            violated = true;
-        }
-    }
-    if want("fig11") {
-        eprintln!("running bandwidth cheating experiment (Figure 11) ...");
-        let results = cheating::run_bandwidth(&universe, &cfg);
-        cheating::report_bandwidth(&results);
-        println!();
-        // The cheater's own loss is §5.4's point, not a violation.
-        if results.negative_sessions > 0 {
-            eprintln!("win-win violated: an honest ISP ended below default!");
-            violated = true;
-        }
-    }
-    if want("prange") {
-        eprintln!("running preference-range sweep ...");
-        let results = ablation::preference_range_sweep(&universe, &cfg, &[1, 2, 5, 10, 20, 50]);
-        ablation::report_prange(&results);
-        println!();
-        if results.gate.negative_sessions > 0 {
-            eprintln!("win-win violated: a preference-range session ended below default!");
-            violated = true;
-        }
-    }
-    if want("groups") {
-        eprintln!("running group-count sweep ...");
-        let results = ablation::group_sweep(&universe, &cfg, &[1, 2, 4, 8]);
-        ablation::report_groups(&results);
-        println!();
-        if results.gate.negative_sessions > 0 {
-            eprintln!("win-win violated: a group session ended below default!");
-            violated = true;
-        }
-    }
-    if want("modes") {
-        eprintln!("running protocol-mode ablation ...");
-        let results = ablation::mode_comparison(&universe, &cfg);
-        ablation::report_modes(&results);
-        println!();
-        if results.gate.negative_sessions > 0 {
-            eprintln!("win-win violated: a credit-veto session ended below default!");
-            violated = true;
-        }
-    }
-    if want("dest") {
-        eprintln!("running destination-granularity negotiation (footnote 2) ...");
-        let results = nexit_sim::destination::run(&universe, &cfg);
-        nexit_sim::destination::report(&results);
-        println!();
-        if results.negative_sessions > 0 {
-            eprintln!("win-win violated: a destination session ended below default!");
-            violated = true;
-        }
-    }
-    if want("models") {
-        eprintln!("running alternate-model grid ...");
-        let results = ablation::model_grid(&universe, &cfg);
-        ablation::report_models(&results);
-        println!();
-        if results.gate.negative_sessions > 0 {
-            eprintln!("win-win violated: an alternate-model session ended below default!");
-            violated = true;
-        }
-    }
-    if want("growth") {
-        eprintln!("running background-growth sweep (warm-started LP ladder) ...");
-        let results = bandwidth::run_growth(&universe, &cfg, &[1.1, 1.25, 1.5, 2.0]);
-        bandwidth::report_growth(&results);
-        println!();
     }
     if violated {
         std::process::exit(1);

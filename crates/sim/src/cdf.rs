@@ -92,6 +92,12 @@ impl Cdf {
     }
 }
 
+impl FromIterator<f64> for Cdf {
+    fn from_iter<I: IntoIterator<Item = f64>>(samples: I) -> Self {
+        Self::new(samples.into_iter().collect())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

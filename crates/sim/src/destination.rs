@@ -13,10 +13,17 @@
 //! The engine is unchanged; the unit's decision fans back out to every
 //! member flow.
 
-use crate::pairdata::PairData;
-use nexit_core::{GainTable, PreferenceMapper, SessionInput, Side};
+use crate::cdf::Cdf;
+use crate::experiments::sweep::{sweep_pairs, Pairs, Rows, WinWinGate};
+use crate::pairdata::{ExpConfig, PairData};
+use nexit_core::{
+    negotiate_in, DistanceMapper, GainTable, NexitConfig, Party, PreferenceMapper, SessionInput,
+    Side,
+};
+use nexit_metrics::percent_gain;
+use nexit_routing::assignment::total_distance_km;
 use nexit_routing::{Assignment, FlowId, PairFlows};
-use nexit_topology::IcxId;
+use nexit_topology::{IcxId, Universe};
 
 /// A destination-granularity view of one directed flow set.
 pub struct DestinationSession {
@@ -139,41 +146,14 @@ impl PreferenceMapper for DestinationDistanceMapper<'_> {
     }
 }
 
-/// Results of the destination-granularity experiment (footnote 2).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DestinationResults {
-    /// Per pair: % total-distance reduction of destination-granularity
-    /// negotiation over the destination-based (BGP-granularity) default.
-    pub pair_gain: Vec<f64>,
-    /// Per pair: % reduction achieved by per-flow negotiation on the
-    /// same pair (the finer granularity the paper evaluates headline).
-    pub flow_gain: Vec<f64>,
-    /// Sessions (two per pair) that left either side's cumulative gain
-    /// negative. The win-win close guarantees zero.
-    pub negative_sessions: usize,
-    /// Pairs evaluated.
-    pub pairs: usize,
-}
-
-/// Run destination-granularity negotiation across all eligible pairs,
-/// one after the other (`cfg.threads` is not read: a second worker
-/// inside a session's gain fill measured no faster than one).
-pub fn run(
-    universe: &nexit_topology::Universe,
-    cfg: &crate::pairdata::ExpConfig,
-) -> DestinationResults {
-    use nexit_core::{negotiate, DistanceMapper, NexitConfig, Party};
-    use nexit_routing::assignment::total_distance_km;
-
-    let mut eligible = universe.eligible_pairs(2, true);
-    if let Some(cap) = cfg.max_pairs {
-        eligible.truncate(cap);
-    }
-    let mut out = DestinationResults {
-        pairs: eligible.len(),
-        ..DestinationResults::default()
-    };
-    for &idx in &eligible {
+/// Run destination-granularity negotiation across the distance pairs.
+/// Per pair, the row is `(destination %, per-flow %)`: the total-distance
+/// reduction of destination-granularity negotiation over the
+/// destination-based (BGP-granularity) default, and that of per-flow
+/// negotiation (the finer granularity the paper evaluates headline)
+/// against the same baseline. Both sessions are gated.
+pub fn run(universe: &Universe, cfg: &ExpConfig) -> Rows<(f64, f64)> {
+    sweep_pairs(universe, cfg, Pairs::Distance, None, |arena, _, idx| {
         let pair = &universe.pairs[idx];
         let data = PairData::build(
             &universe.isps[pair.isp_a.index()],
@@ -182,6 +162,7 @@ pub fn run(
             cfg.workload,
         );
         let session = DestinationSession::build(&data);
+        let config = NexitConfig::win_win();
 
         // Destination-granularity negotiation.
         let mut a = Party::honest(
@@ -193,19 +174,9 @@ pub fn run(
             DestinationDistanceMapper::new(Side::B, &data.flows, &session),
         );
         let dst_default = Assignment::from_choices(session.input.defaults.clone());
-        let outcome = negotiate(
-            &session.input,
-            &dst_default,
-            &mut a,
-            &mut b,
-            &NexitConfig::win_win(),
-        );
-        let base = session.fanned_default(data.flows.len());
+        let outcome = negotiate_in(arena, &session.input, &dst_default, &mut a, &mut b, &config);
+        let base = total_distance_km(&data.flows, &session.fanned_default(data.flows.len()));
         let negotiated = session.fan_out(&outcome.assignment, data.flows.len());
-        out.pair_gain.push(nexit_metrics::percent_gain(
-            total_distance_km(&data.flows, &base),
-            total_distance_km(&data.flows, &negotiated),
-        ));
 
         // Per-flow negotiation on the same pair for the granularity gap.
         let flow_input = SessionInput {
@@ -216,38 +187,27 @@ pub fn run(
         };
         let mut a = Party::honest("A", DistanceMapper::new(Side::A, &data.flows));
         let mut b = Party::honest("B", DistanceMapper::new(Side::B, &data.flows));
-        let flow_out = negotiate(
-            &flow_input,
-            &data.default,
-            &mut a,
-            &mut b,
-            &NexitConfig::win_win(),
+        let flow_out = negotiate_in(arena, &flow_input, &data.default, &mut a, &mut b, &config);
+        let gains = (
+            percent_gain(base, total_distance_km(&data.flows, &negotiated)),
+            percent_gain(base, total_distance_km(&data.flows, &flow_out.assignment)),
         );
-        out.flow_gain.push(nexit_metrics::percent_gain(
-            total_distance_km(&data.flows, &base),
-            total_distance_km(&data.flows, &flow_out.assignment),
-        ));
-        for o in [&outcome, &flow_out] {
-            out.negative_sessions += usize::from(o.gain_a < 0 || o.gain_b < 0);
-        }
-    }
-    out
+        (gains, WinWinGate::of(&outcome) + WinWinGate::of(&flow_out))
+    })
 }
 
 /// Print the destination-granularity report.
-pub fn report(results: &DestinationResults) {
-    use crate::cdf::Cdf;
+pub fn report(results: &Rows<(f64, f64)>) {
+    let rows = &results.rows;
     println!(
         "== Footnote 2: destination-granularity negotiation ({} pairs) ==",
-        results.pairs
+        rows.len()
     );
-    println!(
-        "   negative final gain: {} of {} sessions",
-        results.negative_sessions,
-        2 * results.pairs
-    );
-    Cdf::new(results.pair_gain.clone()).print("destination-negotiated (% vs BGP default)");
-    Cdf::new(results.flow_gain.clone()).print("per-flow negotiated (same baseline)");
+    results.gate.print("");
+    let destination = rows.iter().map(|r| r.0).collect::<Cdf>();
+    destination.print("destination-negotiated (% vs BGP default)");
+    let per_flow = rows.iter().map(|r| r.1).collect::<Cdf>();
+    per_flow.print("per-flow negotiated (same baseline)");
 }
 
 #[cfg(test)]

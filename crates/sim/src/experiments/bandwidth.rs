@@ -7,11 +7,10 @@
 //! the MEL (maximum excess load) of each ISP is compared against the
 //! fractional global optimum.
 
+use crate::cdf::Cdf;
+use crate::experiments::sweep::{sweep_failures, FailureRows, WinWinGate};
 use crate::pairdata::{ExpConfig, PairData};
-use crate::parallel::par_map_with;
-use nexit_baselines::{
-    optimal_bandwidth, unilateral_upstream, BandwidthLp, BandwidthOptimum, OptimalBandwidthError,
-};
+use nexit_baselines::{unilateral_upstream, BandwidthLp, BandwidthOptimum, OptimalBandwidthError};
 use nexit_core::{
     negotiate_in, BandwidthMapper, NegotiationOutcome, NexitConfig, Party, Side, TableArena,
 };
@@ -130,7 +129,7 @@ impl<'u> PairFailureSweep<'u> {
 
     /// The incremental LP session over this sweep's scenarios: each
     /// scenario's constraint skeleton is built once (identical to the
-    /// standalone [`optimal_bandwidth()`] program, so first solves are
+    /// standalone [`nexit_baselines::optimal_bandwidth()`] program, so first solves are
     /// bit-identical to the cold path) and re-solves warm-start from the
     /// retained basis. Scenarios whose LP exceeds `max_lp_variables` are
     /// left unregistered; [`FailureScenario::optimum_in`] reports those
@@ -156,19 +155,6 @@ impl<'u> PairFailureSweep<'u> {
         }
         session
     }
-}
-
-/// Build every failure scenario for one pair (up to
-/// `cfg.max_failures_per_pair`). Convenience wrapper around
-/// [`PairFailureSweep::build`] for callers that do not need the shared
-/// pre-failure state.
-pub fn failure_scenarios<'u>(
-    universe: &'u Universe,
-    pair_idx: usize,
-    cfg: &ExpConfig,
-    capacity_model: &CapacityModel,
-) -> Vec<FailureScenario<'u>> {
-    PairFailureSweep::build(universe, pair_idx, cfg, capacity_model).scenarios
 }
 
 impl FailureScenario<'_> {
@@ -203,25 +189,13 @@ impl FailureScenario<'_> {
 
     /// MELs `(up, down)` of an assignment over the reduced pair.
     pub fn mels(&self, assignment: &Assignment) -> (f64, f64) {
-        self.mels_with_caps(assignment, &self.caps_up, &self.caps_down)
-    }
-
-    /// [`FailureScenario::mels`] against explicit capacity vectors — the
-    /// capacity-model grid evaluates one scenario under several models
-    /// without rebuilding it.
-    pub fn mels_with_caps(
-        &self,
-        assignment: &Assignment,
-        caps_up: &[f64],
-        caps_down: &[f64],
-    ) -> (f64, f64) {
         let loads = link_loads(
             &self.data.view(),
             &self.data.paths,
             &self.data.flows,
             assignment,
         );
-        nexit_metrics::side_mels(&loads, caps_up, caps_down)
+        nexit_metrics::side_mels(&loads, &self.caps_up, &self.caps_down)
     }
 
     /// Negotiated routing with both ISPs on the bandwidth objective.
@@ -260,245 +234,102 @@ impl FailureScenario<'_> {
             &NexitConfig::win_win_bandwidth(),
         )
     }
-
-    /// [`FailureScenario::negotiate_bandwidth_in`] with a throwaway
-    /// arena.
-    pub fn negotiate_bandwidth(&self) -> Assignment {
-        self.negotiate_bandwidth_in(&mut TableArena::new())
-    }
-
-    /// The fractional optimum from a standalone cold-start build of this
-    /// scenario's LP, gated on the per-scenario variable budget. The
-    /// sweeps prefer the warm [`BandwidthLp`] session (see
-    /// [`FailureScenario::optimum_in`]) and use this as the fallback when
-    /// the session skeleton is over budget.
-    pub fn optimum(&self, max_lp_variables: usize) -> Result<BandwidthOptimum, LpSkip> {
-        let vars = self.impacted.len() * self.data.pair.num_interconnections() + 1;
-        if vars > max_lp_variables {
-            return Err(LpSkip::Size);
-        }
-        optimal_bandwidth(
-            &self.data.view(),
-            &self.data.paths,
-            &self.data.flows,
-            &self.impacted,
-            &self.data.default,
-            &self.caps_up,
-            &self.caps_down,
-        )
-        .map_err(LpSkip::Solver)
-    }
 }
 
-/// Results across all failure scenarios.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BandwidthResults {
+/// One failure scenario of Figures 7 and 8. MELs are relative to the
+/// fractional optimum's.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BandwidthRow {
     /// Fig. 7 upstream: default MEL / optimal MEL.
-    pub up_default: Vec<f64>,
+    pub up_default: f64,
     /// Fig. 7 upstream: negotiated MEL / optimal MEL.
-    pub up_negotiated: Vec<f64>,
+    pub up_negotiated: f64,
     /// Fig. 7 downstream: default MEL / optimal MEL.
-    pub down_default: Vec<f64>,
+    pub down_default: f64,
     /// Fig. 7 downstream: negotiated MEL / optimal MEL.
-    pub down_negotiated: Vec<f64>,
+    pub down_negotiated: f64,
     /// Fig. 8: downstream MEL under unilateral upstream optimization,
-    /// relative to the default routing's downstream MEL.
-    pub fig8_down_ratio: Vec<f64>,
-    /// Scenarios skipped because their LP exceeded the
-    /// `max_lp_variables` budget.
-    pub skipped_lp_size: usize,
-    /// Scenarios skipped because the LP solver failed (iteration cap or
-    /// numerical trouble) — distinct from size skips since PR 4.
-    pub failed_lp: usize,
-    /// Scenarios evaluated.
-    pub scenarios: usize,
-    /// Accepted moves across the evaluated scenarios' sessions.
+    /// relative to the default routing's (when that is not idle).
+    pub fig8_down_ratio: Option<f64>,
+    /// Accepted moves of the scenario's session.
     pub accepted_moves: usize,
     /// Of those, moves the win-win close rolled back.
     pub rolled_back: usize,
-    /// Evaluated sessions that left either side's cumulative gain
-    /// negative. The win-win close guarantees zero.
-    pub negative_sessions: usize,
-    /// How the pair-scoped LP sessions resolved their solves
-    /// (cold / warm rhs re-entry / coefficient refresh, plus fallbacks)
-    /// — the sweep-level record of how often the warm path held.
-    pub lp_stats: WarmStats,
 }
 
-/// Run Figures 7 and 8. Pairs are swept on `cfg.threads` workers (each
-/// threading one [`TableArena`] through its pairs); per-pair partial
-/// results are merged in pair order, so the output is independent of
-/// the thread count.
-pub fn run(universe: &Universe, cfg: &ExpConfig) -> BandwidthResults {
-    let mut eligible = universe.eligible_pairs(3, false);
-    if let Some(cap) = cfg.max_pairs {
-        eligible.truncate(cap);
-    }
-    let capacity_model = CapacityModel::default();
-    let per_pair = par_map_with(cfg.threads, eligible.len(), TableArena::new, |arena, i| {
-        let mut out = BandwidthResults::default();
-        run_pair_into(universe, eligible[i], cfg, &capacity_model, arena, &mut out);
-        out
-    });
-
-    let mut out = BandwidthResults::default();
-    for p in per_pair {
-        out.up_default.extend(p.up_default);
-        out.up_negotiated.extend(p.up_negotiated);
-        out.down_default.extend(p.down_default);
-        out.down_negotiated.extend(p.down_negotiated);
-        out.fig8_down_ratio.extend(p.fig8_down_ratio);
-        out.skipped_lp_size += p.skipped_lp_size;
-        out.failed_lp += p.failed_lp;
-        out.scenarios += p.scenarios;
-        out.accepted_moves += p.accepted_moves;
-        out.rolled_back += p.rolled_back;
-        out.negative_sessions += p.negative_sessions;
-        out.lp_stats.absorb(p.lp_stats);
-    }
-    out
-}
-
-/// Evaluate every failure scenario of one pair into `out`. The LP
-/// session is scoped to the pair (warm-start state never crosses pair
-/// boundaries, keeping results independent of work scheduling); the
-/// negotiation arena is worker-scoped (buffer reuse is value-neutral).
-fn run_pair_into(
-    universe: &Universe,
-    pair_idx: usize,
-    cfg: &ExpConfig,
-    capacity_model: &CapacityModel,
-    arena: &mut TableArena,
-    out: &mut BandwidthResults,
-) {
-    let sweep = PairFailureSweep::build(universe, pair_idx, cfg, capacity_model);
-    let mut session = sweep.lp_session(cfg.max_lp_variables);
-    for scenario in &sweep.scenarios {
-        let opt = match scenario.optimum_in(&mut session) {
-            Ok(opt) => opt,
-            Err(LpSkip::Size) => {
-                out.skipped_lp_size += 1;
-                continue;
+/// Run Figures 7 and 8 over every failure scenario whose optimum has
+/// no idle side.
+pub fn run(universe: &Universe, cfg: &ExpConfig) -> FailureRows<BandwidthRow> {
+    sweep_failures(
+        universe,
+        cfg,
+        None,
+        &CapacityModel::default(),
+        |scenario, opt, _, arena| {
+            let opt_up = opt.side_mel(&scenario.caps_up, true);
+            let opt_down = opt.side_mel(&scenario.caps_down, false);
+            if opt_up < 1e-9 || opt_down < 1e-9 {
+                return None; // degenerate scenario with an idle side
             }
-            Err(LpSkip::Solver(_)) => {
-                out.failed_lp += 1;
-                continue;
-            }
-        };
-        let opt_up = opt.side_mel(&scenario.caps_up, true);
-        let opt_down = opt.side_mel(&scenario.caps_down, false);
-        if opt_up < 1e-9 || opt_down < 1e-9 {
-            continue; // degenerate scenario with an idle side
-        }
-        out.scenarios += 1;
+            let outcome =
+                scenario.negotiate_bandwidth_with(arena, &scenario.caps_up, &scenario.caps_down);
+            let (def_up, def_down) = scenario.default_mels;
+            let (neg_up, neg_down) = scenario.mels(&outcome.assignment);
 
-        let (def_up, def_down) = scenario.default_mels;
-        out.up_default.push(def_up / opt_up);
-        out.down_default.push(def_down / opt_down);
-
-        let outcome =
-            scenario.negotiate_bandwidth_with(arena, &scenario.caps_up, &scenario.caps_down);
-        out.accepted_moves += outcome.flows_negotiated();
-        out.rolled_back += outcome.flows_rolled_back();
-        out.negative_sessions += usize::from(outcome.gain_a < 0 || outcome.gain_b < 0);
-        let (neg_up, neg_down) = scenario.mels(&outcome.assignment);
-        out.up_negotiated.push(neg_up / opt_up);
-        out.down_negotiated.push(neg_down / opt_down);
-
-        // Fig. 8: unilateral upstream optimization.
-        let uni = unilateral_upstream(
-            &scenario.data.view(),
-            &scenario.data.paths,
-            &scenario.data.flows,
-            &scenario.impacted,
-            &scenario.data.default,
-            &scenario.caps_up,
-        );
-        let (_, uni_down) = scenario.mels(&uni);
-        if def_down > 1e-9 {
-            out.fig8_down_ratio.push(uni_down / def_down);
-        }
-    }
-    out.lp_stats.absorb(session.warm_stats());
-}
-
-/// Results of the background-growth sweep: per growth factor, the
-/// distribution of `t(factor) / t(1.0)` across failure scenarios.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct GrowthResults {
-    /// The growth factors evaluated (background residual load scale).
-    pub factors: Vec<f64>,
-    /// `degradation[i]` — one sample per scenario of how much factor
-    /// `factors[i]` inflates the optimal post-failure MEL.
-    pub degradation: Vec<Vec<f64>>,
-    /// Scenarios evaluated.
-    pub scenarios: usize,
-    /// Scaled re-solves that failed (iteration cap / numerical trouble);
-    /// their samples are missing from `degradation`.
-    pub failed_resolves: usize,
-    /// How the ladder's LP sessions resolved their solves — at paper
-    /// scale almost everything after each scenario's first solve should
-    /// land in `warm_solves`.
-    pub lp_stats: WarmStats,
+            // Fig. 8: unilateral upstream optimization.
+            let uni = unilateral_upstream(
+                &scenario.data.view(),
+                &scenario.data.paths,
+                &scenario.data.flows,
+                &scenario.impacted,
+                &scenario.data.default,
+                &scenario.caps_up,
+            );
+            let (_, uni_down) = scenario.mels(&uni);
+            let row = BandwidthRow {
+                up_default: def_up / opt_up,
+                up_negotiated: neg_up / opt_up,
+                down_default: def_down / opt_down,
+                down_negotiated: neg_down / opt_down,
+                fig8_down_ratio: (def_down > 1e-9).then(|| uni_down / def_down),
+                accepted_moves: outcome.flows_negotiated(),
+                rolled_back: outcome.flows_rolled_back(),
+            };
+            Some((row, WinWinGate::of(&outcome)))
+        },
+    )
 }
 
 /// What-if sweep over background traffic growth: for every failure
 /// scenario, re-solve the fractional optimum with the non-negotiated
-/// residual load scaled by each factor. Each scenario's skeleton is
+/// residual load scaled by each factor. Each row holds, per factor,
+/// `t(factor) / t(1.0)`, or `None` when the scaled re-solve failed
+/// (iteration cap / numerical trouble). Each scenario's skeleton is
 /// built once and every re-solve after the first is an rhs-only patch,
 /// so the whole ladder runs on warm simplex starts — this sweep is the
 /// experiment-level consumer of [`BandwidthLp::solve_failure_scaled`].
-pub fn run_growth(universe: &Universe, cfg: &ExpConfig, factors: &[f64]) -> GrowthResults {
-    let mut eligible = universe.eligible_pairs(3, false);
-    if let Some(cap) = cfg.max_pairs {
-        eligible.truncate(cap);
-    }
-    let capacity_model = CapacityModel::default();
-    let per_pair = par_map_with(
-        cfg.threads,
-        eligible.len(),
-        || (),
-        |(), i| {
-            let mut out = GrowthResults {
-                factors: factors.to_vec(),
-                degradation: vec![Vec::new(); factors.len()],
-                ..GrowthResults::default()
-            };
-            let sweep = PairFailureSweep::build(universe, eligible[i], cfg, &capacity_model);
-            let mut session = sweep.lp_session(cfg.max_lp_variables);
-            for scenario in &sweep.scenarios {
-                let Ok(base) = scenario.optimum_in(&mut session) else {
-                    continue;
-                };
-                if base.t < 1e-9 {
-                    continue;
-                }
-                out.scenarios += 1;
-                for (fi, &factor) in factors.iter().enumerate() {
-                    match session.solve_failure_scaled(scenario.failed, factor) {
-                        Ok(scaled) => out.degradation[fi].push(scaled.t / base.t),
-                        Err(_) => out.failed_resolves += 1,
-                    }
-                }
+/// Nothing is negotiated, so the gate stays empty.
+pub fn run_growth(
+    universe: &Universe,
+    cfg: &ExpConfig,
+    factors: &[f64],
+) -> FailureRows<Vec<Option<f64>>> {
+    sweep_failures(
+        universe,
+        cfg,
+        None,
+        &CapacityModel::default(),
+        |scenario, base, session, _| {
+            if base.t < 1e-9 {
+                return None;
             }
-            out.lp_stats.absorb(session.warm_stats());
-            out
+            let scaled = factors.iter().map(|&factor| {
+                let scaled = session.solve_failure_scaled(scenario.failed, factor);
+                scaled.ok().map(|scaled| scaled.t / base.t)
+            });
+            Some((scaled.collect(), WinWinGate::default()))
         },
-    );
-    let mut out = GrowthResults {
-        factors: factors.to_vec(),
-        degradation: vec![Vec::new(); factors.len()],
-        ..GrowthResults::default()
-    };
-    for p in per_pair {
-        for (fi, samples) in p.degradation.into_iter().enumerate() {
-            out.degradation[fi].extend(samples);
-        }
-        out.scenarios += p.scenarios;
-        out.failed_resolves += p.failed_resolves;
-        out.lp_stats.absorb(p.lp_stats);
-    }
-    out
+    )
 }
 
 /// Print one sweep's LP warm/cold counters — how often the warm
@@ -522,43 +353,54 @@ pub fn print_lp_stats(stats: &WarmStats) {
     );
 }
 
-/// Print the growth-sweep report.
-pub fn report_growth(results: &GrowthResults) {
-    use crate::cdf::Cdf;
+/// Print the growth-sweep report for `factors`.
+pub fn report_growth(results: &FailureRows<Vec<Option<f64>>>, factors: &[f64]) {
+    let failed: usize = results
+        .rows
+        .iter()
+        .flatten()
+        .filter(|t| t.is_none())
+        .count();
     println!(
-        "== Background growth: optimal MEL degradation ({} scenarios, {} failed re-solves) ==",
-        results.scenarios, results.failed_resolves
+        "== Background growth: optimal MEL degradation ({} scenarios, {failed} failed re-solves) ==",
+        results.rows.len()
     );
     println!("   negotiation: none (the LP optimum only, so no win-win gate)");
     print_lp_stats(&results.lp_stats);
-    for (factor, samples) in results.factors.iter().zip(&results.degradation) {
-        Cdf::new(samples.clone()).print(&format!("x{factor:.2} background"));
+    for (fi, factor) in factors.iter().enumerate() {
+        let samples = results.rows.iter().filter_map(|row| row[fi]);
+        samples
+            .collect::<Cdf>()
+            .print(&format!("x{factor:.2} background"));
     }
 }
 
 /// Print the bandwidth experiment report.
-pub fn report(results: &BandwidthResults) {
-    use crate::cdf::Cdf;
+pub fn report(results: &FailureRows<BandwidthRow>) {
+    let rows = &results.rows;
     println!(
         "== Figure 7: MEL relative to optimal ({} failure scenarios, {} size-skipped, {} solver-failed) ==",
-        results.scenarios, results.skipped_lp_size, results.failed_lp
+        rows.len(), results.skipped_lp_size, results.failed_lp
     );
     print_lp_stats(&results.lp_stats);
     println!(
         "   rolled back: {} of {} accepted moves",
-        results.rolled_back, results.accepted_moves
+        rows.iter().map(|r| r.rolled_back).sum::<usize>(),
+        rows.iter().map(|r| r.accepted_moves).sum::<usize>()
     );
-    println!(
-        "   negative final gain: {} of {} sessions",
-        results.negative_sessions, results.scenarios
-    );
+    results.gate.print("");
+    let cdf = |f: fn(&BandwidthRow) -> f64| rows.iter().map(f).collect::<Cdf>();
     println!("-- upstream ISP --");
-    Cdf::new(results.up_negotiated.clone()).print("negotiated");
-    Cdf::new(results.up_default.clone()).print("default");
+    cdf(|r| r.up_negotiated).print("negotiated");
+    cdf(|r| r.up_default).print("default");
     println!("-- downstream ISP --");
-    Cdf::new(results.down_negotiated.clone()).print("negotiated");
-    Cdf::new(results.down_default.clone()).print("default");
+    cdf(|r| r.down_negotiated).print("negotiated");
+    cdf(|r| r.down_default).print("default");
     println!();
     println!("== Figure 8: downstream MEL, unilateral-upstream / default ==");
-    Cdf::new(results.fig8_down_ratio.clone()).print("upstream-optimized");
+    let fig8 = rows
+        .iter()
+        .filter_map(|r| r.fig8_down_ratio)
+        .collect::<Cdf>();
+    fig8.print("upstream-optimized");
 }

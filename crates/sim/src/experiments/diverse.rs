@@ -6,39 +6,30 @@
 //! the right graph the downstream's distance reduction over the impacted
 //! flows relative to default routing.
 
-use crate::experiments::bandwidth::PairFailureSweep;
+use crate::cdf::Cdf;
+use crate::experiments::bandwidth::FailureScenario;
+use crate::experiments::sweep::{sweep_failures, FailureRows, WinWinGate};
 use crate::pairdata::ExpConfig;
-use crate::parallel::par_map_with;
-use nexit_core::{
-    negotiate_in, BandwidthMapper, DistanceMapper, NexitConfig, Party, Side, TableArena,
-};
+use nexit_core::{negotiate_in, BandwidthMapper, DistanceMapper, NexitConfig, Party, Side};
 use nexit_metrics::percent_gain;
 use nexit_routing::Assignment;
 use nexit_topology::Universe;
 use nexit_workload::CapacityModel;
 
-/// Results for Figure 9.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DiverseResults {
+/// One failure scenario of Figure 9.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DiverseRow {
     /// Left graph: upstream MEL / optimal MEL, negotiated.
-    pub up_negotiated: Vec<f64>,
+    pub up_negotiated: f64,
     /// Left graph: upstream MEL / optimal MEL, default.
-    pub up_default: Vec<f64>,
+    pub up_default: f64,
     /// Right graph: downstream distance % gain over default (impacted
     /// flows).
-    pub down_distance_gain: Vec<f64>,
-    /// Scenarios evaluated.
-    pub scenarios: usize,
-    /// Evaluated sessions that left either side's cumulative gain
-    /// negative. The win-win close guarantees zero.
-    pub negative_sessions: usize,
+    pub down_distance_gain: f64,
 }
 
 /// Downstream distance over the impacted flows only.
-fn downstream_impacted_km(
-    scenario: &crate::experiments::bandwidth::FailureScenario<'_>,
-    assignment: &Assignment,
-) -> f64 {
+fn downstream_impacted_km(scenario: &FailureScenario<'_>, assignment: &Assignment) -> f64 {
     scenario
         .impacted
         .iter()
@@ -50,102 +41,60 @@ fn downstream_impacted_km(
         .sum()
 }
 
-/// Run Figure 9. Pairs are swept on `cfg.threads` workers (each with a
-/// worker-local [`TableArena`]) and merged in pair order (thread-count
-/// independent output).
-pub fn run(universe: &Universe, cfg: &ExpConfig) -> DiverseResults {
-    let mut eligible = universe.eligible_pairs(3, false);
-    if let Some(cap) = cfg.max_pairs {
-        eligible.truncate(cap);
-    }
-    let capacity_model = CapacityModel::default();
-    let per_pair = par_map_with(cfg.threads, eligible.len(), TableArena::new, |arena, i| {
-        run_pair(universe, eligible[i], cfg, &capacity_model, arena)
-    });
-    let mut out = DiverseResults::default();
-    for p in per_pair {
-        out.up_negotiated.extend(p.up_negotiated);
-        out.up_default.extend(p.up_default);
-        out.down_distance_gain.extend(p.down_distance_gain);
-        out.scenarios += p.scenarios;
-        out.negative_sessions += p.negative_sessions;
-    }
-    out
-}
-
-/// Evaluate every failure scenario of one Figure-9 pair, drawing the
-/// scenario optima from the pair's warm LP session and the negotiation
-/// buffers from the worker's arena.
-fn run_pair(
-    universe: &Universe,
-    idx: usize,
-    cfg: &ExpConfig,
-    capacity_model: &CapacityModel,
-    arena: &mut TableArena,
-) -> DiverseResults {
-    let mut out = DiverseResults::default();
-    let sweep = PairFailureSweep::build(universe, idx, cfg, capacity_model);
-    let mut session = sweep.lp_session(cfg.max_lp_variables);
-    for scenario in &sweep.scenarios {
-        let Ok(opt) = scenario.optimum_in(&mut session) else {
-            continue;
-        };
-        let opt_up = opt.side_mel(&scenario.caps_up, true);
-        if opt_up < 1e-9 {
-            continue;
-        }
-        out.scenarios += 1;
-
-        let input = scenario.session_input();
-        let mut party_a = Party::honest(
-            "up-bandwidth",
-            BandwidthMapper::new(
-                Side::A,
-                &scenario.data.flows,
-                &scenario.data.paths,
-                &scenario.caps_up,
-            ),
-        );
-        let mut party_b = Party::honest(
-            "down-distance",
-            DistanceMapper::new(Side::B, &scenario.data.flows),
-        );
-        let outcome = negotiate_in(
-            arena,
-            &input,
-            &scenario.data.default,
-            &mut party_a,
-            &mut party_b,
-            &NexitConfig::win_win_bandwidth(),
-        );
-        out.negative_sessions += usize::from(outcome.gain_a < 0 || outcome.gain_b < 0);
-
-        let (def_up, _) = scenario.default_mels;
-        let (neg_up, _) = scenario.mels(&outcome.assignment);
-        out.up_default.push(def_up / opt_up);
-        out.up_negotiated.push(neg_up / opt_up);
-
-        let d_km = downstream_impacted_km(scenario, &scenario.data.default);
-        let n_km = downstream_impacted_km(scenario, &outcome.assignment);
-        out.down_distance_gain.push(percent_gain(d_km, n_km));
-    }
-    out
+/// Run Figure 9 over every failure scenario whose optimum leaves the
+/// upstream busy.
+pub fn run(universe: &Universe, cfg: &ExpConfig) -> FailureRows<DiverseRow> {
+    sweep_failures(
+        universe,
+        cfg,
+        None,
+        &CapacityModel::default(),
+        |scenario, opt, _, arena| {
+            let opt_up = opt.side_mel(&scenario.caps_up, true);
+            if opt_up < 1e-9 {
+                return None;
+            }
+            let data = &scenario.data;
+            let mut party_a = Party::honest(
+                "up-bandwidth",
+                BandwidthMapper::new(Side::A, &data.flows, &data.paths, &scenario.caps_up),
+            );
+            let mut party_b =
+                Party::honest("down-distance", DistanceMapper::new(Side::B, &data.flows));
+            let outcome = negotiate_in(
+                arena,
+                &scenario.session_input(),
+                &data.default,
+                &mut party_a,
+                &mut party_b,
+                &NexitConfig::win_win_bandwidth(),
+            );
+            let (def_up, _) = scenario.default_mels;
+            let (neg_up, _) = scenario.mels(&outcome.assignment);
+            let d_km = downstream_impacted_km(scenario, &data.default);
+            let n_km = downstream_impacted_km(scenario, &outcome.assignment);
+            let row = DiverseRow {
+                up_negotiated: neg_up / opt_up,
+                up_default: def_up / opt_up,
+                down_distance_gain: percent_gain(d_km, n_km),
+            };
+            Some((row, WinWinGate::of(&outcome)))
+        },
+    )
 }
 
 /// Print the Figure 9 report.
-pub fn report(results: &DiverseResults) {
-    use crate::cdf::Cdf;
+pub fn report(results: &FailureRows<DiverseRow>) {
+    let rows = &results.rows;
     println!(
         "== Figure 9: diverse criteria ({} scenarios) ==",
-        results.scenarios
+        rows.len()
     );
-    println!(
-        "   negative final gain: {} of {} sessions",
-        results.negative_sessions, results.scenarios
-    );
+    results.gate.print("");
+    let cdf = |f: fn(&DiverseRow) -> f64| rows.iter().map(f).collect::<Cdf>();
     println!("-- upstream ISP (bandwidth objective): MEL relative to optimal --");
-    Cdf::new(results.up_negotiated.clone()).print("negotiated");
-    Cdf::new(results.up_default.clone()).print("default");
+    cdf(|r| r.up_negotiated).print("negotiated");
+    cdf(|r| r.up_default).print("default");
     println!("-- downstream ISP (distance objective): % gain over default --");
-    Cdf::new(results.down_distance_gain.clone()).print("negotiated");
+    cdf(|r| r.down_distance_gain).print("negotiated");
 }

@@ -8,3 +8,4 @@ pub mod distance;
 pub mod diverse;
 pub mod faults;
 pub mod filters;
+pub mod sweep;

@@ -8,6 +8,7 @@
 //! | [`experiments::diverse`] | Fig. 9 (different optimization criteria) |
 //! | [`experiments::cheating`] | Fig. 10 (distance cheating), Fig. 11 (bandwidth cheating) |
 //! | [`experiments::ablation`] | §5 robustness: preference-range sweep, group sweep, workload/capacity models |
+//! | [`experiments::sweep`] | the one pair selector, fan-out, failure-scenario loop and win-win gate of every figure |
 //! | [`scenarios`] | Fig. 1 / Fig. 2 motivating topologies, Fig. 3 walk-through |
 //! | [`destination`] | footnote-2 extension: destination-granularity negotiation |
 //! | [`churn`] | beyond the paper: incremental re-negotiation under a live event feed |

@@ -17,7 +17,8 @@ pub struct ExpConfig {
     /// (impacted flows × alternatives); skipped scenarios are counted and
     /// reported.
     pub max_lp_variables: usize,
-    /// Seed for the strategies that randomize (flow filters).
+    /// Seed for what the figures randomize: the flow filters (Fig. 5)
+    /// and the uniform PoP weights of the alternate-model grid.
     pub seed: u64,
     /// Workload model for bandwidth experiments.
     pub workload: WorkloadModel,

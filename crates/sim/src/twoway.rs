@@ -37,27 +37,24 @@ impl TwoWaySession {
         let mut flow_ids = Vec::with_capacity(n_fwd + n_rev);
         let mut defaults = Vec::with_capacity(n_fwd + n_rev);
         let mut volumes = Vec::with_capacity(n_fwd + n_rev);
-        let mut choices = Vec::with_capacity(n_fwd + n_rev);
         for i in 0..n_fwd {
             flow_ids.push(FlowId::new(i));
             defaults.push(fwd.default.choice(FlowId::new(i)));
             volumes.push(fwd.flows.flows[i].volume);
-            choices.push(fwd.default.choice(FlowId::new(i)));
         }
         for i in 0..n_rev {
             flow_ids.push(FlowId::new(n_fwd + i));
             defaults.push(rev.default.choice(FlowId::new(i)));
             volumes.push(rev.flows.flows[i].volume);
-            choices.push(rev.default.choice(FlowId::new(i)));
         }
         Self {
+            default: Assignment::from_choices(defaults.clone()),
             input: SessionInput {
                 flow_ids,
                 defaults,
                 volumes,
                 num_alternatives: k,
             },
-            default: Assignment::from_choices(choices),
             n_fwd,
         }
     }
@@ -122,31 +119,6 @@ impl PreferenceMapper for TwoWayDistanceMapper<'_> {
             }
         }
     }
-}
-
-/// Side distance of one ISP across both directions under per-direction
-/// assignments. `side` is relative to the forward view.
-pub fn twoway_side_distance(
-    side: Side,
-    fwd: &PairFlows,
-    rev: &PairFlows,
-    fwd_asg: &Assignment,
-    rev_asg: &Assignment,
-) -> f64 {
-    let fwd_km = nexit_routing::assignment::side_distance_km(fwd, fwd_asg, side == Side::A);
-    let rev_km = nexit_routing::assignment::side_distance_km(rev, rev_asg, side == Side::B);
-    fwd_km + rev_km
-}
-
-/// Total two-direction distance under per-direction assignments.
-pub fn twoway_total_distance(
-    fwd: &PairFlows,
-    rev: &PairFlows,
-    fwd_asg: &Assignment,
-    rev_asg: &Assignment,
-) -> f64 {
-    nexit_routing::assignment::total_distance_km(fwd, fwd_asg)
-        + nexit_routing::assignment::total_distance_km(rev, rev_asg)
 }
 
 #[cfg(test)]

@@ -4,6 +4,7 @@
 //! pin that with exact (bitwise) `f64` equality between `threads = 1`
 //! and `threads = 4` runs.
 
+use nexit_sim::destination;
 use nexit_sim::experiments::{ablation, bandwidth, cheating, distance, diverse, filters};
 use nexit_sim::ExpConfig;
 use nexit_topology::{GeneratorConfig, TopologyGenerator, Universe};
@@ -33,7 +34,10 @@ fn distance_results_are_thread_count_independent() {
     let u = small_universe();
     let serial = distance::run(&u, &cfg(1));
     let parallel = distance::run(&u, &cfg(4));
-    assert!(serial.pairs > 0, "universe must yield eligible pairs");
+    assert!(
+        !serial.rows.is_empty(),
+        "universe must yield eligible pairs"
+    );
     assert_eq!(serial, parallel);
 }
 
@@ -49,7 +53,7 @@ fn bandwidth_results_are_thread_count_independent() {
         let parallel = bandwidth::run(&u, &cfg(threads));
         assert_eq!(serial, parallel, "threads = {threads}");
     }
-    assert!(serial.scenarios > 0, "sweep must evaluate scenarios");
+    assert!(!serial.rows.is_empty(), "sweep must evaluate scenarios");
 }
 
 #[test]
@@ -59,10 +63,10 @@ fn growth_sweep_is_thread_count_independent_and_monotone() {
     let serial = bandwidth::run_growth(&u, &cfg(1), &factors);
     let parallel = bandwidth::run_growth(&u, &cfg(4), &factors);
     assert_eq!(serial, parallel);
-    assert!(serial.scenarios > 0);
+    assert!(!serial.rows.is_empty());
     // Growing the background load can never shrink the optimal MEL.
-    for samples in &serial.degradation {
-        assert!(samples.iter().all(|&r| r >= 1.0 - 1e-9));
+    for row in &serial.rows {
+        assert!(row.iter().flatten().all(|&r| r >= 1.0 - 1e-9));
     }
 }
 
@@ -84,6 +88,7 @@ fn diverse_and_filter_results_are_thread_count_independent() {
     let u = small_universe();
     assert_eq!(diverse::run(&u, &cfg(1)), diverse::run(&u, &cfg(4)));
     assert_eq!(filters::run(&u, &cfg(1)), filters::run(&u, &cfg(4)));
+    assert_eq!(destination::run(&u, &cfg(1)), destination::run(&u, &cfg(4)));
 }
 
 #[test]

@@ -8,13 +8,9 @@
 
 use nexit::baselines::optimal_distance;
 use nexit::core::{NexitConfig, Party, SessionBuilder, Side};
-use nexit::metrics::percent_gain;
-use nexit::sim::twoway::{
-    twoway_side_distance, twoway_total_distance, TwoWayDistanceMapper, TwoWaySession,
-};
-use nexit::sim::PairData;
+use nexit::sim::experiments::distance::build_pair_run;
+use nexit::sim::twoway::TwoWayDistanceMapper;
 use nexit::topology::{GeneratorConfig, TopologyGenerator};
-use nexit::workload::WorkloadModel;
 
 fn main() {
     // A deterministic 20-ISP universe (the paper-scale default is 65).
@@ -38,9 +34,8 @@ fn main() {
     );
 
     // Both traffic directions on the table, as the paper prescribes.
-    let fwd = PairData::build(a, b, pair.clone(), WorkloadModel::Identical);
-    let rev = PairData::build(b, a, fwd.mirrored_pair(), WorkloadModel::Identical);
-    let session = TwoWaySession::build(&fwd, &rev);
+    let run = build_pair_run(&universe, idx);
+    let (fwd, rev, session) = (&run.fwd, &run.rev, &run.session);
     println!("flows on the table: {}", session.input.len());
 
     // Negotiate: each ISP maps its own internal distance to opaque
@@ -61,24 +56,14 @@ fn main() {
         .expect("valid session");
     let (neg_fwd, neg_rev) = session.split(&outcome.assignment);
 
-    // Compare default / negotiated / optimal.
-    let d = twoway_total_distance(&fwd.flows, &rev.flows, &fwd.default, &rev.default);
-    let n = twoway_total_distance(&fwd.flows, &rev.flows, &neg_fwd, &neg_rev);
+    // Compare default / negotiated / optimal, in % distance reduction.
+    let (negotiated, sides) = run.gains_split(&neg_fwd, &neg_rev);
     let opt_f = optimal_distance(&fwd.flows);
     let opt_r = optimal_distance(&rev.flows);
-    let o = twoway_total_distance(&fwd.flows, &rev.flows, &opt_f, &opt_r);
-    println!(
-        "total distance gain: negotiated {:+.2}%  optimal {:+.2}%",
-        percent_gain(d, n),
-        percent_gain(d, o)
-    );
-    for side in [Side::A, Side::B] {
-        let ds = twoway_side_distance(side, &fwd.flows, &rev.flows, &fwd.default, &rev.default);
-        let ns = twoway_side_distance(side, &fwd.flows, &rev.flows, &neg_fwd, &neg_rev);
-        println!(
-            "  {side}: individual gain {:+.2}% (win-win: never negative)",
-            percent_gain(ds, ns)
-        );
+    let (optimal, _) = run.gains_split(&opt_f, &opt_r);
+    println!("total distance gain: negotiated {negotiated:+.2}%  optimal {optimal:+.2}%");
+    for (side, gain) in [Side::A, Side::B].into_iter().zip(sides) {
+        println!("  {side}: individual gain {gain:+.2}% (win-win: never negative)");
     }
     println!(
         "rounds: {}, flows moved off default: {}",

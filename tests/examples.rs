@@ -186,7 +186,7 @@ fn cheating_session() {
 #[test]
 fn diverse_objectives() {
     use nexit::core::{BandwidthMapper, SessionBuilder};
-    use nexit::sim::experiments::bandwidth::failure_scenarios;
+    use nexit::sim::experiments::bandwidth::PairFailureSweep;
     use nexit::sim::ExpConfig;
     use nexit::topology::{GeneratorConfig, TopologyGenerator};
     use nexit::workload::CapacityModel;
@@ -199,8 +199,8 @@ fn diverse_objectives() {
     .generate();
     let pair = universe.eligible_pairs(3, false)[0];
     let cfg = ExpConfig::smoke();
-    let scenarios = failure_scenarios(&universe, pair, &cfg, &CapacityModel::default());
-    let scenario = &scenarios[0];
+    let sweep = PairFailureSweep::build(&universe, pair, &cfg, &CapacityModel::default());
+    let scenario = &sweep.scenarios[0];
     let data = &scenario.data;
     let outcome = SessionBuilder::new()
         .input(scenario.session_input())

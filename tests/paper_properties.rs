@@ -1,10 +1,11 @@
 //! End-to-end checks of the paper's headline claims on a small universe.
 
 use nexit::baselines::optimal_distance;
-use nexit::core::{negotiate, NexitConfig, Party, Side, TableArena};
-use nexit::metrics::percent_gain;
-use nexit::sim::experiments::{bandwidth, distance};
-use nexit::sim::twoway::{twoway_side_distance, twoway_total_distance, TwoWayDistanceMapper};
+use nexit::core::{negotiate, DisclosurePolicy, NexitConfig, Party, Side, TableArena};
+use nexit::routing::assignment::total_distance_km;
+use nexit::routing::Assignment;
+use nexit::sim::experiments::bandwidth::PairFailureSweep;
+use nexit::sim::experiments::distance;
 use nexit::sim::ExpConfig;
 use nexit::topology::{GeneratorConfig, TopologyGenerator, Universe};
 use nexit::workload::{CapacityModel, WorkloadModel};
@@ -23,35 +24,15 @@ fn negotiation_is_win_win_on_every_pair() {
     // Paper §5.1 / Fig. 4b: "individual ISPs do not lose with negotiated
     // routing".
     let u = small_universe();
+    let mut arena = TableArena::new();
     for &idx in u.eligible_pairs(2, true).iter().take(8) {
         let run = distance::build_pair_run(&u, idx);
-        let session = &run.session;
-        let mut a = Party::honest(
-            "A",
-            TwoWayDistanceMapper::new(Side::A, &run.fwd.flows, &run.rev.flows, session.n_fwd),
-        );
-        let mut b = Party::honest(
-            "B",
-            TwoWayDistanceMapper::new(Side::B, &run.fwd.flows, &run.rev.flows, session.n_fwd),
-        );
-        let out = negotiate(
-            &session.input,
-            &session.default,
-            &mut a,
-            &mut b,
+        let out = run.negotiate(
+            &mut arena,
             &NexitConfig::win_win(),
+            DisclosurePolicy::Truthful,
         );
-        let (f, r) = session.split(&out.assignment);
-        for side in [Side::A, Side::B] {
-            let d = twoway_side_distance(
-                side,
-                &run.fwd.flows,
-                &run.rev.flows,
-                &run.fwd.default,
-                &run.rev.default,
-            );
-            let n = twoway_side_distance(side, &run.fwd.flows, &run.rev.flows, &f, &r);
-            let gain = percent_gain(d, n);
+        for (side, gain) in ["A", "B"].into_iter().zip(run.gains(&out.assignment).1) {
             assert!(
                 gain >= -1e-9,
                 "pair {idx}: {side} lost {gain:.3}% under negotiation"
@@ -66,35 +47,21 @@ fn negotiated_close_to_optimal_distance() {
     let u = small_universe();
     let mut captured = 0.0;
     let mut possible = 0.0;
+    let mut arena = TableArena::new();
     for &idx in u.eligible_pairs(2, true).iter().take(8) {
         let run = distance::build_pair_run(&u, idx);
-        let session = &run.session;
-        let mut a = Party::honest(
-            "A",
-            TwoWayDistanceMapper::new(Side::A, &run.fwd.flows, &run.rev.flows, session.n_fwd),
-        );
-        let mut b = Party::honest(
-            "B",
-            TwoWayDistanceMapper::new(Side::B, &run.fwd.flows, &run.rev.flows, session.n_fwd),
-        );
-        let out = negotiate(
-            &session.input,
-            &session.default,
-            &mut a,
-            &mut b,
+        let out = run.negotiate(
+            &mut arena,
             &NexitConfig::win_win(),
+            DisclosurePolicy::Truthful,
         );
-        let (f, r) = session.split(&out.assignment);
-        let d = twoway_total_distance(
-            &run.fwd.flows,
-            &run.rev.flows,
-            &run.fwd.default,
-            &run.rev.default,
-        );
-        let n = twoway_total_distance(&run.fwd.flows, &run.rev.flows, &f, &r);
-        let o = twoway_total_distance(
-            &run.fwd.flows,
-            &run.rev.flows,
+        let (f, r) = run.session.split(&out.assignment);
+        let km = |fwd: &Assignment, rev: &Assignment| {
+            total_distance_km(&run.fwd.flows, fwd) + total_distance_km(&run.rev.flows, rev)
+        };
+        let d = km(&run.fwd.default, &run.rev.default);
+        let n = km(&f, &r);
+        let o = km(
             &optimal_distance(&run.fwd.flows),
             &optimal_distance(&run.rev.flows),
         );
@@ -118,16 +85,19 @@ fn negotiated_mel_close_to_optimal() {
     let cfg = ExpConfig::smoke();
     let mut neg_ratios = Vec::new();
     let mut def_ratios = Vec::new();
+    let mut arena = TableArena::new();
     for &idx in u.eligible_pairs(3, false).iter().take(4) {
-        for scenario in bandwidth::failure_scenarios(&u, idx, &cfg, &CapacityModel::default()) {
-            let Ok(opt) = scenario.optimum(cfg.max_lp_variables) else {
+        let sweep = PairFailureSweep::build(&u, idx, &cfg, &CapacityModel::default());
+        let mut lp = sweep.lp_session(cfg.max_lp_variables);
+        for scenario in &sweep.scenarios {
+            let Ok(opt) = scenario.optimum_in(&mut lp) else {
                 continue;
             };
             let opt_up = opt.side_mel(&scenario.caps_up, true);
             if opt_up < 1e-9 {
                 continue;
             }
-            let negotiated = scenario.negotiate_bandwidth();
+            let negotiated = scenario.negotiate_bandwidth_in(&mut arena);
             let (neg_up, _) = scenario.mels(&negotiated);
             neg_ratios.push(neg_up / opt_up);
             def_ratios.push(scenario.default_mels.0 / opt_up);
@@ -174,7 +144,8 @@ fn bandwidth_negotiation_under_reassignment_is_win_win() {
     let mut arena = TableArena::new();
     let mut sessions = 0;
     for idx in u.eligible_pairs(3, false) {
-        for s in bandwidth::failure_scenarios(&u, idx, &cfg, &CapacityModel::default()) {
+        let sweep = PairFailureSweep::build(&u, idx, &cfg, &CapacityModel::default());
+        for s in &sweep.scenarios {
             let out = s.negotiate_bandwidth_with(&mut arena, &s.caps_up, &s.caps_down);
             assert!(
                 out.gain_a >= 0 && out.gain_b >= 0,
